@@ -2,7 +2,7 @@
 
 Measures the cost of one ``fail_server`` episode — split every affected
 VM, re-place the remainders through min-incremental-energy, rebuild the
-victim's planning book, rebuild the sharded fleet view — at a realistic
+victim's planning book, rebuild the live fleet view — at a realistic
 load point, and verifies the live path's energy agrees with the offline
 ``inject_failures`` oracle at that scale. The recorded table tracks how
 re-placement latency scales with the number of VMs cut."""

@@ -1,17 +1,13 @@
 """Benchmark gate: the async multi-protocol service at fleet scale.
 
-Three contracts from the v3 rearchitecture, held under load:
+Two contracts from the v3 rearchitecture, held under load:
 
 * **Sustained concurrent throughput** — >= 10 clients (a mix of v1
   JSON-lines and v3 framed connections) stream placements at one
-  :func:`serve_async` daemon; the gate requires a sustained
-  placements/sec floor and a client-observed p99 latency inside a
-  deliberately generous CI SLO (shared runners jitter; the gate
-  catches order-of-magnitude regressions, not microseconds).
-* **Worker-pool equivalence at scale** — every registry allocator
-  must place a 40-VM stream bit-identically on a ``scan_processes``
-  daemon and a plain single-process daemon (same shards), energy
-  ledger included.
+  :func:`serve_async` daemon; the gate requires a quarter of the
+  measured sustained placements/sec and allows four times the measured
+  client-observed p99 latency (``benchmarks/results/service_scale.txt``
+  holds the measurement the gates derive from).
 * **v1 byte-compatibility** — a raw v1 JSON-lines exchange over the
   async server matches the in-process ``handle_line`` bytes modulo
   the timing field.
@@ -24,7 +20,6 @@ import socket
 import threading
 import time
 
-from repro.allocators.registry import allocator_names
 from repro.model.cluster import Cluster
 from repro.service import (
     AllocationClient,
@@ -42,10 +37,11 @@ N_CLIENTS = 12
 VMS_PER_CLIENT = 30
 N_SERVERS = 200
 
-#: CI gates — generous on purpose (shared runners); the interesting
-#: signal is the recorded numbers, the assertions catch collapses.
-MIN_PLACEMENTS_PER_SEC = 20.0
-P99_SLO_SECONDS = 1.0
+#: Gates: a quarter of the measured throughput, four times the measured
+#: p99 (median of five runs on the 2-core dev box: 1865 requests/s,
+#: p99 17 ms).
+MIN_PLACEMENTS_PER_SEC = 450.0
+P99_SLO_SECONDS = 0.070
 
 
 def _client_workload(client_index: int) -> list:
@@ -65,7 +61,7 @@ def _client_workload(client_index: int) -> list:
 def test_concurrent_clients_sustain_throughput_and_p99():
     daemon = AllocationDaemon(
         ClusterStateStore(Cluster.paper_all_types(N_SERVERS)),
-        algorithm="min-energy", shards=4, max_inflight=0)
+        algorithm="min-energy", max_inflight=0)
     server = serve_async(daemon, handler_threads=N_CLIENTS + 4)
     host, port = server.address
     latencies: list[list[float]] = [[] for _ in range(N_CLIENTS)]
@@ -110,51 +106,12 @@ def test_concurrent_clients_sustain_throughput_and_p99():
         f"placed:          {placed:8d} / {total}",
         f"latency p50:     {p50 * 1000:8.2f} ms",
         f"latency p99:     {p99 * 1000:8.2f} ms "
-        f"(SLO: {P99_SLO_SECONDS * 1000:.0f} ms)",
+        f"(limit: {P99_SLO_SECONDS * 1000:.0f} ms)",
     ]))
     # every request got a definite decision from the shared daemon
     assert daemon.metrics.requests["placed"] == placed
     assert rate >= MIN_PLACEMENTS_PER_SEC
     assert p99 <= P99_SLO_SECONDS
-
-
-def test_worker_pool_parity_across_all_allocators(benchmark):
-    """Every registry allocator: pooled scans == in-process scans,
-    bit for bit."""
-    vms = []
-    for vm in generate_vms(40, mean_interarrival=1.0, seed=31):
-        record = vm_to_record(vm)
-        record["vm_id"] = 10_000 + 100 * vm.vm_id
-        vms.append(vm_from_record(record))
-
-    def place_all(**kwargs):
-        daemon = AllocationDaemon(
-            ClusterStateStore(Cluster.paper_all_types(30)),
-            seed=3, shards=4, **kwargs)
-        try:
-            trail = [daemon.handle(place_request(vm)) for vm in vms]
-        finally:
-            daemon.handle({"op": "shutdown"})
-        return daemon, [(r["vm_id"], r.get("decision"),
-                         r.get("server_id")) for r in trail]
-
-    mismatches = []
-    for name in allocator_names():
-        plain, plain_trail = place_all(algorithm=name)
-        pooled, pooled_trail = place_all(algorithm=name,
-                                         scan_processes=3)
-        if pooled_trail != plain_trail or \
-                dict(pooled.store.placements) != \
-                dict(plain.store.placements) or \
-                pooled.store.energy_accumulated != \
-                plain.store.energy_accumulated:
-            mismatches.append(name)
-    assert mismatches == []
-
-    # one timed sample for the BENCH json: a pooled 40-VM stream
-    benchmark.pedantic(
-        lambda: place_all(algorithm="min-energy", scan_processes=3),
-        rounds=1, iterations=1)
 
 
 def test_v1_lines_byte_compatible_over_async_server():

@@ -2,7 +2,7 @@
 zoo of classic comparators."""
 
 from repro.allocators.base import Allocator
-from repro.allocators.batch import Decision, ShardScan
+from repro.allocators.batch import Decision
 from repro.allocators.best_fit import BestFit
 from repro.allocators.ffps import FirstFitPowerSaving
 from repro.allocators.first_fit import FirstFit
@@ -19,7 +19,6 @@ __all__ = [
     "Allocator",
     "BestFit",
     "Decision",
-    "ShardScan",
     "FirstFitPowerSaving",
     "FirstFit",
     "GammaFF",

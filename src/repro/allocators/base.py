@@ -4,8 +4,11 @@ All algorithms in the paper's evaluation share the same outer loop
 (Sec. III / IV-A): VMs are processed **in increasing order of their starting
 time**, and for each VM the algorithm chooses one server among those with
 sufficient spare CPU and memory throughout the VM's interval. Subclasses
-implement only the selection rule via :meth:`Allocator.choose` (or, for
-scan-order algorithms, :meth:`Allocator._select`).
+implement only the selection rule: :meth:`Allocator.choose` among the
+admissible servers, or a :meth:`Allocator._select` that hands a scan
+order to :meth:`Allocator._first_admissible` or a score to
+:meth:`Allocator._best_scored` — the two walks that own the
+kernel-or-scalar branch and the counter rules.
 
 Feasibility goes through :meth:`Allocator._examine`, which wraps
 ``ServerState.probe`` and maintains the ``candidates_evaluated`` /
@@ -25,12 +28,11 @@ from __future__ import annotations
 
 import abc
 import math
-from time import perf_counter
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.allocators.batch import Decision, ShardScan
+from repro.allocators.batch import Decision
 from repro.allocators.state import ServerState
 from repro.energy.cost import SleepPolicy
 from repro.exceptions import AllocationError
@@ -48,7 +50,6 @@ from repro.placement.config import EngineConfig
 from repro.placement.feasibility import Feasibility
 from repro.placement.index import CandidateIndex
 from repro.placement.kernels import FeasibilityBatch, FleetKernel
-from repro.placement.sharding import ShardedFleet
 
 __all__ = ["Allocator"]
 
@@ -69,32 +70,15 @@ class Allocator(abc.ABC):
         An :class:`~repro.placement.config.EngineConfig` selecting the
         occupancy backend (``"indexed"`` sparse skyline — the default —
         or the ``"dense"`` numpy oracle), whether scans may use the
-        vectorized fleet-probe kernel, and an optional shard-count
-        hint. ``None`` means the default config. Passing the engine as
-        a bare string still works but is deprecated (it warns; use
-        ``EngineConfig`` or, for config files/CLIs,
-        :meth:`EngineConfig.parse`).
+        vectorized fleet-probe kernel, and the Γ-robustness budget.
+        ``None`` means the default config. A bare string raises
+        :class:`~repro.exceptions.ValidationError`; spec strings go
+        through :meth:`EngineConfig.parse` or
+        :func:`~repro.allocators.registry.make_allocator`.
     """
 
     #: Registry name; subclasses must override.
     name: str = "abstract"
-
-    #: How :meth:`select_sharded` treats candidates. ``"collect"``
-    #: gathers every admissible server and delegates to :meth:`choose`
-    #: (matching the default :meth:`_select`); ``"first"`` stops each
-    #: shard at its first admissible server and the reduction keeps the
-    #: smallest scan ordinal; ``"score"`` keeps each shard's best
-    #: :meth:`shard_key` and the reduction folds the shard winners in
-    #: ascending-ordinal order with the :attr:`_shard_tie_tol` band.
-    #: Subclasses that override :meth:`_select` must declare the
-    #: matching mode (and hooks) for sharded selection to stay
-    #: bit-identical to their sequential scan.
-    scan_mode: str = "collect"
-
-    #: Strict-improvement tolerance of the score-mode fold: an incumbent
-    #: is displaced only by ``key < incumbent - tol``, so ties keep the
-    #: earliest scan position exactly like the sequential scan.
-    _shard_tie_tol: float = 0.0
 
     def __init__(self, *, seed: int | None = None,
                  policy: SleepPolicy = SleepPolicy.OPTIMAL,
@@ -102,7 +86,7 @@ class Allocator(abc.ABC):
         self._rng = np.random.default_rng(seed)
         self._policy = policy
         #: the resolved engine configuration (occupancy backend, batch
-        #: kernel toggle, shard hint)
+        #: kernel toggle, robustness budget)
         self.engine_config = EngineConfig.coerce(engine)
         #: the occupancy backend name (kept for compatibility)
         self.engine = self.engine_config.engine
@@ -172,9 +156,7 @@ class Allocator(abc.ABC):
         return Allocation(cluster, placements)
 
     def allocate_batch(self, vms: Iterable[VM], cluster: Cluster,
-                       constraints: PlacementConstraints | None = None, *,
-                       shards: int | None = None,
-                       max_workers: int | None = None
+                       constraints: PlacementConstraints | None = None
                        ) -> list[Decision]:
         """Place a whole batch; returns one :class:`Decision` per VM.
 
@@ -184,17 +166,7 @@ class Allocator(abc.ABC):
         VM that fits nowhere yields a rejection decision
         (``server_id=None``) instead of raising — batch callers want
         the whole outcome, not the first failure.
-
-        With ``shards > 1`` the feasibility scan of every selection fans
-        out across a :class:`~repro.placement.sharding.ShardedFleet` of
-        ``shards`` partitions (``max_workers`` threads); the reduction
-        is deterministic (score, then scan ordinal — see
-        :meth:`select_sharded`), so the placements and their Eq.-17
-        energy are bit-identical for every shard count. ``shards=None``
-        falls back to the :class:`EngineConfig` hint (default 1).
         """
-        if shards is None:
-            shards = self.engine_config.shards or 1
         items = list(vms)
         ordered = self.order_vms(list(items))
         # Decisions map back to the request order; identity-keyed so a
@@ -210,25 +182,21 @@ class Allocator(abc.ABC):
         self._constraints = constraints
         self._placed_ids = {}
         decisions: list[Decision | None] = [None] * len(items)
-        tracer = get_tracer()
         try:
-            with ShardedFleet(states, shards=shards,
-                              max_workers=max_workers) as fleet:
-                with tracer.span("allocator.allocate_batch",
-                                 algorithm=self.name, vms=len(items),
-                                 servers=len(states),
-                                 shards=fleet.n_shards):
-                    for vm in ordered:
-                        i = slots[id(vm)].pop(0)
-                        chosen = self.select_sharded(vm, fleet)
-                        if chosen is None:
-                            decisions[i] = Decision(vm=vm, server_id=None)
-                            continue
-                        delta = chosen.place(vm)
-                        server_id = chosen.server.server_id
-                        self._placed_ids[vm.vm_id] = server_id
-                        decisions[i] = Decision(vm=vm, server_id=server_id,
-                                                energy_delta=delta)
+            with get_tracer().span("allocator.allocate_batch",
+                                   algorithm=self.name, vms=len(items),
+                                   servers=len(states)):
+                for vm in ordered:
+                    i = slots[id(vm)].pop(0)
+                    chosen = self.select(vm, states)
+                    if chosen is None:
+                        decisions[i] = Decision(vm=vm, server_id=None)
+                        continue
+                    delta = chosen.place(vm)
+                    server_id = chosen.server.server_id
+                    self._placed_ids[vm.vm_id] = server_id
+                    decisions[i] = Decision(vm=vm, server_id=server_id,
+                                            energy_delta=delta)
         finally:
             self._constraints = None
             self._placed_ids = {}
@@ -288,18 +256,6 @@ class Allocator(abc.ABC):
             return index.candidates(vm)
         return states
 
-    def _spec_admits(self, vm: VM, states: Sequence[ServerState]
-                     ) -> dict[int, bool] | None:
-        """Per-spec static admission map for custom scan orders.
-
-        ``None`` when no index covers ``states`` (callers then probe every
-        server, which is always correct).
-        """
-        index = self._index
-        if index is not None and index.covers(states):
-            return index.spec_admits(vm)
-        return None
-
     # -- batch-kernel scans --------------------------------------------------
 
     def _kernel_for(self, states: Sequence[ServerState]
@@ -347,36 +303,96 @@ class Allocator(abc.ABC):
         self.candidates_feasible += int(rows.size)
         return rows
 
-    def _kernel_first(self, vm: VM, kernel: FleetKernel,
-                      positions: np.ndarray) -> int | None:
-        """First admissible candidate along ``positions`` (scan order).
+    # -- the two walks: first admissible, best score -------------------------
 
-        Batch-probes the scan in growing waves and walks each wave's
-        verdicts in order, so the counters match the scalar
-        short-circuit walk exactly: every candidate up to and including
-        the winner counts as evaluated, only the winner as feasible,
-        and candidates past the winner — probed speculatively by the
-        wave — are not counted at all. Returns the winner's index into
-        ``positions``.
+    def _first_admissible(self, vm: VM, states: Sequence[ServerState],
+                          order: np.ndarray | None = None) -> int | None:
+        """Fleet position of the first admissible server along ``order``.
+
+        ``order`` holds fleet positions in the allocator's scan order
+        (``None`` is fleet order). Servers whose *type* can never host
+        ``vm`` are skipped uncounted; every server up to and including
+        the winner counts as evaluated, only the winner as feasible.
+        The kernel probes the order in growing waves and walks each
+        wave's verdicts in order, so candidates past the winner —
+        probed speculatively by the wave — are not counted, exactly
+        like the scalar short-circuit walk.
         """
+        index = self._index
+        if index is not None and not index.covers(states):
+            index = None
+        kernel = index.kernel if index is not None else None
+        if kernel is None:
+            admits = index.spec_admits(vm) if index is not None else None
+            for pos in (range(len(states)) if order is None
+                        else order.tolist()):
+                state = states[pos]
+                if admits is not None \
+                        and not admits[id(state.server.spec)]:
+                    continue
+                if self._examine(vm, state) is not None:
+                    return pos
+            return None
+        if order is None:
+            order = index.candidate_positions(vm)
+        else:
+            mask = index.admitted_mask(vm)
+            if mask is not None:
+                order = order[mask[order]]
         constraints = self._constraints
         placed = self._placed_ids
-        total = int(positions.size)
+        total = int(order.size)
         lo, wave = 0, 64
         while lo < total:
             hi = min(total, lo + wave)
-            batch = kernel.probe_fleet(vm, positions[lo:hi])
+            batch = kernel.probe_fleet(vm, order[lo:hi])
             for j in map(int, batch.feasible_indices()):
-                state = batch.state_at(j)
                 if constraints is not None and not constraints.allows(
-                        vm.vm_id, state.server.server_id, placed):
+                        vm.vm_id, batch.state_at(j).server.server_id,
+                        placed):
                     continue
                 self.candidates_evaluated += j + 1
                 self.candidates_feasible += 1
-                return lo + j
+                return int(order[lo + j])
             self.candidates_evaluated += hi - lo
             lo, wave = hi, min(wave * 4, 2048)
         return None
+
+    def _best_scored(self, vm: VM, states: Sequence[ServerState],
+                     score: Callable[[object, Feasibility, VM], float],
+                     batch_score: Callable[[FeasibilityBatch, VM],
+                                           np.ndarray]
+                     ) -> ServerState | None:
+        """The admissible server with the lowest score; among equal
+        scores the earliest in fleet order wins.
+
+        ``score(spec, verdict, vm)`` rates one probed candidate and
+        ``batch_score(batch, vm)`` a whole probe batch with the same
+        float64 operations, so both branches pick the same server.
+        Every statically admitted server counts as evaluated, the
+        admissible ones as feasible.
+        """
+        batch = self._probe_candidates(vm, states)
+        if batch is not None:
+            rows = self._admissible_rows(vm, batch)
+            if not rows.size:
+                return None
+            # argmin returns the first minimum — the strict-< rule of
+            # the scalar incumbent walk below.
+            pick = rows[int(np.argmin(batch_score(batch, vm)[rows]))]
+            return batch.state_at(int(pick))
+        # The probe verdict already carries the interval peaks, so
+        # scoring needs no second peak query per candidate.
+        best: ServerState | None = None
+        best_score = math.inf
+        for state in self._candidates(vm, states):
+            verdict = self._examine(vm, state)
+            if verdict is None:
+                continue
+            value = score(state.server.spec, verdict, vm)
+            if value < best_score:
+                best, best_score = state, value
+        return best
 
     # -- explain-traces ------------------------------------------------------
 
@@ -508,230 +524,6 @@ class Allocator(abc.ABC):
         if not feasible:
             return None
         return self.choose(vm, feasible)
-
-    # -- sharded selection ---------------------------------------------------
-
-    def select_sharded(self, vm: VM,
-                       fleet: ShardedFleet) -> ServerState | None:
-        """:meth:`select` with the probe scan fanned out across shards.
-
-        The scan sequence (:meth:`_scan_sequence`) is routed to the
-        shard owning each server; every shard runs :meth:`_scan_shard`
-        independently (in parallel when the fleet has a pool) and the
-        per-shard results are folded by :meth:`_reduce_shards` with a
-        deterministic tie-break — score first, then the scan ordinal,
-        which in fleet order is the server id. The chosen server, and
-        therefore the placement and its energy, is bit-identical to the
-        sequential :meth:`select` for every shard count; only the probe
-        counters may grow (a shard cannot see its neighbours'
-        short-circuits).
-        """
-        if fleet.n_shards == 1:
-            # One shard IS the sequential scan: delegate to
-            # :meth:`select` under the shard lock, keeping its early
-            # exit instead of materializing the whole scan sequence.
-            if not len(fleet):
-                return self.select(vm, fleet.states)
-            with fleet.lock_for(0):
-                started = perf_counter()
-                chosen = self.select(vm, fleet.states)
-                elapsed = perf_counter() - started
-            if fleet.on_scan_time is not None:
-                fleet.on_scan_time(elapsed)
-            return chosen
-        self.candidates_evaluated = 0
-        self.candidates_feasible = 0
-        sequence = self._scan_sequence(vm, fleet.states)
-        chunks = fleet.scatter(sequence)
-        # A fleet may execute the shard scans elsewhere (the service's
-        # process worker pool exposes ``remote_scans``); the scan
-        # sequence, the fold and every stateful hook stay right here,
-        # so the dispatch choice cannot change the decision.
-        remote = getattr(fleet, "remote_scans", None)
-        if remote is not None:
-            scans = remote(self, vm, chunks)
-        else:
-            scans = fleet.map_scans(
-                lambda chunk: self._scan_shard(vm, chunk), chunks)
-        for scan in scans:
-            self.candidates_evaluated += scan.evaluated
-            self.candidates_feasible += scan.admissible
-        return self._reduce_shards(vm, scans)
-
-    def _scan_sequence(self, vm: VM, states: Sequence[ServerState]
-                       ) -> list[tuple[int, ServerState]]:
-        """The ``(ordinal, state)`` pairs of this algorithm's scan, in
-        scan order. The default is the statically-pruned fleet order of
-        :meth:`_candidates`; algorithms with a custom scan order
-        (shuffles, rotations, sorts) override this so the ordinals
-        mirror the order their sequential ``_select`` walks."""
-        return list(enumerate(self._candidates(vm, states)))
-
-    def _scan_shard(self, vm: VM,
-                    chunk: Sequence[tuple[int, ServerState]]) -> ShardScan:
-        """Scan one shard's slice of the sequence (thread-safe).
-
-        Runs on pool threads, so it must not touch shared allocator
-        state: probes go through ``ServerState.probe`` directly (not
-        :meth:`_examine`) and the counters are accumulated shard-locally
-        in the returned :class:`ShardScan`, summed by the caller.
-        """
-        mode = self.scan_mode
-        kernel = self._index.kernel if self._index is not None else None
-        if kernel is not None and chunk:
-            positions = kernel.positions_of([st for _, st in chunk])
-            if positions is not None:
-                return self._scan_shard_kernel(vm, chunk, kernel,
-                                               positions)
-        constraints = self._constraints
-        placed = self._placed_ids
-        tol = self._shard_tie_tol
-        evaluated = admissible = 0
-        winner: ServerState | None = None
-        winner_key = math.inf
-        winner_ordinal = -1
-        feasible: list[ServerState] = []
-        for ordinal, state in chunk:
-            verdict = state.probe(vm)
-            evaluated += 1
-            if not verdict.feasible:
-                continue
-            if constraints is not None and not constraints.allows(
-                    vm.vm_id, state.server.server_id, placed):
-                continue
-            admissible += 1
-            if mode == "collect":
-                feasible.append(state)
-            elif mode == "first":
-                winner, winner_key, winner_ordinal = \
-                    state, float(ordinal), ordinal
-                break
-            else:  # "score"
-                key = self.shard_key(vm, state, verdict)
-                if winner is None or key < winner_key - tol:
-                    winner, winner_key, winner_ordinal = state, key, ordinal
-        return ShardScan(winner=winner, key=winner_key,
-                         ordinal=winner_ordinal, feasible=feasible,
-                         evaluated=evaluated, admissible=admissible)
-
-    def _scan_shard_kernel(self, vm: VM,
-                           chunk: Sequence[tuple[int, ServerState]],
-                           kernel: FleetKernel,
-                           positions: np.ndarray) -> ShardScan:
-        """:meth:`_scan_shard` served by one batch probe per shard.
-
-        The chunk's candidates are probed in a single
-        ``probe_fleet`` call; the mode logic then replays the scalar
-        walk over the batch verdicts, so winners, keys and counters are
-        identical — ``first`` mode in particular still counts only the
-        candidates up to its winner, not the speculatively probed rest.
-        """
-        mode = self.scan_mode
-        constraints = self._constraints
-        placed = self._placed_ids
-        batch = kernel.probe_fleet(vm, positions)
-        rows = batch.feasible_indices()
-        if constraints is not None and rows.size:
-            rows = np.fromiter(
-                (i for i in rows if constraints.allows(
-                    vm.vm_id, chunk[i][1].server.server_id, placed)),
-                dtype=np.intp)
-        if mode == "first":
-            if rows.size:
-                j = int(rows[0])
-                return ShardScan(winner=chunk[j][1],
-                                 key=float(chunk[j][0]),
-                                 ordinal=chunk[j][0],
-                                 evaluated=j + 1, admissible=1)
-            return ShardScan(evaluated=len(chunk), admissible=0)
-        if mode == "collect":
-            return ShardScan(feasible=[chunk[int(i)][1] for i in rows],
-                             evaluated=len(chunk),
-                             admissible=int(rows.size))
-        # "score": fold the admissible rows in scan order with the
-        # strict-improvement band, exactly like the scalar incumbent.
-        tol = self._shard_tie_tol
-        keys = self.shard_keys(vm, batch)
-        winner: ServerState | None = None
-        winner_key = math.inf
-        winner_ordinal = -1
-        for i in map(int, rows):
-            key = (float(keys[i]) if keys is not None
-                   else self.shard_key(vm, chunk[i][1], batch[i]))
-            if winner is None or key < winner_key - tol:
-                winner, winner_key = chunk[i][1], key
-                winner_ordinal = chunk[i][0]
-        return ShardScan(winner=winner, key=winner_key,
-                         ordinal=winner_ordinal, evaluated=len(chunk),
-                         admissible=int(rows.size))
-
-    def shard_keys(self, vm: VM,
-                   batch: FeasibilityBatch) -> np.ndarray | None:
-        """Vectorized :meth:`shard_key` over a probe batch (score mode).
-
-        ``None`` (the default) makes the kernel shard scan fall back to
-        per-candidate :meth:`shard_key` calls on lazily materialized
-        verdicts; score-mode allocators whose key derives from the
-        batch arrays override this to stay fully vectorized.
-        """
-        return None
-
-    def _reduce_shards(self, vm: VM,
-                       scans: Sequence[ShardScan]) -> ServerState | None:
-        """Deterministic fold of the per-shard scans, in shard order.
-
-        * ``collect``: concatenate the shard-local feasible lists —
-          shard chunks preserve scan order and shards partition the
-          fleet contiguously, so the concatenation *is* the sequential
-          feasible list — then delegate to :meth:`choose`.
-        * ``first``: the smallest scan ordinal among shard winners, i.e.
-          exactly the server the sequential scan would have stopped at.
-        * ``score``: fold shard winners in ascending shard (= ordinal)
-          order, displacing the incumbent only on a strict improvement
-          beyond :attr:`_shard_tie_tol` — ties keep the earlier scan
-          position, matching the sequential incumbent rule.
-        """
-        if self.scan_mode == "collect":
-            feasible = [state for scan in scans for state in scan.feasible]
-            if not feasible:
-                return None
-            return self.choose(vm, feasible)
-        best: ServerState | None = None
-        best_key = math.inf
-        best_ordinal = -1
-        if self.scan_mode == "first":
-            for scan in scans:
-                if scan.winner is None:
-                    continue
-                if best is None or scan.ordinal < best_ordinal:
-                    best, best_ordinal = scan.winner, scan.ordinal
-        else:
-            tol = self._shard_tie_tol
-            for scan in scans:
-                if scan.winner is None:
-                    continue
-                if best is None or scan.key < best_key - tol:
-                    best, best_key, best_ordinal = \
-                        scan.winner, scan.key, scan.ordinal
-        if best is not None:
-            self._on_sharded_select(vm, best, best_ordinal)
-        return best
-
-    def shard_key(self, vm: VM, state: ServerState,
-                  verdict: Feasibility) -> float:
-        """Score-mode ranking key (lower wins) for one admissible
-        candidate; score-mode subclasses must override. ``verdict`` is
-        the probe result, so interval peaks come for free."""
-        raise NotImplementedError(
-            f"{type(self).__name__} uses scan_mode='score' but does not "
-            f"implement shard_key()")
-
-    def _on_sharded_select(self, vm: VM, state: ServerState,
-                           ordinal: int) -> None:
-        """Hook run once per sharded selection with the winning state
-        and its scan ordinal — stateful scan orders (round robin)
-        update their cursor here, exactly as their sequential scan
-        would."""
 
     @abc.abstractmethod
     def choose(self, vm: VM, feasible: Sequence[ServerState]) -> ServerState:

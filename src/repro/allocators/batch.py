@@ -6,22 +6,15 @@
 raise when a VM fits nowhere; the rejection is reported as a decision
 with ``server_id=None`` so callers see the whole batch outcome at once
 (the shape the service's ``place_batch`` operation serializes).
-
-:class:`ShardScan` is the internal per-shard scan result that the
-deterministic reduction folds; it is exported for allocator subclasses
-that override :meth:`~repro.allocators.base.Allocator._scan_shard`.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
-from repro.allocators.state import ServerState
 from repro.model.vm import VM
 
-__all__ = ["Decision", "ShardScan"]
+__all__ = ["Decision"]
 
 
 @dataclass(frozen=True)
@@ -41,24 +34,3 @@ class Decision:
     def placed(self) -> bool:
         """Whether the VM landed on a server."""
         return self.server_id is not None
-
-
-@dataclass
-class ShardScan:
-    """One shard's contribution to a sharded selection.
-
-    ``winner``/``key``/``ordinal`` describe the shard-local best
-    candidate under the allocator's scan mode (``ordinal`` is the
-    winner's position in the full scan sequence, the ultimate
-    tie-break); ``feasible`` carries every admissible state for
-    collect-mode allocators. ``evaluated``/``admissible`` are the
-    shard-local probe counters, summed into the allocator's
-    ``candidates_evaluated`` / ``candidates_feasible``.
-    """
-
-    winner: ServerState | None = None
-    key: float = math.inf
-    ordinal: int = -1
-    feasible: Sequence[ServerState] = field(default_factory=tuple)
-    evaluated: int = 0
-    admissible: int = 0

@@ -10,7 +10,6 @@ against the paper's energy-aware rule.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -53,46 +52,13 @@ class BestFit(Allocator):
 
     name = "best-fit"
 
-    #: Sharded scans keep the shard-local tightest fit; the fold's
-    #: strict-improvement rule reproduces the sequential first-wins
-    #: tie-break exactly (the score comparison is associative).
-    scan_mode = "score"
-
     def candidate_score(self, vm: VM, state: ServerState) -> float | None:
         """Explain-trace score: residual spare capacity (lower = tighter)."""
         return residual_score(state, vm)
 
-    def shard_key(self, vm: VM, state: ServerState,
-                  verdict: Feasibility) -> float:
-        return _residual(state.server.spec, verdict, vm)
-
-    def shard_keys(self, vm: VM, batch: FeasibilityBatch) -> np.ndarray:
-        return _residuals(batch, vm)
-
     def _select(self, vm: VM,
                 states: Sequence[ServerState]) -> ServerState | None:
-        batch = self._probe_candidates(vm, states)
-        if batch is not None:
-            rows = self._admissible_rows(vm, batch)
-            if not rows.size:
-                return None
-            # argmin returns the first minimum, matching the scalar
-            # strict-< incumbent walk's first-wins tie-break.
-            pick = rows[int(np.argmin(_residuals(batch, vm)[rows]))]
-            return batch.state_at(int(pick))
-        # The probe verdict already carries the interval peaks, so scoring
-        # is free: one pass, no second peak query per candidate.
-        best: ServerState | None = None
-        best_score = math.inf
-        for state in self._candidates(vm, states):
-            verdict = self._examine(vm, state)
-            if verdict is None:
-                continue
-            score = _residual(state.server.spec, verdict, vm)
-            if score < best_score:
-                best = state
-                best_score = score
-        return best
+        return self._best_scored(vm, states, _residual, _residuals)
 
     def choose(self, vm: VM, feasible: Sequence[ServerState]) -> ServerState:
         return min(feasible, key=lambda st: residual_score(st, vm))

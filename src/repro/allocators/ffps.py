@@ -26,17 +26,11 @@ class FirstFitPowerSaving(Allocator):
 
     name = "ffps"
 
-    #: First fit over the shuffled order; the sharded reduction keeps
-    #: the smallest shuffled-scan ordinal, i.e. the sequential winner.
-    scan_mode = "first"
-
     def on_prepare(self, states: Sequence[ServerState]) -> None:
-        order = self._rng.permutation(len(states))
-        self._scan = [states[i] for i in order]
-        self._rank = {id(st): i for i, st in enumerate(self._scan)}
-        #: the shuffled order as fleet positions (the permutation
-        #: itself), for the batch-kernel first-fit walk
-        self._scan_pos = order.astype(np.intp)
+        #: the shuffled scan order, as fleet positions
+        self._order = self._rng.permutation(len(states)).astype(np.intp)
+        self._rank = {id(states[pos]): i
+                      for i, pos in enumerate(self._order.tolist())}
 
     def candidate_score(self, vm: VM, state: ServerState) -> float | None:
         """Explain-trace score: position in the shuffled scan order."""
@@ -44,33 +38,8 @@ class FirstFitPowerSaving(Allocator):
 
     def _select(self, vm: VM,
                 states: Sequence[ServerState]) -> ServerState | None:
-        kernel = self._kernel_for(states)
-        if kernel is not None:
-            positions = self._scan_pos
-            mask = self._index.admitted_mask(vm)
-            if mask is not None:
-                positions = positions[mask[positions]]
-            i = self._kernel_first(vm, kernel, positions)
-            return None if i is None \
-                else kernel.state_at(int(positions[i]))
-        admits = self._spec_admits(vm, states)
-        for state in self._scan:
-            if admits is not None and not admits[id(state.server.spec)]:
-                continue
-            if self._examine(vm, state) is not None:
-                return state
-        return None
-
-    def _scan_sequence(self, vm: VM, states: Sequence[ServerState]
-                       ) -> list[tuple[int, ServerState]]:
-        """The shuffled scan with its ordinals, statically pruned."""
-        admits = self._spec_admits(vm, states)
-        if admits is None:
-            return list(enumerate(self._scan))
-        return [(i, state) for i, state in enumerate(self._scan)
-                if admits[id(state.server.spec)]]
+        pos = self._first_admissible(vm, states, self._order)
+        return None if pos is None else states[pos]
 
     def choose(self, vm: VM, feasible: Sequence[ServerState]) -> ServerState:
-        # _select() short-circuits; kept for interface completeness.
-        ranks = {id(st): i for i, st in enumerate(self._scan)}
-        return min(feasible, key=lambda st: ranks[id(st)])
+        return min(feasible, key=lambda st: self._rank[id(st)])

@@ -21,26 +21,14 @@ class FirstFit(Allocator):
 
     name = "first-fit"
 
-    #: Sharded scans stop at the shard-local first fit; the reduction
-    #: keeps the smallest scan ordinal — the sequential winner.
-    scan_mode = "first"
-
     def candidate_score(self, vm: VM, state: ServerState) -> float | None:
         """Explain-trace score: the scan position (fleet id order)."""
         return float(state.server.server_id)
 
     def _select(self, vm: VM,
                 states: Sequence[ServerState]) -> ServerState | None:
-        kernel = self._kernel_for(states)
-        if kernel is not None:
-            positions = self._index.candidate_positions(vm)
-            i = self._kernel_first(vm, kernel, positions)
-            return None if i is None \
-                else kernel.state_at(int(positions[i]))
-        for state in self._candidates(vm, states):
-            if self._examine(vm, state) is not None:
-                return state
-        return None
+        pos = self._first_admissible(vm, states)
+        return None if pos is None else states[pos]
 
     def choose(self, vm: VM, feasible: Sequence[ServerState]) -> ServerState:
         return feasible[0]

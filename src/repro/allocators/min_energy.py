@@ -33,7 +33,6 @@ import math
 from typing import Sequence
 
 from repro.allocators.base import Allocator
-from repro.allocators.batch import ShardScan
 from repro.allocators.state import ServerState
 from repro.energy.cost import SleepPolicy
 from repro.energy.power import run_energy
@@ -51,62 +50,9 @@ class MinIncrementalEnergy(Allocator):
 
     name = "min-energy"
 
-    #: Sharded scans run the fused scan per shard and fold the shard
-    #: winners in ascending fleet order with the same 1e-12
-    #: strict-improvement band, so ties keep the lowest server id
-    #: exactly like the sequential incumbent rule.
-    scan_mode = "score"
-    _shard_tie_tol = _TIE_TOL
-
     def candidate_score(self, vm: VM, state: ServerState) -> float | None:
         """Explain-trace score: the incremental Eq.-17 cost itself."""
         return state.incremental_cost(vm)
-
-    def _scan_shard(self, vm, chunk):
-        """The fused scan, shard-local (see :meth:`_select`): per-type
-        run-energy caching, lower-bound pruning and pristine dedup all
-        hold within a shard — the lower bound only gets *looser* against
-        a shard-local incumbent, so no global winner is ever skipped."""
-        prune = self._policy in (SleepPolicy.OPTIMAL,
-                                 SleepPolicy.NEVER_SLEEP)
-        constraints = self._constraints
-        placed = self._placed_ids
-        interval = vm.interval
-        run_of: dict[int, float] = {}
-        probed_pristine: set[int] = set()
-        evaluated = admissible = 0
-        best: ServerState | None = None
-        best_delta = math.inf
-        best_ordinal = -1
-        for ordinal, state in chunk:
-            spec = state.server.spec
-            key = id(spec)
-            run = run_of.get(key)
-            if run is None:
-                run = run_energy(spec, vm)
-                run_of[key] = run
-            if prune and run >= best_delta - _TIE_TOL:
-                continue
-            pristine = state.is_pristine
-            if pristine and key in probed_pristine:
-                continue
-            verdict = state.probe(vm)
-            evaluated += 1
-            if not verdict.feasible:
-                continue
-            if constraints is not None and not constraints.allows(
-                    vm.vm_id, state.server.server_id, placed):
-                continue
-            admissible += 1
-            if pristine:
-                probed_pristine.add(key)
-            delta = run + state.idle_delta(interval)
-            if delta < best_delta - _TIE_TOL:
-                best = state
-                best_delta = delta
-                best_ordinal = ordinal
-        return ShardScan(winner=best, key=best_delta, ordinal=best_ordinal,
-                         evaluated=evaluated, admissible=admissible)
 
     def _select(self, vm: VM,
                 states: Sequence[ServerState]) -> ServerState | None:

@@ -21,57 +21,31 @@ from repro.model.vm import VM
 __all__ = ["PowerAwareFirstFit"]
 
 
+def _efficiency(state: ServerState) -> tuple[float, int]:
+    """Scan key: peak watts per compute unit, ties by server id."""
+    server = state.server
+    return server.p_peak / server.cpu_capacity, server.server_id
+
+
 class PowerAwareFirstFit(Allocator):
     """First fit over servers sorted by peak watts per compute unit."""
 
     name = "power-aware"
 
-    #: First fit over the efficiency-sorted order; the sharded
-    #: reduction keeps the smallest sorted-scan ordinal.
-    scan_mode = "first"
-
     def on_prepare(self, states: Sequence[ServerState]) -> None:
-        self._scan = sorted(
-            states,
-            key=lambda st: (st.server.p_peak / st.server.cpu_capacity,
-                            st.server.server_id))
-        #: the sorted order as fleet positions, for the kernel walk
-        pos_of = {id(st): i for i, st in enumerate(states)}
-        self._scan_pos = np.fromiter(
-            (pos_of[id(st)] for st in self._scan), dtype=np.intp)
+        #: the efficiency-sorted scan order, as fleet positions
+        self._order = np.asarray(
+            sorted(range(len(states)),
+                   key=lambda i: _efficiency(states[i])), dtype=np.intp)
 
     def candidate_score(self, vm: VM, state: ServerState) -> float | None:
         """Explain-trace score: peak watts per compute unit."""
-        return state.server.p_peak / state.server.cpu_capacity
+        return _efficiency(state)[0]
 
     def _select(self, vm: VM,
                 states: Sequence[ServerState]) -> ServerState | None:
-        kernel = self._kernel_for(states)
-        if kernel is not None:
-            positions = self._scan_pos
-            mask = self._index.admitted_mask(vm)
-            if mask is not None:
-                positions = positions[mask[positions]]
-            i = self._kernel_first(vm, kernel, positions)
-            return None if i is None \
-                else kernel.state_at(int(positions[i]))
-        admits = self._spec_admits(vm, states)
-        for state in self._scan:
-            if admits is not None and not admits[id(state.server.spec)]:
-                continue
-            if self._examine(vm, state) is not None:
-                return state
-        return None
-
-    def _scan_sequence(self, vm: VM, states: Sequence[ServerState]
-                       ) -> list[tuple[int, ServerState]]:
-        """The efficiency-sorted scan with its ordinals, pruned."""
-        admits = self._spec_admits(vm, states)
-        if admits is None:
-            return list(enumerate(self._scan))
-        return [(i, state) for i, state in enumerate(self._scan)
-                if admits[id(state.server.spec)]]
+        pos = self._first_admissible(vm, states, self._order)
+        return None if pos is None else states[pos]
 
     def choose(self, vm: VM, feasible: Sequence[ServerState]) -> ServerState:
-        ranks = {id(st): i for i, st in enumerate(self._scan)}
-        return min(feasible, key=lambda st: ranks[id(st)])
+        return min(feasible, key=_efficiency)

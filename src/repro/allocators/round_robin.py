@@ -23,12 +23,6 @@ class RoundRobin(Allocator):
 
     name = "round-robin"
 
-    #: First fit along the rotation; scan ordinals are rotation offsets,
-    #: so the reduction keeps the nearest feasible slot and
-    #: :meth:`_on_sharded_select` advances the cursor past it — counting
-    #: skipped servers exactly like the sequential scan.
-    scan_mode = "first"
-
     def on_prepare(self, states: Sequence[ServerState]) -> None:
         self._next = 0
         self._fleet_size = len(states)
@@ -41,53 +35,14 @@ class RoundRobin(Allocator):
     def _select(self, vm: VM,
                 states: Sequence[ServerState]) -> ServerState | None:
         n = len(states)
-        kernel = self._kernel_for(states)
-        if kernel is not None and n:
-            rotation = np.concatenate(
-                (np.arange(self._next, n, dtype=np.intp),
-                 np.arange(0, self._next, dtype=np.intp)))
-            offsets = np.arange(n, dtype=np.intp)
-            mask = self._index.admitted_mask(vm)
-            if mask is not None:
-                keep = mask[rotation]
-                rotation, offsets = rotation[keep], offsets[keep]
-            i = self._kernel_first(vm, kernel, rotation)
-            if i is None:
-                return None
-            # Advance past the chosen slot; statically-skipped servers
-            # keep their rotation offsets, exactly as if probed.
-            self._next = (self._next + int(offsets[i]) + 1) % n
-            return kernel.state_at(int(rotation[i]))
-        admits = self._spec_admits(vm, states)
-        for offset in range(n):
-            state = states[(self._next + offset) % n]
-            if admits is not None and not admits[id(state.server.spec)]:
-                continue
-            if self._examine(vm, state) is not None:
-                # Advance past the chosen slot; statically-skipped servers
-                # keep their place in the rotation, exactly as if probed.
-                self._next = (self._next + offset + 1) % n
-                return state
-        return None
-
-    def _scan_sequence(self, vm: VM, states: Sequence[ServerState]
-                       ) -> list[tuple[int, ServerState]]:
-        """The current rotation as (offset, state) pairs; statically
-        inadmissible servers are dropped but keep their offsets, so the
-        cursor advance stays identical to the sequential scan."""
-        n = len(states)
-        admits = self._spec_admits(vm, states)
-        sequence: list[tuple[int, ServerState]] = []
-        for offset in range(n):
-            state = states[(self._next + offset) % n]
-            if admits is not None and not admits[id(state.server.spec)]:
-                continue
-            sequence.append((offset, state))
-        return sequence
-
-    def _on_sharded_select(self, vm: VM, state: ServerState,
-                           ordinal: int) -> None:
-        self._next = (self._next + ordinal + 1) % self._fleet_size
+        rotation = (np.arange(n, dtype=np.intp) + self._next) % max(1, n)
+        pos = self._first_admissible(vm, states, rotation)
+        if pos is None:
+            return None
+        # Advance past the chosen slot; statically-skipped servers keep
+        # their place in the rotation, exactly as if probed.
+        self._next = (pos + 1) % n
+        return states[pos]
 
     def choose(self, vm: VM, feasible: Sequence[ServerState]) -> ServerState:
         return feasible[0]

@@ -9,17 +9,12 @@ algorithm comparison.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
-
-import numpy as np
 
 from repro.allocators.base import Allocator
 from repro.allocators.best_fit import _residual, _residuals, residual_score
 from repro.allocators.state import ServerState
 from repro.model.vm import VM
-from repro.placement.feasibility import Feasibility
-from repro.placement.kernels import FeasibilityBatch
 
 __all__ = ["WorstFit"]
 
@@ -29,42 +24,17 @@ class WorstFit(Allocator):
 
     name = "worst-fit"
 
-    #: Same fold as best fit, on the negated residual (lower = looser).
-    scan_mode = "score"
-
     def candidate_score(self, vm: VM, state: ServerState) -> float | None:
         """Explain-trace score: negated residual (lower = more spare)."""
         return -residual_score(state, vm)
 
-    def shard_key(self, vm: VM, state: ServerState,
-                  verdict: Feasibility) -> float:
-        return -_residual(state.server.spec, verdict, vm)
-
-    def shard_keys(self, vm: VM, batch: FeasibilityBatch) -> np.ndarray:
-        return -_residuals(batch, vm)
-
     def _select(self, vm: VM,
                 states: Sequence[ServerState]) -> ServerState | None:
-        batch = self._probe_candidates(vm, states)
-        if batch is not None:
-            rows = self._admissible_rows(vm, batch)
-            if not rows.size:
-                return None
-            # argmax returns the first maximum — the scalar strict->
-            # walk's first-wins tie-break.
-            pick = rows[int(np.argmax(_residuals(batch, vm)[rows]))]
-            return batch.state_at(int(pick))
-        best: ServerState | None = None
-        best_score = -math.inf
-        for state in self._candidates(vm, states):
-            verdict = self._examine(vm, state)
-            if verdict is None:
-                continue
-            score = _residual(state.server.spec, verdict, vm)
-            if score > best_score:
-                best = state
-                best_score = score
-        return best
+        # Lower wins in the base walk, so rank by the negated residual.
+        return self._best_scored(
+            vm, states,
+            lambda spec, verdict, vm: -_residual(spec, verdict, vm),
+            lambda batch, vm: -_residuals(batch, vm))
 
     def choose(self, vm: VM, feasible: Sequence[ServerState]) -> ServerState:
         return max(feasible, key=lambda st: residual_score(st, vm))

@@ -269,19 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--trace-out", default=None,
                          help="record spans while serving and write a "
                               "Chrome trace_event JSON on shutdown")
-    p_serve.add_argument("--shards", type=int, default=1,
-                         help="partition the fleet into this many shards "
-                              "and fan each feasibility scan out across "
-                              "them (identical placements at any count)")
-    p_serve.add_argument("--workers", type=int, default=None,
-                         help="thread-pool width for the shard scans "
-                              "(default: one per shard)")
-    p_serve.add_argument("--scan-processes", type=int, default=0,
-                         metavar="N",
-                         help="run shard scans on N worker processes "
-                              "(replicated state, bit-identical "
-                              "placements; needs --shards > 1; 0 = "
-                              "in-process scans)")
     p_serve.add_argument("--max-inflight", type=int, default=64,
                          help="mutating requests in flight before the "
                               "daemon answers 'overloaded' (0 = "
@@ -701,18 +688,6 @@ def _parse_algo_params(pairs: Sequence[str]) -> dict[str, object]:
     return params
 
 
-def _usage_error(code: str, message: str) -> int:
-    """Print a structured usage error (the service's envelope shape,
-    so scripts can parse stderr) and return the usage exit code."""
-    import json
-
-    from repro.service.errors import envelope
-
-    print(json.dumps({"ok": False, "error": envelope(code, message)}),
-          file=sys.stderr)
-    return 2
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.model.cluster import Cluster
     from repro.service import (
@@ -722,25 +697,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         serve_stdio,
         start_metrics_server,
     )
-
-    if args.workers is not None and 0 < args.max_inflight < args.workers:
-        return _usage_error(
-            "bad_request",
-            f"--max-inflight {args.max_inflight} is smaller than "
-            f"--workers {args.workers}: the ingest semaphore would "
-            f"admit fewer requests than there are scan workers, "
-            f"permanently starving the pool; raise --max-inflight or "
-            f"lower --workers")
-    if args.scan_processes < 0:
-        return _usage_error(
-            "bad_request",
-            f"--scan-processes must be >= 0, got {args.scan_processes}")
-    if args.scan_processes > 0 and args.shards <= 1:
-        return _usage_error(
-            "bad_request",
-            f"--scan-processes {args.scan_processes} needs --shards > 1: "
-            f"an unsharded fleet has no scan fan-out to hand to worker "
-            f"processes")
 
     # In stdio mode stdout carries the protocol, so banners go to stderr.
     log = sys.stderr if args.stdio else sys.stdout
@@ -783,9 +739,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             store, algorithm=args.algorithm, seed=args.seed,
             algo_params=algo_params,
             max_delay=args.max_delay, data_dir=args.data_dir,
-            snapshot_every=args.snapshot_every, shards=args.shards,
-            max_workers=args.workers, max_inflight=args.max_inflight,
-            scan_processes=args.scan_processes,
+            snapshot_every=args.snapshot_every,
+            max_inflight=args.max_inflight,
             consolidate_every=args.consolidate_epoch,
             frag_threshold=args.frag_threshold,
             migration_cost_per_gb=args.migration_cost,

@@ -15,7 +15,7 @@ single entry point every allocator uses to test a candidate server:
   batch probe over a structure-of-arrays mirror of the fleet's
   skylines;
 * :class:`~repro.placement.config.EngineConfig` — the frozen
-  engine/kernel/shards choice accepted wherever the old engine string
+  engine/kernel/robustness choice accepted wherever the old engine string
   was.
 
 See ``docs/api.md`` ("Placement engine") for the replacements of the
@@ -33,7 +33,6 @@ from repro.placement.occupancy import (
     SkylineOccupancy,
     make_occupancy,
 )
-from repro.placement.sharding import ShardedFleet, shard_bounds
 
 __all__ = [
     "EngineConfig",
@@ -43,9 +42,7 @@ __all__ = [
     "CandidateIndex",
     "SkylineOccupancy",
     "DenseOccupancy",
-    "ShardedFleet",
     "make_occupancy",
-    "shard_bounds",
     "ENGINES",
     "DEFAULT_ENGINE",
 ]

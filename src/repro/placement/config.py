@@ -4,17 +4,16 @@ Historically the placement engine was chosen by a bare string
 (``engine="indexed"`` / ``"dense"``) threaded through every constructor,
 and each speedup layer bolted on its own toggle next to it. An
 :class:`EngineConfig` collapses the whole choice — occupancy backend,
-batch probe kernel on/off, a shard-count hint for sharded scans, and
-the Γ-robustness budget — into a single frozen value accepted
-everywhere the string used to be:
+batch probe kernel on/off and the Γ-robustness budget — into a single
+frozen value accepted everywhere the string used to be:
 :func:`~repro.allocators.registry.make_allocator`, the allocator and
 :class:`~repro.service.state.ClusterStateStore` constructors, and
 ``repro serve --algo-param engine=...``.
 
 The **spec string** (:meth:`EngineConfig.parse`) is the sanctioned flat
 form for CLIs, config files and snapshots: ``"indexed"``, ``"dense"``,
-``"indexed:kernel=off"``, ``"indexed:kernel=on,shards=8"``,
-``"indexed:gamma=2"``, ``"indexed:gamma=3,mode=box"``.
+``"indexed:kernel=off"``, ``"indexed:gamma=2"``,
+``"indexed:gamma=3,mode=box"``.
 
 The legacy ctor string (``engine="dense"`` passed directly to an
 allocator constructor) completed its deprecation cycle and has been
@@ -30,7 +29,9 @@ Snapshots journal the active config (:meth:`to_record` /
 :meth:`from_record`) so a restored daemon picks the same engine, kernel
 setting and robustness budget it was running with; records written
 before the robustness fields existed restore to ``robustness=None``
-(nominal probing) unchanged.
+(nominal probing) unchanged. Stored specs and records may carry a
+``shards`` entry, which selects nothing: it is validated as an integer
+>= 1 and dropped, and :attr:`spec` / :meth:`to_record` never emit it.
 """
 
 from __future__ import annotations
@@ -43,6 +44,18 @@ from repro.placement.occupancy import DEFAULT_ENGINE, ENGINES
 from repro.robust.config import RobustnessConfig
 
 __all__ = ["EngineConfig"]
+
+
+def _check_legacy_shards(raw: object, where: str) -> None:
+    """Validate the ``shards`` entry of a stored spec or record; it
+    selects nothing, so callers drop it after this check."""
+    try:
+        shards = int(raw)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"{where}: shards must be an integer, got {raw!r}") from None
+    if shards < 1:
+        raise ValidationError(f"{where}: shards must be >= 1, got {shards}")
 
 
 @dataclass(frozen=True)
@@ -60,11 +73,6 @@ class EngineConfig:
         the engine default — on for ``"indexed"``, and necessarily off
         for ``"dense"`` (the kernel mirrors skylines). Explicitly
         requesting ``kernel=True`` on the dense engine is an error.
-    shards:
-        Optional shard-count hint for sharded scans; consumers that
-        build their own :class:`~repro.placement.sharding.ShardedFleet`
-        (``allocate_batch``, the service daemon) use it as the default
-        when no explicit shard count is given. ``None`` means no hint.
     robustness:
         Optional :class:`~repro.robust.config.RobustnessConfig`.
         ``None`` (and an inactive config, ``gamma=0``) means nominal
@@ -76,7 +84,6 @@ class EngineConfig:
 
     engine: str = DEFAULT_ENGINE
     kernel: bool | None = None
-    shards: int | None = None
     robustness: RobustnessConfig | None = None
 
     def __post_init__(self) -> None:
@@ -89,9 +96,6 @@ class EngineConfig:
                 "the batch probe kernel mirrors skyline occupancy and "
                 "needs engine='indexed'; drop kernel=True or switch "
                 "engines")
-        if self.shards is not None and self.shards < 1:
-            raise ValidationError(
-                f"shards hint must be >= 1, got {self.shards}")
         if self.robustness is not None and self.robustness.active \
                 and self.engine != "indexed":
             raise ValidationError(
@@ -125,8 +129,6 @@ class EngineConfig:
         options = []
         if self.kernel is not None:
             options.append(f"kernel={'on' if self.kernel else 'off'}")
-        if self.shards is not None:
-            options.append(f"shards={self.shards}")
         if self.robustness is not None:
             options.extend(self.robustness.spec_options)
         if not options:
@@ -143,7 +145,6 @@ class EngineConfig:
         head, sep, tail = text.partition(":")
         engine = head.strip()
         kernel: bool | None = None
-        shards: int | None = None
         gamma: int | None = None
         mode: str | None = None
         if sep:
@@ -161,12 +162,7 @@ class EngineConfig:
                             f"on/off, got {raw!r}")
                     kernel = raw in ("on", "true")
                 elif key == "shards":
-                    try:
-                        shards = int(raw)
-                    except ValueError:
-                        raise ValidationError(
-                            f"bad engine spec {text!r}: shards must be "
-                            f"an integer, got {raw!r}") from None
+                    _check_legacy_shards(raw, f"bad engine spec {text!r}")
                 elif key == "gamma":
                     try:
                         gamma = int(raw)
@@ -179,14 +175,13 @@ class EngineConfig:
                 else:
                     raise ValidationError(
                         f"bad engine spec {text!r}: unknown option "
-                        f"{key!r} (valid: kernel, shards, gamma, mode)")
+                        f"{key!r} (valid: kernel, gamma, mode)")
         robustness: RobustnessConfig | None = None
         if gamma is not None or mode is not None:
             robustness = RobustnessConfig(
                 gamma=0 if gamma is None else gamma,
                 mode="gamma" if mode is None else mode)
-        return cls(engine=engine, kernel=kernel, shards=shards,
-                   robustness=robustness)
+        return cls(engine=engine, kernel=kernel, robustness=robustness)
 
     @classmethod
     def coerce(cls, value: "EngineConfig | str | None", *,
@@ -224,8 +219,6 @@ class EngineConfig:
         record: dict[str, object] = {"engine": self.engine}
         if self.kernel is not None:
             record["kernel"] = self.kernel
-        if self.shards is not None:
-            record["shards"] = self.shards
         if self.robustness is not None:
             record["gamma"] = self.robustness.gamma
             record["mode"] = self.robustness.mode
@@ -234,7 +227,8 @@ class EngineConfig:
     @classmethod
     def from_record(cls, record: Mapping[str, object]) -> "EngineConfig":
         kernel = record.get("kernel")
-        shards = record.get("shards")
+        if record.get("shards") is not None:
+            _check_legacy_shards(record["shards"], "bad engine record")
         robustness: RobustnessConfig | None = None
         if "gamma" in record or "mode" in record:
             robustness = RobustnessConfig(
@@ -242,5 +236,4 @@ class EngineConfig:
                 mode=str(record.get("mode", "gamma")))
         return cls(engine=str(record.get("engine", DEFAULT_ENGINE)),
                    kernel=None if kernel is None else bool(kernel),
-                   shards=None if shards is None else int(shards),
                    robustness=robustness)

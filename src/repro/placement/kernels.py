@@ -213,8 +213,8 @@ class FleetKernel:
         self._dirty: set[int] = set(range(n))
         self._lock = threading.Lock()
         # Pooled gather buffers for subset probes, grown geometrically.
-        # Per-thread: sharded scans probe shards concurrently, so a
-        # shared buffer would be overwritten mid-probe.
+        # Per-thread, so two threads probing the same fleet never
+        # overwrite each other's buffer mid-probe.
         self._gpool = threading.local()
         for state in self._states:
             state.add_watcher(self)

@@ -7,9 +7,8 @@ over stdin or TCP), routes each through a registered allocator against
 a mutable :class:`ClusterStateStore`, journals every decision, and
 checkpoints crash-safe snapshots, while a Prometheus endpoint exposes
 fleet power, occupancy and latency. Protocol v2 adds ``place_batch``
-(a whole batch per round trip, journaled as one group) and the daemon
-fans each feasibility scan out over a sharded fleet view — identical
-placements at any shard count. Protocol v2 also carries live failure
+(a whole batch per round trip, journaled as one group, decided in the
+same order as the same VMs sent one by one) and live failure
 events: ``fail_server`` splits every affected VM at the failure tick
 and re-places the remainders through the active allocator (one atomic
 journal group per failure), ``recover_server`` brings the machine
@@ -27,11 +26,9 @@ Protocol v3 is the async multi-worker generation: one
 :class:`AsyncDaemonServer` port speaks JSON-lines *and* length-prefixed
 binary frames (sniffed per connection, v1/v2 clients byte-unchanged),
 failures carry the typed error envelope of
-:mod:`repro.service.errors`, an HTTP/REST gateway
+:mod:`repro.service.errors`, and an HTTP/REST gateway
 (:func:`start_gateway`) translates ``POST /v1/place`` and friends onto
-the same op handlers, and with ``scan_processes > 0`` the daemon fans
-candidate scans out over process-per-shard store replicas
-(:class:`WorkerPool`) kept bit-exact through the journal-entry stream.
+the same op handlers.
 """
 
 from repro.service.aio import AsyncDaemonServer, serve_async
@@ -94,7 +91,6 @@ from repro.service.protocol import (
     recover_server_request,
     telemetry_request,
 )
-from repro.service.workers import WorkerFleet, WorkerPool
 from repro.service.state import (
     SNAPSHOT_FORMAT_VERSION,
     ClusterStateStore,
@@ -132,8 +128,6 @@ __all__ = [
     "SNAPSHOT_FORMAT_VERSION",
     "SUPPORTED_VERSIONS",
     "SnapshotManager",
-    "WorkerFleet",
-    "WorkerPool",
     "apply_entry",
     "consolidate_request",
     "dump_debug_request",

@@ -34,20 +34,20 @@ episode runs the shared
 journaled as **one atomic group** (like failure episodes), so
 kill+restore mid-consolidation reproduces exact state.
 
-Concurrency model (protocol v2 redesign)
-----------------------------------------
+Concurrency model
+-----------------
 Mutating operations (``place``, ``place_batch``, ``tick``,
 ``fail_server``, ``recover_server``, ``consolidate``, plus
 snapshotting and shutdown) serialize on one *commit lock* — placement
 decisions must observe each other's commits, so decision order is the
-wire arrival order. Within a decision the feasibility scan fans out
-over the store's :class:`~repro.placement.sharding.ShardedFleet`; each
-shard's states are guarded by a per-shard lock that scans hold while
-probing and the commit path holds while mutating the chosen server.
-Read-only operations (``stats``, ``metrics``, ``ping``) bypass the
-commit lock entirely — :class:`ServiceMetrics` is internally
-thread-safe and the store's gauges are single reads — so scrapes and
-health checks never queue behind placements. Ingest is *bounded*: at
+wire arrival order. Within a decision the allocator's ``select`` scans
+the live server states on the calling thread; one *state lock* is held
+around each scan and around each commit, so a probe never observes a
+half-applied placement. Read-only operations (``stats``, ``metrics``,
+``ping``) bypass the commit lock entirely — :class:`ServiceMetrics` is
+internally thread-safe and the store's gauges are single reads — so
+scrapes and health checks never queue behind placements. Ingest is
+*bounded*: at
 most ``max_inflight`` mutating requests may be in flight; beyond that
 the daemon answers ``{"ok": false, "error": "overloaded",
 "retry_after": ...}`` instead of piling up threads.
@@ -83,7 +83,6 @@ from repro.obs.slo import SLOConfig, SLOTracker
 from repro.obs.telemetry import TelemetryRing, TelemetrySample
 from repro.obs.tracer import get_tracer
 from repro.placement.config import EngineConfig
-from repro.placement.sharding import ShardedFleet
 from repro.service.errors import (
     attach_error,
     envelope,
@@ -172,25 +171,6 @@ class AllocationDaemon:
         periodic snapshots; a final one is still written on shutdown).
     fsync:
         Whether the journal fsyncs each entry (disable only in tests).
-    shards:
-        Partition count of the fleet's
-        :class:`~repro.placement.sharding.ShardedFleet`; every
-        placement's feasibility scan fans out across the shards
-        (``repro serve --shards``). The reduction is deterministic, so
-        any shard count yields identical placements.
-    max_workers:
-        Thread-pool width for the shard scans (defaults to the shard
-        count; ``repro serve --workers``).
-    scan_processes:
-        Process-pool width for the shard scans (``repro serve
-        --scan-processes``). With ``N > 0`` (and more than one shard)
-        each placement's feasibility scan fans out over ``N`` worker
-        *processes*, each holding a bit-exact replica of the cluster
-        store kept in sync through the journal-entry stream
-        (:mod:`repro.service.workers`) — candidate scans escape the
-        GIL while the deterministic ``(score, scan ordinal)`` fold
-        keeps placements bit-identical to the in-process scan. ``0``
-        (the default) keeps scans in-process.
     max_inflight:
         Bounded ingest: at most this many mutating requests in flight
         before the daemon answers ``overloaded`` with a ``retry_after``
@@ -232,8 +212,6 @@ class AllocationDaemon:
                  algo_params: Mapping[str, object] | None = None,
                  max_delay: int = 0, data_dir: str | Path | None = None,
                  snapshot_every: int = 100, fsync: bool = True,
-                 shards: int = 1, max_workers: int | None = None,
-                 scan_processes: int = 0,
                  max_inflight: int = 64,
                  consolidate_every: int = 0,
                  frag_threshold: float | None = None,
@@ -249,11 +227,6 @@ class AllocationDaemon:
         if snapshot_every < 0:
             raise ValidationError(
                 f"snapshot_every must be >= 0, got {snapshot_every}")
-        if shards < 1:
-            raise ValidationError(f"shards must be >= 1, got {shards}")
-        if scan_processes < 0:
-            raise ValidationError(
-                f"scan_processes must be >= 0, got {scan_processes}")
         if max_inflight < 0:
             raise ValidationError(
                 f"max_inflight must be >= 0, got {max_inflight}")
@@ -266,18 +239,16 @@ class AllocationDaemon:
                 f"frag_threshold must be in (0, 1], got {frag_threshold}")
         self.store = store
         algo_params = dict(algo_params or {})
-        # The journaled config must be JSON: an EngineConfig passed
-        # programmatically is stored as its spec string (make_allocator
-        # parses it back), so restores rebuild the same engine + kernel.
-        engine_param = algo_params.get("engine")
-        if isinstance(engine_param, EngineConfig):
-            algo_params["engine"] = engine_param.spec
+        # The journaled config must be JSON: the engine is stored as
+        # its canonical spec string (make_allocator parses it back), so
+        # restores rebuild the same engine + kernel.
+        if algo_params.get("engine") is not None:
+            algo_params["engine"] = EngineConfig.coerce(
+                algo_params["engine"], warn=False).spec
         self.config = {"algorithm": algorithm, "seed": seed,
                        "algo_params": algo_params,
                        "max_delay": max_delay,
                        "snapshot_every": snapshot_every,
-                       "shards": shards,
-                       "scan_processes": scan_processes,
                        "max_inflight": max_inflight,
                        "consolidate_every": consolidate_every,
                        "frag_threshold": None if frag_threshold is None
@@ -301,25 +272,18 @@ class AllocationDaemon:
         params: dict[str, object] = {"seed": seed, "policy": store.policy,
                                      **algo_params}
         self.allocator = make_allocator(algorithm, **params)
-        # An engine-level shard hint is the default when the daemon got
-        # no explicit shard count of its own.
-        if shards == 1 and self.allocator.engine_config.shards:
-            shards = self.allocator.engine_config.shards
-            self.config["shards"] = shards
         self.metrics = ServiceMetrics()
         self.metrics.register_algorithm(algorithm)
         from repro import __version__  # deferred: repro imports service
         self.metrics.set_build_info(version=__version__,
                                     algorithm=algorithm,
                                     engine=store.engine_config.spec)
-        self._max_workers = max_workers
-        self.fleet: ShardedFleet | None = None
-        #: The scan worker pool (process-per-shard replicas); started
-        #: lazily by :meth:`_rebuild_fleet` when ``scan_processes > 0``.
-        self._pool = None
-        # The fleet scans only non-failed servers (a restored snapshot
-        # may already carry dead ones), so build it through the same
-        # path fail/recover events use.
+        #: Held around each scan and each commit (under the commit
+        #: lock), so probes never observe a half-applied placement.
+        self._state_lock = threading.Lock()
+        # The allocator scans only non-failed servers (a restored
+        # snapshot may already carry dead ones), so build the list
+        # through the same path fail/recover events use.
         self._rebuild_fleet()
         self.closed = False
         #: Serializes placement decisions and state mutation; read-only
@@ -354,60 +318,29 @@ class AllocationDaemon:
         self._sample_telemetry()
 
     def _rebuild_fleet(self) -> None:
-        """(Re)build the sharded fleet over the *live* servers.
+        """(Re)build the scan list over the *live* servers.
 
-        Failure and recovery change the scannable fleet, so both paths
-        funnel through here: the old fleet (and its scan pool) is
-        closed, a fresh one is built over
-        :meth:`ClusterStateStore.live_states`, and the allocator is
-        re-prepared so its candidate index covers exactly the servers
-        it may choose. Note fleet positions are scan positions, not
-        server ids, once a server is dead — commit paths translate via
-        ``fleet.position_of``.
+        Failure, recovery and consolidation change which state objects
+        may be scanned, so all three funnel through here: the list is
+        re-read from :meth:`ClusterStateStore.live_states` and the
+        allocator re-prepared, so its candidate index covers exactly
+        the servers it may choose. Note list positions are scan
+        positions, not server ids, once a server is dead.
         """
-        if self.fleet is not None:
-            self.fleet.close()
-        live = self.store.live_states()
-        shards = int(self.config["shards"])
-        if int(self.config["scan_processes"]) > 0 and shards > 1:
-            from repro.service.workers import WorkerFleet
-            self.fleet = WorkerFleet(
-                live, shards=shards, pool=self._ensure_worker_pool(),
-                max_workers=self._max_workers,
-                on_scan_time=self.metrics.observe_shard_scan)
-        else:
-            self.fleet = ShardedFleet(
-                live, shards=shards,
-                max_workers=self._max_workers,
-                on_scan_time=self.metrics.observe_shard_scan)
-        self.allocator.prepare(live)
+        self._live = self.store.live_states()
+        self.allocator.prepare(self._live)
 
-    def _ensure_worker_pool(self):
-        """Start the scan worker pool from the store's *current* state.
-
-        The pool starts at most once per daemon: each worker process
-        boots a store replica from a snapshot taken here, and every
-        subsequent mutation (including restore's journal-tail replay)
-        is streamed to the workers through :meth:`_pool_apply`, so the
-        replicas track the primary bit-for-bit from any starting point.
-        """
-        if self._pool is None:
-            from repro.service.workers import WorkerPool
-            self._pool = WorkerPool(
-                self.store.to_snapshot(),
-                algorithm=str(self.config["algorithm"]),
-                seed=self.config["seed"],
-                algo_params=self.config["algo_params"],
-                processes=int(self.config["scan_processes"]))
-        return self._pool
-
-    def _pool_apply(self, entry: Mapping[str, object]) -> None:
-        """Stream one committed journal-shaped entry to every scan
-        worker replica. Pipe order is the commit order (all mutating
-        ops hold the commit lock), so each worker applies the mutation
-        before it can see any later scan request."""
-        if self._pool is not None:
-            self._pool.apply(entry)
+    def _offer(self, vm, recorder: ExplainRecorder | None = None):
+        """Run the admission scan for ``vm`` under the state lock and
+        record its duration (``repro_shard_scan_seconds``)."""
+        with self._state_lock:
+            started = perf_counter()
+            decision = offer(vm, self._live, self.allocator,
+                             max_delay=int(self.config["max_delay"]),
+                             recorder=recorder)
+            elapsed = perf_counter() - started
+        self.metrics.observe_shard_scan(elapsed)
+        return decision
 
     # -- durability --------------------------------------------------------
 
@@ -475,6 +408,8 @@ class AllocationDaemon:
         slo_record = config.get("slo")
         if slo_record is not None and not isinstance(slo_record, Mapping):
             raise ValidationError(f"{data_dir}: malformed snapshot slo")
+        # Only the keys below are read: a config journaled by a build
+        # that had ``shards`` / ``scan_processes`` restores unchanged.
         daemon = cls(
             store,
             algorithm=str(config.get("algorithm", "min-energy")),
@@ -482,8 +417,6 @@ class AllocationDaemon:
             algo_params=algo_params,
             max_delay=int(config.get("max_delay", 0)),
             snapshot_every=int(config.get("snapshot_every", 100)),
-            shards=int(config.get("shards", 1)),
-            scan_processes=int(config.get("scan_processes", 0)),
             max_inflight=int(config.get("max_inflight", 64)),
             consolidate_every=int(config.get("consolidate_every", 0)),
             frag_threshold=config.get("frag_threshold"),
@@ -527,11 +460,9 @@ class AllocationDaemon:
                 if key in entry:
                     fields[key] = entry[key]
             logger.info("service.replay", **fields)
-        # The store-level application (recorded decisions, one atomic
-        # journal group per batch/failure/episode) is shared with the
-        # scan worker replicas — see repro.service.replication.
+        # Recorded decisions are applied verbatim, one atomic journal
+        # group per batch/failure/episode — see repro.service.replication.
         applied = apply_entry(self.store, entry)
-        self._pool_apply(entry)
         for decision, delay in applied.placements:
             self.metrics.observe_replayed(
                 decision, delay, algorithm=str(self.config["algorithm"]))
@@ -829,9 +760,7 @@ class AllocationDaemon:
                     self.store.advance_to(vm.start)
             with tracer.span("service.allocate",
                              algorithm=str(self.config["algorithm"])):
-                decision = offer(vm, self.fleet, self.allocator,
-                                 max_delay=int(self.config["max_delay"]),
-                                 recorder=recorder)
+                decision = self._offer(vm, recorder)
             response: dict[str, object] = {"ok": True, "op": "place",
                                            "vm_id": vm.vm_id}
             entry: dict[str, object] = {"op": "place",
@@ -842,10 +771,7 @@ class AllocationDaemon:
             else:
                 server_id = decision.state.server.server_id
                 with tracer.span("service.commit", server_id=server_id):
-                    # Fleet positions are scan positions, not server
-                    # ids, once a failed server is filtered out.
-                    position = self.fleet.position_of(decision.state)
-                    with self.fleet.lock_for(position):
+                    with self._state_lock:
                         delta = self.store.commit(decision.vm, server_id)
                 response.update(decision="placed", server_id=server_id,
                                 delay=decision.delay, energy_delta=delta)
@@ -860,7 +786,6 @@ class AllocationDaemon:
             if self.journal is not None:
                 with tracer.span("service.journal"):
                     self.journal.append(entry)
-            self._pool_apply(entry)
             self.metrics.observe_request(
                 str(response["decision"]), latency,
                 int(response.get("delay", 0)),
@@ -891,7 +816,6 @@ class AllocationDaemon:
         tracer = get_tracer()
         started = perf_counter()
         algorithm = str(self.config["algorithm"])
-        max_delay = int(self.config["max_delay"])
         # Batch decisions follow the paper's online order (start, end,
         # id) — the same sequence the VMs would take as individual
         # requests — while the response maps back to request order.
@@ -903,7 +827,7 @@ class AllocationDaemon:
         # — building per-VM records for an in-memory daemon would eat
         # the round-trip savings batching exists to provide.
         entries: list[dict[str, object]] | None = [] \
-            if self.journal is not None or self._pool is not None else None
+            if self.journal is not None else None
         total_delta = 0.0
         placed = delayed = 0
         with tracer.span("service.place_batch", batch=len(vms)) as span:
@@ -913,16 +837,14 @@ class AllocationDaemon:
                 if vm.start > self.store.clock:
                     self.store.advance_to(vm.start)
                 item_started = perf_counter()
-                decision = offer(vm, self.fleet, self.allocator,
-                                 max_delay=max_delay)
+                decision = self._offer(vm)
                 item: dict[str, object] = {"vm_id": vm.vm_id}
                 if decision is None:
                     item.update(decision="rejected", server_id=None,
                                 delay=0, energy_delta=0.0)
                 else:
                     server_id = decision.state.server.server_id
-                    position = self.fleet.position_of(decision.state)
-                    with self.fleet.lock_for(position):
+                    with self._state_lock:
                         delta = self.store.commit(decision.vm, server_id)
                     item.update(decision="placed", server_id=server_id,
                                 delay=decision.delay, energy_delta=delta)
@@ -939,11 +861,6 @@ class AllocationDaemon:
                             server_id=item["server_id"],
                             delay=item["delay"])
                     entries.append(entry)
-                    # Worker replicas need every commit *before* the
-                    # next item's scan — decision i+1 observes commit i
-                    # — so batch items stream per-item, even though the
-                    # journal records the batch as one atomic group.
-                    self._pool_apply({"op": "place", **entry})
                 results[i] = item
                 self.metrics.observe_item(
                     perf_counter() - item_started,
@@ -952,7 +869,7 @@ class AllocationDaemon:
                 placed=placed, rejected=len(vms) - placed,
                 delayed=delayed, algorithm=algorithm)
             span.set(placed=placed)
-            if entries and self.journal is not None:
+            if entries:
                 # The trace ids ride the group header — one id for the
                 # whole batch episode, replayed verbatim on restore.
                 with tracer.span("service.journal"):
@@ -977,10 +894,9 @@ class AllocationDaemon:
                 f"got {now!r}")
         if now > self.store.clock:
             self.store.advance_to(now)
-            entry = {"op": "tick", **ctx.to_fields(), "now": now}
             if self.journal is not None:
-                self.journal.append(entry)
-            self._pool_apply(entry)
+                self.journal.append(
+                    {"op": "tick", **ctx.to_fields(), "now": now})
             self._maybe_consolidate()
         return {"ok": True, "op": "tick", "clock": self.store.clock,
                 "servers_active": self.store.servers_active(),
@@ -1019,17 +935,16 @@ class AllocationDaemon:
             self._rebuild_fleet()
             span.set(killed=report.killed, replaced=report.replaced,
                      lost=len(report.lost))
-            entry = {"op": "fail_server", **ctx.to_fields(),
-                     "server_id": server_id,
-                     "time": report.time,
-                     "replacements": [r.to_record()
-                                      for r in report.replacements]}
             if self.journal is not None:
                 # One atomic journal group per failure: the episode's
                 # every re-placement restores together or not at all.
                 with tracer.span("service.journal"):
-                    self.journal.append(entry)
-            self._pool_apply(entry)
+                    self.journal.append({
+                        "op": "fail_server", **ctx.to_fields(),
+                        "server_id": server_id,
+                        "time": report.time,
+                        "replacements": [r.to_record()
+                                         for r in report.replacements]})
             self.metrics.observe_failure(replaced=report.replaced,
                                          lost=len(report.lost))
             self._placed_since_snapshot += report.replaced
@@ -1071,18 +986,17 @@ class AllocationDaemon:
             self._last_consolidated_tick = report.time
             span.set(migrations=report.migrations,
                      servers_freed=report.servers_freed)
-            entry = {"op": "consolidate", **ctx.to_fields(),
-                     "time": report.time,
-                     "moves": [move.to_record()
-                               for move in report.moves]}
             if self.journal is not None:
                 # One atomic journal group per episode: all of its
                 # moves restore together or not at all. Zero-move
                 # episodes are journaled too — an on-demand episode may
                 # still have advanced the clock.
                 with tracer.span("service.journal"):
-                    self.journal.append(entry)
-            self._pool_apply(entry)
+                    self.journal.append({
+                        "op": "consolidate", **ctx.to_fields(),
+                        "time": report.time,
+                        "moves": [move.to_record()
+                                  for move in report.moves]})
             duration = perf_counter() - started
             self.metrics.observe_consolidation(
                 moves=report.migrations,
@@ -1150,11 +1064,10 @@ class AllocationDaemon:
         with tracer.span("service.recover_server", server_id=server_id):
             self.store.recover_server(server_id)
             self._rebuild_fleet()
-            entry = {"op": "recover_server", **ctx.to_fields(),
-                     "server_id": server_id}
             if self.journal is not None:
-                self.journal.append(entry)
-            self._pool_apply(entry)
+                self.journal.append({"op": "recover_server",
+                                     **ctx.to_fields(),
+                                     "server_id": server_id})
         return {"ok": True, "op": "recover_server",
                 "server_id": server_id, "clock": self.store.clock,
                 "servers_failed": self.store.servers_failed()}
@@ -1183,10 +1096,6 @@ class AllocationDaemon:
         if self.journal is not None:
             self.journal.close()
         self.closed = True
-        self.fleet.close()
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
         for hook in self._shutdown_hooks:
             hook()
         return {"ok": True, "op": "shutdown", "clock": self.store.clock}

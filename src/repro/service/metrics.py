@@ -18,7 +18,7 @@ cumulative ``_bucket`` series (ending in ``le="+Inf"``), ``_sum`` and
 Thread safety: every family guards its own mutation — the reservoir
 and each histogram carry a lock, and :class:`ServiceMetrics` holds one
 more for the scalar counters — so concurrent recorders (the daemon's
-per-connection threads and the shard-scan pool) never lose increments,
+per-connection threads) never lose increments,
 and ``render()`` reads a consistent snapshot of each family without a
 daemon-wide lock.
 """
@@ -59,7 +59,7 @@ CANDIDATE_BUCKETS = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0,
 BATCH_BUCKETS = (1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0,
                  1000.0)
 
-#: Default bucket bounds (seconds) of the shard-scan-time histogram.
+#: Default bucket bounds (seconds) of the candidate-scan-time histogram.
 SHARD_SCAN_BUCKETS = (0.00001, 0.000025, 0.00005, 0.0001, 0.00025,
                       0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05)
 
@@ -312,7 +312,7 @@ class ServiceMetrics:
         self.batch_size.observe(float(size))
 
     def observe_shard_scan(self, seconds: float) -> None:
-        """Record one shard scan's wall-clock duration."""
+        """Record one placement decision's candidate-scan duration."""
         self.shard_scan.observe(seconds)
 
     # -- persistence (latency/candidate windows are not restorable) --------
@@ -461,7 +461,8 @@ class ServiceMetrics:
                     "Histogram of VM counts per place_batch request.",
                     self.batch_size)
         hist_family("repro_shard_scan_seconds",
-                    "Histogram of per-shard candidate scan durations.",
+                    "Histogram of candidate scan durations, one per "
+                    "placement decision.",
                     self.shard_scan)
         hist_family("repro_consolidation_duration_seconds",
                     "Histogram of consolidation episode durations "

@@ -1,4 +1,4 @@
-"""Store-level entry application: one op log, many replicas.
+"""Store-level entry application: journal entries onto a store.
 
 A journal entry (see :class:`~repro.service.persistence.RequestJournal`)
 records everything needed to reproduce one mutating operation on a
@@ -7,13 +7,10 @@ the allocator or the planner: placements carry the recorded decision,
 failure episodes their recorded re-placements, consolidation episodes
 their recorded moves. :func:`apply_entry` is the single function that
 applies one such entry to a store — the daemon's restore path replays
-the journal tail through it, and the process worker pool
-(:mod:`repro.service.workers`) streams live entries through it to keep
-each worker's replica bit-identical to the primary.
+the journal tail through it.
 
 The same bytes applied to the same starting store always produce the
-same state; the kill+restore end-to-end tests pin that bit-exactness,
-and the worker pool inherits it for free by reusing this code path.
+same state; the kill+restore end-to-end tests pin that bit-exactness.
 """
 
 from __future__ import annotations
@@ -71,7 +68,7 @@ def apply_entry(store: ClusterStateStore,
     """Apply one journal-shaped entry to ``store``.
 
     Recorded decisions are applied verbatim — no allocator, no planner
-    — so any replica fed the same entries reaches the same state
+    — so any store fed the same entries reaches the same state
     bit-for-bit. ``init`` entries are no-ops (the caller builds the
     store from their snapshot).
     """

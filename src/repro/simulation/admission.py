@@ -31,7 +31,6 @@ from repro.model.cluster import Cluster
 from repro.model.phases import PhasedVM
 from repro.model.vm import VM
 from repro.obs.explain import ExplainRecorder
-from repro.placement.sharding import ShardedFleet
 
 __all__ = ["AdmissionDecision", "AdmissionOutcome", "AdmissionController",
            "offer", "shift_request"]
@@ -116,12 +115,7 @@ def offer(vm: VM, states: Sequence[ServerState], allocator: Allocator,
     for delay in range(max_delay + 1):
         candidate = shift_request(vm, delay)
         if recorder is None:
-            # A sharded fleet view fans the scan out; the deterministic
-            # reduction makes the choice identical to the plain scan.
-            if isinstance(states, ShardedFleet):
-                chosen = allocator.select_sharded(candidate, states)
-            else:
-                chosen = allocator.select(candidate, states)
+            chosen = allocator.select(candidate, states)
         else:
             chosen, explanation = allocator.explain_select(candidate,
                                                            states)

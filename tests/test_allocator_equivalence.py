@@ -6,6 +6,12 @@ engine — and must produce the *identical* placement map and a
 This is the contract that lets the skyline index and the fused candidate
 scans replace the dense arrays as the production path while the dense
 code remains the oracle.
+
+The two scan walks of ``allocators/base.py`` (first admissible along an
+order; best score) are additionally held to it per decision — chosen
+server *and* probe counters, kernel on, kernel off and dense — on the
+inputs where their branches can drift apart: a server type that can
+never host some VMs, active anti-affinity groups, and Γ > 0.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from repro.allocators import allocator_names, make_allocator
 from repro.energy import allocation_cost
 from repro.model.cluster import Cluster
 from repro.model.constraints import PlacementConstraints
+from repro.obs.tracer import Tracer, use_tracer
 from repro.workload import PhasedWorkload
 from repro.workload.generator import generate_vms
 
@@ -35,6 +42,21 @@ def _run(algo: str, engine: str, vms=VMS, cluster=CLUSTER, seed=0,
     plan = allocator.allocate(vms, cluster, constraints)
     placements = {vm.vm_id: sid for vm, sid in plan.items()}
     return placements, allocation_cost(plan).total
+
+
+#: Allocators whose ``_select`` is one of the two base walks.
+FIRST_FIT_FAMILY = ["first-fit", "ffps", "power-aware", "round-robin"]
+SCORE_FAMILY = ["best-fit", "worst-fit"]
+
+
+def _trail(algo: str, engine: str, vms, cluster, constraints):
+    """Per decision: (vm, server, candidates_evaluated, _feasible)."""
+    allocator = make_allocator(algo, seed=5, engine=engine)
+    with use_tracer(Tracer()) as tracer:
+        allocator.allocate(vms, cluster, constraints)
+    return [(e.args["vm_id"], e.args["server_id"], e.args["evaluated"],
+             e.args["feasible"])
+            for e in tracer.events if e.name == "place"]
 
 
 class TestEngineEquivalence:
@@ -75,6 +97,34 @@ class TestEngineEquivalence:
                                           constraints=constraints)
         assert placed_idx == placed_dense
         assert energy_idx == energy_dense
+
+    @pytest.mark.parametrize("gamma", [0, 2])
+    @pytest.mark.parametrize("algo", FIRST_FIT_FAMILY + SCORE_FAMILY)
+    def test_walks_agree_on_server_and_counters(self, algo, gamma):
+        vms = PhasedWorkload(mean_interarrival=1.0,
+                             uncertainty=0.3).generate(150, rng=4)
+        cluster = Cluster.paper_all_types(60)
+        # Some server type can never host some VM: the walks must skip
+        # it uncounted on every engine.
+        assert any(vm.cpu > server.cpu_capacity
+                   or vm.memory > server.memory_capacity
+                   for vm in vms for server in cluster)
+        ids = [vm.vm_id for vm in vms]
+        constraints = PlacementConstraints.build(
+            separate=[ids[:6], ids[20:24], ids[90:94]])
+        option = f",gamma={gamma}" if gamma else ""
+        kernel = _trail(algo, "indexed:kernel=on" + option, vms, cluster,
+                        constraints)
+        scalar = _trail(algo, "indexed:kernel=off" + option, vms, cluster,
+                        constraints)
+        assert len(kernel) == len(vms)
+        assert scalar == kernel
+        if not gamma:  # robust probing is indexed-only
+            dense = _trail(algo, "dense", vms, cluster, constraints)
+            # The dense oracle builds no index, so it also probes (and
+            # counts as evaluated) the types the index skips.
+            assert [(vm, sid, feasible) for vm, sid, _, feasible in dense] \
+                == [(vm, sid, feasible) for vm, sid, _, feasible in kernel]
 
     def test_tight_fleet_agrees_under_pressure(self):
         # Few servers: feasibility pruning and tie-breaking both bite.

@@ -1,33 +1,25 @@
-"""The batch API and sharded fan-out must not change any decision.
+"""The batch API must not change any decision.
 
-``Allocator.allocate_batch`` with any shard count must produce
-*bit-identical* placements and Eq.-17 energy to the sequential
-``allocate`` path — that is the determinism guarantee that lets the
-daemon fan feasibility scans out across a thread pool while staying
-exactly the paper's algorithms. Every registered allocator is held to
-it (``==`` on the placement maps and on the float energy totals, no
-tolerance), plus a Hypothesis property over random workload shapes.
+``Allocator.allocate_batch`` must produce *bit-identical* placements
+and Eq.-17 energy to the sequential ``allocate`` path. Every registered
+allocator is held to it (``==`` on the placement maps and on the float
+energy totals, no tolerance); what the batch API adds — decisions in
+request order, rejections as decisions — is checked beside it.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.allocators import Decision, allocator_names, make_allocator
-from repro.allocators.state import ServerState
 from repro.energy import allocation_cost
-from repro.exceptions import ValidationError
 from repro.model.allocation import Allocation
 from repro.model.cluster import Cluster
 from repro.model.constraints import PlacementConstraints
-from repro.placement import ShardedFleet, shard_bounds
-from repro.workload.generator import PoissonWorkload, generate_vms
+from repro.workload.generator import generate_vms
 
 VMS = generate_vms(120, mean_interarrival=2.5, seed=3)
 CLUSTER = Cluster.paper_all_types(40)
-
-SHARD_COUNTS = (1, 2, 4)
 
 
 def _sequential(algo, vms=VMS, cluster=CLUSTER, seed=0):
@@ -36,40 +28,32 @@ def _sequential(algo, vms=VMS, cluster=CLUSTER, seed=0):
     return placements, allocation_cost(plan).total
 
 
-def _batched(algo, shards, vms=VMS, cluster=CLUSTER, seed=0):
+def _batched(algo, vms=VMS, cluster=CLUSTER, seed=0):
     allocator = make_allocator(algo, seed=seed)
-    decisions = allocator.allocate_batch(vms, cluster, shards=shards)
+    decisions = allocator.allocate_batch(vms, cluster)
     placements = {d.vm.vm_id: d.server_id for d in decisions if d.placed}
     plan = Allocation(cluster, {d.vm: d.server_id for d in decisions
                                 if d.placed})
     return placements, allocation_cost(plan).total, decisions
 
 
-class TestShardedEquivalence:
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+class TestBatchEquivalence:
     @pytest.mark.parametrize("algo", allocator_names())
-    def test_identical_to_sequential(self, algo, shards):
+    def test_identical_to_sequential(self, algo):
         placements_seq, energy_seq = _sequential(algo)
-        placements_batch, energy_batch, _ = _batched(algo, shards)
+        placements_batch, energy_batch, _ = _batched(algo)
         assert placements_batch == placements_seq
         assert energy_batch == energy_seq  # bit-identical, no approx
 
-    @pytest.mark.parametrize("algo", ["min-energy", "ffps", "random-fit",
-                                      "round-robin"])
-    def test_seeded_runs_agree_across_shards(self, algo):
-        baseline = _batched(algo, 1, seed=11)[:2]
-        for shards in (2, 4, 7):
-            assert _batched(algo, shards, seed=11)[:2] == baseline
-
     def test_decisions_in_request_order(self):
-        _, _, decisions = _batched("best-fit", 4)
+        _, _, decisions = _batched("best-fit")
         assert [d.vm for d in decisions] == list(VMS)
 
     def test_rejections_are_decisions_not_exceptions(self):
         cluster = Cluster.paper_all_types(1)
         vms = generate_vms(50, mean_interarrival=0.2, seed=5)
         decisions = make_allocator("best-fit").allocate_batch(
-            vms, cluster, shards=2)
+            vms, cluster)
         assert len(decisions) == len(vms)
         rejected = [d for d in decisions if not d.placed]
         assert rejected, "tiny fleet must reject something"
@@ -81,88 +65,13 @@ class TestShardedEquivalence:
         constraints = PlacementConstraints.build(
             separate=[tuple(vm.vm_id for vm in VMS[:6])])
         allocator = make_allocator("first-fit")
-        decisions = allocator.allocate_batch(
-            VMS, CLUSTER, constraints, shards=4)
+        decisions = allocator.allocate_batch(VMS, CLUSTER, constraints)
         servers = [d.server_id for d in decisions[:6] if d.placed]
         assert len(servers) == len(set(servers))
         plan = make_allocator("first-fit").allocate(
             VMS, CLUSTER, constraints)
         assert {d.vm.vm_id: d.server_id for d in decisions if d.placed} \
             == {vm.vm_id: sid for vm, sid in plan.items()}
-
-
-@settings(max_examples=25, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(st.integers(1, 40), st.floats(0.5, 5.0), st.integers(0, 5_000),
-       st.sampled_from(SHARD_COUNTS),
-       st.sampled_from(["min-energy", "best-fit", "ffps", "round-robin"]))
-def test_sharding_never_changes_decisions(count, interarrival, seed,
-                                          shards, algo):
-    """shards=1 is the inline sequential scan; any other count must
-    agree decision-for-decision, including rejections on tight fleets
-    (where ``allocate`` would raise, ``allocate_batch`` records)."""
-    workload = PoissonWorkload(mean_interarrival=interarrival)
-    vms = workload.generate(count, rng=seed)
-    cluster = Cluster.paper_all_types(max(5, count // 2))
-    baseline = make_allocator(algo, seed=seed).allocate_batch(
-        vms, cluster, shards=1)
-    decisions = make_allocator(algo, seed=seed).allocate_batch(
-        vms, cluster, shards=shards)
-    assert [(d.vm.vm_id, d.server_id, d.energy_delta)
-            for d in decisions] == \
-        [(d.vm.vm_id, d.server_id, d.energy_delta) for d in baseline]
-
-
-class TestShardBounds:
-    def test_partition_is_contiguous_and_complete(self):
-        for n in (0, 1, 5, 16, 97):
-            for shards in (1, 2, 3, 8):
-                bounds = shard_bounds(n, shards)
-                flat = [i for lo, hi in bounds for i in range(lo, hi)]
-                assert flat == list(range(n))
-
-    def test_balanced_within_one(self):
-        sizes = [hi - lo for lo, hi in shard_bounds(100, 7)]
-        assert max(sizes) - min(sizes) <= 1
-        assert sum(sizes) == 100
-
-
-class TestShardedFleet:
-    def _states(self, n=12):
-        return [ServerState(server)
-                for server in Cluster.paper_all_types(n)]
-
-    def test_sequence_protocol_preserves_fleet_order(self):
-        states = self._states()
-        with ShardedFleet(states, shards=4) as fleet:
-            assert len(fleet) == len(states)
-            assert [fleet[i] for i in range(len(fleet))] == states
-
-    def test_shard_count_clamped_to_fleet_size(self):
-        with ShardedFleet(self._states(3), shards=64) as fleet:
-            assert fleet.n_shards == 3
-
-    def test_scatter_routes_by_position(self):
-        states = self._states()
-        with ShardedFleet(states, shards=3) as fleet:
-            chunks = fleet.scatter(list(enumerate(states)))
-            assert len(chunks) == 3
-            for shard, chunk in enumerate(chunks):
-                lo, hi = fleet.bounds[shard]
-                assert [ordinal for ordinal, _ in chunk] == \
-                    list(range(lo, hi))
-
-    def test_scatter_rejects_foreign_state(self):
-        states = self._states()
-        stranger = ServerState(Cluster.paper_all_types(1)[0])
-        with ShardedFleet(states, shards=2) as fleet:
-            with pytest.raises(ValidationError):
-                fleet.scatter([(0, stranger)])
-
-    def test_close_is_idempotent(self):
-        fleet = ShardedFleet(self._states(), shards=2)
-        fleet.close()
-        fleet.close()
 
     def test_decision_placed_property(self):
         vm = VMS[0]

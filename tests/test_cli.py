@@ -99,6 +99,14 @@ class TestServiceCommands:
         assert args.snapshot_every == 100
         assert not args.stdio and not args.restore
 
+    @pytest.mark.parametrize("flag", ["--shards", "--workers",
+                                      "--scan-processes"])
+    def test_serve_rejects_removed_scan_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", flag, "2"])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_client_defaults(self):
         args = build_parser().parse_args(["client"])
         assert args.port == 7077

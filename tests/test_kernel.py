@@ -230,13 +230,29 @@ class TestEngineConfig:
 
     def test_bad_specs_are_rejected(self):
         for bad in ("warp", "indexed:kernel=maybe", "indexed:shards=x",
-                    "indexed:turbo=on", "indexed:kernel"):
+                    "indexed:shards=0", "indexed:turbo=on",
+                    "indexed:kernel"):
             with pytest.raises(ValidationError):
                 EngineConfig.parse(bad)
 
     def test_record_round_trips(self):
-        config = EngineConfig(engine="indexed", kernel=False, shards=4)
+        config = EngineConfig(engine="indexed", kernel=False)
         assert EngineConfig.from_record(config.to_record()) == config
+
+    def test_stored_shards_entry_is_validated_then_dropped(self):
+        # Specs and records written by earlier builds may carry one.
+        config = EngineConfig.parse("indexed:kernel=on,shards=8")
+        assert config == EngineConfig(engine="indexed", kernel=True)
+        assert config.spec == "indexed:kernel=on"
+        assert EngineConfig.parse("dense:shards=2").spec == "dense"
+        record = {"engine": "indexed", "kernel": False, "shards": 4}
+        restored = EngineConfig.from_record(record)
+        assert restored == EngineConfig(engine="indexed", kernel=False)
+        assert "shards" not in restored.to_record()
+        for bad in ("x", 0, -3):
+            with pytest.raises(ValidationError):
+                EngineConfig.from_record({"engine": "indexed",
+                                          "shards": bad})
 
     def test_ctor_string_is_removed(self):
         # The bare-string constructor form finished its deprecation
@@ -259,9 +275,9 @@ class TestEngineConfig:
 
     def test_snapshot_journals_engine_config(self):
         store = ClusterStateStore(Cluster.paper_all_types(4),
-                                  engine="indexed:kernel=off,shards=2")
+                                  engine="indexed:kernel=off")
         document = store.to_snapshot()
-        assert document["engine"] == "indexed:kernel=off,shards=2"
+        assert document["engine"] == "indexed:kernel=off"
         restored = ClusterStateStore.from_snapshot(document)
         assert restored.engine_config == store.engine_config
         assert restored.engine == "indexed"

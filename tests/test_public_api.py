@@ -50,7 +50,6 @@ EXPECTED_ALL = [
     "Feasibility",
     "FeasibilityBatch",
     "FleetKernel",
-    "ShardedFleet",
     "SkylineOccupancy",
     "RobustnessConfig",
     "RobustSkyline",
@@ -172,9 +171,9 @@ class TestExports:
         import repro.service as service
 
         for name in ("AsyncDaemonServer", "serve_async", "GatewayServer",
-                     "start_gateway", "WorkerPool", "WorkerFleet",
-                     "encode_frame", "read_frame", "write_frame",
-                     "FrameDecoder", "FRAME_MAGIC", "CODES", "envelope",
+                     "start_gateway", "encode_frame", "read_frame",
+                     "write_frame", "FrameDecoder", "FRAME_MAGIC", "CODES",
+                     "envelope",
                      "error_fields", "http_status_of", "apply_entry",
                      "AppliedEntry"):
             assert name in service.__all__, name
@@ -269,7 +268,7 @@ class TestDocstrings:
         "repro.consolidation.fragmentation",
         "repro.consolidation.victim", "repro.consolidation.planner",
         "repro.results",
-        "repro.placement.sharding", "repro.allocators.batch",
+        "repro.allocators.batch",
     ])
     def test_every_module_documented(self, module_name):
         module = importlib.import_module(module_name)

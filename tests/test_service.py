@@ -295,6 +295,61 @@ class TestDaemon:
         assert online == offline
         assert second.metrics.requests["rejected"] == 0
 
+    def test_restore_drops_removed_scan_keys(self, tmp_path):
+        """Durable state that still carries ``shards`` /
+        ``scan_processes`` (config keys and engine-spec token) loads,
+        keeps placing exactly like an uninterrupted run, and the next
+        snapshot no longer carries them."""
+        vms = online_order(generate_vms(120, mean_interarrival=2.0,
+                                        seed=13))
+
+        def build(**kwargs):
+            return AllocationDaemon(
+                ClusterStateStore(Cluster.paper_all_types(60),
+                                  engine="indexed:kernel=on"),
+                algorithm="first-fit", fsync=False,
+                algo_params={"engine": "indexed:kernel=on"}, **kwargs)
+
+        def trail(responses):
+            return [(r["vm_id"], r["decision"], r.get("server_id"))
+                    for r in responses]
+
+        whole = build()
+        expected = trail(stream(whole, vms))
+
+        first = build(data_dir=tmp_path, snapshot_every=30)
+        got = trail(stream(first, vms[:70]))
+        del first  # hard kill: no shutdown, no final snapshot
+
+        def stamp(document):
+            spec = "indexed:kernel=on,shards=4"
+            document["engine"] = spec
+            config = document["meta"]["config"]
+            config.update(shards=4, scan_processes=2)
+            config["algo_params"]["engine"] = spec
+
+        for path in tmp_path.glob("snapshot-*.json"):
+            document = json.loads(path.read_text())
+            stamp(document)
+            path.write_text(json.dumps(document))
+        journal = tmp_path / "journal.jsonl"
+        lines = journal.read_text().splitlines()
+        init = json.loads(lines[0])
+        assert init["op"] == "init"
+        stamp(init["snapshot"])
+        lines[0] = json.dumps(init, separators=(",", ":"))
+        journal.write_text("\n".join(lines) + "\n")
+
+        second = AllocationDaemon.restore(tmp_path, fsync=False)
+        got += trail(stream(second, vms[70:]))
+        assert got == expected
+        assert second.store.energy_total() == whole.store.energy_total()
+        document = json.loads(second.write_snapshot().read_text())
+        config = document["meta"]["config"]
+        assert "shards" not in config and "scan_processes" not in config
+        assert document["engine"] == "indexed:kernel=on"
+        assert config["algo_params"]["engine"] == "indexed:kernel=on"
+
     def test_restore_preserves_counters_and_rejections(self, tmp_path):
         store = ClusterStateStore(Cluster.homogeneous(SPEC, 1))
         daemon = AllocationDaemon(store, data_dir=tmp_path, fsync=False)

@@ -99,7 +99,7 @@ class TestPlaceBatch:
         one = fresh_daemon(40)
         for vm in sorted(vms, key=lambda v: (v.start, v.end, v.vm_id)):
             assert one.handle(place_request(vm))["ok"]
-        batched = fresh_daemon(40, shards=4)
+        batched = fresh_daemon(40)
         response = batched.handle(place_batch_request(vms))
         assert response["ok"] and response["count"] == 80
         assert dict(batched.store.placements) == dict(one.store.placements)
@@ -173,7 +173,7 @@ class TestBatchDurability:
     def test_kill_and_restore_replays_batches_bit_exact(self, tmp_path):
         vms = generate_vms(90, mean_interarrival=1.5, seed=6)
         daemon = fresh_daemon(45, data_dir=tmp_path, fsync=False,
-                              snapshot_every=0, shards=2)
+                              snapshot_every=0)
         daemon.handle(place_batch_request(vms[:40]))
         daemon.handle(place_batch_request(vms[40:70]))
         placements = dict(daemon.store.placements)
@@ -230,9 +230,9 @@ class TestBatchOverTCP:
         thread.start()
         return server
 
-    def test_sharded_daemon_batch_replay_end_to_end(self):
+    def test_batch_replay_end_to_end(self):
         vms = generate_vms(100, mean_interarrival=2.0, seed=12)
-        batched = fresh_daemon(50, shards=4)
+        batched = fresh_daemon(50)
         sequential = fresh_daemon(50)
         server = self._serve(batched)
         host, port = server.server_address

@@ -1,12 +1,12 @@
 """Concurrency hammer tests: metrics and the daemon under parallel load.
 
 :class:`ServiceMetrics` is shared by the daemon's per-connection
-threads and the shard-scan pool, so its counters are hammered from many
-threads and must come out *exact* — a single lost increment is a bug,
-not noise. The TCP daemon is likewise driven by concurrent clients;
-the commit lock must keep the state consistent (every placement
-journal-countable, the energy ledger matching a from-scratch
-recomputation) whatever the interleaving.
+threads, so its counters are hammered from many threads and must come
+out *exact* — a single lost increment is a bug, not noise. The TCP
+daemon is likewise driven by concurrent clients; the commit lock must
+keep the state consistent (every placement journal-countable, the
+energy ledger matching a from-scratch recomputation) whatever the
+interleaving.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ class TestConcurrentClients:
         """Many clients race mutating requests; the commit lock must
         keep the store's ledger exact whatever the interleaving."""
         store = ClusterStateStore(Cluster.paper_all_types(60))
-        daemon = AllocationDaemon(store, shards=4, max_inflight=0)
+        daemon = AllocationDaemon(store, max_inflight=0)
         server = serve_tcp(daemon, port=0)
         host, port = server.server_address
         thread = threading.Thread(target=server.serve_forever,

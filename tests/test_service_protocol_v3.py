@@ -171,8 +171,7 @@ class TestAsyncChaosSoak:
             record = vm_to_record(vm)
             record["vm_id"] = 10_000 + 100 * vm.vm_id
             vms.append(vm_from_record(record))
-        daemon = fresh_daemon(20, data_dir=tmp_path, fsync=False,
-                              shards=2)
+        daemon = fresh_daemon(20, data_dir=tmp_path, fsync=False)
         server = serve_async(daemon)
         try:
             with AllocationClient(*server.address, framing="frames",
