@@ -1,4 +1,5 @@
-"""Benchmark gate: ``place_batch`` vs per-VM ``place`` over real TCP.
+"""Benchmark gate: ``place_batch`` vs per-VM ``place`` over real TCP
+(the asyncio front ``repro serve`` runs).
 
 The v2 batch operation exists to amortize per-request overhead: the
 TCP round trip *and* the durability cost, since a batch commits as one
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import shutil
 import tempfile
-import threading
 import time
 from pathlib import Path
 
@@ -31,7 +31,7 @@ from repro.service import (
     ClusterStateStore,
     AllocationClient,
     replay_trace,
-    serve_tcp,
+    serve_async,
 )
 from repro.workload.generator import generate_vms
 
@@ -56,20 +56,15 @@ def _run_stream(batch: int | None) -> tuple[float, dict, float]:
     data_dir = Path(tempfile.mkdtemp(prefix="repro-bench-"))
     daemon = AllocationDaemon(store, algorithm="first-fit",
                               data_dir=data_dir)
-    server = serve_tcp(daemon, port=0)
-    host, port = server.server_address
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
     try:
-        with AllocationClient(host, port) as client:
+        with serve_async(daemon) as server, \
+                AllocationClient(*server.address) as client:
             started = time.perf_counter()
             summary = replay_trace(client, VMS_1K, final_tick=False,
                                    batch=batch)
             elapsed = time.perf_counter() - started
         assert summary.offered == len(VMS_1K)
     finally:
-        server.shutdown()
-        server.server_close()
         if daemon.journal is not None:
             daemon.journal.close()
         shutil.rmtree(data_dir, ignore_errors=True)

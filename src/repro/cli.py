@@ -13,7 +13,7 @@ Usage examples::
     repro audit --vms 200
     repro explain --vms 30 --servers 5 --algorithm min-energy
     repro report --out report.md --quick
-    repro serve --port 7077 --metrics-port 9100 --data-dir state/
+    repro serve --port 7077 --http-port 8080 --data-dir state/
     repro serve --port 7077 --trace-out spans.json
     repro client --port 7077 --vms 200 --interarrival 4
     repro client --port 7077 --vms 200 --retries 5
@@ -256,8 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="TCP port (0 picks an ephemeral port)")
     p_serve.add_argument("--stdio", action="store_true",
                          help="serve stdin/stdout instead of TCP")
-    p_serve.add_argument("--metrics-port", type=int, default=None,
-                         help="also expose Prometheus /metrics over HTTP")
     p_serve.add_argument("--data-dir", default=None,
                          help="journal + snapshot directory (enables "
                               "crash-safe restart)")
@@ -275,8 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "unbounded)")
     p_serve.add_argument("--http-port", type=int, default=None,
                          metavar="PORT",
-                         help="also serve the HTTP/REST gateway on this "
-                              "port (0 picks an ephemeral port)")
+                         help="also serve the HTTP/REST gateway "
+                              "(/v1/<op>, /metrics, /healthz, /varz) on "
+                              "this port (0 picks an ephemeral port)")
     p_serve.add_argument("--consolidate-epoch", type=int, default=0,
                          metavar="N",
                          help="run a live consolidation episode at every "
@@ -695,7 +694,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ClusterStateStore,
         serve_async,
         serve_stdio,
-        start_metrics_server,
+        start_gateway,
     )
 
     # In stdio mode stdout carries the protocol, so banners go to stderr.
@@ -708,22 +707,24 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         logger = JsonLogger(sys.stderr, level=args.log_level)
         set_logger(logger)
 
-    def _start_metrics(target: object) -> None:
+    gateway = None
+
+    def _start_gateway(target: AllocationDaemon) -> None:
         # For --restore this runs via on_built, before journal replay,
-        # so /healthz answers 503 "restoring" while the tail is applied.
-        if args.metrics_port is not None:
-            metrics_server = start_metrics_server(target, args.host,
-                                                  args.metrics_port)
-            print(f"metrics on http://{args.host}:"
-                  f"{metrics_server.server_address[1]}/metrics",
-                  file=log, flush=True)
+        # so /healthz answers 503 "restoring" and mutating requests
+        # 503 "unavailable" while the tail is applied.
+        nonlocal gateway
+        if args.http_port is not None:
+            gateway = start_gateway(target, args.host, args.http_port)
+            print(f"gateway on http://{gateway.server_address[0]}:"
+                  f"{gateway.server_address[1]}/", file=log, flush=True)
 
     if args.restore:
         if not args.data_dir:
             print("error: --restore needs --data-dir", file=sys.stderr)
             return 2
         daemon = AllocationDaemon.restore(args.data_dir,
-                                          on_built=_start_metrics)
+                                          on_built=_start_gateway)
     else:
         from repro.obs import SLOConfig
 
@@ -750,7 +751,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                           availability_target=args.slo_availability),
             telemetry_capacity=args.telemetry_capacity,
             flight_capacity=args.flight_capacity)
-        _start_metrics(daemon)
+        _start_gateway(daemon)
     tracer = None
     if args.trace_out:
         from repro.obs.tracer import Tracer, set_tracer
@@ -763,14 +764,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"algorithm {daemon.config['algorithm']}, "
           f"clock {daemon.store.clock}, "
           f"{len(daemon.store.placements)} VMs placed", file=log)
-    gateway = None
     try:
-        if args.http_port is not None:
-            from repro.service import start_gateway
-
-            gateway = start_gateway(daemon, args.host, args.http_port)
-            print(f"gateway on http://{gateway.server_address[0]}:"
-                  f"{gateway.server_address[1]}/", file=log, flush=True)
         if args.stdio:
             serve_stdio(daemon, sys.stdin, sys.stdout)
         else:

@@ -5,8 +5,9 @@ against live cluster state — and this subsystem makes that literal: a
 long-running daemon ingests a stream of placement requests (JSON lines
 over stdin or TCP), routes each through a registered allocator against
 a mutable :class:`ClusterStateStore`, journals every decision, and
-checkpoints crash-safe snapshots, while a Prometheus endpoint exposes
-fleet power, occupancy and latency. Protocol v2 adds ``place_batch``
+checkpoints crash-safe snapshots, while the ``metrics`` op and the
+gateway's ``/metrics`` page expose fleet power, occupancy and latency
+in the Prometheus text format. Protocol v2 adds ``place_batch``
 (a whole batch per round trip, journaled as one group, decided in the
 same order as the same VMs sent one by one) and live failure
 events: ``fail_server`` splits every affected VM at the failure tick
@@ -38,13 +39,7 @@ from repro.service.client import (
     ReplaySummary,
     replay_trace,
 )
-from repro.service.daemon import (
-    AllocationDaemon,
-    DaemonTCPServer,
-    serve_stdio,
-    serve_tcp,
-    start_metrics_server,
-)
+from repro.service.daemon import AllocationDaemon, serve_stdio
 from repro.service.errors import (
     CODES,
     ErrorFields,
@@ -90,6 +85,7 @@ from repro.service.protocol import (
     place_request,
     recover_server_request,
     telemetry_request,
+    validate_request,
 )
 from repro.service.state import (
     SNAPSHOT_FORMAT_VERSION,
@@ -109,7 +105,6 @@ __all__ = [
     "ClientConfig",
     "ClusterStateStore",
     "ConsolidationReport",
-    "DaemonTCPServer",
     "ErrorFields",
     "FailureReport",
     "FaultEvent",
@@ -151,10 +146,9 @@ __all__ = [
     "replay_trace",
     "serve_async",
     "serve_stdio",
-    "serve_tcp",
     "snapshot_meta",
     "start_gateway",
-    "start_metrics_server",
     "telemetry_request",
+    "validate_request",
     "write_frame",
 ]

@@ -4,8 +4,8 @@
 background thread and serves persistent connections for all three
 wire dialects at once:
 
-* **v1/v2 JSON-lines** — newline-terminated JSON, byte-compatible
-  with :func:`~repro.service.daemon.serve_tcp`.
+* **v1/v2 JSON-lines** — newline-terminated JSON, one response line
+  per request line.
 * **v3 binary framing** — length-prefixed frames
   (:mod:`repro.service.framing`).
 
@@ -17,9 +17,9 @@ A connected client keeps its dialect for the connection's lifetime.
 The event loop only shuttles bytes; request execution runs on a
 bounded thread pool (``handler_threads``) through the daemon's own
 ``handle_line`` — the commit lock, the bounded ingest window and the
-read-op fast path all apply exactly as on the blocking transports, so
-a mixed fleet of v1 sockets, v3 frames and gateway HTTP clients
-observes one consistent daemon.
+read-op fast path all apply exactly as for in-process and gateway
+callers, so a mixed fleet of v1 sockets, v3 frames and gateway HTTP
+clients observes one consistent daemon.
 """
 
 from __future__ import annotations
@@ -156,12 +156,8 @@ class AsyncDaemonServer:
                              writer: asyncio.StreamWriter) -> None:
         try:
             first = await reader.read(1)
-            if not first:
-                return
-            if first[0] == FRAME_MAGIC:
-                await self._serve_frames(reader, writer, first)
-            else:
-                await self._serve_lines(reader, writer, first)
+            if first:
+                await self._serve(reader, writer, first)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # peer went away; nothing to answer
         except asyncio.CancelledError:
@@ -191,65 +187,74 @@ class AsyncDaemonServer:
             return True
         return False
 
-    async def _serve_frames(self, reader: asyncio.StreamReader,
-                            writer: asyncio.StreamWriter,
-                            first: bytes) -> None:
-        """The v3 framed loop. ``first`` is the already-sniffed magic."""
+    async def _serve(self, reader: asyncio.StreamReader,
+                     writer: asyncio.StreamWriter, first: bytes) -> None:
+        """One connection's request loop, in the dialect its sniffed
+        ``first`` byte selects."""
+        framed = first[0] == FRAME_MAGIC
+        read = self._read_frame if framed else self._read_line
+
+        def write(response: str) -> None:
+            writer.write(
+                encode_frame(response.rstrip("\n").encode("utf-8"))
+                if framed else response.encode("utf-8"))
+
         while True:
-            header = first + await reader.readexactly(
-                HEADER_SIZE - len(first))
-            length = decode_header(header)
-            payload = await reader.readexactly(length)
-            line = payload.decode("utf-8", errors="replace")
+            try:
+                line = await read(reader, first)
+            except ServiceError as exc:
+                # A request that cannot even be delimited leaves the
+                # stream out of step: answer once, typed, in this
+                # connection's dialect (frames are protocol v3, a bare
+                # line reads the legacy shape), then hang up.
+                write(self.daemon.refuse(exc, 3 if framed else 1))
+                await writer.drain()
+                return
+            if line is None:
+                return
+            first = b""
             self._busy += 1
             try:
-                response = await self._handle(line)
-                writer.write(encode_frame(
-                    response.rstrip("\n").encode("utf-8")))
+                write(await self._handle(line))
                 ended = await self._after_response(writer)
             finally:
                 self._busy -= 1
             if ended:
-                return
-            first = await reader.read(1)
-            if not first:
                 return
 
-    async def _serve_lines(self, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter,
-                           first: bytes) -> None:
-        """The v1/v2 JSON-lines loop. ``first`` is the sniffed byte."""
-        pending = first
+    @staticmethod
+    async def _read_frame(reader: asyncio.StreamReader,
+                          first: bytes) -> str | None:
+        """The next v3 frame's payload (``first`` is the sniffed magic
+        byte, if any); ``None`` on EOF between frames."""
+        first = first or await reader.read(1)
+        if not first:
+            return None
+        header = first + await reader.readexactly(HEADER_SIZE - 1)
+        payload = await reader.readexactly(decode_header(header))
+        return payload.decode("utf-8", errors="replace")
+
+    @staticmethod
+    async def _read_line(reader: asyncio.StreamReader,
+                         first: bytes) -> str | None:
+        """The next non-blank JSON line (``first`` is the sniffed
+        byte, if any); ``None`` on EOF. A final unterminated line is
+        served like any other."""
         while True:
             try:
-                raw = pending + await reader.readuntil(b"\n")
+                raw = first + await reader.readuntil(b"\n")
             except asyncio.IncompleteReadError as exc:
-                raw = pending + exc.partial
-                if not raw.strip():
-                    return
-                # Final unterminated line: serve it, then close.
-                self._busy += 1
-                try:
-                    response = await self._handle(
-                        raw.decode("utf-8", errors="replace"))
-                    writer.write(response.encode("utf-8"))
-                    await self._after_response(writer)
-                finally:
-                    self._busy -= 1
-                return
-            pending = b""
+                raw = first + exc.partial
+                if not raw:
+                    return None
+            except asyncio.LimitOverrunError:
+                raise ServiceError(
+                    f"request line exceeds the {MAX_FRAME}-byte "
+                    f"limit") from None
+            first = b""
             line = raw.decode("utf-8", errors="replace")
-            if not line.strip():
-                continue
-            self._busy += 1
-            try:
-                response = await self._handle(line)
-                writer.write(response.encode("utf-8"))
-                ended = await self._after_response(writer)
-            finally:
-                self._busy -= 1
-            if ended:
-                return
+            if line.strip():
+                return line
 
 
 def serve_async(daemon: AllocationDaemon, host: str = "127.0.0.1",

@@ -18,10 +18,12 @@ request before answering and checkpoints the store every
 :meth:`AllocationDaemon.restore` rebuilds the identical daemon from the
 newest snapshot plus the journal tail.
 
-Transports (all stdlib): :func:`serve_stdio` for JSON-lines over
-stdin/stdout, :func:`serve_tcp` for the same framing over TCP, and
-:func:`start_metrics_server` for the Prometheus ``/metrics`` endpoint
-over HTTP.
+This module is the service core and opens no socket: the network
+fronts are :func:`repro.service.aio.serve_async` (JSON lines and v3
+frames on one port) and :func:`repro.service.gateway.start_gateway`
+(HTTP), and :func:`serve_stdio` adapts a pair of text streams. Every
+front ends in :meth:`AllocationDaemon.handle`, which runs each request
+through :func:`repro.service.protocol.validate_request` exactly once.
 
 Consolidation: with ``consolidate_every`` and/or ``frag_threshold``
 set, the daemon runs a background defragmentation pass at epoch
@@ -58,9 +60,7 @@ from __future__ import annotations
 import json
 import threading
 import time as _time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from socketserver import StreamRequestHandler, ThreadingTCPServer
 from time import perf_counter
 from typing import IO, Callable, Mapping
 
@@ -68,6 +68,7 @@ from repro.allocators.registry import make_allocator
 from repro.consolidation.fragmentation import FragmentationMonitor
 from repro.consolidation.planner import MigrationPlanner
 from repro.exceptions import (
+    OverloadedError,
     ProtocolVersionError,
     ReproError,
     ServiceError,
@@ -85,11 +86,10 @@ from repro.obs.tracer import get_tracer
 from repro.placement.config import EngineConfig
 from repro.service.errors import (
     attach_error,
-    envelope,
     envelope_of_exception,
     error_fields,
 )
-from repro.service.metrics import CONTENT_TYPE, ServiceMetrics
+from repro.service.metrics import ServiceMetrics
 from repro.service.persistence import (
     RequestJournal,
     SnapshotManager,
@@ -97,31 +97,22 @@ from repro.service.persistence import (
 )
 from repro.service.replication import apply_entry
 from repro.service.protocol import (
-    OPS,
+    Request,
     encode,
     negotiate_version,
-    parse_batch_records,
     parse_request,
+    validate_request,
 )
 from repro.service.state import (
     ClusterStateStore,
     snapshot_meta,
 )
 from repro.simulation.admission import offer
-from repro.workload.trace import vm_from_record, vm_to_record
+from repro.workload.trace import vm_to_record
 
-__all__ = ["AllocationDaemon", "DaemonTCPServer", "serve_stdio",
-           "serve_tcp", "start_metrics_server"]
+__all__ = ["AllocationDaemon", "serve_stdio"]
 
 JOURNAL_NAME = "journal.jsonl"
-
-#: Operations that mutate cluster state — these take the commit lock
-#: and count against the bounded ingest window.
-MUTATING_OPS = ("place", "place_batch", "tick", "fail_server",
-                "recover_server", "consolidate")
-
-#: Read-only operations served without the commit lock.
-READ_OPS = ("stats", "metrics", "telemetry", "dump_debug", "ping")
 
 
 def _requested_version(request: object) -> int:
@@ -312,8 +303,10 @@ class AllocationDaemon:
                     "snapshot": store.to_snapshot(self._meta(seq=1)),
                 })
         self._data_dir = None if data_dir is None else Path(data_dir)
-        #: ``/healthz`` & ``/readyz`` gate: False while a restore is
-        #: still replaying the journal tail (see :meth:`restore`).
+        #: False while a restore is still replaying the journal tail
+        #: (see :meth:`restore`): the gateway's ``/healthz`` and
+        #: ``/readyz`` answer 503, ``/varz`` shows it, and every op
+        #: that is not read-only is refused as ``unavailable``.
         self.ready = True
         self._sample_telemetry()
 
@@ -382,8 +375,9 @@ class AllocationDaemon:
 
         ``on_built`` is invoked with the daemon after construction but
         *before* the journal tail replays, while :attr:`ready` is still
-        False — the CLI uses it to bring ``/healthz``/``/readyz`` up
-        early so probes report not-ready during the restore.
+        False — the CLI uses it to bring the gateway up early, so
+        probes report not-ready and mutating requests are refused
+        during the restore.
         """
         data_dir = Path(data_dir)
         document = SnapshotManager(data_dir).load_latest()
@@ -489,22 +483,41 @@ class AllocationDaemon:
             try:
                 message = parse_request(line)
             except ServiceError as exc:
-                self.metrics.observe_error()
-                payload: dict[str, object] = {"ok": False}
-                attach_error(payload, envelope_of_exception(exc),
-                             _requested_version(line))
-                if isinstance(exc, ProtocolVersionError):
-                    payload["supported_versions"] = list(exc.supported)
-                if isinstance(exc, UnknownOperationError):
-                    payload["supported_ops"] = list(exc.supported)
-                return encode(payload)
+                return self.refuse(exc, _requested_version(line))
         response = self.handle(message)
         with tracer.span("service.respond"):
             return encode(response)
 
-    def handle(self, message: Mapping[str, object]) -> dict[str, object]:
-        """Serve one parsed request; never raises on domain errors.
+    def refuse(self, error: ServiceError, version: int) -> str:
+        """The response line for a request that could not be read at
+        all — an invalid line, or (from the socket front) a bad frame
+        header or an over-long line — in the shape ``version`` reads."""
+        return encode(self._failure(error, version))
 
+    def _failure(self, error: ReproError, version: int,
+                 **head: object) -> dict[str, object]:
+        """Count one failed request and assemble its response: the
+        typed envelope, projected onto the shape ``version`` reads,
+        plus what this daemon *does* speak when the request named a
+        version or an op it does not."""
+        if isinstance(error, OverloadedError):
+            self.metrics.observe_overload()
+        else:
+            self.metrics.observe_error()
+        response = attach_error({"ok": False, **head},
+                                envelope_of_exception(error), version)
+        if isinstance(error, ProtocolVersionError):
+            response["supported_versions"] = list(error.supported)
+        if isinstance(error, UnknownOperationError):
+            response["supported_ops"] = list(error.supported)
+        return response
+
+    def handle(self, message: Mapping[str, object]) -> dict[str, object]:
+        """Serve one request; never raises on domain errors.
+
+        A message that is not a :class:`~repro.service.protocol.Request`
+        (it did not come out of ``parse_request``) is validated here
+        first, so every front is held to the same field rules.
         Responses echo the request's ``"v"`` field when one was sent
         (v1 clients that omit it keep getting byte-identical replies),
         and echo ``trace_id``/``request_id`` whenever the request
@@ -514,19 +527,9 @@ class AllocationDaemon:
         op = message.get("op")
         try:
             version = negotiate_version(message)
-        except ProtocolVersionError as exc:
-            self.metrics.observe_error()
-            response = attach_error({"ok": False, "op": op},
-                                    envelope_of_exception(exc),
-                                    _requested_version(message))
-            response["supported_versions"] = list(exc.supported)
-            return response
-        try:
             ctx = trace_context_of(message)
         except ServiceError as exc:
-            self.metrics.observe_error()
-            return attach_error({"ok": False, "op": op},
-                                envelope_of_exception(exc), version)
+            return self._failure(exc, _requested_version(message), op=op)
         tracer = get_tracer()
         started = perf_counter()
         with tracer.span("service.request", op=str(op),
@@ -577,45 +580,47 @@ class AllocationDaemon:
                 logger.error("service.request", error=error, **fields)
 
     def _guarded(self, op: object, message: Mapping[str, object],
-                 ctx: TraceContext, version: int = 1
-                 ) -> dict[str, object]:
-        """Apply the ingest bound, route to the right lock, dispatch."""
-        gate = self._ingest if op in MUTATING_OPS else None
-        if gate is not None and not gate.acquire(blocking=False):
-            self.metrics.observe_overload()
-            return attach_error(
-                {"ok": False, "op": op},
-                envelope("overloaded", "overloaded",
-                         retry_after=self._retry_after()), version)
-        mutating = op in MUTATING_OPS
-        if mutating:
-            with self._inflight_lock:
-                self._inflight += 1
+                 ctx: TraceContext, version: int) -> dict[str, object]:
+        """Validate (unless ``parse_request`` already did), run the
+        op, and turn any domain error into the failure response."""
         try:
-            if op in READ_OPS and not self.closed:
-                return self._dispatch(op, message, ctx)
-            with self._commit_lock:
-                response = self._dispatch(op, message, ctx)
-                if mutating:
-                    self._sample_telemetry()
-                return response
+            if not isinstance(message, Request):
+                message = validate_request(message)
+            return self._run(message, ctx)
         except ReproError as exc:
-            self.metrics.observe_error()
-            payload: dict[str, object] = {"ok": False, "op": op}
-            attach_error(payload, envelope_of_exception(exc), version)
-            # Structured self-describing errors, mirroring the
-            # version-negotiation shape: tell the client what this
-            # daemon *does* speak instead of a bare string.
-            if isinstance(exc, ProtocolVersionError):
-                payload["supported_versions"] = list(exc.supported)
-            if isinstance(exc, UnknownOperationError):
-                payload["supported_ops"] = list(exc.supported)
-            return payload
+            return self._failure(exc, version, op=op)
         except Exception as exc:
             # An unhandled error is a daemon bug: preserve the raise,
             # but first capture the black box for the post-mortem.
             self._dump_on_error(exc, op, ctx)
             raise
+
+    def _run(self, request: Request,
+             ctx: TraceContext) -> dict[str, object]:
+        """Apply the readiness gate and the ingest bound, take the
+        lock the op's class needs (see :attr:`_OPS`), dispatch."""
+        handler, kind = self._OPS[request["op"]]
+        if kind == "read":
+            if not self.closed:
+                return handler(self, request, ctx)
+        elif not self.ready:
+            raise UnavailableError("daemon is restoring")
+        mutating = kind == "mutating"
+        gate = self._ingest if mutating else None
+        if gate is not None and not gate.acquire(blocking=False):
+            raise OverloadedError("overloaded",
+                                  retry_after=self._retry_after())
+        if mutating:
+            with self._inflight_lock:
+                self._inflight += 1
+        try:
+            with self._commit_lock:
+                if self.closed:
+                    raise UnavailableError("daemon is shut down")
+                response = handler(self, request, ctx)
+                if mutating:
+                    self._sample_telemetry()
+                return response
         finally:
             if mutating:
                 with self._inflight_lock:
@@ -649,63 +654,35 @@ class AllocationDaemon:
         window = int(self.config["max_inflight"]) or 1
         return round(min(5.0, max(0.01, p50 * window)), 4)
 
-    def _dispatch(self, op: object, message: Mapping[str, object],
-                  ctx: TraceContext) -> dict[str, object]:
-        if self.closed:
-            raise UnavailableError("daemon is shut down")
-        if op == "place":
-            return self._handle_place(message, ctx)
-        if op == "place_batch":
-            return self._handle_place_batch(message, ctx)
-        if op == "tick":
-            return self._handle_tick(message, ctx)
-        if op == "fail_server":
-            return self._handle_fail_server(message, ctx)
-        if op == "recover_server":
-            return self._handle_recover_server(message, ctx)
-        if op == "consolidate":
-            return self._handle_consolidate(message, ctx)
-        if op == "stats":
-            return self._handle_stats()
-        if op == "metrics":
-            return {"ok": True, "op": "metrics",
-                    "text": self.render_metrics()}
-        if op == "telemetry":
-            return self._handle_telemetry(message)
-        if op == "dump_debug":
-            return {"ok": True, "op": "dump_debug",
-                    "count": len(self.flight),
-                    "capacity": self.flight.capacity,
-                    "records": self.flight.dump()}
-        if op == "snapshot":
-            path = self.write_snapshot()
-            if path is None:
-                raise ServiceError(
-                    "daemon runs without a data_dir; nothing to snapshot")
-            return {"ok": True, "op": "snapshot", "path": str(path)}
-        if op == "ping":
-            return {"ok": True, "op": "ping", "clock": self.store.clock}
-        if op == "shutdown":
-            return self._handle_shutdown()
-        # Reached by direct dict-API handle() calls that bypassed
-        # parse_request: answer with the same structured shape.
-        raise UnknownOperationError(
-            f"unknown op {op!r}; this daemon supports: {list(OPS)}",
-            op=op, supported=OPS)
+    def _handle_metrics(self, request: Request,
+                        ctx: TraceContext) -> dict[str, object]:
+        return {"ok": True, "op": "metrics", "text": self.render_metrics()}
 
-    def _handle_telemetry(self, message: Mapping[str, object]
-                          ) -> dict[str, object]:
-        last = message.get("last")
-        if last is not None and (isinstance(last, bool)
-                                 or not isinstance(last, int) or last < 1):
+    def _handle_dump_debug(self, request: Request,
+                           ctx: TraceContext) -> dict[str, object]:
+        return {"ok": True, "op": "dump_debug", "count": len(self.flight),
+                "capacity": self.flight.capacity,
+                "records": self.flight.dump()}
+
+    def _handle_snapshot(self, request: Request,
+                         ctx: TraceContext) -> dict[str, object]:
+        path = self.write_snapshot()
+        if path is None:
             raise ServiceError(
-                f"telemetry field 'last' must be a positive integer, "
-                f"got {last!r}")
+                "daemon runs without a data_dir; nothing to snapshot")
+        return {"ok": True, "op": "snapshot", "path": str(path)}
+
+    def _handle_ping(self, request: Request,
+                     ctx: TraceContext) -> dict[str, object]:
+        return {"ok": True, "op": "ping", "clock": self.store.clock}
+
+    def _handle_telemetry(self, request: Request,
+                          ctx: TraceContext) -> dict[str, object]:
         return {"ok": True, "op": "telemetry",
                 "clock": self.store.clock,
                 "enabled": self.telemetry.enabled,
                 "capacity": self.telemetry.capacity,
-                "samples": self.telemetry.to_records(last),
+                "samples": self.telemetry.to_records(request.get("last")),
                 "slo": self.slo.report()}
 
     def _sample_telemetry(self) -> None:
@@ -738,20 +715,10 @@ class AllocationDaemon:
             placed=self.metrics.requests["placed"],
             rejected=self.metrics.requests["rejected"]))
 
-    def _handle_place(self, message: Mapping[str, object],
+    def _handle_place(self, request: Request,
                       ctx: TraceContext) -> dict[str, object]:
-        vm = message.get("_vm")
-        if vm is None:  # direct dict call without parse_request
-            try:
-                vm = vm_from_record(message["vm"])
-            except (TypeError, KeyError, ValueError) as exc:
-                raise ServiceError(f"malformed vm record: {exc}") from exc
-        explain = message.get("explain", False)
-        if not isinstance(explain, bool):
-            raise ServiceError(
-                f"place request field 'explain' must be a boolean, "
-                f"got {explain!r}")
-        recorder = ExplainRecorder() if explain else None
+        vm = request["_vm"]
+        recorder = ExplainRecorder() if request.get("explain") else None
         tracer = get_tracer()
         started = perf_counter()
         with tracer.span("service.place", vm_id=vm.vm_id) as span:
@@ -796,11 +763,9 @@ class AllocationDaemon:
         self._maybe_consolidate()
         return response
 
-    def _handle_place_batch(self, message: Mapping[str, object],
+    def _handle_place_batch(self, request: Request,
                             ctx: TraceContext) -> dict[str, object]:
-        vms = message.get("_vms")
-        if vms is None:  # direct dict call without parse_request
-            vms = parse_batch_records(message.get("vms"))
+        vms = request["_vms"]
         # Whole-batch validation before any mutation: a duplicate vm_id
         # (within the batch or against committed placements) would fail
         # mid-batch and tear the journal group, so reject it up front.
@@ -885,13 +850,9 @@ class AllocationDaemon:
                 "decisions": results, "energy_delta": total_delta,
                 "latency_ms": (perf_counter() - started) * 1e3}
 
-    def _handle_tick(self, message: Mapping[str, object],
+    def _handle_tick(self, request: Request,
                      ctx: TraceContext) -> dict[str, object]:
-        now = message.get("now")
-        if isinstance(now, bool) or not isinstance(now, int) or now < 0:
-            raise ServiceError(
-                f"tick request needs a non-negative integer 'now', "
-                f"got {now!r}")
+        now = request["now"]
         if now > self.store.clock:
             self.store.advance_to(now)
             if self.journal is not None:
@@ -902,30 +863,12 @@ class AllocationDaemon:
                 "servers_active": self.store.servers_active(),
                 "running_vms": self.store.running_vms()}
 
-    @staticmethod
-    def _server_id_of(message: Mapping[str, object],
-                      op: str) -> int:
-        server_id = message.get("server_id")
-        if isinstance(server_id, bool) or not isinstance(server_id, int) \
-                or server_id < 0:
-            raise ServiceError(
-                f"{op} request needs a non-negative integer 'server_id', "
-                f"got {server_id!r}")
-        return server_id
-
-    def _handle_fail_server(self, message: Mapping[str, object],
+    def _handle_fail_server(self, request: Request,
                             ctx: TraceContext) -> dict[str, object]:
-        server_id = self._server_id_of(message, "fail_server")
-        time = message.get("time")
-        if time is None:
-            # Default: the failure is observed now. Clock 0 (nothing
-            # placed yet) rounds up to the first real tick.
-            time = max(self.store.clock, 1)
-        elif isinstance(time, bool) or not isinstance(time, int) \
-                or time < 1:
-            raise ServiceError(
-                f"fail_server field 'time' must be a positive integer, "
-                f"got {time!r}")
+        server_id = request["server_id"]
+        # Default: the failure is observed now. Clock 0 (nothing placed
+        # yet) rounds up to the first real tick.
+        time = request.get("time", max(self.store.clock, 1))
         tracer = get_tracer()
         started = perf_counter()
         with tracer.span("service.fail_server", server_id=server_id,
@@ -1027,18 +970,11 @@ class AllocationDaemon:
                 >= float(threshold):
             self._run_consolidation(clock, TraceContext.new())
 
-    def _handle_consolidate(self, message: Mapping[str, object],
+    def _handle_consolidate(self, request: Request,
                             ctx: TraceContext) -> dict[str, object]:
-        time = message.get("time")
-        if time is None:
-            # Default: consolidate now. Clock 0 (nothing placed yet)
-            # rounds up to the first real tick.
-            time = max(self.store.clock, 1)
-        elif isinstance(time, bool) or not isinstance(time, int) \
-                or time < 1:
-            raise ServiceError(
-                f"consolidate field 'time' must be a positive integer, "
-                f"got {time!r}")
+        # Default: consolidate now. Clock 0 (nothing placed yet) rounds
+        # up to the first real tick.
+        time = request.get("time", max(self.store.clock, 1))
         report, duration = self._run_consolidation(time, ctx)
         return {
             "ok": True, "op": "consolidate", "time": report.time,
@@ -1057,9 +993,9 @@ class AllocationDaemon:
             "latency_ms": duration * 1e3,
         }
 
-    def _handle_recover_server(self, message: Mapping[str, object],
+    def _handle_recover_server(self, request: Request,
                                ctx: TraceContext) -> dict[str, object]:
-        server_id = self._server_id_of(message, "recover_server")
+        server_id = request["server_id"]
         tracer = get_tracer()
         with tracer.span("service.recover_server", server_id=server_id):
             self.store.recover_server(server_id)
@@ -1072,7 +1008,9 @@ class AllocationDaemon:
                 "server_id": server_id, "clock": self.store.clock,
                 "servers_failed": self.store.servers_failed()}
 
-    def _handle_stats(self) -> dict[str, object]:
+    def _handle_stats(self, request: Request | None = None,
+                      ctx: TraceContext | None = None
+                      ) -> dict[str, object]:
         return {
             "ok": True, "op": "stats",
             "clock": self.store.clock,
@@ -1091,7 +1029,8 @@ class AllocationDaemon:
             "migrations": self.metrics.migrations,
         }
 
-    def _handle_shutdown(self) -> dict[str, object]:
+    def _handle_shutdown(self, request: Request,
+                         ctx: TraceContext) -> dict[str, object]:
         self.write_snapshot()
         if self.journal is not None:
             self.journal.close()
@@ -1099,6 +1038,27 @@ class AllocationDaemon:
         for hook in self._shutdown_hooks:
             hook()
         return {"ok": True, "op": "shutdown", "clock": self.store.clock}
+
+    #: The op table: ``op -> (handler, class)``. ``"mutating"`` ops
+    #: count against the bounded ingest window, take the commit lock
+    #: and feed the telemetry ring; ``"control"`` ops take the commit
+    #: lock only; ``"read"`` ops take no lock and are the only ones
+    #: served while a restore replays.
+    _OPS = {
+        "place": (_handle_place, "mutating"),
+        "place_batch": (_handle_place_batch, "mutating"),
+        "tick": (_handle_tick, "mutating"),
+        "fail_server": (_handle_fail_server, "mutating"),
+        "recover_server": (_handle_recover_server, "mutating"),
+        "consolidate": (_handle_consolidate, "mutating"),
+        "stats": (_handle_stats, "read"),
+        "metrics": (_handle_metrics, "read"),
+        "telemetry": (_handle_telemetry, "read"),
+        "dump_debug": (_handle_dump_debug, "read"),
+        "ping": (_handle_ping, "read"),
+        "snapshot": (_handle_snapshot, "control"),
+        "shutdown": (_handle_shutdown, "control"),
+    }
 
     def on_shutdown(self, hook) -> None:
         """Register a callable run when a shutdown request is served."""
@@ -1127,9 +1087,6 @@ class AllocationDaemon:
         }
 
 
-# -- transports -------------------------------------------------------------
-
-
 def serve_stdio(daemon: AllocationDaemon, in_stream: IO[str],
                 out_stream: IO[str]) -> None:
     """Serve JSON-lines over a pair of text streams until EOF/shutdown."""
@@ -1140,92 +1097,3 @@ def serve_stdio(daemon: AllocationDaemon, in_stream: IO[str],
         out_stream.flush()
         if daemon.closed:
             break
-
-
-class _TCPHandler(StreamRequestHandler):
-    def handle(self) -> None:
-        daemon = self.server.daemon
-        for raw in self.rfile:
-            line = raw.decode("utf-8", errors="replace")
-            if not line.strip():
-                continue
-            self.wfile.write(daemon.handle_line(line).encode("utf-8"))
-            self.wfile.flush()
-            if daemon.closed:
-                self.server.trigger_shutdown()
-                return
-
-
-class DaemonTCPServer(ThreadingTCPServer):
-    """JSON-lines over TCP; one thread per connection, shared daemon."""
-
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, address: tuple[str, int],
-                 daemon: AllocationDaemon) -> None:
-        super().__init__(address, _TCPHandler)
-        self.daemon = daemon
-
-    def trigger_shutdown(self) -> None:
-        """Stop ``serve_forever`` without deadlocking the handler."""
-        threading.Thread(target=self.shutdown, daemon=True).start()
-
-
-def serve_tcp(daemon: AllocationDaemon, host: str = "127.0.0.1",
-              port: int = 0) -> DaemonTCPServer:
-    """Bind a TCP server for ``daemon``; the caller runs serve_forever.
-
-    Port 0 binds an ephemeral port — read it back from
-    ``server.server_address``.
-    """
-    return DaemonTCPServer((host, port), daemon)
-
-
-class _MetricsHandler(BaseHTTPRequestHandler):
-    def do_GET(self) -> None:
-        daemon = self.server.daemon
-        content_type = "text/plain; charset=utf-8"
-        if self.path in ("/", "/metrics"):
-            body = daemon.render_metrics().encode("utf-8")
-            content_type = CONTENT_TYPE
-            status = 200
-        elif self.path in ("/healthz", "/readyz"):
-            # Not-ready while a restore is still replaying the journal
-            # tail, and once the daemon is shut down.
-            if daemon.ready and not daemon.closed:
-                body, status = b"ok\n", 200
-            else:
-                body = b"shutting down\n" if daemon.closed \
-                    else b"restoring\n"
-                status = 503
-        elif self.path == "/varz":
-            body = (json.dumps(daemon.varz(), indent=2, default=str)
-                    + "\n").encode("utf-8")
-            content_type = "application/json; charset=utf-8"
-            status = 200
-        else:
-            body = b"not found\n"
-            status = 404
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args: object) -> None:
-        """Silence per-request stderr logging."""
-
-
-def start_metrics_server(daemon: AllocationDaemon, host: str = "127.0.0.1",
-                         port: int = 0) -> ThreadingHTTPServer:
-    """Serve ``/metrics``, ``/healthz``, ``/readyz`` and ``/varz`` on a
-    background thread."""
-    server = ThreadingHTTPServer((host, port), _MetricsHandler)
-    server.daemon = daemon
-    thread = threading.Thread(target=server.serve_forever, daemon=True,
-                              name="repro-metrics")
-    thread.start()
-    daemon.on_shutdown(lambda: threading.Thread(
-        target=server.shutdown, daemon=True).start())
-    return server

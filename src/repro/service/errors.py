@@ -100,7 +100,8 @@ def envelope_of_exception(exc: ReproError) -> dict[str, object]:
     if isinstance(exc, UnavailableError):
         return envelope("unavailable", str(exc))
     if isinstance(exc, RetryableError):
-        return envelope("overloaded", str(exc), retryable=True)
+        return envelope("overloaded", str(exc), retryable=True,
+                        retry_after=getattr(exc, "retry_after", None))
     return envelope("bad_request", str(exc))
 
 

@@ -18,7 +18,8 @@ Endpoint               Method  Daemon op
 ``/v1/stats``          GET     ``stats``
 ``/v1/telemetry``      GET     ``telemetry`` (``?last=N``)
 ``/v1/metrics``        GET     ``metrics`` (Prometheus text page)
-``/healthz``           GET     liveness/readiness probe
+``/metrics``           GET     the same page (the scrape path)
+``/healthz``           GET     liveness/readiness probe (``/readyz`` too)
 ``/varz``              GET     the debug JSON document
 =====================  ======  =========================================
 
@@ -99,7 +100,8 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         self._send(status, body, extra=extra)
 
     def _dispatch(self, op: str, body: dict[str, object]) -> None:
-        message: dict[str, object] = {"op": op, "v": 3, **body}
+        # The route, not the body, names the op and the version.
+        message: dict[str, object] = {**body, "op": op, "v": 3}
         for header, field in ((TRACE_HEADER, TRACE_ID_FIELD),
                               (REQUEST_HEADER, REQUEST_ID_FIELD)):
             value = self.headers.get(header)

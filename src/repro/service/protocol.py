@@ -90,8 +90,9 @@ Operations
 ``stats``
     Counters, clock and energy accounting as JSON.
 ``metrics``
-    The Prometheus text exposition as a ``text`` field (also served
-    over HTTP, see :func:`repro.service.daemon.start_metrics_server`).
+    The Prometheus text exposition as a ``text`` field (the gateway
+    serves the same page at ``GET /metrics``, see
+    :func:`repro.service.gateway.start_gateway`).
 ``telemetry`` (v2)
     ``{"op": "telemetry", "v": 2[, "last": N]}`` — the daemon's
     per-tick fleet telemetry ring (see
@@ -140,7 +141,8 @@ from repro.model.vm import VM
 from repro.workload.trace import vm_from_record, vm_to_record
 
 __all__ = ["PROTOCOL_VERSION", "SUPPORTED_VERSIONS", "OPS",
-           "negotiate_version", "parse_request", "parse_response",
+           "Request", "negotiate_version", "parse_request",
+           "validate_request", "parse_response",
            "encode", "place_request", "place_batch_request",
            "fail_server_request", "recover_server_request",
            "consolidate_request", "telemetry_request",
@@ -251,18 +253,72 @@ def negotiate_version(message: Mapping[str, object]) -> int:
     return version
 
 
-def parse_request(line: str) -> dict[str, object]:
+class Request(dict):
+    """One validated request — the only message type op handlers read.
+
+    Only :func:`validate_request` builds one, so ``isinstance(message,
+    Request)`` means every field rule below already held; a plain
+    ``dict`` (the gateway's body, an in-process caller's literal) is
+    validated by the daemon before any handler sees it. The decoded
+    VM(s) of ``place`` / ``place_batch`` ride under ``"_vm"`` /
+    ``"_vms"``.
+    """
+
+    __slots__ = ()
+
+
+#: Operations that exist from protocol version 2 on.
+_V2_OPS = ("place_batch", "fail_server", "recover_server", "consolidate",
+           "telemetry", "dump_debug")
+
+#: ``op -> ((field, required, minimum, message), ...)``: the integer
+#: fields of each operation, checked in this order. Optional fields
+#: are checked only when present.
+_INT_FIELDS: dict[str, tuple[tuple[str, bool, int, str], ...]] = {
+    "tick": (
+        ("now", True, 0,
+         "tick request needs a non-negative integer 'now'"),),
+    "fail_server": (
+        ("server_id", True, 0,
+         "fail_server request needs a non-negative integer 'server_id'"),
+        ("time", False, 1,
+         "fail_server field 'time' must be a positive integer")),
+    "recover_server": (
+        ("server_id", True, 0,
+         "recover_server request needs a non-negative integer 'server_id'"),),
+    "consolidate": (
+        ("time", False, 1,
+         "consolidate field 'time' must be a positive integer"),),
+    "telemetry": (
+        ("last", False, 1,
+         "telemetry field 'last' must be a positive integer"),),
+}
+
+
+def parse_request(line: str) -> Request:
     """Decode and validate one request line.
 
-    Raises :class:`ServiceError` on malformed JSON, a non-object
-    payload, an unknown ``op``, or (as the
-    :class:`~repro.exceptions.ProtocolVersionError` subclass) an
-    unsupported protocol version.
+    Raises :class:`ServiceError` on malformed JSON and on everything
+    :func:`validate_request` refuses.
     """
     try:
         message = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ServiceError(f"malformed request line: {exc}") from exc
+    return validate_request(message)
+
+
+def validate_request(message: object) -> Request:
+    """Check one decoded request against every field rule.
+
+    Returns a :class:`Request` copy of ``message`` with the decoded
+    VM(s) attached; any ``"_vm"`` / ``"_vms"`` key the sender put there
+    is overwritten or dropped. Raises :class:`ServiceError` on a
+    non-object payload, an unsupported protocol version
+    (:class:`~repro.exceptions.ProtocolVersionError`), an unknown
+    ``op`` (:class:`~repro.exceptions.UnknownOperationError`), an
+    operation newer than the request's version, or a malformed field.
+    """
     if not isinstance(message, dict):
         raise ServiceError(
             f"request must be a JSON object, got {type(message).__name__}")
@@ -272,71 +328,37 @@ def parse_request(line: str) -> dict[str, object]:
         raise UnknownOperationError(
             f"unknown op {op!r}; this daemon supports: {list(OPS)}",
             op=op, supported=OPS)
+    if op in _V2_OPS and version < 2:
+        raise ServiceError(
+            f'{op} requires protocol version 2; send "v": 2')
+    request = Request(message)
+    request.pop("_vm", None)
+    request.pop("_vms", None)
     if op == "place":
-        record = message.get("vm")
+        record = request.get("vm")
         if not isinstance(record, dict):
             raise ServiceError("place request needs a 'vm' record object")
         _check_radius_fields(record, version, "vm")
         try:
-            message["_vm"] = vm_from_record(record)
+            request["_vm"] = vm_from_record(record)
         except (TypeError, KeyError, ValueError) as exc:
             raise ServiceError(f"malformed vm record: {exc}") from exc
-        if not isinstance(message.get("explain", False), bool):
+        explain = request.get("explain", False)
+        if not isinstance(explain, bool):
             raise ServiceError(
                 f"place request field 'explain' must be a boolean, "
-                f"got {message.get('explain')!r}")
+                f"got {explain!r}")
     elif op == "place_batch":
-        if version < 2:
-            raise ServiceError(
-                'place_batch requires protocol version 2; send "v": 2')
-        message["_vms"] = parse_batch_records(message.get("vms"),
+        request["_vms"] = parse_batch_records(request.get("vms"),
                                               version=version)
-    elif op == "tick":
-        now = message.get("now")
-        if isinstance(now, bool) or not isinstance(now, int) or now < 0:
-            raise ServiceError(
-                f"tick request needs a non-negative integer 'now', "
-                f"got {message.get('now')!r}")
-    elif op in ("fail_server", "recover_server"):
-        if version < 2:
-            raise ServiceError(
-                f'{op} requires protocol version 2; send "v": 2')
-        server_id = message.get("server_id")
-        if isinstance(server_id, bool) or not isinstance(server_id, int) \
-                or server_id < 0:
-            raise ServiceError(
-                f"{op} request needs a non-negative integer 'server_id', "
-                f"got {server_id!r}")
-        if op == "fail_server" and "time" in message:
-            time = message.get("time")
-            if isinstance(time, bool) or not isinstance(time, int) \
-                    or time < 1:
-                raise ServiceError(
-                    f"fail_server field 'time' must be a positive "
-                    f"integer, got {time!r}")
-    elif op == "consolidate":
-        if version < 2:
-            raise ServiceError(
-                'consolidate requires protocol version 2; send "v": 2')
-        if "time" in message:
-            time = message.get("time")
-            if isinstance(time, bool) or not isinstance(time, int) \
-                    or time < 1:
-                raise ServiceError(
-                    f"consolidate field 'time' must be a positive "
-                    f"integer, got {time!r}")
-    elif op in ("telemetry", "dump_debug"):
-        if version < 2:
-            raise ServiceError(
-                f'{op} requires protocol version 2; send "v": 2')
-        if op == "telemetry" and "last" in message:
-            last = message.get("last")
-            if isinstance(last, bool) or not isinstance(last, int) \
-                    or last < 1:
-                raise ServiceError(
-                    f"telemetry field 'last' must be a positive "
-                    f"integer, got {last!r}")
-    return message
+    for field, required, minimum, rule in _INT_FIELDS.get(op, ()):
+        if not required and field not in request:
+            continue
+        value = request.get(field)
+        if isinstance(value, bool) or not isinstance(value, int) \
+                or value < minimum:
+            raise ServiceError(f"{rule}, got {value!r}")
+    return request
 
 
 def parse_batch_records(records: object, *,

@@ -15,7 +15,7 @@ same state; the kill+restore end-to-end tests pin that bit-exactness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from repro.consolidation.planner import PlannedMove
@@ -103,7 +103,3 @@ def apply_entry(store: ClusterStateStore,
                    for record in entry.get("moves", ())])
         return AppliedEntry(op=op, report=report)
     raise ValidationError(f"unknown journal entry op {op!r}")
-
-
-# ``field`` is imported for dataclass forward-compat; keep linters calm.
-_ = field

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.model.cluster import Cluster
 from repro.model.intervals import TimeInterval
 from repro.model.server import Server, ServerSpec
 from repro.model.vm import VM, VMSpec
+from repro.service import serve_async
 
 
 @pytest.fixture
@@ -51,3 +54,12 @@ def make_vm(vm_id: int, start: int, end: int, cpu: float = 1.0,
 @pytest.fixture
 def vm_factory():
     return make_vm
+
+
+@contextmanager
+def serving(daemon, **kwargs):
+    """Serve ``daemon`` on an ephemeral port of the socket front
+    (JSON lines and v3 frames); yields ``(host, port)`` and stops the
+    server on exit."""
+    with serve_async(daemon, **kwargs) as server:
+        yield server.address

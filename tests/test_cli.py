@@ -100,7 +100,8 @@ class TestServiceCommands:
         assert not args.stdio and not args.restore
 
     @pytest.mark.parametrize("flag", ["--shards", "--workers",
-                                      "--scan-processes"])
+                                      "--scan-processes",
+                                      "--metrics-port"])
     def test_serve_rejects_removed_scan_flags(self, flag, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["serve", flag, "2"])
@@ -303,29 +304,20 @@ class TestObservabilityCommands:
 class TestTelemetryCommands:
     @pytest.fixture
     def live_daemon(self):
-        import threading
-
         from repro.model.cluster import Cluster
         from repro.service import (
             AllocationDaemon,
             ClusterStateStore,
             place_request,
-            serve_tcp,
         )
-        from conftest import make_vm
+        from conftest import make_vm, serving
 
         store = ClusterStateStore(Cluster.paper_all_types(6))
         daemon = AllocationDaemon(store)
         for i in range(3):
             daemon.handle(place_request(make_vm(i, i + 1, i + 5)))
-        server = serve_tcp(daemon, port=0)
-        threading.Thread(target=server.serve_forever,
-                         daemon=True).start()
-        try:
-            yield daemon, server.server_address[1]
-        finally:
-            server.shutdown()
-            server.server_close()
+        with serving(daemon) as (_, port):
+            yield daemon, port
 
     def test_top_single_refresh(self, live_daemon, capsys):
         daemon, port = live_daemon

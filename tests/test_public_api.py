@@ -175,9 +175,15 @@ class TestExports:
                      "write_frame", "FrameDecoder", "FRAME_MAGIC", "CODES",
                      "envelope",
                      "error_fields", "http_status_of", "apply_entry",
-                     "AppliedEntry"):
+                     "AppliedEntry", "validate_request"):
             assert name in service.__all__, name
             assert hasattr(service, name), name
+        # One socket front, one HTTP front: the blocking TCP server
+        # and the private metrics server are gone.
+        for name in ("serve_tcp", "DaemonTCPServer",
+                     "start_metrics_server"):
+            assert name not in service.__all__, name
+            assert not hasattr(service, name), name
         assert 3 in service.SUPPORTED_VERSIONS
         assert service.PROTOCOL_VERSION == 3
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import re
-import threading
 import urllib.request
 
 import pytest
@@ -25,13 +24,12 @@ from repro.service import (
     read_journal,
     replay_trace,
     serve_stdio,
-    serve_tcp,
-    start_metrics_server,
+    start_gateway,
 )
 from repro.simulation import simulate_online
 from repro.workload.generator import generate_vms
 
-from conftest import make_vm
+from conftest import make_vm, serving
 
 SPEC = ServerSpec("s", cpu_capacity=10.0, memory_capacity=10.0,
                   p_idle=50.0, p_peak=100.0, transition_time=1.0)
@@ -460,14 +458,11 @@ class TestEndToEndTCP:
         vms = generate_vms(60, mean_interarrival=2.0, seed=3)
         store = ClusterStateStore(Cluster.paper_all_types(30))
         daemon = AllocationDaemon(store)
-        server = serve_tcp(daemon, port=0)
-        host, port = server.server_address
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        metrics_server = start_metrics_server(daemon, port=0)
-        metrics_port = metrics_server.server_address[1]
+        gateway = start_gateway(daemon)
+        http_port = gateway.server_address[1]
         try:
-            with AllocationClient(host, port) as client:
+            with serving(daemon) as (host, port), \
+                    AllocationClient(host, port) as client:
                 assert client.ping()["ok"]
                 summary = replay_trace(client, vms)
                 assert summary.placed == 60
@@ -475,7 +470,7 @@ class TestEndToEndTCP:
                 assert summary.energy_delta_total == pytest.approx(
                     store.energy_total(), rel=1e-9)
                 body = urllib.request.urlopen(
-                    f"http://127.0.0.1:{metrics_port}/metrics",
+                    f"http://127.0.0.1:{http_port}/metrics",
                     timeout=10).read().decode()
                 for line in body.strip().splitlines():
                     assert _PROM_COMMENT.match(line) or \
@@ -484,7 +479,7 @@ class TestEndToEndTCP:
                 assert "repro_placement_latency_seconds" in body
                 assert "repro_fleet_power_watts" in body
                 health = urllib.request.urlopen(
-                    f"http://127.0.0.1:{metrics_port}/healthz",
+                    f"http://127.0.0.1:{http_port}/healthz",
                     timeout=10).read()
                 assert health == b"ok\n"
                 # the metrics op serves the same exposition as HTTP
@@ -495,26 +490,17 @@ class TestEndToEndTCP:
                     in exposition
                 assert client.shutdown()["ok"]
         finally:
-            server.shutdown()
-            server.server_close()
-            metrics_server.shutdown()
-            metrics_server.server_close()
+            gateway.shutdown()
+            gateway.server_close()
 
     def test_malformed_line_gets_error_response(self):
         store = ClusterStateStore(Cluster.homogeneous(SPEC, 1))
         daemon = AllocationDaemon(store)
-        server = serve_tcp(daemon, port=0)
-        host, port = server.server_address
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            with AllocationClient(host, port) as client:
-                response = client._request({"op": "place"})  # missing vm
-                assert response["ok"] is False
-                assert "vm" in response["error"]
-        finally:
-            server.shutdown()
-            server.server_close()
+        with serving(daemon) as (host, port), \
+                AllocationClient(host, port) as client:
+            response = client._request({"op": "place"})  # missing vm
+            assert response["ok"] is False
+            assert "vm" in response["error"]
 
 
 class TestStdioTransport:

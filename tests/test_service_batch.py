@@ -11,7 +11,6 @@ versions with a structured error.
 from __future__ import annotations
 
 import json
-import threading
 
 import pytest
 
@@ -27,12 +26,11 @@ from repro.service import (
     place_batch_request,
     place_request,
     replay_trace,
-    serve_tcp,
 )
 from repro.service.protocol import encode, parse_request
 from repro.workload.generator import generate_vms
 
-from conftest import make_vm
+from conftest import make_vm, serving
 
 SPEC = ServerSpec("s", cpu_capacity=10.0, memory_capacity=10.0,
                   p_idle=50.0, p_peak=100.0, transition_time=1.0)
@@ -223,27 +221,15 @@ class TestBackpressure:
 
 
 class TestBatchOverTCP:
-    def _serve(self, daemon):
-        server = serve_tcp(daemon, port=0)
-        thread = threading.Thread(target=server.serve_forever,
-                                  daemon=True)
-        thread.start()
-        return server
-
     def test_batch_replay_end_to_end(self):
         vms = generate_vms(100, mean_interarrival=2.0, seed=12)
         batched = fresh_daemon(50)
         sequential = fresh_daemon(50)
-        server = self._serve(batched)
-        host, port = server.server_address
-        try:
-            with AllocationClient(host, port) as client:
-                summary = replay_trace(client, vms, batch=30)
-                assert summary.offered == 100
-                assert summary.placed + summary.rejected == 100
-        finally:
-            server.shutdown()
-            server.server_close()
+        with serving(batched) as (host, port), \
+                AllocationClient(host, port) as client:
+            summary = replay_trace(client, vms, batch=30)
+            assert summary.offered == 100
+            assert summary.placed + summary.rejected == 100
         for vm in sorted(vms, key=lambda v: (v.start, v.end, v.vm_id)):
             sequential.handle(place_request(vm))
         sequential.handle({"op": "tick",
@@ -255,19 +241,14 @@ class TestBatchOverTCP:
 
     def test_batch_and_v_echo_over_the_wire(self):
         daemon = fresh_daemon(10)
-        server = self._serve(daemon)
-        host, port = server.server_address
-        try:
-            with AllocationClient(host, port) as client:
-                vms = generate_vms(8, mean_interarrival=2.0, seed=3)
-                response = client.place_batch(vms)
-                assert response["ok"] and response["v"] == 3
-                bad = client._request({"op": "ping", "v": 99})
-                assert bad["ok"] is False
-                assert bad["supported_versions"] == \
-                    list(SUPPORTED_VERSIONS)
-                # the connection survives the version error
-                assert client.ping()["ok"]
-        finally:
-            server.shutdown()
-            server.server_close()
+        with serving(daemon) as (host, port), \
+                AllocationClient(host, port) as client:
+            vms = generate_vms(8, mean_interarrival=2.0, seed=3)
+            response = client.place_batch(vms)
+            assert response["ok"] and response["v"] == 3
+            bad = client._request({"op": "ping", "v": 99})
+            assert bad["ok"] is False
+            assert bad["supported_versions"] == \
+                list(SUPPORTED_VERSIONS)
+            # the connection survives the version error
+            assert client.ping()["ok"]

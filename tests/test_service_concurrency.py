@@ -20,14 +20,13 @@ from repro.service import (
     AllocationDaemon,
     ClusterStateStore,
     AllocationClient,
-    serve_tcp,
 )
 from repro.service.metrics import (
     Histogram,
     LatencyReservoir,
     ServiceMetrics,
 )
-from conftest import make_vm
+from conftest import make_vm, serving
 
 THREADS = 8
 PER_THREAD = 500
@@ -150,11 +149,6 @@ class TestConcurrentClients:
         keep the store's ledger exact whatever the interleaving."""
         store = ClusterStateStore(Cluster.paper_all_types(60))
         daemon = AllocationDaemon(store, max_inflight=0)
-        server = serve_tcp(daemon, port=0)
-        host, port = server.server_address
-        thread = threading.Thread(target=server.serve_forever,
-                                  daemon=True)
-        thread.start()
         clients = 6
         per_client = 20
         # Distinct ids per client; one shared arrival time so any
@@ -166,17 +160,14 @@ class TestConcurrentClients:
             for index in range(clients)]
         outcomes: list[dict[str, object]] = []
 
-        def worker(index: int) -> None:
-            with AllocationClient(host, port) as client:
-                response = client.place_batch(batches[index])
-                assert response["ok"], response
-                outcomes.append(response)
+        with serving(daemon) as (host, port):
+            def worker(index: int) -> None:
+                with AllocationClient(host, port) as client:
+                    response = client.place_batch(batches[index])
+                    assert response["ok"], response
+                    outcomes.append(response)
 
-        try:
             hammer(worker, threads=clients)
-        finally:
-            server.shutdown()
-            server.server_close()
         placed = sum(int(r["placed"]) for r in outcomes)
         assert placed == len(store.placements)
         assert sum(int(r["count"]) for r in outcomes) == \

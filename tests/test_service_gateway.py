@@ -159,6 +159,52 @@ class TestErrorMapping:
             gateway.server_close()
 
 
+class TestRouteWinsOverBody:
+    """The route names the op and the version; the body cannot
+    override either, nor smuggle in the core's private fields."""
+
+    @pytest.mark.parametrize("path, body", [
+        ("/v1/place", {"_vm": {"x": 1}}),
+        ("/v1/place_batch", {"_vms": [1, 2]}),
+    ])
+    def test_injected_private_fields_answer_400(self, served, path, body):
+        daemon, base = served
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post(base, path, body)
+        assert excinfo.value.code == 400
+        assert json.load(excinfo.value)["error"]["code"] == "bad_request"
+        assert daemon.metrics.errors == 1
+        with get(base, "/healthz") as resp:  # the handler thread lived
+            assert resp.status == 200
+
+    def test_injected_vm_never_replaces_the_record(self, served):
+        daemon, base = served
+        vm = generate_vms(1, mean_interarrival=2.0, seed=5)[0]
+        with post(base, "/v1/place", {"vm": place_request(vm)["vm"],
+                                      "_vm": {"x": 1}}) as resp:
+            doc = json.load(resp)
+        assert doc["decision"] == "placed" and doc["vm_id"] == vm.vm_id
+
+    def test_op_in_body_runs_the_routed_op(self, served):
+        daemon, base = served
+        with post(base, "/v1/tick", {"op": "ping", "now": 7}) as resp:
+            doc = json.load(resp)
+        assert doc["op"] == "tick" and doc["clock"] == 7
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post(base, "/v1/tick", {"op": "ping"})  # tick needs 'now'
+        assert excinfo.value.code == 400
+
+    def test_version_in_body_does_not_apply(self, served):
+        # fail_server needs protocol >= 2: it succeeds because the
+        # request is served as the route's v3, not the body's v1.
+        daemon, base = served
+        with post(base, "/v1/fail_server",
+                  {"v": 1, "server_id": 0}) as resp:
+            doc = json.load(resp)
+        assert doc["ok"] and doc["v"] == 3
+        assert daemon.store.is_failed(0)
+
+
 class TestTracePropagation:
     def test_headers_become_trace_context(self, tmp_path):
         daemon = fresh_daemon(data_dir=tmp_path, fsync=False)

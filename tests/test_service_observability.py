@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import re
-import threading
 import urllib.error
 import urllib.request
 
@@ -29,13 +28,12 @@ from repro.service import (
     place_request,
     read_journal,
     recover_server_request,
-    serve_tcp,
-    start_metrics_server,
+    start_gateway,
     telemetry_request,
 )
 from repro.workload.generator import generate_vms
 
-from conftest import make_vm
+from conftest import make_vm, serving
 from test_service_metrics import conformant_families
 
 SPEC = ServerSpec("s", cpu_capacity=10.0, memory_capacity=10.0,
@@ -340,10 +338,10 @@ class TestAutoFlightDump:
         daemon = make_daemon(data_dir=tmp_path, fsync=False)
         daemon.handle(place_request(make_vm(0, 1, 4)))
 
-        def boom():
+        def boom(*args):
             raise RuntimeError("wedged")
 
-        monkeypatch.setattr(daemon, "_handle_stats", boom)
+        monkeypatch.setitem(daemon._OPS, "stats", (boom, "read"))
         records = []
         with use_logger(JsonLogger(sink=records.append)):
             with pytest.raises(RuntimeError):
@@ -361,10 +359,10 @@ class TestAutoFlightDump:
     def test_no_dump_without_data_dir(self, monkeypatch):
         daemon = make_daemon()
 
-        def boom():
+        def boom(*args):
             raise RuntimeError("wedged")
 
-        monkeypatch.setattr(daemon, "_handle_stats", boom)
+        monkeypatch.setitem(daemon._OPS, "stats", (boom, "read"))
         with pytest.raises(RuntimeError):
             daemon.handle({"op": "stats"})  # must not crash dumping
 
@@ -445,21 +443,13 @@ class TestEndToEndTrace:
         kill+restore replays the recorded ids bit-exactly."""
         store = ClusterStateStore(Cluster.paper_all_types(20))
         daemon = AllocationDaemon(store, data_dir=tmp_path, fsync=False)
-        server = serve_tcp(daemon, port=0)
-        host, port = server.server_address
-        threading.Thread(target=server.serve_forever,
-                         daemon=True).start()
         vms = generate_vms(8, mean_interarrival=2.0, seed=1)
         tracer = Tracer()
         records = []
-        try:
-            with use_tracer(tracer), \
-                    use_logger(JsonLogger(sink=records.append)), \
-                    AllocationClient(host, port) as client:
-                response = client.place_batch(vms)
-        finally:
-            server.shutdown()
-            server.server_close()
+        with serving(daemon) as (host, port), use_tracer(tracer), \
+                use_logger(JsonLogger(sink=records.append)), \
+                AllocationClient(host, port) as client:
+            response = client.place_batch(vms)
         assert response["ok"], response
         trace_id = response["trace_id"]
         assert HEX_TRACE.fullmatch(trace_id)
@@ -499,10 +489,13 @@ class TestEndToEndTrace:
 
 
 class TestHealthEndpoints:
-    def fetch(self, port, path):
+    def fetch(self, port, path, body=None):
+        """GET ``path`` (POST when ``body`` is given)."""
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{port}{path}",
+            data=None if body is None else json.dumps(body).encode())
         try:
-            with urllib.request.urlopen(
-                    f"http://127.0.0.1:{port}{path}", timeout=10) as fh:
+            with urllib.request.urlopen(request, timeout=10) as fh:
                 return fh.status, fh.read().decode()
         except urllib.error.HTTPError as exc:
             return exc.code, exc.read().decode()
@@ -510,7 +503,7 @@ class TestHealthEndpoints:
     def test_ready_daemon_serves_health_and_varz(self):
         daemon = make_daemon()
         daemon.handle(place_request(make_vm(0, 1, 4)))
-        server = start_metrics_server(daemon, port=0)
+        server = start_gateway(daemon)
         port = server.server_address[1]
         try:
             assert self.fetch(port, "/healthz") == (200, "ok\n")
@@ -533,25 +526,42 @@ class TestHealthEndpoints:
         daemon = make_daemon(data_dir=tmp_path, fsync=False)
         for i in range(4):
             daemon.handle(place_request(make_vm(i, i + 1, i + 5)))
+        uninterrupted = daemon.store.to_snapshot({})
         del daemon  # hard kill
 
         seen = {}
         servers = []
 
         def on_built(building):
-            server = start_metrics_server(building, port=0)
+            server = start_gateway(building)
             servers.append(server)
             port = server.server_address[1]
             seen["during"] = self.fetch(port, "/healthz")
+            seen["ready_during"] = self.fetch(port, "/readyz")
             seen["varz_during"] = json.loads(
                 self.fetch(port, "/varz")[1])
+            # The gateway is read-write: a placement arriving while
+            # the journal tail replays must be refused, not applied.
+            seen["place_during"] = self.fetch(
+                port, "/v1/place",
+                {"vm": place_request(make_vm(9, 1, 4))["vm"]})
+            seen["stats_during"] = self.fetch(port, "/v1/stats")[0]
 
         restored = AllocationDaemon.restore(tmp_path, fsync=False,
                                             on_built=on_built)
         server = servers[0]
         try:
             assert seen["during"] == (503, "restoring\n")
+            assert seen["ready_during"] == (503, "restoring\n")
             assert seen["varz_during"]["ready"] is False
+            status, body = seen["place_during"]
+            error = json.loads(body)["error"]
+            assert status == 503
+            assert error["code"] == "unavailable"
+            assert error["retryable"] is True
+            assert "restoring" in error["message"]
+            assert seen["stats_during"] == 200  # read ops stay served
+            assert restored.store.to_snapshot({}) == uninterrupted
             port = server.server_address[1]
             assert self.fetch(port, "/healthz") == (200, "ok\n")
             assert restored.ready is True
@@ -560,10 +570,10 @@ class TestHealthEndpoints:
             server.server_close()
 
     def test_shut_down_daemon_reports_unhealthy(self):
-        # A real shutdown op also stops the metrics server (via the
-        # shutdown hook), so probe the handler's closed branch directly.
+        # A real shutdown op also stops the gateway (via the shutdown
+        # hook), so probe the handler's closed branch directly.
         daemon = make_daemon()
-        server = start_metrics_server(daemon, port=0)
+        server = start_gateway(daemon)
         port = server.server_address[1]
         try:
             daemon.closed = True

@@ -157,6 +157,68 @@ class TestSniffingServer:
         assert unknown["supported_ops"]  # self-description stays top-level
 
 
+class TestUnreadableRequests:
+    """A request the socket front cannot even delimit — a bad frame
+    header, an over-long line — gets one typed ``bad_request`` in the
+    connection's own dialect, is counted as an error, and the
+    connection is closed; nothing escapes into the event loop."""
+
+    @pytest.fixture()
+    def front(self):
+        daemon = fresh_daemon()
+        escaped: list[dict] = []
+        with serve_async(daemon) as server:
+            server._loop.call_soon_threadsafe(
+                server._loop.set_exception_handler,
+                lambda loop, context: escaped.append(context))
+            yield daemon, server
+        assert escaped == []
+
+    PING = encode_frame(json.dumps({"op": "ping", "v": 3}).encode())
+
+    @pytest.mark.parametrize("preamble, blob, expected", [
+        (b"", bytes([FRAME_MAGIC, 0x09, 0, 0, 0, 2]) + b"{}",
+         "unsupported framing version 0x09"),
+        (b"", bytes([FRAME_MAGIC, 0x03])
+         + (MAX_FRAME + 1).to_bytes(4, "big"), "exceeds the"),
+        (PING, b'{"op": "ping"}\n', "bad frame magic 0x7B"),
+    ], ids=["bad-version-byte", "length-above-max",
+            "non-magic-after-first-frame"])
+    def test_bad_frame_header_is_answered_framed(self, front, preamble,
+                                                 blob, expected):
+        daemon, server = front
+        with socket.create_connection(server.address, timeout=10) as raw:
+            stream = raw.makefile("rwb")
+            if preamble:
+                stream.write(preamble)
+                stream.flush()
+                assert json.loads(read_frame(stream))["ok"] is True
+            errors_before = daemon.metrics.errors
+            stream.write(blob)
+            stream.flush()
+            response = json.loads(read_frame(stream))
+            assert response["ok"] is False
+            assert response["error"]["code"] == "bad_request"
+            assert expected in response["error"]["message"]
+            assert read_frame(stream) is None  # then the front hangs up
+        assert daemon.metrics.errors == errors_before + 1
+
+    def test_over_limit_line_is_answered_in_the_line_dialect(self, front):
+        daemon, server = front
+        with socket.create_connection(server.address, timeout=30) as raw:
+            raw.sendall(b'{"op": "ping", "pad": "'
+                        + b"x" * (MAX_FRAME + 1))
+            stream = raw.makefile("rb")
+            response = json.loads(stream.readline())
+            assert response == {
+                "ok": False,
+                "error": f"request line exceeds the {MAX_FRAME}-byte limit"}
+            assert stream.readline() == b""  # closed
+        assert daemon.metrics.errors == 1
+        text = daemon.render_metrics()
+        assert "repro_request_errors_total 1" in text
+
+
 class TestAsyncChaosSoak:
     """The chaos vocabulary against the async server: a retrying
     framed client streams placements while a FaultInjector fails,
