@@ -24,7 +24,8 @@ def record_result(name: str, text: str) -> None:
     (_RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
 
 
-def record_json(name: str, payload: dict) -> None:
+def record_json(name: str, payload: dict,
+                section: str | None = None) -> None:
     """Write a machine-readable summary to ``BENCH_<name>.json`` at the
     repo root.
 
@@ -32,9 +33,16 @@ def record_json(name: str, payload: dict) -> None:
     workflow artifacts, which expire — so perf history was invisible
     across PRs. These compact summaries are committed with the change
     that produced them, giving every scale point a tracked trajectory
-    in plain git log.
+    in plain git log. With ``section`` the payload replaces only that
+    top-level key, so several gates can share one file.
     """
     path = _REPO_ROOT / f"BENCH_{name}.json"
+    if section is not None:
+        try:
+            existing = json.loads(path.read_text())
+        except (OSError, ValueError):
+            existing = {}
+        payload = {**existing, section: payload}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 

@@ -6,9 +6,9 @@ time**, and for each VM the algorithm chooses one server among those with
 sufficient spare CPU and memory throughout the VM's interval. Subclasses
 implement only the selection rule: :meth:`Allocator.choose` among the
 admissible servers, or a :meth:`Allocator._select` that hands a scan
-order to :meth:`Allocator._first_admissible` or a score to
-:meth:`Allocator._best_scored` — the two walks that own the
-kernel-or-scalar branch and the counter rules.
+order to :meth:`Allocator._first_admissible` (a scalar short-circuit
+walk) or a score to :meth:`Allocator._best_scored` (which owns the
+kernel-or-scalar branch) — the two walks that own the counter rules.
 
 Feasibility goes through :meth:`Allocator._examine`, which wraps
 ``ServerState.probe`` and maintains the ``candidates_evaluated`` /
@@ -306,56 +306,26 @@ class Allocator(abc.ABC):
     # -- the two walks: first admissible, best score -------------------------
 
     def _first_admissible(self, vm: VM, states: Sequence[ServerState],
-                          order: np.ndarray | None = None) -> int | None:
+                          order: Iterable[int] | None = None) -> int | None:
         """Fleet position of the first admissible server along ``order``.
 
-        ``order`` holds fleet positions in the allocator's scan order
+        ``order`` yields fleet positions in the allocator's scan order
         (``None`` is fleet order). Servers whose *type* can never host
         ``vm`` are skipped uncounted; every server up to and including
         the winner counts as evaluated, only the winner as feasible.
-        The kernel probes the order in growing waves and walks each
-        wave's verdicts in order, so candidates past the winner —
-        probed speculatively by the wave — are not counted, exactly
-        like the scalar short-circuit walk.
+        The walk probes scalar whatever the engine config: it stops at
+        the winner, and one ``O(log k)`` probe per visited server beats
+        a batch probe of servers it would never reach.
         """
         index = self._index
-        if index is not None and not index.covers(states):
-            index = None
-        kernel = index.kernel if index is not None else None
-        if kernel is None:
-            admits = index.spec_admits(vm) if index is not None else None
-            for pos in (range(len(states)) if order is None
-                        else order.tolist()):
-                state = states[pos]
-                if admits is not None \
-                        and not admits[id(state.server.spec)]:
-                    continue
-                if self._examine(vm, state) is not None:
-                    return pos
-            return None
-        if order is None:
-            order = index.candidate_positions(vm)
-        else:
-            mask = index.admitted_mask(vm)
-            if mask is not None:
-                order = order[mask[order]]
-        constraints = self._constraints
-        placed = self._placed_ids
-        total = int(order.size)
-        lo, wave = 0, 64
-        while lo < total:
-            hi = min(total, lo + wave)
-            batch = kernel.probe_fleet(vm, order[lo:hi])
-            for j in map(int, batch.feasible_indices()):
-                if constraints is not None and not constraints.allows(
-                        vm.vm_id, batch.state_at(j).server.server_id,
-                        placed):
-                    continue
-                self.candidates_evaluated += j + 1
-                self.candidates_feasible += 1
-                return int(order[lo + j])
-            self.candidates_evaluated += hi - lo
-            lo, wave = hi, min(wave * 4, 2048)
+        admits = index.spec_admits(vm) \
+            if index is not None and index.covers(states) else None
+        for pos in range(len(states)) if order is None else order:
+            state = states[pos]
+            if admits is not None and not admits[id(state.server.spec)]:
+                continue
+            if self._examine(vm, state) is not None:
+                return pos
         return None
 
     def _best_scored(self, vm: VM, states: Sequence[ServerState],

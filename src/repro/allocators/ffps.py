@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from repro.allocators.base import Allocator
 from repro.allocators.state import ServerState
 from repro.model.vm import VM
@@ -28,9 +26,9 @@ class FirstFitPowerSaving(Allocator):
 
     def on_prepare(self, states: Sequence[ServerState]) -> None:
         #: the shuffled scan order, as fleet positions
-        self._order = self._rng.permutation(len(states)).astype(np.intp)
+        self._order = self._rng.permutation(len(states)).tolist()
         self._rank = {id(states[pos]): i
-                      for i, pos in enumerate(self._order.tolist())}
+                      for i, pos in enumerate(self._order)}
 
     def candidate_score(self, vm: VM, state: ServerState) -> float | None:
         """Explain-trace score: position in the shuffled scan order."""

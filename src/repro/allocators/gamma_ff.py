@@ -9,8 +9,8 @@ candidate included) must fit at every time unit.
 Mechanically this is :class:`~repro.allocators.first_fit.FirstFit`
 with an active :class:`~repro.robust.config.RobustnessConfig` installed
 into its engine config: the robust constraint lives inside
-``ServerState.probe`` / the fleet kernel, so the scan logic (the scalar
-and the kernel-wave walk) is inherited unchanged. Any other
+``ServerState.probe`` / the fleet kernel, so the scan logic (the
+scalar first-admissible walk) is inherited unchanged. Any other
 registry allocator gains the same robust mode by passing an engine spec
 with ``gamma=`` — this class simply gives the canonical Γ-first-fit a
 name and a first-class ``gamma`` knob::

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from repro.allocators.base import Allocator
 from repro.allocators.state import ServerState
 from repro.model.vm import VM
@@ -34,9 +32,8 @@ class PowerAwareFirstFit(Allocator):
 
     def on_prepare(self, states: Sequence[ServerState]) -> None:
         #: the efficiency-sorted scan order, as fleet positions
-        self._order = np.asarray(
-            sorted(range(len(states)),
-                   key=lambda i: _efficiency(states[i])), dtype=np.intp)
+        self._order = sorted(range(len(states)),
+                             key=lambda i: _efficiency(states[i]))
 
     def candidate_score(self, vm: VM, state: ServerState) -> float | None:
         """Explain-trace score: peak watts per compute unit."""

@@ -7,9 +7,8 @@ for the algorithm-comparison example and the ablation benches.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
-
-import numpy as np
 
 from repro.allocators.base import Allocator
 from repro.allocators.state import ServerState
@@ -35,8 +34,9 @@ class RoundRobin(Allocator):
     def _select(self, vm: VM,
                 states: Sequence[ServerState]) -> ServerState | None:
         n = len(states)
-        rotation = (np.arange(n, dtype=np.intp) + self._next) % max(1, n)
-        pos = self._first_admissible(vm, states, rotation)
+        first = self._next % max(1, n)
+        pos = self._first_admissible(
+            vm, states, chain(range(first, n), range(first)))
         if pos is None:
             return None
         # Advance past the chosen slot; statically-skipped servers keep

@@ -39,13 +39,10 @@ from repro.model.server import Server
 from repro.model.vm import VM
 from repro.obs.explain import CostTerms
 from repro.placement.config import EngineConfig
-from repro.placement.feasibility import Feasibility
+from repro.placement.feasibility import TOL, Feasibility
 from repro.placement.occupancy import DEFAULT_ENGINE, make_occupancy
 
 __all__ = ["ServerState"]
-
-#: Headroom tolerance for capacity comparisons (absorbs float accumulation).
-_TOL = 1e-9
 
 
 class ServerState:
@@ -134,7 +131,7 @@ class ServerState:
         for piece, cpu, memory in demand_profile(vm):
             reason, piece_cpu, piece_mem = self._occ.probe_piece(
                 piece.start, piece.end, cpu, memory,
-                spec.cpu_capacity, spec.memory_capacity, _TOL)
+                spec.cpu_capacity, spec.memory_capacity, TOL)
             if piece_cpu > peak_cpu:
                 peak_cpu = piece_cpu
             if piece_mem > peak_mem:
@@ -168,7 +165,7 @@ class ServerState:
             reason, piece_cpu, piece_mem = self._occ.probe_piece_robust(
                 piece.start, piece.end, cpu, memory,
                 vm.cpu_radius, vm.mem_radius,
-                spec.cpu_capacity, spec.memory_capacity, _TOL)
+                spec.cpu_capacity, spec.memory_capacity, TOL)
             if piece_cpu > peak_cpu:
                 peak_cpu = piece_cpu
             if piece_mem > peak_mem:

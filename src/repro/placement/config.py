@@ -68,7 +68,8 @@ class EngineConfig:
         Occupancy backend: ``"indexed"`` (sparse skyline, the default)
         or ``"dense"`` (numpy timeline oracle).
     kernel:
-        Whether scans may use the vectorized fleet-probe kernel
+        Whether the index keeps its incremental candidate queues and
+        all-candidate scans use the fleet-probe kernel
         (:class:`~repro.placement.kernels.FleetKernel`). ``None`` means
         the engine default — on for ``"indexed"``, and necessarily off
         for ``"dense"`` (the kernel mirrors skylines). Explicitly

@@ -23,7 +23,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-__all__ = ["Feasibility"]
+__all__ = ["Feasibility", "TOL"]
+
+#: Headroom tolerance for capacity comparisons (absorbs float
+#: accumulation); shared by the scalar probe and the fleet kernel.
+TOL = 1e-9
 
 
 class Feasibility(NamedTuple):

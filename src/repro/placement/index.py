@@ -175,22 +175,6 @@ class CandidateIndex:
             return np.empty(0, dtype=np.intp)
         return np.sort(np.concatenate(keep))
 
-    def admitted_mask(self, vm: "VM") -> np.ndarray | None:
-        """Boolean mask over fleet positions (``None`` = all admitted).
-
-        Kernel-mode only; custom scan orders (shuffles, rotations)
-        filter their position arrays with it, mirroring the scalar
-        :meth:`spec_admits` skip.
-        """
-        admits = self.spec_admits(vm)
-        if all(admits.values()):
-            return None
-        mask = np.zeros(len(self._states), dtype=bool)
-        for key, ok in admits.items():
-            if ok:
-                mask[self._spec_positions[key]] = True
-        return mask
-
     def groups_for(self, vm: "VM") -> list[SpecGroup] | None:
         """The admissible types' candidate queues (``None`` without the
         kernel structures — callers run their scalar scan)."""

@@ -1,54 +1,69 @@
-"""The vectorized fleet-probe kernel: one pass, every candidate.
+"""The windowed fleet-probe kernel: one pass, only the cells a VM overlaps.
 
-At 10k-VM / 3k-server scale the per-VM selection loop — thousands of
-Python-level ``ServerState.probe`` calls per placement — dominates the
-allocation wall clock. :class:`FleetKernel` replaces it with a
-structure-of-arrays mirror of the fleet's skyline occupancy indexes:
-per-server change points live in contiguous padded numpy arrays, and one
-:meth:`FleetKernel.probe_fleet` call answers feasibility, failing
-constraint, peak cpu/mem, headroom, and the Eq.-2/3 run cost ``W_ij``
-for *all* candidates of a VM in a single vectorized pass.
+:class:`FleetKernel` is a structure-of-arrays mirror of the fleet's
+skyline occupancy indexes, and one :meth:`FleetKernel.probe_fleet` call
+answers feasibility, failing constraint, peak cpu/mem, headroom and the
+Eq.-2/3 run cost ``W_ij`` for *all* candidates of a VM. The scans that
+need a verdict for every candidate use it — the score family
+(best-fit, worst-fit), the default ``choose`` route and
+``explain_select``; walks that stop early (the first-fit family) or
+prune by lower bound (``min-energy``'s queues) probe scalar, one
+``O(log k)`` ``ServerState.probe`` at a time.
 
-Two-level probe API
--------------------
-``ServerState.probe(vm)`` remains the scalar view — one server, one
-:class:`~repro.placement.feasibility.Feasibility`. The kernel is the
-batch level underneath: :meth:`probe_fleet` returns a
-:class:`FeasibilityBatch` whose rows index back into per-server
-``Feasibility`` views, and :meth:`probe_one` is a thin delegate that
-runs the batch kernel over a single-candidate fleet. The property tests
-pin the two levels equal element-wise — same feasible flag, same reason
-string, bit-identical peaks and headroom.
+Layout
+------
+Compressed rows: every array is the concatenation of the fleet's
+skylines in fleet order, row ``r`` occupying cells
+``[off[r], off[r + 1])`` — no padding, so memory and search cost follow
+the breakpoints that exist, not the longest history times the fleet
+size. The value planes hold committed cpu and mem (on a robust fleet
+also the per-segment drop / threshold accumulators); the int64 **key
+plane** holds ``r * 2^40 + 2^39 + x`` for breakpoint ``x``. Each skyline
+is sorted and row ``r``'s keys all lie below row ``r + 1``'s, so the key
+plane is globally sorted. Times must lie in ``[-2^39, 2^39)``.
+
+Window search
+-------------
+For a demand piece ``[start, end]`` one ``searchsorted`` per bound over
+the key plane yields every row's column window ``[i0, i1]`` — the
+segment containing ``start`` (clamped to the first breakpoint) through
+the last breakpoint ``<= end``, exactly the range the scalar
+``probe_piece`` loop walks. Rows with an empty window hold nothing in
+the piece: feasible, zero peaks, never touched. The remaining rows
+fancy-gather ``live_rows x longest_window`` cells (shorter windows
+repeat their last cell, which changes neither a max nor a first
+violation), so a probe costs what the VM's interval overlaps, not what
+the fleet remembers; :attr:`FleetKernel.cells_probed` counts those cells.
 
 Bit-exactness
 -------------
-The mirror copies each skyline's breakpoint values verbatim (copying a
-float copies its bits), the vectorized comparisons apply the same
-IEEE-754 float64 operations the scalar loop applies (``c + cpu >
-cap + tol`` elementwise), and peaks take a max over the identical
-multiset of segment values — so a kernel-driven scan chooses the same
-server, with the same Eq.-17 energy, as the scalar scan. This is
-asserted with ``==`` (never ``approx``) across every registered
-allocator in ``tests/test_kernel.py`` and the 10k-scale benchmark gate.
+The mirror copies each skyline's values verbatim (copying a float
+copies its bits), keys are exact integers, the gathered cells go
+through the same IEEE-754 float64 operations the scalar loop applies
+(``c + cpu > cap + tol`` elementwise), and peaks take a max over the
+identical multiset of segment values — so every row equals
+``ServerState.probe`` on all six ``Feasibility`` fields, reason string
+included, and a kernel-driven scan chooses the same server with the
+same Eq.-17 energy. Asserted with ``==`` (never ``approx``) in
+``tests/test_kernel.py`` and the benchmark gates.
 
 Incremental sync
 ----------------
 Server mutations (``place_trusted``, ``remove``, ``retire``,
 ``compact``) notify their watchers; the kernel marks the row dirty and
-re-copies it lazily at the next probe sweep — O(changed rows), not
-O(fleet). Scratch rows live in pooled buffers that grow geometrically,
-so a probe sweep performs no per-candidate Python allocation.
+splices it back in at the next probe — one pass over the planes,
+rows that did not change move as block copies. Not thread-safe: callers serialise probes and mutations (the daemon holds
+its ``_state_lock`` around every scan and commit).
 """
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
 from repro.model.phases import demand_profile
-from repro.placement.feasibility import Feasibility
+from repro.placement.feasibility import TOL, Feasibility
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.allocators.state import ServerState
@@ -65,7 +80,10 @@ MEM_CAPACITY = 2
 CPU_OVERLAP = 3
 MEM_OVERLAP = 4
 
-_MIN_WIDTH = 8
+#: Key stride per row, and the offset that keeps negative times inside
+#: their row's span (see "Layout" in the module docstring).
+_SPAN = 1 << 40
+_BIAS = 1 << 39
 
 
 class FeasibilityBatch:
@@ -162,11 +180,6 @@ class FeasibilityBatch:
         """Candidate indices of the feasible rows, in candidate order."""
         return np.flatnonzero(self.codes == FEASIBLE)
 
-    def first_feasible(self) -> int | None:
-        """Index of the first feasible candidate, or ``None``."""
-        feasible = self.feasible_indices()
-        return int(feasible[0]) if feasible.size else None
-
 
 class FleetKernel:
     """Structure-of-arrays occupancy pool over one fleet's skylines.
@@ -175,8 +188,8 @@ class FleetKernel:
     ``prepare`` time for the indexed engine (when the
     :class:`~repro.placement.config.EngineConfig` enables it) and kept
     in sync through the ``ServerState`` watcher protocol: every
-    mutation marks its row dirty, and the next probe sweep re-copies
-    only the dirty rows.
+    mutation marks its row dirty, and the next probe re-copies only
+    the dirty rows.
     """
 
     def __init__(self, states: Sequence["ServerState"]) -> None:
@@ -191,31 +204,23 @@ class FleetKernel:
             self._cpu_cap[i] = spec.cpu_capacity
             self._mem_cap[i] = spec.memory_capacity
             self._rate[i] = spec.power_per_cpu_unit
-        width = _MIN_WIDTH
-        for state in self._states:
-            width = max(width, len(state._occ))
-        self._width = width
-        self._xs = np.full((n, width), np.inf)
-        self._occ_cpu = np.zeros((n, width))
-        self._occ_mem = np.zeros((n, width))
-        #: the fleet's robustness config (uniform across one fleet);
-        #: when set, the mirror grows the per-segment (drop, threshold)
-        #: accumulator planes of every robust skyline and probes apply
-        #: the Γ-robust excess — the nominal arrays and code path are
-        #: untouched when robustness is off.
+        #: key of time 0 per row; ``key = base + x``, ``x = key - base``
+        self._base = np.arange(n, dtype=np.int64) * _SPAN + _BIAS
+        #: row r's cells are ``[off[r], off[r + 1])`` of every plane
+        self._off = np.zeros(n + 1, dtype=np.intp)
+        self._keys = np.empty(0, dtype=np.int64)
+        #: the fleet's robustness config (uniform across one fleet).
+        #: Value planes in skyline export order: committed (cpu, mem)
+        #: and, on a robust fleet, the per-segment (drop_c, thr_c,
+        #: drop_m, thr_m) accumulators.
         self._robust = self._states[0].robustness if self._states else None
-        if self._robust is not None:
-            self._drop_c = np.zeros((n, width))
-            self._thr_c = np.zeros((n, width))
-            self._drop_m = np.zeros((n, width))
-            self._thr_m = np.zeros((n, width))
-        self._k = np.zeros(n, dtype=np.int64)
+        self._planes = [np.empty(0)
+                        for _ in range(2 if self._robust is None else 6)]
         self._dirty: set[int] = set(range(n))
-        self._lock = threading.Lock()
-        # Pooled gather buffers for subset probes, grown geometrically.
-        # Per-thread, so two threads probing the same fleet never
-        # overwrite each other's buffer mid-probe.
-        self._gpool = threading.local()
+        #: cells gathered by :meth:`probe_fleet` so far (rows x window,
+        #: summed per demand piece) — the work counter the tests bound
+        #: by the segments a probe overlaps.
+        self.cells_probed = 0
         for state in self._states:
             state.add_watcher(self)
 
@@ -225,7 +230,7 @@ class FleetKernel:
     # -- watcher protocol --------------------------------------------------
 
     def server_state_changed(self, state: "ServerState") -> None:
-        """Mark ``state``'s row dirty (re-synced before the next sweep)."""
+        """Mark ``state``'s row dirty (re-synced before the next probe)."""
         pos = self._pos.get(id(state))
         if pos is not None:
             self._dirty.add(pos)
@@ -254,100 +259,37 @@ class FleetKernel:
 
     # -- sync --------------------------------------------------------------
 
-    def _grow(self, width: int) -> None:
-        new = max(width, self._width * 2)
-        n = len(self._states)
-        xs = np.full((n, new), np.inf)
-        xs[:, : self._width] = self._xs
-        cpu = np.zeros((n, new))
-        cpu[:, : self._width] = self._occ_cpu
-        mem = np.zeros((n, new))
-        mem[:, : self._width] = self._occ_mem
-        self._xs, self._occ_cpu, self._occ_mem = xs, cpu, mem
-        if self._robust is not None:
-            for name in ("_drop_c", "_thr_c", "_drop_m", "_thr_m"):
-                plane = np.zeros((n, new))
-                plane[:, : self._width] = getattr(self, name)
-                setattr(self, name, plane)
-        self._width = new  # gather pools re-key on width and self-reset
-
     def sync(self) -> None:
-        """Re-copy every dirty row from its skyline (thread-safe)."""
-        with self._lock:
-            if not self._dirty:
-                return
-            robust = self._robust is not None
-            for pos in self._dirty:
-                state = self._states[pos]
-                if robust:
-                    xs, cpu, mem, dc, tc, dm, tm = \
-                        state._occ.export_robust_rows()
-                else:
-                    xs, cpu, mem = state._occ.export_rows()
-                k = len(xs)
-                if k > self._width:
-                    self._grow(k)
-                self._xs[pos, :k] = xs
-                self._xs[pos, k:] = np.inf
-                self._occ_cpu[pos, :k] = cpu
-                self._occ_cpu[pos, k:] = 0.0
-                self._occ_mem[pos, :k] = mem
-                self._occ_mem[pos, k:] = 0.0
-                if robust:
-                    self._drop_c[pos, :k] = dc
-                    self._drop_c[pos, k:] = 0.0
-                    self._thr_c[pos, :k] = tc
-                    self._thr_c[pos, k:] = 0.0
-                    self._drop_m[pos, :k] = dm
-                    self._drop_m[pos, k:] = 0.0
-                    self._thr_m[pos, :k] = tm
-                    self._thr_m[pos, k:] = 0.0
-                self._k[pos] = k
-            self._dirty.clear()
-
-    def _gather(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Pooled row gather: ``(xs, cpu, mem)`` plus, on a robust
-        fleet, the four accumulator planes."""
-        r = rows.size
+        """Splice every dirty row's skyline into the planes."""
+        if not self._dirty:
+            return
         robust = self._robust is not None
-        pool = self._gpool
-        cap = getattr(pool, "rows", 0)
-        if r > cap or getattr(pool, "width", -1) != self._width:
-            cap = max(r, cap * 2, 16)
-            pool.xs = np.empty((cap, self._width))
-            pool.cpu = np.empty((cap, self._width))
-            pool.mem = np.empty((cap, self._width))
-            if robust:
-                pool.dc = np.empty((cap, self._width))
-                pool.tc = np.empty((cap, self._width))
-                pool.dm = np.empty((cap, self._width))
-                pool.tm = np.empty((cap, self._width))
-            pool.rows = cap
-            pool.width = self._width
-        xs = pool.xs[:r]
-        cpu = pool.cpu[:r]
-        mem = pool.mem[:r]
-        np.take(self._xs, rows, axis=0, out=xs)
-        np.take(self._occ_cpu, rows, axis=0, out=cpu)
-        np.take(self._occ_mem, rows, axis=0, out=mem)
-        if not robust:
-            return xs, cpu, mem
-        dc = pool.dc[:r]
-        tc = pool.tc[:r]
-        dm = pool.dm[:r]
-        tm = pool.tm[:r]
-        np.take(self._drop_c, rows, axis=0, out=dc)
-        np.take(self._thr_c, rows, axis=0, out=tc)
-        np.take(self._drop_m, rows, axis=0, out=dm)
-        np.take(self._thr_m, rows, axis=0, out=tm)
-        return xs, cpu, mem, dc, tc, dm, tm
+        off = self._off
+        lengths = np.diff(off)
+        old = [self._keys, *self._planes]
+        parts: list[list] = [[] for _ in old]
+        cursor = 0
+        for pos in sorted(self._dirty):
+            occ = self._states[pos]._occ
+            xs, *values = (occ.export_robust_rows() if robust
+                           else occ.export_rows())
+            fresh = [np.array(xs, dtype=np.int64) + self._base[pos], *values]
+            for pieces, plane, row in zip(parts, old, fresh):
+                pieces += (plane[cursor:off[pos]], row)
+            cursor = off[pos + 1]
+            lengths[pos] = len(xs)
+        self._keys, *self._planes = (
+            np.concatenate(pieces + [plane[cursor:]])
+            for pieces, plane in zip(parts, old))
+        np.cumsum(lengths, out=off[1:])
+        self._dirty.clear()
 
     # -- probing -----------------------------------------------------------
 
     def probe_fleet(self, vm: "VM",
                     candidates: Sequence["ServerState"] | np.ndarray
                     | None = None) -> FeasibilityBatch:
-        """Probe ``vm`` against many servers in one vectorized pass.
+        """Probe ``vm`` against many servers in one windowed pass.
 
         ``candidates`` selects the probed rows: ``None`` sweeps the
         whole fleet, an integer array names kernel positions directly,
@@ -356,27 +298,15 @@ class FleetKernel:
         equals the scalar ``ServerState.probe`` verdict bit for bit.
         """
         self.sync()
-        robust = self._robust is not None
-        dc = tc = dm = tm = None
         if candidates is None:
             rows = np.arange(len(self._states), dtype=np.intp)
-            xs, occ_cpu, occ_mem = self._xs, self._occ_cpu, self._occ_mem
-            if robust:
-                dc, tc = self._drop_c, self._thr_c
-                dm, tm = self._drop_m, self._thr_m
+        elif isinstance(candidates, np.ndarray):
+            rows = candidates.astype(np.intp, copy=False)
         else:
-            if isinstance(candidates, np.ndarray):
-                rows = candidates.astype(np.intp, copy=False)
-            else:
-                mapped = self.positions_of(candidates)
-                if mapped is None:
-                    raise KeyError(
-                        "probe_fleet: candidate outside this fleet")
-                rows = mapped
-            gathered = self._gather(rows)
-            xs, occ_cpu, occ_mem = gathered[:3]
-            if robust:
-                dc, tc, dm, tm = gathered[3:]
+            rows = self.positions_of(candidates)
+            if rows is None:
+                raise KeyError("probe_fleet: candidate outside this fleet")
+        robust = self._robust is not None
         cpu_cap = self._cpu_cap[rows]
         mem_cap = self._mem_cap[rows]
         r = rows.size
@@ -396,60 +326,61 @@ class FleetKernel:
         codes[static_cpu] = CPU_CAPACITY
         codes[static_mem] = MEM_CAPACITY
         active = ~(static_cpu | static_mem)
-        from repro.allocators.state import _TOL as tol
-        if robust:
-            # The Γ-robust per-segment values, in the exact op order of
-            # RobustSkyline.probe_piece_robust: the probed value adds
-            # drop + max(radius, threshold); the reported peak adds the
-            # resident-only excess drop + threshold.
-            val_cpu = occ_cpu + (dc + np.maximum(vm.cpu_radius, tc))
-            val_mem = occ_mem + (dm + np.maximum(vm.mem_radius, tm))
-            rob_cpu = occ_cpu + (dc + tc)
-            rob_mem = occ_mem + (dm + tm)
-        else:
-            val_cpu, val_mem = occ_cpu, occ_mem
-            rob_cpu, rob_mem = occ_cpu, occ_mem
+        keys, planes = self._keys, self._planes
+        base = self._base[rows]
+        row_cell = self._off[rows]
         for piece, cpu, mem in demand_profile(vm):
-            if not active.any():
-                break
             start, end = piece.start, piece.end
-            # Scan window per row: from the segment containing `start`
-            # (bisect_right - 1, clamped) while xs[k] <= end. Padding is
-            # +inf, so padded columns drop out of both conditions.
-            i0 = (xs <= start).sum(axis=1) - 1
+            # Column window per row, as the scalar loop walks it: from
+            # the segment containing `start` (bisect_right - 1, clamped
+            # to the first breakpoint) through the last x <= end.
+            i0 = np.searchsorted(keys, base + start, side="right")
+            i0 -= row_cell + 1
             np.maximum(i0, 0, out=i0)
-            cols = np.arange(xs.shape[1])
-            in_range = (cols >= i0[:, None]) & (xs <= end)
-            pc = np.where(in_range, rob_cpu, 0.0).max(axis=1, initial=0.0)
-            pm = np.where(in_range, rob_mem, 0.0).max(axis=1, initial=0.0)
-            viol_c = in_range & (val_cpu + cpu > cpu_cap[:, None] + tol)
-            viol_m = in_range & (val_mem + mem > mem_cap[:, None] + tol)
+            last = np.searchsorted(keys, base + end, side="right")
+            last -= row_cell + 1 + i0
+            live = np.flatnonzero(active & (last >= 0))
+            if not live.size:
+                continue
+            last = last[live, None]
+            offsets = np.minimum(np.arange(int(last.max()) + 1), last)
+            self.cells_probed += offsets.size
+            first_cell = row_cell[live] + i0[live]
+            cells = first_cell[:, None] + offsets
+            occ_cpu = planes[0][cells]
+            occ_mem = planes[1][cells]
+            if robust:
+                # The Γ-robust per-segment values, in the exact op order
+                # of RobustSkyline.probe_piece_robust: the probed value
+                # adds drop + max(radius, threshold); the reported peak
+                # adds the resident-only excess drop + threshold.
+                dc, tc, dm, tm = (plane[cells] for plane in planes[2:])
+                val_cpu = occ_cpu + (dc + np.maximum(vm.cpu_radius, tc))
+                val_mem = occ_mem + (dm + np.maximum(vm.mem_radius, tm))
+                occ_cpu = occ_cpu + (dc + tc)
+                occ_mem = occ_mem + (dm + tm)
+            else:
+                val_cpu, val_mem = occ_cpu, occ_mem
+            # Peaks accumulate through the failing piece (running max
+            # from 0.0, like the scalar probe).
+            peak_cpu[live] = np.maximum(peak_cpu[live], occ_cpu.max(axis=1))
+            peak_mem[live] = np.maximum(peak_mem[live], occ_mem.max(axis=1))
+            viol_c = val_cpu + cpu > (cpu_cap[live] + TOL)[:, None]
+            viol_m = val_mem + mem > (mem_cap[live] + TOL)[:, None]
             has_c = viol_c.any(axis=1)
-            has_m = viol_m.any(axis=1)
-            # Peaks accumulate through the failing piece (running max).
-            np.maximum(peak_cpu, np.where(active, pc, 0.0), out=peak_cpu)
-            np.maximum(peak_mem, np.where(active, pm, 0.0), out=peak_mem)
-            c_fail = active & has_c
-            m_fail = active & ~has_c & has_m
-            if c_fail.any() or m_fail.any():
-                first_c = viol_c.argmax(axis=1)
-                first_m = viol_m.argmax(axis=1)
-                t_c = np.take_along_axis(
-                    xs, first_c[:, None], axis=1)[:, 0]
-                t_m = np.take_along_axis(
-                    xs, first_m[:, None], axis=1)[:, 0]
-                # t = x if x > start else start; rows without a
-                # violation gathered an arbitrary (possibly padded)
-                # breakpoint — mask them out before the integer cast.
-                t_c = np.where(has_c, np.maximum(t_c, start),
-                               start).astype(np.int64)
-                t_m = np.where(has_m, np.maximum(t_m, start),
-                               start).astype(np.int64)
-                codes[c_fail] = CPU_OVERLAP
-                times[c_fail] = t_c[c_fail]
-                codes[m_fail] = MEM_OVERLAP
-                times[m_fail] = t_m[m_fail]
-                active &= ~(c_fail | m_fail)
+            has_m = viol_m.any(axis=1) & ~has_c
+            for viol, has, code in ((viol_c, has_c, CPU_OVERLAP),
+                                    (viol_m, has_m, MEM_OVERLAP)):
+                if not has.any():
+                    continue
+                failed = live[has]
+                # t = x if x > start else start, x the first violating
+                # segment's breakpoint.
+                x = keys[first_cell[has] + viol[has].argmax(axis=1)] \
+                    - base[failed]
+                codes[failed] = code
+                times[failed] = np.maximum(x, start)
+                active[failed] = False
         # cap - 0.0 == cap bit for bit, so one expression covers the
         # static-failure headroom (full caps) and the probed one.
         headroom_cpu = cpu_cap - peak_cpu

@@ -17,6 +17,7 @@ Three contracts pin the vectorized fleet probe:
 
 from __future__ import annotations
 
+import bisect
 import warnings
 
 import numpy as np
@@ -29,8 +30,10 @@ from repro.energy import allocation_cost
 from repro.exceptions import ValidationError
 from repro.model.cluster import Cluster
 from repro.model.constraints import PlacementConstraints
-from repro.model.phases import DemandPhase, PhasedVM
+from repro.model.intervals import TimeInterval
+from repro.model.phases import DemandPhase, PhasedVM, demand_profile
 from repro.model.server import Server, ServerSpec
+from repro.model.vm import VM, VMSpec
 from repro.placement import EngineConfig, FeasibilityBatch, FleetKernel
 from repro.service.state import ClusterStateStore
 from repro.workload.generator import generate_vms
@@ -132,7 +135,6 @@ class TestProbeEquivalenceProperty:
         batch = kernel.probe_fleet(vm, np.array([], dtype=np.intp))
         assert len(batch) == 0
         assert list(batch.feasible_indices()) == []
-        assert batch.first_feasible() is None
 
     def test_phased_vm_probes_piecewise(self):
         states = build_fleet([[make_vm(0, 2, 6, cpu=4.0, memory=2.0)],
@@ -160,6 +162,113 @@ class TestProbeEquivalenceProperty:
         stranger = ServerState(Server(9, SPEC_BIG))
         with pytest.raises(KeyError):
             kernel.probe_fleet(make_vm(0, 0, 1), [stranger])
+
+
+# -- long histories: work follows the probe's window, not the fleet ---------
+
+def _long_history_fleet(gamma: int) -> list[ServerState]:
+    """One server with >= 1500 breakpoints (t = 100 .. 8105) beside a
+    pristine one, lightly loaded ones and a second, shorter history."""
+    engine = EngineConfig.parse(f"indexed:gamma={gamma}" if gamma
+                                else "indexed")
+    states = [ServerState(Server(i, SPEC_SMALL if i % 2 else SPEC_BIG),
+                          engine=engine) for i in range(6)]
+
+    def commit(state, vm_id, start, end, cpu, memory):
+        spec = VMSpec("h", cpu=cpu, memory=memory,
+                      cpu_radius=0.25 * cpu if gamma else 0.0,
+                      mem_radius=0.5 * memory if vm_id % 3 == 0 and gamma
+                      else 0.0)
+        vm = VM(vm_id=vm_id, spec=spec, interval=TimeInterval(start, end))
+        if state.probe(vm):
+            state.place_trusted(vm)
+
+    for i in range(800):
+        t = 100 + 10 * i
+        commit(states[0], i, t, t + 4, 1.0 + (i % 7) * 0.5, 1.0 + (i % 5))
+        commit(states[0], 1000 + i, t + 2, t + 12, 0.5 + (i % 3), 2.0)
+    assert states[0].occupancy_points() >= 1500
+    # states[1] stays pristine
+    commit(states[2], 2000, -30, -10, 2.0, 3.0)
+    commit(states[2], 2001, 4000, 4400, 4.0, 2.0)
+    commit(states[3], 2002, 90, 120, 3.0, 6.0)
+    commit(states[4], 2003, 8100, 8200, 8.0, 1.0)
+    for i in range(60):
+        commit(states[5], 3000 + i, 3900 + 7 * i, 3905 + 7 * i,
+               1.0 + (i % 4), 1.0 + (i % 6))
+    return states
+
+
+def _long_history_probes(gamma: int) -> list:
+    def probe(vm_id, start, end, cpu=1.0, memory=1.0):
+        spec = VMSpec("p", cpu=cpu, memory=memory,
+                      cpu_radius=0.5 * cpu if gamma else 0.0,
+                      mem_radius=0.25 * memory if gamma else 0.0)
+        return VM(vm_id=vm_id, spec=spec, interval=TimeInterval(start, end))
+
+    phase_spec = VMSpec("ph", cpu=6.0, memory=6.0,
+                        cpu_radius=1.0 if gamma else 0.0)
+    return [
+        probe(9000, -50, -20),                  # before everything
+        probe(9001, 0, 60, cpu=5.0),            # before the long history
+        probe(9002, 4000, 4003),                # inside, short
+        probe(9003, 4001, 4030, cpu=9.0, memory=12.0),   # inside, violating
+        probe(9004, 50, 130, cpu=3.0),          # straddles the first edge
+        probe(9005, 8080, 8300, cpu=5.0),       # straddles the last edge
+        probe(9006, 20000, 20010, cpu=5.5),     # after everything
+        probe(9007, 0, 9000, cpu=0.5, memory=0.5),       # spans it all
+        probe(9008, 4000, 4003, cpu=13.0),      # static cpu capacity
+        probe(9009, 4000, 4003, cpu=1.0, memory=17.0),   # static mem
+        probe(9011, 4000, 4030, cpu=0.5, memory=11.0),   # mem overlap
+        PhasedVM(vm_id=9010, spec=phase_spec,
+                 interval=TimeInterval(3990, 4019),
+                 phases=(DemandPhase(10, 1.0, 2.0), DemandPhase(5, 6.0, 1.0),
+                         DemandPhase(15, 0.5, 6.0))),
+    ]
+
+
+def _window_bound(states: list[ServerState], vm) -> int:
+    """``live rows x (max overlapped segments + 1)`` summed per piece —
+    the cells a window-proportional probe may gather at most."""
+    bound = 0
+    for piece, _, _ in demand_profile(vm):
+        windows = []
+        for state in states:
+            xs = state._occ.points()
+            i0 = max(bisect.bisect_right(xs, piece.start) - 1, 0)
+            i1 = bisect.bisect_right(xs, piece.end) - 1
+            windows.append(max(0, i1 - i0 + 1))
+        live = sum(1 for w in windows if w)
+        bound += live * (max(windows) + 1)
+    return bound
+
+
+class TestLongHistory:
+    @pytest.mark.parametrize("gamma", [0, 2])
+    def test_rows_match_scalar_and_work_follows_the_window(self, gamma):
+        states = _long_history_fleet(gamma)
+        kernel = FleetKernel(states)
+        for vm in _long_history_probes(gamma):
+            before = kernel.cells_probed
+            batch = kernel.probe_fleet(vm)
+            assert_rows_match(batch, states, vm)
+            assert kernel.cells_probed - before <= _window_bound(states, vm), vm
+        # A short probe inside 1500+ breakpoints touches a handful of cells.
+        before = kernel.cells_probed
+        kernel.probe_fleet(_long_history_probes(gamma)[2])
+        assert kernel.cells_probed - before <= 12
+
+    @pytest.mark.parametrize("gamma", [0, 2])
+    def test_shrinking_and_growing_rows_resync(self, gamma):
+        states = _long_history_fleet(gamma)
+        kernel = FleetKernel(states)
+        probes = _long_history_probes(gamma)
+        kernel.probe_fleet(probes[0])
+        states[0].compact(4000)               # the long row shrinks
+        states[2].remove(states[2].vms[0])    # a middle row shrinks
+        states[1].place(probes[4])            # the pristine row grows
+        for vm in probes:
+            assert_rows_match(kernel.probe_fleet(vm), states, vm)
 
 
 # -- allocator decisions: kernel on == kernel off ---------------------------
