@@ -29,7 +29,7 @@ from __future__ import annotations
 import bisect
 import weakref
 
-from repro.energy.cost import SleepPolicy, gap_cost, server_cost
+from repro.energy.cost import SleepPolicy, _gap_length_cost, server_cost
 from repro.energy.power import run_energy
 from repro.energy.segments import ServerTimeline
 from repro.exceptions import CapacityError
@@ -190,9 +190,14 @@ class ServerState:
         hi = bisect.bisect_right(self._busy_starts, iv.end + 1)
         return lo, hi
 
-    def _local_delta(self, iv: TimeInterval) -> float:
-        """Eq.-17 cost increase of adding interval ``iv`` (no run cost)."""
-        spec = self.server.spec
+    def idle_delta(self, iv: TimeInterval) -> float:
+        """Eq.-17 delta of busying ``iv`` here, excluding run cost.
+
+        The non-run share of :meth:`incremental_cost` (extra busy
+        idle-power, gap-cost changes, wake-ups); public so fused
+        selection loops can cache the run term per server type.
+        """
+        spec, policy = self.server.spec, self.policy
         lo, hi = self._affected_range(iv)
         if lo >= hi:
             # iv touches no existing segment: one new busy segment appears.
@@ -205,15 +210,9 @@ class ServerState:
             prev_end = self._busy_ends[lo - 1] if lo > 0 else None
             next_start = (self._busy_starts[lo]
                           if lo < len(self._busy_starts) else None)
-            old_gap = _gap(prev_end, next_start)
-            if old_gap is not None:
-                delta -= gap_cost(spec, old_gap, self.policy)
-            left_gap = _gap(prev_end, iv.start)
-            if left_gap is not None:
-                delta += gap_cost(spec, left_gap, self.policy)
-            right_gap = _gap(iv.end, next_start)
-            if right_gap is not None:
-                delta += gap_cost(spec, right_gap, self.policy)
+            delta -= _gap_cost(spec, prev_end, next_start, policy)
+            delta += _gap_cost(spec, prev_end, iv.start, policy)
+            delta += _gap_cost(spec, iv.end, next_start, policy)
             return delta
         # iv merges segments [lo, hi) into one.
         merged_start = min(iv.start, self._busy_starts[lo])
@@ -223,31 +222,20 @@ class ServerState:
         delta = spec.p_idle * ((merged_end - merged_start + 1) - old_busy)
         # Interior gaps between merged segments disappear.
         for k in range(lo, hi - 1):
-            inner = TimeInterval(self._busy_ends[k] + 1,
-                                 self._busy_starts[k + 1] - 1)
-            delta -= gap_cost(spec, inner, self.policy)
+            delta -= _gap_cost(spec, self._busy_ends[k],
+                               self._busy_starts[k + 1], policy)
         # Boundary gaps shrink (or vanish) as the merged segment extends.
         prev_end = self._busy_ends[lo - 1] if lo > 0 else None
         next_start = (self._busy_starts[hi]
                       if hi < len(self._busy_starts) else None)
-        old_left = _gap(prev_end, self._busy_starts[lo])
-        new_left = _gap(prev_end, merged_start)
-        delta += _gap_delta(spec, old_left, new_left, self.policy)
-        old_right = _gap(self._busy_ends[hi - 1], next_start)
-        new_right = _gap(merged_end, next_start)
-        delta += _gap_delta(spec, old_right, new_right, self.policy)
+        delta += (_gap_cost(spec, prev_end, merged_start, policy)
+                  - _gap_cost(spec, prev_end, self._busy_starts[lo], policy))
+        delta += (_gap_cost(spec, merged_end, next_start, policy)
+                  - _gap_cost(spec, self._busy_ends[hi - 1], next_start,
+                              policy))
         return delta
 
     # -- queries -------------------------------------------------------------
-
-    def idle_delta(self, interval: TimeInterval) -> float:
-        """Eq.-17 delta of busying ``interval`` here, excluding run cost.
-
-        The non-run share of :meth:`incremental_cost` (extra busy
-        idle-power, gap-cost changes, wake-ups); exposed so fused
-        selection loops can cache the run term per server type.
-        """
-        return self._local_delta(interval)
 
     def incremental_cost(self, vm: VM) -> float:
         """Energy increase if ``vm`` were placed on this server (Eq. 17).
@@ -256,7 +244,7 @@ class ServerState:
         change in idle-gap costs, and any additional wake-up transitions.
         """
         return run_energy(self.server.spec, vm) + \
-            self._local_delta(vm.interval)
+            self.idle_delta(vm.interval)
 
     def cost_terms(self, vm: VM) -> CostTerms:
         """The :meth:`incremental_cost` split into its explainable parts.
@@ -268,7 +256,7 @@ class ServerState:
         """
         wake = self.server.spec.transition_cost if not self._busy_starts \
             else 0.0
-        delta = self._local_delta(vm.interval)
+        delta = self.idle_delta(vm.interval)
         return CostTerms(run=run_energy(self.server.spec, vm),
                          idle_gap=delta - wake, wake=wake)
 
@@ -301,7 +289,7 @@ class ServerState:
         self._busy_ends = [seg.end for seg in merged]
         try:
             return run_energy(self.server.spec, vm) + \
-                self._local_delta(vm.interval)
+                self.idle_delta(vm.interval)
         finally:
             self._busy_starts, self._busy_ends = saved
 
@@ -457,19 +445,12 @@ class ServerState:
                 f"cost={self.cost:.1f})")
 
 
-def _gap(prev_end: int | None, next_start: int | None) -> TimeInterval | None:
-    """The idle gap between a segment ending at ``prev_end`` and one
-    starting at ``next_start``; ``None`` when either side is open or the
-    segments touch."""
-    if prev_end is None or next_start is None:
-        return None
-    if next_start - prev_end <= 1:
-        return None
-    return TimeInterval(prev_end + 1, next_start - 1)
-
-
-def _gap_delta(spec, old: TimeInterval | None, new: TimeInterval | None,
-               policy: SleepPolicy) -> float:
-    old_cost = gap_cost(spec, old, policy) if old is not None else 0.0
-    new_cost = gap_cost(spec, new, policy) if new is not None else 0.0
-    return new_cost - old_cost
+def _gap_cost(spec, prev_end: int | None, next_start: int | None,
+              policy: SleepPolicy) -> float:
+    """Eq.-16 cost of the idle gap between a segment ending at
+    ``prev_end`` and one starting at ``next_start``; 0.0 when either
+    side is open or the segments touch."""
+    if prev_end is None or next_start is None \
+            or next_start - prev_end <= 1:
+        return 0.0
+    return _gap_length_cost(spec, next_start - prev_end - 1, policy)

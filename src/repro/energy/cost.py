@@ -61,9 +61,19 @@ def sleeps_through(spec: ServerSpec, gap: TimeInterval,
 def gap_cost(spec: ServerSpec, gap: TimeInterval,
              policy: SleepPolicy = SleepPolicy.OPTIMAL) -> float:
     """Energy spent over one idle gap under the given sleep policy."""
-    if sleeps_through(spec, gap, policy):
+    return _gap_length_cost(spec, gap.length, policy)
+
+
+def _gap_length_cost(spec: ServerSpec, length: int,
+                     policy: SleepPolicy) -> float:
+    """:func:`gap_cost` from the gap's length alone (the incremental
+    cost path knows lengths and builds no intervals)."""
+    idle = spec.p_idle * length
+    if policy is SleepPolicy.NEVER_SLEEP:
+        return idle
+    if policy is SleepPolicy.ALWAYS_SLEEP or spec.transition_cost < idle:
         return spec.transition_cost
-    return spec.p_idle * gap.length
+    return idle
 
 
 @dataclass(frozen=True)

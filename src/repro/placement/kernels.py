@@ -5,10 +5,12 @@ skyline occupancy indexes, and one :meth:`FleetKernel.probe_fleet` call
 answers feasibility, failing constraint, peak cpu/mem, headroom and the
 Eq.-2/3 run cost ``W_ij`` for *all* candidates of a VM. The scans that
 need a verdict for every candidate use it — the score family
-(best-fit, worst-fit), the default ``choose`` route and
-``explain_select``; walks that stop early (the first-fit family) or
-prune by lower bound (``min-energy``'s queues) probe scalar, one
-``O(log k)`` ``ServerState.probe`` at a time.
+(best-fit, worst-fit), the default ``choose`` route, ``explain_select``,
+and ``min-energy``'s queued walk for what is left of its busy queues
+once 16 servers have refused the VM (dense streams); walks that stop
+early (the first-fit family) or end by lower-bound pruning
+(``min-energy`` on sparse streams) probe scalar, one ``O(log k)``
+``ServerState.probe`` at a time.
 
 Layout
 ------
@@ -33,7 +35,8 @@ the piece: feasible, zero peaks, never touched. The remaining rows
 fancy-gather ``live_rows x longest_window`` cells (shorter windows
 repeat their last cell, which changes neither a max nor a first
 violation), so a probe costs what the VM's interval overlaps, not what
-the fleet remembers; :attr:`FleetKernel.cells_probed` counts those cells.
+the fleet remembers; :attr:`FleetKernel.cells_probed` counts those
+cells, ``probe_calls`` / ``rows_probed`` the calls and candidate rows.
 
 Bit-exactness
 -------------
@@ -221,6 +224,10 @@ class FleetKernel:
         #: summed per demand piece) — the work counter the tests bound
         #: by the segments a probe overlaps.
         self.cells_probed = 0
+        #: :meth:`probe_fleet` calls and the candidate rows they covered:
+        #: "did this scan batch, and over how much?" as a read.
+        self.probe_calls = 0
+        self.rows_probed = 0
         for state in self._states:
             state.add_watcher(self)
 
@@ -236,10 +243,6 @@ class FleetKernel:
             self._dirty.add(pos)
 
     # -- positions ---------------------------------------------------------
-
-    def position_of(self, state: "ServerState") -> int | None:
-        """Kernel row of ``state`` (``None`` for foreign states)."""
-        return self._pos.get(id(state))
 
     def positions_of(self, states: Sequence["ServerState"]
                      ) -> np.ndarray | None:
@@ -310,6 +313,8 @@ class FleetKernel:
         cpu_cap = self._cpu_cap[rows]
         mem_cap = self._mem_cap[rows]
         r = rows.size
+        self.probe_calls += 1
+        self.rows_probed += r
         codes = np.zeros(r, dtype=np.int8)
         times = np.zeros(r, dtype=np.int64)
         peak_cpu = np.zeros(r)

@@ -12,6 +12,11 @@ order; best score) are additionally held to it per decision — chosen
 server *and* probe counters, kernel on, kernel off and dense — on the
 inputs where their branches can drift apart: a server type that can
 never host some VMs, active anti-affinity groups, and Γ > 0.
+
+``min-energy``'s queued walk finishes a much-refused VM with one batch
+probe of what is left of its queues. It is held to the one-at-a-time
+walks (``kernel=off``, ``dense``) on dense streams, where that batch
+fires for most VMs: server, both counters and the Eq.-17 delta as hex.
 """
 
 from __future__ import annotations
@@ -19,10 +24,11 @@ from __future__ import annotations
 import pytest
 
 from repro.allocators import allocator_names, make_allocator
-from repro.energy import allocation_cost
+from repro.energy import SleepPolicy, allocation_cost
 from repro.model.cluster import Cluster
 from repro.model.constraints import PlacementConstraints
 from repro.obs.tracer import Tracer, use_tracer
+from repro.service import AllocationDaemon, ClusterStateStore, place_request
 from repro.workload import PhasedWorkload
 from repro.workload.generator import generate_vms
 
@@ -57,6 +63,129 @@ def _trail(algo: str, engine: str, vms, cluster, constraints):
     return [(e.args["vm_id"], e.args["server_id"], e.args["evaluated"],
              e.args["feasible"])
             for e in tracer.events if e.name == "place"]
+
+
+def _min_energy_trail(engine: str, vms, cluster, constraints=None,
+                      policy=SleepPolicy.OPTIMAL):
+    """Per decision ``(vm, server, candidates_evaluated, _feasible,
+    Eq.-17 delta as hex)`` — ``server`` is ``None`` where nothing fits —
+    and the run's ``probe_fleet`` call count (``None``: no kernel)."""
+    allocator = make_allocator("min-energy", engine=engine, policy=policy)
+    counters = {}
+    select = allocator.select
+
+    def counted_select(vm, states):
+        chosen = select(vm, states)
+        counters[vm.vm_id] = (allocator.candidates_evaluated,
+                              allocator.candidates_feasible)
+        return chosen
+
+    allocator.select = counted_select
+    decisions = allocator.allocate_batch(vms, cluster, constraints)
+    index = allocator._index
+    kernel = index.kernel if index is not None else None
+    return ([(d.vm.vm_id, d.server_id, *counters[d.vm.vm_id],
+              d.energy_delta.hex()) for d in decisions],
+            None if kernel is None else kernel.probe_calls)
+
+
+#: ~1200 VMs alive at once on 90 servers: most busy servers are full, so
+#: most walks collect their 16 refusals and finish batched.
+DENSE_CLUSTER = Cluster.paper_all_types(90)
+DENSE_STREAMS = {
+    "poisson": generate_vms(600, mean_interarrival=0.05, mean_duration=60,
+                            seed=3),
+    "phased": PhasedWorkload(mean_interarrival=0.05, mean_duration=60,
+                             uncertainty=0.3).generate(600, rng=4),
+}
+
+
+def _colliding_groups(vms) -> PlacementConstraints:
+    """Anti-affinity groups spread over the arrival order, so later
+    members are refused servers the batch reports feasible, and one
+    affinity pair, whose second member every pristine server refuses."""
+    ids = [vm.vm_id for vm in sorted(vms, key=lambda v: (v.start, v.vm_id))]
+    return PlacementConstraints.build(
+        separate=[ids[5:400:25], ids[8:600:40], ids[300:312]],
+        colocate=[[ids[150], ids[450]]])
+
+
+class TestMinEnergyBatchedFinish:
+    @pytest.mark.parametrize("policy", list(SleepPolicy))
+    @pytest.mark.parametrize("constrained", [False, True])
+    @pytest.mark.parametrize("gamma", [0, 2])
+    @pytest.mark.parametrize("stream", sorted(DENSE_STREAMS))
+    def test_dense_streams_match_the_scalar_walks(self, stream, gamma,
+                                                  constrained, policy):
+        vms = DENSE_STREAMS[stream]
+        constraints = _colliding_groups(vms) if constrained else None
+        option = f",gamma={gamma}" if gamma else ""
+        batched, calls = _min_energy_trail(
+            "indexed:kernel=on" + option, vms, DENSE_CLUSTER, constraints,
+            policy)
+        scalar, no_kernel = _min_energy_trail(
+            "indexed:kernel=off" + option, vms, DENSE_CLUSTER, constraints,
+            policy)
+        assert len(batched) == len(vms)
+        assert batched == scalar
+        assert no_kernel is None
+        assert 0 < calls <= len(vms)  # the batch fired, once per VM at most
+        if not gamma:  # robust probing is indexed-only
+            dense, _ = _min_energy_trail("dense", vms, DENSE_CLUSTER,
+                                         constraints, policy)
+            # No index: dense probes every server, so its counters
+            # include the types and pristine clones the queues skip.
+            assert [(row[0], row[1], row[4]) for row in dense] \
+                == [(row[0], row[1], row[4]) for row in batched]
+
+    def test_sparse_stream_never_batches(self):
+        batched, calls = _min_energy_trail("indexed", VMS, CLUSTER)
+        scalar, _ = _min_energy_trail("indexed:kernel=off", VMS, CLUSTER)
+        assert batched == scalar
+        assert calls == 0
+
+    def test_overfull_fleet_rejects_with_equal_counters(self):
+        vms = DENSE_STREAMS["poisson"][:300]
+        cluster = Cluster.paper_all_types(18)
+        batched, calls = _min_energy_trail("indexed", vms, cluster)
+        scalar, _ = _min_energy_trail("indexed:kernel=off", vms, cluster)
+        assert any(server is None for _, server, *_ in batched)
+        assert batched == scalar
+        assert calls > 0
+
+    def test_daemon_ticks_between_batched_probes(self, tmp_path):
+        # retire/compact dirty kernel rows between batched probes; the
+        # journal replays to the same energy.
+        vms = sorted(DENSE_STREAMS["poisson"][:400],
+                     key=lambda v: (v.start, v.end, v.vm_id))
+        runs = {}
+        for engine in ("indexed", "indexed:kernel=off"):
+            store = ClusterStateStore(DENSE_CLUSTER, engine=engine)
+            daemon = AllocationDaemon(
+                store, data_dir=tmp_path / engine, fsync=False,
+                snapshot_every=150, algo_params={"engine": engine})
+            responses = []
+            for i, vm in enumerate(vms):
+                if i % 25 == 0:
+                    assert daemon.handle({"op": "tick",
+                                          "now": vm.start})["ok"]
+                response = daemon.handle(place_request(vm))
+                responses.append((response.get("server_id"),
+                                  response.get("energy_delta"),
+                                  response.get("candidates")))
+            kernel = daemon.allocator._index.kernel
+            runs[engine] = (responses,
+                            daemon.handle({"op": "stats"})["energy_total"])
+            if engine == "indexed":
+                assert kernel.probe_calls > 0
+            else:
+                assert kernel is None
+            del daemon  # hard kill: no shutdown, no final snapshot
+            restored = AllocationDaemon.restore(tmp_path / engine,
+                                                fsync=False)
+            assert restored.handle({"op": "stats"})["energy_total"] \
+                == runs[engine][1]
+        assert runs["indexed"] == runs["indexed:kernel=off"]
 
 
 class TestEngineEquivalence:
