@@ -763,7 +763,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"cluster: {len(daemon.store.cluster)} servers, "
           f"algorithm {daemon.config['algorithm']}, "
           f"clock {daemon.store.clock}, "
-          f"{len(daemon.store.placements)} VMs placed", file=log)
+          f"{daemon.store.placement_count()} VMs placed", file=log)
     try:
         if args.stdio:
             serve_stdio(daemon, sys.stdin, sys.stdout)

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.simulation.power_state import PowerState
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.service.state import ClusterStateStore
 
@@ -81,20 +79,8 @@ class FragmentationMonitor:
         return max_cpu, max_mem
 
     def reading(self, store: "ClusterStateStore") -> FragmentationReading:
-        fleet = getattr(store, "fleet", None)
-        if fleet is not None:
-            active = fleet.active
-            resident_cpu = fleet.resident_cpu
-            resident_mem = fleet.resident_mem
-        else:
-            active = 0
-            resident_cpu = 0.0
-            resident_mem = 0.0
-            for machine in store.machines.values():
-                if machine.state is PowerState.ACTIVE:
-                    active += 1
-                resident_cpu += machine.resident_cpu
-                resident_mem += machine.resident_mem
+        resident_cpu = store.fleet.resident_cpu
+        resident_mem = store.fleet.resident_mem
         max_cpu, max_mem = self._max_capacities(store)
         bound = 0
         if resident_cpu > 0 and max_cpu > 0:
@@ -102,6 +88,6 @@ class FragmentationMonitor:
         if resident_mem > 0 and max_mem > 0:
             bound = max(bound, math.ceil(resident_mem / max_mem - 1e-9))
         return FragmentationReading(
-            time=store.clock, active_servers=active,
+            time=store.clock, active_servers=store.fleet.active,
             packed_lower_bound=bound, resident_cpu=resident_cpu,
             resident_mem=resident_mem)

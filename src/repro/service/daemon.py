@@ -350,9 +350,9 @@ class AllocationDaemon:
         if self.snapshots is None:
             return None
         seq = self._last_seq()
-        document = self.store.to_snapshot(self._meta(seq))
+        text = self.store.snapshot_text(self._meta(seq))
         self._placed_since_snapshot = 0
-        return self.snapshots.save(document, seq)
+        return self.snapshots.save(text, seq)
 
     def _maybe_snapshot(self) -> None:
         every = int(self.config["snapshot_every"])

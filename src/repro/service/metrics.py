@@ -487,7 +487,7 @@ class ServiceMetrics:
                [("", float(store.clock))])
         family("repro_vms_placed", "gauge",
                "VMs committed to the plan since daemon start.",
-               [("", float(len(store.placements)))])
+               [("", float(store.placement_count()))])
         family("repro_energy_accumulated_watt_ticks", "counter",
                "Analytic Eq.-17 energy accumulated over all placements.",
                [("", store.energy_accumulated)])

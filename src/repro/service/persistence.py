@@ -146,18 +146,22 @@ class SnapshotManager:
     def path_for(self, seq: int) -> Path:
         return self.directory / f"snapshot-{seq:010d}.json"
 
-    def save(self, document: Mapping[str, object], seq: int) -> Path:
-        """Atomically write the snapshot covering journal entries <= seq."""
+    def save(self, text: str, seq: int) -> Path:
+        """Atomically write ``text`` — the JSON of a snapshot document —
+        as the snapshot covering journal entries <= seq."""
         path = self.path_for(seq)
         tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(document), encoding="utf-8")
+        tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
         self._prune()
         return path
 
     def _prune(self) -> None:
         snapshots = sorted(self.directory.glob(_SNAPSHOT_GLOB))
-        for stale in snapshots[:-self._keep]:
+        # A crash between write and rename leaves a .tmp no later save
+        # reuses (the next snapshot covers a higher seq): drop those too.
+        for stale in (*snapshots[:-self._keep],
+                      *self.directory.glob(_SNAPSHOT_GLOB + ".tmp")):
             stale.unlink(missing_ok=True)
 
     def load_latest(self) -> dict[str, object] | None:

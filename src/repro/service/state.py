@@ -15,19 +15,22 @@ axis a long-running service needs:
   controller cannot evaluate the Eq.-16 sleep rule — the next arrival is
   unknown — so the live view sleeps greedily, bridging only gaps of
   length zero; the *authoritative* energy remains the analytic
-  accounting, which applies the configured sleep policy exactly);
+  accounting, which applies the configured sleep policy exactly). A
+  tick closes in O(awake servers + pieces ending), whatever the fleet;
 * **telemetry** — per-tick fleet power, active servers and running VMs,
   frozen into a :class:`~repro.simulation.telemetry.Telemetry` on demand.
 
-The store is crash-safe via :meth:`to_snapshot` / :meth:`from_snapshot`:
-a snapshot records the cluster, the clock and every placement in commit
-order *with the clock value it was committed at*, and restoring replays
-each placement at that clock. That reproduces the live interleaving of
-commits and clock advances exactly — including out-of-order arrivals
-(``vm.start < clock`` starts immediately, not at its nominal tick) and
-sleep/wake cycles the one-tick lookahead would otherwise elide when all
-starts are known up front — so planning state, machines (power state,
-residents, transition counters) and telemetry are rebuilt bit-for-bit.
+The store is crash-safe via :meth:`to_snapshot` / :meth:`from_snapshot`
+(:meth:`snapshot_text` is the same document as text, for the cost of the
+commits since the last one): a snapshot records the cluster, the clock
+and every placement in commit order *with the clock value it was
+committed at*, and restoring replays each placement at that clock. That
+reproduces the live interleaving of commits and clock advances exactly —
+including out-of-order arrivals (``vm.start < clock`` starts
+immediately, not at its nominal tick) and sleep/wake cycles the one-tick
+lookahead would otherwise elide when all starts are known up front — so
+planning state, machines (power state, residents, transition counters)
+and telemetry are rebuilt bit-for-bit.
 
 Failures are first-class: :meth:`fail_server` kills a server at a tick,
 splits every affected VM through the shared
@@ -227,6 +230,11 @@ class ClusterStateStore:
         #: carries ``after`` = how many commits preceded it, so replay
         #: interleaves the two streams exactly.
         self._events: list[dict] = []
+        #: JSON of the snapshot parts that never change once written
+        #: (:meth:`snapshot_text`): the cluster array, then the records
+        #: of the first ``_encoded`` commits, one chunk per snapshot
+        self._kept_json: list[str] = []
+        self._encoded = 0
         #: server_id -> failure tick of currently-dead servers
         self._dead: dict[int, int] = {}
         self._vm_ids: set[int] = set()
@@ -340,17 +348,15 @@ class ClusterStateStore:
                 machine.start_vm(piece_id, cpu, memory)
 
     def _close_tick(self, tick: int) -> None:
+        # Only awake machines draw power or can fall asleep, so the
+        # fleet is never enumerated: O(awake + pieces ending).
+        awake = self.fleet.awake_machines()
         power = 0.0
-        active = 0
-        running = 0
-        for machine in self.machines.values():
+        for machine in awake:
             power += machine.power_draw()
-            if machine.state is PowerState.ACTIVE:
-                active += 1
-            running += len(machine.resident_vms)
         self._power.append(power)
-        self._active.append(active)
-        self._running.append(running)
+        self._active.append(self.fleet.active)
+        self._running.append(self.fleet.running_vms)
         for piece_id, server_id in self._ends.pop(tick, ()):
             cpu, memory = self._piece_demand.pop(piece_id)
             self.machines[server_id].end_vm(piece_id, cpu, memory)
@@ -366,7 +372,7 @@ class ClusterStateStore:
         # scheduled for the very next tick (a zero-length gap).
         imminent = {server_id
                     for _, server_id in self._starts.get(tick + 1, ())}
-        for machine in self.machines.values():
+        for machine in awake:
             if machine.state is PowerState.ACTIVE and \
                     not machine.resident_vms and \
                     machine.server.server_id not in imminent:
@@ -746,6 +752,10 @@ class ClusterStateStore:
         """Every committed (vm, server_id) pair in commit order."""
         return tuple(self._placements)
 
+    def placement_count(self) -> int:
+        """``len(self.placements)`` without building the tuple."""
+        return len(self._placements)
+
     def is_placed(self, vm_id: int) -> bool:
         """Whether a VM with this id has already been committed (the
         service's batch pre-validation uses this to reject duplicate
@@ -763,15 +773,14 @@ class ClusterStateStore:
 
     def fleet_power(self) -> float:
         """Instantaneous fleet power draw (Eq. 1) on the current tick."""
-        return sum(m.power_draw() for m in self.machines.values())
+        return sum((m.power_draw() for m in self.fleet.awake_machines()),
+                   0.0)
 
     def servers_active(self) -> int:
-        return sum(1 for m in self.machines.values()
-                   if m.state is PowerState.ACTIVE)
+        return self.fleet.active
 
     def servers_asleep(self) -> int:
-        return sum(1 for m in self.machines.values()
-                   if m.state is PowerState.POWER_SAVING)
+        return self.fleet.asleep
 
     def servers_failed(self) -> int:
         return len(self._dead)
@@ -791,7 +800,7 @@ class ClusterStateStore:
                 if sid not in self._dead]
 
     def running_vms(self) -> int:
-        return sum(len(m.resident_vms) for m in self.machines.values())
+        return self.fleet.running_vms
 
     def telemetry(self) -> Telemetry:
         """The closed-tick series as an immutable Telemetry."""
@@ -800,6 +809,22 @@ class ClusterStateStore:
                          running_vms=np.array(self._running, dtype=int))
 
     # -- snapshots ---------------------------------------------------------
+
+    def _snapshot_head(self) -> dict[str, object]:
+        if any(event.get("kind") == "consolidate"
+               for event in self._events):
+            version = 3
+        elif self._events:
+            version = 2
+        else:
+            version = 1
+        return {"format_version": version, "policy": self.policy.value,
+                "engine": self.engine_config.spec, "clock": self.clock}
+
+    def _placement_records(self, start: int = 0) -> list[dict[str, object]]:
+        return [{"server_id": server_id, "committed_at": committed_at,
+                 "vm": vm_to_record(vm)}
+                for vm, server_id, committed_at in self._commit_log[start:]]
 
     def to_snapshot(self, meta: Mapping[str, object] | None = None
                     ) -> dict[str, object]:
@@ -812,30 +837,36 @@ class ClusterStateStore:
         episodes make it version 3; a store that never saw either keeps
         writing version 1, byte-compatible with older builds.
         """
-        if any(event.get("kind") == "consolidate"
-               for event in self._events):
-            version = 3
-        elif self._events:
-            version = 2
-        else:
-            version = 1
-        document: dict[str, object] = {
-            "format_version": version,
-            "policy": self.policy.value,
-            "engine": self.engine_config.spec,
-            "clock": self.clock,
-            "cluster": [_spec_record(server.spec)
-                        for server in self.cluster],
-            "placements": [{"server_id": server_id,
-                            "committed_at": committed_at,
-                            "vm": vm_to_record(vm)}
-                           for vm, server_id, committed_at
-                           in self._commit_log],
-            "meta": dict(meta) if meta else {},
-        }
+        document = self._snapshot_head()
+        document["cluster"] = [_spec_record(server.spec)
+                               for server in self.cluster]
+        document["placements"] = self._placement_records()
+        document["meta"] = dict(meta) if meta else {}
         if self._events:
             document["events"] = [dict(event) for event in self._events]
         return document
+
+    def snapshot_text(self, meta: Mapping[str, object] | None = None
+                      ) -> str:
+        """``json.dumps(self.to_snapshot(meta))``, byte for byte, for the
+        cost of the commits since the previous call: the cluster never
+        changes and the commit log only grows, so their JSON is kept
+        and only the head, ``meta`` and the (few) events are encoded
+        afresh."""
+        if not self._kept_json:
+            cluster = [_spec_record(server.spec) for server in self.cluster]
+            self._kept_json.append(
+                f', "cluster": {json.dumps(cluster)}, "placements": [')
+        fresh = self._placement_records(self._encoded)
+        if fresh:
+            self._kept_json.append((", " if self._encoded else "")
+                                   + json.dumps(fresh)[1:-1])
+            self._encoded += len(fresh)
+        tail: dict[str, object] = {"meta": dict(meta) if meta else {}}
+        if self._events:
+            tail["events"] = self._events
+        return "".join((json.dumps(self._snapshot_head())[:-1],
+                        *self._kept_json, "], ", json.dumps(tail)[1:]))
 
     @classmethod
     def from_snapshot(cls, document: Mapping[str, object]
@@ -896,7 +927,7 @@ class ClusterStateStore:
         """Atomically write the snapshot document to ``path``."""
         path = Path(path)
         tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(self.to_snapshot(meta)))
+        tmp.write_text(self.snapshot_text(meta))
         os.replace(tmp, path)
 
     @classmethod

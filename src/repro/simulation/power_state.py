@@ -22,6 +22,7 @@ to them (see :mod:`repro.simulation.recovery`).
 from __future__ import annotations
 
 import enum
+from operator import attrgetter
 
 from repro.exceptions import SimulationError
 from repro.model.server import Server
@@ -48,11 +49,17 @@ class FleetAggregates:
 
     ``power`` accumulates float add/subtract pairs, so it can drift from
     a fresh scan by rounding noise; use a scan where exact equality
-    matters.
+    matters. ``awake`` (the machines neither POWER_SAVING nor FAILED)
+    keeps that scan cheap: only these draw power or can fall asleep, so
+    the store closes a tick by summing ``power_draw()`` over
+    :meth:`awake_machines` — a whole-fleet scan's float additions less
+    its ``+ 0.0`` terms, hence bit-identical to one, which reading
+    ``power`` would not be.
     """
 
     __slots__ = ("active", "asleep", "transitioning", "failed",
-                 "running_vms", "resident_cpu", "resident_mem", "power")
+                 "running_vms", "resident_cpu", "resident_mem", "power",
+                 "awake")
 
     def __init__(self) -> None:
         self.active = 0
@@ -63,6 +70,7 @@ class FleetAggregates:
         self.resident_cpu = 0.0
         self.resident_mem = 0.0
         self.power = 0.0
+        self.awake: set[ServerMachine] = set()
 
     def _field(self, state: "PowerState") -> str:
         if state is PowerState.ACTIVE:
@@ -81,6 +89,13 @@ class FleetAggregates:
         self.resident_cpu += machine.resident_cpu
         self.resident_mem += machine.resident_mem
         self.power += machine.power_draw()
+        # Membership moves here only, never in remove(): every remove
+        # is followed by an add, and a scrape on another thread must
+        # not find an awake machine missing in between.
+        if field in ("asleep", "failed"):
+            self.awake.discard(machine)
+        else:
+            self.awake.add(machine)
 
     def remove(self, machine: "ServerMachine") -> None:
         """Back ``machine``'s current contribution out of the totals."""
@@ -90,6 +105,10 @@ class FleetAggregates:
         self.resident_cpu -= machine.resident_cpu
         self.resident_mem -= machine.resident_mem
         self.power -= machine.power_draw()
+
+    def awake_machines(self) -> list["ServerMachine"]:
+        """The machines in :attr:`awake`, in ascending server id."""
+        return sorted(self.awake, key=attrgetter("server.server_id"))
 
 
 class ServerMachine:

@@ -433,15 +433,25 @@ class TestPersistence:
     def test_snapshot_rotation_keeps_newest(self, tmp_path):
         manager = SnapshotManager(tmp_path, keep=2)
         for seq in (1, 2, 3):
-            manager.save({"format_version": 1, "seq": seq}, seq)
+            manager.save(json.dumps({"format_version": 1, "seq": seq}), seq)
         remaining = sorted(p.name for p in
                            tmp_path.glob("snapshot-*.json"))
         assert len(remaining) == 2
         assert manager.load_latest()["seq"] == 3
 
+    def test_prune_removes_a_crashed_saves_tmp(self, tmp_path):
+        manager = SnapshotManager(tmp_path)
+        # A crash between the write and the rename of snapshot 1.
+        stale = manager.path_for(1).with_suffix(".json.tmp")
+        stale.write_text('{"format_version": 1, "pla')
+        assert manager.load_latest() is None
+        manager.save(json.dumps({"seq": 2}), 2)
+        assert not stale.exists()
+        assert manager.load_latest()["seq"] == 2
+
     def test_corrupt_latest_snapshot_falls_back(self, tmp_path):
         manager = SnapshotManager(tmp_path)
-        manager.save({"marker": "good"}, 1)
+        manager.save(json.dumps({"marker": "good"}), 1)
         manager.path_for(2).write_text("{broken")
         assert manager.load_latest()["marker"] == "good"
 

@@ -6,15 +6,38 @@ lossless serialization — rebuilding a :class:`ClusterStateStore` from
 machine power states are identical; (2) replaying the request journal
 after a hard kill reconstructs the exact pre-crash state, whatever the
 workload looked like.
+
+A third backstops what the store derives instead of recomputing —
+*derived structures == recomputed from scratch* under arbitrary
+interleavings of every mutating op: the awake set and the integer
+fleet totals against a scan of the machines, the closed-tick series
+against a twin store that closes ticks by walking the whole fleet
+twice (:class:`TwoWalkStore`, the oracle), and the incrementally
+encoded snapshot text against ``json.dumps(to_snapshot(meta))``.
 """
 
 from __future__ import annotations
 
+import json
+
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.model.cluster import Cluster
-from repro.service import AllocationDaemon, ClusterStateStore, place_request
+from repro.model.server import ServerSpec
+from repro.service import (
+    AllocationDaemon,
+    ClusterStateStore,
+    consolidate_request,
+    fail_server_request,
+    place_batch_request,
+    place_request,
+    recover_server_request,
+)
+from repro.simulation.power_state import PowerState
 from repro.workload.generator import PoissonWorkload
+
+from conftest import make_vm
 
 SLOW = settings(max_examples=20, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -104,3 +127,213 @@ def test_journal_replay_is_deterministic(tmp_path_factory, params, cut):
         assert a["decision"] == b["decision"]
         assert a.get("server_id") == b.get("server_id")
     assert restored.store.to_snapshot() == witness_store.to_snapshot()
+
+
+# -- derived structures == recomputed from scratch ---------------------------
+
+#: Powers and demands that are not dyadic rationals: every float sum
+#: over them depends on its order, so a walk in another order shows.
+SPEC = ServerSpec("s", cpu_capacity=10.0, memory_capacity=10.0,
+                  p_idle=51.3, p_peak=103.9, transition_time=1.0)
+HEAVY, LIGHT, SMALL = (6.7, 5.0), (2.3, 4.0), (1.1, 1.0)
+SERVERS = 4
+
+
+class TwoWalkStore(ClusterStateStore):
+    """The oracle for the closed-tick series: ``_close_tick`` as it was
+    before the awake set — both walks enumerate every machine, and the
+    sample reads the machines, never :class:`FleetAggregates`."""
+
+    def _close_tick(self, tick: int) -> None:
+        power = 0.0
+        active = 0
+        running = 0
+        for machine in self.machines.values():
+            power += machine.power_draw()
+            if machine.state is PowerState.ACTIVE:
+                active += 1
+            running += len(machine.resident_vms)
+        self._power.append(power)
+        self._active.append(active)
+        self._running.append(running)
+        for piece_id, server_id in self._ends.pop(tick, ()):
+            cpu, memory = self._piece_demand.pop(piece_id)
+            self.machines[server_id].end_vm(piece_id, cpu, memory)
+            vm_id = self._piece_vm.pop(piece_id)
+            entry = self._open_pieces[vm_id]
+            entry[2] -= 1
+            if entry[2] == 0:
+                del self._open_pieces[vm_id]
+                self.states[entry[1]].retire(entry[0], before=tick)
+        imminent = {server_id
+                    for _, server_id in self._starts.get(tick + 1, ())}
+        for machine in self.machines.values():
+            if machine.state is PowerState.ACTIVE and \
+                    not machine.resident_vms and \
+                    machine.server.server_id not in imminent:
+                machine.sleep()
+
+
+#: (start - clock, length, (cpu, memory)): offset 0 starts on the open
+#: tick, offset 1 is the zero-length-gap slot; the heavy/light shapes
+#: are the ones that fragment this fleet, so ``consolidate`` has moves.
+VM_SHAPE = st.tuples(st.integers(0, 3), st.integers(1, 9),
+                     st.sampled_from([HEAVY, LIGHT, SMALL]))
+OP = st.one_of(
+    st.tuples(st.just("place"), VM_SHAPE),
+    st.tuples(st.just("place_batch"),
+              st.lists(VM_SHAPE, min_size=1, max_size=4)),
+    st.tuples(st.just("tick"), st.integers(1, 4)),
+    st.tuples(st.just("fail_server"), st.integers(0, SERVERS - 1)),
+    st.tuples(st.just("recover_server"), st.integers(0, SERVERS - 1)),
+    st.tuples(st.just("consolidate"), st.none()),
+)
+
+
+def request_for(kind, arg, clock: int, step: int) -> dict:
+    """The wire request of one drawn op. VM ids are ``step * 1000 + j``:
+    failure and consolidation splits take ids just above the highest
+    committed one and must not collide with a later step's."""
+    def vm(j, shape):
+        offset, length, (cpu, memory) = shape
+        start = max(1, clock + offset)
+        return make_vm(step * 1000 + j, start, start + length - 1,
+                       cpu=cpu, memory=memory)
+    if kind == "place":
+        return place_request(vm(0, arg))
+    if kind == "place_batch":
+        return place_batch_request(vm(j, shape)
+                                   for j, shape in enumerate(arg))
+    if kind == "tick":
+        return {"op": "tick", "now": clock + arg}
+    if kind == "fail_server":
+        return fail_server_request(arg)
+    if kind == "recover_server":
+        return recover_server_request(arg)
+    return consolidate_request()
+
+
+def assert_aggregates_match_a_scan(store: ClusterStateStore) -> None:
+    machines = store.machines
+    fleet = store.fleet
+
+    def count(state):
+        return sum(1 for m in machines.values() if m.state is state)
+    assert fleet.awake == {m for m in machines.values()
+                           if m.state is PowerState.ACTIVE}
+    assert fleet.awake_machines() == \
+        [m for m in machines.values() if m in fleet.awake]  # id order
+    assert fleet.active == count(PowerState.ACTIVE)
+    assert fleet.asleep == count(PowerState.POWER_SAVING)
+    assert fleet.failed == count(PowerState.FAILED)
+    assert fleet.running_vms == sum(len(m.resident_vms)
+                                    for m in machines.values())
+    # repr: an all-asleep fleet draws 0.0, not the int 0 of an empty sum
+    assert repr(store.fleet_power()) == \
+        repr(sum(m.power_draw() for m in machines.values()))
+
+
+def closed_ticks(store: ClusterStateStore):
+    """The closed-tick series, plus ``fleet.power`` — whose rounding
+    drift records the order machines were put to sleep in."""
+    return store._power, store._active, store._running, store.fleet.power
+
+
+def assert_text_is_the_document(store: ClusterStateStore, meta) -> str:
+    text = store.snapshot_text(meta)
+    assert text == json.dumps(store.to_snapshot(meta))
+    return text
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["indexed", "dense"]), st.lists(OP, max_size=25))
+def test_derived_structures_equal_a_recomputation(engine, ops):
+    cluster = Cluster.homogeneous(SPEC, SERVERS)
+    daemon = AllocationDaemon(ClusterStateStore(cluster, engine=engine))
+    twin = AllocationDaemon(TwoWalkStore(cluster, engine=engine))
+    store = daemon.store
+    for step, (kind, arg) in enumerate(ops):
+        request = request_for(kind, arg, store.clock, step)
+        response = daemon.handle(request)
+        # Refusals (a dead server failed again, a full fleet) are part
+        # of the interleaving; the oracle must refuse the same way.
+        assert twin.handle(request)["ok"] == response["ok"]
+        assert_aggregates_match_a_scan(store)
+        assert closed_ticks(store) == closed_ticks(twin.store)  # floats ==
+        # warm cache: every call but the first extends the kept text
+        assert_text_is_the_document(store, {"seq": step})
+    store.run_to_completion()
+    twin.store.run_to_completion()
+    assert_aggregates_match_a_scan(store)
+    assert closed_ticks(store) == closed_ticks(twin.store)
+    text = assert_text_is_the_document(store, {"seq": len(ops)})
+    # cold cache: a rebuilt store has kept nothing yet
+    rebuilt = ClusterStateStore.from_snapshot(json.loads(text))
+    assert rebuilt.snapshot_text({"seq": len(ops)}) == text
+
+
+def fragment(daemon: AllocationDaemon) -> None:
+    """A short heavy and a long light VM per server, then past the
+    shorts: every server idles under one small VM."""
+    for sid in range(SERVERS):
+        for j, ((cpu, memory), end) in enumerate(((HEAVY, 8),
+                                                  (LIGHT, 200))):
+            response = daemon.handle(place_request(
+                make_vm(2 * sid + j, 1, end, cpu=cpu, memory=memory)))
+            assert response["decision"] == "placed", response
+    assert daemon.handle({"op": "tick", "now": 10})["ok"]
+
+
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_snapshot_file_is_the_document_for_every_format(tmp_path, version):
+    daemon = AllocationDaemon(
+        ClusterStateStore(Cluster.homogeneous(SPEC, SERVERS)),
+        data_dir=tmp_path, snapshot_every=3, fsync=False)
+    store = daemon.store
+
+    def file_is_the_document():
+        path = daemon.write_snapshot()
+        meta = daemon._meta(daemon._last_seq())
+        assert path.read_text() == json.dumps(store.to_snapshot(meta))
+
+    fragment(daemon)            # periodic snapshots warmed the cache
+    file_is_the_document()
+    if version >= 2:
+        assert daemon.handle(fail_server_request(0))["ok"]
+        file_is_the_document()
+        assert daemon.handle(recover_server_request(0))["ok"]
+    if version == 3:
+        assert daemon.handle(consolidate_request())["migrations"] > 0
+    assert daemon.handle(place_request(make_vm(5000, 12, 30)))["ok"]
+    file_is_the_document()      # a consecutive snapshot
+    assert store.to_snapshot()["format_version"] == version
+    del daemon                  # hard kill: the journal tail replays
+
+    restored = AllocationDaemon.restore(tmp_path, fsync=False)
+    meta = {"seq": 0}
+    assert assert_text_is_the_document(restored.store, meta) == \
+        store.snapshot_text(meta)
+    assert restored.handle(place_request(make_vm(5001, 12, 30)))["ok"]
+    assert_text_is_the_document(restored.store, meta)
+
+
+def test_zero_length_gap_bridges_one_close_and_sleeps_at_the_next():
+    stores = [cls(Cluster.homogeneous(SPEC, 2))
+              for cls in (ClusterStateStore, TwoWalkStore)]
+    for store in stores:
+        store.advance_to(1)
+        store.commit(make_vm(0, 1, 3), 0)
+        store.commit(make_vm(1, 4, 4), 0)   # starts the tick after vm 0
+        machine = store.machines[0]
+        store.advance_to(4)     # closes tick 3: emptied, start imminent
+        assert machine.state is PowerState.ACTIVE
+        assert machine.transitions == 1     # bridged, not re-woken
+        assert_aggregates_match_a_scan(store)
+        store.advance_to(5)     # closes tick 4: emptied, nothing due
+        assert machine.state is PowerState.POWER_SAVING
+        assert store.fleet.awake == set()
+        store.advance_to(7)
+        assert_text_is_the_document(store, None)
+    assert closed_ticks(stores[0]) == closed_ticks(stores[1])
+    assert stores[0]._active == [1, 1, 1, 1, 0, 0]
