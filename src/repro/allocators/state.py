@@ -261,32 +261,18 @@ class ServerState:
                          idle_gap=delta - wake, wake=wake)
 
     def incremental_cost_swapped(self, vm: VM, *, without: VM,
-                                 plus: VM | None = None) -> float:
+                                 time: int) -> float:
         """:meth:`incremental_cost` of ``vm`` if resident ``without``
-        were replaced by ``plus`` — evaluated hypothetically.
-
-        Returns exactly what ``remove(without)``, ``place(plus)``,
-        ``incremental_cost(vm)`` followed by restoring would report,
-        with none of the rebuilds and no mutation: the swapped busy
-        timeline is merged on the side and the Eq.-17 delta read off
-        it. The consolidation planner uses this to price "stay put"
-        against a source shrunk to a migrating VM's head without
-        touching the book.
+        stopped at tick ``time - 1`` — what :meth:`cut`,
+        ``incremental_cost(vm)`` and restoring would report, with no
+        mutation: the busy segments reaching ``time`` are merged on
+        the side. The consolidation planner prices "stay put" this way
+        (the remainder against a source shrunk to the head).
         """
-        try:
-            drop = self.vms.index(without)
-        except ValueError:
-            raise CapacityError(
-                f"{without} is not placed on {self.server}",
-                server_id=self.server.server_id) from None
-        intervals = [v.interval for i, v in enumerate(self.vms)
-                     if i != drop]
-        if plus is not None:
-            intervals.append(plus.interval)
-        merged = merge_intervals(intervals)
+        k, starts, ends = self._cut_tail(without, time)
         saved = self._busy_starts, self._busy_ends
-        self._busy_starts = [seg.start for seg in merged]
-        self._busy_ends = [seg.end for seg in merged]
+        self._busy_starts = saved[0][:k] + starts
+        self._busy_ends = saved[1][:k] + ends
         try:
             return run_energy(self.server.spec, vm) + \
                 self.idle_delta(vm.interval)
@@ -310,10 +296,10 @@ class ServerState:
     def place_trusted(self, vm: VM) -> float:
         """:meth:`place` without the feasibility probe.
 
-        For rebuilding a book from a known-good placement log (failure
-        and consolidation rebuilds, planning replicas): every VM was
-        probed when first admitted, so re-validating is pure overhead.
-        The cost arithmetic is identical to :meth:`place`.
+        For booking what is known to fit — a migration's remainder on
+        the target its planner probed, test books built from a
+        known-good log: re-validating is pure overhead. The cost
+        arithmetic is identical to :meth:`place`.
         """
         delta = self.incremental_cost(vm)
         for piece, cpu, memory in demand_profile(vm):
@@ -329,12 +315,28 @@ class ServerState:
         self._notify()
         return delta
 
-    def remove(self, vm: VM) -> float:
-        """Withdraw a previously-placed VM; returns the cost decrease.
+    def _occupy(self, vm: VM, since: int, *,
+                withdraw: bool = False) -> None:
+        """Add (or withdraw) ``vm``'s demand and radii over
+        ``[max(start, since), end]`` — whole when ``since <= start``."""
+        occ = self._occ
+        change = occ.subtract if withdraw else occ.add
+        for piece, cpu, memory in demand_profile(vm):
+            if piece.end >= since:
+                change(max(piece.start, since), piece.end, cpu, memory)
+        if self.robustness is not None and vm.end >= since:
+            change = occ.subtract_radius if withdraw else occ.add_radius
+            change(max(vm.start, since), vm.end,
+                   vm.cpu_radius, vm.mem_radius)
 
-        Used by migration/consolidation extensions. Busy segments and the
-        running cost are rebuilt from the remaining VM set (an O(k log k)
-        operation on this server only).
+    def remove(self, vm: VM) -> float:
+        """Withdraw a placed VM whole; returns the cost decrease.
+
+        Busy segments and the running cost are rebuilt from the
+        remaining VM set, so this is exact on an *uncompacted* book
+        only (the offline failure replay's) — one that has
+        :meth:`retire`-d anything has forgotten what the rebuild
+        needs. A live book is :meth:`cut` instead.
         """
         try:
             self.vms.remove(vm)
@@ -342,15 +344,82 @@ class ServerState:
             raise CapacityError(
                 f"{vm} is not placed on {self.server}",
                 server_id=self.server.server_id) from None
-        for piece, cpu, memory in demand_profile(vm):
-            self._occ.subtract(piece.start, piece.end, cpu, memory)
-        if self.robustness is not None:
-            self._occ.subtract_radius(vm.start, vm.end,
-                                      vm.cpu_radius, vm.mem_radius)
+        self._occupy(vm, vm.start, withdraw=True)
         old_cost = self.cost
         self._rebuild()
         self._notify()
         return old_cost - self.cost
+
+    def cut(self, vm: VM, time: int, head: VM | None = None) -> float:
+        """Resident ``vm`` stops at tick ``time - 1`` (a migration or a
+        failure at ``time <= vm.end``); returns the Eq.-17 decrease.
+
+        ``head`` — the part that already ran, ``None`` when the VM had
+        not started — stays booked and takes the VM's place at the end
+        of ``vms``; demand and radii leave over ``[max(start, time),
+        end]`` only; the busy segments reaching ``time`` are re-merged
+        from the residents still running then. Nothing before ``time -
+        1`` is read, so unlike :meth:`remove` the cut is exact on a
+        compacted book, for the cost of this server's live residents.
+        """
+        k, starts, ends = self._cut_tail(vm, time)
+        self.vms.remove(vm)
+        if head is not None:
+            self.vms.append(head)
+        self._occupy(vm, time, withdraw=True)
+        self._busy_starts[k:] = starts
+        self._busy_ends[k:] = ends
+        # Eq. 17 is a function of the set booked: what left is what
+        # booking it again would add (the wake too, if nothing is left).
+        spec = self.server.spec
+        decrease = run_energy(spec, vm) + self.idle_delta(
+            TimeInterval(max(vm.start, time), vm.end))
+        if head is not None:
+            decrease -= run_energy(spec, head)
+        self.cost = self.cost - decrease if self._busy_starts else 0.0
+        self._notify()
+        return decrease
+
+    def _cut_tail(self, vm: VM, time: int
+                  ) -> tuple[int, list[int], list[int]]:
+        """``(k, starts, ends)``: busy segments ``k..`` as they would be
+        with resident ``vm`` stopped at ``time - 1`` — what the segment
+        reaching ``time - 1`` covers before ``time``, then a merge of
+        the other residents from ``time`` on. Segments before ``k`` end
+        earlier and stay as they are."""
+        try:
+            drop = self.vms.index(vm)
+        except ValueError:
+            raise CapacityError(
+                f"{vm} is not placed on {self.server}",
+                server_id=self.server.server_id) from None
+        k = bisect.bisect_left(self._busy_ends, time - 1)
+        spans = [TimeInterval(start, time - 1)
+                 for start in self._busy_starts[k:k + 1] if start < time]
+        spans += [TimeInterval(max(other.start, time), other.end)
+                  for i, other in enumerate(self.vms)
+                  if i != drop and other.end >= time]
+        merged = merge_intervals(spans)
+        return (k, [seg.start for seg in merged],
+                [seg.end for seg in merged])
+
+    def live_copy(self, time: int) -> "ServerState":
+        """An O(live) twin that answers like this book from ``time``
+        on: the residents still running, the busy segments from the
+        last fully-past one, the cost, and the occupancy re-added from
+        those residents in book order — per value the same ``+=``
+        sequence as here, so probes are bit-equal, without what a
+        :meth:`cut` subtracted and with nothing before ``time``."""
+        twin = ServerState(self.server, policy=self.policy,
+                           engine=self.engine_config)
+        twin.vms = [vm for vm in self.vms if vm.end >= time]
+        twin._busy_starts = list(self._busy_starts)
+        twin._busy_ends = list(self._busy_ends)
+        twin.compact(time)      # the anchor rule lives there
+        twin.cost = self.cost
+        for vm in twin.vms:
+            twin._occupy(vm, time)
+        return twin
 
     def retire(self, vm: VM, *, before: int | None = None) -> None:
         """Forget a *finished* VM without undoing its energy accounting.

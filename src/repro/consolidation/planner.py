@@ -18,11 +18,13 @@ is net-energy-positive by construction.
 
 :meth:`MigrationPlanner.plan_episode` is the one episode algorithm both
 consumers run — the offline :class:`~repro.extensions.consolidation.
-EpochConsolidator` at each epoch boundary, and the live
-:meth:`~repro.service.state.ClusterStateStore.consolidate` pass (which
-feeds it full-history planning replicas) — which is what makes the
-live-versus-offline equivalence test possible: identical inputs,
-identical code, identical migrations.
+EpochConsolidator` at each epoch boundary on its uncompacted books, and
+the live :meth:`~repro.service.state.ClusterStateStore.consolidate`
+pass on O(live) copies of the compacted live books. A migration is a
+:meth:`~repro.allocators.state.ServerState.cut`, which reads nothing
+before the episode tick, so both see identical answers — which is what
+makes the live-versus-offline equivalence test possible: identical
+code, identical migrations.
 
 Candidate targets are scanned in ascending server id, filtered by
 :meth:`~repro.allocators.state.ServerState.probe`; with ``k_sample``
@@ -281,7 +283,7 @@ class MigrationPlanner:
         """The best migration for ``piece`` at tick ``time``, if any saves.
 
         Pure — the states are never touched: the stay-put price is read
-        off a hypothetical source book with the piece swapped for its
+        off a hypothetical source book with the piece cut down to its
         head (:meth:`~repro.allocators.state.ServerState.
         incremental_cost_swapped`), and candidates are only probed.
         Commit a returned move with :meth:`apply`. Returns ``None``
@@ -298,7 +300,7 @@ class MigrationPlanner:
         # shrunk to the head — the same for every candidate, so priced
         # once, and hypothetically, so the book stays untouched.
         stay_cost = source.incremental_cost_swapped(
-            remainder, without=piece, plus=head)
+            remainder, without=piece, time=time)
         need_cpu, need_mem = _demand_at(remainder, time)
         shape = ((remainder.start, remainder.end, remainder.cpu,
                   remainder.memory) if type(remainder) is VM else None)
@@ -338,17 +340,15 @@ class MigrationPlanner:
         """Commit ``move`` on planning states.
 
         Returns ``(source_delta, target_delta)`` — the Eq.-17 change of
-        each book (the source delta is the head replacing the full
-        piece, usually negative). The move must have been produced by
-        :meth:`best_move` against these states: the head re-occupies
-        part of the full piece's slot and the target was probe-checked
-        during the scan, so both land without re-validation.
+        each book (the source delta is the piece cut down to its head,
+        usually negative). The move must have been produced by
+        :meth:`best_move` against these states: the target was
+        probe-checked during the scan, so the remainder lands without
+        re-validation.
         """
-        source = states[move.source_id]
-        removed = source.remove(move.vm)
-        head_added = source.place_trusted(move.head)
+        cut = states[move.source_id].cut(move.vm, move.time, move.head)
         target_delta = states[move.target_id].place_trusted(move.remainder)
-        return head_added - removed, target_delta
+        return -cut, target_delta
 
     def plan_episode(self, states: Sequence[ServerState], time: int,
                      next_id: int, *,

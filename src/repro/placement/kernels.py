@@ -52,7 +52,7 @@ same Eq.-17 energy. Asserted with ``==`` (never ``approx``) in
 
 Incremental sync
 ----------------
-Server mutations (``place_trusted``, ``remove``, ``retire``,
+Server mutations (``place_trusted``, ``remove``, ``cut``, ``retire``,
 ``compact``) notify their watchers; the kernel marks the row dirty and
 splices it back in at the next probe — one pass over the planes,
 rows that did not change move as block copies. Not thread-safe: callers serialise probes and mutations (the daemon holds

@@ -923,12 +923,14 @@ class AllocationDaemon:
                          trace_id=ctx.trace_id) as span:
             report = self.store.consolidate(time, planner=self.planner)
             if report.moves:
-                # Drained sources were re-booked as fresh state objects;
-                # the fleet must scan the new ones.
+                # Drained sources were swapped for their live copies;
+                # the fleet must scan the new objects.
                 self._rebuild_fleet()
             self._last_consolidated_tick = report.time
             span.set(migrations=report.migrations,
-                     servers_freed=report.servers_freed)
+                     servers_freed=report.servers_freed,
+                     residents=sum(len(s.vms) for s in self.store.states),
+                     placements=self.store.placement_count())
             if self.journal is not None:
                 # One atomic journal group per episode: all of its
                 # moves restore together or not at all. Zero-move

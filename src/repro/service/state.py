@@ -47,14 +47,18 @@ format version 2; event-free snapshots keep writing version 1.
 
 Consolidation reuses the same machinery in the opposite direction:
 :meth:`consolidate` runs one migration episode of the shared
-:class:`~repro.consolidation.planner.MigrationPlanner` against
-*full-history planning replicas* (rebuilt from the placement log, the
-same trick the failure path uses for the victim's book, so retired
-VMs' spent energy and anchors are never lost), then applies the plan
-to the live books — heads stay behind as legitimately-spent energy,
-remainders are re-scheduled on their targets, drained-empty servers
-power down at the close of the tick, and the per-move migration cost
-accrues in :attr:`migration_energy`. Each episode is one event in the
+:class:`~repro.consolidation.planner.MigrationPlanner` against O(live)
+copies of the live books (:meth:`ServerState.live_copy
+<repro.allocators.state.ServerState.live_copy>`), then applies the plan
+to the live books — each moved VM is cut on its source
+(:meth:`ServerState.cut <repro.allocators.state.ServerState.cut>`, as
+a failure cuts the victim's: the spent energy and the anchors of
+retired VMs stay where they are), heads stay behind as
+legitimately-spent energy, remainders are re-scheduled on their
+targets, drained-empty servers power down at the close of the tick,
+and the per-move migration cost accrues in :attr:`migration_energy`.
+No book is rebuilt from the placement log: an episode and a failure
+cost what is live, not what has been. Each episode is one event in the
 snapshot stream (kind ``"consolidate"``, format version 3), replayed
 from its recorded moves exactly like a failure episode — the planner
 is never re-run on restore.
@@ -412,7 +416,9 @@ class ClusterStateStore:
         ``replacements`` replays a previously recorded episode verbatim
         (snapshot restore / journal replay): the allocator is never
         re-run, the recorded head/remainder/target triples are applied
-        as-is, so a restored store is bit-identical to the original.
+        as-is, so a restored store is bit-identical to the original. A
+        record naming a VM the victim does not hold raises with the
+        clock moved and nothing marked failed, purged or booked.
         """
         if not 0 <= server_id < len(self.cluster):
             raise ValidationError(
@@ -432,20 +438,26 @@ class ClusterStateStore:
         at = self.clock
         self.advance_to(time)
         victim = self.states[server_id]
-        old_cost = victim.cost
-        self._dead[server_id] = time
-        self.machines[server_id].fail()
-        out: list[Replacement] = []
         if replacements is None:
             affected = sorted(
-                (vm for vm in list(victim.vms) if vm.end >= time),
+                (vm for vm in victim.vms if vm.end >= time),
                 key=lambda v: (v.start, v.vm_id))
             if recovery is None:
                 recovery = MinIncrementalEnergy(policy=self.policy,
                                                 engine=self.engine_config)
-            self._purge_pieces({vm.vm_id for vm in affected})
+        else:
+            planned = [r if isinstance(r, Replacement)
+                       else Replacement.from_record(r)
+                       for r in replacements]
+            affected = [r.vm for r in planned]
+        self._unplace([(vm, server_id) for vm in affected])
+        old_cost = victim.cost
+        self._dead[server_id] = time
+        self.machines[server_id].fail()
+        self._purge_pieces({vm.vm_id for vm in affected})
+        out: list[Replacement] = []
+        if replacements is None:
             for vm in affected:
-                self._unplace(vm, server_id)
                 head, remainder, self._next_vm_id = split_remainder(
                     vm, time, self._next_vm_id)
                 target = recover_target(remainder, self.states,
@@ -455,32 +467,18 @@ class ClusterStateStore:
                 out.append(self._apply_replacement(
                     vm, head, remainder, server_id, target_id))
         else:
-            planned = [r if isinstance(r, Replacement)
-                       else Replacement.from_record(r)
-                       for r in replacements]
-            self._purge_pieces({r.vm.vm_id for r in planned})
             for r in planned:
-                self._unplace(r.vm, server_id)
                 if r.head is not None:
                     self._next_vm_id = max(self._next_vm_id,
                                            r.head.vm_id + 1,
                                            r.remainder.vm_id + 1)
                 out.append(self._apply_replacement(
                     r.vm, r.head, r.remainder, server_id, r.server_id))
-        # Rebuild the victim's planning book from the full placement
-        # history (retired VMs included): the naive remove+re-place
-        # would lose the energy anchors of already-retired VMs. Every
-        # surviving entry ends before the failure tick, so the fresh
-        # state retires them all and holds only the Eq.-17 cost.
-        fresh = ServerState(victim.server, policy=self.policy,
-                            engine=self.engine_config)
-        mine = [vm for vm, sid in self._placements if sid == server_id]
-        for vm in mine:
-            fresh.place(vm)
-        for vm in mine:
-            fresh.retire(vm, before=self.clock)
-        self.states[server_id] = fresh
-        victim_delta = fresh.cost - old_cost
+        # Every affected VM was cut on the victim's book; what is left
+        # ended before the failure tick, so its twin holds no resident
+        # and no occupancy, only the anchor and the Eq.-17 cost.
+        self.states[server_id] = victim.live_copy(time)
+        victim_delta = victim.cost - old_cost
         self.energy_accumulated += victim_delta
         report = FailureReport(
             server_id=server_id, time=time, replacements=tuple(out),
@@ -522,10 +520,11 @@ class ClusterStateStore:
         The clock advances to ``time`` (default: the current tick),
         then the shared
         :class:`~repro.consolidation.planner.MigrationPlanner` plans
-        one episode against *full-history planning replicas* — one
-        fresh book per live server rebuilt from the placement log, so
-        the planner's tentative ``remove``/``place`` probing never
-        touches (or corrupts) the compacted live books. Committed moves
+        one episode against :meth:`~repro.allocators.state.ServerState.
+        live_copy` twins of the books — residents, busy segments from
+        the anchor on and occupancy from ``time`` on, O(live) whatever
+        the history — so the planner's tentative cuts and placements
+        never touch the live books. Committed moves
         are then applied for real: each migrated VM's interrupted head
         stays on its source as legitimately-spent energy, the remainder
         is placed and live-scheduled on its target (waking it when
@@ -552,17 +551,8 @@ class ClusterStateStore:
         if moves is None:
             if planner is None:
                 planner = MigrationPlanner()
-            by_server: dict[int, list[VM]] = {}
-            for vm, sid in self._placements:
-                by_server.setdefault(sid, []).append(vm)
-            replicas = []
-            for server_id, state in enumerate(self.states):
-                replica = ServerState(state.server, policy=self.policy,
-                                      engine=self.engine_config)
-                for vm in by_server.get(server_id, ()):
-                    replica.place_trusted(vm)
-                replicas.append(replica)
-            plan = planner.plan_episode(replicas, time, self._next_vm_id,
+            copies = [state.live_copy(time) for state in self.states]
+            plan = planner.plan_episode(copies, time, self._next_vm_id,
                                         skip=frozenset(self._dead))
             planned = plan.moves
         else:
@@ -581,31 +571,16 @@ class ClusterStateStore:
                           time: int) -> ConsolidationReport:
         """Apply a planned (or replayed) episode to the live books.
 
-        Three passes, because a server drained early in the episode may
+        Two passes, because a server drained early in the episode may
         be the *target* of a later victim's remainder: first every
-        moved VM leaves its source (live eviction + head left behind),
-        then every touched source book is rebuilt from the placement
-        log with the planner's shrinkage reflected, and only then are
-        remainders placed — so each target's book already shows the
-        episode's drains when its capacity is probed.
+        moved VM leaves its source (live eviction, the book cut down to
+        the head left behind), and only then are remainders placed —
+        so each target's book already shows the episode's drains when
+        its capacity is probed.
         """
-        touched: list[int] = []
-        # One order-preserving sweep instead of a per-move equality scan
-        # of the placement log; heads are appended afterwards in move
+        # Heads are appended to the placement list afterwards in move
         # order, exactly as per-move remove-then-append would leave it.
-        doomed = {(move.vm.vm_id, move.source_id) for move in moves}
-        kept = [entry for entry in self._placements
-                if (entry[0].vm_id, entry[1]) not in doomed]
-        if len(kept) != len(self._placements) - len(moves):
-            placed = {(vm.vm_id, sid) for vm, sid in self._placements}
-            for move in moves:
-                if (move.vm.vm_id, move.source_id) not in placed:
-                    raise ValidationError(
-                        f"vm {move.vm.vm_id} is not placed on server "
-                        f"{move.source_id}")
-            raise ValidationError(
-                "duplicate placement entries for a consolidation move")
-        self._placements[:] = kept
+        self._unplace([(move.vm, move.source_id) for move in moves])
         # Batch the live evictions: one pass over the piece table
         # instead of a scan per move (the per-move order of machine
         # eviction and the final schedule state are unchanged).
@@ -622,9 +597,12 @@ class ClusterStateStore:
                     machine.end_vm(piece_id, cpu, memory)
         if moved_ids:
             self._purge_pieces(moved_ids)
+        touched: list[int] = []
         for move in moves:
             # The head ran on the source and its energy is spent and
             # useful; it stays on the source's books.
+            self.energy_accumulated -= self.states[move.source_id].cut(
+                move.vm, time, move.head)
             self._placements.append((move.head, move.source_id))
             self._vm_ids.add(move.head.vm_id)
             self._next_vm_id = max(self._next_vm_id,
@@ -633,24 +611,11 @@ class ClusterStateStore:
             self.migration_energy += move.cost
             if move.source_id not in touched:
                 touched.append(move.source_id)
-        by_server: dict[int, list[VM]] = {}
-        if touched:
-            for vm, sid in self._placements:
-                by_server.setdefault(sid, []).append(vm)
         for server_id in touched:
-            # Same rebuild as the failure path: a fresh full-history
-            # book, so retired VMs' energy anchors survive the drain.
-            old = self.states[server_id]
-            fresh = ServerState(old.server, policy=self.policy,
-                                engine=self.engine_config)
-            mine = by_server.get(server_id, [])
-            for vm in mine:
-                fresh.place_trusted(vm)
-            for vm in mine:
-                if vm.vm_id not in self._open_pieces:
-                    fresh.retire(vm, before=self.clock)
-            self.states[server_id] = fresh
-            self.energy_accumulated += fresh.cost - old.cost
+            # The twin drops the heads and re-adds the occupancy from
+            # the survivors alone, as a book that never held the moved
+            # VMs would carry it.
+            self.states[server_id] = self.states[server_id].live_copy(time)
         for move in moves:
             delta = self.states[move.target_id].place(move.remainder)
             self.energy_accumulated += delta
@@ -669,10 +634,11 @@ class ClusterStateStore:
         """Book one affected VM's head/remainder after its old entry has
         been removed from the placement list."""
         delta = 0.0
+        self.states[victim_id].cut(vm, self.clock, head)
         if head is not None:
             # The head ran on the victim and its energy is spent but
             # useless; it stays on the dead server's books as waste
-            # (accounted in the victim rebuild, not here).
+            # (accounted in the victim's delta, not here).
             self._placements.append((head, victim_id))
             self._vm_ids.add(head.vm_id)
         if target_id is not None:
@@ -684,13 +650,26 @@ class ClusterStateStore:
         return Replacement(vm=vm, head=head, remainder=remainder,
                            server_id=target_id, energy_delta=delta)
 
-    def _unplace(self, vm: VM, server_id: int) -> None:
-        try:
-            self._placements.remove((vm, server_id))
-        except ValueError:
+    def _unplace(self, doomed: Sequence[tuple[VM, int]]) -> None:
+        """Drop the ``(vm, server_id)`` entries from the placement list
+        in one order-preserving sweep keyed on the ids (not an equality
+        scan of the log per entry); raises before dropping anything
+        unless each is, field for field, a resident of its server's
+        book — what :meth:`ServerState.cut` will ask for."""
+        if not doomed:
+            return
+        for vm, sid in doomed:
+            if not (0 <= sid < len(self.states)
+                    and vm in self.states[sid].vms):
+                raise ValidationError(
+                    f"vm {vm.vm_id} is not placed on server {sid}")
+        keys = {(vm.vm_id, sid) for vm, sid in doomed}
+        kept = [entry for entry in self._placements
+                if (entry[0].vm_id, entry[1]) not in keys]
+        if len(kept) != len(self._placements) - len(doomed):
             raise ValidationError(
-                f"vm {vm.vm_id} is not placed on server {server_id}"
-            ) from None
+                "duplicate placement entries for an episode's VM")
+        self._placements[:] = kept
 
     def _purge_pieces(self, vm_ids: set[int]) -> None:
         """Drop every live-schedule trace of the given VMs (their

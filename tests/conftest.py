@@ -51,6 +51,20 @@ def make_vm(vm_id: int, start: int, end: int, cpu: float = 1.0,
               interval=TimeInterval(start, end))
 
 
+def book_answers(state, time: int) -> tuple[list, list, list]:
+    """Everything a :class:`~repro.allocators.state.ServerState` can be
+    asked at ``time`` or later: committed usage per tick, probe
+    verdicts and Eq.-17 deltas (as hex) of VMs starting at ``time``,
+    the tick after, and beyond the last busy segment."""
+    last = max(state._busy_ends, default=time)
+    probes = [make_vm(900 + j, start, start + 7, cpu=cpu)
+              for j, start in enumerate((time, time + 1, last + 5))
+              for cpu in (0.9, 6.1)]
+    return ([state._occ.peak(t, t) for t in range(time, time + 40)],
+            [state.probe(probe) for probe in probes],
+            [state.incremental_cost(probe).hex() for probe in probes])
+
+
 @pytest.fixture
 def vm_factory():
     return make_vm

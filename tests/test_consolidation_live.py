@@ -5,6 +5,7 @@ and the live-versus-offline equivalence with the epoch consolidator."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -61,8 +62,9 @@ def fragmented_store(servers=4, *, short_end=8, long_end=200):
 
 
 def planner_states(servers=4, *, short_end=8, long_end=200):
-    """Full-history planning books for the same fragmented fleet (the
-    shape :meth:`ClusterStateStore.consolidate` feeds the planner)."""
+    """Uncompacted planning books for the same fragmented fleet (what
+    the offline pass plans on; :meth:`ClusterStateStore.consolidate`
+    feeds the planner O(live) copies that answer the same)."""
     from repro.model.server import Server
     states, longs = [], []
     vid = 0
@@ -286,6 +288,28 @@ class TestStoreConsolidate:
             PlannedMove.from_record(move.to_record())
             for move in report.moves])
         assert replayed.to_snapshot() == live.to_snapshot()
+
+    @pytest.mark.parametrize("change", [
+        lambda move: {"vm": make_vm(move.vm.vm_id, 1, 200, cpu=2.5,
+                                    memory=4.0)},   # right id only
+        lambda move: {"source_id": move.target_id},
+        lambda move: {"source_id": 9},
+        lambda move: {"source_id": -1},
+    ])
+    def test_bad_replayed_move_raises_before_anything_is_applied(
+            self, change):
+        [good, other] = fragmented_store(4).consolidate(10).moves
+        bad = dataclasses.replace(other, **change(other))
+        store = fragmented_store(4)
+        untouched = fragmented_store(4)
+        untouched.advance_to(10)
+        with pytest.raises(ValidationError, match="is not placed on server"):
+            store.consolidate(10, moves=[good, bad])
+        assert store.to_snapshot() == untouched.to_snapshot()
+        assert store.energy_accumulated == untouched.energy_accumulated
+        assert store.migration_energy == 0.0
+        assert [s.vms for s in store.states] == \
+            [s.vms for s in untouched.states]
 
 
 class TestDaemonConsolidateOp:

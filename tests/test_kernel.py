@@ -155,6 +155,12 @@ class TestProbeEquivalenceProperty:
         assert_rows_match(kernel.probe_fleet(probe), states, probe)
         states[0].remove(make_vm(1, 2, 4, cpu=4.0))
         assert_rows_match(kernel.probe_fleet(probe), states, probe)
+        states[1].place(make_vm(3, 1, 9, cpu=4.0))
+        states[1].cut(make_vm(3, 1, 9, cpu=4.0), 4, make_vm(4, 1, 3, cpu=4.0))
+        assert_rows_match(kernel.probe_fleet(probe), states, probe)
+        # 4 + 9 cu overflowed the big server until the cut freed tick 4 on
+        assert kernel.probe_fleet(make_vm(5, 4, 9, cpu=9.0))[1].feasible
+        assert not kernel.probe_fleet(make_vm(5, 3, 9, cpu=9.0))[1].feasible
 
     def test_foreign_candidate_raises(self):
         states = build_fleet([[]])
@@ -190,6 +196,7 @@ def _long_history_fleet(gamma: int) -> list[ServerState]:
     assert states[0].occupancy_points() >= 1500
     # states[1] stays pristine
     commit(states[2], 2000, -30, -10, 2.0, 3.0)
+    assert states[2]._occ.peak(-30, -10) == (2.0, 3.0)  # booked, not skipped
     commit(states[2], 2001, 4000, 4400, 4.0, 2.0)
     commit(states[3], 2002, 90, 120, 3.0, 6.0)
     commit(states[4], 2003, 8100, 8200, 8.0, 1.0)

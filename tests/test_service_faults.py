@@ -19,6 +19,7 @@ from repro.service import (
     ClusterStateStore,
     FaultEvent,
     FaultInjector,
+    Replacement,
     dump_debug_request,
     fail_server_request,
     place_request,
@@ -122,6 +123,44 @@ class TestStoreFailServer:
             store.recover_server(1)  # not failed
         with pytest.raises(ValidationError):
             store.recover_server(9)  # unknown server
+
+    @pytest.mark.parametrize("bad, sid", [
+        (make_vm(1, 1, 8, cpu=4.0), 0),     # lives on server 1
+        (make_vm(0, 1, 8, cpu=3.0), 0),     # right id, another VM
+        (make_vm(2, 1, 2, cpu=1.0), 0),     # was there, ended at tick 2
+    ])
+    def test_bad_replayed_record_raises_before_anything_is_booked(
+            self, bad, sid):
+        """A replayed episode naming a VM that is not (field for field)
+        a resident of the victim used to fail at that record — after
+        the earlier replacements of the episode were booked. Every
+        record is now checked against the victim's book up front: the
+        clock has moved to the failure tick, nothing else has."""
+        store = ClusterStateStore(Cluster.homogeneous(SPEC, 3))
+        store.commit(make_vm(0, 1, 8, cpu=4.0), 0)
+        store.commit(make_vm(1, 1, 8, cpu=4.0), 1)
+        store.commit(make_vm(2, 1, 2, cpu=1.0), 0)
+        store.advance_to(3)
+        twin = ClusterStateStore.from_snapshot(store.to_snapshot())
+        [good] = twin.fail_server(0, 4).replacements
+        untouched = ClusterStateStore.from_snapshot(store.to_snapshot())
+        untouched.advance_to(4)
+        with pytest.raises(ValidationError, match=f"vm {bad.vm_id} is "
+                           f"not placed on server {sid}"):
+            store.fail_server(sid, 4, replacements=[
+                good, Replacement(vm=bad, head=None, remainder=bad,
+                                  server_id=2)])
+        assert not store.is_failed(0) and store.states[2].is_pristine
+        assert store.clock == 4
+        assert store.to_snapshot() == untouched.to_snapshot()
+        assert store.energy_accumulated == untouched.energy_accumulated
+        assert [s.cost for s in store.states] == \
+            [s.cost for s in untouched.states]
+        # ... and the same episode without the bad record still replays.
+        assert store.fail_server(0, 4, replacements=[good]) \
+            .replacements[0].server_id == good.server_id
+        assert store.placements == twin.placements
+        assert store.energy_accumulated == twin.energy_accumulated
 
     def test_failed_machine_draws_no_power(self):
         store = ClusterStateStore(Cluster.homogeneous(SPEC, 1))

@@ -110,6 +110,18 @@ class TestSpanEmission:
         span = self.assert_span(tracer, "consolidate")
         assert span.args["trace_id"] == "feedc0de" * 2
 
+    def test_consolidate_span_tells_residents_from_history(self):
+        """An episode's cost follows ``residents`` (what the planner
+        was shown), not ``placements`` (how long the log has grown)."""
+        daemon = make_daemon()
+        for i in range(6):      # five retire before the episode
+            daemon.handle(place_request(make_vm(i, 1 + i, 2 + i)))
+        _, tracer = self.handle_traced(daemon, consolidate_request(7))
+        [episode] = [e for e in tracer.events
+                     if e.name == "service.consolidate"]
+        assert (episode.args["residents"],
+                episode.args["placements"]) == (1, 6)
+
     def test_failed_request_span_carries_ok_false(self):
         daemon = make_daemon(n_servers=1)
         daemon.handle(place_request(make_vm(0, 1, 5, cpu=8.0)))

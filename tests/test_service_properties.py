@@ -14,6 +14,13 @@ fleet totals against a scan of the machines, the closed-tick series
 against a twin store that closes ticks by walking the whole fleet
 twice (:class:`TwoWalkStore`, the oracle), and the incrementally
 encoded snapshot text against ``json.dumps(to_snapshot(meta))``.
+
+Slice two holds the planning books to the same standard. A book that
+was cut in place (a migration, a failure) must answer, from the clock
+on, exactly like one rebuilt from the placement log —
+:func:`book_from_log` keeps that rebuild, which the store itself no
+longer runs, as the oracle — and a consolidation plan made on the
+O(live) copies must be the plan made on full-history replicas.
 """
 
 from __future__ import annotations
@@ -23,8 +30,12 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.allocators.state import ServerState
+from repro.energy.cost import server_cost
 from repro.model.cluster import Cluster
+from repro.model.intervals import TimeInterval
 from repro.model.server import ServerSpec
+from repro.model.vm import VM, VMSpec
 from repro.service import (
     AllocationDaemon,
     ClusterStateStore,
@@ -37,7 +48,7 @@ from repro.service import (
 from repro.simulation.power_state import PowerState
 from repro.workload.generator import PoissonWorkload
 
-from conftest import make_vm
+from conftest import book_answers, make_vm
 
 SLOW = settings(max_examples=20, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -190,15 +201,20 @@ OP = st.one_of(
 )
 
 
-def request_for(kind, arg, clock: int, step: int) -> dict:
+def request_for(kind, arg, clock: int, step: int,
+                radius: float = 0.0) -> dict:
     """The wire request of one drawn op. VM ids are ``step * 1000 + j``:
     failure and consolidation splits take ids just above the highest
-    committed one and must not collide with a later step's."""
+    committed one and must not collide with a later step's. ``radius``
+    is the demand uncertainty every VM declares, as a share of its
+    demand (read by a Γ engine only)."""
     def vm(j, shape):
         offset, length, (cpu, memory) = shape
         start = max(1, clock + offset)
-        return make_vm(step * 1000 + j, start, start + length - 1,
-                       cpu=cpu, memory=memory)
+        spec = VMSpec("t", cpu=cpu, memory=memory,
+                      cpu_radius=radius * cpu, mem_radius=radius * memory)
+        return VM(vm_id=step * 1000 + j, spec=spec,
+                  interval=TimeInterval(start, start + length - 1))
     if kind == "place":
         return place_request(vm(0, arg))
     if kind == "place_batch":
@@ -271,6 +287,87 @@ def test_derived_structures_equal_a_recomputation(engine, ops):
     # cold cache: a rebuilt store has kept nothing yet
     rebuilt = ClusterStateStore.from_snapshot(json.loads(text))
     assert rebuilt.snapshot_text({"seq": len(ops)}) == text
+
+
+# -- cut books == books rebuilt from the placement log ------------------------
+
+def book_from_log(store: ClusterStateStore, server_id: int, *,
+                  retire: bool) -> ServerState:
+    """The rebuild the store ran per episode before books were cut in
+    place: every placement this server ever took, re-placed into a
+    fresh book in log order; ``retire`` then forgets what ended before
+    the clock, as the live book has."""
+    book = ServerState(store.states[server_id].server, policy=store.policy,
+                       engine=store.engine_config)
+    mine = [vm for vm, sid in store._placements if sid == server_id]
+    for vm in mine:
+        book.place_trusted(vm)
+    if retire:
+        for vm in mine:
+            if vm.end < store.clock:
+                book.retire(vm, before=store.clock)
+    return book
+
+
+def plan_of(daemon: AllocationDaemon, books) -> list[tuple]:
+    store = daemon.store
+    plan = daemon.planner.plan_episode(books, store.clock,
+                                       store._next_vm_id,
+                                       skip=frozenset(store._dead))
+    return [(m.vm, m.head, m.remainder, m.source_id, m.target_id,
+             m.saving.hex(), m.cost.hex()) for m in plan.moves]
+
+
+def assert_books_answer_like_the_log(daemon: AllocationDaemon) -> None:
+    store = daemon.store
+    clock = store.clock
+    for server_id, book in enumerate(store.states):
+        rebuilt = book_from_log(store, server_id, retire=True)
+        assert [vm.vm_id for vm in book.vms] == \
+            [vm.vm_id for vm in rebuilt.vms]
+        assert book_answers(book, clock) == book_answers(rebuilt, clock)
+        scratch = server_cost(
+            book.server.spec,
+            [vm for vm, sid in store._placements if sid == server_id],
+            policy=store.policy).total
+        assert book.cost == pytest.approx(scratch, rel=1e-12, abs=1e-9)
+    assert store.energy_accumulated == pytest.approx(
+        store.energy_total(), rel=1e-12, abs=1e-9)
+    if clock >= 1:
+        fleet = range(len(store.states))
+        assert plan_of(daemon, [store.states[sid].live_copy(clock)
+                                for sid in fleet]) == \
+            plan_of(daemon, [book_from_log(store, sid, retire=False)
+                             for sid in fleet])
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["indexed", "dense", "indexed:gamma=2"]),
+       st.lists(OP, max_size=25))
+def test_cut_books_answer_like_a_rebuild_from_the_log(
+        tmp_path_factory, engine, ops):
+    data_dir = tmp_path_factory.mktemp("books")
+    store = ClusterStateStore(Cluster.homogeneous(SPEC, SERVERS),
+                              engine=engine)
+    daemon = AllocationDaemon(store, algo_params={"engine": engine},
+                              data_dir=data_dir, snapshot_every=7,
+                              fsync=False)
+    radius = 0.1 if "gamma" in engine else 0.0
+    # Start fragmented and past the first retirements, so that the
+    # drawn episodes have residents to move and heads to leave behind.
+    fragment(daemon)
+    for step, (kind, arg) in enumerate(ops, start=1):
+        daemon.handle(request_for(kind, arg, store.clock, step, radius))
+        assert_books_answer_like_the_log(daemon)
+    # The running sums are rounded as they go; a restore must land on
+    # the same bits, whichever way it rebuilds.
+    costs = [book.cost for book in store.states]
+    del daemon      # hard kill: the journal tail replays
+    for again in (ClusterStateStore.from_snapshot(store.to_snapshot()),
+                  AllocationDaemon.restore(data_dir, fsync=False).store):
+        assert again.energy_accumulated == store.energy_accumulated
+        assert [book.cost for book in again.states] == costs
 
 
 def fragment(daemon: AllocationDaemon) -> None:

@@ -1,16 +1,22 @@
 """Count-based scaling gates for the durable commit path — no stopwatch.
 
-A tick closes over the servers that are awake and a snapshot encodes
-the commits since the previous one; neither may cost what the fleet or
-the history has grown to. Both are pinned by counting the work done —
-``ServerMachine.power_draw`` calls, ``vm_to_record`` calls — so the
-gates repeat exactly on any box.
+A tick closes over the servers that are awake, a snapshot encodes the
+commits since the previous one, and a consolidation episode or a
+failure books what is live; none may cost what the fleet or the history
+has grown to. All are pinned by counting the work done —
+``ServerMachine.power_draw`` calls, ``vm_to_record`` calls, book
+placements and the sizes handed to ``merge_intervals`` / ``server_cost``
+— so the gates repeat exactly on any box.
 """
 
 from __future__ import annotations
 
 import json
 
+import pytest
+
+from repro.allocators import state as book_module
+from repro.allocators.state import ServerState
 from repro.model.cluster import Cluster
 from repro.service import AllocationDaemon, ClusterStateStore, place_request
 from repro.service import state as state_module
@@ -79,3 +85,52 @@ def test_periodic_snapshot_encodes_only_the_commits_since(
         assert written == json.dumps(store.to_snapshot(daemon._meta(seq)))
         assert len(json.loads(written)["placements"]) == n * every
         encoded[0] = 0
+
+
+def _sizing(monkeypatch, owner, name: str) -> list[int]:
+    """Record in ``largest[0]`` the largest collection ``owner.name``
+    is handed (as its last positional argument) from here on."""
+    largest = [0]
+    wrapped = getattr(owner, name)
+
+    def sized(*args, **kwargs):
+        items = list(args[-1])
+        largest[0] = max(largest[0], len(items))
+        return wrapped(*args[:-1], items, **kwargs)
+    monkeypatch.setattr(owner, name, sized)
+    return largest
+
+
+def test_an_episode_and_a_failure_cost_what_is_live(monkeypatch):
+    servers, history = 30, 3000
+    store = ClusterStateStore(Cluster.paper_all_types(servers))
+    for i in range(history):        # 100 short VMs per server, all gone
+        store.advance_to(1 + i // servers * 3)
+        store.commit(make_vm(i, store.clock, store.clock + 1), i % servers)
+    store.advance_to(store.clock + 5)
+    start = store.clock
+    for sid in range(servers):      # one long light VM on every server
+        store.commit(make_vm(history + sid, start, start + 400), sid)
+    store.advance_to(start + 10)
+    live = sum(len(book.vms) for book in store.states)
+    assert live == servers <= 40 and store.placement_count() >= history
+    fullest = max(len(book.vms) for book in store.states)
+
+    booked = _counting(monkeypatch, ServerState, "place_trusted")
+    merged = _sizing(monkeypatch, book_module, "merge_intervals")
+    costed = _sizing(monkeypatch, book_module, "server_cost")
+    report = store.consolidate()
+    assert report.migrations >= 1
+    # ``place`` books through ``place_trusted``: every booking counts.
+    assert booked[0] <= 3 * live + report.migrations    # parent: > 3000
+    fullest = max(fullest, max(len(book.vms) for book in store.states))
+
+    booked[0] = 0
+    victim = max(range(servers), key=lambda sid: len(store.states[sid].vms))
+    failure = store.fail_server(victim)
+    assert failure.killed >= 1 and len(failure.replacements) >= 2
+    assert booked[0] <= 3 * live    # parent: the victim's whole history
+    assert merged[0] <= fullest and costed[0] <= fullest
+    store.run_to_completion()
+    assert store.energy_accumulated == pytest.approx(store.energy_total(),
+                                                     rel=1e-12)

@@ -14,9 +14,12 @@ from repro.allocators.state import ServerState
 from repro.energy.cost import SleepPolicy, server_cost
 from repro.exceptions import CapacityError
 from repro.model.intervals import TimeInterval
+from repro.model.phases import DemandPhase, PhasedVM
 from repro.model.server import Server, ServerSpec
+from repro.model.vm import VM, VMSpec
+from repro.simulation.recovery import split_remainder
 
-from conftest import make_vm
+from conftest import book_answers, make_vm
 
 SPEC = ServerSpec("s", cpu_capacity=10.0, memory_capacity=10.0,
                   p_idle=50.0, p_peak=100.0, transition_time=1.0)
@@ -58,6 +61,41 @@ class TestFits:
         state = new_state()
         state.place(make_vm(0, 1, 5, cpu=1.0, memory=8.0))
         assert not state.probe(make_vm(1, 2, 3, cpu=1.0, memory=3.0)).feasible
+
+    @pytest.mark.parametrize("book", [ServerState.place,
+                                      ServerState.place_trusted])
+    def test_capacity_holds_before_tick_zero(self, book):
+        state = new_state()
+        book(state, make_vm(0, -30, -10, cpu=6.0))
+        assert state._occ.peak(-30, -10) == (6.0, 1.0)
+        assert not state.probe(make_vm(1, -20, -15, cpu=6.0)).feasible
+        with pytest.raises(CapacityError):
+            state.place(make_vm(1, -20, -15, cpu=6.0))
+        assert state.probe(make_vm(1, -9, -1, cpu=6.0)).feasible
+
+    def test_capacity_holds_across_tick_zero(self):
+        state = new_state()
+        state.place(make_vm(0, -5, 5, cpu=6.0))
+        for start, end in [(-5, -3), (-1, 0), (0, 0), (3, 5)]:
+            assert not state.probe(make_vm(1, start, end, cpu=6.0)).feasible
+        assert state.probe(make_vm(1, 6, 9, cpu=6.0)).feasible
+
+    @pytest.mark.parametrize("engine", ["indexed", "indexed:gamma=2"])
+    def test_remove_frees_what_place_booked_at_any_sign(self, engine):
+        state = ServerState(Server(0, SPEC), engine=engine)
+        phased = PhasedVM.from_phases(0, -6, [DemandPhase(4, 6.0, 1.0),
+                                              DemandPhase(8, 3.0, 2.0)])
+        wide = VM(vm_id=1, spec=VMSpec("r", cpu=2.0, memory=1.0,
+                                       cpu_radius=1.0, mem_radius=0.5),
+                  interval=TimeInterval(-8, 4))
+        state.place(phased)
+        state.place(wide)
+        assert state._occ.peak(-6, -3) == (8.0, 2.0)
+        assert state._occ.peak(-2, 4) == (5.0, 3.0)
+        state.remove(phased)
+        state.remove(wide)
+        assert state.occupancy_points() == 0
+        assert state.probe(make_vm(2, -8, 5, cpu=10.0, memory=10.0)).feasible
 
 
 class TestPlace:
@@ -166,3 +204,140 @@ class TestIncrementalCostOracle:
         vm = make_vm(1, 1, 2, cpu=1.0)
         expected = 5 * 1 * 2 + 100 + 100
         assert state.incremental_cost(vm) == pytest.approx(expected)
+
+
+# -- the cut: a resident stops at tick t - 1 ---------------------------------
+
+#: Not dyadic rationals: float sums over them show their order.
+ODD_SPEC = ServerSpec("odd", cpu_capacity=10.0, memory_capacity=10.0,
+                      p_idle=51.3, p_peak=103.9, transition_time=1.0)
+CUT_KINDS = ("plain", "phased", "gamma")
+BOOK = st.lists(st.tuples(st.integers(1, 40), st.integers(0, 25),
+                          st.sampled_from([1.1, 2.3, 3.7])),
+                min_size=1, max_size=9)
+
+
+def cut_vm(kind: str, vm_id: int, start: int, end: int, cpu: float):
+    if kind == "phased" and end > start:
+        first = (end - start + 1) // 2
+        return PhasedVM.from_phases(vm_id, start, [
+            DemandPhase(first, cpu, 1.0),
+            DemandPhase(end - start + 1 - first, cpu / 2, 0.7)])
+    radius = 0.3 * cpu if kind == "gamma" else 0.0
+    return VM(vm_id=vm_id,
+              spec=VMSpec("t", cpu=cpu, memory=1.0, cpu_radius=radius,
+                          mem_radius=radius / 4),
+              interval=TimeInterval(start, end))
+
+
+def cut_book(kind: str, shapes) -> ServerState:
+    state = ServerState(
+        Server(0, ODD_SPEC),
+        engine="indexed:gamma=2" if kind == "gamma" else "indexed")
+    for i, (start, length, cpu) in enumerate(shapes):
+        vm = cut_vm(kind, i, start, start + length, cpu)
+        if state.probe(vm):
+            state.place_trusted(vm)
+    return state
+
+
+def compacted(kind: str, shapes, time: int) -> ServerState:
+    """The book as a live store carries it at tick ``time``: every
+    resident that ended was retired when its last tick closed."""
+    state = cut_book(kind, shapes)
+    for vm in sorted(state.vms, key=lambda v: v.end):
+        if vm.end < time:
+            state.retire(vm, before=vm.end)
+    return state
+
+
+class TestCut:
+    @pytest.mark.parametrize("kind", CUT_KINDS)
+    @settings(max_examples=60, deadline=None)
+    @given(shapes=BOOK, time=st.integers(2, 60), pick=st.integers(0, 8))
+    def test_stay_put_price_is_the_swapped_book_price(
+            self, kind, shapes, time, pick):
+        book = cut_book(kind, shapes)
+        spanning = [vm for vm in book.vms if vm.start < time <= vm.end]
+        if not spanning:
+            return
+        piece = spanning[pick % len(spanning)]
+        head, remainder, _ = split_remainder(piece, time, 500)
+        before = (list(book.vms), book.busy_segments(), book.cost)
+        price = book.incremental_cost_swapped(remainder, without=piece,
+                                              time=time)
+        assert (list(book.vms), book.busy_segments(), book.cost) == before
+        twin = cut_book(kind, shapes)
+        twin.remove(piece)
+        twin.place_trusted(head)
+        assert price.hex() == twin.incremental_cost(remainder).hex()
+        # ... and a book that forgot its past prices it the same.
+        live = compacted(kind, shapes, time)
+        assert live.incremental_cost_swapped(
+            remainder, without=piece, time=time).hex() == price.hex()
+
+    @pytest.mark.parametrize("kind", CUT_KINDS)
+    @settings(max_examples=60, deadline=None)
+    @given(shapes=BOOK, time=st.integers(2, 60), pick=st.integers(0, 8))
+    def test_cut_answers_like_remove_then_place_the_head(
+            self, kind, shapes, time, pick):
+        twin = cut_book(kind, shapes)
+        running = [vm for vm in twin.vms if vm.end >= time]
+        if not running:
+            return
+        piece = running[pick % len(running)]    # started or not
+        head, _, _ = split_remainder(piece, time, 500)
+        live = compacted(kind, shapes, time)
+        old_cost = live.cost
+        decrease = live.cut(piece, time, head)
+        expected = twin.remove(piece)
+        if head is not None:
+            expected -= twin.place_trusted(head)
+        assert decrease == pytest.approx(expected, rel=1e-12, abs=1e-9)
+        assert live.cost == pytest.approx(twin.cost, rel=1e-12, abs=1e-9)
+        assert live.cost == pytest.approx(old_cost - decrease, abs=1e-9)
+        assert live.vms == [vm for vm in twin.vms
+                            if vm.end >= time or vm is head]
+        assert book_answers(live, time) == book_answers(twin, time)
+        # The O(live) twin: heads dropped, the same prices, and the
+        # occupancy of a book that never held the piece — no residue
+        # of the subtraction.
+        copy = live.live_copy(time)
+        assert copy.cost == live.cost
+        assert copy.vms == [vm for vm in live.vms if vm.end >= time]
+        never = ServerState(live.server, engine=live.engine_config)
+        for vm in copy.vms:
+            never.place_trusted(vm)
+        usage, verdicts, prices = book_answers(copy, time)
+        assert (usage, verdicts) == book_answers(never, time)[:2]
+        assert prices == book_answers(live, time)[2]
+
+    def test_cut_to_nothing_gives_back_the_wake(self):
+        state = ServerState(Server(0, ODD_SPEC))
+        vm = make_vm(0, 10, 20, cpu=2.3)
+        paid = state.place(vm)
+        assert state.cut(vm, 5) == pytest.approx(paid, rel=1e-12)
+        assert state.cost == 0.0 and state.is_pristine
+        assert state.occupancy_points() == 0
+        assert state.place(vm) == paid      # alpha is charged again
+
+    def test_cut_of_the_last_resident_keeps_the_spent_head(self):
+        state = ServerState(Server(0, SPEC))
+        vm = make_vm(0, 1, 10, cpu=2.0)
+        state.place(vm)
+        head, _, _ = split_remainder(vm, 5, 100)
+        # run 5*2*6 = 60 and busy idle 50*6 = 300 leave; the wake stays
+        assert state.cut(vm, 5, head) == pytest.approx(360.0)
+        assert state.vms == [head]
+        assert state.busy_segments() == [TimeInterval(1, 4)]
+        assert state.cost == pytest.approx(
+            server_cost(SPEC, [head]).total)
+
+    def test_cut_rejects_a_stranger(self):
+        state = ServerState(Server(0, SPEC))
+        state.place(make_vm(0, 1, 10))
+        with pytest.raises(CapacityError):
+            state.cut(make_vm(1, 1, 10), 5)
+        with pytest.raises(CapacityError):
+            state.incremental_cost_swapped(
+                make_vm(2, 5, 10), without=make_vm(1, 1, 10), time=5)
