@@ -204,15 +204,6 @@ class Allocator(abc.ABC):
 
     # -- probing -------------------------------------------------------------
 
-    def admissible(self, vm: VM, state: ServerState) -> bool:
-        """Capacity feasibility plus any active placement constraints."""
-        if not state.probe(vm):
-            return False
-        if self._constraints is None:
-            return True
-        return self._constraints.allows(
-            vm.vm_id, state.server.server_id, self._placed_ids)
-
     def inadmissible_reason(self, vm: VM, state: ServerState) -> str | None:
         """Why ``state`` cannot host ``vm`` (``None`` when it can)."""
         reason = state.probe(vm).reason
@@ -434,12 +425,12 @@ class Allocator(abc.ABC):
 
         Called once per fleet before any placement. The index is only
         built for the indexed engine; the dense oracle path scans
-        plainly. When the :class:`EngineConfig` enables the batch
-        kernel, the index also builds the
-        :class:`~repro.placement.kernels.FleetKernel` over the fleet's
-        skylines and its incremental per-type candidate queues; both
-        stay in sync through the state watcher protocol, so repeated
-        fleet rebuilds re-run this cheaply.
+        plainly. The index keeps incremental per-type candidate queues
+        and, when the :class:`EngineConfig` enables the batch kernel,
+        builds the :class:`~repro.placement.kernels.FleetKernel` over
+        the fleet's skylines; both stay in sync through the state
+        watcher protocol, so repeated fleet rebuilds re-run this
+        cheaply.
         """
         if states and states[0].engine == "indexed":
             self._index = CandidateIndex(

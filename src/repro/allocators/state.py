@@ -194,8 +194,8 @@ class ServerState:
         """Eq.-17 delta of busying ``iv`` here, excluding run cost.
 
         The non-run share of :meth:`incremental_cost` (extra busy
-        idle-power, gap-cost changes, wake-ups); public so fused
-        selection loops can cache the run term per server type.
+        idle-power, gap-cost changes, wake-ups); public so min-energy's
+        walk can cache the run term per server type.
         """
         spec, policy = self.server.spec, self.policy
         lo, hi = self._affected_range(iv)
@@ -491,7 +491,8 @@ class ServerState:
 
         Pristine servers of the same spec are interchangeable for
         placement — identical probe verdicts and identical incremental
-        cost — which the fused min-energy scan exploits.
+        cost — so the candidate index queues them apart and min-energy
+        probes one per type.
         """
         return not self.vms and not self._busy_starts
 

@@ -68,10 +68,11 @@ class EngineConfig:
         Occupancy backend: ``"indexed"`` (sparse skyline, the default)
         or ``"dense"`` (numpy timeline oracle).
     kernel:
-        Whether the index keeps its incremental candidate queues and
-        all-candidate scans use the fleet-probe kernel
-        (:class:`~repro.placement.kernels.FleetKernel`). ``None`` means
-        the engine default — on for ``"indexed"``, and necessarily off
+        Who probes: whether a fleet-probe kernel
+        (:class:`~repro.placement.kernels.FleetKernel`) is built for
+        the scans that batch their probes. Off means scalar probes
+        only — same scans, decisions and counters. ``None`` means the
+        engine default — on for ``"indexed"``, and necessarily off
         for ``"dense"`` (the kernel mirrors skylines). Explicitly
         requesting ``kernel=True`` on the dense engine is an error.
     robustness:
@@ -186,7 +187,7 @@ class EngineConfig:
 
     @classmethod
     def coerce(cls, value: "EngineConfig | str | None", *,
-               warn: bool = True, stacklevel: int = 3) -> "EngineConfig":
+               warn: bool = True) -> "EngineConfig":
         """Normalize a constructor's ``engine`` argument.
 
         ``None`` means the default config; an :class:`EngineConfig`

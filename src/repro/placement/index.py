@@ -10,20 +10,20 @@ once per type instead of once per server. :class:`CandidateIndex` groups a
   deterministic tie-breaking are untouched;
 * look up per-spec admission (:meth:`spec_admits`) for allocators with
   their own scan order (ffps, round-robin, power-aware);
-* recognise *pristine* servers (never hosted anything): all pristine
-  servers of one spec are interchangeable, which lets min-energy probe one
-  representative instead of hundreds of identical empty machines.
+* walk, per admissible type, the position queues of its *busy* and
+  *pristine* servers (:meth:`groups_for`) — sorted by fleet position
+  and updated in place on every commit / retire / remove through the
+  ``ServerState`` watcher protocol. A type's Eq.-2/3 run cost
+  lower-bounds every candidate in its queues, so a scan drops them whole.
+  Pristine servers (never hosted anything) of one spec are
+  interchangeable, which lets min-energy probe one representative
+  instead of hundreds of identical empty machines.
 
-Incremental since the fleet-probe kernel landed: with ``kernel=True`` the
-index maintains, per server type, sorted position queues of the *busy*
-and *pristine* servers — ordered by fleet position and keyed by the
-type's cached run-power rate, the Eq.-2/3 lower bound on any candidate's
-incremental cost. The queues are updated in place on every commit /
-retire / remove through the ``ServerState`` watcher protocol instead of
-being rebuilt per fleet change, and the index owns the
+``kernel=True`` additionally builds the
 :class:`~repro.placement.kernels.FleetKernel` that batch-probes
-candidates. ``kernel=False`` reproduces the pre-kernel index exactly
-(static grouping only, scalar scans).
+candidates, and the position arrays :meth:`candidate_positions` hands
+it; ``kernel=False`` means scalar probes only — same queues, same
+decisions.
 
 The index is bound to the exact ``states`` list it was built from
 (:meth:`covers` is an identity check); callers fall back to a plain scan
@@ -52,16 +52,15 @@ class SpecGroup:
     ``busy`` and ``pristine`` partition the type's fleet positions:
     pristine servers (no VMs, no busy history) are interchangeable for
     placement, so scans probe one representative; busy servers must each
-    be probed. ``rate`` is the type's run-power per cpu unit — the
-    cached energy lower bound (``run = rate * cpu_time``) the min-energy
-    walk prunes whole queues with.
+    be probed. The run cost of a VM on ``spec`` lower-bounds its
+    incremental cost on any of them, so the min-energy walk prunes whole
+    queues with it.
     """
 
-    __slots__ = ("spec", "rate", "busy", "pristine")
+    __slots__ = ("spec", "busy", "pristine")
 
     def __init__(self, spec: object) -> None:
         self.spec = spec
-        self.rate = float(spec.power_per_cpu_unit)
         self.busy: list[int] = []
         self.pristine: list[int] = []
 
@@ -69,46 +68,39 @@ class SpecGroup:
 class CandidateIndex:
     """Spec-grouped view of one fleet's ``ServerState`` list."""
 
-    __slots__ = ("_states", "_spec_ids", "_specs", "_pos", "kernel",
-                 "_groups", "_is_pristine", "_spec_positions",
-                 "_all_positions", "__weakref__")
+    __slots__ = ("_states", "_spec_ids", "_pos", "kernel", "_groups",
+                 "_is_pristine", "_spec_positions", "_all_positions",
+                 "__weakref__")
 
     def __init__(self, states: Sequence["ServerState"], *,
                  kernel: bool = False) -> None:
         # Bound by identity: `covers` compares with `is`, not `==`.
         self._states = states
         self._spec_ids = [id(st.server.spec) for st in states]
+        self._pos = {id(st): i for i, st in enumerate(states)}
+        self._is_pristine = [st.is_pristine for st in states]
         #: distinct specs by identity, insertion-ordered
-        self._specs = {}
-        for st in states:
-            spec = st.server.spec
-            self._specs.setdefault(id(spec), spec)
-        #: the batch-probe kernel (indexed engine with the kernel on)
+        self._groups: dict[int, SpecGroup] = {}
+        for i, st in enumerate(states):
+            key = self._spec_ids[i]
+            group = self._groups.get(key)
+            if group is None:
+                group = self._groups[key] = SpecGroup(st.server.spec)
+            (group.pristine if self._is_pristine[i]
+             else group.busy).append(i)
+            st.add_watcher(self)
+        #: the batch-probe kernel (``None``: scalar probes only)
         self.kernel: "FleetKernel | None" = None
-        self._groups: dict[int, SpecGroup] | None = None
         if kernel and states:
             from repro.placement.kernels import FleetKernel
 
-            self._pos = {id(st): i for i, st in enumerate(states)}
-            self._is_pristine = [st.is_pristine for st in states]
-            groups: dict[int, SpecGroup] = {}
-            for i, st in enumerate(states):
-                key = self._spec_ids[i]
-                group = groups.get(key)
-                if group is None:
-                    group = groups[key] = SpecGroup(st.server.spec)
-                (group.pristine if self._is_pristine[i]
-                 else group.busy).append(i)
-            self._groups = groups
             self._spec_positions = {
                 key: np.fromiter(
                     (i for i, k in enumerate(self._spec_ids) if k == key),
                     dtype=np.intp)
-                for key in self._specs}
+                for key in self._groups}
             self._all_positions = np.arange(len(states), dtype=np.intp)
             self.kernel = FleetKernel(states)
-            for st in states:
-                st.add_watcher(self)
 
     def covers(self, states: Sequence["ServerState"]) -> bool:
         """Whether this index was built from exactly this ``states`` list."""
@@ -145,8 +137,9 @@ class CandidateIndex:
     def spec_admits(self, vm: "VM") -> dict[int, bool]:
         """``id(spec) -> can this server type ever host vm`` (static caps)."""
         cpu, mem = vm.cpu, vm.memory
-        return {key: not (cpu > spec.cpu_capacity or mem > spec.memory_capacity)
-                for key, spec in self._specs.items()}
+        return {key: not (cpu > group.spec.cpu_capacity
+                          or mem > group.spec.memory_capacity)
+                for key, group in self._groups.items()}
 
     def candidates(self, vm: "VM") -> Sequence["ServerState"]:
         """Statically-admissible servers in fleet order.
@@ -163,8 +156,8 @@ class CandidateIndex:
     def candidate_positions(self, vm: "VM") -> np.ndarray:
         """Fleet positions of the admissible candidates, in fleet order.
 
-        Kernel-mode only. The all-admitted case returns a cached
-        ``arange`` — no per-VM allocation.
+        Built with the kernel only. The all-admitted case returns a
+        cached ``arange`` — no per-VM allocation.
         """
         admits = self.spec_admits(vm)
         if all(admits.values()):
@@ -175,11 +168,8 @@ class CandidateIndex:
             return np.empty(0, dtype=np.intp)
         return np.sort(np.concatenate(keep))
 
-    def groups_for(self, vm: "VM") -> list[SpecGroup] | None:
-        """The admissible types' candidate queues (``None`` without the
-        kernel structures — callers run their scalar scan)."""
-        if self._groups is None:
-            return None
+    def groups_for(self, vm: "VM") -> list[SpecGroup]:
+        """The admissible types' candidate queues."""
         admits = self.spec_admits(vm)
         return [group for key, group in self._groups.items()
                 if admits[key]]

@@ -10,7 +10,8 @@ and ``min-energy``'s queued walk for what is left of its busy queues
 once 16 servers have refused the VM (dense streams); walks that stop
 early (the first-fit family) or end by lower-bound pruning
 (``min-energy`` on sparse streams) probe scalar, one ``O(log k)``
-``ServerState.probe`` at a time.
+``ServerState.probe`` at a time. ``kernel=off`` builds no kernel: the
+same scans probe scalar throughout and decide the same.
 
 Layout
 ------
@@ -234,6 +235,9 @@ class FleetKernel:
     def __len__(self) -> int:
         return len(self._states)
 
+    def state_at(self, position: int) -> "ServerState":
+        return self._states[position]
+
     # -- watcher protocol --------------------------------------------------
 
     def server_state_changed(self, state: "ServerState") -> None:
@@ -241,24 +245,6 @@ class FleetKernel:
         pos = self._pos.get(id(state))
         if pos is not None:
             self._dirty.add(pos)
-
-    # -- positions ---------------------------------------------------------
-
-    def positions_of(self, states: Sequence["ServerState"]
-                     ) -> np.ndarray | None:
-        """Kernel rows of ``states`` in order; ``None`` if any state is
-        not part of this fleet (callers fall back to scalar probes)."""
-        pos = self._pos
-        out = np.empty(len(states), dtype=np.intp)
-        for i, state in enumerate(states):
-            row = pos.get(id(state))
-            if row is None:
-                return None
-            out[i] = row
-        return out
-
-    def state_at(self, position: int) -> "ServerState":
-        return self._states[position]
 
     # -- sync --------------------------------------------------------------
 
@@ -289,26 +275,21 @@ class FleetKernel:
 
     # -- probing -----------------------------------------------------------
 
-    def probe_fleet(self, vm: "VM",
-                    candidates: Sequence["ServerState"] | np.ndarray
-                    | None = None) -> FeasibilityBatch:
+    def probe_fleet(self, vm: "VM", candidates: np.ndarray | None = None
+                    ) -> FeasibilityBatch:
         """Probe ``vm`` against many servers in one windowed pass.
 
         ``candidates`` selects the probed rows: ``None`` sweeps the
-        whole fleet, an integer array names kernel positions directly,
-        and a sequence of states is mapped by identity. The returned
-        :class:`FeasibilityBatch` is in candidate order and each row
-        equals the scalar ``ServerState.probe`` verdict bit for bit.
+        whole fleet, an integer array names kernel positions. The
+        returned :class:`FeasibilityBatch` is in candidate order and
+        each row equals the scalar ``ServerState.probe`` verdict bit
+        for bit.
         """
         self.sync()
         if candidates is None:
             rows = np.arange(len(self._states), dtype=np.intp)
-        elif isinstance(candidates, np.ndarray):
-            rows = candidates.astype(np.intp, copy=False)
         else:
-            rows = self.positions_of(candidates)
-            if rows is None:
-                raise KeyError("probe_fleet: candidate outside this fleet")
+            rows = candidates.astype(np.intp, copy=False)
         robust = self._robust is not None
         cpu_cap = self._cpu_cap[rows]
         mem_cap = self._mem_cap[rows]

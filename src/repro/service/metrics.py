@@ -488,8 +488,8 @@ class ServiceMetrics:
         family("repro_vms_placed", "gauge",
                "VMs committed to the plan since daemon start.",
                [("", float(store.placement_count()))])
-        family("repro_energy_accumulated_watt_ticks", "counter",
-               "Analytic Eq.-17 energy accumulated over all placements.",
+        family("repro_energy_accumulated_watt_ticks", "gauge",
+               "Analytic Eq.-17 energy of the plan; cut placements lower it.",
                [("", store.energy_accumulated)])
         family("repro_busy_energy_watt_ticks", "counter",
                "Integrated live fleet power over closed ticks.",

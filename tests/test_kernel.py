@@ -167,7 +167,7 @@ class TestProbeEquivalenceProperty:
         kernel = FleetKernel(states)
         stranger = ServerState(Server(9, SPEC_BIG))
         with pytest.raises(KeyError):
-            kernel.probe_fleet(make_vm(0, 0, 1), [stranger])
+            kernel.probe_one(stranger, make_vm(0, 0, 1))
 
 
 # -- long histories: work follows the probe's window, not the fleet ---------

@@ -332,6 +332,30 @@ class TestExposition:
         assert by_le["0.0025"] == 1.0  # the 2 ms episode
         assert by_le["+Inf"] == 2.0
 
+    def test_no_counter_falls_across_a_consolidation(self):
+        # A profitable episode (like a failure) lowers the store's
+        # running Eq.-17 total; Prometheus reads a falling counter as a
+        # reset, so that family is a gauge.
+        from repro.service import (AllocationDaemon, consolidate_request,
+                                   place_request)
+        from repro.workload.generator import generate_vms
+
+        store = ClusterStateStore(Cluster.paper_all_types(24))
+        daemon = AllocationDaemon(store, algorithm="first-fit")
+        for vm in sorted(generate_vms(200, 1.0, 20.0, seed=18),
+                         key=lambda v: (v.start, v.end, v.vm_id)):
+            assert daemon.handle(place_request(vm))["ok"]
+        before = conformant_families(daemon.render_metrics())
+        assert daemon.handle(consolidate_request())["migrations"] > 0
+        after = conformant_families(daemon.render_metrics())
+        name = "repro_energy_accumulated_watt_ticks"
+        assert after[name]["type"] == "gauge"
+        assert after[name]["samples"][0][2] < before[name]["samples"][0][2]
+        for name, family in before.items():
+            if family["type"] == "counter":
+                assert all(now[2] >= then[2] for then, now in zip(
+                    family["samples"], after[name]["samples"])), name
+
     def test_replayed_episode_skips_the_duration_histogram(self):
         metrics = ServiceMetrics()
         metrics.observe_consolidation(moves=1, servers_freed=0,

@@ -12,8 +12,10 @@ A third backstops what the store derives instead of recomputing —
 interleavings of every mutating op: the awake set and the integer
 fleet totals against a scan of the machines, the closed-tick series
 against a twin store that closes ticks by walking the whole fleet
-twice (:class:`TwoWalkStore`, the oracle), and the incrementally
-encoded snapshot text against ``json.dumps(to_snapshot(meta))``.
+twice (:class:`TwoWalkStore`, the oracle), the incrementally
+encoded snapshot text against ``json.dumps(to_snapshot(meta))``, and
+(slice three) the allocator's candidate queues and kernel planes
+against a partition of the scan list and the skylines they mirror.
 
 Slice two holds the planning books to the same standard. A book that
 was cut in place (a migration, a failure) must answer, from the clock
@@ -26,9 +28,11 @@ O(live) copies must be the plan made on full-history replicas.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
+from itertools import accumulate
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.allocators.state import ServerState
 from repro.energy.cost import server_cost
@@ -261,21 +265,69 @@ def assert_text_is_the_document(store: ClusterStateStore, meta) -> str:
     return text
 
 
+def assert_index_matches_the_scan_list(daemon: AllocationDaemon) -> None:
+    """The candidate queues are the scan list partitioned by server type
+    and ``is_pristine``, in ascending position; the kernel, where one was
+    built, holds every skyline verbatim, row after row."""
+    index = daemon.allocator._index
+    engine = daemon.allocator.engine_config
+    assert (index is None) == (engine.engine == "dense")
+    if index is None:
+        return
+    live = daemon._live
+    assert index.covers(live)
+    queues: dict[int, tuple[list[int], list[int]]] = {}
+    for pos, book in enumerate(live):
+        busy, pristine = queues.setdefault(id(book.server.spec), ([], []))
+        (pristine if book.is_pristine else busy).append(pos)
+    assert {key: (group.busy, group.pristine)
+            for key, group in index._groups.items()} == queues
+    kernel = index.kernel
+    assert (kernel is None) == (not engine.use_kernel)
+    if kernel is None:
+        return
+    kernel.sync()
+    rows = [book._occ.export_rows() if engine.active_robustness is None
+            else book._occ.export_robust_rows() for book in live]
+    assert kernel._off.tolist() == \
+        list(accumulate((len(row[0]) for row in rows), initial=0))
+    assert kernel._keys.tolist() == \
+        [(pos << 40) + (1 << 39) + x
+         for pos, row in enumerate(rows) for x in row[0]]
+    assert len(kernel._planes) == len(rows[0]) - 1
+    for i, plane in enumerate(kernel._planes, start=1):
+        assert plane.tolist() == [value for row in rows for value in row[i]]
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(st.sampled_from(["indexed", "dense"]), st.lists(OP, max_size=25))
+@given(st.sampled_from(["indexed", "indexed:kernel=off", "indexed:gamma=2",
+                        "dense"]),
+       st.lists(OP, max_size=25))
+# A recovered server comes back pristine at a position *below* a busy
+# one of its type: the next commit must insert, not append.
+@example("indexed:kernel=off",
+         [("place", (0, 9, HEAVY))] * 3 + [("fail_server", 0),
+                                          ("recover_server", 0),
+                                          ("place", (0, 9, HEAVY))])
 def test_derived_structures_equal_a_recomputation(engine, ops):
-    cluster = Cluster.homogeneous(SPEC, SERVERS)
-    daemon = AllocationDaemon(ClusterStateStore(cluster, engine=engine))
-    twin = AllocationDaemon(TwoWalkStore(cluster, engine=engine))
+    # Two server types with equal numbers: the books, the energy and the
+    # tick series are a homogeneous fleet's, the index keeps two groups.
+    cluster = Cluster.mixed([SPEC, replace(SPEC, name="s2")], SERVERS)
+    daemon = AllocationDaemon(ClusterStateStore(cluster, engine=engine),
+                              algo_params={"engine": engine})
+    twin = AllocationDaemon(TwoWalkStore(cluster, engine=engine),
+                            algo_params={"engine": engine})
     store = daemon.store
+    radius = 0.1 if "gamma" in engine else 0.0
     for step, (kind, arg) in enumerate(ops):
-        request = request_for(kind, arg, store.clock, step)
+        request = request_for(kind, arg, store.clock, step, radius)
         response = daemon.handle(request)
         # Refusals (a dead server failed again, a full fleet) are part
         # of the interleaving; the oracle must refuse the same way.
         assert twin.handle(request)["ok"] == response["ok"]
         assert_aggregates_match_a_scan(store)
+        assert_index_matches_the_scan_list(daemon)
         assert closed_ticks(store) == closed_ticks(twin.store)  # floats ==
         # warm cache: every call but the first extends the kept text
         assert_text_is_the_document(store, {"seq": step})
