@@ -3,17 +3,28 @@
 All algorithms in the paper's evaluation share the same outer loop
 (Sec. III / IV-A): VMs are processed **in increasing order of their starting
 time**, and for each VM the algorithm chooses one server among those with
-sufficient spare CPU and memory throughout the VM's interval. Subclasses
-implement only the selection rule: :meth:`Allocator.choose` among the
-admissible servers, or a :meth:`Allocator._select` that hands a scan
-order to :meth:`Allocator._first_admissible` (a scalar short-circuit
-walk) or a score to :meth:`Allocator._best_scored` (which owns the
-kernel-or-scalar branch) — the two walks that own the counter rules.
+sufficient spare CPU and memory throughout the VM's interval. A subclass
+states only its selection rule, once, as one of three declarations:
 
-Feasibility goes through :meth:`Allocator._examine`, which wraps
-``ServerState.probe`` and maintains the ``candidates_evaluated`` /
-``candidates_feasible`` counters — *probes performed* and *admissible
-probes* — uniformly for every algorithm, so the service's candidate-count
+* a **scan key** (:attr:`Allocator.scan_key`) — first fit along the
+  servers sorted by it (:meth:`Allocator._first_admissible`, a scalar
+  short-circuit walk);
+* a **score** (:attr:`Allocator.score`) — one vectorized rating of a
+  :class:`~repro.placement.kernels.FeasibilityBatch`, lowest admissible
+  row wins (:meth:`Allocator._best_scored`);
+* a :meth:`Allocator.choose` among all the admissible servers.
+
+``_select``, ``choose``, ``candidate_score`` and the explain scores are
+derived from the declaration here; an allocator whose rule is a walk of
+its own (min-energy's queues, round robin's cursor) overrides
+``_select``. Whatever needs a verdict for every candidate reads one
+batch from :meth:`Allocator._probe_batch` — the only place that knows
+whether the fleet kernel or a loop of scalar probes filled it.
+
+The ``candidates_evaluated`` / ``candidates_feasible`` counters — *probes
+performed* and *admissible probes* — are kept by :meth:`Allocator._examine`
+(one scalar probe) and :meth:`Allocator._admissible_rows` (one batch) and
+mean the same for every algorithm, so the service's candidate-count
 histogram compares like with like across allocators.
 
 Allocators are deterministic given their ``seed``; randomized strategies
@@ -26,8 +37,6 @@ per-algorithm parameters by name.
 
 from __future__ import annotations
 
-import abc
-import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -49,12 +58,12 @@ from repro.obs.tracer import get_tracer
 from repro.placement.config import EngineConfig
 from repro.placement.feasibility import Feasibility
 from repro.placement.index import CandidateIndex
-from repro.placement.kernels import FeasibilityBatch, FleetKernel
+from repro.placement.kernels import FeasibilityBatch
 
 __all__ = ["Allocator"]
 
 
-class Allocator(abc.ABC):
+class Allocator:
     """Base class for all allocation algorithms.
 
     Parameters (keyword-only)
@@ -204,24 +213,15 @@ class Allocator(abc.ABC):
 
     # -- probing -------------------------------------------------------------
 
-    def inadmissible_reason(self, vm: VM, state: ServerState) -> str | None:
-        """Why ``state`` cannot host ``vm`` (``None`` when it can)."""
-        reason = state.probe(vm).reason
-        if reason is not None:
-            return reason
-        if self._constraints is not None and not self._constraints.allows(
-                vm.vm_id, state.server.server_id, self._placed_ids):
-            return "constraint"
-        return None
-
     def _examine(self, vm: VM, state: ServerState) -> Feasibility | None:
         """Probe one candidate, maintaining the selection counters.
 
         Returns the (truthy) verdict when ``state`` is admissible — capacity
         feasible *and* allowed by active placement constraints — else
         ``None``. Every examined server bumps ``candidates_evaluated``;
-        admissible ones also bump ``candidates_feasible``. All selection
-        paths route probes through here so the counters mean the same
+        admissible ones also bump ``candidates_feasible``. Every scalar
+        walk routes its probes through here (:meth:`_admissible_rows`
+        counts a batch the same way) so the counters mean the same
         thing for every algorithm.
         """
         verdict = state.probe(vm)
@@ -234,44 +234,30 @@ class Allocator(abc.ABC):
         self.candidates_feasible += 1
         return verdict
 
-    def _candidates(self, vm: VM,
-                    states: Sequence[ServerState]) -> Sequence[ServerState]:
-        """Fleet-order candidates, statically pruned when the index applies.
+    def _probe_batch(self, vm: VM, states: Sequence[ServerState], *,
+                     prune: bool = True) -> FeasibilityBatch:
+        """The verdicts of ``vm`` on ``states`` as one batch — the one
+        place that decides who probes.
 
-        The candidate index (built by :meth:`prepare`) drops servers whose
-        *type* can never host ``vm``; when ``states`` is not the prepared
-        fleet (ad-hoc recovery scans), the full list is returned.
+        When the prepared index covers ``states``, servers whose *type*
+        can never host ``vm`` are left out (unless ``prune`` is off) and,
+        given a kernel, the rest are one
+        :meth:`~repro.placement.kernels.FleetKernel.probe_fleet` call.
+        Without one — ``kernel=off``, the dense engine, a fleet the index
+        does not cover (ad-hoc recovery scans) — the batch is filled from
+        one ``ServerState.probe`` per candidate. Same rows in the same
+        fleet order either way, equal field for field.
         """
         index = self._index
         if index is not None and index.covers(states):
-            return index.candidates(vm)
-        return states
-
-    # -- batch-kernel scans --------------------------------------------------
-
-    def _kernel_for(self, states: Sequence[ServerState]
-                    ) -> FleetKernel | None:
-        """The fleet-probe kernel, when the prepared index covers
-        ``states`` and the engine config enables it."""
-        index = self._index
-        if index is not None and index.covers(states):
-            return index.kernel
-        return None
-
-    def _probe_candidates(self, vm: VM, states: Sequence[ServerState]
-                          ) -> FeasibilityBatch | None:
-        """Batch-probe the statically-admitted candidates in fleet order.
-
-        One :meth:`~repro.placement.kernels.FleetKernel.probe_fleet`
-        call replacing the per-server Python probe loop; ``None`` when
-        the kernel is unavailable (dense engine, foreign fleet,
-        ``kernel=off``) — callers then run their scalar scan.
-        """
-        kernel = self._kernel_for(states)
-        if kernel is None:
-            return None
-        return kernel.probe_fleet(
-            vm, self._index.candidate_positions(vm))
+            if index.kernel is not None:
+                return index.kernel.probe_fleet(
+                    vm, index.candidate_positions(vm) if prune else None)
+            if prune:
+                states = index.candidates(vm)
+        return FeasibilityBatch(
+            states, np.arange(len(states)), vm=vm,
+            verdicts=[state.probe(vm) for state in states])
 
     def _admissible_rows(self, vm: VM,
                          batch: FeasibilityBatch) -> np.ndarray:
@@ -297,13 +283,13 @@ class Allocator(abc.ABC):
     # -- the two walks: first admissible, best score -------------------------
 
     def _first_admissible(self, vm: VM, states: Sequence[ServerState],
-                          order: Iterable[int] | None = None) -> int | None:
+                          order: Iterable[int]) -> int | None:
         """Fleet position of the first admissible server along ``order``.
 
-        ``order`` yields fleet positions in the allocator's scan order
-        (``None`` is fleet order). Servers whose *type* can never host
-        ``vm`` are skipped uncounted; every server up to and including
-        the winner counts as evaluated, only the winner as feasible.
+        ``order`` yields fleet positions in the allocator's scan order.
+        Servers whose *type* can never host ``vm`` are skipped uncounted;
+        every server up to and including the winner counts as
+        evaluated, only the winner as feasible.
         The walk probes scalar whatever the engine config: it stops at
         the winner, and one ``O(log k)`` probe per visited server beats
         a batch probe of servers it would never reach.
@@ -311,7 +297,7 @@ class Allocator(abc.ABC):
         index = self._index
         admits = index.spec_admits(vm) \
             if index is not None and index.covers(states) else None
-        for pos in range(len(states)) if order is None else order:
+        for pos in order:
             state = states[pos]
             if admits is not None and not admits[id(state.server.spec)]:
                 continue
@@ -319,41 +305,19 @@ class Allocator(abc.ABC):
                 return pos
         return None
 
-    def _best_scored(self, vm: VM, states: Sequence[ServerState],
-                     score: Callable[[object, Feasibility, VM], float],
-                     batch_score: Callable[[FeasibilityBatch, VM],
-                                           np.ndarray]
-                     ) -> ServerState | None:
-        """The admissible server with the lowest score; among equal
-        scores the earliest in fleet order wins.
-
-        ``score(spec, verdict, vm)`` rates one probed candidate and
-        ``batch_score(batch, vm)`` a whole probe batch with the same
-        float64 operations, so both branches pick the same server.
-        Every statically admitted server counts as evaluated, the
-        admissible ones as feasible.
+    def _best_scored(self, vm: VM,
+                     states: Sequence[ServerState]) -> ServerState | None:
+        """The admissible server with the lowest :meth:`score`; among
+        equal scores the earliest in fleet order wins (``argmin``
+        returns the first minimum). Every statically admitted server
+        counts as evaluated, the admissible ones as feasible.
         """
-        batch = self._probe_candidates(vm, states)
-        if batch is not None:
-            rows = self._admissible_rows(vm, batch)
-            if not rows.size:
-                return None
-            # argmin returns the first minimum — the strict-< rule of
-            # the scalar incumbent walk below.
-            pick = rows[int(np.argmin(batch_score(batch, vm)[rows]))]
-            return batch.state_at(int(pick))
-        # The probe verdict already carries the interval peaks, so
-        # scoring needs no second peak query per candidate.
-        best: ServerState | None = None
-        best_score = math.inf
-        for state in self._candidates(vm, states):
-            verdict = self._examine(vm, state)
-            if verdict is None:
-                continue
-            value = score(state.server.spec, verdict, vm)
-            if value < best_score:
-                best, best_score = state, value
-        return best
+        batch = self._probe_batch(vm, states)
+        rows = self._admissible_rows(vm, batch)
+        if not rows.size:
+            return None
+        return batch.state_at(
+            rows[int(np.argmin(self.score(vm, batch)[rows]))])
 
     # -- explain-traces ------------------------------------------------------
 
@@ -361,10 +325,16 @@ class Allocator(abc.ABC):
         """This algorithm's ranking score for one feasible candidate.
 
         Lower is always more preferred; ``None`` means the algorithm
-        applies no score to this candidate (e.g. random fit). Used only
-        by explain-traces — never on the selection hot path — and must
-        not mutate allocator state.
+        applies no score to this candidate (e.g. random fit). Read off
+        the declared rule — the scan key, or :meth:`score` over a batch
+        of one — so only an allocator whose rule is its own walk
+        overrides it. Used only by explain-traces — never on the
+        selection hot path — and must not mutate allocator state.
         """
+        if self.scan_key is not None:
+            return float(self.scan_key(state))
+        if self.score is not None:
+            return float(self.score(vm, self._probe_batch(vm, [state]))[0])
         return None
 
     def explain_select(self, vm: VM, states: Sequence[ServerState]
@@ -379,27 +349,22 @@ class Allocator(abc.ABC):
         embedded :meth:`select` run — what the algorithm itself probed,
         not the exhaustive explain sweep.
         """
-        # With the kernel available the whole-fleet feasibility sweep is
-        # one batch probe whose verdicts (and reason strings) are
-        # materialized lazily per candidate; the scalar fallback probes
-        # each server. Either way the explain output is identical.
-        kernel = self._kernel_for(states)
-        batch = kernel.probe_fleet(vm) if kernel is not None else None
+        # One unpruned batch answers the whole fleet; a score allocator
+        # rates it in the one call its scan makes.
+        batch = self._probe_batch(vm, states, prune=False)
+        scores = self.score(vm, batch) if self.score is not None else None
         constraints = self._constraints
         pre: list[tuple[str | None, object, float | None]] = []
         for i, state in enumerate(states):
-            if batch is not None:
-                reason = batch.reason(i)
-                if reason is None and constraints is not None \
-                        and not constraints.allows(
-                            vm.vm_id, state.server.server_id,
-                            self._placed_ids):
-                    reason = "constraint"
-            else:
-                reason = self.inadmissible_reason(vm, state)
+            reason = batch.reason(i)
+            if reason is None and constraints is not None \
+                    and not constraints.allows(
+                        vm.vm_id, state.server.server_id, self._placed_ids):
+                reason = "constraint"
             if reason is None:
                 pre.append((None, state.cost_terms(vm),
-                            self.candidate_score(vm, state)))
+                            self.candidate_score(vm, state) if scores is None
+                            else float(scores[i])))
             else:
                 pre.append((reason, None, None))
         chosen = self.select(vm, states)
@@ -421,7 +386,8 @@ class Allocator(abc.ABC):
     # -- hooks ---------------------------------------------------------------
 
     def prepare(self, states: Sequence[ServerState]) -> None:
-        """Build the fleet candidate index, then run :meth:`on_prepare`.
+        """Build the fleet candidate index, run :meth:`on_prepare`, then
+        sort the fleet by :meth:`scan_key` when one is declared.
 
         Called once per fleet before any placement. The index is only
         built for the indexed engine; the dense oracle path scans
@@ -438,6 +404,10 @@ class Allocator(abc.ABC):
         else:
             self._index = None
         self.on_prepare(states)
+        if self.scan_key is not None:
+            #: fleet positions in ascending scan key, ties in fleet order
+            self._order = sorted(
+                range(len(states)), key=lambda pos: self.scan_key(states[pos]))
 
     def on_prepare(self, states: Sequence[ServerState]) -> None:
         """Hook run once before any placement (e.g. shuffle an order)."""
@@ -455,43 +425,60 @@ class Allocator(abc.ABC):
         """Pick the server for ``vm``, or ``None`` when nothing fits.
 
         Template method: resets the candidate counters, then delegates to
-        :meth:`_select`. Subclasses override :meth:`_select` (scan-order
-        algorithms) or :meth:`choose` (score-based algorithms), never this.
+        :meth:`_select`. Subclasses declare their rule (below) or, when
+        the rule is a walk of its own, override :meth:`_select` — never
+        this.
         """
         self.candidates_evaluated = 0
         self.candidates_feasible = 0
         return self._select(vm, states)
 
-    def _select(self, vm: VM,
-                states: Sequence[ServerState]) -> ServerState | None:
-        """Default selection: gather all admissible servers, delegate to
-        :meth:`choose`. First-fit-style algorithms override this to stop
-        at the first admissible server in their scan order.
+    # -- the rule: a subclass declares exactly one of these three ------------
 
-        With the fleet-probe kernel available, the admissible set comes
-        from one vectorized :meth:`_probe_candidates` sweep instead of
-        a per-server probe loop — same candidates in the same fleet
-        order, so :meth:`choose` (including random fit's RNG draw) sees
-        an identical list.
-        """
-        batch = self._probe_candidates(vm, states)
-        if batch is not None:
-            rows = self._admissible_rows(vm, batch)
-            if not rows.size:
-                return None
-            return self.choose(vm, [batch.state_at(int(i)) for i in rows])
-        feasible = [st for st in self._candidates(vm, states)
-                    if self._examine(vm, st) is not None]
-        if not feasible:
-            return None
-        return self.choose(vm, feasible)
+    #: Order allocators: ``scan_key(state) -> float``. Servers are tried
+    #: in ascending key (ties in fleet order) and the first admissible
+    #: one wins; the key is also the explain score.
+    scan_key: Callable[[ServerState], float] | None = None
 
-    @abc.abstractmethod
+    #: Score allocators: ``score(vm, batch) -> float array``, one value
+    #: per row of the :class:`FeasibilityBatch`, vectorized over its
+    #: columns. The lowest admissible row wins, the earliest on ties.
+    score: Callable[[VM, FeasibilityBatch], np.ndarray] | None = None
+
     def choose(self, vm: VM, feasible: Sequence[ServerState]) -> ServerState:
         """Select the server for ``vm`` among the feasible candidates.
 
         ``feasible`` is non-empty and preserves the fleet's id order.
+        An allocator with neither a scan key nor a score overrides
+        this; for the others it is the declared rule over ``feasible``
+        (what failure recovery asks a recovery allocator).
         """
+        if self.scan_key is not None:
+            return min(feasible, key=self.scan_key)
+        if self.score is None:
+            raise NotImplementedError(
+                f"{type(self).__name__} declares no scan_key, score or choose")
+        batch = self._probe_batch(vm, feasible)
+        return batch.state_at(int(np.argmin(self.score(vm, batch))))
+
+    def _select(self, vm: VM,
+                states: Sequence[ServerState]) -> ServerState | None:
+        """Selection by the declared rule: the first admissible server
+        in scan-key order, the best :meth:`score`, or — for an allocator
+        that only has a :meth:`choose` — every admissible server in
+        fleet order handed to it (so random fit's RNG draw sees the same
+        list whoever probed).
+        """
+        if self.scan_key is not None:
+            pos = self._first_admissible(vm, states, self._order)
+            return None if pos is None else states[pos]
+        if self.score is not None:
+            return self._best_scored(vm, states)
+        batch = self._probe_batch(vm, states)
+        rows = self._admissible_rows(vm, batch)
+        if not rows.size:
+            return None
+        return self.choose(vm, batch.states_at(rows))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

@@ -14,7 +14,6 @@ from typing import Sequence
 
 from repro.allocators.base import Allocator
 from repro.allocators.state import ServerState
-from repro.model.vm import VM
 
 __all__ = ["FirstFitPowerSaving"]
 
@@ -25,19 +24,11 @@ class FirstFitPowerSaving(Allocator):
     name = "ffps"
 
     def on_prepare(self, states: Sequence[ServerState]) -> None:
-        #: the shuffled scan order, as fleet positions
-        self._order = self._rng.permutation(len(states)).tolist()
-        self._rank = {id(states[pos]): i
-                      for i, pos in enumerate(self._order)}
+        #: state -> its place in this run's one shuffled scan order
+        self._rank = {
+            id(states[pos]): i for i, pos in
+            enumerate(self._rng.permutation(len(states)).tolist())}
 
-    def candidate_score(self, vm: VM, state: ServerState) -> float | None:
-        """Explain-trace score: position in the shuffled scan order."""
-        return float(self._rank[id(state)])
-
-    def _select(self, vm: VM,
-                states: Sequence[ServerState]) -> ServerState | None:
-        pos = self._first_admissible(vm, states, self._order)
-        return None if pos is None else states[pos]
-
-    def choose(self, vm: VM, feasible: Sequence[ServerState]) -> ServerState:
-        return min(feasible, key=lambda st: self._rank[id(st)])
+    def scan_key(self, state: ServerState) -> float:
+        """Position in the shuffled scan order."""
+        return self._rank[id(state)]

@@ -7,11 +7,8 @@ versus the first-fit rule itself.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.allocators.base import Allocator
 from repro.allocators.state import ServerState
-from repro.model.vm import VM
 
 __all__ = ["FirstFit"]
 
@@ -21,14 +18,6 @@ class FirstFit(Allocator):
 
     name = "first-fit"
 
-    def candidate_score(self, vm: VM, state: ServerState) -> float | None:
-        """Explain-trace score: the scan position (fleet id order)."""
-        return float(state.server.server_id)
-
-    def _select(self, vm: VM,
-                states: Sequence[ServerState]) -> ServerState | None:
-        pos = self._first_admissible(vm, states)
-        return None if pos is None else states[pos]
-
-    def choose(self, vm: VM, feasible: Sequence[ServerState]) -> ServerState:
-        return feasible[0]
+    def scan_key(self, state: ServerState) -> float:
+        """The server id."""
+        return state.server.server_id

@@ -10,19 +10,10 @@ of the incremental-cost computation itself (DESIGN.md ablation 1).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.allocators.base import Allocator
 from repro.allocators.state import ServerState
-from repro.model.vm import VM
 
 __all__ = ["PowerAwareFirstFit"]
-
-
-def _efficiency(state: ServerState) -> tuple[float, int]:
-    """Scan key: peak watts per compute unit, ties by server id."""
-    server = state.server
-    return server.p_peak / server.cpu_capacity, server.server_id
 
 
 class PowerAwareFirstFit(Allocator):
@@ -30,19 +21,7 @@ class PowerAwareFirstFit(Allocator):
 
     name = "power-aware"
 
-    def on_prepare(self, states: Sequence[ServerState]) -> None:
-        #: the efficiency-sorted scan order, as fleet positions
-        self._order = sorted(range(len(states)),
-                             key=lambda i: _efficiency(states[i]))
-
-    def candidate_score(self, vm: VM, state: ServerState) -> float | None:
-        """Explain-trace score: peak watts per compute unit."""
-        return _efficiency(state)[0]
-
-    def _select(self, vm: VM,
-                states: Sequence[ServerState]) -> ServerState | None:
-        pos = self._first_admissible(vm, states, self._order)
-        return None if pos is None else states[pos]
-
-    def choose(self, vm: VM, feasible: Sequence[ServerState]) -> ServerState:
-        return min(feasible, key=_efficiency)
+    def scan_key(self, state: ServerState) -> float:
+        """Peak watts per compute unit (equally efficient servers in
+        id order)."""
+        return state.server.p_peak / state.server.cpu_capacity

@@ -21,10 +21,6 @@ class RandomFit(Allocator):
 
     name = "random-fit"
 
-    def candidate_score(self, vm: VM, state: ServerState) -> float | None:
-        """No ranking: every feasible server is equally likely."""
-        return None
-
     def choose(self, vm: VM, feasible: Sequence[ServerState]) -> ServerState:
         index = int(self._rng.integers(len(feasible)))
         return feasible[index]

@@ -24,12 +24,14 @@ class RoundRobin(Allocator):
 
     def on_prepare(self, states: Sequence[ServerState]) -> None:
         self._next = 0
-        self._fleet_size = len(states)
+        #: state -> fleet position: what the rotation walks (a position
+        #: is not a server id once a server has failed)
+        self._position = {id(state): pos for pos, state in enumerate(states)}
 
     def candidate_score(self, vm: VM, state: ServerState) -> float | None:
-        """Explain-trace score: distance ahead in the rotation."""
-        return float((state.server.server_id - self._next)
-                     % max(1, self._fleet_size))
+        """Explain-trace score: positions ahead of the rotation's cursor."""
+        return float((self._position[id(state)] - self._next)
+                     % len(self._position))
 
     def _select(self, vm: VM,
                 states: Sequence[ServerState]) -> ServerState | None:

@@ -9,12 +9,12 @@ algorithm comparison.
 
 from __future__ import annotations
 
-from typing import Sequence
+import numpy as np
 
 from repro.allocators.base import Allocator
-from repro.allocators.best_fit import _residual, _residuals, residual_score
-from repro.allocators.state import ServerState
+from repro.allocators.best_fit import residual
 from repro.model.vm import VM
+from repro.placement.kernels import FeasibilityBatch
 
 __all__ = ["WorstFit"]
 
@@ -24,17 +24,6 @@ class WorstFit(Allocator):
 
     name = "worst-fit"
 
-    def candidate_score(self, vm: VM, state: ServerState) -> float | None:
-        """Explain-trace score: negated residual (lower = more spare)."""
-        return -residual_score(state, vm)
-
-    def _select(self, vm: VM,
-                states: Sequence[ServerState]) -> ServerState | None:
-        # Lower wins in the base walk, so rank by the negated residual.
-        return self._best_scored(
-            vm, states,
-            lambda spec, verdict, vm: -_residual(spec, verdict, vm),
-            lambda batch, vm: -_residuals(batch, vm))
-
-    def choose(self, vm: VM, feasible: Sequence[ServerState]) -> ServerState:
-        return max(feasible, key=lambda st: residual_score(st, vm))
+    def score(self, vm: VM, batch: FeasibilityBatch) -> np.ndarray:
+        """The negated residual: lower = more spare."""
+        return -residual(vm, batch)

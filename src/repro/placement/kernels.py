@@ -3,15 +3,20 @@
 :class:`FleetKernel` is a structure-of-arrays mirror of the fleet's
 skyline occupancy indexes, and one :meth:`FleetKernel.probe_fleet` call
 answers feasibility, failing constraint, peak cpu/mem, headroom and the
-Eq.-2/3 run cost ``W_ij`` for *all* candidates of a VM. The scans that
-need a verdict for every candidate use it — the score family
-(best-fit, worst-fit), the default ``choose`` route, ``explain_select``,
-and ``min-energy``'s queued walk for what is left of its busy queues
-once 16 servers have refused the VM (dense streams); walks that stop
-early (the first-fit family) or end by lower-bound pruning
+Eq.-2/3 run cost ``W_ij`` for *all* candidates of a VM, as one
+:class:`FeasibilityBatch`. The scans that need a verdict for every
+candidate act on such a batch — the score family (best-fit, worst-fit),
+the ``choose``-only route, ``explain_select`` — and do not know who
+filled it: ``Allocator._probe_batch`` asks this kernel when there is
+one and otherwise fills the same batch from scalar
+``ServerState.probe`` calls (``kernel=off``, the dense engine, a fleet
+no index covers), its columns built on first read. ``min-energy``'s
+queued walk calls the kernel itself, for what is left of its busy
+queues once 16 servers have refused the VM (dense streams); walks that
+stop early (the first-fit family) or end by lower-bound pruning
 (``min-energy`` on sparse streams) probe scalar, one ``O(log k)``
 ``ServerState.probe`` at a time. ``kernel=off`` builds no kernel: the
-same scans probe scalar throughout and decide the same.
+same scans decide the same on scalar probes throughout.
 
 Layout
 ------
@@ -62,6 +67,7 @@ its ``_state_lock`` around every scan and commit).
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
@@ -93,23 +99,29 @@ _BIAS = 1 << 39
 class FeasibilityBatch:
     """Array-backed feasibility verdicts for one VM over many servers.
 
-    The batch is the native result of :meth:`FleetKernel.probe_fleet`:
-    parallel numpy arrays over the probed candidates, in candidate
-    order. Indexing (``batch[i]``) lazily materializes the scalar
-    :class:`~repro.placement.feasibility.Feasibility` view for one
-    candidate — identical to what ``ServerState.probe`` returns for the
-    same server, including the reason string.
+    Parallel numpy columns over the probed candidates, in candidate
+    order, whoever filled them: :meth:`FleetKernel.probe_fleet` sets
+    every column as an array from its one windowed pass; a batch built
+    with ``verdicts=`` (the scalar ``ServerState.probe`` results, one
+    per candidate) builds a column on first read, so a scan pays for
+    the columns it scores by and no others. Indexing (``batch[i]``)
+    gives the scalar :class:`~repro.placement.feasibility.Feasibility`
+    view of one candidate — identical to what ``ServerState.probe``
+    returns for the same server, including the reason string.
 
     Attributes
     ----------
     positions:
-        Kernel fleet positions of the probed candidates (``intp``).
-    codes:
-        Failing-constraint code per candidate (:data:`FEASIBLE`,
-        :data:`CPU_CAPACITY`, :data:`MEM_CAPACITY`,
-        :data:`CPU_OVERLAP`, :data:`MEM_OVERLAP`).
-    times:
-        First overloaded time unit (valid for the overlap codes).
+        Position of each candidate in the state list the batch carries
+        — the kernel's fleet, or the probed list itself (``intp``).
+    feasible:
+        Boolean feasibility mask over the candidates.
+    codes / times:
+        Kernel-filled batches only (:meth:`reason` is the portable
+        read): the failing-constraint code per candidate
+        (:data:`FEASIBLE`, :data:`CPU_CAPACITY`, :data:`MEM_CAPACITY`,
+        :data:`CPU_OVERLAP`, :data:`MEM_OVERLAP`) and the first
+        overloaded time unit (valid for the overlap codes).
     peak_cpu / peak_mem:
         Max committed usage over the VM's interval, scanned up to the
         failing piece exactly like the scalar probe.
@@ -124,38 +136,45 @@ class FeasibilityBatch:
         — the batch covers infeasible candidates too).
     """
 
-    __slots__ = ("_kernel", "positions", "codes", "times",
-                 "peak_cpu", "peak_mem", "headroom_cpu", "headroom_mem",
-                 "cpu_cap", "mem_cap", "run_cost")
+    __slots__ = ("_states", "_verdicts", "_vm", "positions", "feasible",
+                 "codes", "times", "peak_cpu", "peak_mem", "headroom_cpu",
+                 "headroom_mem", "cpu_cap", "mem_cap", "run_cost")
 
-    def __init__(self, kernel: "FleetKernel", positions: np.ndarray,
-                 codes: np.ndarray, times: np.ndarray,
-                 peak_cpu: np.ndarray, peak_mem: np.ndarray,
-                 headroom_cpu: np.ndarray, headroom_mem: np.ndarray,
-                 cpu_cap: np.ndarray, mem_cap: np.ndarray,
-                 run_cost: np.ndarray) -> None:
-        self._kernel = kernel
+    def __init__(self, states: Sequence["ServerState"],
+                 positions: np.ndarray, *,
+                 verdicts: Sequence[Feasibility] | None = None,
+                 vm: "VM | None" = None, **columns: np.ndarray) -> None:
+        self._states = states
         self.positions = positions
-        self.codes = codes
-        self.times = times
-        self.peak_cpu = peak_cpu
-        self.peak_mem = peak_mem
-        self.headroom_cpu = headroom_cpu
-        self.headroom_mem = headroom_mem
-        self.cpu_cap = cpu_cap
-        self.mem_cap = mem_cap
-        self.run_cost = run_cost
+        self._verdicts = verdicts
+        self._vm = vm
+        for name, column in columns.items():
+            setattr(self, name, column)
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        # Reached for an unset slot only: a column the scalar fill has
+        # not built yet. It holds the verdicts' own float64 values, so a
+        # score over it runs the IEEE operations a kernel batch would.
+        if name in Feasibility._fields:
+            read, items = attrgetter(name), self._verdicts
+        elif name in _SPEC_COLUMNS:
+            read, items = _SPEC_COLUMNS[name], self._states
+        else:
+            raise AttributeError(name)
+        column = np.fromiter(map(read, items), count=len(items),
+                             dtype=bool if name == "feasible" else float)
+        if name == "run_cost":
+            column *= self._vm.cpu_time
+        setattr(self, name, column)
+        return column
 
     def __len__(self) -> int:
-        return int(self.positions.size)
-
-    @property
-    def feasible(self) -> np.ndarray:
-        """Boolean feasibility mask over the candidates."""
-        return self.codes == FEASIBLE
+        return len(self.positions)
 
     def reason(self, i: int) -> str | None:
         """The scalar probe's reason string for candidate ``i``."""
+        if self._verdicts is not None:
+            return self._verdicts[i].reason
         code = int(self.codes[i])
         if code == FEASIBLE:
             return None
@@ -168,12 +187,19 @@ class FeasibilityBatch:
 
     def state_at(self, i: int) -> "ServerState":
         """The server state behind candidate ``i``."""
-        return self._kernel.state_at(int(self.positions[i]))
+        return self._states[self.positions[i]]
+
+    def states_at(self, rows: np.ndarray) -> list["ServerState"]:
+        """The server states behind candidates ``rows``, in that order."""
+        states = self._states
+        return [states[pos] for pos in self.positions[rows].tolist()]
 
     def __getitem__(self, i: int) -> Feasibility:
-        """Materialize candidate ``i``'s scalar ``Feasibility`` view."""
+        """Candidate ``i``'s scalar ``Feasibility`` view."""
+        if self._verdicts is not None:
+            return self._verdicts[i]
         return Feasibility(
-            bool(self.codes[i] == FEASIBLE), self.reason(i),
+            bool(self.feasible[i]), self.reason(i),
             float(self.peak_cpu[i]), float(self.peak_mem[i]),
             float(self.headroom_cpu[i]), float(self.headroom_mem[i]))
 
@@ -182,7 +208,16 @@ class FeasibilityBatch:
 
     def feasible_indices(self) -> np.ndarray:
         """Candidate indices of the feasible rows, in candidate order."""
-        return np.flatnonzero(self.codes == FEASIBLE)
+        return np.flatnonzero(self.feasible)
+
+
+#: The static columns, here and in the kernel: what each reads off a
+#: server (``run_cost`` is that rate times the VM's cpu time).
+_SPEC_COLUMNS = {
+    "cpu_cap": attrgetter("server.spec.cpu_capacity"),
+    "mem_cap": attrgetter("server.spec.memory_capacity"),
+    "run_cost": attrgetter("server.spec.power_per_cpu_unit"),
+}
 
 
 class FleetKernel:
@@ -200,14 +235,9 @@ class FleetKernel:
         self._states = list(states)
         n = len(self._states)
         self._pos = {id(state): i for i, state in enumerate(self._states)}
-        self._cpu_cap = np.empty(n)
-        self._mem_cap = np.empty(n)
-        self._rate = np.empty(n)
-        for i, state in enumerate(self._states):
-            spec = state.server.spec
-            self._cpu_cap[i] = spec.cpu_capacity
-            self._mem_cap[i] = spec.memory_capacity
-            self._rate[i] = spec.power_per_cpu_unit
+        self._cpu_cap, self._mem_cap, self._rate = (
+            np.fromiter(map(read, self._states), float, n)
+            for read in _SPEC_COLUMNS.values())
         #: key of time 0 per row; ``key = base + x``, ``x = key - base``
         self._base = np.arange(n, dtype=np.int64) * _SPAN + _BIAS
         #: row r's cells are ``[off[r], off[r + 1])`` of every plane
@@ -234,9 +264,6 @@ class FleetKernel:
 
     def __len__(self) -> int:
         return len(self._states)
-
-    def state_at(self, position: int) -> "ServerState":
-        return self._states[position]
 
     # -- watcher protocol --------------------------------------------------
 
@@ -369,13 +396,12 @@ class FleetKernel:
                 active[failed] = False
         # cap - 0.0 == cap bit for bit, so one expression covers the
         # static-failure headroom (full caps) and the probed one.
-        headroom_cpu = cpu_cap - peak_cpu
-        headroom_mem = mem_cap - peak_mem
-        run_cost = self._rate[rows] * vm.cpu_time
-        return FeasibilityBatch(self, rows, codes, times,
-                                peak_cpu, peak_mem,
-                                headroom_cpu, headroom_mem,
-                                cpu_cap, mem_cap, run_cost)
+        return FeasibilityBatch(
+            self._states, rows, feasible=codes == FEASIBLE, codes=codes,
+            times=times, peak_cpu=peak_cpu, peak_mem=peak_mem,
+            headroom_cpu=cpu_cap - peak_cpu, headroom_mem=mem_cap - peak_mem,
+            cpu_cap=cpu_cap, mem_cap=mem_cap,
+            run_cost=self._rate[rows] * vm.cpu_time)
 
     def probe_one(self, state: "ServerState", vm: "VM") -> Feasibility:
         """Scalar-view probe as a thin delegate to the batch kernel."""

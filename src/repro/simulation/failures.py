@@ -159,8 +159,3 @@ def inject_failures(allocation: Allocation,
         wasted_energy=wasted,
         total_energy=total,
     )
-
-
-# Backwards-compatible name: the remainder/target mechanics now live in
-# :mod:`repro.simulation.recovery`, shared with the live service.
-_recover = recover_target

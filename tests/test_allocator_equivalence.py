@@ -17,6 +17,10 @@ never host some VMs, active anti-affinity groups, and Γ > 0.
 probe of what is left of its queues. It is held to the one-at-a-time
 walks (``kernel=off``, ``dense``) on dense streams, where that batch
 fires for most VMs: server, both counters and the Eq.-17 delta as hex.
+
+An explanation is the same whoever probed: every registry allocator's
+``PlacementExplanation`` sequence on the four golden streams is ``==``
+across the engine specs — reason strings, cost terms, scores, chosen.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import pytest
 
 from repro.allocators import allocator_names, make_allocator
+from repro.allocators.state import ServerState
 from repro.energy import SleepPolicy, allocation_cost
 from repro.model.cluster import Cluster
 from repro.model.constraints import PlacementConstraints
@@ -31,6 +36,8 @@ from repro.obs.tracer import Tracer, use_tracer
 from repro.service import AllocationDaemon, ClusterStateStore, place_request
 from repro.workload import PhasedWorkload
 from repro.workload.generator import generate_vms
+
+from test_golden_decisions import NOMINAL, ROBUST, STREAMS
 
 VMS = generate_vms(150, mean_interarrival=3.0, seed=0)
 CLUSTER = Cluster.paper_all_types(60)
@@ -264,3 +271,41 @@ class TestEngineEquivalence:
             placed_dense, energy_dense = _run(algo, "dense", vms, cluster)
             assert placed_idx == placed_dense, algo
             assert energy_idx == energy_dense, algo
+
+
+def _explanations(algo: str, engine: str, stream: str) -> list:
+    """``explain_select`` + ``place`` over a golden stream; a rejected
+    VM is explained and skipped."""
+    vms, servers = STREAMS[stream]
+    allocator = make_allocator(algo, seed=5, engine=engine)
+    states = [ServerState(server, engine=allocator.engine_config)
+              for server in Cluster.paper_all_types(servers)]
+    allocator.prepare(states)
+    by_id = {state.server.server_id: state for state in states}
+    explanations = []
+    for vm in allocator.order_vms(list(vms)):
+        chosen, explanation = allocator.explain_select(vm, states)
+        if algo != "round-robin":  # its cursor has moved on by now
+            # the per-candidate hook is the rule the batch was rated by
+            assert all(
+                allocator.candidate_score(vm, by_id[v.server_id]) == v.score
+                for v in explanation.candidates if v.feasible)
+        explanations.append(explanation)
+        if chosen is not None:
+            chosen.place(vm)
+    return explanations
+
+
+class TestExplainParity:
+    @pytest.mark.parametrize("stream", STREAMS)
+    @pytest.mark.parametrize("algo", allocator_names())
+    def test_explanations_equal_whoever_probed(self, algo, stream):
+        # gamma-ff installs its own Γ config: no dense run
+        nominal = NOMINAL[:2] if algo == "gamma-ff" else NOMINAL
+        for specs in (nominal, ROBUST):
+            first, *others = (_explanations(algo, engine, stream)
+                              for engine in specs)
+            assert len(first) == len(STREAMS[stream][0])
+            assert any(v.feasible for e in first for v in e.candidates)
+            for other in others:
+                assert other == first

@@ -72,6 +72,20 @@ def assert_rows_match(batch: FeasibilityBatch,
         assert view.headroom_mem == scalar.headroom_mem, i
 
 
+def assert_scalar_fill_matches(batch: FeasibilityBatch,
+                               states: list[ServerState], vm) -> None:
+    """A batch filled from the scalar verdicts holds the kernel's
+    columns, so one vectorized score reads either."""
+    filled = FeasibilityBatch(states, np.arange(len(states)), vm=vm,
+                              verdicts=[state.probe(vm) for state in states])
+    for column in ("feasible", "peak_cpu", "peak_mem", "headroom_cpu",
+                   "headroom_mem", "cpu_cap", "mem_cap", "run_cost"):
+        assert np.array_equal(getattr(filled, column),
+                              getattr(batch, column)), column
+    assert [filled.reason(i) for i in range(len(filled))] \
+        == [batch.reason(i) for i in range(len(batch))]
+
+
 # -- hypothesis property: batch == scalar element-wise ----------------------
 
 committed = st.tuples(st.integers(0, 40), st.integers(1, 12),
@@ -105,6 +119,14 @@ class TestProbeEquivalenceProperty:
         states = build_fleet(fleet)
         kernel = FleetKernel(states)
         assert_rows_match(kernel.probe_fleet(vm), states, vm)
+
+    @settings(max_examples=60, deadline=None)
+    @given(loads=fleet_loads, probe=probe_vm)
+    def test_scalar_filled_batch_holds_the_kernel_columns(self, loads, probe):
+        fleet, vm = _materialize(loads, probe)
+        states = build_fleet(fleet)
+        assert_scalar_fill_matches(FleetKernel(states).probe_fleet(vm),
+                                   states, vm)
 
     @settings(max_examples=60, deadline=None)
     @given(loads=fleet_loads, probe=probe_vm,
@@ -264,6 +286,13 @@ class TestLongHistory:
         before = kernel.cells_probed
         kernel.probe_fleet(_long_history_probes(gamma)[2])
         assert kernel.cells_probed - before <= 12
+
+    @pytest.mark.parametrize("gamma", [0, 2])
+    def test_scalar_filled_batch_holds_the_kernel_columns(self, gamma):
+        states = _long_history_fleet(gamma)
+        kernel = FleetKernel(states)
+        for vm in _long_history_probes(gamma):
+            assert_scalar_fill_matches(kernel.probe_fleet(vm), states, vm)
 
     @pytest.mark.parametrize("gamma", [0, 2])
     def test_shrinking_and_growing_rows_resync(self, gamma):

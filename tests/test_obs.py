@@ -228,8 +228,8 @@ class TestExplain:
         allocator.prepare(states)
         allocator._constraints = constraints
         allocator._placed_ids = {0: states[0].server.server_id}
-        reason = allocator.inadmissible_reason(make_vm(1, 1, 5), states[0])
-        assert reason == "constraint"
+        _, explanation = allocator.explain_select(make_vm(1, 1, 5), states)
+        assert explanation.candidates[0].reason == "constraint"
 
     def test_every_algorithm_explains_consistently(self):
         vms = [make_vm(i, 1 + i, 6 + i) for i in range(6)]

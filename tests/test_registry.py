@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 import repro
-from repro.allocators import allocator_names, make_allocator
+from repro.allocators import ALLOCATORS, allocator_names, make_allocator
 from repro.allocators.min_energy import MinIncrementalEnergy
 from repro.allocators.random_fit import RandomFit
 from repro.energy import SleepPolicy
@@ -13,6 +15,11 @@ from repro.exceptions import (
     AllocatorConfigError,
     ReproError,
     ValidationError,
+)
+from repro.extensions import (
+    LongestFirstMinEnergy,
+    OfflineMinEnergy,
+    WeightedMinEnergy,
 )
 
 
@@ -92,3 +99,31 @@ class TestKeywordOnlyConstruction:
                                        engine="indexed")
             assert allocator._policy is SleepPolicy.OPTIMAL
             assert allocator.engine == "indexed"
+
+
+class TestARuleIsStatedOnce:
+    """An allocator file declares its rule once — a scan key, a
+    ``score`` or a ``choose`` — and the base class derives the rest."""
+
+    def test_at_most_one_declaration_per_class(self):
+        for cls in {*ALLOCATORS.values(), WeightedMinEnergy,
+                    OfflineMinEnergy, LongestFirstMinEnergy}:
+            declared = {"score", "scan_key", "choose"} & set(vars(cls))
+            assert len(declared) <= 1, (cls, declared)
+
+    def test_a_declared_rule_is_not_restated(self):
+        # round-robin and min-energy walk by their own ``_select`` (a
+        # cursor; the queued walk) and keep the hooks that go with it.
+        for name in ("best-fit", "worst-fit", "first-fit", "ffps",
+                     "power-aware", "gamma-ff"):
+            restated = {"choose", "candidate_score", "_select"} \
+                & set(vars(ALLOCATORS[name]))
+            assert not restated, (name, restated)
+
+    def test_who_probes_is_decided_in_one_place(self):
+        package = Path(repro.allocators.__file__).parent
+        calls = {path.name: path.read_text().count("probe_fleet(")
+                 for path in package.glob("*.py")}
+        # the fill helper, and min-energy's ``_prefetch``
+        assert {name: n for name, n in calls.items() if n} \
+            == {"base.py": 1, "min_energy.py": 1}

@@ -309,6 +309,26 @@ class TestDaemonFailureOps:
         rejected = daemon.handle(place_request(make_vm(1, 3, 5)))
         assert rejected["decision"] == "rejected"
 
+    def test_round_robin_explains_the_rotation_it_walks(self):
+        """Once a server is dead a fleet position is not a server id;
+        the rotation walks positions, and so must its explain score
+        (it ranked by id: the chosen server scored 2.0, another 0.0)."""
+        vms = online_order(generate_vms(8, 1.0, seed=1))
+        daemon = AllocationDaemon(
+            ClusterStateStore(Cluster.paper_all_types(5)),
+            algorithm="round-robin")
+        daemon.handle(place_request(vms[0]))
+        daemon.handle(fail_server_request(1))
+        for vm in vms[1:]:
+            response = daemon.handle(place_request(vm, explain=True))
+            assert response["decision"] == "placed"
+            scores = {c["server_id"]: c["score"]
+                      for c in response["explanation"]["candidates"]
+                      if c["feasible"]}
+            best = min(scores.values())
+            assert [sid for sid, score in scores.items()
+                    if score == best] == [response["server_id"]]
+
     def test_recover_server_readmits(self):
         store = ClusterStateStore(Cluster.homogeneous(SPEC, 1))
         daemon = AllocationDaemon(store)
