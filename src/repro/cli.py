@@ -88,33 +88,63 @@ def build_parser() -> argparse.ArgumentParser:
                     "reproduction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list the available allocation algorithms")
+    def command(name: str, handler, **kwargs) -> argparse.ArgumentParser:
+        """A subcommand; ``main`` calls its ``handler(args)``."""
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(handler=handler)
+        return p
 
-    p_table = sub.add_parser("table", help="print Table I or Table II")
+    # Where the daemon a client subcommand talks to listens; --retries
+    # is added last so each --help keeps its option order.
+    daemon_at = argparse.ArgumentParser(add_help=False)
+    daemon_at.add_argument("--host", default="127.0.0.1")
+    daemon_at.add_argument("--port", type=int, default=7077)
+
+    def add_retries(p: argparse.ArgumentParser, help: str = "retry "
+                    "transient failures up to this many times") -> None:
+        p.add_argument("--retries", type=int, default=0, help=help)
+
+    def add_workload(p: argparse.ArgumentParser, *, vms: int = 100,
+                     trace: bool = False, seed: bool = True) -> None:
+        """The generated workload's knobs (after an optional --trace)."""
+        if trace:
+            p.add_argument("--trace", default=None,
+                           help="trace file (.csv or .json); otherwise a "
+                                "workload is generated")
+        p.add_argument("--vms", type=int, default=vms)
+        p.add_argument("--interarrival", type=float, default=4.0)
+        p.add_argument("--duration", type=float, default=5.0)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+
+    command("list", _cmd_list,
+            help="list the available allocation algorithms")
+
+    p_table = command("table", _cmd_table, help="print Table I or Table II")
     p_table.add_argument("which", choices=("vms", "servers"))
 
-    p_run = sub.add_parser(
-        "run", help="compare one algorithm against FFPS on a scenario")
+    p_run = command(
+        "run", _cmd_run,
+        help="compare one algorithm against FFPS on a scenario")
     p_run.add_argument("--algorithm", default="min-energy",
                        choices=allocator_names())
-    p_run.add_argument("--vms", type=int, default=100)
-    p_run.add_argument("--interarrival", type=float, default=4.0)
-    p_run.add_argument("--duration", type=float, default=5.0)
+    add_workload(p_run, seed=False)
     p_run.add_argument("--transition", type=float, default=1.0)
     p_run.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4])
 
-    p_fig = sub.add_parser(
-        "figure", help="regenerate a figure's data (fig2..fig9, ablations)")
+    p_fig = command(
+        "figure", _cmd_figure,
+        help="regenerate a figure's data (fig2..fig9, ablations)")
     p_fig.add_argument("name", choices=sorted(_FIGURES))
     p_fig.add_argument("--quick", action="store_true",
                        help="reduced grid for a fast preview")
     p_fig.add_argument("--out", default=None,
                        help="also export the data (.csv or .json)")
 
-    p_robust = sub.add_parser(
-        "robust", help="Γ-robust frontier: replay committed plans "
-                       "against demand realized from the declared "
-                       "intervals")
+    p_robust = command(
+        "robust", _cmd_robust,
+        help="Γ-robust frontier: replay committed plans against demand "
+             "realized from the declared intervals")
     p_robust.add_argument("--vms", type=int, default=300)
     p_robust.add_argument("--interarrival", type=float, default=0.5)
     p_robust.add_argument("--duration", type=float, default=8.0)
@@ -132,37 +162,28 @@ def build_parser() -> argparse.ArgumentParser:
                           help="realized demand worlds per budget")
     p_robust.add_argument("--seed", type=int, default=7)
 
-    p_trace = sub.add_parser(
-        "trace", help="generate a workload trace, or summarize a "
-                      "Chrome-trace file")
+    p_trace = command(
+        "trace", _cmd_trace,
+        help="generate a workload trace, or summarize a Chrome-trace file")
     p_trace.add_argument("file", nargs="?", default=None,
                          help="a Chrome trace_event JSON file to "
                               "summarize (as written by "
                               "'serve --trace-out'); omit to generate a "
                               "workload trace instead")
-    p_trace.add_argument("--vms", type=int, default=100)
-    p_trace.add_argument("--interarrival", type=float, default=4.0)
-    p_trace.add_argument("--duration", type=float, default=5.0)
-    p_trace.add_argument("--seed", type=int, default=0)
+    add_workload(p_trace)
     p_trace.add_argument("--out", default=None,
                          help="output path (.csv or .json); required "
                               "when generating")
 
-    p_analyze = sub.add_parser(
-        "analyze", help="concurrency profile and energy bounds of a "
-                        "workload")
-    p_analyze.add_argument("--trace", default=None,
-                           help="trace file (.csv or .json); otherwise "
-                                "a workload is generated")
-    p_analyze.add_argument("--vms", type=int, default=100)
-    p_analyze.add_argument("--interarrival", type=float, default=4.0)
-    p_analyze.add_argument("--duration", type=float, default=5.0)
-    p_analyze.add_argument("--seed", type=int, default=0)
+    p_analyze = command(
+        "analyze", _cmd_analyze,
+        help="concurrency profile and energy bounds of a workload")
+    add_workload(p_analyze, trace=True)
     p_analyze.add_argument("--servers", type=int, default=None,
                            help="fleet size (default: half the VMs)")
 
-    p_sweep = sub.add_parser(
-        "sweep", help="sensitivity sweep of one scenario knob")
+    p_sweep = command(
+        "sweep", _cmd_sweep, help="sensitivity sweep of one scenario knob")
     p_sweep.add_argument("--field", required=True,
                          choices=("n_vms", "mean_interarrival",
                                   "mean_duration", "transition_time",
@@ -170,15 +191,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", type=float, nargs="+", required=True)
     p_sweep.add_argument("--algorithm", default="min-energy",
                          choices=allocator_names())
-    p_sweep.add_argument("--vms", type=int, default=100)
-    p_sweep.add_argument("--interarrival", type=float, default=4.0)
-    p_sweep.add_argument("--duration", type=float, default=5.0)
+    add_workload(p_sweep, seed=False)
     p_sweep.add_argument("--seeds", type=int, nargs="+",
                          default=[0, 1, 2, 3, 4])
 
-    p_solve = sub.add_parser(
-        "solve", help="exact / receding-horizon solve of a small "
-                      "workload")
+    p_solve = command(
+        "solve", _cmd_solve,
+        help="exact / receding-horizon solve of a small workload")
     p_solve.add_argument("--vms", type=int, default=10)
     p_solve.add_argument("--servers", type=int, default=5)
     p_solve.add_argument("--interarrival", type=float, default=2.0)
@@ -189,31 +208,19 @@ def build_parser() -> argparse.ArgumentParser:
                               "full exact ILP")
     p_solve.add_argument("--time-limit", type=float, default=60.0)
 
-    p_audit = sub.add_parser(
-        "audit", help="characterise a workload, plan it, and audit the "
-                      "plan")
-    p_audit.add_argument("--trace", default=None,
-                         help="trace file (.csv or .json); otherwise a "
-                              "workload is generated")
-    p_audit.add_argument("--vms", type=int, default=100)
-    p_audit.add_argument("--interarrival", type=float, default=4.0)
-    p_audit.add_argument("--duration", type=float, default=5.0)
-    p_audit.add_argument("--seed", type=int, default=0)
+    p_audit = command(
+        "audit", _cmd_audit,
+        help="characterise a workload, plan it, and audit the plan")
+    add_workload(p_audit, trace=True)
     p_audit.add_argument("--servers", type=int, default=None)
     p_audit.add_argument("--algorithm", default="min-energy",
                          choices=allocator_names())
 
-    p_explain = sub.add_parser(
-        "explain", help="explain every placement decision of one "
-                        "allocator run: candidates, feasibility, cost "
-                        "terms")
-    p_explain.add_argument("--trace", default=None,
-                           help="trace file (.csv or .json); otherwise "
-                                "a workload is generated")
-    p_explain.add_argument("--vms", type=int, default=30)
-    p_explain.add_argument("--interarrival", type=float, default=4.0)
-    p_explain.add_argument("--duration", type=float, default=5.0)
-    p_explain.add_argument("--seed", type=int, default=0)
+    p_explain = command(
+        "explain", _cmd_explain,
+        help="explain every placement decision of one allocator run: "
+             "candidates, feasibility, cost terms")
+    add_workload(p_explain, vms=30, trace=True)
     p_explain.add_argument("--servers", type=int, default=None,
                            help="fleet size (default: half the VMs)")
     p_explain.add_argument("--algorithm", default="min-energy",
@@ -224,17 +231,18 @@ def build_parser() -> argparse.ArgumentParser:
                            help="show the full candidate breakdown for "
                                 "this VM only")
 
-    p_report = sub.add_parser(
-        "report", help="write a markdown reproduction report")
+    p_report = command(
+        "report", _cmd_report, help="write a markdown reproduction report")
     p_report.add_argument("--out", required=True)
     p_report.add_argument("--sections", nargs="+", default=None,
                           help="subset of sections (default: all)")
     p_report.add_argument("--quick", action="store_true",
                           help="reduced grids for a fast preview")
 
-    p_serve = sub.add_parser(
-        "serve", help="run the online allocation daemon (JSON lines over "
-                      "TCP or stdio)")
+    p_serve = command(
+        "serve", _cmd_serve,
+        help="run the online allocation daemon (JSON lines over TCP or "
+             "stdio)")
     p_serve.add_argument("--servers", type=int, default=100,
                          help="fleet size (paper's five-type mix)")
     p_serve.add_argument("--algorithm", default="min-energy",
@@ -318,38 +326,28 @@ def build_parser() -> argparse.ArgumentParser:
                               "request/response pairs kept for debug "
                               "dumps (0 disables)")
 
-    p_client = sub.add_parser(
-        "client", help="stream a workload at a running daemon")
-    p_client.add_argument("--host", default="127.0.0.1")
-    p_client.add_argument("--port", type=int, default=7077)
+    p_client = command(
+        "client", _cmd_client, parents=[daemon_at],
+        help="stream a workload at a running daemon")
     p_client.add_argument("--framing", default="lines",
                           choices=("lines", "frames"),
                           help="wire dialect: v1 JSON lines or v3 "
                                "binary frames")
-    p_client.add_argument("--trace", default=None,
-                          help="trace file (.csv or .json); otherwise a "
-                               "workload is generated")
-    p_client.add_argument("--vms", type=int, default=100)
-    p_client.add_argument("--interarrival", type=float, default=4.0)
-    p_client.add_argument("--duration", type=float, default=5.0)
-    p_client.add_argument("--seed", type=int, default=0)
+    add_workload(p_client, trace=True)
     p_client.add_argument("--batch", type=int, default=None,
                           metavar="N",
                           help="send v2 place_batch requests of up to N "
                                "VMs instead of one place per VM")
     p_client.add_argument("--shutdown", action="store_true",
                           help="ask the daemon to shut down afterwards")
-    p_client.add_argument("--retries", type=int, default=0,
-                          help="retry transient failures (connection "
-                               "drops, overload shedding) up to this "
-                               "many times with capped exponential "
-                               "backoff")
+    add_retries(p_client, "retry transient failures (connection drops, "
+                "overload shedding) up to this many times with capped "
+                "exponential backoff")
 
-    p_fault = sub.add_parser(
-        "inject-fault", help="report a live server failure (or recovery) "
-                             "to a running daemon")
-    p_fault.add_argument("--host", default="127.0.0.1")
-    p_fault.add_argument("--port", type=int, default=7077)
+    p_fault = command(
+        "inject-fault", _cmd_inject_fault, parents=[daemon_at],
+        help="report a live server failure (or recovery) to a running "
+             "daemon")
     p_fault.add_argument("--server-id", type=int, required=True,
                          help="the server that failed (or recovered)")
     p_fault.add_argument("--at", type=int, default=None, metavar="TICK",
@@ -358,67 +356,57 @@ def build_parser() -> argparse.ArgumentParser:
     p_fault.add_argument("--recover", action="store_true",
                          help="bring the server back instead of "
                               "failing it")
-    p_fault.add_argument("--retries", type=int, default=0,
-                         help="retry transient failures up to this many "
-                              "times")
+    add_retries(p_fault)
 
-    p_consolidate = sub.add_parser(
-        "consolidate", help="force one live consolidation episode on a "
-                            "running daemon")
-    p_consolidate.add_argument("--host", default="127.0.0.1")
-    p_consolidate.add_argument("--port", type=int, default=7077)
+    p_consolidate = command(
+        "consolidate", _cmd_consolidate, parents=[daemon_at],
+        help="force one live consolidation episode on a running daemon")
     p_consolidate.add_argument("--at", type=int, default=None,
                                metavar="TICK",
                                help="episode tick (default: the daemon's "
                                     "current clock)")
-    p_consolidate.add_argument("--retries", type=int, default=0,
-                               help="retry transient failures up to this "
-                                    "many times")
+    add_retries(p_consolidate)
 
-    p_top = sub.add_parser(
-        "top", help="live fleet telemetry dashboard for a running daemon")
-    p_top.add_argument("--host", default="127.0.0.1")
-    p_top.add_argument("--port", type=int, default=7077)
+    p_top = command(
+        "top", _cmd_top, parents=[daemon_at],
+        help="live fleet telemetry dashboard for a running daemon")
     p_top.add_argument("--interval", type=float, default=2.0,
                        help="seconds between refreshes")
     p_top.add_argument("--iterations", type=int, default=0, metavar="N",
                        help="stop after N refreshes (0 = run until ^C)")
     p_top.add_argument("--last", type=int, default=10, metavar="N",
                        help="show the newest N telemetry samples")
-    p_top.add_argument("--retries", type=int, default=0,
-                       help="retry transient failures up to this many "
-                            "times")
+    add_retries(p_top)
 
-    p_slo = sub.add_parser(
-        "slo", help="print a daemon's SLO burn-rate report (exit 1 when "
-                    "an objective is burning)")
-    p_slo.add_argument("--host", default="127.0.0.1")
-    p_slo.add_argument("--port", type=int, default=7077)
-    p_slo.add_argument("--retries", type=int, default=0,
-                       help="retry transient failures up to this many "
-                            "times")
+    p_slo = command(
+        "slo", _cmd_slo, parents=[daemon_at],
+        help="print a daemon's SLO burn-rate report (exit 1 when an "
+             "objective is burning)")
+    add_retries(p_slo)
     return parser
 
 
-def _cmd_list() -> int:
+def _cmd_list(args: argparse.Namespace) -> int:
     for name in allocator_names():
         print(name)
     return 0
 
 
-def _cmd_table(which: str) -> int:
-    print(table1() if which == "vms" else table2())
+def _cmd_table(args: argparse.Namespace) -> int:
+    print(table1() if args.which == "vms" else table2())
     return 0
 
 
+def _scenario(args: argparse.Namespace, **extra: object) -> ScenarioConfig:
+    """The scenario ``--vms`` / ``--interarrival`` / ``--duration`` name."""
+    return ScenarioConfig(n_vms=args.vms,
+                          mean_interarrival=args.interarrival,
+                          mean_duration=args.duration, **extra)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = ScenarioConfig(
-        n_vms=args.vms,
-        mean_interarrival=args.interarrival,
-        mean_duration=args.duration,
-        transition_time=args.transition,
-        seeds=tuple(args.seeds),
-    )
+    config = _scenario(args, transition_time=args.transition,
+                       seeds=tuple(args.seeds))
     result = compare_averaged(config, algorithm=args.algorithm)
     print(f"scenario: {args.vms} VMs on {config.n_servers} servers, "
           f"inter-arrival {args.interarrival} min, "
@@ -472,13 +460,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print("error: --out is required when generating a trace",
               file=sys.stderr)
         return 2
-    config = ScenarioConfig(
-        n_vms=args.vms,
-        mean_interarrival=args.interarrival,
-        mean_duration=args.duration,
-    )
     trace = Trace.from_vms(
-        config.generate_vms(args.seed),
+        _scenario(args).generate_vms(args.seed),
         n_vms=args.vms, mean_interarrival=args.interarrival,
         mean_duration=args.duration, seed=args.seed)
     if args.out.endswith(".json"):
@@ -494,12 +477,7 @@ def _load_or_generate(args: argparse.Namespace):
         loader = (Trace.load_json if args.trace.endswith(".json")
                   else Trace.load_csv)
         return list(loader(args.trace))
-    config = ScenarioConfig(
-        n_vms=args.vms,
-        mean_interarrival=args.interarrival,
-        mean_duration=args.duration,
-    )
-    return config.generate_vms(args.seed)
+    return _scenario(args).generate_vms(args.seed)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -535,12 +513,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.sensitivity import sensitivity_sweep
 
-    base = ScenarioConfig(
-        n_vms=args.vms,
-        mean_interarrival=args.interarrival,
-        mean_duration=args.duration,
-        seeds=tuple(args.seeds),
-    )
+    base = _scenario(args, seeds=tuple(args.seeds))
     result = sensitivity_sweep(base, args.field, args.values,
                                algorithm=args.algorithm)
     print(f"sweeping {args.field} "
@@ -555,12 +528,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     from repro.ilp import RecedingHorizonSolver, solve_ilp
     from repro.model.cluster import Cluster
 
-    config = ScenarioConfig(
-        n_vms=args.vms,
-        mean_interarrival=args.interarrival,
-        mean_duration=args.duration,
-        server_ratio=args.servers / args.vms,
-    )
+    config = _scenario(args, server_ratio=args.servers / args.vms)
     vms = config.generate_vms(args.seed)
     cluster = Cluster.paper_all_types(args.servers)
     if args.window:
@@ -796,16 +764,32 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _connect(args: argparse.Namespace, **options: object):
+    """A client of the daemon ``--host`` / ``--port`` / ``--retries``
+    name (use as a context manager)."""
+    from repro.service import AllocationClient, ClientConfig
+
+    return AllocationClient(args.host, args.port,
+                            config=ClientConfig(retries=args.retries),
+                            **options)
+
+
+def _refused(response: dict) -> bool:
+    """Whether the daemon refused the request (the error is printed)."""
+    if response.get("ok"):
+        return False
+    print(f"error: {response.get('error')}", file=sys.stderr)
+    return True
+
+
 def _cmd_client(args: argparse.Namespace) -> int:
-    from repro.service import AllocationClient, ClientConfig, replay_trace
+    from repro.service import replay_trace
 
     vms = _load_or_generate(args)
     if not vms:
         print("empty workload")
         return 0
-    config = ClientConfig(retries=args.retries)
-    with AllocationClient(args.host, args.port, config=config,
-                          framing=args.framing) as client:
+    with _connect(args, framing=args.framing) as client:
         summary = replay_trace(client, vms, batch=args.batch)
         stats = client.stats()
         exposition = client.metrics()
@@ -874,16 +858,12 @@ def _metrics_summary(exposition: str) -> str:
 
 
 def _cmd_inject_fault(args: argparse.Namespace) -> int:
-    from repro.service import AllocationClient, ClientConfig
-
-    config = ClientConfig(retries=args.retries)
-    with AllocationClient(args.host, args.port, config=config) as client:
+    with _connect(args) as client:
         if args.recover:
             response = client.recover_server(args.server_id)
         else:
             response = client.fail_server(args.server_id, args.at)
-    if not response.get("ok"):
-        print(f"error: {response.get('error')}", file=sys.stderr)
+    if _refused(response):
         return 1
     if args.recover:
         print(f"server {args.server_id} recovered at tick "
@@ -904,13 +884,9 @@ def _cmd_inject_fault(args: argparse.Namespace) -> int:
 
 
 def _cmd_consolidate(args: argparse.Namespace) -> int:
-    from repro.service import AllocationClient, ClientConfig
-
-    config = ClientConfig(retries=args.retries)
-    with AllocationClient(args.host, args.port, config=config) as client:
+    with _connect(args) as client:
         response = client.consolidate(args.at)
-    if not response.get("ok"):
-        print(f"error: {response.get('error')}", file=sys.stderr)
+    if _refused(response):
         return 1
     print(f"consolidated at tick {response['time']}: "
           f"{response['migrations']} migrations, "
@@ -979,17 +955,12 @@ def _format_top(response: dict) -> str:
 def _cmd_top(args: argparse.Namespace) -> int:
     import time as _time
 
-    from repro.service import AllocationClient, ClientConfig
-
-    config = ClientConfig(retries=args.retries)
     refreshes = 0
-    with AllocationClient(args.host, args.port, config=config) as client:
+    with _connect(args) as client:
         try:
             while True:
                 response = client.telemetry(last=args.last)
-                if not response.get("ok"):
-                    print(f"error: {response.get('error')}",
-                          file=sys.stderr)
+                if _refused(response):
                     return 1
                 print(_format_top(response), flush=True)
                 refreshes += 1
@@ -1002,13 +973,9 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_slo(args: argparse.Namespace) -> int:
-    from repro.service import AllocationClient, ClientConfig
-
-    config = ClientConfig(retries=args.retries)
-    with AllocationClient(args.host, args.port, config=config) as client:
+    with _connect(args) as client:
         response = client.telemetry(last=1)
-    if not response.get("ok"):
-        print(f"error: {response.get('error')}", file=sys.stderr)
+    if _refused(response):
         return 1
     report = response.get("slo", {})
     print(_format_slo(report))
@@ -1027,34 +994,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "list": lambda: _cmd_list(),
-        "table": lambda: _cmd_table(args.which),
-        "run": lambda: _cmd_run(args),
-        "figure": lambda: _cmd_figure(args),
-        "trace": lambda: _cmd_trace(args),
-        "analyze": lambda: _cmd_analyze(args),
-        "sweep": lambda: _cmd_sweep(args),
-        "solve": lambda: _cmd_solve(args),
-        "report": lambda: _cmd_report(args),
-        "audit": lambda: _cmd_audit(args),
-        "explain": lambda: _cmd_explain(args),
-        "serve": lambda: _cmd_serve(args),
-        "client": lambda: _cmd_client(args),
-        "inject-fault": lambda: _cmd_inject_fault(args),
-        "consolidate": lambda: _cmd_consolidate(args),
-        "top": lambda: _cmd_top(args),
-        "slo": lambda: _cmd_slo(args),
-        "robust": lambda: _cmd_robust(args),
-    }
-    handler = handlers.get(getattr(args, "command", None))
-    if handler is None:
-        # argparse already exits for a missing subcommand; this guards
-        # the path where the parser is built with it optional.
-        parser.print_usage(sys.stderr)
-        return 2
     try:
-        return handler()
+        return args.handler(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

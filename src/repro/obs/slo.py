@@ -31,7 +31,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from repro.exceptions import ValidationError
@@ -118,7 +118,6 @@ class _WindowBurn:
     errors: int = 0
     latency_burn: float = 0.0
     availability_burn: float = 0.0
-    extra: dict = field(default_factory=dict)
 
 
 class SLOTracker:

@@ -95,7 +95,6 @@ class TelemetryRing:
         self._samples: list[TelemetrySample] = []
         self._start = 0  # ring head index into _samples once full
         self._lock = threading.Lock()
-        self.recorded = 0  # lifetime samples accepted (incl. replaced)
 
     @property
     def enabled(self) -> bool:
@@ -106,7 +105,6 @@ class TelemetryRing:
         if self.capacity == 0:
             return
         with self._lock:
-            self.recorded += 1
             if self._samples:
                 newest = (self._start - 1) % len(self._samples)
                 if self._samples[newest].tick == sample.tick:

@@ -59,9 +59,8 @@ from __future__ import annotations
 
 import json
 import threading
-import time as _time
 from pathlib import Path
-from time import perf_counter
+from time import monotonic, perf_counter
 from typing import IO, Callable, Mapping
 
 from repro.allocators.registry import make_allocator
@@ -324,15 +323,14 @@ class AllocationDaemon:
         self.allocator.prepare(self._live)
 
     def _offer(self, vm, recorder: ExplainRecorder | None = None):
-        """Run the admission scan for ``vm`` under the state lock and
-        record its duration (``repro_shard_scan_seconds``)."""
+        """Run the admission scan under the state lock and time it."""
         with self._state_lock:
             started = perf_counter()
             decision = offer(vm, self._live, self.allocator,
                              max_delay=int(self.config["max_delay"]),
                              recorder=recorder)
             elapsed = perf_counter() - started
-        self.metrics.observe_shard_scan(elapsed)
+        self.metrics.scan.observe(elapsed)
         return decision
 
     # -- durability --------------------------------------------------------
@@ -457,22 +455,31 @@ class AllocationDaemon:
         # Recorded decisions are applied verbatim, one atomic journal
         # group per batch/failure/episode — see repro.service.replication.
         applied = apply_entry(self.store, entry)
-        for decision, delay in applied.placements:
-            self.metrics.observe_replayed(
-                decision, delay, algorithm=str(self.config["algorithm"]))
+        outcomes = applied.placements
+        placed = sum(decision == "placed" for decision, _ in outcomes)
+        self.metrics.count_decisions(
+            placed=placed, rejected=len(outcomes) - placed,
+            delayed=sum(bool(delay) for _, delay in outcomes),
+            algorithm=str(self.config["algorithm"]))
         if op == "fail_server":
-            report = applied.report
-            self.metrics.observe_failure(replaced=report.replaced,
-                                         lost=len(report.lost))
+            self._count_failure(applied.report)
         elif op == "consolidate":
-            report = applied.report
-            self._last_consolidated_tick = report.time
-            self.metrics.observe_consolidation(
-                moves=report.migrations,
-                servers_freed=report.servers_freed,
-                energy_saved=report.energy_saved)
+            self._count_consolidation(applied.report)
         if applied.fleet_changed:
             self._rebuild_fleet()
+
+    def _count_failure(self, report) -> None:
+        """One failure episode's counters, live or replayed."""
+        self.metrics.count(failures=1, replacements=report.replaced,
+                           vms_lost=len(report.lost))
+
+    def _count_consolidation(self, report,
+                             duration: float | None = None) -> None:
+        """One episode's counters and trigger watermark, live or replayed."""
+        self._last_consolidated_tick = report.time
+        self.metrics.observe_consolidation(
+            moves=report.migrations, servers_freed=report.servers_freed,
+            energy_saved=report.energy_saved, duration_seconds=duration)
 
     # -- request handling --------------------------------------------------
 
@@ -501,9 +508,9 @@ class AllocationDaemon:
         plus what this daemon *does* speak when the request named a
         version or an op it does not."""
         if isinstance(error, OverloadedError):
-            self.metrics.observe_overload()
+            self.metrics.count(overloaded=1)
         else:
-            self.metrics.observe_error()
+            self.metrics.count(errors=1)
         response = attach_error({"ok": False, **head},
                                 envelope_of_exception(error), version)
         if isinstance(error, ProtocolVersionError):
@@ -796,7 +803,7 @@ class AllocationDaemon:
         total_delta = 0.0
         placed = delayed = 0
         with tracer.span("service.place_batch", batch=len(vms)) as span:
-            self.metrics.observe_batch(len(vms))
+            self.metrics.batch_size.observe(len(vms))
             for i in order:
                 vm = vms[i]
                 if vm.start > self.store.clock:
@@ -830,7 +837,7 @@ class AllocationDaemon:
                 self.metrics.observe_item(
                     perf_counter() - item_started,
                     candidates=self.allocator.candidates_feasible)
-            self.metrics.observe_batch_outcome(
+            self.metrics.count_decisions(
                 placed=placed, rejected=len(vms) - placed,
                 delayed=delayed, algorithm=algorithm)
             span.set(placed=placed)
@@ -888,8 +895,7 @@ class AllocationDaemon:
                         "time": report.time,
                         "replacements": [r.to_record()
                                          for r in report.replacements]})
-            self.metrics.observe_failure(replaced=report.replaced,
-                                         lost=len(report.lost))
+            self._count_failure(report)
             self._placed_since_snapshot += report.replaced
             if report.replaced:
                 self._maybe_snapshot()
@@ -926,7 +932,6 @@ class AllocationDaemon:
                 # Drained sources were swapped for their live copies;
                 # the fleet must scan the new objects.
                 self._rebuild_fleet()
-            self._last_consolidated_tick = report.time
             span.set(migrations=report.migrations,
                      servers_freed=report.servers_freed,
                      residents=sum(len(s.vms) for s in self.store.states),
@@ -943,11 +948,7 @@ class AllocationDaemon:
                         "moves": [move.to_record()
                                   for move in report.moves]})
             duration = perf_counter() - started
-            self.metrics.observe_consolidation(
-                moves=report.migrations,
-                servers_freed=report.servers_freed,
-                energy_saved=report.energy_saved,
-                duration_seconds=duration)
+            self._count_consolidation(report, duration)
             self._placed_since_snapshot += report.migrations
             if report.migrations:
                 self._maybe_snapshot()
@@ -1077,8 +1078,7 @@ class AllocationDaemon:
         latest = self.telemetry.latest()
         return {
             "build": dict(self.metrics.build_info),
-            "uptime_seconds": round(
-                _time.monotonic() - self.metrics.started, 3),
+            "uptime_seconds": round(monotonic() - self.metrics.started, 3),
             "ready": self.ready,
             "closed": self.closed,
             "clock": self.store.clock,

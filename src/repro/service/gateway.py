@@ -2,7 +2,9 @@
 
 Every endpoint translates onto the same :meth:`AllocationDaemon.handle`
 op handlers the socket transports use — one daemon, one commit lock,
-one metrics surface, whatever the wire.
+one metrics surface, whatever the wire. The daemon's op table is the
+route table: ``/v1/<op>`` answers GET for a read-only op and POST for
+every other; the wrong method is ``405``, an unknown path ``404``.
 
 =====================  ======  =========================================
 Endpoint               Method  Daemon op
@@ -17,6 +19,8 @@ Endpoint               Method  Daemon op
 ``/v1/shutdown``       POST    ``shutdown``
 ``/v1/stats``          GET     ``stats``
 ``/v1/telemetry``      GET     ``telemetry`` (``?last=N``)
+``/v1/dump_debug``     GET     ``dump_debug``
+``/v1/ping``           GET     ``ping``
 ``/v1/metrics``        GET     ``metrics`` (Prometheus text page)
 ``/metrics``           GET     the same page (the scrape path)
 ``/healthz``           GET     liveness/readiness probe (``/readyz`` too)
@@ -53,9 +57,10 @@ __all__ = ["GatewayServer", "start_gateway"]
 TRACE_HEADER = "X-Trace-Id"
 REQUEST_HEADER = "X-Request-Id"
 
-_POST_OPS = ("place", "place_batch", "tick", "fail_server",
-             "recover_server", "consolidate", "snapshot", "shutdown")
-_GET_OPS = ("stats", "telemetry", "dump_debug")
+#: path -> the one method it answers.
+_ROUTES = {f"/v1/{op}": "GET" if kind == "read" else "POST"
+           for op, (_, kind) in AllocationDaemon._OPS.items()} \
+    | dict.fromkeys(("/metrics", "/healthz", "/readyz", "/varz"), "GET")
 
 _JSON = "application/json; charset=utf-8"
 _MAX_BODY = 64 * 1024 * 1024
@@ -111,20 +116,25 @@ class _GatewayHandler(BaseHTTPRequestHandler):
 
     # -- methods -----------------------------------------------------------
 
-    def do_POST(self) -> None:
-        path = urlparse(self.path).path
-        parts = path.strip("/").split("/")
-        if len(parts) != 2 or parts[0] != "v1":
+    def _routed(self, method: str) -> str | None:
+        """The request's path when it answers ``method``; otherwise the
+        404 / 405 is sent and None returned."""
+        path = urlparse(self.path).path.rstrip("/") or "/"
+        allowed = _ROUTES.get(path)
+        if allowed == method:
+            return path
+        if allowed is None:
             self._send_error(404, "not_found", f"no such endpoint {path}")
-            return
-        op = parts[1]
-        if op in _GET_OPS or path in ("/healthz", "/readyz", "/varz") \
-                or op == "metrics":
+        else:
             self._send_error(405, "method_not_allowed",
-                             f"{path} is read-only; use GET")
-            return
-        if op not in _POST_OPS:
-            self._send_error(404, "not_found", f"no such endpoint {path}")
+                             f"{path} is read-only; use GET"
+                             if allowed == "GET"
+                             else f"{path} mutates state; use POST")
+        return None
+
+    def do_POST(self) -> None:
+        path = self._routed("POST")
+        if path is None:
             return
         try:
             length = int(self.headers.get("Content-Length", 0) or 0)
@@ -148,11 +158,12 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             self._send_error(400, "bad_request",
                              "request body must be a JSON object")
             return
-        self._dispatch(op, body)
+        self._dispatch(path[len("/v1/"):], body)
 
     def do_GET(self) -> None:
-        parsed = urlparse(self.path)
-        path = parsed.path
+        path = self._routed("GET")
+        if path is None:
+            return
         daemon = self.server.daemon
         if path in ("/healthz", "/readyz"):
             if daemon.ready and not daemon.closed:
@@ -172,21 +183,10 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             self._send(200, daemon.render_metrics().encode("utf-8"),
                        CONTENT_TYPE)
             return
-        parts = path.strip("/").split("/")
-        if len(parts) != 2 or parts[0] != "v1":
-            self._send_error(404, "not_found", f"no such endpoint {path}")
-            return
-        op = parts[1]
-        if op in _POST_OPS:
-            self._send_error(405, "method_not_allowed",
-                             f"{path} mutates state; use POST")
-            return
-        if op not in _GET_OPS:
-            self._send_error(404, "not_found", f"no such endpoint {path}")
-            return
+        op = path[len("/v1/"):]
         body: dict[str, object] = {}
         if op == "telemetry":
-            query = parse_qs(parsed.query)
+            query = parse_qs(urlparse(self.path).query)
             if "last" in query:
                 try:
                     body["last"] = int(query["last"][0])

@@ -1,13 +1,14 @@
 """Service metrics and their Prometheus text exposition.
 
-Counters (requests by decision — plain and labelled per algorithm —
-admission delays, protocol errors), cumulative :class:`Histogram`
-families for placement latency and per-decision candidate counts, a
-bounded reservoir of per-request placement latencies (p50/p99), and
-gauges read live off the :class:`~repro.service.state.ClusterStateStore`
-— instantaneous Eq.-1 fleet power, servers active/asleep, the analytic
-energy accumulated so far, and the integrated/peak power of the closed
-ticks via :class:`~repro.simulation.telemetry.Telemetry`.
+A family is declared once, as a row of one of the four tables below —
+scalar counters, :class:`Histogram` families, gauges read live off the
+:class:`~repro.service.state.ClusterStateStore` (Eq.-1 fleet power,
+servers by power state, the Eq.-17 energy of the plan, integrated and
+peak power of the closed ticks) and the SLO tracker's objectives and
+burn rates — and :class:`ServiceMetrics` builds its attributes, the
+snapshot meta and the page by looping over them. Beside the tables sit
+the decisions-by-outcome counters (plain and labelled per algorithm)
+and a bounded reservoir of placement latencies (p50/p99).
 
 The exposition follows the Prometheus text format, version 0.0.4:
 ``# HELP`` / ``# TYPE`` comments followed by ``name{labels} value``
@@ -15,12 +16,10 @@ sample lines, one metric family per block; histograms expose the
 cumulative ``_bucket`` series (ending in ``le="+Inf"``), ``_sum`` and
 ``_count``.
 
-Thread safety: every family guards its own mutation — the reservoir
-and each histogram carry a lock, and :class:`ServiceMetrics` holds one
-more for the scalar counters — so concurrent recorders (the daemon's
-per-connection threads) never lose increments,
-and ``render()`` reads a consistent snapshot of each family without a
-daemon-wide lock.
+Thread safety: the reservoir and each histogram carry a lock, and
+:class:`ServiceMetrics` holds one more for the scalar counters — so
+concurrent recorders never lose increments, and ``render()`` reads a
+consistent snapshot of each family without a daemon-wide lock.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 __all__ = ["LatencyReservoir", "Histogram", "ServiceMetrics",
            "CONTENT_TYPE", "parse_exposition", "escape_label_value",
            "LATENCY_BUCKETS", "CANDIDATE_BUCKETS", "BATCH_BUCKETS",
-           "SHARD_SCAN_BUCKETS", "CONSOLIDATION_BUCKETS"]
+           "SCAN_BUCKETS", "CONSOLIDATION_BUCKETS"]
 
 #: The HTTP Content-Type of the text exposition format.
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -60,8 +59,8 @@ BATCH_BUCKETS = (1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0,
                  1000.0)
 
 #: Default bucket bounds (seconds) of the candidate-scan-time histogram.
-SHARD_SCAN_BUCKETS = (0.00001, 0.000025, 0.00005, 0.0001, 0.00025,
-                      0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05)
+SCAN_BUCKETS = (0.00001, 0.000025, 0.00005, 0.0001, 0.00025, 0.0005,
+                0.001, 0.0025, 0.005, 0.01, 0.025, 0.05)
 
 #: Default bucket bounds (seconds) of the consolidation-episode
 #: duration histogram (episodes plan a whole migration sweep, so the
@@ -166,27 +165,127 @@ class Histogram:
         return pairs, total, count
 
 
+#: Scalar counters: ``attribute -> (family, HELP, zero)``. The attribute
+#: is the public read (``metrics.errors``), the :meth:`count` keyword
+#: and the ``meta.counters`` key; ``zero`` fixes the value's type.
+_COUNTERS = {attribute: row for attribute, *row in (
+    ("delayed", "repro_requests_delayed_total",
+     "Requests admitted only after a queueing delay.", 0),
+    ("errors", "repro_request_errors_total",
+     "Malformed or unserviceable protocol requests.", 0),
+    ("overloaded", "repro_requests_overloaded_total",
+     "Requests shed by the bounded ingest queue.", 0),
+    ("failures", "repro_failures_total",
+     "Server-failure episodes served (fail_server ops).", 0),
+    ("replacements", "repro_replacements_total",
+     "VM remainders re-placed onto surviving servers after failures.", 0),
+    ("vms_lost", "repro_vms_lost_total",
+     "VM remainders that fit no surviving server after a failure.", 0),
+    ("migrations", "repro_migrations_total",
+     "Live migrations committed by consolidation episodes.", 0),
+    ("servers_freed", "repro_servers_freed_total",
+     "Servers drained empty by consolidation episodes.", 0),
+    ("consolidation_energy_saved", "repro_consolidation_energy_saved",
+     "Net Eq.-17 energy saved by consolidation episodes (migration costs "
+     "already deducted).", 0.0),
+)}
+
+#: Histograms: ``(attribute, family, HELP, bucket bounds)``.
+_HISTOGRAMS = (
+    ("latency_hist", "repro_placement_duration_seconds",
+     "Histogram of service-side placement decision latency.",
+     LATENCY_BUCKETS),
+    ("candidates", "repro_placement_candidates",
+     "Histogram of feasible candidate servers per placement decision.",
+     CANDIDATE_BUCKETS),
+    ("batch_size", "repro_batch_size",
+     "Histogram of VM counts per place_batch request.", BATCH_BUCKETS),
+    ("scan", "repro_shard_scan_seconds",
+     "Histogram of candidate scan durations, one per placement decision.",
+     SCAN_BUCKETS),
+    ("consolidation_duration", "repro_consolidation_duration_seconds",
+     "Histogram of consolidation episode durations (plan + apply + "
+     "journal).", CONSOLIDATION_BUCKETS),
+)
+
+#: Families read live off the store: ``(family, type, HELP, read)``;
+#: ``read(store, closed)`` gets the store and its closed-tick
+#: :class:`~repro.simulation.telemetry.Telemetry` (built once a page).
+_STORE_FAMILIES = (
+    ("repro_fleet_power_watts", "gauge",
+     "Instantaneous fleet power draw (Eq. 1).",
+     lambda store, closed: store.fleet_power()),
+    ("repro_servers_active", "gauge",
+     "Servers currently in the active power state.",
+     lambda store, closed: store.servers_active()),
+    ("repro_servers_asleep", "gauge",
+     "Servers currently in the power-saving state.",
+     lambda store, closed: store.servers_asleep()),
+    ("repro_servers_failed", "gauge",
+     "Servers currently in the failed state.",
+     lambda store, closed: store.servers_failed()),
+    ("repro_running_vms", "gauge",
+     "VM demand pieces currently resident on the fleet.",
+     lambda store, closed: store.running_vms()),
+    ("repro_clock_ticks", "gauge",
+     "Current wall-clock tick of the cluster state.",
+     lambda store, closed: store.clock),
+    ("repro_vms_placed", "gauge",
+     "VMs committed to the plan since daemon start.",
+     lambda store, closed: store.placement_count()),
+    ("repro_energy_accumulated_watt_ticks", "gauge",
+     "Analytic Eq.-17 energy of the plan; cut placements lower it.",
+     lambda store, closed: store.energy_accumulated),
+    ("repro_busy_energy_watt_ticks", "counter",
+     "Integrated live fleet power over closed ticks.",
+     lambda store, closed: closed.total_energy),
+    ("repro_power_peak_watts", "gauge",
+     "Peak per-tick fleet power over closed ticks.",
+     lambda store, closed: closed.peak_power),
+)
+
+#: SLO families: ``(family, type, HELP, section, key)`` — a path into
+#: :meth:`repro.obs.slo.SLOTracker.report`; the ``windows`` section is
+#: a list, rendered as one ``window``-labelled sample per entry.
+_SLO_FAMILIES = (
+    ("repro_slo_latency_objective_seconds", "gauge",
+     "Per-request latency threshold of the latency SLO.",
+     "config", "latency_objective"),
+    ("repro_slo_latency_target", "gauge",
+     "Required fraction of requests under the latency objective.",
+     "config", "latency_target"),
+    ("repro_slo_availability_target", "gauge",
+     "Required fraction of requests answered without error.",
+     "config", "availability_target"),
+    ("repro_slo_requests_total", "counter",
+     "Requests observed by the SLO tracker.", "totals", "requests"),
+    ("repro_slo_errors_total", "counter",
+     "Requests the SLO tracker counted as errored.", "totals", "errors"),
+    ("repro_slo_slow_requests_total", "counter",
+     "Requests slower than the latency objective.", "totals", "slow"),
+    ("repro_slo_latency_burn_rate", "gauge",
+     "Latency error-budget burn rate per trailing window (1.0 = spending "
+     "the budget exactly at the allowed rate).",
+     "windows", "latency_burn_rate"),
+    ("repro_slo_availability_burn_rate", "gauge",
+     "Availability error-budget burn rate per trailing window.",
+     "windows", "availability_burn_rate"),
+)
+
+
 class ServiceMetrics:
     """Counters + latency reservoir + histograms, rendered as Prometheus
-    text."""
+    text. A scalar counter or a histogram is an attribute named by its
+    row in the tables above; only build info, uptime, the two labelled
+    decision counters and the latency summary are written out by hand."""
 
     def __init__(self) -> None:
         self.requests = {decision: 0 for decision in _DECISIONS}
-        self.delayed = 0
-        self.errors = 0
-        self.overloaded = 0
-        self.failures = 0
-        self.replacements = 0
-        self.vms_lost = 0
-        self.migrations = 0
-        self.servers_freed = 0
-        self.consolidation_energy_saved = 0.0
+        for attribute, (_, _, zero) in _COUNTERS.items():
+            setattr(self, attribute, zero)
         self.latency = LatencyReservoir()
-        self.latency_hist = Histogram(LATENCY_BUCKETS)
-        self.candidates = Histogram(CANDIDATE_BUCKETS)
-        self.batch_size = Histogram(BATCH_BUCKETS)
-        self.shard_scan = Histogram(SHARD_SCAN_BUCKETS)
-        self.consolidation_duration = Histogram(CONSOLIDATION_BUCKETS)
+        for attribute, _, _, bounds in _HISTOGRAMS:
+            setattr(self, attribute, Histogram(bounds))
         #: (algorithm, decision) -> count; the labelled twin of
         #: ``requests`` once an algorithm is registered.
         self.decisions: dict[tuple[str, str], int] = {}
@@ -231,104 +330,57 @@ class ServiceMetrics:
 
     def observe_item(self, latency_seconds: float, *,
                      candidates: int | None = None) -> None:
-        """Record one batch item's latency/candidate samples.
-
-        The scalar decision counters are deliberately *not* touched here
-        — ``place_batch`` updates them in one
-        :meth:`observe_batch_outcome` call per batch, so a 1000-VM batch
-        takes the counter lock once instead of a thousand times.
-        """
+        """Record one batch item's latency/candidate samples — the
+        decision counters move once per batch, in
+        :meth:`count_decisions`, so a 1000-VM batch takes the counter
+        lock once instead of a thousand times."""
         self.latency.observe(latency_seconds)
         self.latency_hist.observe(latency_seconds)
         if candidates is not None:
             self.candidates.observe(float(candidates))
 
-    def observe_batch_outcome(self, *, placed: int, rejected: int,
-                              delayed: int = 0,
-                              algorithm: str | None = None) -> None:
-        """Bulk-update the decision counters for one batch under a
-        single lock acquisition (the counter twin of
-        :meth:`observe_item`)."""
+    def count_decisions(self, *, placed: int = 0, rejected: int = 0,
+                        delayed: int = 0,
+                        algorithm: str | None = None) -> None:
+        """Add decisions that carry no latency sample — a batch's
+        outcome, a journal-replayed request — under one lock hold."""
         with self._lock:
-            self.requests["placed"] += placed
-            self.requests["rejected"] += rejected
             self.delayed += delayed
-            if algorithm is not None:
-                for decision, n in (("placed", placed),
-                                    ("rejected", rejected)):
-                    if n:
-                        key = (algorithm, decision)
-                        self.decisions[key] = \
-                            self.decisions.get(key, 0) + n
+            for decision, n in (("placed", placed), ("rejected", rejected)):
+                self.requests[decision] += n
+                if n and algorithm is not None:
+                    key = (algorithm, decision)
+                    self.decisions[key] = self.decisions.get(key, 0) + n
 
-    def observe_replayed(self, decision: str, delay: int = 0, *,
-                         algorithm: str | None = None) -> None:
-        """Count a journal-replayed request (no latency/candidate sample
-        — the original timing is gone)."""
-        if decision not in self.requests:
-            raise ValidationError(f"unknown decision {decision!r}")
+    def count(self, **increments: float) -> None:
+        """Add to scalar counters by ``_COUNTERS`` key, under one lock
+        hold: ``count(failures=1, vms_lost=2)``."""
+        unknown = increments.keys() - _COUNTERS.keys()
+        if unknown:
+            raise ValidationError(f"no such counter: {sorted(unknown)}")
         with self._lock:
-            self.requests[decision] += 1
-            if delay:
-                self.delayed += 1
-            if algorithm is not None:
-                key = (algorithm, decision)
-                self.decisions[key] = self.decisions.get(key, 0) + 1
-
-    def observe_error(self) -> None:
-        with self._lock:
-            self.errors += 1
-
-    def observe_overload(self) -> None:
-        """Count one request shed by the bounded ingest queue."""
-        with self._lock:
-            self.overloaded += 1
-
-    def observe_failure(self, *, replaced: int, lost: int = 0) -> None:
-        """Count one server-failure episode and its re-placements."""
-        with self._lock:
-            self.failures += 1
-            self.replacements += replaced
-            self.vms_lost += lost
+            for attribute, n in increments.items():
+                setattr(self, attribute, getattr(self, attribute) + n)
 
     def observe_consolidation(self, *, moves: int, servers_freed: int,
                               energy_saved: float,
                               duration_seconds: float | None = None
                               ) -> None:
-        """Count one consolidation episode's migrations and yield.
-
-        ``duration_seconds`` is ``None`` for journal-replayed episodes
-        — the original timing is gone, so only the counters advance.
-        """
-        with self._lock:
-            self.migrations += moves
-            self.servers_freed += servers_freed
-            self.consolidation_energy_saved += energy_saved
+        """Count one consolidation episode's migrations and yield;
+        ``duration_seconds`` is ``None`` for a journal-replayed episode
+        (the original timing is gone, only the counters advance)."""
+        self.count(migrations=moves, servers_freed=servers_freed,
+                   consolidation_energy_saved=energy_saved)
         if duration_seconds is not None:
             self.consolidation_duration.observe(duration_seconds)
-
-    def observe_batch(self, size: int) -> None:
-        """Record one ``place_batch`` request's batch size."""
-        self.batch_size.observe(float(size))
-
-    def observe_shard_scan(self, seconds: float) -> None:
-        """Record one placement decision's candidate-scan duration."""
-        self.shard_scan.observe(seconds)
 
     # -- persistence (latency/candidate windows are not restorable) --------
 
     def to_meta(self) -> dict[str, object]:
         with self._lock:
             return {"requests": dict(self.requests),
-                    "delayed": self.delayed, "errors": self.errors,
-                    "overloaded": self.overloaded,
-                    "failures": self.failures,
-                    "replacements": self.replacements,
-                    "vms_lost": self.vms_lost,
-                    "migrations": self.migrations,
-                    "servers_freed": self.servers_freed,
-                    "consolidation_energy_saved":
-                        self.consolidation_energy_saved,
+                    **{attribute: getattr(self, attribute)
+                       for attribute in _COUNTERS},
                     "decisions": {f"{algorithm}\t{decision}": count
                                   for (algorithm, decision), count
                                   in self.decisions.items()}}
@@ -339,16 +391,9 @@ class ServiceMetrics:
             if isinstance(requests, Mapping):
                 for decision in _DECISIONS:
                     self.requests[decision] = int(requests.get(decision, 0))
-            self.delayed = int(meta.get("delayed", 0))
-            self.errors = int(meta.get("errors", 0))
-            self.overloaded = int(meta.get("overloaded", 0))
-            self.failures = int(meta.get("failures", 0))
-            self.replacements = int(meta.get("replacements", 0))
-            self.vms_lost = int(meta.get("vms_lost", 0))
-            self.migrations = int(meta.get("migrations", 0))
-            self.servers_freed = int(meta.get("servers_freed", 0))
-            self.consolidation_energy_saved = float(
-                meta.get("consolidation_energy_saved", 0.0))
+            for attribute, (_, _, zero) in _COUNTERS.items():
+                setattr(self, attribute,
+                        type(zero)(meta.get(attribute, zero)))
             decisions = meta.get("decisions")
             if isinstance(decisions, Mapping):
                 for key, count in decisions.items():
@@ -365,18 +410,11 @@ class ServiceMetrics:
         :meth:`repro.obs.slo.SLOTracker.report`; when given, the
         ``repro_slo_*`` objective and burn-rate families are appended.
         """
-        telemetry = store.telemetry()
+        closed = store.telemetry()
         with self._lock:
             requests = dict(self.requests)
             decisions = sorted(self.decisions.items())
-            delayed, errors = self.delayed, self.errors
-            overloaded = self.overloaded
-            failures = self.failures
-            replacements = self.replacements
-            vms_lost = self.vms_lost
-            migrations = self.migrations
-            servers_freed = self.servers_freed
-            energy_saved = self.consolidation_energy_saved
+            counts = [getattr(self, attribute) for attribute in _COUNTERS]
         lines: list[str] = []
 
         def family(name: str, kind: str, help_text: str,
@@ -385,17 +423,6 @@ class ServiceMetrics:
             lines.append(f"# TYPE {name} {kind}")
             for suffix, value in samples:
                 lines.append(f"{name}{suffix} {value:.10g}")
-
-        def hist_family(name: str, help_text: str,
-                        hist: Histogram) -> None:
-            pairs, total, count = hist.snapshot()
-            lines.append(f"# HELP {name} {help_text}")
-            lines.append(f"# TYPE {name} histogram")
-            for bound, cumulative in pairs:
-                le = "+Inf" if math.isinf(bound) else f"{bound:.10g}"
-                lines.append(f'{name}_bucket{{le="{le}"}} {cumulative}')
-            lines.append(f"{name}_sum {total:.10g}")
-            lines.append(f"{name}_count {count}")
 
         build_labels = "".join(
             f'{key}="{escape_label_value(value)}",'
@@ -417,122 +444,33 @@ class ServiceMetrics:
                  f'decision="{escape_label_value(decision)}"}}',
                  float(count))
                 for (algorithm, decision), count in decisions])
-        family("repro_requests_delayed_total", "counter",
-               "Requests admitted only after a queueing delay.",
-               [("", float(delayed))])
-        family("repro_request_errors_total", "counter",
-               "Malformed or unserviceable protocol requests.",
-               [("", float(errors))])
-        family("repro_requests_overloaded_total", "counter",
-               "Requests shed by the bounded ingest queue.",
-               [("", float(overloaded))])
-        family("repro_failures_total", "counter",
-               "Server-failure episodes served (fail_server ops).",
-               [("", float(failures))])
-        family("repro_replacements_total", "counter",
-               "VM remainders re-placed onto surviving servers after "
-               "failures.", [("", float(replacements))])
-        family("repro_vms_lost_total", "counter",
-               "VM remainders that fit no surviving server after a "
-               "failure.", [("", float(vms_lost))])
-        family("repro_migrations_total", "counter",
-               "Live migrations committed by consolidation episodes.",
-               [("", float(migrations))])
-        family("repro_servers_freed_total", "counter",
-               "Servers drained empty by consolidation episodes.",
-               [("", float(servers_freed))])
-        family("repro_consolidation_energy_saved", "counter",
-               "Net Eq.-17 energy saved by consolidation episodes "
-               "(migration costs already deducted).",
-               [("", energy_saved)])
+        for (name, help_text, _), value in zip(_COUNTERS.values(), counts):
+            family(name, "counter", help_text, [("", float(value))])
         family("repro_placement_latency_seconds", "summary",
                "Service-side latency of placement decisions.",
                [('{quantile="0.5"}', self.latency.quantile(0.5)),
                 ('{quantile="0.99"}', self.latency.quantile(0.99)),
                 ("_sum", self.latency.total),
                 ("_count", float(self.latency.count))])
-        hist_family("repro_placement_duration_seconds",
-                    "Histogram of service-side placement decision latency.",
-                    self.latency_hist)
-        hist_family("repro_placement_candidates",
-                    "Histogram of feasible candidate servers per placement "
-                    "decision.", self.candidates)
-        hist_family("repro_batch_size",
-                    "Histogram of VM counts per place_batch request.",
-                    self.batch_size)
-        hist_family("repro_shard_scan_seconds",
-                    "Histogram of candidate scan durations, one per "
-                    "placement decision.",
-                    self.shard_scan)
-        hist_family("repro_consolidation_duration_seconds",
-                    "Histogram of consolidation episode durations "
-                    "(plan + apply + journal).", self.consolidation_duration)
-        family("repro_fleet_power_watts", "gauge",
-               "Instantaneous fleet power draw (Eq. 1).",
-               [("", store.fleet_power())])
-        family("repro_servers_active", "gauge",
-               "Servers currently in the active power state.",
-               [("", float(store.servers_active()))])
-        family("repro_servers_asleep", "gauge",
-               "Servers currently in the power-saving state.",
-               [("", float(store.servers_asleep()))])
-        family("repro_servers_failed", "gauge",
-               "Servers currently in the failed state.",
-               [("", float(store.servers_failed()))])
-        family("repro_running_vms", "gauge",
-               "VM demand pieces currently resident on the fleet.",
-               [("", float(store.running_vms()))])
-        family("repro_clock_ticks", "gauge",
-               "Current wall-clock tick of the cluster state.",
-               [("", float(store.clock))])
-        family("repro_vms_placed", "gauge",
-               "VMs committed to the plan since daemon start.",
-               [("", float(store.placement_count()))])
-        family("repro_energy_accumulated_watt_ticks", "gauge",
-               "Analytic Eq.-17 energy of the plan; cut placements lower it.",
-               [("", store.energy_accumulated)])
-        family("repro_busy_energy_watt_ticks", "counter",
-               "Integrated live fleet power over closed ticks.",
-               [("", telemetry.total_energy)])
-        family("repro_power_peak_watts", "gauge",
-               "Peak per-tick fleet power over closed ticks.",
-               [("", telemetry.peak_power)])
+        for attribute, name, help_text, _ in _HISTOGRAMS:
+            pairs, total, count = getattr(self, attribute).snapshot()
+            family(name, "histogram", help_text, [])
+            for bound, cumulative in pairs:
+                le = "+Inf" if math.isinf(bound) else f"{bound:.10g}"
+                lines.append(f'{name}_bucket{{le="{le}"}} {cumulative}')
+            lines.append(f"{name}_sum {total:.10g}")
+            lines.append(f"{name}_count {count}")
+        for name, kind, help_text, read in _STORE_FAMILIES:
+            family(name, kind, help_text, [("", float(read(store, closed)))])
         if slo is not None:
             report = slo.report()
-            config = report["config"]
-            totals = report["totals"]
-            family("repro_slo_latency_objective_seconds", "gauge",
-                   "Per-request latency threshold of the latency SLO.",
-                   [("", float(config["latency_objective"]))])
-            family("repro_slo_latency_target", "gauge",
-                   "Required fraction of requests under the latency "
-                   "objective.", [("", float(config["latency_target"]))])
-            family("repro_slo_availability_target", "gauge",
-                   "Required fraction of requests answered without "
-                   "error.",
-                   [("", float(config["availability_target"]))])
-            family("repro_slo_requests_total", "counter",
-                   "Requests observed by the SLO tracker.",
-                   [("", float(totals["requests"]))])
-            family("repro_slo_errors_total", "counter",
-                   "Requests the SLO tracker counted as errored.",
-                   [("", float(totals["errors"]))])
-            family("repro_slo_slow_requests_total", "counter",
-                   "Requests slower than the latency objective.",
-                   [("", float(totals["slow"]))])
-            windows = report["windows"]
-            family("repro_slo_latency_burn_rate", "gauge",
-                   "Latency error-budget burn rate per trailing window "
-                   "(1.0 = spending the budget exactly at the allowed "
-                   "rate).",
-                   [(f'{{window="{w["window_seconds"]:.10g}"}}',
-                     float(w["latency_burn_rate"])) for w in windows])
-            family("repro_slo_availability_burn_rate", "gauge",
-                   "Availability error-budget burn rate per trailing "
-                   "window.",
-                   [(f'{{window="{w["window_seconds"]:.10g}"}}',
-                     float(w["availability_burn_rate"]))
-                    for w in windows])
+            for name, kind, help_text, section, key in _SLO_FAMILIES:
+                part = report[section]
+                family(name, kind, help_text,
+                       [(f'{{window="{w["window_seconds"]:.10g}"}}',
+                         float(w[key])) for w in part]
+                       if isinstance(part, list)
+                       else [("", float(part[key]))])
         return "\n".join(lines) + "\n"
 
 

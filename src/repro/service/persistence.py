@@ -3,7 +3,9 @@
 The daemon's durability story is the classic snapshot + write-ahead
 pair:
 
-* every state-mutating request (``place``, ``tick``) is appended to a
+* every state-mutating request (``place``, ``place_batch``, ``tick``,
+  ``fail_server``, ``recover_server``, ``consolidate``), after an
+  ``init`` entry holding the starting state, is appended to a
   JSON-lines **journal** — flushed (and optionally fsynced) per entry,
   with monotone sequence numbers;
 * periodically the whole :class:`~repro.service.state.ClusterStateStore`

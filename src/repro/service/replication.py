@@ -26,10 +26,6 @@ from repro.workload.trace import vm_from_record
 
 __all__ = ["AppliedEntry", "apply_entry"]
 
-#: Entry ops that change which servers the fleet may scan — appliers
-#: must rebuild their fleet view / candidate index afterwards.
-FLEET_CHANGING_OPS = ("fail_server", "recover_server", "consolidate")
-
 
 @dataclass(frozen=True)
 class AppliedEntry:

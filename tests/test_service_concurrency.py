@@ -63,10 +63,10 @@ class TestMetricsThreadSafety:
                 metrics.observe_request(decision, 0.001, delay=i % 3,
                                         algorithm="min-energy",
                                         candidates=i % 10)
-                metrics.observe_error()
-                metrics.observe_overload()
-                metrics.observe_batch(i % 50 + 1)
-                metrics.observe_shard_scan(0.0001)
+                metrics.count(errors=1)
+                metrics.count(overloaded=1)
+                metrics.batch_size.observe(float(i % 50 + 1))
+                metrics.scan.observe(0.0001)
 
         hammer(worker)
         total = THREADS * PER_THREAD
@@ -80,7 +80,7 @@ class TestMetricsThreadSafety:
         assert metrics.latency_hist.count == total
         assert metrics.candidates.count == total
         assert metrics.batch_size.count == total
-        assert metrics.shard_scan.count == total
+        assert metrics.scan.count == total
 
     def test_histogram_exact_under_contention(self):
         hist = Histogram((1.0, 10.0, 100.0))
@@ -135,7 +135,7 @@ class TestMetricsThreadSafety:
         try:
             hammer(lambda index: [
                 (metrics.observe_request("placed", 0.001),
-                 metrics.observe_batch(3))
+                 metrics.batch_size.observe(3.0))
                 for _ in range(PER_THREAD)], threads=4)
         finally:
             stop.set()

@@ -112,11 +112,26 @@ class TestErrorMapping:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             get(base, "/v1/place")
         assert excinfo.value.code == 405
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            post(base, "/v1/telemetry")
-        assert excinfo.value.code == 405
-        assert json.load(excinfo.value)["error"]["code"] == \
-            "method_not_allowed"
+        # GET-only paths outside /v1 and the text page answer the same.
+        for path in ("/v1/telemetry", "/healthz", "/readyz", "/varz",
+                     "/metrics", "/v1/metrics"):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                post(base, path)
+            assert excinfo.value.code == 405, path
+            assert json.load(excinfo.value)["error"]["code"] == \
+                "method_not_allowed"
+
+    def test_every_daemon_op_has_exactly_one_route(self, served):
+        # The op table is the route table: read ops GET, the rest POST.
+        daemon, base = served
+        with get(base, "/v1/ping") as resp:
+            assert json.load(resp) == {"ok": True, "op": "ping",
+                                       "clock": 0, "v": 3}
+        for op, (_, kind) in AllocationDaemon._OPS.items():
+            wrong = post if kind == "read" else get
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                wrong(base, f"/v1/{op}")
+            assert excinfo.value.code == 405, op
 
     def test_bad_json_body_is_400(self, served):
         daemon, base = served

@@ -3,15 +3,31 @@ conformance of the Prometheus text exposition (format version 0.0.4)."""
 
 from __future__ import annotations
 
+import ast
+import inspect
+import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
 from repro.exceptions import ValidationError
 from repro.model.cluster import Cluster
 from repro.model.server import ServerSpec
-from repro.service import ClusterStateStore, Histogram, parse_exposition
+from repro.obs.slo import SLOConfig, SLOTracker
+from repro.service import (
+    AllocationDaemon,
+    ClusterStateStore,
+    Histogram,
+    consolidate_request,
+    fail_server_request,
+    parse_exposition,
+    place_batch_request,
+    place_request,
+    recover_server_request,
+)
+from repro.service import metrics as metrics_module
 from repro.service.metrics import (
     CANDIDATE_BUCKETS,
     CONSOLIDATION_BUCKETS,
@@ -20,6 +36,7 @@ from repro.service.metrics import (
     ServiceMetrics,
     escape_label_value,
 )
+from repro.workload.generator import generate_vms
 
 from conftest import make_vm
 
@@ -387,3 +404,192 @@ class TestExposition:
         assert restored.requests == metrics.requests
         assert restored.decisions == metrics.decisions
         assert restored.delayed == 1
+
+
+# -- the scripted scenario: one page, literally ----------------------------
+
+GOLDEN = Path(__file__).parent / "fixtures" / "metrics_page_golden.txt"
+
+#: Samples whose value is a stopwatch reading: uptime, the latency
+#: summary's quantiles and sum, every finite bucket and sum of a
+#: seconds-valued histogram, the SLO burn rates (their windows trail
+#: the wall clock). Counts, ``+Inf`` buckets and everything else on the
+#: page are literal.
+_TIMED = re.compile(
+    r'^(repro_uptime_seconds'
+    r'|repro_placement_latency_seconds(\{quantile="[^"]*"\}|_sum)'
+    r'|repro_(placement_duration|shard_scan|consolidation_duration)'
+    r'_seconds(_bucket\{le="[0-9.e-]+"\}|_sum)'
+    r'|repro_slo_(latency|availability)_burn_rate\{[^}]*\}) \S+$')
+
+
+def scripted_scenario():
+    """Drive one daemon through every kind of op and yield
+    ``(step, daemon)`` after each: 40 ``place`` (a 10-server fleet,
+    ``max_delay=2``: some rejected, some delayed), two ``place_batch``,
+    an unknown op, a shed request, ``fail_server`` on the fullest
+    server, ``consolidate``, ``recover_server`` and a ``tick`` — every
+    counter on the page moves at least once (the latency objective is
+    a nanosecond, so every request counts as slow, on any machine)."""
+    store = ClusterStateStore(Cluster.paper_all_types(10))
+    daemon = AllocationDaemon(store, algorithm="min-energy", max_delay=2,
+                              max_inflight=1,
+                              slo=SLOConfig(latency_objective=1e-9))
+    daemon.metrics.set_build_info(version="golden", algorithm="min-energy",
+                                  engine=store.engine_config.spec)
+    yield "start", daemon
+    arrivals = sorted(generate_vms(120, 0.5, 20.0, seed=3),
+                      key=lambda v: (v.start, v.end, v.vm_id))
+    for vm in arrivals[:40]:
+        assert daemon.handle(place_request(vm))["ok"]
+        yield f"place {vm.vm_id}", daemon
+    for chunk in (arrivals[40:65], arrivals[65:80]):
+        assert daemon.handle(place_batch_request(chunk))["ok"]
+        yield f"place_batch of {len(chunk)}", daemon
+    assert not daemon.handle({"op": "nope"})["ok"]
+    yield "unknown op", daemon
+    daemon._ingest.acquire()  # the one ingest slot is taken: shed
+    assert not daemon.handle(place_request(arrivals[80]))["ok"]
+    daemon._ingest.release()
+    yield "shed place", daemon
+    fullest = max(store.states, key=lambda s: len(s.vms)).server.server_id
+    assert daemon.handle(fail_server_request(fullest))["replaced"] > 0
+    yield "fail_server", daemon
+    assert daemon.handle(consolidate_request())["migrations"] > 0
+    yield "consolidate", daemon
+    assert daemon.handle(recover_server_request(fullest))["ok"]
+    yield "recover_server", daemon
+    assert daemon.handle({"op": "tick", "now": store.clock + 5})["ok"]
+    yield "tick", daemon
+
+
+def golden_document(daemon) -> str:
+    """The page with its stopwatch samples masked, then the snapshot's
+    ``meta.counters`` and the ``stats`` response as JSON comments."""
+    page = daemon.render_metrics()
+    conformant_families(page)
+    lines = [_TIMED.sub(lambda match: match.group(1) + " *", line)
+             for line in page.splitlines()]
+    lines.append("# meta.counters " + json.dumps(daemon.metrics.to_meta()))
+    lines.append("# stats " + json.dumps(daemon.handle({"op": "stats"})))
+    return "\n".join(lines) + "\n"
+
+
+class TestScriptedScenario:
+    def test_page_meta_and_stats_match_the_golden_document(self):
+        # Recorded with the hand-unrolled metrics.py of PR 20, before
+        # the declaration tables replaced it (re-record with
+        # ``PYTHONPATH=src python tests/test_service_metrics.py`` only
+        # when the page is meant to change).
+        *_, (_, daemon) = scripted_scenario()
+        assert golden_document(daemon) == GOLDEN.read_text()
+
+    def test_no_counter_ever_falls(self):
+        # Whatever the table types ``counter`` is covered by being
+        # declared: after every step each of its samples is >= the
+        # value it had the step before.
+        previous: dict[tuple, float] = {}
+        for step, daemon in scripted_scenario():
+            families = conformant_families(daemon.render_metrics())
+            current = {(name, tuple(sorted(labels.items()))): value
+                       for family, body in families.items()
+                       if body["type"] == "counter"
+                       for name, labels, value in body["samples"]}
+            assert current.keys() >= previous.keys(), step
+            for key, value in previous.items():
+                assert current[key] >= value, (step, key)
+            previous = current
+        moved = {name for (name, _), value in previous.items() if value}
+        assert {name for name, _ in previous} - moved == set(), \
+            "the scenario leaves a counter at zero"
+
+
+# -- a family is declared once ---------------------------------------------
+
+ROOT = Path(__file__).parent.parent
+
+
+def declared_families() -> dict[str, str]:
+    """``family -> type`` of everything the page can carry: a blank
+    registry rendered with an SLO tracker beside it."""
+    store = ClusterStateStore(Cluster.homogeneous(SPEC, 1))
+    page = ServiceMetrics().render(store, slo=SLOTracker())
+    return {name: body["type"]
+            for name, body in conformant_families(page).items()}
+
+
+class TestAFamilyIsDeclaredOnce:
+    def test_every_family_name_is_one_string_literal_under_src(self):
+        # The page's one in-tree *reader*, ``repro client``'s digest,
+        # names the families it looks up; everything else under src/
+        # may spell a family only where it is declared.
+        seen: dict[str, list[str]] = {}
+        for path in sorted((ROOT / "src").rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            reader = {id(node) for function in ast.walk(tree)
+                      if isinstance(function, ast.FunctionDef)
+                      and function.name == "_metrics_summary"
+                      for node in ast.walk(function)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Constant) \
+                        and isinstance(node.value, str) \
+                        and id(node) not in reader:
+                    seen.setdefault(node.value, []).append(path.name)
+        for family in declared_families():
+            assert seen.get(family) == ["metrics.py"], family
+
+    def test_meta_and_page_name_no_table_attribute(self):
+        attributes = [*metrics_module._COUNTERS,
+                      *(row[0] for row in metrics_module._HISTOGRAMS)]
+        for method in (ServiceMetrics.__init__, ServiceMetrics.to_meta,
+                       ServiceMetrics.restore_meta, ServiceMetrics.render):
+            source = inspect.getsource(method)
+            for attribute in attributes:
+                assert not re.search(rf"\b{attribute}\b", source), \
+                    (method.__name__, attribute)
+
+    def test_a_new_counter_is_one_row(self, monkeypatch):
+        monkeypatch.setitem(
+            metrics_module._COUNTERS, "probes",
+            ["repro_probes_total", "Probes run (a test row).", 0])
+        metrics = ServiceMetrics()
+        metrics.count(probes=3, errors=1)
+        assert metrics.probes == 3
+        restored = ServiceMetrics()
+        restored.restore_meta(json.loads(json.dumps(metrics.to_meta())))
+        assert (restored.probes, restored.errors) == (3, 1)
+        families = conformant_families(restored.render(
+            ClusterStateStore(Cluster.homogeneous(SPEC, 1))))
+        assert families["repro_probes_total"] == {
+            "type": "counter",
+            "samples": [("repro_probes_total", {}, 3.0)]}
+
+    def test_count_refuses_a_name_the_table_does_not_declare(self):
+        metrics = ServiceMetrics()
+        with pytest.raises(ValidationError, match="no such counter"):
+            metrics.count(errors=1, requests=1)
+        assert metrics.errors == 0  # refused whole, not half-applied
+
+    def test_count_decisions_is_the_sample_free_observe_request(self):
+        observed, counted = ServiceMetrics(), ServiceMetrics()
+        for decision, delay in (("placed", 0), ("placed", 2),
+                                ("rejected", 0)):
+            observed.observe_request(decision, 0.001, delay,
+                                     algorithm="ffps")
+        counted.count_decisions(placed=2, rejected=1, delayed=1,
+                                algorithm="ffps")
+        assert counted.to_meta() == observed.to_meta()
+        assert counted.latency.count == 0
+
+    def test_the_service_doc_lists_exactly_the_declared_families(self):
+        text = (ROOT / "docs" / "service.md").read_text()
+        listing = text[text.index("The page:"):
+                       text.index("Latency quantiles are nearest-rank")]
+        listed = set(re.findall(r"\brepro_[a-z0-9_]+", listing))
+        assert listed == set(declared_families())
+
+
+if __name__ == "__main__":
+    *_, (_, last) = scripted_scenario()
+    GOLDEN.write_text(golden_document(last))
+    print(f"wrote {GOLDEN}")
