@@ -36,12 +36,13 @@ on large fleets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from repro.allocators.state import ServerState
 from repro.consolidation.victim import VictimSelector
 from repro.exceptions import ValidationError
-from repro.model.phases import demand_profile
+from repro.model.phases import demand_at
 from repro.model.vm import VM
 from repro.simulation.recovery import split_remainder
 from repro.workload.trace import vm_from_record, vm_to_record
@@ -55,16 +56,6 @@ _SAVING_BAND = 1e-9
 #: Slack on the fast capacity check so float accumulation can never
 #: reject a server the exact probe would accept.
 _FREE_SLACK = 1e-9
-
-
-def _demand_at(vm: VM, time: int) -> tuple[float, float]:
-    """``vm``'s (cpu, memory) demand at tick ``time`` (phase-aware)."""
-    cpu = mem = 0.0
-    for piece, piece_cpu, piece_mem in demand_profile(vm):
-        if piece.start <= time <= piece.end:
-            cpu += piece_cpu
-            mem += piece_mem
-    return cpu, mem
 
 
 class _EpisodeCache:
@@ -98,7 +89,7 @@ class _EpisodeCache:
         for state in states:
             cpu = mem = 0.0
             for vm in state.vms:
-                vm_cpu, vm_mem = _demand_at(vm, time)
+                vm_cpu, vm_mem = demand_at(vm, time)
                 cpu += vm_cpu
                 mem += vm_mem
             spec = state.server.spec
@@ -132,10 +123,10 @@ class _EpisodeCache:
         """Reflect a committed move: the full piece leaves its source
         (the head ends before the tick), the remainder lands on the
         target; both servers' memoised bids go stale."""
-        cpu, mem = _demand_at(move.vm, self.time)
+        cpu, mem = demand_at(move.vm, self.time)
         self.free_cpu[move.source_id] += cpu
         self.free_mem[move.source_id] += mem
-        cpu, mem = _demand_at(move.remainder, self.time)
+        cpu, mem = demand_at(move.remainder, self.time)
         self.free_cpu[move.target_id] -= cpu
         self.free_mem[move.target_id] -= mem
         touched = (move.source_id, move.target_id)
@@ -236,6 +227,12 @@ class ConsolidationReport:
         only strictly-saving moves are planned)."""
         return -sum(move.saving for move in self.moves)
 
+    @cached_property
+    def records(self) -> list[dict[str, object]]:
+        """The moves as JSON records, encoded once: the list in the
+        store's snapshot event is the list the daemon journals."""
+        return [move.to_record() for move in self.moves]
+
 
 class MigrationPlanner:
     """Plans net-energy-positive migrations over planning states.
@@ -301,7 +298,7 @@ class MigrationPlanner:
         # once, and hypothetically, so the book stays untouched.
         stay_cost = source.incremental_cost_swapped(
             remainder, without=piece, time=time)
-        need_cpu, need_mem = _demand_at(remainder, time)
+        need_cpu, need_mem = demand_at(remainder, time)
         shape = ((remainder.start, remainder.end, remainder.cpu,
                   remainder.memory) if type(remainder) is VM else None)
         best_target: int | None = None

@@ -8,7 +8,7 @@ from repro.extensions.consolidation import (
 )
 from repro.extensions.cost_terms import CostWeights, WeightedMinEnergy
 from repro.extensions.offline import LongestFirstMinEnergy, OfflineMinEnergy
-from repro.extensions.robustness import (
+from repro.extensions.power_curve import (
     SuperlinearPowerModel,
     evaluate_under_model,
 )

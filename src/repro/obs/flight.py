@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import threading
+from collections import deque
 from pathlib import Path
 from typing import Mapping
 
@@ -122,8 +123,7 @@ class FlightRecorder:
             raise ValidationError(
                 f"flight capacity must be >= 0, got {capacity}")
         self.capacity = capacity
-        self._records: list[FlightRecord] = []
-        self._start = 0
+        self._records: deque[FlightRecord] = deque(maxlen=capacity)
         self._lock = threading.Lock()
         self._seq = 0
 
@@ -140,25 +140,19 @@ class FlightRecorder:
             return
         with self._lock:
             self._seq += 1
-            entry = FlightRecord(
+            self._records.append(FlightRecord(
                 seq=self._seq, op=op, trace_id=trace_id,
                 request_id=request_id, ok=ok,
                 latency_ms=round(latency_ms, 3),
                 request=request, response=response,
-                error=error)
-            if len(self._records) < self.capacity:
-                self._records.append(entry)
-            else:
-                self._records[self._start] = entry
-                self._start = (self._start + 1) % self.capacity
+                error=error))
 
     def last(self, n: int | None = None) -> tuple[FlightRecord, ...]:
         """The newest ``n`` records (all when ``None``), oldest first."""
         if n is not None and n < 0:
             raise ValidationError(f"n must be >= 0, got {n}")
         with self._lock:
-            ordered = self._records[self._start:] \
-                + self._records[:self._start]
+            ordered = list(self._records)
         if n is not None:
             ordered = ordered[len(ordered) - min(n, len(ordered)):]
         return tuple(ordered)
@@ -170,7 +164,6 @@ class FlightRecorder:
     def clear(self) -> None:
         with self._lock:
             self._records.clear()
-            self._start = 0
 
     def dump(self, n: int | None = None) -> list[dict[str, object]]:
         """The newest ``n`` records as JSON-safe dicts, oldest first."""

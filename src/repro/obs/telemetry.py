@@ -19,6 +19,7 @@ step function.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
@@ -55,27 +56,12 @@ class TelemetrySample:
 
     @classmethod
     def from_record(cls, record: Mapping[str, object]) -> "TelemetrySample":
-        kwargs = {}
-        for f in record_fields():
-            value = record[f.name]
-            kwargs[f.name] = f.type_cast(value)
-        return cls(**kwargs)  # type: ignore[arg-type]
-
-
-class _Field:
-    __slots__ = ("name", "type_cast")
-
-    def __init__(self, name: str, type_cast) -> None:
-        self.name = name
-        self.type_cast = type_cast
-
-
-def record_fields() -> tuple[_Field, ...]:
-    """Field names and coercions of the sample record shape."""
-    casts = {"fleet_power": float, "energy_accumulated": float,
-             "fragmentation": float}
-    return tuple(_Field(f.name, casts.get(f.name, int))
-                 for f in fields(TelemetrySample))
+        # JSON does not keep int and float apart: cast each value back
+        # to its field's declared type (the annotation, or its text
+        # under ``from __future__ import annotations``).
+        return cls(**{
+            f.name: (float if f.type in (float, "float") else int)(
+                record[f.name]) for f in fields(cls)})
 
 
 class TelemetryRing:
@@ -92,8 +78,7 @@ class TelemetryRing:
             raise ValidationError(
                 f"telemetry capacity must be >= 0, got {capacity}")
         self.capacity = capacity
-        self._samples: list[TelemetrySample] = []
-        self._start = 0  # ring head index into _samples once full
+        self._samples: deque[TelemetrySample] = deque(maxlen=capacity)
         self._lock = threading.Lock()
 
     @property
@@ -106,19 +91,14 @@ class TelemetryRing:
             return
         with self._lock:
             if self._samples:
-                newest = (self._start - 1) % len(self._samples)
-                if self._samples[newest].tick == sample.tick:
-                    self._samples[newest] = sample
-                    return
-                if self._samples[newest].tick > sample.tick:
+                newest = self._samples[-1].tick
+                if newest > sample.tick:
                     # Out-of-order ticks never happen on the commit
                     # path; drop rather than corrupt the series.
                     return
-            if len(self._samples) < self.capacity:
-                self._samples.append(sample)
-            else:
-                self._samples[self._start] = sample
-                self._start = (self._start + 1) % self.capacity
+                if newest == sample.tick:
+                    self._samples.pop()
+            self._samples.append(sample)
 
     def last(self, n: int | None = None) -> tuple[TelemetrySample, ...]:
         """The newest ``n`` samples (all of them when ``n`` is None),
@@ -126,8 +106,7 @@ class TelemetryRing:
         if n is not None and n < 0:
             raise ValidationError(f"n must be >= 0, got {n}")
         with self._lock:
-            ordered = self._samples[self._start:] \
-                + self._samples[:self._start]
+            ordered = list(self._samples)
         if n is not None:
             ordered = ordered[len(ordered) - min(n, len(ordered)):]
         return tuple(ordered)
@@ -140,7 +119,6 @@ class TelemetryRing:
     def clear(self) -> None:
         with self._lock:
             self._samples.clear()
-            self._start = 0
 
     def __len__(self) -> int:
         with self._lock:

@@ -25,19 +25,18 @@ string* (:class:`~repro.service.state.ClusterStateStore`,
 ``make_allocator``'s ``engine`` parameter) still do; only the bare
 allocator-constructor form is gone.
 
-Snapshots journal the active config (:meth:`to_record` /
-:meth:`from_record`) so a restored daemon picks the same engine, kernel
-setting and robustness budget it was running with; records written
-before the robustness fields existed restore to ``robustness=None``
-(nominal probing) unchanged. Stored specs and records may carry a
-``shards`` entry, which selects nothing: it is validated as an integer
->= 1 and dropped, and :attr:`spec` / :meth:`to_record` never emit it.
+Snapshots and the journaled daemon config carry the active config as
+its :attr:`spec`, so a restored daemon picks the same engine, kernel
+setting and robustness budget it was running with; a spec written
+before the robustness options existed parses to ``robustness=None``
+(nominal probing) unchanged. A stored spec may carry a ``shards``
+option, which selects nothing: it is validated as an integer >= 1 and
+dropped, and :attr:`spec` never emits it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from repro.exceptions import ValidationError
 from repro.placement.occupancy import DEFAULT_ENGINE, ENGINES
@@ -47,8 +46,8 @@ __all__ = ["EngineConfig"]
 
 
 def _check_legacy_shards(raw: object, where: str) -> None:
-    """Validate the ``shards`` entry of a stored spec or record; it
-    selects nothing, so callers drop it after this check."""
+    """Validate the ``shards`` option of a stored spec; it selects
+    nothing, so the caller drops it after this check."""
     try:
         shards = int(raw)
     except (TypeError, ValueError):
@@ -215,27 +214,3 @@ class EngineConfig:
         raise ValidationError(
             f"engine must be an EngineConfig or a spec string, "
             f"got {value!r}")
-
-    def to_record(self) -> dict[str, object]:
-        """JSON-portable form for snapshots."""
-        record: dict[str, object] = {"engine": self.engine}
-        if self.kernel is not None:
-            record["kernel"] = self.kernel
-        if self.robustness is not None:
-            record["gamma"] = self.robustness.gamma
-            record["mode"] = self.robustness.mode
-        return record
-
-    @classmethod
-    def from_record(cls, record: Mapping[str, object]) -> "EngineConfig":
-        kernel = record.get("kernel")
-        if record.get("shards") is not None:
-            _check_legacy_shards(record["shards"], "bad engine record")
-        robustness: RobustnessConfig | None = None
-        if "gamma" in record or "mode" in record:
-            robustness = RobustnessConfig(
-                gamma=int(record.get("gamma", 0)),
-                mode=str(record.get("mode", "gamma")))
-        return cls(engine=str(record.get("engine", DEFAULT_ENGINE)),
-                   kernel=None if kernel is None else bool(kernel),
-                   robustness=robustness)

@@ -68,7 +68,6 @@ from repro.service.persistence import (
     SnapshotManager,
     read_journal,
 )
-from repro.service.replication import AppliedEntry, apply_entry
 from repro.service.protocol import (
     OPS,
     PROTOCOL_VERSION,
@@ -99,7 +98,6 @@ from repro.service.state import (
 __all__ = [
     "AllocationClient",
     "AllocationDaemon",
-    "AppliedEntry",
     "AsyncDaemonServer",
     "CODES",
     "ClientConfig",
@@ -123,7 +121,6 @@ __all__ = [
     "SNAPSHOT_FORMAT_VERSION",
     "SUPPORTED_VERSIONS",
     "SnapshotManager",
-    "apply_entry",
     "consolidate_request",
     "dump_debug_request",
     "encode",

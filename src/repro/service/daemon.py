@@ -57,6 +57,7 @@ the daemon answers ``{"ok": false, "error": "overloaded",
 
 from __future__ import annotations
 
+import inspect
 import json
 import threading
 from pathlib import Path
@@ -94,7 +95,6 @@ from repro.service.persistence import (
     SnapshotManager,
     read_journal,
 )
-from repro.service.replication import apply_entry
 from repro.service.protocol import (
     Request,
     encode,
@@ -358,6 +358,15 @@ class AllocationDaemon:
                 self._placed_since_snapshot >= every:
             self.write_snapshot()
 
+    def _journal(self, op: str, ctx: TraceContext,
+                 **payload: object) -> None:
+        """Append one mutation — the one writer of the entries
+        :meth:`ClusterStateStore.apply` reads; no-op without a journal."""
+        if self.journal is not None:
+            with get_tracer().span("service.journal"):
+                self.journal.append(
+                    {"op": op, **ctx.to_fields(), **payload})
+
     @classmethod
     def restore(cls, data_dir: str | Path, *, fsync: bool = True,
                 on_built: Callable[["AllocationDaemon"], None]
@@ -400,26 +409,17 @@ class AllocationDaemon:
         slo_record = config.get("slo")
         if slo_record is not None and not isinstance(slo_record, Mapping):
             raise ValidationError(f"{data_dir}: malformed snapshot slo")
-        # Only the keys below are read: a config journaled by a build
-        # that had ``shards`` / ``scan_processes`` restores unchanged.
-        daemon = cls(
-            store,
-            algorithm=str(config.get("algorithm", "min-energy")),
-            seed=config.get("seed"),
-            algo_params=algo_params,
-            max_delay=int(config.get("max_delay", 0)),
-            snapshot_every=int(config.get("snapshot_every", 100)),
-            max_inflight=int(config.get("max_inflight", 64)),
-            consolidate_every=int(config.get("consolidate_every", 0)),
-            frag_threshold=config.get("frag_threshold"),
-            migration_cost_per_gb=float(
-                config.get("migration_cost_per_gb", 5.0)),
-            migration_k=config.get("migration_k"),
-            slo=None if slo_record is None
-            else SLOConfig.from_record(slo_record),
-            telemetry_capacity=int(config.get("telemetry_capacity", 1024)),
-            flight_capacity=int(config.get("flight_capacity", 256)),
-            data_dir=data_dir, fsync=fsync, _restored_seq=covered)
+        # Recorded keys the constructor takes are passed as recorded,
+        # its signature supplies the ones a record lacks, and the rest
+        # (``shards`` / ``scan_processes`` of older builds) are ignored.
+        accepted = inspect.signature(cls).parameters
+        daemon = cls(**{
+            **{key: value for key, value in config.items()
+               if key in accepted},
+            "store": store, "data_dir": data_dir, "fsync": fsync,
+            "_restored_seq": covered,
+            "slo": None if slo_record is None
+            else SLOConfig.from_record(slo_record)})
         counters = meta.get("counters")
         if isinstance(counters, Mapping):
             daemon.metrics.restore_meta(counters)
@@ -452,20 +452,23 @@ class AllocationDaemon:
                 if key in entry:
                     fields[key] = entry[key]
             logger.info("service.replay", **fields)
-        # Recorded decisions are applied verbatim, one atomic journal
-        # group per batch/failure/episode — see repro.service.replication.
-        applied = apply_entry(self.store, entry)
-        outcomes = applied.placements
-        placed = sum(decision == "placed" for decision, _ in outcomes)
-        self.metrics.count_decisions(
-            placed=placed, rejected=len(outcomes) - placed,
-            delayed=sum(bool(delay) for _, delay in outcomes),
-            algorithm=str(self.config["algorithm"]))
+        # Recorded decisions are applied verbatim, one atomic group per
+        # batch/failure/episode; what comes back is what it counts for.
+        applied = self.store.apply(entry)
         if op == "fail_server":
-            self._count_failure(applied.report)
+            self._count_failure(applied)
         elif op == "consolidate":
-            self._count_consolidation(applied.report)
-        if applied.fleet_changed:
+            self._count_consolidation(applied)
+        elif applied:
+            placed = sum(decision == "placed" for decision, _ in applied)
+            self.metrics.count_decisions(
+                placed=placed, rejected=len(applied) - placed,
+                delayed=sum(bool(delay) for _, delay in applied),
+                algorithm=str(self.config["algorithm"]))
+        # Failure, recovery and an episode that moved something swap
+        # the state objects the allocator may scan.
+        if op in ("fail_server", "recover_server") or \
+                (op == "consolidate" and applied.moves):
             self._rebuild_fleet()
 
     def _count_failure(self, report) -> None:
@@ -737,9 +740,7 @@ class AllocationDaemon:
                 decision = self._offer(vm, recorder)
             response: dict[str, object] = {"ok": True, "op": "place",
                                            "vm_id": vm.vm_id}
-            entry: dict[str, object] = {"op": "place",
-                                        **ctx.to_fields(),
-                                        "vm": vm_to_record(vm)}
+            entry: dict[str, object] = {"vm": vm_to_record(vm)}
             if decision is None:
                 response["decision"] = entry["decision"] = "rejected"
             else:
@@ -757,9 +758,7 @@ class AllocationDaemon:
             response["latency_ms"] = latency * 1e3
             if recorder is not None and recorder.last is not None:
                 response["explanation"] = recorder.last.to_record()
-            if self.journal is not None:
-                with tracer.span("service.journal"):
-                    self.journal.append(entry)
+            self._journal("place", ctx, **entry)
             self.metrics.observe_request(
                 str(response["decision"]), latency,
                 int(response.get("delay", 0)),
@@ -844,10 +843,7 @@ class AllocationDaemon:
             if entries:
                 # The trace ids ride the group header — one id for the
                 # whole batch episode, replayed verbatim on restore.
-                with tracer.span("service.journal"):
-                    self.journal.append({"op": "place_batch",
-                                         **ctx.to_fields(),
-                                         "decisions": entries})
+                self._journal("place_batch", ctx, decisions=entries)
             self._placed_since_snapshot += placed
             if placed:
                 self._maybe_snapshot()
@@ -862,9 +858,7 @@ class AllocationDaemon:
         now = request["now"]
         if now > self.store.clock:
             self.store.advance_to(now)
-            if self.journal is not None:
-                self.journal.append(
-                    {"op": "tick", **ctx.to_fields(), "now": now})
+            self._journal("tick", ctx, now=now)
             self._maybe_consolidate()
         return {"ok": True, "op": "tick", "clock": self.store.clock,
                 "servers_active": self.store.servers_active(),
@@ -876,25 +870,18 @@ class AllocationDaemon:
         # Default: the failure is observed now. Clock 0 (nothing placed
         # yet) rounds up to the first real tick.
         time = request.get("time", max(self.store.clock, 1))
-        tracer = get_tracer()
         started = perf_counter()
-        with tracer.span("service.fail_server", server_id=server_id,
-                         time=time) as span:
+        with get_tracer().span("service.fail_server", server_id=server_id,
+                               time=time) as span:
             report = self.store.fail_server(server_id, time,
                                             recovery=self.allocator)
             self._rebuild_fleet()
             span.set(killed=report.killed, replaced=report.replaced,
                      lost=len(report.lost))
-            if self.journal is not None:
-                # One atomic journal group per failure: the episode's
-                # every re-placement restores together or not at all.
-                with tracer.span("service.journal"):
-                    self.journal.append({
-                        "op": "fail_server", **ctx.to_fields(),
-                        "server_id": server_id,
-                        "time": report.time,
-                        "replacements": [r.to_record()
-                                         for r in report.replacements]})
+            # One atomic journal group per failure: the episode's
+            # every re-placement restores together or not at all.
+            self._journal("fail_server", ctx, server_id=server_id,
+                          time=report.time, replacements=report.records)
             self._count_failure(report)
             self._placed_since_snapshot += report.replaced
             if report.replaced:
@@ -923,10 +910,9 @@ class AllocationDaemon:
         """One consolidation episode at tick ``time``: plan against the
         store, journal the moves as one atomic group, refresh the fleet
         and the metrics. Returns ``(report, duration_seconds)``."""
-        tracer = get_tracer()
         started = perf_counter()
-        with tracer.span("service.consolidate", time=time,
-                         trace_id=ctx.trace_id) as span:
+        with get_tracer().span("service.consolidate", time=time,
+                               trace_id=ctx.trace_id) as span:
             report = self.store.consolidate(time, planner=self.planner)
             if report.moves:
                 # Drained sources were swapped for their live copies;
@@ -936,17 +922,11 @@ class AllocationDaemon:
                      servers_freed=report.servers_freed,
                      residents=sum(len(s.vms) for s in self.store.states),
                      placements=self.store.placement_count())
-            if self.journal is not None:
-                # One atomic journal group per episode: all of its
-                # moves restore together or not at all. Zero-move
-                # episodes are journaled too — an on-demand episode may
-                # still have advanced the clock.
-                with tracer.span("service.journal"):
-                    self.journal.append({
-                        "op": "consolidate", **ctx.to_fields(),
-                        "time": report.time,
-                        "moves": [move.to_record()
-                                  for move in report.moves]})
+            # One atomic group per episode: its moves restore together
+            # or not at all. A zero-move episode is journaled too — an
+            # on-demand one may still have advanced the clock.
+            self._journal("consolidate", ctx, time=report.time,
+                          moves=report.records)
             duration = perf_counter() - started
             self._count_consolidation(report, duration)
             self._placed_since_snapshot += report.migrations
@@ -1003,10 +983,7 @@ class AllocationDaemon:
         with tracer.span("service.recover_server", server_id=server_id):
             self.store.recover_server(server_id)
             self._rebuild_fleet()
-            if self.journal is not None:
-                self.journal.append({"op": "recover_server",
-                                     **ctx.to_fields(),
-                                     "server_id": server_id})
+            self._journal("recover_server", ctx, server_id=server_id)
         return {"ok": True, "op": "recover_server",
                 "server_id": server_id, "clock": self.store.clock,
                 "servers_failed": self.store.servers_failed()}

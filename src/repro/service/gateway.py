@@ -138,6 +138,8 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", 0) or 0)
+            if length < 0:  # read(-n) raises or blocks until the peer closes
+                raise ValueError(length)
         except ValueError:
             self._send_error(400, "bad_request",
                              "malformed Content-Length header")

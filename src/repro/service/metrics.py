@@ -29,6 +29,7 @@ import math
 import re
 import threading
 import time
+from collections import deque
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.exceptions import ValidationError
@@ -76,9 +77,8 @@ class LatencyReservoir:
         if capacity <= 0:
             raise ValidationError(
                 f"capacity must be positive, got {capacity}")
-        self._capacity = capacity
-        self._samples: list[float] = []
-        self._next = 0
+        # the most recent window: a full deque drops its oldest sample
+        self._samples: deque[float] = deque(maxlen=capacity)
         self._lock = threading.Lock()
         self.count = 0
         self.total = 0.0
@@ -87,11 +87,7 @@ class LatencyReservoir:
         with self._lock:
             self.count += 1
             self.total += seconds
-            if len(self._samples) < self._capacity:
-                self._samples.append(seconds)
-            else:  # overwrite round-robin: keep the most recent window
-                self._samples[self._next] = seconds
-                self._next = (self._next + 1) % self._capacity
+            self._samples.append(seconds)
 
     def quantile(self, q: float) -> float:
         """The q-quantile of the window, by the nearest-rank definition.
@@ -487,9 +483,14 @@ _SAMPLE_RE = re.compile(
 _LABEL_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
 
 
+_UNESCAPED = {"\\\\": "\\", '\\"': '"', "\\n": "\n"}
+
+
 def _unescape(value: str) -> str:
-    return value.replace("\\n", "\n").replace('\\"', '"') \
-        .replace("\\\\", "\\")
+    """Invert :func:`escape_label_value` in one left-to-right pass
+    (pass by pass, the escaped backslash before an ``n`` reads as a
+    newline)."""
+    return re.sub(r'\\[\\"n]', lambda m: _UNESCAPED[m.group()], value)
 
 
 def parse_exposition(text: str) -> dict[str, list[tuple[dict, float]]]:

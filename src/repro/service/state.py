@@ -68,7 +68,9 @@ from __future__ import annotations
 
 import json
 import os
+from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -91,6 +93,7 @@ from repro.model.server import ServerSpec
 from repro.model.vm import VM
 from repro.placement.config import EngineConfig
 from repro.placement.occupancy import DEFAULT_ENGINE
+from repro.simulation.admission import shift_request
 from repro.simulation.power_state import (
     FleetAggregates,
     PowerState,
@@ -184,6 +187,17 @@ class FailureReport:
     def lost(self) -> tuple[VM, ...]:
         """Affected VMs whose remainder fit nowhere."""
         return tuple(r.vm for r in self.replacements if r.lost)
+
+    @cached_property
+    def records(self) -> list[dict[str, object]]:
+        """The replacements as JSON records, encoded once: the list in
+        the store's snapshot event is the list the daemon journals."""
+        return [r.to_record() for r in self.replacements]
+
+
+#: snapshot event ``kind`` -> the journal op recording the same episode
+_EVENT_OPS = {"fail": "fail_server", "recover": "recover_server",
+              "consolidate": "consolidate"}
 
 _SPEC_FIELDS = ("name", "cpu_capacity", "memory_capacity", "p_idle",
                 "p_peak", "transition_time")
@@ -413,12 +427,11 @@ class ClusterStateStore:
         :class:`FailureReport` is an *energy* report, not just an
         availability one.
 
-        ``replacements`` replays a previously recorded episode verbatim
-        (snapshot restore / journal replay): the allocator is never
-        re-run, the recorded head/remainder/target triples are applied
-        as-is, so a restored store is bit-identical to the original. A
-        record naming a VM the victim does not hold raises with the
-        clock moved and nothing marked failed, purged or booked.
+        ``replacements`` is :meth:`apply`'s way in: a recorded episode's
+        head/remainder/target triples are applied as-is, the allocator
+        never re-run. A record naming a VM the victim does not hold
+        raises with the clock moved and nothing marked failed, purged
+        or booked.
         """
         if not 0 <= server_id < len(self.cluster):
             raise ValidationError(
@@ -446,10 +459,7 @@ class ClusterStateStore:
                 recovery = MinIncrementalEnergy(policy=self.policy,
                                                 engine=self.engine_config)
         else:
-            planned = [r if isinstance(r, Replacement)
-                       else Replacement.from_record(r)
-                       for r in replacements]
-            affected = [r.vm for r in planned]
+            affected = [r.vm for r in replacements]
         self._unplace([(vm, server_id) for vm in affected])
         old_cost = victim.cost
         self._dead[server_id] = time
@@ -467,7 +477,7 @@ class ClusterStateStore:
                 out.append(self._apply_replacement(
                     vm, head, remainder, server_id, target_id))
         else:
-            for r in planned:
+            for r in replacements:
                 if r.head is not None:
                     self._next_vm_id = max(self._next_vm_id,
                                            r.head.vm_id + 1,
@@ -487,7 +497,7 @@ class ClusterStateStore:
         self._events.append({
             "kind": "fail", "server_id": server_id, "time": time,
             "at": at, "after": len(self._commit_log),
-            "replacements": [r.to_record() for r in out]})
+            "replacements": report.records})
         return report
 
     def recover_server(self, server_id: int) -> None:
@@ -513,8 +523,8 @@ class ClusterStateStore:
 
     def consolidate(self, time: int | None = None, *,
                     planner: MigrationPlanner | None = None,
-                    moves: Sequence[PlannedMove | Mapping[str, object]]
-                    | None = None) -> ConsolidationReport:
+                    moves: Sequence[PlannedMove] | None = None
+                    ) -> ConsolidationReport:
         """Run one live consolidation episode at tick ``time``.
 
         The clock advances to ``time`` (default: the current tick),
@@ -533,10 +543,9 @@ class ClusterStateStore:
         tick closes.
 
         The whole episode is recorded as **one** event in the snapshot
-        stream; ``moves`` replays such a recorded episode verbatim
-        (snapshot restore / journal replay) — the planner is never
-        re-run, so a restored store is bit-identical to the original.
-        Dead servers are neither drained nor targeted.
+        stream; ``moves`` is :meth:`apply`'s way in — such a recorded
+        episode applied verbatim, the planner never re-run. Dead
+        servers are neither drained nor targeted.
         """
         time = self.clock if time is None else int(time)
         if time < 1:
@@ -549,22 +558,15 @@ class ClusterStateStore:
         at = self.clock
         self.advance_to(time)
         if moves is None:
-            if planner is None:
-                planner = MigrationPlanner()
             copies = [state.live_copy(time) for state in self.states]
-            plan = planner.plan_episode(copies, time, self._next_vm_id,
-                                        skip=frozenset(self._dead))
-            planned = plan.moves
-        else:
-            planned = tuple(
-                m if isinstance(m, PlannedMove)
-                else PlannedMove.from_record(m) for m in moves)
-        report = self._apply_migrations(planned, time)
-        if planned:
+            moves = (planner or MigrationPlanner()).plan_episode(
+                copies, time, self._next_vm_id,
+                skip=frozenset(self._dead)).moves
+        report = self._apply_migrations(tuple(moves), time)
+        if moves:
             self._events.append({
                 "kind": "consolidate", "time": time, "at": at,
-                "after": len(self._commit_log),
-                "moves": [move.to_record() for move in planned]})
+                "after": len(self._commit_log), "moves": report.records})
         return report
 
     def _apply_migrations(self, moves: tuple[PlannedMove, ...],
@@ -691,38 +693,68 @@ class ClusterStateStore:
         for vm_id in vm_ids:
             self._open_pieces.pop(vm_id, None)
 
-    def _apply_event(self, event: Mapping[str, object]) -> None:
-        """Replay one recorded failure/recovery/consolidation event
-        (snapshot restore)."""
-        try:
-            kind = event["kind"]
-            at = int(event["at"])
-        except (TypeError, KeyError, ValueError) as exc:
-            raise ValidationError(
-                f"malformed snapshot event: {exc}") from exc
-        if at > self.clock:
-            self.advance_to(at)
-        if kind == "consolidate":
-            self.consolidate(
-                int(event["time"]),
+    # -- recorded mutations ------------------------------------------------
+
+    def apply(self, entry: Mapping[str, object]
+              ) -> tuple[tuple[str, int], ...] | FailureReport \
+            | ConsolidationReport | None:
+        """Apply one recorded mutation verbatim: a journal entry, or a
+        snapshot event under its journal name (:meth:`_apply_event`).
+
+        Decisions, re-placements and moves are applied as recorded — no
+        allocator, no planner — so the same records on the same store
+        reach the same state bit for bit. Returns what the caller
+        accounts with: the ``(decision, delay)`` pairs of ``place`` /
+        ``place_batch``, the report of ``fail_server`` / ``consolidate``,
+        else ``None`` (``init`` is a no-op: its snapshot built the store).
+        """
+        op = entry.get("op")
+        if op == "place":
+            return (self._apply_place(entry),)
+        if op == "place_batch":
+            return tuple(self._apply_place(sub)
+                         for sub in entry["decisions"])
+        if op == "fail_server":
+            return self.fail_server(
+                int(entry["server_id"]), int(entry["time"]),
+                replacements=[Replacement.from_record(record) for record
+                              in entry.get("replacements", ())])
+        if op == "consolidate":
+            return self.consolidate(
+                int(entry["time"]),
                 moves=[PlannedMove.from_record(record)
-                       for record in event.get("moves", ())])
-            return
+                       for record in entry.get("moves", ())])
+        if op == "tick":
+            self.advance_to(max(self.clock, int(entry["now"])))
+        elif op == "recover_server":
+            self.recover_server(int(entry["server_id"]))
+        elif op != "init":
+            raise ValidationError(f"unknown recorded op {op!r}")
+        return None
+
+    def _apply_place(self, entry: Mapping[str, object]) -> tuple[str, int]:
+        """One recorded decision: the request, its server and delay."""
+        vm = vm_from_record(entry["vm"])
+        self.advance_to(max(self.clock, vm.start))
+        decision = str(entry["decision"])
+        delay = int(entry.get("delay", 0))
+        if decision == "placed":
+            self.commit(shift_request(vm, delay), int(entry["server_id"]))
+        return decision, delay
+
+    def _apply_event(self, event: Mapping[str, object]) -> None:
+        """Replay one snapshot event: a journal group under its
+        ``kind`` name, stamped with the clock (``at``) it ran at. An
+        unknown kind, like a missing field, is a malformed event."""
         try:
-            server_id = int(event["server_id"])
+            op = _EVENT_OPS[event["kind"]]
+            self.advance_to(max(self.clock, int(event["at"])))
+            self.apply({**event, "op": op})
+        except ValidationError:
+            raise
         except (TypeError, KeyError, ValueError) as exc:
             raise ValidationError(
                 f"malformed snapshot event: {exc}") from exc
-        if kind == "fail":
-            self.fail_server(
-                server_id, int(event["time"]),
-                replacements=[Replacement.from_record(record)
-                              for record in event.get("replacements", ())])
-        elif kind == "recover":
-            self.recover_server(server_id)
-        else:
-            raise ValidationError(
-                f"unknown snapshot event kind {kind!r}")
 
     # -- views -------------------------------------------------------------
 
@@ -875,16 +907,13 @@ class ClusterStateStore:
                 str(document.get("engine", DEFAULT_ENGINE)))
             clock = int(document["clock"])
             entries = list(document["placements"])
-            events = list(document.get("events", ()))
+            events = deque(document.get("events", ()))
         except (TypeError, KeyError, ValueError) as exc:
             raise ValidationError(f"malformed snapshot: {exc}") from exc
         store = cls(Cluster.from_specs(specs), policy=policy, engine=engine)
-        next_event = 0
         for i, entry in enumerate(entries):
-            while next_event < len(events) and \
-                    int(events[next_event].get("after", 0)) <= i:
-                store._apply_event(events[next_event])
-                next_event += 1
+            while events and int(events[0].get("after", 0)) <= i:
+                store._apply_event(events.popleft())
             try:
                 vm = vm_from_record(entry["vm"])
                 server_id = int(entry["server_id"])
@@ -892,12 +921,10 @@ class ClusterStateStore:
             except (TypeError, KeyError, ValueError) as exc:
                 raise ValidationError(
                     f"malformed snapshot placement #{i}: {exc}") from exc
-            if committed_at > store.clock:
-                store.advance_to(committed_at)
+            store.advance_to(max(store.clock, committed_at))
             store.commit(vm, server_id)
-        while next_event < len(events):
-            store._apply_event(events[next_event])
-            next_event += 1
+        while events:
+            store._apply_event(events.popleft())
         store.advance_to(clock)
         return store
 

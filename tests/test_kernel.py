@@ -381,23 +381,22 @@ class TestEngineConfig:
                 EngineConfig.parse(bad)
 
     def test_record_round_trips(self):
+        # The stored form is the spec string (snapshots, daemon config).
         config = EngineConfig(engine="indexed", kernel=False)
-        assert EngineConfig.from_record(config.to_record()) == config
+        assert EngineConfig.parse(config.spec) == config
 
     def test_stored_shards_entry_is_validated_then_dropped(self):
-        # Specs and records written by earlier builds may carry one.
+        # Specs written by earlier builds may carry one.
         config = EngineConfig.parse("indexed:kernel=on,shards=8")
         assert config == EngineConfig(engine="indexed", kernel=True)
         assert config.spec == "indexed:kernel=on"
         assert EngineConfig.parse("dense:shards=2").spec == "dense"
-        record = {"engine": "indexed", "kernel": False, "shards": 4}
-        restored = EngineConfig.from_record(record)
+        restored = EngineConfig.parse("indexed:kernel=off,shards=4")
         assert restored == EngineConfig(engine="indexed", kernel=False)
-        assert "shards" not in restored.to_record()
+        assert "shards" not in restored.spec
         for bad in ("x", 0, -3):
             with pytest.raises(ValidationError):
-                EngineConfig.from_record({"engine": "indexed",
-                                          "shards": bad})
+                EngineConfig.parse(f"indexed:shards={bad}")
 
     def test_ctor_string_is_removed(self):
         # The bare-string constructor form finished its deprecation

@@ -174,14 +174,16 @@ class TestExports:
                      "start_gateway", "encode_frame", "read_frame",
                      "write_frame", "FrameDecoder", "FRAME_MAGIC", "CODES",
                      "envelope",
-                     "error_fields", "http_status_of", "apply_entry",
-                     "AppliedEntry", "validate_request"):
+                     "error_fields", "http_status_of", "validate_request"):
             assert name in service.__all__, name
             assert hasattr(service, name), name
         # One socket front, one HTTP front: the blocking TCP server
         # and the private metrics server are gone.
+        # ... and one reader of recorded mutations,
+        # ClusterStateStore.apply: the journal-replay module is gone.
         for name in ("serve_tcp", "DaemonTCPServer",
-                     "start_metrics_server"):
+                     "start_metrics_server", "apply_entry",
+                     "AppliedEntry"):
             assert name not in service.__all__, name
             assert not hasattr(service, name), name
         assert 3 in service.SUPPORTED_VERSIONS
@@ -265,7 +267,7 @@ class TestDocstrings:
         "repro.experiments.sensitivity", "repro.experiments.export",
         "repro.experiments.report", "repro.experiments.scaling",
         "repro.extensions.consolidation", "repro.extensions.offline",
-        "repro.extensions.cost_terms", "repro.extensions.robustness",
+        "repro.extensions.cost_terms", "repro.extensions.power_curve",
         "repro.extensions.warmpool",
         "repro.service.protocol", "repro.service.state",
         "repro.service.persistence", "repro.service.metrics",

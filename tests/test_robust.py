@@ -124,12 +124,14 @@ class TestEngineConfigRobustness:
                          robustness=RobustnessConfig(mode="box"))
 
     def test_record_round_trips(self):
-        config = EngineConfig.parse("indexed:gamma=2,mode=box")
-        assert EngineConfig.from_record(config.to_record()) == config
-        # Legacy records (no gamma/mode keys) restore radius-free.
-        legacy = EngineConfig().to_record()
+        # The stored form is the spec string (snapshots, daemon config).
+        config = EngineConfig(robustness=RobustnessConfig(gamma=2,
+                                                          mode="box"))
+        assert EngineConfig.parse(config.spec) == config
+        # Legacy specs (no gamma/mode options) restore radius-free.
+        legacy = EngineConfig().spec
         assert "gamma" not in legacy
-        assert EngineConfig.from_record(legacy).robustness is None
+        assert EngineConfig.parse(legacy).robustness is None
 
 
 class TestVMSpecRadii:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import re
 import urllib.request
@@ -184,6 +185,18 @@ class TestClusterStateStore:
             store.machines[0].transition_energy
 
 
+
+def edit_journal_init(data_dir, edit) -> None:
+    """Rewrite the journal's ``init`` entry with ``edit(snapshot)``
+    applied to the snapshot document it carries."""
+    journal = data_dir / "journal.jsonl"
+    lines = journal.read_text().splitlines()
+    init = json.loads(lines[0])
+    assert init["op"] == "init"
+    edit(init["snapshot"])
+    lines[0] = json.dumps(init, separators=(",", ":"))
+    journal.write_text("\n".join(lines) + "\n")
+
 class TestDaemon:
     def test_stream_matches_offline_simulation(self):
         vms = generate_vms(80, mean_interarrival=2.0, seed=5)
@@ -330,13 +343,7 @@ class TestDaemon:
             document = json.loads(path.read_text())
             stamp(document)
             path.write_text(json.dumps(document))
-        journal = tmp_path / "journal.jsonl"
-        lines = journal.read_text().splitlines()
-        init = json.loads(lines[0])
-        assert init["op"] == "init"
-        stamp(init["snapshot"])
-        lines[0] = json.dumps(init, separators=(",", ":"))
-        journal.write_text("\n".join(lines) + "\n")
+        edit_journal_init(tmp_path, stamp)
 
         second = AllocationDaemon.restore(tmp_path, fsync=False)
         got += trail(stream(second, vms[70:]))
@@ -347,6 +354,33 @@ class TestDaemon:
         assert "shards" not in config and "scan_processes" not in config
         assert document["engine"] == "indexed:kernel=on"
         assert config["algo_params"]["engine"] == "indexed:kernel=on"
+
+    def test_restore_takes_unrecorded_keys_from_the_signature(
+            self, tmp_path):
+        """A recorded config that lacks a key (a build that did not
+        have it yet) restores with the constructor's own default — the
+        value is written once, in the signature."""
+        first = AllocationDaemon(
+            ClusterStateStore(Cluster.homogeneous(SPEC, 2)),
+            algorithm="first-fit", max_delay=3, snapshot_every=7,
+            max_inflight=5, data_dir=tmp_path, fsync=False)
+        first.handle(place_request(make_vm(0, 1, 5)))
+        del first
+
+        def forget(document):
+            for key in ("snapshot_every", "max_inflight"):
+                del document["meta"]["config"][key]
+
+        edit_journal_init(tmp_path, forget)
+        restored = AllocationDaemon.restore(tmp_path, fsync=False)
+        defaults = inspect.signature(AllocationDaemon).parameters
+        assert restored.config["snapshot_every"] == \
+            defaults["snapshot_every"].default
+        assert restored.config["max_inflight"] == \
+            defaults["max_inflight"].default
+        assert restored.config["algorithm"] == "first-fit"
+        assert restored.config["max_delay"] == 3
+        assert restored.store.placement_count() == 1
 
     def test_restore_preserves_counters_and_rejections(self, tmp_path):
         store = ClusterStateStore(Cluster.homogeneous(SPEC, 1))

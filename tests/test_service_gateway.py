@@ -4,6 +4,7 @@ propagation, overload shedding, and crash recovery mid-stream."""
 from __future__ import annotations
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -141,6 +142,26 @@ class TestErrorMapping:
             urllib.request.urlopen(req, timeout=10)
         assert excinfo.value.code == 400
         assert json.load(excinfo.value)["error"]["code"] == "bad_request"
+
+    @pytest.mark.parametrize("length", ["-5", "-1", "ten"])
+    def test_unusable_content_length_is_400(self, served, length):
+        # A negative length used to reach ``rfile.read``: -5 raised out
+        # of the handler (connection dropped, no response), -1 blocked
+        # the handler thread until the peer closed. Over a raw socket,
+        # because urllib computes the header itself.
+        daemon, base = served
+        host, port = base[len("http://"):].split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(f"POST /v1/tick HTTP/1.1\r\nHost: {host}\r\n"
+                         f"Content-Length: {length}\r\n"
+                         "Connection: close\r\n\r\n".encode())
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), reply
+        assert json.loads(body)["error"]["code"] == "bad_request"
+        assert daemon.store.clock == 0
 
     def test_validation_failure_is_400_envelope(self, served):
         daemon, base = served

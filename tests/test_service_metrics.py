@@ -11,6 +11,7 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.exceptions import ValidationError
 from repro.model.cluster import Cluster
@@ -271,6 +272,14 @@ class TestExposition:
         assert escape_label_value('a"b') == 'a\\"b'
         assert escape_label_value("a\\b") == "a\\\\b"
         assert escape_label_value("a\nb") == "a\\nb"
+
+    @given(st.text(alphabet='\\"n\nab '))
+    def test_parse_exposition_inverts_the_escaping(self, value):
+        # A backslash followed by ``n`` travels as two backslashes and
+        # an ``n``; three replace passes read that back as a backslash
+        # and a newline.
+        line = f'm{{l="{escape_label_value(value)}"}} 1'
+        assert parse_exposition(line) == {"m": [({"l": value}, 1.0)]}
 
     def test_parse_exposition_reads_back_rendered_page(self):
         text, _ = self.render(requests=[("placed", 0.001, 2)])

@@ -23,13 +23,23 @@ on, exactly like one rebuilt from the placement log —
 :func:`book_from_log` keeps that rebuild, which the store itself no
 longer runs, as the oracle — and a consolidation plan made on the
 O(live) copies must be the plan made on full-history replicas.
+
+Slice four holds the one door in place: a recorded mutation has one
+reader (:meth:`ClusterStateStore.apply`) and one writer
+(``AllocationDaemon._journal``), so the live store, a restore from the
+newest snapshot plus the journal tail and a restore from the journal
+alone are one state, and a crash at any byte of the final journal group
+loses that group and nothing else.
 """
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import json
 from dataclasses import replace
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -40,6 +50,7 @@ from repro.model.cluster import Cluster
 from repro.model.intervals import TimeInterval
 from repro.model.server import ServerSpec
 from repro.model.vm import VM, VMSpec
+from repro.obs.tracer import Tracer, use_tracer
 from repro.service import (
     AllocationDaemon,
     ClusterStateStore,
@@ -47,6 +58,7 @@ from repro.service import (
     fail_server_request,
     place_batch_request,
     place_request,
+    read_journal,
     recover_server_request,
 )
 from repro.simulation.power_state import PowerState
@@ -429,7 +441,7 @@ def test_cut_books_answer_like_a_rebuild_from_the_log(
 def fragment(daemon: AllocationDaemon) -> None:
     """A short heavy and a long light VM per server, then past the
     shorts: every server idles under one small VM."""
-    for sid in range(SERVERS):
+    for sid in range(len(daemon.store.cluster)):
         for j, ((cpu, memory), end) in enumerate(((HEAVY, 8),
                                                   (LIGHT, 200))):
             response = daemon.handle(place_request(
@@ -490,3 +502,161 @@ def test_zero_length_gap_bridges_one_close_and_sleeps_at_the_next():
         assert_text_is_the_document(store, None)
     assert closed_ticks(stores[0]) == closed_ticks(stores[1])
     assert stores[0]._active == [1, 1, 1, 1, 0, 0]
+
+
+# -- one door: the snapshot stream and the journal are one history ------------
+
+def durable_state(daemon: AllocationDaemon) -> tuple:
+    """Everything a restore must land on bit for bit: the snapshot
+    text, the running energy sums, every machine, and the counters the
+    journal carries (a refused request is counted but never journaled)."""
+    store = daemon.store
+    counters = {key: value for key, value in daemon.metrics.to_meta().items()
+                if key not in ("errors", "overloaded")}
+    return (store.snapshot_text({"seq": 0}), store.energy_accumulated,
+            store.migration_energy, counters, daemon._last_consolidated_tick,
+            [(m.state, set(m.resident_vms), m.transitions, m.transition_energy)
+             for m in store.machines.values()])
+
+
+def restored_state(data_dir) -> tuple:
+    restored = AllocationDaemon.restore(data_dir, fsync=False)
+    restored.journal.close()
+    return durable_state(restored)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["indexed", "dense", "indexed:gamma=2"]),
+       st.lists(OP, max_size=20))
+def test_live_snapshot_and_journal_alone_are_one_history(
+        tmp_path_factory, engine, ops):
+    data_dir = tmp_path_factory.mktemp("history")
+    store = ClusterStateStore(Cluster.homogeneous(SPEC, SERVERS),
+                              engine=engine)
+    daemon = AllocationDaemon(store, algo_params={"engine": engine},
+                              data_dir=data_dir, snapshot_every=3,
+                              fsync=False)
+    radius = 0.1 if "gamma" in engine else 0.0
+    fragment(daemon)
+    for step, (kind, arg) in enumerate(ops, start=1):
+        daemon.handle(request_for(kind, arg, store.clock, step, radius))
+    live = durable_state(daemon)
+    daemon.journal.close()      # hard kill: no shutdown, no final snapshot
+    snapshots = list(data_dir.glob("snapshot-*.json"))
+    assert snapshots            # the events replay out of a snapshot ...
+    assert restored_state(data_dir) == live
+    for path in snapshots:
+        path.unlink()           # ... and out of the journal, from ``init``
+    assert restored_state(data_dir) == live
+
+
+def answers(daemon: AllocationDaemon, requests) -> list[dict]:
+    """The responses to ``requests``, stopwatch readings dropped."""
+    return [{key: value for key, value in daemon.handle(request).items()
+             if key != "latency_ms"} for request in requests]
+
+
+@pytest.mark.parametrize("final, proof", [
+    # the request of the final group, and the response field that shows
+    # the group records something
+    (place_request(make_vm(7000, 12, 30, cpu=LIGHT[0], memory=LIGHT[1])),
+     "decision"),
+    (place_batch_request([make_vm(7000, 12, 30, cpu=1.1, memory=1.0),
+                          make_vm(7001, 11, 14, cpu=1.1, memory=1.0)]),
+     "placed"),
+    (fail_server_request(1), "replaced"),
+    (consolidate_request(), "migrations"),
+], ids=["place", "place_batch", "fail_server", "consolidate"])
+def test_a_crash_at_any_byte_of_the_final_group_loses_only_that_group(
+        tmp_path, final, proof):
+    """ROADMAP oracle (iv): truncate ``journal.jsonl`` at every byte
+    offset of its final group. A restore lands on the state before the
+    group, reopens the journal cut back to the last whole entry, and
+    serves on exactly like a daemon that never crashed."""
+    def build(**durability) -> AllocationDaemon:
+        daemon = AllocationDaemon(
+            ClusterStateStore(Cluster.homogeneous(SPEC, 2)),
+            snapshot_every=4, **durability)
+        fragment(daemon)
+        return daemon
+
+    rest = [place_request(make_vm(8000, 12, 40, cpu=1.1, memory=1.0)),
+            {"op": "tick", "now": 16}]
+    witness = build()           # never crashed, never saw the lost group
+    before = durable_state(witness)
+    expected = answers(witness, rest)
+    after = durable_state(witness)
+
+    daemon = build(data_dir=tmp_path, fsync=False)
+    journal = tmp_path / "journal.jsonl"
+    prefix = journal.read_bytes()
+    entries = len(list(read_journal(journal)))
+    done = daemon.handle(final)
+    assert done["ok"] and done[proof], done
+    daemon.journal.close()
+    whole = journal.read_bytes()
+    assert whole.startswith(prefix) and whole.count(b"\n", len(prefix)) == 1
+    # The tail replays onto a snapshot, and no snapshot covers the lost
+    # group (one is only written once its entry is whole).
+    [snapshot] = tmp_path.glob("snapshot-*.json")
+    assert int(snapshot.stem.partition("-")[2]) < entries
+
+    for cut in range(len(prefix), len(whole)):
+        journal.write_bytes(whole[:cut])
+        restored = AllocationDaemon.restore(tmp_path, fsync=False)
+        try:
+            assert durable_state(restored) == before, cut
+            assert journal.read_bytes() == prefix, cut
+            assert answers(restored, rest) == expected, cut
+            assert durable_state(restored) == after, cut
+        finally:
+            restored.journal.close()
+        assert [entry["seq"] for entry in read_journal(journal)] == \
+            list(range(1, entries + len(rest) + 1)), cut
+
+
+class TestARecordedMutationHasOneReaderAndOneWriter:
+    SERVICE = Path(inspect.getsourcefile(ClusterStateStore)).parent
+
+    def test_the_replica_driver_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.service.replication")
+
+    @pytest.mark.parametrize("decoder", ["Replacement.from_record(",
+                                         "PlannedMove.from_record("])
+    def test_a_record_is_decoded_at_one_site(self, decoder):
+        sites = [path.name for path in sorted(self.SERVICE.glob("*.py"))
+                 for _ in range(path.read_text().count(decoder))]
+        assert sites == ["state.py"]
+        assert decoder in inspect.getsource(ClusterStateStore.apply)
+
+    def test_a_snapshot_event_is_renamed_not_dispatched(self):
+        source = inspect.getsource(ClusterStateStore._apply_event)
+        assert "self.apply(" in source
+        for call in (".fail_server(", ".recover_server(", ".consolidate("):
+            assert call not in source
+
+    @pytest.mark.parametrize("durable", [True, False])
+    def test_every_journaled_mutation_is_one_journal_span(
+            self, tmp_path, durable):
+        # ``tick`` and ``recover_server`` used to append outside a span.
+        daemon = AllocationDaemon(
+            ClusterStateStore(Cluster.homogeneous(SPEC, 2)),
+            **({"data_dir": tmp_path, "fsync": False} if durable else {}))
+        fragment(daemon)
+        for request in (place_request(make_vm(9, 10, 20, cpu=1.1)),
+                        place_batch_request([make_vm(10, 10, 20, cpu=1.1)]),
+                        {"op": "tick", "now": 11}, fail_server_request(0),
+                        consolidate_request(), recover_server_request(0)):
+            tracer = Tracer()
+            with use_tracer(tracer):
+                assert daemon.handle(request)["ok"], request
+            assert [event.name for event in tracer.events].count(
+                "service.journal") == int(durable), request["op"]
+
+    def test_the_daemon_appends_through_one_journal_hop(self):
+        source = (self.SERVICE / "daemon.py").read_text()
+        assert source.count("journal.append(") <= 2   # ``init``, _journal
+        assert "journal.append(" in inspect.getsource(
+            AllocationDaemon._journal)

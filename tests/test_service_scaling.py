@@ -17,8 +17,16 @@ import pytest
 
 from repro.allocators import state as book_module
 from repro.allocators.state import ServerState
+from repro.consolidation.planner import PlannedMove
 from repro.model.cluster import Cluster
-from repro.service import AllocationDaemon, ClusterStateStore, place_request
+from repro.service import (
+    AllocationDaemon,
+    ClusterStateStore,
+    Replacement,
+    consolidate_request,
+    fail_server_request,
+    place_request,
+)
 from repro.service import state as state_module
 from repro.simulation.power_state import ServerMachine
 
@@ -134,3 +142,30 @@ def test_an_episode_and_a_failure_cost_what_is_live(monkeypatch):
     store.run_to_completion()
     assert store.energy_accumulated == pytest.approx(store.energy_total(),
                                                      rel=1e-12)
+
+
+def test_a_live_episode_encodes_each_record_once(monkeypatch, tmp_path):
+    # The list in the store's snapshot event is the list the daemon
+    # journals (``report.records``): a durable episode of k records
+    # used to cost 2k ``to_record`` calls, one sweep per destination.
+    daemon = AllocationDaemon(
+        ClusterStateStore(Cluster.paper_all_types(4)), algorithm="first-fit",
+        data_dir=tmp_path, fsync=False)
+    for i in range(4):              # a short heavy and a long light VM each
+        daemon.handle(place_request(make_vm(2 * i, 1, 8, cpu=7.0)))
+        daemon.handle(place_request(make_vm(2 * i + 1, 1, 200, cpu=1.0)))
+    daemon.handle({"op": "tick", "now": 10})
+    moves = _counting(monkeypatch, PlannedMove, "to_record")
+    episode = daemon.handle(consolidate_request())
+    assert episode["migrations"] >= 1
+    assert moves[0] == episode["migrations"]
+    replacements = _counting(monkeypatch, Replacement, "to_record")
+    victim = max(range(4), key=lambda sid: len(daemon.store.states[sid].vms))
+    failure = daemon.handle(fail_server_request(victim))
+    assert len(failure["replacements"]) >= 2
+    assert replacements[0] == len(failure["replacements"])
+    journal = [json.loads(line) for line
+               in (tmp_path / "journal.jsonl").read_text().splitlines()]
+    events = daemon.store.to_snapshot()["events"]
+    assert journal[-2]["moves"] == events[0]["moves"]
+    assert journal[-1]["replacements"] == events[1]["replacements"]
