@@ -62,19 +62,20 @@ def _best_run(algo: str, engine: str, vms, cluster, rounds: int
 
 def _probe_counts(algo: str, vms, cluster, monkeypatch
                   ) -> tuple[int, int, int]:
-    """One untimed ``kernel=on`` run: (scalar ``ServerState.probe``
-    calls, ``probe_fleet`` calls, rows those calls covered)."""
+    """One untimed ``kernel=on`` run: (scalar ``ServerState.admits``
+    calls — the walk's yes/no probes, ``probe_fleet`` calls, rows those
+    calls covered)."""
     scalar = 0
-    probe = ServerState.probe
+    admits = ServerState.admits
 
     def counted(state, vm):
         nonlocal scalar
         scalar += 1
-        return probe(state, vm)
+        return admits(state, vm)
 
     allocator = make_allocator(algo, seed=0, engine="indexed:kernel=on")
     with monkeypatch.context() as patch:
-        patch.setattr(ServerState, "probe", counted)
+        patch.setattr(ServerState, "admits", counted)
         allocator.allocate(vms, cluster)
     kernel = allocator._index.kernel
     return scalar, kernel.probe_calls, kernel.rows_probed

@@ -23,7 +23,7 @@ whether the fleet kernel or a loop of scalar probes filled it.
 
 The ``candidates_evaluated`` / ``candidates_feasible`` counters — *probes
 performed* and *admissible probes* — are kept by :meth:`Allocator._examine`
-(one scalar probe) and :meth:`Allocator._admissible_rows` (one batch) and
+(one scalar yes/no) and :meth:`Allocator._admissible_rows` (one batch) and
 mean the same for every algorithm, so the service's candidate-count
 histogram compares like with like across allocators.
 
@@ -56,7 +56,6 @@ from repro.obs.explain import (
 )
 from repro.obs.tracer import get_tracer
 from repro.placement.config import EngineConfig
-from repro.placement.feasibility import Feasibility
 from repro.placement.index import CandidateIndex
 from repro.placement.kernels import FeasibilityBatch
 
@@ -213,26 +212,24 @@ class Allocator:
 
     # -- probing -------------------------------------------------------------
 
-    def _examine(self, vm: VM, state: ServerState) -> Feasibility | None:
-        """Probe one candidate, maintaining the selection counters.
+    def _examine(self, vm: VM, state: ServerState) -> bool:
+        """Ask one candidate yes or no, maintaining the selection counters.
 
-        Returns the (truthy) verdict when ``state`` is admissible — capacity
-        feasible *and* allowed by active placement constraints — else
-        ``None``. Every examined server bumps ``candidates_evaluated``;
-        admissible ones also bump ``candidates_feasible``. Every scalar
-        walk routes its probes through here (:meth:`_admissible_rows`
-        counts a batch the same way) so the counters mean the same
-        thing for every algorithm.
+        True when ``state`` is admissible — :meth:`ServerState.admits`
+        it *and* active placement constraints allow it. Every examined
+        server bumps ``candidates_evaluated``; admissible ones also bump
+        ``candidates_feasible``. Every scalar walk routes its probes
+        through here (:meth:`_admissible_rows` counts a batch the same
+        way) so the counters mean the same thing for every algorithm.
         """
-        verdict = state.probe(vm)
         self.candidates_evaluated += 1
-        if not verdict.feasible:
-            return None
+        if not state.admits(vm):
+            return False
         if self._constraints is not None and not self._constraints.allows(
                 vm.vm_id, state.server.server_id, self._placed_ids):
-            return None
+            return False
         self.candidates_feasible += 1
-        return verdict
+        return True
 
     def _probe_batch(self, vm: VM, states: Sequence[ServerState], *,
                      prune: bool = True) -> FeasibilityBatch:
@@ -301,7 +298,7 @@ class Allocator:
             state = states[pos]
             if admits is not None and not admits[id(state.server.spec)]:
                 continue
-            if self._examine(vm, state) is not None:
+            if self._examine(vm, state):
                 return pos
         return None
 

@@ -58,11 +58,12 @@ __all__ = ["MinIncrementalEnergy"]
 _TIE_TOL = 1e-12
 
 #: Refusals after which the queued walk batches what is left of it.
-#: Measured at 5000 dense VMs / 3000 servers: a refusal costs ~3.5 us,
-#: one ``probe_fleet`` over the ~330 rows left ~235 us with its sync
-#: (~1200 us probed one by one). 8 / 16 / 32 run within noise of each
-#: other there (1.5-2x never batching); 8 still fires on the sparse 10k
-#: stream, 16 never does — refusals, unlike probes, are rare there.
+#: Tuned at 5000 dense VMs / 3000 servers while a refusal cost ~3.5 us
+#: and one ``probe_fleet`` over the ~330 rows left ~235 us with its
+#: sync: 8 / 16 / 32 within noise of each other, 1.5-2x never batching
+#: (~1.15x since ``ServerState.admits`` made a refusal ~1.2 us: ROADMAP
+#: lever 4). 8 still fires on the sparse 10k stream, 16 never does —
+#: refusals, unlike probes, are rare there.
 #: It counts refusals, not what is left: on small dense fleets the
 #: prefetch loses to walking on (kernel=on 1.78x off's time at 300 VMs /
 #: 18 servers, 1.14x at 600 / 120, 0.63x at 2000 / 300; see ROADMAP).
@@ -150,7 +151,7 @@ class MinIncrementalEnergy(Allocator):
                         vm.vm_id, state.server.server_id, placed):
                     continue
                 self.candidates_feasible += 1
-            elif self._examine(vm, state) is None:
+            elif not self._examine(vm, state):
                 refused += 1
                 if refused == _BATCH_AFTER \
                         and self._index.kernel is not None:

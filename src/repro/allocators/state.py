@@ -9,8 +9,8 @@ needs:
 * :meth:`probe` — can this VM run here for its whole interval without
   exceeding capacity at any time unit (constraints 9-10), and if not, why?
   The verdict also carries the peak committed usage over the interval, so
-  one probe serves feasibility checks, explain-traces, and bin-packing
-  scores alike.
+  one probe serves explain-traces and bin-packing scores alike;
+  :meth:`admits` is its yes/no, for a walk that reads nothing else.
 * :meth:`incremental_cost` — by how much would this server's energy rise if
   the VM were placed here (the paper's heuristic selection criterion)?
 
@@ -143,6 +143,25 @@ class ServerState:
         return Feasibility(True, None, peak_cpu, peak_mem,
                            spec.cpu_capacity - peak_cpu,
                            spec.memory_capacity - peak_mem)
+
+    def admits(self, vm: VM) -> bool:
+        """``probe(vm).feasible`` for a caller that only asks yes or no
+        (equal to it on every engine spec: the contract the property in
+        ``tests/test_placement_properties.py`` holds). The plain skyline
+        stops at the first overloaded segment and builds no verdict; a
+        dense or Γ-robust book answers through :meth:`probe`."""
+        if self.robustness is not None or self.engine != "indexed":
+            return self.probe(vm).feasible
+        spec = self.server.spec
+        cpu_cap, mem_cap = spec.cpu_capacity, spec.memory_capacity
+        if vm.cpu > cpu_cap or vm.memory > mem_cap:
+            return False
+        admits_piece = self._occ.admits_piece
+        for piece, cpu, memory in demand_profile(vm):
+            if not admits_piece(piece.start, piece.end, cpu, memory,
+                                cpu_cap, mem_cap, TOL):
+                return False
+        return True
 
     def _probe_robust(self, vm: VM) -> Feasibility:
         """:meth:`probe` under the active Γ-robust constraint.
@@ -285,9 +304,9 @@ class ServerState:
         """Commit ``vm`` to this server; returns the cost increase.
 
         Raises :class:`CapacityError` when the VM does not fit (callers are
-        expected to have checked :meth:`probe`).
+        expected to have checked :meth:`admits`).
         """
-        if not self.probe(vm):
+        if not self.admits(vm):
             raise CapacityError(
                 f"{vm} does not fit on {self.server}",
                 server_id=self.server.server_id)

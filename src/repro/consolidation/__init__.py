@@ -18,7 +18,7 @@ its move selection here, so offline and live provably agree):
 * :class:`MigrationPlanner` — drains victims through an iterative
   re-place queue: each spanning resident is split at the migration tick
   by :func:`~repro.simulation.recovery.split_remainder`, its remainder
-  re-bid across the fleet through :meth:`ServerState.probe`-filtered
+  re-bid across the fleet through :meth:`ServerState.admits`-filtered
   candidates (optionally k-sampled), and the move kept only when the
   Eq.-17 saving beats the configured per-move migration cost.
 

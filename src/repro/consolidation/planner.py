@@ -27,7 +27,7 @@ makes the live-versus-offline equivalence test possible: identical
 code, identical migrations.
 
 Candidate targets are scanned in ascending server id, filtered by
-:meth:`~repro.allocators.state.ServerState.probe`; with ``k_sample``
+:meth:`~repro.allocators.state.ServerState.admits`; with ``k_sample``
 set, only the first ``k`` *feasible* candidates are bid (the GammaFF-
 style sampling queue), trading optimality for bounded episode latency
 on large fleets.
@@ -65,7 +65,7 @@ class _EpisodeCache:
     *Filter*: every remainder a consolidation episode bids starts *at*
     the episode tick, so a server without headroom for it at that
     single tick can never pass the full window
-    :meth:`~repro.allocators.state.ServerState.probe`. Tracking free
+    :meth:`~repro.allocators.state.ServerState.admits`. Tracking free
     (cpu, memory) at the tick per server turns the common "target is
     already packed full" rejection into two float compares instead of
     an occupancy probe. A *necessary* condition only — survivors still
@@ -103,16 +103,16 @@ class _EpisodeCache:
 
     def bid(self, target_id: int, target: ServerState, remainder: VM,
             shape: tuple | None) -> tuple[bool, float]:
-        """``(probe verdict, incremental cost)`` for one candidate,
+        """``(admitted, incremental cost)`` for one candidate,
         memoised by remainder shape while the book is unchanged."""
         if shape is None:
-            if not target.probe(remainder):
+            if not target.admits(remainder):
                 return False, 0.0
             return True, target.incremental_cost(remainder)
         key = (target_id, *shape)
         hit = self._bids.get(key)
         if hit is None:
-            if not target.probe(remainder):
+            if not target.admits(remainder):
                 hit = (False, 0.0)
             else:
                 hit = (True, target.incremental_cost(remainder))
@@ -314,7 +314,7 @@ class MigrationPlanner:
                 feasible, inc = cache.bid(target_id, target, remainder,
                                           shape)
             else:
-                feasible = bool(target.probe(remainder))
+                feasible = target.admits(remainder)
                 inc = target.incremental_cost(remainder) if feasible \
                     else 0.0
             if not feasible:

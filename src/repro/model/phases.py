@@ -18,7 +18,7 @@ handle both transparently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.exceptions import ValidationError
 from repro.model.intervals import TimeInterval
@@ -110,20 +110,24 @@ class PhasedVM(VM):
         raise AssertionError("phases tile the interval")  # pragma: no cover
 
 
-def demand_profile(vm: VM) -> Iterator[tuple[TimeInterval, float, float]]:
-    """Yield ``(interval, cpu, memory)`` pieces of a VM's demand.
+def demand_profile(vm: VM) -> Iterable[tuple[TimeInterval, float, float]]:
+    """The ``(interval, cpu, memory)`` pieces of a VM's demand.
 
-    A plain VM yields one piece covering its whole interval; a
+    A plain VM has one piece covering its whole interval — handed back
+    as a 1-tuple, so the probe hot path starts no generator; a
     :class:`PhasedVM` yields one piece per phase.
     """
     if isinstance(vm, PhasedVM):
-        t = vm.start
-        for phase in vm.phases:
-            yield (TimeInterval(t, t + phase.duration - 1),
-                   phase.cpu, phase.memory)
-            t += phase.duration
-    else:
-        yield vm.interval, vm.cpu, vm.memory
+        return _phase_pieces(vm)
+    return ((vm.interval, vm.cpu, vm.memory),)
+
+
+def _phase_pieces(vm: PhasedVM) -> Iterator[tuple[TimeInterval, float, float]]:
+    t = vm.start
+    for phase in vm.phases:
+        yield (TimeInterval(t, t + phase.duration - 1),
+               phase.cpu, phase.memory)
+        t += phase.duration
 
 
 def demand_at(vm: VM, t: int) -> tuple[float, float]:

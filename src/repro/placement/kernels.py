@@ -14,8 +14,8 @@ no index covers), its columns built on first read. ``min-energy``'s
 queued walk calls the kernel itself, for what is left of its busy
 queues once 16 servers have refused the VM (dense streams); walks that
 stop early (the first-fit family) or end by lower-bound pruning
-(``min-energy`` on sparse streams) probe scalar, one ``O(log k)``
-``ServerState.probe`` at a time. ``kernel=off`` builds no kernel: the
+(``min-energy`` on sparse streams) ask scalar, one ``O(log k)``
+``ServerState.admits`` at a time. ``kernel=off`` builds no kernel: the
 same scans decide the same on scalar probes throughout.
 
 Layout
@@ -61,8 +61,9 @@ Incremental sync
 Server mutations (``place_trusted``, ``remove``, ``cut``, ``retire``,
 ``compact``) notify their watchers; the kernel marks the row dirty and
 splices it back in at the next probe — one pass over the planes,
-rows that did not change move as block copies. Not thread-safe: callers serialise probes and mutations (the daemon holds
-its ``_state_lock`` around every scan and commit).
+rows that did not change move as block copies. Not thread-safe:
+callers serialise probes and mutations (the daemon runs every scan and
+every commit under its commit lock; its lock-free reads never probe).
 """
 
 from __future__ import annotations

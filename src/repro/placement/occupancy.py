@@ -170,6 +170,20 @@ class SkylineOccupancy:
             return f"mem:overlap@{t_mem}", peak_cpu, peak_mem
         return None, peak_cpu, peak_mem
 
+    def admits_piece(self, start: int, end: int, cpu: float, mem: float,
+                     cpu_cap: float, mem_cap: float, tol: float) -> bool:
+        """Whether :meth:`probe_piece` would find no violation — the same
+        comparisons over the same segments, stopping at the first
+        overloaded one and building neither peaks nor a reason."""
+        xs, seg_cpu, seg_mem = self._xs, self._cpu, self._mem
+        cpu_limit, mem_limit = cpu_cap + tol, mem_cap + tol
+        for k in range(max(bisect.bisect_right(xs, start) - 1, 0), len(xs)):
+            if xs[k] > end:
+                break
+            if seg_cpu[k] + cpu > cpu_limit or seg_mem[k] + mem > mem_limit:
+                return False
+        return True
+
     def points(self) -> list[int]:
         """The current change points (introspection / memory regression)."""
         return list(self._xs)

@@ -43,13 +43,13 @@ Mutating operations (``place``, ``place_batch``, ``tick``,
 snapshotting and shutdown) serialize on one *commit lock* — placement
 decisions must observe each other's commits, so decision order is the
 wire arrival order. Within a decision the allocator's ``select`` scans
-the live server states on the calling thread; one *state lock* is held
-around each scan and around each commit, so a probe never observes a
-half-applied placement. Read-only operations (``stats``, ``metrics``,
-``ping``) bypass the commit lock entirely — :class:`ServiceMetrics` is
-internally thread-safe and the store's gauges are single reads — so
-scrapes and health checks never queue behind placements. Ingest is
-*bounded*: at
+the live server states on the calling thread and the commit follows
+under the same hold of that lock — nothing else serializes a scan or a
+commit — so a probe never observes a half-applied placement. Read-only
+operations (``stats``, ``metrics``, ``ping``) take no lock at all —
+:class:`ServiceMetrics` is internally thread-safe and the store's
+gauges are single reads — so scrapes and health checks never queue
+behind placements. Ingest is *bounded*: at
 most ``max_inflight`` mutating requests may be in flight; beyond that
 the daemon answers ``{"ok": false, "error": "overloaded",
 "retry_after": ...}`` instead of piling up threads.
@@ -268,9 +268,6 @@ class AllocationDaemon:
         self.metrics.set_build_info(version=__version__,
                                     algorithm=algorithm,
                                     engine=store.engine_config.spec)
-        #: Held around each scan and each commit (under the commit
-        #: lock), so probes never observe a half-applied placement.
-        self._state_lock = threading.Lock()
         # The allocator scans only non-failed servers (a restored
         # snapshot may already carry dead ones), so build the list
         # through the same path fail/recover events use.
@@ -323,14 +320,12 @@ class AllocationDaemon:
         self.allocator.prepare(self._live)
 
     def _offer(self, vm, recorder: ExplainRecorder | None = None):
-        """Run the admission scan under the state lock and time it."""
-        with self._state_lock:
-            started = perf_counter()
-            decision = offer(vm, self._live, self.allocator,
-                             max_delay=int(self.config["max_delay"]),
-                             recorder=recorder)
-            elapsed = perf_counter() - started
-        self.metrics.scan.observe(elapsed)
+        """Run the admission scan (under the commit lock) and time it."""
+        started = perf_counter()
+        decision = offer(vm, self._live, self.allocator,
+                         max_delay=int(self.config["max_delay"]),
+                         recorder=recorder)
+        self.metrics.scan.observe(perf_counter() - started)
         return decision
 
     # -- durability --------------------------------------------------------
@@ -746,8 +741,7 @@ class AllocationDaemon:
             else:
                 server_id = decision.state.server.server_id
                 with tracer.span("service.commit", server_id=server_id):
-                    with self._state_lock:
-                        delta = self.store.commit(decision.vm, server_id)
+                    delta = self.store.commit(decision.vm, server_id)
                 response.update(decision="placed", server_id=server_id,
                                 delay=decision.delay, energy_delta=delta)
                 entry.update(decision="placed", server_id=server_id,
@@ -801,41 +795,44 @@ class AllocationDaemon:
             if self.journal is not None else None
         total_delta = 0.0
         placed = delayed = 0
+        # One sample per decision and family, observed once the batch
+        # is decided: a lock hold per family, not per sample.
+        scans, latencies, candidates = [], [], []
+        store, allocator, live = self.store, self.allocator, self._live
+        max_delay = int(self.config["max_delay"])
         with tracer.span("service.place_batch", batch=len(vms)) as span:
             self.metrics.batch_size.observe(len(vms))
-            for i in order:
-                vm = vms[i]
-                if vm.start > self.store.clock:
-                    self.store.advance_to(vm.start)
-                item_started = perf_counter()
-                decision = self._offer(vm)
-                item: dict[str, object] = {"vm_id": vm.vm_id}
-                if decision is None:
-                    item.update(decision="rejected", server_id=None,
-                                delay=0, energy_delta=0.0)
-                else:
-                    server_id = decision.state.server.server_id
-                    with self._state_lock:
-                        delta = self.store.commit(decision.vm, server_id)
-                    item.update(decision="placed", server_id=server_id,
-                                delay=decision.delay, energy_delta=delta)
-                    total_delta += delta
-                    placed += 1
-                    if decision.delay:
-                        delayed += 1
-                if entries is not None:
-                    entry: dict[str, object] = {"vm": vm_to_record(vm),
-                                                "decision":
-                                                    item["decision"]}
-                    if decision is not None:
-                        entry.update(
-                            server_id=item["server_id"],
-                            delay=item["delay"])
-                    entries.append(entry)
-                results[i] = item
-                self.metrics.observe_item(
-                    perf_counter() - item_started,
-                    candidates=self.allocator.candidates_feasible)
+            try:
+                for i in order:
+                    vm = vms[i]
+                    if vm.start > store.clock:
+                        store.advance_to(vm.start)
+                    item_started = perf_counter()
+                    decision = offer(vm, live, allocator, max_delay=max_delay)
+                    scans.append(perf_counter() - item_started)
+                    if decision is None:
+                        record: dict[str, object] = {"decision": "rejected"}
+                        results[i] = {"vm_id": vm.vm_id, **record,
+                                      "server_id": None, "delay": 0,
+                                      "energy_delta": 0.0}
+                    else:
+                        server_id = decision.state.server.server_id
+                        delta = store.commit(decision.vm, server_id)
+                        record = {"decision": "placed", "server_id": server_id,
+                                  "delay": decision.delay}
+                        results[i] = {"vm_id": vm.vm_id, **record,
+                                      "energy_delta": delta}
+                        total_delta += delta
+                        placed += 1
+                        if decision.delay:
+                            delayed += 1
+                    if entries is not None:
+                        entries.append({"vm": vm_to_record(vm), **record})
+                    latencies.append(perf_counter() - item_started)
+                    candidates.append(allocator.candidates_feasible)
+            finally:    # a raising commit keeps the decided VMs' samples
+                self.metrics.scan.observe_many(scans)
+                self.metrics.observe_items(latencies, candidates)
             self.metrics.count_decisions(
                 placed=placed, rejected=len(vms) - placed,
                 delayed=delayed, algorithm=algorithm)

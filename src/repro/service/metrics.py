@@ -89,6 +89,13 @@ class LatencyReservoir:
             self.total += seconds
             self._samples.append(seconds)
 
+    def observe_many(self, seconds: Sequence[float]) -> None:
+        """One sample per entry, in order, under one lock hold."""
+        with self._lock:
+            self.count += len(seconds)
+            self.total += sum(seconds)
+            self._samples.extend(seconds)
+
     def quantile(self, q: float) -> float:
         """The q-quantile of the window, by the nearest-rank definition.
 
@@ -141,6 +148,16 @@ class Histogram:
                 self._counts[index] += 1
             self.count += 1
             self.sum += value
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """One sample per entry, in order, under one lock hold."""
+        indexes = [bisect.bisect_left(self.bounds, value) for value in values]
+        with self._lock:
+            for index, value in zip(indexes, values):
+                if index < len(self._counts):
+                    self._counts[index] += 1
+                self.sum += value
+            self.count += len(values)
 
     def cumulative(self) -> list[tuple[float, int]]:
         """(bound, cumulative count) pairs, ending with ``(inf, count)``."""
@@ -324,16 +341,13 @@ class ServiceMetrics:
         if candidates is not None:
             self.candidates.observe(float(candidates))
 
-    def observe_item(self, latency_seconds: float, *,
-                     candidates: int | None = None) -> None:
-        """Record one batch item's latency/candidate samples — the
-        decision counters move once per batch, in
-        :meth:`count_decisions`, so a 1000-VM batch takes the counter
-        lock once instead of a thousand times."""
-        self.latency.observe(latency_seconds)
-        self.latency_hist.observe(latency_seconds)
-        if candidates is not None:
-            self.candidates.observe(float(candidates))
+    def observe_items(self, latencies: Sequence[float],
+                      candidates: Sequence[float]) -> None:
+        """Record a batch's per-item samples, one lock hold per family
+        (:meth:`count_decisions` moves its counters once a batch too)."""
+        self.latency.observe_many(latencies)
+        self.latency_hist.observe_many(latencies)
+        self.candidates.observe_many(candidates)
 
     def count_decisions(self, *, placed: int = 0, rejected: int = 0,
                         delayed: int = 0,

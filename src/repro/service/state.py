@@ -367,11 +367,12 @@ class ClusterStateStore:
 
     def _close_tick(self, tick: int) -> None:
         # Only awake machines draw power or can fall asleep, so the
-        # fleet is never enumerated: O(awake + pieces ending).
-        awake = self.fleet.awake_machines()
+        # fleet is never enumerated: O(awake + pieces ending); their
+        # draws are read as the aggregates remember them, in id order.
+        awake, ids = self.fleet.awake, self.fleet.awake_ids()
         power = 0.0
-        for machine in awake:
-            power += machine.power_draw()
+        for server_id in ids:
+            power += awake[server_id]
         self._power.append(power)
         self._active.append(self.fleet.active)
         self._running.append(self.fleet.running_vms)
@@ -390,10 +391,11 @@ class ClusterStateStore:
         # scheduled for the very next tick (a zero-length gap).
         imminent = {server_id
                     for _, server_id in self._starts.get(tick + 1, ())}
-        for machine in awake:
+        for server_id in ids:
+            machine = self.machines[server_id]
             if machine.state is PowerState.ACTIVE and \
                     not machine.resident_vms and \
-                    machine.server.server_id not in imminent:
+                    server_id not in imminent:
                 machine.sleep()
 
     def run_to_completion(self) -> None:
@@ -784,8 +786,8 @@ class ClusterStateStore:
 
     def fleet_power(self) -> float:
         """Instantaneous fleet power draw (Eq. 1) on the current tick."""
-        return sum((m.power_draw() for m in self.fleet.awake_machines()),
-                   0.0)
+        # Lock-free: sorted() snapshots the dict's items in one C call.
+        return sum([d for _, d in sorted(self.fleet.awake.items())], 0.0)
 
     def servers_active(self) -> int:
         return self.fleet.active

@@ -22,7 +22,6 @@ to them (see :mod:`repro.simulation.recovery`).
 from __future__ import annotations
 
 import enum
-from operator import attrgetter
 
 from repro.exceptions import SimulationError
 from repro.model.server import Server
@@ -49,17 +48,18 @@ class FleetAggregates:
 
     ``power`` accumulates float add/subtract pairs, so it can drift from
     a fresh scan by rounding noise; use a scan where exact equality
-    matters. ``awake`` (the machines neither POWER_SAVING nor FAILED)
-    keeps that scan cheap: only these draw power or can fall asleep, so
-    the store closes a tick by summing ``power_draw()`` over
-    :meth:`awake_machines` — a whole-fleet scan's float additions less
-    its ``+ 0.0`` terms, hence bit-identical to one, which reading
-    ``power`` would not be.
+    matters. ``awake`` keeps that scan cheap and free of recomputation:
+    server id of each machine neither POWER_SAVING nor FAILED — only
+    these draw power or can fall asleep — to its ``power_draw()`` as
+    last :meth:`add`-ed. The store closes a tick by summing those draws
+    in id order (:meth:`awake_ids`) — a whole-fleet scan's float
+    additions less its ``+ 0.0`` terms, hence bit-identical to one,
+    which reading ``power`` would not be.
     """
 
     __slots__ = ("active", "asleep", "transitioning", "failed",
                  "running_vms", "resident_cpu", "resident_mem", "power",
-                 "awake")
+                 "awake", "_awake_ids")
 
     def __init__(self) -> None:
         self.active = 0
@@ -70,7 +70,8 @@ class FleetAggregates:
         self.resident_cpu = 0.0
         self.resident_mem = 0.0
         self.power = 0.0
-        self.awake: set[ServerMachine] = set()
+        self.awake: dict[int, float] = {}
+        self._awake_ids: list[int] | None = []
 
     def _field(self, state: "PowerState") -> str:
         if state is PowerState.ACTIVE:
@@ -88,27 +89,36 @@ class FleetAggregates:
         self.running_vms += len(machine.resident_vms)
         self.resident_cpu += machine.resident_cpu
         self.resident_mem += machine.resident_mem
-        self.power += machine.power_draw()
+        draw = machine.power_draw()
+        self.power += draw
         # Membership moves here only, never in remove(): every remove
         # is followed by an add, and a scrape on another thread must
         # not find an awake machine missing in between.
+        awake, server_id = self.awake, machine.server.server_id
         if field in ("asleep", "failed"):
-            self.awake.discard(machine)
+            if awake.pop(server_id, None) is not None:
+                self._awake_ids = None
         else:
-            self.awake.add(machine)
+            if server_id not in awake:
+                self._awake_ids = None
+            awake[server_id] = draw
 
     def remove(self, machine: "ServerMachine") -> None:
-        """Back ``machine``'s current contribution out of the totals."""
+        """Back out what :meth:`add` last counted in for ``machine``."""
         field = self._field(machine.state)
         setattr(self, field, getattr(self, field) - 1)
         self.running_vms -= len(machine.resident_vms)
         self.resident_cpu -= machine.resident_cpu
         self.resident_mem -= machine.resident_mem
-        self.power -= machine.power_draw()
+        self.power -= self.awake.get(machine.server.server_id, 0.0)
 
-    def awake_machines(self) -> list["ServerMachine"]:
-        """The machines in :attr:`awake`, in ascending server id."""
-        return sorted(self.awake, key=attrgetter("server.server_id"))
+    def awake_ids(self) -> list[int]:
+        """:attr:`awake`'s ids, ascending: kept until membership changes
+        and then replaced (a wake or a sleep is O(1)), never mutated —
+        a tick sleeps machines while it walks the list."""
+        if self._awake_ids is None:
+            self._awake_ids = sorted(self.awake)
+        return self._awake_ids
 
 
 class ServerMachine:

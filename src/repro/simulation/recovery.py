@@ -24,7 +24,7 @@ The two primitives:
   (new id, stays behind) and a remainder ``[t, end]`` (new id,
   re-placed), consuming exactly two ids from the caller's counter.
 * :func:`recover_target` — the re-placement rule. Survivors are scanned
-  in server-id order, filtered by :meth:`ServerState.probe`, and the
+  in server-id order, filtered by :meth:`ServerState.admits`, and the
   recovery allocator's ``choose`` picks among the feasible ones —
   ``None`` when the remainder fits nowhere (a lost VM).
 """
@@ -73,7 +73,7 @@ def recover_target(remainder: VM,
 
     ``states`` maps server id to state (or is a list indexed by server
     id); ``dead`` holds the crashed server ids. Survivors are considered
-    in ascending server-id order, the probe-feasible ones go to
+    in ascending server-id order, the ones that admit it go to
     ``recovery.choose``, and ``None`` means the remainder is lost.
     """
     if isinstance(states, Mapping):
@@ -81,7 +81,7 @@ def recover_target(remainder: VM,
     else:
         items = list(enumerate(states))
     survivors = [state for sid, state in items if sid not in dead]
-    feasible = [state for state in survivors if state.probe(remainder)]
+    feasible = [state for state in survivors if state.admits(remainder)]
     if not feasible:
         return None
     return recovery.choose(remainder, feasible)

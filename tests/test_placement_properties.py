@@ -1,4 +1,6 @@
-"""Property tests: the skyline engine is bit-equivalent to the dense oracle.
+"""Property tests: the skyline engine is bit-equivalent to the dense
+oracle, and ``ServerState.admits`` is ``probe(...).feasible`` on every
+engine spec.
 
 A random interleaving of place / remove / probe is applied to two
 ServerStates that differ only in their occupancy engine. Verdicts and
@@ -12,13 +14,18 @@ from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.allocators.state import ServerState
+from repro.model.intervals import TimeInterval
+from repro.model.phases import DemandPhase, PhasedVM, split_vm
 from repro.model.server import Server, ServerSpec
+from repro.model.vm import VM, VMSpec
 from repro.placement import DenseOccupancy, SkylineOccupancy
 
 from conftest import make_vm
+from test_kernel import _long_history_fleet, _long_history_probes
 
 SPEC = ServerSpec("s", cpu_capacity=8.0, memory_capacity=8.0,
                   p_idle=50.0, p_peak=100.0, transition_time=1.0)
@@ -130,3 +137,69 @@ class TestOccupancyEquivalence:
                 assert sky.peak(lo, hi) == dense.peak(lo, hi)
                 assert sky.probe_piece(lo, hi, 2.0, 2.0, 8.0, 8.0, 1e-9) \
                     == dense.probe_piece(lo, hi, 2.0, 2.0, 8.0, 8.0, 1e-9)
+
+
+# -- admits: the probe's yes or no, whoever answers ---------------------------
+
+#: (kind, start, length, cpu_octets, mem_octets, shape): kind 0 = place
+#: when admitted, 1 = cut a resident, 2 = retire one, 3 = ask only;
+#: shape 0 = plain, 1 = radius-carrying, 2 = phased. Octets above 64
+#: exceed the 8.0 capacity: the static cpu / mem refusals.
+_ASKS = st.tuples(st.integers(0, 3), st.integers(-20, 60),
+                  st.integers(0, 12), st.integers(1, 72), st.integers(1, 72),
+                  st.integers(0, 2))
+
+
+def _shaped(vm_id: int, start: int, length: int, cpu: float, memory: float,
+            shape: int) -> VM:
+    if shape == 2 and length >= 1:
+        return PhasedVM.from_phases(vm_id, start, (
+            DemandPhase(1, cpu, memory / 2),
+            DemandPhase(length, cpu / 2, memory)))
+    spec = VMSpec("a", cpu=cpu, memory=memory,
+                  cpu_radius=cpu / 4 if shape else 0.0,
+                  mem_radius=memory / 8 if shape else 0.0)
+    return VM(vm_id=vm_id, spec=spec,
+              interval=TimeInterval(start, start + length))
+
+
+def _yes_or_no(state: ServerState, vm: VM) -> bool:
+    answer = state.admits(vm)
+    assert answer is state.probe(vm).feasible
+    return answer
+
+
+class TestAdmitsIsTheProbesYesOrNo:
+    @pytest.mark.parametrize("engine", ["indexed", "indexed:kernel=off",
+                                        "dense", "indexed:gamma=2"])
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(_ASKS, min_size=1, max_size=25))
+    def test_after_any_place_cut_retire(self, engine, ops):
+        state = ServerState(Server(0, SPEC), engine=engine)
+        asked = []
+        for i, (kind, start, length, cpu8, mem8, shape) in enumerate(ops):
+            if engine == "dense":
+                start = abs(start)      # a dense timeline starts at 0
+            vm = _shaped(i, start, length, cpu8 / 8.0, mem8 / 8.0, shape)
+            asked.append(vm)
+            admitted = _yes_or_no(state, vm)
+            if kind == 0 and admitted:
+                state.place(vm)
+            elif kind == 1 and state.vms:
+                victim = state.vms[start % len(state.vms)]
+                time = min(victim.start + length, victim.end)
+                head = None if time == victim.start else split_vm(
+                    victim, time, 1000 + i, 2000 + i)[0]
+                state.cut(victim, time, head)
+            elif kind == 2 and state.vms:
+                victim = state.vms[start % len(state.vms)]
+                state.retire(victim, before=victim.end + 1)
+            for earlier in asked:
+                _yes_or_no(state, earlier)
+
+    @pytest.mark.parametrize("gamma", [0, 2])
+    def test_long_history_probes(self, gamma):
+        answers = [_yes_or_no(state, vm)
+                   for state in _long_history_fleet(gamma)
+                   for vm in _long_history_probes(gamma)]
+        assert True in answers and False in answers

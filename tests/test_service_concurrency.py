@@ -11,6 +11,7 @@ interleaving.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -20,12 +21,14 @@ from repro.service import (
     AllocationDaemon,
     ClusterStateStore,
     AllocationClient,
+    place_batch_request,
 )
 from repro.service.metrics import (
     Histogram,
     LatencyReservoir,
     ServiceMetrics,
 )
+from repro.simulation.power_state import PowerState
 from conftest import make_vm, serving
 
 THREADS = 8
@@ -176,3 +179,48 @@ class TestConcurrentClients:
         assert store.energy_accumulated == pytest.approx(
             store.energy_total(), rel=1e-9)
         assert daemon.metrics.requests["placed"] == placed
+
+
+class TestLockFreeReads:
+    def test_fleet_power_reads_race_wakes_and_sleeps(self):
+        """Reads take no lock: ``fleet_power`` snapshots ``fleet.awake``
+        in one C call while wakes and sleeps resize it in place, so a
+        scrape beside batches and ticks neither raises nor leaves a
+        stale remembered draw."""
+        store = ClusterStateStore(Cluster.paper_all_types(12))
+        daemon = AllocationDaemon(store, algorithm="first-fit")
+        stop = threading.Event()
+        errors: list[BaseException] = []
+
+        def read() -> None:
+            try:
+                while not stop.is_set():
+                    assert store.fleet_power() >= 0.0
+                    assert store.servers_active() >= 0
+            except BaseException as exc:  # noqa: BLE001 - funneled below
+                errors.append(exc)
+
+        readers = [threading.Thread(target=read) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for reader in readers:
+                reader.start()
+            for b in range(150):    # short heavy VMs: servers wake, sleep
+                reply = daemon.handle(place_batch_request(
+                    make_vm(10 * b + i, 3 * b + 1, 3 * b + 1 + i % 2,
+                            cpu=3.0) for i in range(10)))
+                assert reply["placed"] == 10 and not errors
+                daemon.handle({"op": "tick", "now": 3 * b + 3})
+        finally:
+            stop.set()
+            for reader in readers:
+                reader.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not errors and not any(r.is_alive() for r in readers)
+        awake = store.fleet.awake
+        assert awake == {sid: m.power_draw()
+                         for sid, m in store.machines.items()
+                         if m.state is PowerState.ACTIVE}
+        assert store.fleet.awake_ids() == sorted(awake)
+        assert store.telemetry().active_servers.max() >= 3

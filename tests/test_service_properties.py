@@ -251,10 +251,12 @@ def assert_aggregates_match_a_scan(store: ClusterStateStore) -> None:
 
     def count(state):
         return sum(1 for m in machines.values() if m.state is state)
-    assert fleet.awake == {m for m in machines.values()
+    # server id -> the draw its machine had when last add()-ed: what a
+    # tick sums must be what a fresh power_draw() of each would give,
+    # in the order a fresh sort would put them.
+    assert fleet.awake == {sid: m.power_draw() for sid, m in machines.items()
                            if m.state is PowerState.ACTIVE}
-    assert fleet.awake_machines() == \
-        [m for m in machines.values() if m in fleet.awake]  # id order
+    assert fleet.awake_ids() == sorted(fleet.awake)
     assert fleet.active == count(PowerState.ACTIVE)
     assert fleet.asleep == count(PowerState.POWER_SAVING)
     assert fleet.failed == count(PowerState.FAILED)
@@ -497,7 +499,7 @@ def test_zero_length_gap_bridges_one_close_and_sleeps_at_the_next():
         assert_aggregates_match_a_scan(store)
         store.advance_to(5)     # closes tick 4: emptied, nothing due
         assert machine.state is PowerState.POWER_SAVING
-        assert store.fleet.awake == set()
+        assert not store.fleet.awake
         store.advance_to(7)
         assert_text_is_the_document(store, None)
     assert closed_ticks(stores[0]) == closed_ticks(stores[1])
