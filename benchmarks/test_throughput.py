@@ -63,8 +63,8 @@ def _best_run(algo: str, engine: str, vms, cluster, rounds: int
 def _probe_counts(algo: str, vms, cluster, monkeypatch
                   ) -> tuple[int, int, int]:
     """One untimed ``kernel=on`` run: (scalar ``ServerState.admits``
-    calls — the walk's yes/no probes, ``probe_fleet`` calls, rows those
-    calls covered)."""
+    calls — the walk's yes/no probes, kernel calls (``probe_fleet`` or
+    ``admits_fleet``), rows those calls covered)."""
     scalar = 0
     admits = ServerState.admits
 
@@ -234,7 +234,8 @@ DENSE_FRONTIER_FLOOR = 1.3
 def test_min_energy_dense_frontier(monkeypatch):
     """min-energy at 5000 VMs / 3000 servers, dense — one walk, batched
     (``kernel=on``) vs unbatched (``off``): identical placements; at
-    most one ``probe_fleet`` call and 40 scalar probes per VM (counts —
+    most one kernel call (``admits_fleet``; the JSON key keeps its
+    ``probe_fleet_calls_per_vm`` name) and 40 scalar probes per VM (counts —
     they fail without a stopwatch if the walk goes back to one probe
     per full server); and batched >= 1.3x unbatched."""
     on_s = off_s = float("inf")

@@ -31,9 +31,9 @@ cannot change the answer, only skip losers:
 
 On a dense stream the cheap types' busy servers are mostly full and
 refuse the VM one by one before the bound can prune; a walk refused
-``_BATCH_AFTER`` times prefetches the verdicts of what is left of its
-busy queues in one ``FleetKernel.probe_fleet`` and carries on over the
-rows that fit. ``kernel=off`` builds no kernel, so that walk probes
+``_BATCH_AFTER`` times asks the kernel a yes or no for what is left of
+its busy queues in one ``FleetKernel.admits_fleet`` and carries on over
+the rows that fit. ``kernel=off`` builds no kernel, so that walk probes
 scalar to the end — same decisions, same counters.
 """
 
@@ -60,13 +60,16 @@ _TIE_TOL = 1e-12
 #: Refusals after which the queued walk batches what is left of it.
 #: Tuned at 5000 dense VMs / 3000 servers while a refusal cost ~3.5 us
 #: and one ``probe_fleet`` over the ~330 rows left ~235 us with its
-#: sync: 8 / 16 / 32 within noise of each other, 1.5-2x never batching
-#: (~1.15x since ``ServerState.admits`` made a refusal ~1.2 us: ROADMAP
-#: lever 4). 8 still fires on the sparse 10k stream, 16 never does —
-#: refusals, unlike probes, are rare there.
+#: sync: 8 / 16 / 32 within noise of each other, 1.5-2x never batching.
+#: A refusal is ~1.2 us since ``ServerState.admits`` and the batch
+#: (``admits_fleet`` over ~300 rows, sync included) ~110 us: 4 / 8 / 16
+#: / 32 still within noise, ~2x never batching. 8 still fires on the
+#: sparse 10k stream, 16 never does — refusals, unlike probes, are rare
+#: there.
 #: It counts refusals, not what is left: on small dense fleets the
-#: prefetch loses to walking on (kernel=on 1.78x off's time at 300 VMs /
-#: 18 servers, 1.14x at 600 / 120, 0.63x at 2000 / 300; see ROADMAP).
+#: prefetch still loses to walking on (kernel=on 1.4x off's time at 300
+#: VMs / 18 servers, 1.0-1.2x at 600 / 120, 0.65x at 2000 / 300; see
+#: ROADMAP).
 _BATCH_AFTER = 16
 
 #: Queue kinds of the walk: a type's busy servers, its pristine ones, and
@@ -176,8 +179,8 @@ class MinIncrementalEnergy(Allocator):
 
     def _prefetch(self, vm: VM, heap: list, runs: dict[int, float],
                   bound: float) -> dict:
-        """Probe what is left of the walk's busy queues in one
-        ``probe_fleet`` and point ``heap`` at the rows that fit.
+        """Ask what is left of the walk's busy queues in one
+        ``admits_fleet`` and point ``heap`` at the rows that fit.
 
         Each type's *frontier* — its busy positions from the cursor on —
         is probed, unless its run cost has reached ``bound``; its cursor
@@ -192,8 +195,8 @@ class MinIncrementalEnergy(Allocator):
             if kind == _BUSY and runs[id(group)] < bound}
         heap[:] = [entry for entry in heap if entry[1] == _PRISTINE]
         if frontier:
-            fits = self._index.kernel.probe_fleet(
-                vm, np.concatenate(list(frontier.values()))).feasible
+            fits = self._index.kernel.admits_fleet(
+                vm, np.concatenate(list(frontier.values())))
             start = 0
             for group, rows in frontier.items():
                 fitting = rows[fits[start:start + rows.size]].tolist()

@@ -233,6 +233,27 @@ class ServerState:
             delta += _gap_cost(spec, prev_end, iv.start, policy)
             delta += _gap_cost(spec, iv.end, next_start, policy)
             return delta
+        if hi - lo == 1:
+            starts, ends = self._busy_starts, self._busy_ends
+            # iv merges with exactly one segment (every fold of a dense
+            # walk): the general case below, same float operations in
+            # the same order, without its sum, loop and min / max calls.
+            # An open side's two gap costs are both 0.0, and adding
+            # their difference changes nothing (delta is never -0.0).
+            seg_start, seg_end = starts[lo], ends[lo]
+            merged_start = iv.start if iv.start < seg_start else seg_start
+            merged_end = iv.end if iv.end > seg_end else seg_end
+            delta = spec.p_idle * ((merged_end - merged_start + 1)
+                                   - (seg_end - seg_start + 1))
+            if lo > 0:
+                prev_end = ends[lo - 1]
+                delta += (_gap_cost(spec, prev_end, merged_start, policy)
+                          - _gap_cost(spec, prev_end, seg_start, policy))
+            if hi < len(starts):
+                next_start = starts[hi]
+                delta += (_gap_cost(spec, merged_end, next_start, policy)
+                          - _gap_cost(spec, seg_end, next_start, policy))
+            return delta
         # iv merges segments [lo, hi) into one.
         merged_start = min(iv.start, self._busy_starts[lo])
         merged_end = max(iv.end, self._busy_ends[hi - 1])

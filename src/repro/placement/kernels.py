@@ -12,37 +12,47 @@ one and otherwise fills the same batch from scalar
 ``ServerState.probe`` calls (``kernel=off``, the dense engine, a fleet
 no index covers), its columns built on first read. ``min-energy``'s
 queued walk calls the kernel itself, for what is left of its busy
-queues once 16 servers have refused the VM (dense streams); walks that
-stop early (the first-fit family) or end by lower-bound pruning
-(``min-energy`` on sparse streams) ask scalar, one ``O(log k)``
-``ServerState.admits`` at a time. ``kernel=off`` builds no kernel: the
-same scans decide the same on scalar probes throughout.
+queues once 16 servers have refused the VM (dense streams), and reads a
+yes or no per row: :meth:`FleetKernel.admits_fleet`, the same pass
+without the verdict. Walks that stop early (the first-fit family) or
+end by lower-bound pruning (``min-energy`` on sparse streams) ask
+scalar, one ``O(log k)`` ``ServerState.admits`` at a time.
+``kernel=off`` builds no kernel: the same scans decide the same on
+scalar probes throughout.
 
 Layout
 ------
-Compressed rows: every array is the concatenation of the fleet's
-skylines in fleet order, row ``r`` occupying cells
-``[off[r], off[r + 1])`` — no padding, so memory and search cost follow
-the breakpoints that exist, not the longest history times the fleet
-size. The value planes hold committed cpu and mem (on a robust fleet
-also the per-segment drop / threshold accumulators); the int64 **key
-plane** holds ``r * 2^40 + 2^39 + x`` for breakpoint ``x``. Each skyline
-is sorted and row ``r``'s keys all lie below row ``r + 1``'s, so the key
-plane is globally sorted. Times must lie in ``[-2^39, 2^39)``.
+Slotted rows: every array is the fleet's skylines in fleet order, row
+``r`` owning the *slot* of cells ``[off[r], off[r + 1])`` — its
+skyline first, *pad cells* after it. A row that never held anything
+has no slot, so memory and search cost follow the breakpoints that
+exist, not the longest history times the fleet size. The value planes
+hold committed cpu and mem (on a robust fleet also the per-segment
+drop / threshold accumulators); the int64 **key plane** holds ``r *
+2^40 + 2^39 + x`` for breakpoint ``x`` and, in a pad cell, the top of
+the row's key span, ``r * 2^40 + 2^40 - 1``. Each skyline is sorted,
+its pads follow it and row ``r``'s keys all lie below row ``r + 1``'s,
+so the key plane is globally sorted, and a search for a real time
+never lands on a pad cell. Times must lie in ``[-2^39, 2^39 - 1)``: a
+breakpoint outside would land in a neighbour's key span (or on a pad),
+so ``sync`` refuses it by server id and a probe refuses such an
+interval.
 
 Window search
 -------------
 For a demand piece ``[start, end]`` one ``searchsorted`` per bound over
-the key plane yields every row's column window ``[i0, i1]`` — the
-segment containing ``start`` (clamped to the first breakpoint) through
-the last breakpoint ``<= end``, exactly the range the scalar
-``probe_piece`` loop walks. Rows with an empty window hold nothing in
-the piece: feasible, zero peaks, never touched. The remaining rows
-fancy-gather ``live_rows x longest_window`` cells (shorter windows
-repeat their last cell, which changes neither a max nor a first
-violation), so a probe costs what the VM's interval overlaps, not what
-the fleet remembers; :attr:`FleetKernel.cells_probed` counts those
-cells, ``probe_calls`` / ``rows_probed`` the calls and candidate rows.
+the key plane yields every row's window of cells — the segment
+containing ``start`` (clamped to the row's first cell) through the last
+breakpoint ``<= end``, exactly the range the scalar ``probe_piece``
+loop walks. Rows with an empty window hold nothing in the piece:
+feasible, zero peaks, never touched. For the remaining rows
+``probe_fleet`` fancy-gathers ``live_rows x longest_window`` cells
+(shorter windows repeat their last cell, which changes neither a max
+nor a first violation), ``admits_fleet`` the windows end to end, each
+at its own length; either way a probe costs what the VM's interval
+overlaps, not what the fleet remembers.
+:attr:`FleetKernel.cells_probed` counts those cells, ``probe_calls`` /
+``rows_probed`` the calls and candidate rows of both.
 
 Bit-exactness
 -------------
@@ -60,8 +70,12 @@ Incremental sync
 ----------------
 Server mutations (``place_trusted``, ``remove``, ``cut``, ``retire``,
 ``compact``) notify their watchers; the kernel marks the row dirty and
-splices it back in at the next probe — one pass over the planes,
-rows that did not change move as block copies. Not thread-safe:
+writes it back at the next probe, where it lives: a row that still
+fits its slot is a few slice assignments (its skyline, then pad keys
+over what it no longer uses) and no array is allocated. A row that
+outgrew its slot gets twice the cells (8 the first time) in one
+repack — the other rows move as block copies — so a row is repacked
+for a logarithm of its length. Slots never shrink. Not thread-safe:
 callers serialise probes and mutations (the daemon runs every scan and
 every commit under its commit lock; its lock-free reads never probe).
 """
@@ -73,6 +87,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
+from repro.exceptions import ValidationError
 from repro.model.phases import demand_profile
 from repro.placement.feasibility import TOL, Feasibility
 
@@ -95,6 +110,13 @@ MEM_OVERLAP = 4
 #: their row's span (see "Layout" in the module docstring).
 _SPAN = 1 << 40
 _BIAS = 1 << 39
+#: A pad cell's time: the top of its row's key span, which no
+#: breakpoint may reach — so a ``searchsorted`` for a real time stops
+#: at the row's live cells.
+_PAD = _BIAS - 1
+#: Cells a row's first slot has (a row that never held anything has
+#: none); a row that outgrows its slot doubles it.
+_SLOT = 8
 
 
 class FeasibilityBatch:
@@ -228,8 +250,8 @@ class FleetKernel:
     ``prepare`` time for the indexed engine (when the
     :class:`~repro.placement.config.EngineConfig` enables it) and kept
     in sync through the ``ServerState`` watcher protocol: every
-    mutation marks its row dirty, and the next probe re-copies only
-    the dirty rows.
+    mutation marks its row dirty, and the next probe rewrites only
+    the dirty rows, in place.
     """
 
     def __init__(self, states: Sequence["ServerState"]) -> None:
@@ -241,7 +263,8 @@ class FleetKernel:
             for read in _SPEC_COLUMNS.values())
         #: key of time 0 per row; ``key = base + x``, ``x = key - base``
         self._base = np.arange(n, dtype=np.int64) * _SPAN + _BIAS
-        #: row r's cells are ``[off[r], off[r + 1])`` of every plane
+        #: row r's slot is cells ``[off[r], off[r + 1])`` of every plane:
+        #: its skyline, then pad cells
         self._off = np.zeros(n + 1, dtype=np.intp)
         self._keys = np.empty(0, dtype=np.int64)
         #: the fleet's robustness config (uniform across one fleet).
@@ -249,15 +272,18 @@ class FleetKernel:
         #: and, on a robust fleet, the per-segment (drop_c, thr_c,
         #: drop_m, thr_m) accumulators.
         self._robust = self._states[0].robustness if self._states else None
+        self._export = attrgetter("_occ.export_rows" if self._robust is None
+                                  else "_occ.export_robust_rows")
         self._planes = [np.empty(0)
                         for _ in range(2 if self._robust is None else 6)]
         self._dirty: set[int] = set(range(n))
-        #: cells gathered by :meth:`probe_fleet` so far (rows x window,
-        #: summed per demand piece) — the work counter the tests bound
-        #: by the segments a probe overlaps.
+        #: cells gathered by :meth:`probe_fleet` (rows x longest window)
+        #: and :meth:`admits_fleet` (each window's own) so far, summed
+        #: per demand piece — the work counter the tests bound by the
+        #: segments a probe overlaps.
         self.cells_probed = 0
-        #: :meth:`probe_fleet` calls and the candidate rows they covered:
-        #: "did this scan batch, and over how much?" as a read.
+        #: calls of the two and the candidate rows they covered: "did
+        #: this scan batch, and over how much?" as a read.
         self.probe_calls = 0
         self.rows_probed = 0
         for state in self._states:
@@ -277,31 +303,140 @@ class FleetKernel:
     # -- sync --------------------------------------------------------------
 
     def sync(self) -> None:
-        """Splice every dirty row's skyline into the planes."""
+        """Write every dirty row's skyline into its slot, in place."""
         if not self._dirty:
             return
-        robust = self._robust is not None
         off = self._off
-        lengths = np.diff(off)
+        fresh, outgrown = [], {}
+        for pos in self._dirty:
+            row = self._export(self._states[pos])()
+            xs = row[0]
+            if xs:
+                if xs[0] < -_BIAS or xs[-1] >= _PAD:
+                    raise ValidationError(
+                        f"server {self._states[pos].server.server_id}: "
+                        f"breakpoints {xs[0]}..{xs[-1]} outside the "
+                        f"kernel's time range [{-_BIAS}, {_PAD})")
+                if len(xs) > off[pos + 1] - off[pos]:
+                    outgrown[pos] = len(xs)
+            fresh.append((pos, row))
+        if outgrown:
+            self._repack(outgrown)
+        keys, planes, base = self._keys, self._planes, self._base
+        for pos, (xs, *values) in fresh:
+            lo = off[pos]
+            hi = lo + len(xs)
+            keys[lo:hi] = xs
+            keys[lo:hi] += base[pos]
+            for plane, column in zip(planes, values):
+                plane[lo:hi] = column
+            keys[hi:off[pos + 1]] = base[pos] + _PAD
+        self._dirty.clear()
+
+    def _repack(self, outgrown: dict[int, int]) -> None:
+        """Rebuild the planes with room for the rows in ``outgrown``
+        (position -> cells needed): each gets twice its slot, at least
+        ``_SLOT`` cells and what it needs, as pad cells after its slot;
+        everything else moves as block copies. A row is repacked for
+        O(log) times its final length."""
+        off = self._off
         old = [self._keys, *self._planes]
         parts: list[list] = [[] for _ in old]
+        added = np.zeros(len(self._states), dtype=np.intp)
         cursor = 0
-        for pos in sorted(self._dirty):
-            occ = self._states[pos]._occ
-            xs, *values = (occ.export_robust_rows() if robust
-                           else occ.export_rows())
-            fresh = [np.array(xs, dtype=np.int64) + self._base[pos], *values]
-            for pieces, plane, row in zip(parts, old, fresh):
-                pieces += (plane[cursor:off[pos]], row)
-            cursor = off[pos + 1]
-            lengths[pos] = len(xs)
+        for pos in sorted(outgrown):
+            end = off[pos + 1]
+            slot = end - off[pos]
+            added[pos] = max(2 * slot, _SLOT, outgrown[pos]) - slot
+            pads = [np.full(added[pos], self._base[pos] + _PAD),
+                    *[np.zeros(added[pos])] * len(self._planes)]
+            for pieces, plane, pad in zip(parts, old, pads):
+                pieces += (plane[cursor:end], pad)
+            cursor = end
         self._keys, *self._planes = (
             np.concatenate(pieces + [plane[cursor:]])
             for pieces, plane in zip(parts, old))
-        np.cumsum(lengths, out=off[1:])
-        self._dirty.clear()
+        off[1:] += np.cumsum(added)
 
     # -- probing -----------------------------------------------------------
+
+    def _static_demand(self, vm: "VM") -> tuple[float, float]:
+        """What the static type-capacity test charges ``vm``: a robust
+        probe adds the VM's own radius (a lone VM is always in the
+        top-Γ)."""
+        if self._robust is None:
+            return vm.cpu, vm.memory
+        return vm.cpu + vm.cpu_radius, vm.memory + vm.mem_radius
+
+    def _windows(self, base: np.ndarray, row_cell: np.ndarray,
+                 start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's window over ``[start, end]``, as the scalar loop
+        walks it: ``(first, width)`` — the cell of the segment
+        containing ``start`` (bisect_right - 1, clamped to the row's
+        first cell) and the cells from it through the last breakpoint
+        ``<= end``; ``width <= 0`` where the row holds nothing there.
+        ``base`` / ``row_cell`` are the rows' time-0 keys and first cells.
+        """
+        if start < -_BIAS or end >= _PAD:
+            raise ValidationError(
+                f"interval [{start}, {end}] outside the kernel's time "
+                f"range [{-_BIAS}, {_PAD})")
+        keys = self._keys
+        first = np.searchsorted(keys, base + start, side="right")
+        first -= 1
+        np.maximum(first, row_cell, out=first)
+        width = np.searchsorted(keys, base + end, side="right")
+        width -= first
+        return first, width
+
+    def admits_fleet(self, vm: "VM", rows: np.ndarray) -> np.ndarray:
+        """``probe_fleet(vm, rows).feasible`` for a caller that reads
+        nothing else (``min-energy``'s prefetch): the same static test,
+        the same windows and the same ``c + demand > cap + TOL`` over
+        their cells — laid end to end, each window at its own length —
+        and a row that has one such cell does not fit. No peaks, codes,
+        times, headroom or run cost. Counts like ``probe_fleet``;
+        ``cells_probed`` grows by the cells read.
+        """
+        self.sync()
+        rows = rows.astype(np.intp, copy=False)
+        self.probe_calls += 1
+        self.rows_probed += rows.size
+        robust = self._robust is not None
+        cpu_cap = self._cpu_cap[rows]
+        mem_cap = self._mem_cap[rows]
+        cpu_need, mem_need = self._static_demand(vm)
+        fits = (cpu_need <= cpu_cap) & (mem_need <= mem_cap)
+        cpu_cap += TOL
+        mem_cap += TOL
+        planes = self._planes
+        base = self._base[rows]
+        row_cell = self._off[rows]
+        for piece, cpu, mem in demand_profile(vm):
+            first, width = self._windows(base, row_cell,
+                                         piece.start, piece.end)
+            # A row refused on one piece is inactive for the later ones.
+            live = np.flatnonzero(fits & (width > 0))
+            if not live.size:
+                continue
+            # Window k is cells[begin[k]:begin[k] + width[k]], of row[k].
+            width = width[live]
+            begin = np.cumsum(width)
+            total = int(begin[-1])
+            begin -= width
+            self.cells_probed += total
+            cells = np.arange(total) + np.repeat(first[live] - begin, width)
+            row = np.repeat(live, width)
+            val_cpu = planes[0][cells]
+            val_mem = planes[1][cells]
+            if robust:  # the probed value of probe_fleet, same op order
+                dc, tc, dm, tm = (plane[cells] for plane in planes[2:])
+                val_cpu += dc + np.maximum(vm.cpu_radius, tc)
+                val_mem += dm + np.maximum(vm.mem_radius, tm)
+            over = (val_cpu + cpu > cpu_cap[row]) \
+                | (val_mem + mem > mem_cap[row])
+            fits[row[over]] = False
+        return fits
 
     def probe_fleet(self, vm: "VM", candidates: np.ndarray | None = None
                     ) -> FeasibilityBatch:
@@ -329,14 +464,10 @@ class FleetKernel:
         peak_cpu = np.zeros(r)
         peak_mem = np.zeros(r)
         # Static type capacity first, exactly like the scalar probe:
-        # cpu before mem, peaks left at zero. Robust probes charge the
-        # VM its own radius here (a lone VM is always in the top-Γ).
-        if robust:
-            static_cpu = vm.cpu + vm.cpu_radius > cpu_cap
-            static_mem = ~static_cpu & (vm.memory + vm.mem_radius > mem_cap)
-        else:
-            static_cpu = vm.cpu > cpu_cap
-            static_mem = ~static_cpu & (vm.memory > mem_cap)
+        # cpu before mem, peaks left at zero.
+        cpu_need, mem_need = self._static_demand(vm)
+        static_cpu = cpu_need > cpu_cap
+        static_mem = ~static_cpu & (mem_need > mem_cap)
         codes[static_cpu] = CPU_CAPACITY
         codes[static_mem] = MEM_CAPACITY
         active = ~(static_cpu | static_mem)
@@ -344,22 +475,16 @@ class FleetKernel:
         base = self._base[rows]
         row_cell = self._off[rows]
         for piece, cpu, mem in demand_profile(vm):
-            start, end = piece.start, piece.end
-            # Column window per row, as the scalar loop walks it: from
-            # the segment containing `start` (bisect_right - 1, clamped
-            # to the first breakpoint) through the last x <= end.
-            i0 = np.searchsorted(keys, base + start, side="right")
-            i0 -= row_cell + 1
-            np.maximum(i0, 0, out=i0)
-            last = np.searchsorted(keys, base + end, side="right")
-            last -= row_cell + 1 + i0
-            live = np.flatnonzero(active & (last >= 0))
+            start = piece.start
+            first, width = self._windows(base, row_cell, start, piece.end)
+            live = np.flatnonzero(active & (width > 0))
             if not live.size:
                 continue
-            last = last[live, None]
+            # Shorter windows repeat their last cell.
+            last = width[live, None] - 1
             offsets = np.minimum(np.arange(int(last.max()) + 1), last)
             self.cells_probed += offsets.size
-            first_cell = row_cell[live] + i0[live]
+            first_cell = first[live]
             cells = first_cell[:, None] + offsets
             occ_cpu = planes[0][cells]
             occ_mem = planes[1][cells]

@@ -33,6 +33,7 @@ from repro.energy import SleepPolicy, allocation_cost
 from repro.model.cluster import Cluster
 from repro.model.constraints import PlacementConstraints
 from repro.obs.tracer import Tracer, use_tracer
+from repro.placement import FleetKernel
 from repro.service import AllocationDaemon, ClusterStateStore, place_request
 from repro.workload import PhasedWorkload
 from repro.workload.generator import generate_vms
@@ -144,6 +145,26 @@ class TestMinEnergyBatchedFinish:
             # include the types and pristine clones the queues skip.
             assert [(row[0], row[1], row[4]) for row in dense] \
                 == [(row[0], row[1], row[4]) for row in batched]
+
+    @pytest.mark.parametrize("engine", ["indexed", "indexed:gamma=2"])
+    def test_the_prefetch_asks_yes_or_no(self, engine, monkeypatch):
+        # The walk's one batched call reads a mask: no full verdicts.
+        calls = {"probe_fleet": 0, "admits_fleet": 0}
+
+        def counted(name):
+            method = getattr(FleetKernel, name)
+
+            def wrapper(self, *args):
+                calls[name] += 1
+                return method(self, *args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(FleetKernel, name, counted(name))
+        vms = DENSE_STREAMS["poisson"]
+        _, counter = _min_energy_trail(engine, vms, DENSE_CLUSTER)
+        assert calls["probe_fleet"] == 0
+        assert 0 < calls["admits_fleet"] == counter <= len(vms)
 
     def test_sparse_stream_never_batches(self):
         batched, calls = _min_energy_trail("indexed", VMS, CLUSTER)

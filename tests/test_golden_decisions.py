@@ -13,7 +13,7 @@ no counter and no decision-visible float moved.
 The streams cover the regimes the scans branch on: ``sparse`` (the
 paper's Poisson stream, nothing refused), ``dense`` (every busy server
 full, so ``min-energy``'s walk collects its 16 refusals and prefetches
-its frontier in one ``probe_fleet``), ``phased`` (two-phase demand with
+its frontier in one ``admits_fleet``), ``phased`` (two-phase demand with
 ±30 % radii, read by the Γ specs) and ``overfull`` (more demand than
 fleet: rejections).
 
@@ -97,8 +97,8 @@ CONFIGS = configs()
 
 def record_run(algorithm: str, engine: str, stream: str, policy: str,
                constrained: bool) -> tuple[list, int | None]:
-    """The run's decision trail and its ``probe_fleet`` call count
-    (``None``: no kernel was built)."""
+    """The run's decision trail and its kernel call count (``None``: no
+    kernel was built)."""
     vms, servers = STREAMS[stream]
     allocator = make_allocator(algorithm, seed=5, engine=engine,
                                policy=policy)

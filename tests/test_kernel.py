@@ -307,6 +307,82 @@ class TestLongHistory:
             assert_rows_match(kernel.probe_fleet(vm), states, vm)
 
 
+class TestSyncWritesARowWhereItLives:
+    """A dirty row is written into its slot; only a row that outgrew its
+    slot makes the kernel allocate planes again."""
+
+    def test_a_row_that_fits_its_slot_allocates_nothing(self):
+        states = build_fleet([[], [make_vm(0, 5, 9, cpu=1.0, memory=1.0)],
+                              [make_vm(3, 0, 1, cpu=1.0, memory=1.0)]])
+        kernel = FleetKernel(states)
+        probe = make_vm(9, 0, 30, cpu=5.5, memory=1.0)
+        kernel.probe_fleet(probe)
+        arrays = [kernel._off, kernel._keys, *kernel._planes]
+        states[1].place_trusted(make_vm(1, 8, 20, cpu=1.0, memory=1.0))
+        states[2].place_trusted(make_vm(2, 3, 4, cpu=1.0, memory=1.0))
+        states[1].compact(9)                  # and one that shrinks
+        kernel.sync()
+        assert all(now is was for now, was in zip(
+            [kernel._off, kernel._keys, *kernel._planes], arrays))
+        assert_rows_match(kernel.probe_fleet(probe), states, probe)
+
+    def test_a_growing_row_repacks_a_logarithm_of_its_commits(self,
+                                                              monkeypatch):
+        repacks = []
+        repack = FleetKernel._repack
+        monkeypatch.setattr(
+            FleetKernel, "_repack",
+            lambda self, outgrown: (repacks.append(outgrown),
+                                    repack(self, outgrown))[1])
+        states = build_fleet([[], [], []])
+        kernel = FleetKernel(states)
+        for i in range(2000):     # disjoint: two breakpoints a commit
+            states[1].place_trusted(make_vm(i, 3 * i, 3 * i + 1,
+                                            cpu=1.0, memory=1.0))
+            kernel.sync()
+        assert states[1].occupancy_points() == 4000
+        assert len(repacks) == 10             # 0 -> 8 -> 16 -> ... -> 4096
+        assert all(list(outgrown) == [1] for outgrown in repacks)
+        for probe in (make_vm(9000, 2999, 3004, cpu=5.5, memory=1.0),
+                      make_vm(9001, 5998, 7000, cpu=5.5, memory=1.0)):
+            assert_rows_match(kernel.probe_fleet(probe), states, probe)
+
+    @pytest.mark.parametrize("start, end, refused", [
+        (2 ** 39 - 9, 2 ** 39 - 1, True),     # breakpoint at 2^39
+        (2 ** 39 - 9, 2 ** 39 - 2, True),     # at a pad cell's time
+        (2 ** 39 - 9, 2 ** 39 - 3, False),
+        (-2 ** 39 - 1, 5, True),
+        (-2 ** 39, 5, False),
+    ])
+    def test_a_breakpoint_outside_the_time_range_names_its_server(
+            self, start, end, refused):
+        # It used to land in the neighbouring row's key span, and the
+        # probe answered for the wrong server.
+        states = build_fleet([[], [], []])
+        kernel = FleetKernel(states)
+        states[1].place_trusted(make_vm(0, start, end, cpu=8.0, memory=1.0))
+        probe = make_vm(1, start, start + 3, cpu=5.0, memory=1.0)
+        if refused:
+            with pytest.raises(ValueError, match="server 1: "):
+                kernel.sync()
+            assert kernel._keys.size == 0     # nothing written
+        else:
+            assert_rows_match(kernel.probe_fleet(probe), states, probe)
+            assert kernel.admits_fleet(probe, np.arange(3)).tolist() \
+                == [True, False, True]
+
+    @pytest.mark.parametrize("start, end", [(0, 2 ** 39 - 1),
+                                            (-2 ** 39 - 1, 0)])
+    def test_an_interval_outside_the_time_range_is_not_probed(self, start,
+                                                              end):
+        kernel = FleetKernel(build_fleet([[make_vm(0, 0, 9)], []]))
+        probe = make_vm(1, start, end)
+        with pytest.raises(ValueError, match="time range"):
+            kernel.probe_fleet(probe)
+        with pytest.raises(ValueError, match="time range"):
+            kernel.admits_fleet(probe, np.arange(2))
+
+
 # -- allocator decisions: kernel on == kernel off ---------------------------
 
 VMS = generate_vms(140, mean_interarrival=3.0, seed=3)

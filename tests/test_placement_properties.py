@@ -1,6 +1,7 @@
 """Property tests: the skyline engine is bit-equivalent to the dense
-oracle, and ``ServerState.admits`` is ``probe(...).feasible`` on every
-engine spec.
+oracle, ``ServerState.admits`` is ``probe(...).feasible`` on every
+engine spec, and ``FleetKernel.admits_fleet`` is
+``probe_fleet(...).feasible`` on nominal and Γ-robust fleets.
 
 A random interleaving of place / remove / probe is applied to two
 ServerStates that differ only in their occupancy engine. Verdicts and
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +25,7 @@ from repro.model.phases import DemandPhase, PhasedVM, split_vm
 from repro.model.server import Server, ServerSpec
 from repro.model.vm import VM, VMSpec
 from repro.placement import DenseOccupancy, SkylineOccupancy
+from repro.placement.kernels import FleetKernel
 
 from conftest import make_vm
 from test_kernel import _long_history_fleet, _long_history_probes
@@ -142,7 +145,8 @@ class TestOccupancyEquivalence:
 # -- admits: the probe's yes or no, whoever answers ---------------------------
 
 #: (kind, start, length, cpu_octets, mem_octets, shape): kind 0 = place
-#: when admitted, 1 = cut a resident, 2 = retire one, 3 = ask only;
+#: when admitted, 1 = cut a resident, 2 = retire one, 3 = ask only (and,
+#: in ``_FLEET_ASKS``, 4 = compact);
 #: shape 0 = plain, 1 = radius-carrying, 2 = phased. Octets above 64
 #: exceed the 8.0 capacity: the static cpu / mem refusals.
 _ASKS = st.tuples(st.integers(0, 3), st.integers(-20, 60),
@@ -163,6 +167,31 @@ def _shaped(vm_id: int, start: int, length: int, cpu: float, memory: float,
               interval=TimeInterval(start, start + length))
 
 
+def _mutate(state: ServerState, horizon: int, i: int, kind: int, start: int,
+            length: int, vm: VM) -> int:
+    """One ask applied to ``state``: place ``vm`` if admitted (kind 0),
+    cut (1) or retire (2) a resident, compact at ``start`` (4). Returns
+    the tick the book has compacted up to, ``horizon`` or later: a live
+    book is never cut at a tick it has already forgotten."""
+    if kind == 0 and state.admits(vm):
+        state.place(vm)
+    elif kind == 1 and state.vms:
+        victim = state.vms[start % len(state.vms)]
+        time = max(min(victim.start + length, victim.end), horizon)
+        if time <= victim.end:
+            head = None if time <= victim.start else split_vm(
+                victim, time, 1000 + i, 2000 + i)[0]
+            state.cut(victim, time, head)
+    elif kind == 2 and state.vms:
+        victim = state.vms[start % len(state.vms)]
+        state.retire(victim, before=victim.end + 1)
+        return max(horizon, victim.end + 1)
+    elif kind == 4:
+        state.compact(start)
+        return max(horizon, start)
+    return horizon
+
+
 def _yes_or_no(state: ServerState, vm: VM) -> bool:
     answer = state.admits(vm)
     assert answer is state.probe(vm).feasible
@@ -176,24 +205,14 @@ class TestAdmitsIsTheProbesYesOrNo:
     @given(st.lists(_ASKS, min_size=1, max_size=25))
     def test_after_any_place_cut_retire(self, engine, ops):
         state = ServerState(Server(0, SPEC), engine=engine)
-        asked = []
+        asked, horizon = [], -100
         for i, (kind, start, length, cpu8, mem8, shape) in enumerate(ops):
             if engine == "dense":
                 start = abs(start)      # a dense timeline starts at 0
             vm = _shaped(i, start, length, cpu8 / 8.0, mem8 / 8.0, shape)
             asked.append(vm)
-            admitted = _yes_or_no(state, vm)
-            if kind == 0 and admitted:
-                state.place(vm)
-            elif kind == 1 and state.vms:
-                victim = state.vms[start % len(state.vms)]
-                time = min(victim.start + length, victim.end)
-                head = None if time == victim.start else split_vm(
-                    victim, time, 1000 + i, 2000 + i)[0]
-                state.cut(victim, time, head)
-            elif kind == 2 and state.vms:
-                victim = state.vms[start % len(state.vms)]
-                state.retire(victim, before=victim.end + 1)
+            _yes_or_no(state, vm)
+            horizon = _mutate(state, horizon, i, kind, start, length, vm)
             for earlier in asked:
                 _yes_or_no(state, earlier)
 
@@ -203,3 +222,67 @@ class TestAdmitsIsTheProbesYesOrNo:
                    for state in _long_history_fleet(gamma)
                    for vm in _long_history_probes(gamma)]
         assert True in answers and False in answers
+
+
+# -- admits_fleet: the kernel's yes or no ------------------------------------
+
+#: Row 2 is never booked (an empty skyline); the last row is, so a window
+#: can end on the planes' last cell.
+_FLEET = 5
+_EMPTY_ROW = 2
+#: ``_ASKS`` plus kind 4 = compact the server at ``start``.
+_FLEET_ASKS = st.tuples(st.integers(0, 4), st.integers(-20, 60),
+                        st.integers(0, 12), st.integers(1, 72),
+                        st.integers(1, 72), st.integers(0, 2))
+
+
+def _fleet_yes_or_no(kernel: FleetKernel, states, vm: VM, rows) -> None:
+    """``admits_fleet`` is ``probe_fleet(...).feasible`` (and the scalar
+    ``admits``), counts as it does and reads no more cells."""
+    rows = np.array(rows, dtype=np.intp)
+
+    def counters():
+        return kernel.probe_calls, kernel.rows_probed, kernel.cells_probed
+    before = counters()
+    fits = kernel.admits_fleet(vm, rows)
+    between = counters()
+    verdicts = kernel.probe_fleet(vm, rows)
+    after = counters()
+    assert fits.dtype == bool
+    assert fits.tolist() == verdicts.feasible.tolist() \
+        == [states[row].admits(vm) for row in rows.tolist()]
+    assert between[0] - before[0] == after[0] - between[0] == 1
+    assert between[1] - before[1] == after[1] - between[1] == rows.size
+    assert 0 <= between[2] - before[2] <= after[2] - between[2]
+
+
+class TestAdmitsFleetIsTheFleetProbesYesOrNo:
+    @pytest.mark.parametrize("engine", ["indexed", "indexed:gamma=2"])
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(_FLEET_ASKS, min_size=1, max_size=20),
+           st.permutations(range(_FLEET)), st.integers(1, _FLEET - 1))
+    def test_after_any_place_cut_retire_compact(self, engine, ops, order,
+                                                subset):
+        states = [ServerState(Server(i, SPEC), engine=engine)
+                  for i in range(_FLEET)]
+        kernel = FleetKernel(states)
+        booked = [pos for pos in range(_FLEET) if pos != _EMPTY_ROW]
+        asked, horizons = [], [-100] * _FLEET
+        for i, (kind, start, length, cpu8, mem8, shape) in enumerate(ops):
+            pos = booked[(start + length) % len(booked)]
+            vm = _shaped(i, start, length, cpu8 / 8.0, mem8 / 8.0, shape)
+            asked.append(vm)
+            horizons[pos] = _mutate(states[pos], horizons[pos], i, kind,
+                                    start, length, vm)
+            for earlier in asked:
+                # every row out of order (the empty one and the last
+                # among them), then a strict subset
+                _fleet_yes_or_no(kernel, states, earlier, order)
+                _fleet_yes_or_no(kernel, states, earlier, order[:subset])
+
+    @pytest.mark.parametrize("gamma", [0, 2])
+    def test_long_history_probes(self, gamma):
+        states = _long_history_fleet(gamma)
+        kernel = FleetKernel(states)
+        for vm in _long_history_probes(gamma):
+            _fleet_yes_or_no(kernel, states, vm, range(len(states)))

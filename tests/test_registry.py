@@ -122,8 +122,13 @@ class TestARuleIsStatedOnce:
 
     def test_who_probes_is_decided_in_one_place(self):
         package = Path(repro.allocators.__file__).parent
-        calls = {path.name: path.read_text().count("probe_fleet(")
-                 for path in package.glob("*.py")}
-        # the fill helper, and min-energy's ``_prefetch``
-        assert {name: n for name, n in calls.items() if n} \
-            == {"base.py": 1, "min_energy.py": 1}
+
+        def callers(call: str) -> dict[str, int]:
+            counts = {path.name: path.read_text().count(call)
+                      for path in package.glob("*.py")}
+            return {name: n for name, n in counts.items() if n}
+
+        # the fill helper asks for verdicts, min-energy's ``_prefetch``
+        # for a yes or no
+        assert callers("probe_fleet(") == {"base.py": 1}
+        assert callers("admits_fleet(") == {"min_energy.py": 1}

@@ -38,7 +38,6 @@ import importlib
 import inspect
 import json
 from dataclasses import replace
-from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -282,7 +281,8 @@ def assert_text_is_the_document(store: ClusterStateStore, meta) -> str:
 def assert_index_matches_the_scan_list(daemon: AllocationDaemon) -> None:
     """The candidate queues are the scan list partitioned by server type
     and ``is_pristine``, in ascending position; the kernel, where one was
-    built, holds every skyline verbatim, row after row."""
+    built, holds every skyline verbatim in the live cells of its row's
+    slot, pad keys after them, the key plane sorted end to end."""
     index = daemon.allocator._index
     engine = daemon.allocator.engine_config
     live = daemon._live
@@ -303,16 +303,21 @@ def assert_index_matches_the_scan_list(daemon: AllocationDaemon) -> None:
     if kernel is None:
         return
     kernel.sync()
-    rows = [book._occ.export_rows() if engine.active_robustness is None
-            else book._occ.export_robust_rows() for book in live]
-    assert kernel._off.tolist() == \
-        list(accumulate((len(row[0]) for row in rows), initial=0))
-    assert kernel._keys.tolist() == \
-        [(pos << 40) + (1 << 39) + x
-         for pos, row in enumerate(rows) for x in row[0]]
-    assert len(kernel._planes) == len(rows[0]) - 1
-    for i, plane in enumerate(kernel._planes, start=1):
-        assert plane.tolist() == [value for row in rows for value in row[i]]
+    keys, off = kernel._keys.tolist(), kernel._off
+    assert keys == sorted(keys)
+    assert (off[0], off[-1]) == (0, len(keys))
+    assert {plane.size for plane in kernel._planes} == {len(keys)}
+    for pos, book in enumerate(live):
+        xs, *values = (book._occ.export_rows()
+                       if engine.active_robustness is None
+                       else book._occ.export_robust_rows())
+        lo, hi, end = off[pos], off[pos] + len(xs), off[pos + 1]
+        assert hi <= end
+        assert keys[lo:hi] == [(pos << 40) + (1 << 39) + x for x in xs]
+        assert keys[hi:end] == [(pos << 40) + (1 << 40) - 1] * (end - hi)
+        assert len(kernel._planes) == len(values)
+        for plane, column in zip(kernel._planes, values):
+            assert plane[lo:hi].tolist() == column
 
 
 @settings(max_examples=60, deadline=None,
