@@ -37,7 +37,8 @@ per-algorithm parameters by name.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from contextlib import closing
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -126,41 +127,15 @@ class Allocator:
         AllocationError
             When some VM fits no admissible server for its whole duration.
         """
-        ordered = self.order_vms(list(vms))
-        states = [ServerState(server, policy=self._policy,
-                              engine=self.engine_config)
-                  for server in cluster]
-        self.prepare(states)
-        self._constraints = constraints
-        self._placed_ids: dict[int, int] = {}
-        tracer = get_tracer()
-        try:
-            with tracer.span("allocator.allocate", algorithm=self.name,
-                             vms=len(ordered), servers=len(states)):
-                placements: dict[VM, int] = {}
-                for vm in ordered:
-                    if recorder is not None:
-                        chosen, explanation = self.explain_select(
-                            vm, states)
-                        recorder.record(explanation)
-                    else:
-                        chosen = self.select(vm, states)
-                    if chosen is None:
-                        raise AllocationError(
-                            f"no admissible server can host {vm} for its "
-                            f"whole duration", vm_id=vm.vm_id)
-                    chosen.place(vm)
-                    placements[vm] = chosen.server.server_id
-                    self._placed_ids[vm.vm_id] = chosen.server.server_id
-                    if tracer.enabled:
-                        tracer.instant(
-                            "place", vm_id=vm.vm_id,
-                            server_id=chosen.server.server_id,
-                            feasible=self.candidates_feasible,
-                            evaluated=self.candidates_evaluated)
-        finally:
-            self._constraints = None
-            self._placed_ids = {}
+        placements: dict[VM, int] = {}
+        with closing(self._walk(vms, cluster, constraints, recorder,
+                                "allocator.allocate")) as walk:
+            for vm, server_id, _ in walk:
+                if server_id is None:
+                    raise AllocationError(
+                        f"no admissible server can host {vm} for its "
+                        f"whole duration", vm_id=vm.vm_id)
+                placements[vm] = server_id
         return Allocation(cluster, placements)
 
     def allocate_batch(self, vms: Iterable[VM], cluster: Cluster,
@@ -176,39 +151,62 @@ class Allocator:
         the whole outcome, not the first failure.
         """
         items = list(vms)
-        ordered = self.order_vms(list(items))
         # Decisions map back to the request order; identity-keyed so a
         # clairvoyant order_vms override (offline extensions) cannot
         # confuse equal-valued records.
         slots: dict[int, list[int]] = {}
         for i, vm in enumerate(items):
             slots.setdefault(id(vm), []).append(i)
+        decisions: list[Decision | None] = [None] * len(items)
+        with closing(self._walk(items, cluster, constraints, None,
+                                "allocator.allocate_batch")) as walk:
+            for vm, server_id, delta in walk:
+                decisions[slots[id(vm)].pop(0)] = Decision(
+                    vm=vm, server_id=server_id, energy_delta=delta)
+        return decisions
+
+    def _walk(self, vms: Iterable[VM], cluster: Cluster,
+              constraints: PlacementConstraints | None,
+              recorder: ExplainRecorder | None, span: str
+              ) -> Iterator[tuple[VM, int | None, float]]:
+        """The one offline decision loop behind :meth:`allocate` and
+        :meth:`allocate_batch`: on a fresh fleet, ``(vm, server_id,
+        energy_delta)`` per VM in :meth:`order_vms` order (``None``,
+        ``0.0`` when rejected). Run it under :func:`contextlib.closing`
+        so its ``finally`` runs when the caller stops at a rejection."""
+        ordered = self.order_vms(list(vms))
         states = [ServerState(server, policy=self._policy,
                               engine=self.engine_config)
                   for server in cluster]
         self.prepare(states)
         self._constraints = constraints
         self._placed_ids = {}
-        decisions: list[Decision | None] = [None] * len(items)
+        tracer = get_tracer()
         try:
-            with get_tracer().span("allocator.allocate_batch",
-                                   algorithm=self.name, vms=len(items),
-                                   servers=len(states)):
+            with tracer.span(span, algorithm=self.name, vms=len(ordered),
+                             servers=len(states)):
                 for vm in ordered:
-                    i = slots[id(vm)].pop(0)
-                    chosen = self.select(vm, states)
+                    if recorder is not None:
+                        chosen, explanation = self.explain_select(
+                            vm, states)
+                        recorder.record(explanation)
+                    else:
+                        chosen = self.select(vm, states)
                     if chosen is None:
-                        decisions[i] = Decision(vm=vm, server_id=None)
+                        yield vm, None, 0.0
                         continue
                     delta = chosen.place(vm)
                     server_id = chosen.server.server_id
                     self._placed_ids[vm.vm_id] = server_id
-                    decisions[i] = Decision(vm=vm, server_id=server_id,
-                                            energy_delta=delta)
+                    if tracer.enabled:
+                        tracer.instant(
+                            "place", vm_id=vm.vm_id, server_id=server_id,
+                            feasible=self.candidates_feasible,
+                            evaluated=self.candidates_evaluated)
+                    yield vm, server_id, delta
         finally:
             self._constraints = None
             self._placed_ids = {}
-        return decisions
 
     # -- probing -------------------------------------------------------------
 

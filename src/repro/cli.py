@@ -799,7 +799,7 @@ def _cmd_client(args: argparse.Namespace) -> int:
           f"{summary.rejected} rejected "
           f"({100 * summary.rejection_rate:.1f}%), "
           f"{summary.delayed} delayed")
-    print(f"mean placement latency: {summary.mean_latency_ms:.3f} ms")
+    print(f"mean placement latency per VM: {summary.mean_latency_ms:.3f} ms")
     print(f"energy delta (this stream): "
           f"{summary.energy_delta_total:.1f} W·min")
     print(f"daemon totals: {stats['placed']} placed, clock "

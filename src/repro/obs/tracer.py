@@ -43,6 +43,7 @@ __all__ = ["TraceEvent", "Span", "Tracer", "NullTracer", "NULL_TRACER",
 SPAN = "span"
 INSTANT = "instant"
 COUNTER = "counter"
+_BOOKED = "booked"  # a finished_span, in seconds until it is read
 
 
 @dataclass
@@ -148,6 +149,9 @@ class Tracer:
                 while self._materialized < n:
                     kind, name, ts_ns, dur_ns, tid, clock, args = \
                         raw[self._materialized]
+                    if kind == _BOOKED:     # dur_ns holds the end
+                        kind, ts_ns = SPAN, round(ts_ns * 1e9)
+                        dur_ns = round(dur_ns * 1e9) - ts_ns
                     events.append(TraceEvent(
                         kind=kind, name=name, ts_ns=ts_ns,
                         dur_ns=dur_ns, tid=tid, clock=clock, args=args))
@@ -159,6 +163,14 @@ class Tracer:
     def span(self, name: str, **attrs: object) -> Span:
         """An open span; use as a context manager."""
         return Span(self, name, attrs if attrs else None)
+
+    def finished_span(self, name: str, started: float, ended: float,
+                      **attrs: object) -> None:
+        """Book a span that ran from ``started`` to ``ended`` (seconds
+        of ``time.perf_counter()``, the default clock): a hot loop books
+        its stages from clock reads it takes anyway, when :attr:`enabled`."""
+        self._raw.append((_BOOKED, name, started, ended,
+                          threading.get_ident(), "wall", attrs))
 
     def instant(self, name: str, **attrs: object) -> None:
         """Record a point event."""
@@ -227,6 +239,9 @@ class NullTracer(Tracer):
 
     def span(self, name: str, **attrs: object) -> _NullSpan:  # type: ignore[override]
         return _NULL_SPAN
+
+    def finished_span(self, *args: object, **attrs: object) -> None:
+        pass
 
     def instant(self, name: str, **attrs: object) -> None:
         pass

@@ -365,7 +365,12 @@ class AllocationClient:
 
 @dataclass(frozen=True)
 class ReplaySummary:
-    """Aggregate outcome of streaming one workload at a daemon."""
+    """Aggregate outcome of streaming one workload at a daemon.
+
+    ``mean_latency_ms`` is the daemon-side latency per *offered VM*
+    whatever the request shape: a ``place`` reports its own, a
+    ``place_batch`` round trip is shared by the VMs it carried.
+    """
 
     offered: int
     placed: int
@@ -386,9 +391,9 @@ def replay_trace(client: AllocationClient, vms: Iterable[VM], *,
 
     With ``batch=N`` the workload is chunked into ``place_batch``
     requests of up to ``N`` VMs each (one v2 round trip per chunk,
-    ``repro client --batch``); the default streams one ``place`` per
-    VM. Both paths yield identical placements — the daemon processes a
-    batch in the same online order.
+    ``repro client --batch``); the default, ``None``, sends chunks of
+    one as ``place``. Both yield identical placements — the daemon
+    processes a batch in the same online order.
 
     Every per-VM outcome is lifted into a typed
     :class:`~repro.results.PlacementResult` before tallying, so the
@@ -403,50 +408,32 @@ def replay_trace(client: AllocationClient, vms: Iterable[VM], *,
         raise ServiceError(f"batch size must be >= 1, got {batch}")
     ordered = sorted(vms, key=lambda v: (v.start, v.end, v.vm_id))
     placed = rejected = delayed = 0
-    energy = 0.0
-    latency_total = 0.0
-    latency_samples = 0
-    horizon = 0
-
-    def tally(item: Mapping[str, object]) -> None:
-        nonlocal placed, rejected, delayed, energy
-        result = PlacementResult.from_response(item)
-        if result.placed:
-            placed += 1
-            energy += result.energy_delta
-            if result.delay:
-                delayed += 1
+    energy = latency_total = 0.0
+    size = batch or 1
+    for offset in range(0, len(ordered), size):
+        chunk = ordered[offset:offset + size]
+        if batch is None:
+            op, response = "place", client.place(chunk[0])
+            items = [response]
         else:
-            rejected += 1
-
-    if batch is None:
-        for vm in ordered:
-            response = client.place(vm)
-            if not response.get("ok"):
-                raise ServiceError(
-                    f"daemon rejected the protocol request for "
-                    f"vm{vm.vm_id}: {response.get('error')}")
-            horizon = max(horizon, vm.end)
-            latency_total += float(response.get("latency_ms", 0.0))
-            latency_samples += 1
-            tally(response)
-    else:
-        for offset in range(0, len(ordered), batch):
-            chunk = ordered[offset:offset + batch]
-            response = client.place_batch(chunk)
-            if not response.get("ok"):
-                raise ServiceError(
-                    f"daemon rejected the place_batch request at offset "
-                    f"{offset}: {response.get('error')}")
-            horizon = max(horizon, max(vm.end for vm in chunk))
-            latency_total += float(response.get("latency_ms", 0.0))
-            latency_samples += 1
-            for item in response.get("decisions", []):
-                tally(item)
+            op, response = "place_batch", client.place_batch(chunk)
+            items = response.get("decisions", [])
+        if not response.get("ok"):
+            raise ServiceError(
+                f"daemon rejected the {op} request for vm{chunk[0].vm_id} "
+                f"(offset {offset}): {response.get('error')}")
+        latency_total += float(response.get("latency_ms", 0.0))
+        for item in items:
+            result = PlacementResult.from_response(item)
+            if result.placed:
+                placed += 1
+                energy += result.energy_delta
+                delayed += bool(result.delay)
+            else:
+                rejected += 1
     if final_tick and ordered:
-        client.tick(horizon + 1)
+        client.tick(max(0, *(vm.end for vm in ordered)) + 1)
     return ReplaySummary(
         offered=len(ordered), placed=placed, rejected=rejected,
         delayed=delayed, energy_delta_total=energy,
-        mean_latency_ms=(latency_total / latency_samples
-                         if latency_samples else 0.0))
+        mean_latency_ms=latency_total / len(ordered) if ordered else 0.0)

@@ -62,7 +62,7 @@ import json
 import threading
 from pathlib import Path
 from time import monotonic, perf_counter
-from typing import IO, Callable, Mapping
+from typing import IO, Callable, Mapping, Sequence
 
 from repro.allocators.registry import make_allocator
 from repro.consolidation.fragmentation import FragmentationMonitor
@@ -76,6 +76,7 @@ from repro.exceptions import (
     UnknownOperationError,
     ValidationError,
 )
+from repro.model.vm import VM
 from repro.obs.context import TraceContext, trace_context_of
 from repro.obs.explain import ExplainRecorder
 from repro.obs.flight import FlightRecorder
@@ -211,18 +212,12 @@ class AllocationDaemon:
                  telemetry_capacity: int = 1024,
                  flight_capacity: int = 256,
                  _restored_seq: int | None = None) -> None:
-        if max_delay < 0:
-            raise ValidationError(
-                f"max_delay must be >= 0, got {max_delay}")
-        if snapshot_every < 0:
-            raise ValidationError(
-                f"snapshot_every must be >= 0, got {snapshot_every}")
-        if max_inflight < 0:
-            raise ValidationError(
-                f"max_inflight must be >= 0, got {max_inflight}")
-        if consolidate_every < 0:
-            raise ValidationError(
-                f"consolidate_every must be >= 0, got {consolidate_every}")
+        for name, value in (("max_delay", max_delay),
+                            ("snapshot_every", snapshot_every),
+                            ("max_inflight", max_inflight),
+                            ("consolidate_every", consolidate_every)):
+            if value < 0:
+                raise ValidationError(f"{name} must be >= 0, got {value}")
         if frag_threshold is not None and \
                 not 0.0 < float(frag_threshold) <= 1.0:
             raise ValidationError(
@@ -319,15 +314,6 @@ class AllocationDaemon:
         self._live = self.store.live_states()
         self.allocator.prepare(self._live)
 
-    def _offer(self, vm, recorder: ExplainRecorder | None = None):
-        """Run the admission scan (under the commit lock) and time it."""
-        started = perf_counter()
-        decision = offer(vm, self._live, self.allocator,
-                         max_delay=int(self.config["max_delay"]),
-                         recorder=recorder)
-        self.metrics.scan.observe(perf_counter() - started)
-        return decision
-
     # -- durability --------------------------------------------------------
 
     def _meta(self, seq: int) -> dict[str, object]:
@@ -347,7 +333,10 @@ class AllocationDaemon:
         self._placed_since_snapshot = 0
         return self.snapshots.save(text, seq)
 
-    def _maybe_snapshot(self) -> None:
+    def _maybe_snapshot(self, placed: int) -> None:
+        """Count ``placed`` commits (placements, re-placements, moves)
+        toward the next checkpoint and write it once it is due."""
+        self._placed_since_snapshot += placed
         every = int(self.config["snapshot_every"])
         if self.snapshots is not None and every > 0 and \
                 self._placed_since_snapshot >= every:
@@ -456,7 +445,7 @@ class AllocationDaemon:
             self._count_consolidation(applied)
         elif applied:
             placed = sum(decision == "placed" for decision, _ in applied)
-            self.metrics.count_decisions(
+            self.metrics.observe_request(
                 placed=placed, rejected=len(applied) - placed,
                 delayed=sum(bool(delay) for _, delay in applied),
                 algorithm=str(self.config["algorithm"]))
@@ -720,46 +709,87 @@ class AllocationDaemon:
             placed=self.metrics.requests["placed"],
             rejected=self.metrics.requests["rejected"]))
 
+    def _decide(self, vms: Sequence[VM],
+                recorder: ExplainRecorder | None = None) -> tuple:
+        """The one decision loop — ``place`` is a batch of one: each VM,
+        in the paper's online order (start, end, id), advances the
+        clock, runs the admission scan (``recorder`` explains it) and
+        commits. Returns the response items in request order, the
+        placed count, their deltas summed in decision order and the
+        journal records (``None`` without a journal). One
+        ``observe_request`` counts the decisions; a tracer books each
+        stage from the clock reads the samples take."""
+        store, allocator, live = self.store, self.allocator, self._live
+        max_delay = int(self.config["max_delay"])
+        algorithm = str(self.config["algorithm"])
+        tracer = get_tracer()
+        book = tracer.finished_span if tracer.enabled else None
+        order = range(len(vms)) if len(vms) < 2 else sorted(
+            range(len(vms)),
+            key=lambda i: (vms[i].start, vms[i].end, vms[i].vm_id))
+        items: list = [None] * len(vms)
+        entries = [] if self.journal is not None else None
+        energy_delta, placed, delayed = 0.0, 0, 0
+        latencies, candidates, scans = [], [], []
+        try:
+            for i in order:
+                vm = vms[i]
+                started = scanning = perf_counter()
+                if vm.start > store.clock:
+                    store.advance_to(vm.start)
+                    scanning = perf_counter()
+                    if book:
+                        book("service.advance", started, scanning, to=vm.start)
+                decision = offer(vm, live, allocator, max_delay=max_delay,
+                                 recorder=recorder)
+                ended = perf_counter()
+                scans.append(ended - scanning)
+                if book:
+                    book("service.allocate", scanning, ended,
+                         algorithm=algorithm)
+                if decision is None:
+                    record: dict[str, object] = {"decision": "rejected"}
+                    items[i] = {"vm_id": vm.vm_id, **record}
+                else:
+                    server_id = decision.state.server.server_id
+                    delta = store.commit(decision.vm, server_id)
+                    scanned, ended = ended, perf_counter()
+                    if book:
+                        book("service.commit", scanned, ended,
+                             server_id=server_id)
+                    record = {"decision": "placed", "server_id": server_id,
+                              "delay": decision.delay}
+                    items[i] = {"vm_id": vm.vm_id, **record,
+                                "energy_delta": delta}
+                    energy_delta += delta
+                    placed += 1
+                    delayed += bool(decision.delay)
+                latencies.append(ended - started)
+                candidates.append(allocator.candidates_feasible)
+                if entries is not None:
+                    entries.append({"vm": vm_to_record(vm), **record})
+        finally:    # a raising commit keeps the decided VMs' samples
+            self.metrics.observe_request(
+                placed=placed, rejected=len(latencies) - placed,
+                delayed=delayed, algorithm=algorithm, latencies=latencies,
+                candidates=candidates, scans=scans)
+        return items, placed, energy_delta, entries
+
     def _handle_place(self, request: Request,
                       ctx: TraceContext) -> dict[str, object]:
         vm = request["_vm"]
         recorder = ExplainRecorder() if request.get("explain") else None
-        tracer = get_tracer()
         started = perf_counter()
-        with tracer.span("service.place", vm_id=vm.vm_id) as span:
-            if vm.start > self.store.clock:
-                with tracer.span("service.advance", to=vm.start):
-                    self.store.advance_to(vm.start)
-            with tracer.span("service.allocate",
-                             algorithm=str(self.config["algorithm"])):
-                decision = self._offer(vm, recorder)
-            response: dict[str, object] = {"ok": True, "op": "place",
-                                           "vm_id": vm.vm_id}
-            entry: dict[str, object] = {"vm": vm_to_record(vm)}
-            if decision is None:
-                response["decision"] = entry["decision"] = "rejected"
-            else:
-                server_id = decision.state.server.server_id
-                with tracer.span("service.commit", server_id=server_id):
-                    delta = self.store.commit(decision.vm, server_id)
-                response.update(decision="placed", server_id=server_id,
-                                delay=decision.delay, energy_delta=delta)
-                entry.update(decision="placed", server_id=server_id,
-                             delay=decision.delay)
-                self._placed_since_snapshot += 1
-            latency = perf_counter() - started
-            span.set(decision=str(response["decision"]))
-            response["latency_ms"] = latency * 1e3
+        with get_tracer().span("service.place", vm_id=vm.vm_id) as span:
+            (item,), placed, _, entries = self._decide([vm], recorder)
+            span.set(decision=item["decision"])
+            response = {"ok": True, "op": "place", **item,
+                        "latency_ms": (perf_counter() - started) * 1e3}
             if recorder is not None and recorder.last is not None:
                 response["explanation"] = recorder.last.to_record()
-            self._journal("place", ctx, **entry)
-            self.metrics.observe_request(
-                str(response["decision"]), latency,
-                int(response.get("delay", 0)),
-                algorithm=str(self.config["algorithm"]),
-                candidates=self.allocator.candidates_feasible)
-            if response["decision"] == "placed":
-                self._maybe_snapshot()
+            if entries:
+                self._journal("place", ctx, **entries[0])
+            self._maybe_snapshot(placed)
         self._maybe_consolidate()
         return response
 
@@ -778,76 +808,24 @@ class AllocationDaemon:
             if self.store.is_placed(vm.vm_id):
                 raise ServiceError(
                     f"vm_id {vm.vm_id} is already placed")
-        tracer = get_tracer()
         started = perf_counter()
-        algorithm = str(self.config["algorithm"])
-        # Batch decisions follow the paper's online order (start, end,
-        # id) — the same sequence the VMs would take as individual
-        # requests — while the response maps back to request order.
-        order = sorted(range(len(vms)),
-                       key=lambda i: (vms[i].start, vms[i].end,
-                                      vms[i].vm_id))
-        results: list[dict[str, object] | None] = [None] * len(vms)
-        # Journal entries are only materialized when there is a journal
-        # — building per-VM records for an in-memory daemon would eat
-        # the round-trip savings batching exists to provide.
-        entries: list[dict[str, object]] | None = [] \
-            if self.journal is not None else None
-        total_delta = 0.0
-        placed = delayed = 0
-        # One sample per decision and family, observed once the batch
-        # is decided: a lock hold per family, not per sample.
-        scans, latencies, candidates = [], [], []
-        store, allocator, live = self.store, self.allocator, self._live
-        max_delay = int(self.config["max_delay"])
-        with tracer.span("service.place_batch", batch=len(vms)) as span:
+        with get_tracer().span("service.place_batch",
+                               batch=len(vms)) as span:
             self.metrics.batch_size.observe(len(vms))
-            try:
-                for i in order:
-                    vm = vms[i]
-                    if vm.start > store.clock:
-                        store.advance_to(vm.start)
-                    item_started = perf_counter()
-                    decision = offer(vm, live, allocator, max_delay=max_delay)
-                    scans.append(perf_counter() - item_started)
-                    if decision is None:
-                        record: dict[str, object] = {"decision": "rejected"}
-                        results[i] = {"vm_id": vm.vm_id, **record,
-                                      "server_id": None, "delay": 0,
-                                      "energy_delta": 0.0}
-                    else:
-                        server_id = decision.state.server.server_id
-                        delta = store.commit(decision.vm, server_id)
-                        record = {"decision": "placed", "server_id": server_id,
-                                  "delay": decision.delay}
-                        results[i] = {"vm_id": vm.vm_id, **record,
-                                      "energy_delta": delta}
-                        total_delta += delta
-                        placed += 1
-                        if decision.delay:
-                            delayed += 1
-                    if entries is not None:
-                        entries.append({"vm": vm_to_record(vm), **record})
-                    latencies.append(perf_counter() - item_started)
-                    candidates.append(allocator.candidates_feasible)
-            finally:    # a raising commit keeps the decided VMs' samples
-                self.metrics.scan.observe_many(scans)
-                self.metrics.observe_items(latencies, candidates)
-            self.metrics.count_decisions(
-                placed=placed, rejected=len(vms) - placed,
-                delayed=delayed, algorithm=algorithm)
+            decisions, placed, energy_delta, entries = self._decide(vms)
+            for item in decisions:  # a batch spells a rejection out
+                if item["decision"] == "rejected":
+                    item.update(server_id=None, delay=0, energy_delta=0.0)
             span.set(placed=placed)
             if entries:
                 # The trace ids ride the group header — one id for the
                 # whole batch episode, replayed verbatim on restore.
                 self._journal("place_batch", ctx, decisions=entries)
-            self._placed_since_snapshot += placed
-            if placed:
-                self._maybe_snapshot()
+            self._maybe_snapshot(placed)
         self._maybe_consolidate()
         return {"ok": True, "op": "place_batch", "count": len(vms),
                 "placed": placed, "rejected": len(vms) - placed,
-                "decisions": results, "energy_delta": total_delta,
+                "decisions": decisions, "energy_delta": energy_delta,
                 "latency_ms": (perf_counter() - started) * 1e3}
 
     def _handle_tick(self, request: Request,
@@ -880,9 +858,7 @@ class AllocationDaemon:
             self._journal("fail_server", ctx, server_id=server_id,
                           time=report.time, replacements=report.records)
             self._count_failure(report)
-            self._placed_since_snapshot += report.replaced
-            if report.replaced:
-                self._maybe_snapshot()
+            self._maybe_snapshot(report.replaced)
         return {
             "ok": True, "op": "fail_server", "server_id": server_id,
             "time": report.time, "killed": report.killed,
@@ -926,9 +902,7 @@ class AllocationDaemon:
                           moves=report.records)
             duration = perf_counter() - started
             self._count_consolidation(report, duration)
-            self._placed_since_snapshot += report.migrations
-            if report.migrations:
-                self._maybe_snapshot()
+            self._maybe_snapshot(report.migrations)
         return report, duration
 
     def _maybe_consolidate(self) -> None:

@@ -84,10 +84,7 @@ class LatencyReservoir:
         self.total = 0.0
 
     def observe(self, seconds: float) -> None:
-        with self._lock:
-            self.count += 1
-            self.total += seconds
-            self._samples.append(seconds)
+        self.observe_many((seconds,))
 
     def observe_many(self, seconds: Sequence[float]) -> None:
         """One sample per entry, in order, under one lock hold."""
@@ -142,20 +139,16 @@ class Histogram:
         self.sum = 0.0
 
     def observe(self, value: float) -> None:
-        index = bisect.bisect_left(self.bounds, value)
-        with self._lock:
-            if index < len(self._counts):
-                self._counts[index] += 1
-            self.count += 1
-            self.sum += value
+        self.observe_many((value,))
 
     def observe_many(self, values: Sequence[float]) -> None:
         """One sample per entry, in order, under one lock hold."""
-        indexes = [bisect.bisect_left(self.bounds, value) for value in values]
+        bounds, counts = self.bounds, self._counts
         with self._lock:
-            for index, value in zip(indexes, values):
-                if index < len(self._counts):
-                    self._counts[index] += 1
+            for value in values:
+                index = bisect.bisect_left(bounds, value)
+                if index < len(counts):
+                    counts[index] += 1
                 self.sum += value
             self.count += len(values)
 
@@ -324,36 +317,15 @@ class ServiceMetrics:
             for decision in _DECISIONS:
                 self.decisions.setdefault((algorithm, decision), 0)
 
-    def observe_request(self, decision: str, latency_seconds: float,
-                        delay: int = 0, *, algorithm: str | None = None,
-                        candidates: int | None = None) -> None:
-        if decision not in self.requests:
-            raise ValidationError(f"unknown decision {decision!r}")
-        with self._lock:
-            self.requests[decision] += 1
-            if delay:
-                self.delayed += 1
-            if algorithm is not None:
-                key = (algorithm, decision)
-                self.decisions[key] = self.decisions.get(key, 0) + 1
-        self.latency.observe(latency_seconds)
-        self.latency_hist.observe(latency_seconds)
-        if candidates is not None:
-            self.candidates.observe(float(candidates))
-
-    def observe_items(self, latencies: Sequence[float],
-                      candidates: Sequence[float]) -> None:
-        """Record a batch's per-item samples, one lock hold per family
-        (:meth:`count_decisions` moves its counters once a batch too)."""
-        self.latency.observe_many(latencies)
-        self.latency_hist.observe_many(latencies)
-        self.candidates.observe_many(candidates)
-
-    def count_decisions(self, *, placed: int = 0, rejected: int = 0,
-                        delayed: int = 0,
-                        algorithm: str | None = None) -> None:
-        """Add decisions that carry no latency sample — a batch's
-        outcome, a journal-replayed request — under one lock hold."""
+    def observe_request(self, *, placed: int = 0, rejected: int = 0,
+                        delayed: int = 0, algorithm: str | None = None,
+                        latencies: Sequence[float] = (),
+                        candidates: Sequence[float] = (),
+                        scans: Sequence[float] = ()) -> None:
+        """Count decided placement requests and take their samples, one
+        per decision and family — one decision's, a batch's (one lock
+        hold per family) or, for a journal-replayed entry, none. A
+        decision that raised before it was counted leaves a scan only."""
         with self._lock:
             self.delayed += delayed
             for decision, n in (("placed", placed), ("rejected", rejected)):
@@ -361,6 +333,10 @@ class ServiceMetrics:
                 if n and algorithm is not None:
                     key = (algorithm, decision)
                     self.decisions[key] = self.decisions.get(key, 0) + n
+        self.latency.observe_many(latencies)
+        self.latency_hist.observe_many(latencies)
+        self.candidates.observe_many(candidates)
+        self.scan.observe_many(scans)
 
     def count(self, **increments: float) -> None:
         """Add to scalar counters by ``_COUNTERS`` key, under one lock

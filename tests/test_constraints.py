@@ -124,6 +124,15 @@ class TestAllocatorsHonourConstraints:
         assert len(constrained.used_servers()) == 3
         free = allocator.allocate(vms, cluster)
         assert len(free.used_servers()) == 1  # no leakage
+        # A run that raises at a rejection clears them too, even while
+        # its traceback (and so its frame) is still alive.
+        with pytest.raises(AllocationError) as raised:
+            allocator.allocate(
+                vms, Cluster.homogeneous(SPEC, 2),
+                constraints=PlacementConstraints.build(separate=[{0, 1, 2}]))
+        assert raised.value.vm_id is not None
+        assert allocator._constraints is None
+        assert allocator._placed_ids == {}
 
 
 class TestValidateAllocation:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -93,6 +94,24 @@ class TestTracer:
         assert counter.ts_ns == 5000 and counter.clock == "sim"
         assert counter.args == {"power": 120.0}
 
+    def test_a_finished_span_reads_like_a_timed_one(self):
+        tracer = Tracer()
+        started = time.perf_counter()
+        with tracer.span("outer"):
+            begun = time.perf_counter()
+            ended = begun + 2.5e-6
+            tracer.finished_span("stage", begun, ended, server_id=3)
+        stage, outer = tracer.events
+        assert stage.kind == SPAN and stage.name == "stage"
+        assert stage.ts_ns == round(begun * 1e9)
+        assert stage.ts_ns + stage.dur_ns == round(ended * 1e9)
+        assert stage.args == {"server_id": 3}
+        assert stage.tid == threading.get_ident()
+        # the perf_counter timeline is the default clock's: it nests
+        assert round(started * 1e9) <= stage.ts_ns
+        assert outer.ts_ns <= stage.ts_ns
+        assert stage.ts_ns + stage.dur_ns <= outer.ts_ns + outer.dur_ns
+
     def test_span_event_records_instant_inside(self):
         tracer = Tracer(clock=FakeClock())
         with tracer.span("outer") as span:
@@ -118,6 +137,7 @@ class TestTracer:
             inner.set(foo=2).event("y")
         NULL_TRACER.instant("z")
         NULL_TRACER.counter("c", power=1.0)
+        NULL_TRACER.finished_span("s", 1.0, 2.0, attr=3)
         assert len(NULL_TRACER) == 0
         # every call hands out the one shared singleton span
         assert NULL_TRACER.span("other") is span

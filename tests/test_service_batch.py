@@ -10,13 +10,16 @@ versions with a structured error.
 
 from __future__ import annotations
 
+import inspect
 import json
 
 import pytest
 
+from repro.allocators.base import Allocator
 from repro.exceptions import ProtocolVersionError, ServiceError
 from repro.model.cluster import Cluster
 from repro.model.server import ServerSpec
+from repro.obs import Tracer, use_tracer
 from repro.service import (
     SUPPORTED_VERSIONS,
     AllocationDaemon,
@@ -27,6 +30,9 @@ from repro.service import (
     place_request,
     replay_trace,
 )
+from repro.service import daemon as daemon_module
+from repro.service.metrics import ServiceMetrics
+from repro.service.persistence import read_journal
 from repro.service.protocol import encode, parse_request
 from repro.workload.generator import generate_vms
 
@@ -91,20 +97,84 @@ class TestVersionNegotiation:
                 encode({"op": "place_batch", "v": 1, "vms": []}))
 
 
+def journaled_decisions(daemon) -> list[dict]:
+    """The per-VM decision records of ``daemon``'s journal, in order."""
+    daemon.journal.close()
+    records = []
+    for entry in read_journal(daemon.journal.path):
+        if entry["op"] == "place":
+            records.append({key: entry[key] for key in
+                            ("vm", "decision", "server_id", "delay")
+                            if key in entry})
+        elif entry["op"] == "place_batch":
+            records.extend(entry["decisions"])
+    return records
+
+
 class TestPlaceBatch:
-    def test_batch_matches_individual_places_bit_exact(self):
-        vms = generate_vms(80, mean_interarrival=1.5, seed=9)
-        one = fresh_daemon(40)
-        for vm in sorted(vms, key=lambda v: (v.start, v.end, v.vm_id)):
-            assert one.handle(place_request(vm))["ok"]
-        batched = fresh_daemon(40)
-        response = batched.handle(place_batch_request(vms))
-        assert response["ok"] and response["count"] == 80
-        assert dict(batched.store.placements) == dict(one.store.placements)
-        assert batched.store.energy_accumulated == \
-            one.store.energy_accumulated  # bit-identical
-        assert response["energy_delta"] == pytest.approx(
-            one.store.energy_accumulated, rel=1e-9)
+    def test_batch_matches_individual_places_bit_exact(self, tmp_path):
+        # A 4-server fleet rejects some of the stream; with a queue of
+        # two ticks it delays some too. A batch is the same places.
+        vms = generate_vms(80, mean_interarrival=0.5, seed=9)
+        for max_delay in (0, 2):
+            one = fresh_daemon(4, max_delay=max_delay, fsync=False,
+                               data_dir=tmp_path / f"one-{max_delay}")
+            singles = [one.handle(place_request(vm)) for vm in sorted(
+                vms, key=lambda v: (v.start, v.end, v.vm_id))]
+            batched = fresh_daemon(4, max_delay=max_delay, fsync=False,
+                                   data_dir=tmp_path / f"batch-{max_delay}")
+            response = batched.handle(place_batch_request(vms))
+            assert response["ok"] and response["count"] == 80
+            assert 0 < response["rejected"] < 80
+            assert any(item["delay"] for item in response["decisions"]) \
+                == bool(max_delay)
+            assert dict(batched.store.placements) == \
+                dict(one.store.placements)
+            assert batched.store.energy_accumulated == \
+                one.store.energy_accumulated  # bit-identical
+            total = 0.0
+            for single in singles:  # decision order, as the batch sums
+                total += single.get("energy_delta", 0.0)
+            assert response["energy_delta"] == total
+            assert journaled_decisions(batched) == journaled_decisions(one)
+
+    def test_an_in_memory_place_builds_no_journal_record(
+            self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(daemon_module, "vm_to_record",
+                            lambda vm: calls.append(vm) or {})
+        vms = generate_vms(20, mean_interarrival=2.0, seed=5)
+        in_memory = fresh_daemon(5)
+        for vm in vms:
+            assert in_memory.handle(place_request(vm))["ok"]
+        assert in_memory.handle(place_batch_request(
+            [make_vm(100 + i, 50, 60) for i in range(3)]))["ok"]
+        assert calls == []
+        durable = fresh_daemon(5, data_dir=tmp_path, fsync=False)
+        for vm in vms:
+            assert durable.handle(place_request(vm))["ok"]
+        assert calls == vms     # one record per journaled place
+
+    def test_a_traced_batch_books_each_decisions_stages(self):
+        store = ClusterStateStore(Cluster.homogeneous(SPEC, 1))
+        daemon = AllocationDaemon(store)
+        vms = [make_vm(i, 1 + i, 10, cpu=4.0) for i in range(4)]
+        tracer = Tracer()
+        with use_tracer(tracer):
+            response = daemon.handle(place_batch_request(vms))
+        assert (response["placed"], response["rejected"]) == (2, 2)
+        names = [span.name for span in tracer.spans()]
+        assert names.count("service.advance") == 4   # starts 1, 2, 3, 4
+        assert names.count("service.allocate") == 4
+        commits = tracer.spans("service.commit")
+        assert [span.args["server_id"] for span in commits] == [0, 0]
+        [batch] = tracer.spans("service.place_batch")
+        for name in ("service.advance", "service.allocate",
+                     "service.commit"):
+            for span in tracer.spans(name):
+                assert batch.ts_ns <= span.ts_ns
+                assert span.ts_ns + span.dur_ns <= \
+                    batch.ts_ns + batch.dur_ns
 
     def test_decisions_come_back_in_request_order(self):
         daemon = fresh_daemon()
@@ -158,6 +228,37 @@ class TestPlaceBatch:
         daemon.handle(place_batch_request(vms))
         assert daemon.metrics.batch_size.count == 1
         assert daemon.metrics.batch_size.sum == 12.0
+
+
+class TestADecisionIsMadeInOneLoop:
+    """``place`` is a ``place_batch`` of one, one recorder counts every
+    decision, and the offline twin is one walk as well."""
+
+    def test_the_daemon_offers_from_one_loop(self):
+        source = inspect.getsource(daemon_module)
+        assert source.count("offer(") == 1
+        assert "offer(" in inspect.getsource(AllocationDaemon._decide)
+        assert not hasattr(AllocationDaemon, "_offer")
+        for handler in (AllocationDaemon._handle_place,
+                        AllocationDaemon._handle_place_batch):
+            assert "self._decide(" in inspect.getsource(handler)
+
+    def test_one_recorder_counts_every_decision(self):
+        for gone in ("observe_items", "count_decisions"):
+            assert not hasattr(ServiceMetrics, gone)
+        # a live decision (the loop) and a replayed one
+        assert inspect.getsource(daemon_module).count(
+            "observe_request(") == 2
+        assert "observe_request(" in inspect.getsource(
+            AllocationDaemon._decide)
+
+    def test_the_offline_twin_selects_from_one_loop(self):
+        assert inspect.getsource(Allocator._walk).count(
+            "self.select(") == 1
+        for method in (Allocator.allocate, Allocator.allocate_batch):
+            source = inspect.getsource(method)
+            assert "select(" not in source
+            assert "self._walk(" in source
 
 
 class TestBatchDurability:
@@ -218,6 +319,53 @@ class TestBackpressure:
         daemon = fresh_daemon(5)
         exposition = daemon.metrics.render(daemon.store)
         assert "repro_requests_overloaded_total 0" in exposition
+
+
+class StubClient:
+    """Answers like a daemon that spends 2 ms on every VM, whether it
+    came alone or in a batch."""
+
+    def __init__(self):
+        self.ticks = []
+
+    def decision(self, vm):
+        return {"vm_id": vm.vm_id, "decision": "placed", "server_id": 0,
+                "delay": vm.vm_id % 2, "energy_delta": 1.5}
+
+    def place(self, vm):
+        return {"ok": True, "op": "place", **self.decision(vm),
+                "latency_ms": 2.0}
+
+    def place_batch(self, vms):
+        return {"ok": True, "op": "place_batch",
+                "decisions": [self.decision(vm) for vm in vms],
+                "latency_ms": 2.0 * len(vms)}
+
+    def tick(self, now):
+        self.ticks.append(now)
+        return {"ok": True}
+
+
+class TestReplaySummary:
+    def test_the_mean_latency_is_per_offered_vm_in_both_modes(self):
+        vms = generate_vms(25, mean_interarrival=2.0, seed=7)
+        summaries = {batch: replay_trace(StubClient(), vms, batch=batch)
+                     for batch in (None, 1, 10, 25, 100)}
+        for summary in summaries.values():
+            assert summary.mean_latency_ms == pytest.approx(2.0)
+            assert (summary.offered, summary.placed, summary.rejected) \
+                == (25, 25, 0)
+            assert summary.delayed == sum(vm.vm_id % 2 for vm in vms)
+            assert summary.energy_delta_total == pytest.approx(25 * 1.5)
+
+    def test_a_refused_request_names_its_op_and_first_vm(self):
+        client = StubClient()
+        client.place_batch = lambda vms: {"ok": False, "error": "nope"}
+        vms = generate_vms(5, mean_interarrival=2.0, seed=7)
+        with pytest.raises(ServiceError, match="place_batch request for "
+                           r"vm\d+ \(offset 0\): nope"):
+            replay_trace(client, vms, batch=3)
+        assert client.ticks == []
 
 
 class TestBatchOverTCP:

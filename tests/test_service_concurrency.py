@@ -62,10 +62,13 @@ class TestMetricsThreadSafety:
 
         def worker(index: int) -> None:
             for i in range(PER_THREAD):
-                decision = "placed" if (index + i) % 2 == 0 else "rejected"
-                metrics.observe_request(decision, 0.001, delay=i % 3,
+                placed = (index + i) % 2 == 0
+                metrics.observe_request(placed=int(placed),
+                                        rejected=int(not placed),
+                                        delayed=int(i % 3 > 0),
                                         algorithm="min-energy",
-                                        candidates=i % 10)
+                                        latencies=[0.001],
+                                        candidates=[i % 10])
                 metrics.count(errors=1)
                 metrics.count(overloaded=1)
                 metrics.batch_size.observe(float(i % 50 + 1))
@@ -137,7 +140,7 @@ class TestMetricsThreadSafety:
         scraper.start()
         try:
             hammer(lambda index: [
-                (metrics.observe_request("placed", 0.001),
+                (metrics.observe_request(placed=1, latencies=[0.001]),
                  metrics.batch_size.observe(3.0))
                 for _ in range(PER_THREAD)], threads=4)
         finally:

@@ -206,9 +206,10 @@ class TestExposition:
         metrics = ServiceMetrics()
         metrics.register_algorithm("min-energy")
         for decision, latency, candidates in requests:
-            metrics.observe_request(decision, latency,
+            metrics.observe_request(**{decision: 1},
                                     algorithm="min-energy",
-                                    candidates=candidates)
+                                    latencies=[latency],
+                                    candidates=[candidates])
         store.commit(make_vm(0, 1, 4), 0)
         store.advance_to(2)
         return metrics.render(store), metrics
@@ -259,7 +260,7 @@ class TestExposition:
     def test_label_escaping_round_trips(self):
         metrics = ServiceMetrics()
         tricky = 'algo"with\\quotes\nand newline'
-        metrics.observe_request("placed", 0.001, algorithm=tricky)
+        metrics.observe_request(placed=1, algorithm=tricky)
         store = ClusterStateStore(Cluster.homogeneous(SPEC, 1))
         text = metrics.render(store)
         conformant_families(text)
@@ -405,9 +406,10 @@ class TestExposition:
 
     def test_meta_round_trip_preserves_decisions(self):
         metrics = ServiceMetrics()
-        metrics.observe_request("placed", 0.001, algorithm="min-energy")
-        metrics.observe_request("rejected", 0.002, delay=1,
-                                algorithm="min-energy")
+        metrics.observe_request(placed=1, algorithm="min-energy",
+                                latencies=[0.001])
+        metrics.observe_request(rejected=1, delayed=1,
+                                algorithm="min-energy", latencies=[0.002])
         restored = ServiceMetrics()
         restored.restore_meta(metrics.to_meta())
         assert restored.requests == metrics.requests
@@ -579,16 +581,21 @@ class TestAFamilyIsDeclaredOnce:
             metrics.count(errors=1, requests=1)
         assert metrics.errors == 0  # refused whole, not half-applied
 
-    def test_count_decisions_is_the_sample_free_observe_request(self):
-        observed, counted = ServiceMetrics(), ServiceMetrics()
+    def test_a_replayed_entry_counts_like_the_decisions_it_records(self):
+        live, replayed = ServiceMetrics(), ServiceMetrics()
         for decision, delay in (("placed", 0), ("placed", 2),
                                 ("rejected", 0)):
-            observed.observe_request(decision, 0.001, delay,
-                                     algorithm="ffps")
-        counted.count_decisions(placed=2, rejected=1, delayed=1,
-                                algorithm="ffps")
-        assert counted.to_meta() == observed.to_meta()
-        assert counted.latency.count == 0
+            live.observe_request(**{decision: 1}, delayed=int(delay > 0),
+                                 algorithm="ffps", latencies=[0.001],
+                                 candidates=[3], scans=[0.0001])
+        replayed.observe_request(placed=2, rejected=1, delayed=1,
+                                 algorithm="ffps")
+        assert replayed.to_meta() == live.to_meta()
+        assert (live.latency.count, live.latency_hist.count,
+                live.candidates.count, live.scan.count) == (3, 3, 3, 3)
+        assert (replayed.latency.count, replayed.latency_hist.count,
+                replayed.candidates.count, replayed.scan.count) == \
+            (0, 0, 0, 0)
 
     def test_the_service_doc_lists_exactly_the_declared_families(self):
         text = (ROOT / "docs" / "service.md").read_text()

@@ -24,6 +24,7 @@ from repro.service import (
     start_gateway,
     write_frame,
 )
+from repro.service import protocol
 from repro.service.framing import FRAME_MAGIC, HEADER_SIZE, MAX_FRAME
 from repro.workload.generator import generate_vms
 
@@ -31,6 +32,16 @@ from repro.workload.generator import generate_vms
 def fresh_daemon(n_servers: int = 20, **kwargs) -> AllocationDaemon:
     store = ClusterStateStore(Cluster.paper_all_types(n_servers))
     return AllocationDaemon(store, algorithm="min-energy", **kwargs)
+
+
+class TestOneOpVocabulary:
+    def test_the_protocol_and_the_daemon_name_the_same_ops(self):
+        # ``OPS`` keeps its order: the wire fixture pins
+        # ``supported_ops``.
+        assert set(protocol.OPS) == set(AllocationDaemon._OPS)
+        assert len(protocol.OPS) == len(set(protocol.OPS))
+        assert set(protocol._V2_OPS) <= set(protocol.OPS)
+        assert set(protocol._INT_FIELDS) <= set(protocol.OPS)
 
 
 class TestFraming:
