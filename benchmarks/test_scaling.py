@@ -3,8 +3,11 @@
 The paper's Fig. 2 argues the heuristic is scalable (the reduction is
 stable as m grows) but never reports *runtime*. This bench measures it:
 wall time across instance sizes with a fitted log-log exponent. With
-fleets sized at m/2, the heuristic's feasible-set scan gives ~m^1.5-2
-growth; FFPS's first-fit scan stays near-linear.
+fleets sized at m/2, scanning every feasible server per VM would grow
+~m^2; the candidate index's walk asks a handful of servers per VM (one
+per clone class, the warm ones its run-cost bound has not dropped)
+whatever the fleet size, so the heuristic grows near-linearly, like
+FFPS's first-fit scan (measured exponents ~0.9-1.1 for both).
 """
 
 from __future__ import annotations
@@ -36,8 +39,9 @@ def test_scaling(benchmark):
 
     heuristic = studies["min-energy"]
     ffps = studies["ffps"]
-    # the heuristic's scan is super-linear but clearly sub-cubic
-    assert 1.0 < heuristic.exponent < 3.0
+    # the walk's cost per VM does not grow with the fleet: far from the
+    # ~m^2 of scanning it
+    assert heuristic.exponent < 1.5
     # FFPS stays cheaper than the heuristic at the largest size
     assert ffps.points[-1].seconds < heuristic.points[-1].seconds
     # and the paper-scale instance (m=1000-ish) stays interactive

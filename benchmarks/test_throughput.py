@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro.allocators import make_allocator
+from repro.allocators.base import Allocator
 from repro.allocators.state import ServerState
 from repro.energy import allocation_cost
 from repro.ilp import build_problem
@@ -116,13 +117,39 @@ VMS_10K = generate_vms(10_000, mean_interarrival=1.0, seed=0)
 #: fleet-order scan the queues replaced grew 5.57x.
 VMS_SPARSE_5K = generate_vms(5000, mean_interarrival=1.0, seed=0)
 FLEET_SCALING_CEILING = 2.0
+#: Servers the walk asks one at a time (``Allocator._examine``) per VM
+#: of that stream on 3000 servers: one member of each type's clone class
+#: — pristine and dormant servers — and every warm one. A count, so it
+#: repeats exactly: measured 6.105 (14.957 while each dormant server was
+#: asked); the gate is 1.25x that.
+EXAMINES_PER_VM = 6.105
+EXAMINES_CEILING = round(1.25 * EXAMINES_PER_VM, 2)
+
+
+def _examine_calls(algo: str, vms, cluster, monkeypatch) -> int:
+    """One untimed run's scalar ``Allocator._examine`` calls."""
+    calls = 0
+    examine = Allocator._examine
+
+    def counted(allocator, vm, state):
+        nonlocal calls
+        calls += 1
+        return examine(allocator, vm, state)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Allocator, "_examine", counted)
+        make_allocator(algo, seed=0).allocate(vms, cluster)
+    return calls
 
 
 def test_candidate_index_fleet_scaling(monkeypatch):
     """min-energy on one sparse 5000-VM stream takes <= 2x as long on
     3000 servers as on 300, with and without a kernel; both specs place
     identically, and — refusals being rare on a sparse stream — the walk
-    never calls ``probe_fleet`` (the kernel itself is gated below)."""
+    never calls ``probe_fleet`` (the kernel itself is gated below). At
+    3000 servers it asks <= 1.25x the measured servers per VM one at a
+    time — a count, not a stopwatch, that fails if the walk goes back to
+    asking each idle server."""
     fleets = {300: CLUSTER_300, 3000: CLUSTER_3K}
     engines = ("indexed", "indexed:kernel=off")
     seconds = {(engine, n): float("inf") for n in fleets
@@ -137,10 +164,14 @@ def test_candidate_index_fleet_scaling(monkeypatch):
         assert placed["indexed", n] == placed["indexed:kernel=off", n]
         assert _probe_counts("min-energy", VMS_SPARSE_5K, cluster,
                              monkeypatch)[1] == 0
+    examines = _examine_calls("min-energy", VMS_SPARSE_5K, CLUSTER_3K,
+                              monkeypatch) / len(VMS_SPARSE_5K)
     title = "min-energy, 5000 sparse VMs, 3000 vs 300 servers " \
             "(best of 3, alternating); 0 probe_fleet calls"
     lines = [title]
-    summary = {"benchmark": title, "ceiling": FLEET_SCALING_CEILING}
+    summary = {"benchmark": title, "ceiling": FLEET_SCALING_CEILING,
+               "examines_per_vm_3000": round(examines, 3),
+               "examines_per_vm_ceiling": EXAMINES_CEILING}
     for engine in engines:
         small, large = seconds[engine, 300], seconds[engine, 3000]
         summary[engine] = {"servers_300_ms": round(small * 1000, 1),
@@ -149,10 +180,13 @@ def test_candidate_index_fleet_scaling(monkeypatch):
         lines.append(f"{engine:18s}: {small * 1000:7.1f} ms -> "
                      f"{large * 1000:7.1f} ms  {large / small:5.2f}x "
                      f"(ceiling {FLEET_SCALING_CEILING:.2f}x)")
+    lines.append(f"servers asked one at a time per VM at 3000: "
+                 f"{examines:.3f} (ceiling {EXAMINES_CEILING:.2f})")
     record_result("candidate_index_scaling", "\n".join(lines))
     record_json("kernel", summary, section="candidate_index")
     for engine in engines:
         assert summary[engine]["growth"] <= FLEET_SCALING_CEILING, summary
+    assert examines <= EXAMINES_CEILING, summary
 
 
 #: Where ``probe_fleet`` runs: best-fit scores every candidate, so the

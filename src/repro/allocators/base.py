@@ -316,15 +316,18 @@ class Allocator:
 
     # -- explain-traces ------------------------------------------------------
 
-    def candidate_score(self, vm: VM, state: ServerState) -> float | None:
+    def candidate_score(self, vm: VM, state: ServerState,
+                        cost: float | None = None) -> float | None:
         """This algorithm's ranking score for one feasible candidate.
 
         Lower is always more preferred; ``None`` means the algorithm
         applies no score to this candidate (e.g. random fit). Read off
         the declared rule — the scan key, or :meth:`score` over a batch
         of one — so only an allocator whose rule is its own walk
-        overrides it. Used only by explain-traces — never on the
-        selection hot path — and must not mutate allocator state.
+        overrides it. ``cost`` is the candidate's incremental Eq.-17
+        cost when the caller has priced it already (explain has), for a
+        rule that scores by it. Used only by explain-traces — never on
+        the selection hot path — and must not mutate allocator state.
         """
         if self.scan_key is not None:
             return float(self.scan_key(state))
@@ -357,9 +360,10 @@ class Allocator:
                         vm.vm_id, state.server.server_id, self._placed_ids):
                 reason = "constraint"
             if reason is None:
-                pre.append((None, state.cost_terms(vm),
-                            self.candidate_score(vm, state) if scores is None
-                            else float(scores[i])))
+                terms, cost = state.priced(vm)
+                pre.append((None, terms,
+                            self.candidate_score(vm, state, cost)
+                            if scores is None else float(scores[i])))
             else:
                 pre.append((reason, None, None))
         chosen = self.select(vm, states)

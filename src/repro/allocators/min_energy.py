@@ -25,9 +25,18 @@ cannot change the answer, only skip losers:
   band) is dropped, queues and all, without probing. ALWAYS_SLEEP lacks
   the bound (filling a gap can remove a forced wake-up) and is never
   pruned;
-* *pristine* servers (no busy history) of one type all yield the same
-  verdict and the same cost, so only the first admissible one per type is
-  probed — a strictly-better candidate can never hide among its clones.
+* a type's *clone class* — its pristine servers (no busy history) and
+  its *dormant* ones, quiet since at least ``saturating_gap`` ticks
+  before the VM starts, so that their last gap already costs the full
+  wake-up ``alpha`` (Eq. 16) — all yield the same verdict and the same
+  cost (``tests/test_placement_properties.py::TestAnIdleServerIsAClone``).
+  Only the first clone in fleet order is probed; the others can never be
+  strictly better, so they are counted as asked and admitted, up to
+  where an incumbent drops the type, without a probe or an
+  ``idle_delta``. The index keeps each type's dormant servers in a queue
+  of their own (:class:`~repro.placement.index.SpecGroup`), so a walk
+  never pops them, and a type with none pays nothing. With placement
+  constraints every clone is probed: the constraint is per server.
 
 On a dense stream the cheap types' busy servers are mostly full and
 refuse the VM one by one before the bound can prune; a walk refused
@@ -39,6 +48,7 @@ scalar to the end — same decisions, same counters.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from typing import Sequence
@@ -72,9 +82,9 @@ _TIE_TOL = 1e-12
 #: ROADMAP).
 _BATCH_AFTER = 16
 
-#: Queue kinds of the walk: a type's busy servers, its pristine ones, and
-#: the busy ones a prefetch found feasible.
-_BUSY, _PRISTINE, _PREFETCHED = range(3)
+#: Queue kinds of the walk: a type's busy servers, its pristine ones, the
+#: busy ones a prefetch found feasible, and its clone representative.
+_BUSY, _PRISTINE, _PREFETCHED, _CLONE = range(4)
 
 
 class MinIncrementalEnergy(Allocator):
@@ -82,9 +92,10 @@ class MinIncrementalEnergy(Allocator):
 
     name = "min-energy"
 
-    def candidate_score(self, vm: VM, state: ServerState) -> float | None:
+    def candidate_score(self, vm: VM, state: ServerState,
+                        cost: float | None = None) -> float | None:
         """Explain-trace score: the incremental Eq.-17 cost itself."""
-        return state.incremental_cost(vm)
+        return state.incremental_cost(vm) if cost is None else cost
 
     def _select(self, vm: VM,
                 states: Sequence[ServerState]) -> ServerState | None:
@@ -97,23 +108,25 @@ class MinIncrementalEnergy(Allocator):
                        groups) -> ServerState | None:
         """The walk over the index's per-type candidate queues.
 
-        A k-way merge walks the admissible types' busy and pristine
-        position queues in ascending fleet position — the order a scan
-        of the whole fleet visits them in — and applies the module
-        docstring's skips to whole queues: a type whose run cost reaches
-        the incumbent's delta is dropped queue and all the moment it
-        surfaces (the bound is monotone, so it can never re-qualify),
-        and once a type's pristine representative has been probed
-        admissible the rest of its pristine queue goes in one step.
+        A k-way merge walks the admissible types' warm queues and one
+        clone representative per type in ascending fleet position — the
+        order a scan of the whole fleet visits them in — and applies the
+        module docstring's skips to whole queues: a type whose run cost
+        reaches the incumbent's delta is dropped queue and all the
+        moment it surfaces (the bound is monotone, so it can never
+        re-qualify), and once a type's clone representative has been
+        probed admissible the rest of its class goes in one step.
 
         Probes go through :meth:`_examine` one winner-candidate at a
         time, so the per-VM cost is proportional to the handful of
         probes, not to the fleet size — until the ``_BATCH_AFTER``-th
         refusal, when :meth:`_prefetch` (given a kernel) swaps the busy
-        queues for their rows that fit. The counters stay the scalar
-        walk's: one position at a time it would have probed a prefetched
-        queue until an incumbent's delta dropped the type — that is the
-        queue up to that incumbent's position, else all of it.
+        queues for their rows that fit. The counters stay those of the
+        walk that asks every busy server one position at a time: it
+        would have asked a prefetched queue, or the clones behind an
+        admitted representative, until an incumbent's delta dropped the
+        type — that is up to that incumbent's position, else all of it
+        (:meth:`_count_clones`).
         """
         prune = self._policy in (SleepPolicy.OPTIMAL,
                                  SleepPolicy.NEVER_SLEEP)
@@ -130,13 +143,23 @@ class MinIncrementalEnergy(Allocator):
         refused = 0
         #: type -> the busy positions a prefetch probed for it
         frontier: dict = {}
+        #: the types whose clone representative was admitted
+        cloned: list = []
         for group in groups:
             runs[id(group)] = run_energy(group.spec, vm)
-            if group.busy:
-                heap.append((group.busy[0], _BUSY, 0, group, group.busy))
-            if group.pristine:
-                heap.append((group.pristine[0], _PRISTINE, 0, group,
-                             group.pristine))
+            warm, dormant, pristine = group.warm, group.dormant, group.pristine
+            if warm:
+                heap.append((warm[0], _BUSY, 0, group, warm))
+            if dormant and constraints is None:
+                # The clone class: its representative is its queue.
+                rep = dormant[0] if not pristine or dormant[0] < pristine[0] \
+                    else pristine[0]
+                heap.append((rep, _CLONE, 0, group, (rep,)))
+                continue
+            if dormant:
+                heap.append((dormant[0], _BUSY, 0, group, dormant))
+            if pristine:
+                heap.append((pristine[0], _PRISTINE, 0, group, pristine))
         heapq.heapify(heap)
         while heap:
             pos, kind, cursor, group, queue = heapq.heappop(heap)
@@ -155,6 +178,10 @@ class MinIncrementalEnergy(Allocator):
                     continue
                 self.candidates_feasible += 1
             elif not self._examine(vm, state):
+                if kind == _CLONE:
+                    # clones refuse alike: ask each, as a walk without
+                    # clone classes does
+                    _ask_each_clone(heap, pos, group)
                 refused += 1
                 if refused == _BATCH_AFTER \
                         and self._index.kernel is not None:
@@ -164,36 +191,63 @@ class MinIncrementalEnergy(Allocator):
                 continue
             elif kind == _PRISTINE:
                 probed_pristine.add(id(group))
+            elif kind == _CLONE:
+                cloned.append(group)
             delta = run + state.idle_delta(interval)
             if delta < best_delta - _TIE_TOL:
                 best = state
                 best_delta = delta
-                # Types this incumbent drops were probed up to here.
-                for dropped in [g for g in frontier if prune
-                                and runs[id(g)] >= delta - _TIE_TOL]:
-                    self.candidates_evaluated += int(np.searchsorted(
-                        frontier.pop(dropped), pos, side="right"))
+                if prune:  # types this incumbent drops were asked to here
+                    for dropped in [g for g in frontier
+                                    if runs[id(g)] >= delta - _TIE_TOL]:
+                        self.candidates_evaluated += int(np.searchsorted(
+                            frontier.pop(dropped), pos, side="right"))
+                    for dropped in [g for g in cloned
+                                    if runs[id(g)] >= delta - _TIE_TOL]:
+                        cloned.remove(dropped)
+                        self._count_clones(dropped, pos)
         self.candidates_evaluated += sum(
             rows.size for rows in frontier.values())
+        for group in cloned:
+            self._count_clones(group)
         return best
+
+    def _count_clones(self, group, upto: int | None = None) -> None:
+        """Count the clones behind an admitted representative that the
+        one-at-a-time walk would have asked up to position ``upto``
+        (all, when ``None``), each admitted: the type's dormant servers
+        and its first pristine one (the rest of the pristine queue never
+        counted)."""
+        dormant, pristine = group.dormant, group.pristine
+        if upto is None:
+            asked = len(dormant) + (1 if pristine else 0)
+        else:
+            asked = bisect.bisect_right(dormant, upto) \
+                + (1 if pristine and pristine[0] <= upto else 0)
+        self.candidates_evaluated += asked - 1  # less the representative
+        self.candidates_feasible += asked - 1
 
     def _prefetch(self, vm: VM, heap: list, runs: dict[int, float],
                   bound: float) -> dict:
         """Ask what is left of the walk's busy queues in one
         ``admits_fleet`` and point ``heap`` at the rows that fit.
 
-        Each type's *frontier* — its busy positions from the cursor on —
-        is probed, unless its run cost has reached ``bound``; its cursor
-        restarts on the feasible rows (kind ``_PREFETCHED``: no second
-        probe), the pristine cursors stay (still scalar: one
+        Each type's *frontier* — its busy positions from the cursors on
+        (warm, and dormant where the walk asks each clone) — is probed,
+        unless its run cost has reached ``bound``; its cursor restarts
+        on the feasible rows (kind ``_PREFETCHED``: no second probe),
+        the pristine and clone cursors stay (still scalar: one
         representative per type), the busy cursors of dropped types go.
         Returns type -> frontier.
         """
-        frontier = {
-            group: np.array(queue[cursor:], dtype=np.intp)
-            for _, kind, cursor, group, queue in heap
-            if kind == _BUSY and runs[id(group)] < bound}
-        heap[:] = [entry for entry in heap if entry[1] == _PRISTINE]
+        frontier: dict = {}
+        for _, kind, cursor, group, queue in heap:
+            if kind == _BUSY and runs[id(group)] < bound:
+                rows = np.array(queue[cursor:], dtype=np.intp)
+                if group in frontier:  # its warm and its dormant queue
+                    rows = np.sort(np.concatenate((frontier[group], rows)))
+                frontier[group] = rows
+        heap[:] = [entry for entry in heap if entry[1] != _BUSY]
         if frontier:
             fits = self._index.kernel.admits_fleet(
                 vm, np.concatenate(list(frontier.values())))
@@ -215,3 +269,15 @@ class MinIncrementalEnergy(Allocator):
                 best = state
                 best_delta = delta
         return best
+
+
+def _ask_each_clone(heap: list, rep: int, group) -> None:
+    """Queue the rest of a refused representative's clone class the way
+    the one-at-a-time walk asks it: the dormant servers as busy ones,
+    the pristine queue until one is admitted."""
+    dormant, pristine = group.dormant, group.pristine
+    skip = 1 if dormant[0] == rep else 0
+    for kind, queue, cursor in ((_BUSY, dormant, skip),
+                                (_PRISTINE, pristine, 1 - skip)):
+        if cursor < len(queue):
+            heapq.heappush(heap, (queue[cursor], kind, cursor, group, queue))

@@ -28,7 +28,8 @@ class RoundRobin(Allocator):
         #: is not a server id once a server has failed)
         self._position = {id(state): pos for pos, state in enumerate(states)}
 
-    def candidate_score(self, vm: VM, state: ServerState) -> float | None:
+    def candidate_score(self, vm: VM, state: ServerState,
+                        cost: float | None = None) -> float | None:
         """Explain-trace score: positions ahead of the rotation's cursor."""
         return float((self._position[id(state)] - self._next)
                      % len(self._position))

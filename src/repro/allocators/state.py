@@ -39,7 +39,7 @@ from repro.model.server import Server
 from repro.model.vm import VM
 from repro.obs.explain import CostTerms
 from repro.placement.config import EngineConfig
-from repro.placement.feasibility import TOL, Feasibility
+from repro.placement.feasibility import TOL, Feasibility, static_demand
 from repro.placement.occupancy import DEFAULT_ENGINE, make_occupancy
 
 __all__ = ["ServerState"]
@@ -173,10 +173,11 @@ class ServerState:
         kernel evaluates on its mirrored accumulator arrays.
         """
         spec = self.server.spec
-        if vm.cpu + vm.cpu_radius > spec.cpu_capacity:
+        cpu_need, mem_need = static_demand(vm, robust=True)
+        if cpu_need > spec.cpu_capacity:
             return Feasibility(False, "cpu:capacity", 0.0, 0.0,
                                spec.cpu_capacity, spec.memory_capacity)
-        if vm.memory + vm.mem_radius > spec.memory_capacity:
+        if mem_need > spec.memory_capacity:
             return Feasibility(False, "mem:capacity", 0.0, 0.0,
                                spec.cpu_capacity, spec.memory_capacity)
         peak_cpu = peak_mem = 0.0
@@ -294,11 +295,20 @@ class ServerState:
         extensions of existing busy segments move the wake-up rather
         than duplicate it, so their entire delta lands in ``idle_gap``.
         """
-        wake = self.server.spec.transition_cost if not self._busy_starts \
-            else 0.0
+        return self.priced(vm)[0]
+
+    def priced(self, vm: VM) -> tuple[CostTerms, float]:
+        """:meth:`cost_terms` and :meth:`incremental_cost` from one
+        :meth:`idle_delta` — what an explain record reads per candidate.
+        The cost is the run plus that delta, bit-equal to
+        :meth:`incremental_cost` (re-adding the terms would round
+        differently)."""
+        spec = self.server.spec
+        run = run_energy(spec, vm)
         delta = self.idle_delta(vm.interval)
-        return CostTerms(run=run_energy(self.server.spec, vm),
-                         idle_gap=delta - wake, wake=wake)
+        wake = spec.transition_cost if not self._busy_starts else 0.0
+        return (CostTerms(run=run, idle_gap=delta - wake, wake=wake),
+                run + delta)
 
     def incremental_cost_swapped(self, vm: VM, *, without: VM,
                                  time: int) -> float:
@@ -531,10 +541,28 @@ class ServerState:
 
         Pristine servers of the same spec are interchangeable for
         placement — identical probe verdicts and identical incremental
-        cost — so the candidate index queues them apart and min-energy
-        probes one per type.
+        cost — and so is a server idle long enough (:attr:`quiet_after`).
         """
         return not self.vms and not self._busy_starts
+
+    @property
+    def quiet_after(self) -> int | None:
+        """The last tick this server is busy or holds committed demand
+        (``None`` when pristine): its book is empty from the next tick
+        on. The occupancy counts as well as the busy segments because a
+        cut can leave subtraction residue past the last busy tick.
+
+        A VM starting at least ``saturating_gap`` ticks later probes and
+        prices here exactly as on a pristine twin: the candidate index
+        queues such *dormant* servers with the pristine ones, as one
+        clone class per type (``tests/test_placement_properties.py::
+        TestAnIdleServerIsAClone`` holds the claim).
+        """
+        if not self._busy_ends:
+            return None
+        end = self._busy_ends[-1]
+        tail = self._occ.tail()
+        return end if tail is None or tail <= end + 1 else tail - 1
 
     def occupancy_points(self) -> int:
         """Number of change points (or dense slots) the index tracks now."""

@@ -23,6 +23,7 @@ sleeping.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,7 +35,7 @@ from repro.model.server import ServerSpec
 from repro.model.vm import VM
 
 __all__ = ["SleepPolicy", "CostBreakdown", "server_cost",
-           "allocation_cost", "gap_cost", "sleeps_through"]
+           "allocation_cost", "gap_cost", "saturating_gap", "sleeps_through"]
 
 
 class SleepPolicy(enum.Enum):
@@ -62,6 +63,27 @@ def gap_cost(spec: ServerSpec, gap: TimeInterval,
              policy: SleepPolicy = SleepPolicy.OPTIMAL) -> float:
     """Energy spent over one idle gap under the given sleep policy."""
     return _gap_length_cost(spec, gap.length, policy)
+
+
+def saturating_gap(spec: ServerSpec, policy: SleepPolicy) -> int | None:
+    """The shortest idle gap the server sleeps through under ``policy``
+    — as through every longer one, each costing exactly ``alpha``
+    (Eq. 16): the smallest ``g`` with ``alpha < P_idle * g`` under
+    OPTIMAL (:func:`sleeps_through`'s float comparison), 1 under
+    ALWAYS_SLEEP, ``None`` under NEVER_SLEEP. A server idle at least
+    that long before a VM starts prices the VM exactly as one that
+    never ran does."""
+    if policy is SleepPolicy.ALWAYS_SLEEP:
+        return 1
+    if policy is SleepPolicy.NEVER_SLEEP or not spec.p_idle > 0:
+        return None
+    alpha, p_idle = spec.transition_cost, spec.p_idle
+    gap = max(1, math.floor(alpha / p_idle))
+    while gap > 1 and alpha < p_idle * (gap - 1):
+        gap -= 1
+    while not alpha < p_idle * gap:
+        gap += 1
+    return gap
 
 
 def _gap_length_cost(spec: ServerSpec, length: int,

@@ -1,11 +1,12 @@
 """Empirical complexity: how allocation time grows with problem size.
 
-The heuristic evaluates every feasible server per VM, so its work grows
-like ``m * n`` (with ``n = m/2`` in the paper's fleets, ~``m^2``). This
-harness measures wall time across instance sizes and fits the empirical
-exponent with a log-log linear fit — the scalability claim of the
-paper's Fig. 2 ("our algorithm is scalable") made quantitative for the
-implementation itself.
+Read literally, the heuristic evaluates every feasible server per VM, so
+its work would grow like ``m * n`` (with ``n = m/2`` in the paper's
+fleets, ~``m^2``); the candidate index's walk asks a handful per VM
+instead. This harness measures wall time across instance sizes and fits
+the empirical exponent with a log-log linear fit — the scalability claim
+of the paper's Fig. 2 ("our algorithm is scalable") made quantitative
+for the implementation itself.
 """
 
 from __future__ import annotations

@@ -21,9 +21,12 @@ complete (cover the whole interval) whenever ``feasible`` is true.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-__all__ = ["Feasibility", "TOL"]
+if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from repro.model.vm import VM
+
+__all__ = ["Feasibility", "TOL", "static_demand"]
 
 #: Headroom tolerance for capacity comparisons (absorbs float
 #: accumulation); shared by the scalar probe and the fleet kernel.
@@ -50,3 +53,13 @@ class Feasibility(NamedTuple):
 
     def __bool__(self) -> bool:
         return self.feasible
+
+
+def static_demand(vm: "VM", robust: bool) -> tuple[float, float]:
+    """The ``(cpu, mem)`` a server type's static capacity test charges
+    ``vm`` — the scalar probe, the fleet kernel and the candidate index
+    alike: its nominal demand, plus its own radii on a Γ-robust fleet
+    (with Γ >= 1 a lone VM's radius is always in the worst-case set)."""
+    if not robust:
+        return vm.cpu, vm.memory
+    return vm.cpu + vm.cpu_radius, vm.memory + vm.mem_radius

@@ -10,14 +10,21 @@ once per type instead of once per server. :class:`CandidateIndex` groups a
   deterministic tie-breaking are untouched;
 * look up per-spec admission (:meth:`spec_admits`) for allocators with
   their own scan order (ffps, round-robin, power-aware);
-* walk, per admissible type, the position queues of its *busy* and
-  *pristine* servers (:meth:`groups_for`) — sorted by fleet position
-  and updated in place on every commit / retire / remove through the
-  ``ServerState`` watcher protocol. A type's Eq.-2/3 run cost
-  lower-bounds every candidate in its queues, so a scan drops them whole.
-  Pristine servers (never hosted anything) of one spec are
-  interchangeable, which lets min-energy probe one representative
-  instead of hundreds of identical empty machines.
+* walk, per admissible type, the position queues of its *warm*,
+  *dormant* and *pristine* servers (:meth:`groups_for`) — sorted by
+  fleet position and updated in place on every commit / retire / cut
+  through the ``ServerState`` watcher protocol. A type's Eq.-2/3 run
+  cost lower-bounds every candidate in its queues, so a scan drops them
+  whole. Pristine servers (never hosted anything) of one spec are
+  interchangeable, and so is a server idle for at least the type's
+  ``saturating_gap`` before the VM starts (*dormant* for it): together
+  they are the type's *clone class*, which lets min-energy probe one
+  representative instead of hundreds of identical idle machines.
+
+Static admission charges what the probes charge
+(:func:`~repro.placement.feasibility.static_demand`: the VM's radii too
+on a Γ-robust fleet), so a type the probe would refuse on capacity alone
+is never walked.
 
 ``kernel=True`` additionally builds the
 :class:`~repro.placement.kernels.FleetKernel` that batch-probes
@@ -34,9 +41,14 @@ state lists) stay correct without rebuilding.
 from __future__ import annotations
 
 import bisect
+import heapq
+import math
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+
+from repro.energy.cost import saturating_gap
+from repro.placement.feasibility import static_demand
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.allocators.state import ServerState
@@ -49,27 +61,125 @@ __all__ = ["CandidateIndex", "SpecGroup"]
 class SpecGroup:
     """One server type's candidate queues, in fleet-position order.
 
-    ``busy`` and ``pristine`` partition the type's fleet positions:
-    pristine servers (no VMs, no busy history) are interchangeable for
-    placement, so scans probe one representative; busy servers must each
-    be probed. The run cost of a VM on ``spec`` lower-bounds its
-    incremental cost on any of them, so the min-energy walk prunes whole
-    queues with it.
+    ``warm``, ``dormant`` and ``pristine`` partition the type's fleet
+    positions by the last tick each server is busy or holds demand
+    (``ServerState.quiet_after``; ``None`` = pristine), cut at
+    :attr:`horizon`: a dormant server has been quiet since at or before
+    it. :meth:`settle` moves the cut for a VM (to its ``start - 1 -
+    gap`` where that changes who is dormant), after which ``dormant``
+    holds exactly the servers that probe and price that VM like a
+    pristine one. Warm servers must each be probed; the run cost of a
+    VM on ``spec`` lower-bounds its incremental cost on any of them, so
+    the min-energy walk prunes whole queues with it.
+
+    Finding the servers that went quiet reads a heap of ``(quiet,
+    position)`` over the warm ones (built by the first :meth:`settle`),
+    so a type whose earliest warm server is still busy at the cut costs
+    one comparison per VM. A commit that moves a warm server's last
+    tick pushes a fresh entry and leaves the old one stale; the heap is
+    rebuilt from ``warm`` before it holds twice as many entries as that.
     """
 
-    __slots__ = ("spec", "busy", "pristine")
+    __slots__ = ("spec", "gap", "warm", "dormant", "pristine", "horizon",
+                 "_ends", "_quiet")
 
-    def __init__(self, spec: object) -> None:
+    def __init__(self, spec: object, gap: int | None,
+                 quiet: list[int | None]) -> None:
         self.spec = spec
-        self.busy: list[int] = []
+        #: the type's ``saturating_gap`` (``None``: nothing goes dormant)
+        self.gap = gap
+        self.warm: list[int] = []
+        self.dormant: list[int] = []
         self.pristine: list[int] = []
+        #: the tick ``dormant`` is cut at
+        self.horizon: float = -math.inf
+        #: the warm heap; built by the first :meth:`settle` — only the
+        #: min-energy walk cuts the queues, and nothing else pays for it
+        self._ends: list[tuple[int, int]] | None = None
+        #: the index's position -> quiet tick list, shared
+        self._quiet = quiet
+
+    @property
+    def busy(self) -> list[int]:
+        """Every position that has hosted something, warm or dormant."""
+        return list(heapq.merge(self.warm, self.dormant))
+
+    def _queue(self, quiet: int | None) -> list[int]:
+        if quiet is None:
+            return self.pristine
+        return self.dormant if quiet <= self.horizon else self.warm
+
+    def _watch(self, pos: int) -> None:
+        """Put warm ``pos`` on the (built) heap at its quiet tick."""
+        ends = self._ends
+        heapq.heappush(ends, (self._quiet[pos], pos))
+        if len(ends) > 2 * len(self.warm) + 1:
+            self._rebuild_heap()
+
+    def _rebuild_heap(self) -> None:
+        self._ends = [(self._quiet[pos], pos) for pos in self.warm]
+        heapq.heapify(self._ends)
+
+    def file(self, pos: int) -> None:
+        """File a new position (the index files them in fleet order)."""
+        self._queue(self._quiet[pos]).append(pos)
+
+    def requeue(self, pos: int, old: int | None, new: int | None) -> None:
+        """Re-file ``pos``, whose quiet tick went from ``old`` to ``new``."""
+        source, target = self._queue(old), self._queue(new)
+        if source is not target:
+            del source[bisect.bisect_left(source, pos)]
+            bisect.insort(target, pos)
+        if target is self.warm and self._ends is not None:
+            self._watch(pos)
+
+    def settle(self, start: int) -> None:
+        """Make ``dormant`` exactly the servers quiet since ``start - 1 -
+        gap`` or earlier, for a VM starting at ``start``. The cut moves
+        only when it must: on to there when the heap says some warm
+        server went quiet by then, back when the VM starts before the
+        cut — the servers quiet in between go back to ``warm``."""
+        if self.gap is None:
+            return
+        if self._ends is None:
+            self._rebuild_heap()
+        horizon = start - 1 - self.gap
+        if horizon < self.horizon:
+            self._rewind(horizon)
+            return
+        ends = self._ends
+        if not ends or ends[0][0] > horizon:
+            return  # no warm server is quiet by then: dormant is exact
+        self.horizon = horizon
+        warm, quiet = self.warm, self._quiet
+        while ends and ends[0][0] <= horizon:
+            end, pos = heapq.heappop(ends)
+            if quiet[pos] != end:
+                continue  # stale: the server's quiet tick has moved
+            i = bisect.bisect_left(warm, pos)
+            if i < len(warm) and warm[i] == pos:
+                del warm[i]
+                bisect.insort(self.dormant, pos)
+
+    def _rewind(self, horizon: int) -> None:
+        """Lower the cut to ``horizon``: the dormant servers quiet after
+        it are warm again."""
+        quiet = self._quiet
+        back = [pos for pos in self.dormant if quiet[pos] > horizon]
+        if back:
+            self.dormant = [pos for pos in self.dormant
+                            if quiet[pos] <= horizon]
+            self.warm = list(heapq.merge(self.warm, back))
+            for pos in back:
+                self._watch(pos)
+        self.horizon = horizon
 
 
 class CandidateIndex:
     """Spec-grouped view of one fleet's ``ServerState`` list."""
 
     __slots__ = ("_states", "_spec_ids", "_pos", "kernel", "_groups",
-                 "_is_pristine", "_spec_positions", "_all_positions",
+                 "_quiet", "_robust", "_spec_positions", "_all_positions",
                  "__weakref__")
 
     def __init__(self, states: Sequence["ServerState"], *,
@@ -78,16 +188,21 @@ class CandidateIndex:
         self._states = states
         self._spec_ids = [id(st.server.spec) for st in states]
         self._pos = {id(st): i for i, st in enumerate(states)}
-        self._is_pristine = [st.is_pristine for st in states]
+        #: position -> the server's ``quiet_after`` as last filed
+        self._quiet: list[int | None] = [None] * len(states)
+        #: whether static admission charges the VM's radii too
+        self._robust = bool(states) and states[0].robustness is not None
         #: distinct specs by identity, insertion-ordered
         self._groups: dict[int, SpecGroup] = {}
         for i, st in enumerate(states):
             key = self._spec_ids[i]
             group = self._groups.get(key)
             if group is None:
-                group = self._groups[key] = SpecGroup(st.server.spec)
-            (group.pristine if self._is_pristine[i]
-             else group.busy).append(i)
+                group = self._groups[key] = SpecGroup(
+                    st.server.spec, saturating_gap(st.server.spec, st.policy),
+                    self._quiet)
+            self._quiet[i] = st.quiet_after
+            group.file(i)
             st.add_watcher(self)
         #: the batch-probe kernel (``None``: scalar probes only)
         self.kernel: "FleetKernel | None" = None
@@ -109,34 +224,30 @@ class CandidateIndex:
     # -- incremental maintenance -------------------------------------------
 
     def server_state_changed(self, state: "ServerState") -> None:
-        """Watcher hook: re-queue a server whose pristine status flipped.
+        """Watcher hook: re-file a server whose quiet tick moved.
 
-        Commits move a position from its type's pristine queue to the
-        busy queue; a remove that empties the server moves it back. The
-        queues stay position-sorted via bisect, so scans keep walking
-        candidates in fleet order. (The kernel registers its own
-        watcher for occupancy rows; this hook only owns the queues.)
+        A commit past the cut makes a server warm (from pristine or
+        dormant); a cut or an uncompacted remove can make it dormant or
+        pristine again. The queues stay position-sorted via bisect, so
+        scans keep walking candidates in fleet order. (The kernel
+        registers its own watcher for occupancy rows; this hook only
+        owns the queues.)
         """
         pos = self._pos.get(id(state))
         if pos is None:
             return
-        pristine = state.is_pristine
-        if pristine == self._is_pristine[pos]:
+        quiet = state.quiet_after
+        old = self._quiet[pos]
+        if quiet == old:
             return
-        self._is_pristine[pos] = pristine
-        group = self._groups[self._spec_ids[pos]]
-        source, target = ((group.busy, group.pristine) if pristine
-                          else (group.pristine, group.busy))
-        i = bisect.bisect_left(source, pos)
-        if i < len(source) and source[i] == pos:
-            del source[i]
-        bisect.insort(target, pos)
+        self._quiet[pos] = quiet
+        self._groups[self._spec_ids[pos]].requeue(pos, old, quiet)
 
     # -- static admission ---------------------------------------------------
 
     def spec_admits(self, vm: "VM") -> dict[int, bool]:
         """``id(spec) -> can this server type ever host vm`` (static caps)."""
-        cpu, mem = vm.cpu, vm.memory
+        cpu, mem = static_demand(vm, self._robust)
         return {key: not (cpu > group.spec.cpu_capacity
                           or mem > group.spec.memory_capacity)
                 for key, group in self._groups.items()}
@@ -169,7 +280,12 @@ class CandidateIndex:
         return np.sort(np.concatenate(keep))
 
     def groups_for(self, vm: "VM") -> list[SpecGroup]:
-        """The admissible types' candidate queues."""
+        """The admissible types' candidate queues, each settled for
+        ``vm``: its ``dormant`` queue is that type's servers a VM
+        starting then finds as good as pristine."""
         admits = self.spec_admits(vm)
-        return [group for key, group in self._groups.items()
-                if admits[key]]
+        groups = [group for key, group in self._groups.items()
+                  if admits[key]]
+        for group in groups:
+            group.settle(vm.start)
+        return groups

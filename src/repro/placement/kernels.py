@@ -89,7 +89,7 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.model.phases import demand_profile
-from repro.placement.feasibility import TOL, Feasibility
+from repro.placement.feasibility import TOL, Feasibility, static_demand
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.allocators.state import ServerState
@@ -360,14 +360,6 @@ class FleetKernel:
 
     # -- probing -----------------------------------------------------------
 
-    def _static_demand(self, vm: "VM") -> tuple[float, float]:
-        """What the static type-capacity test charges ``vm``: a robust
-        probe adds the VM's own radius (a lone VM is always in the
-        top-Γ)."""
-        if self._robust is None:
-            return vm.cpu, vm.memory
-        return vm.cpu + vm.cpu_radius, vm.memory + vm.mem_radius
-
     def _windows(self, base: np.ndarray, row_cell: np.ndarray,
                  start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
         """Each row's window over ``[start, end]``, as the scalar loop
@@ -405,7 +397,7 @@ class FleetKernel:
         robust = self._robust is not None
         cpu_cap = self._cpu_cap[rows]
         mem_cap = self._mem_cap[rows]
-        cpu_need, mem_need = self._static_demand(vm)
+        cpu_need, mem_need = static_demand(vm, robust)
         fits = (cpu_need <= cpu_cap) & (mem_need <= mem_cap)
         cpu_cap += TOL
         mem_cap += TOL
@@ -465,7 +457,7 @@ class FleetKernel:
         peak_mem = np.zeros(r)
         # Static type capacity first, exactly like the scalar probe:
         # cpu before mem, peaks left at zero.
-        cpu_need, mem_need = self._static_demand(vm)
+        cpu_need, mem_need = static_demand(vm, robust)
         static_cpu = cpu_need > cpu_cap
         static_mem = ~static_cpu & (mem_need > mem_cap)
         codes[static_cpu] = CPU_CAPACITY

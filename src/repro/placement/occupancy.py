@@ -184,6 +184,12 @@ class SkylineOccupancy:
                 return False
         return True
 
+    def tail(self) -> int | None:
+        """The first time from which nothing is committed for good —
+        the last breakpoint: updates never touch the open-ended last
+        segment, so it stays empty — or ``None`` for an empty skyline."""
+        return self._xs[-1] if self._xs else None
+
     def points(self) -> list[int]:
         """The current change points (introspection / memory regression)."""
         return list(self._xs)
@@ -258,6 +264,11 @@ class DenseOccupancy:
             over = np.flatnonzero(mem_slice + mem > mem_cap + tol)
             return f"mem:overlap@{start + int(over[0])}", peak_cpu, peak_mem
         return None, peak_cpu, peak_mem
+
+    def tail(self) -> int | None:
+        """The time unit after the last nonzero one (``None``: all zero)."""
+        nonzero = np.flatnonzero((self._cpu != 0.0) | (self._mem != 0.0))
+        return int(nonzero[-1]) + 1 if nonzero.size else None
 
     def points(self) -> list[int]:
         """Nonzero time units (dense arrays have no change-point structure)."""

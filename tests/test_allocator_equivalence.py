@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.allocators import allocator_names, make_allocator
+from repro.allocators import allocator_names, make_allocator, min_energy
 from repro.allocators.state import ServerState
 from repro.energy import SleepPolicy, allocation_cost
 from repro.model.cluster import Cluster
 from repro.model.constraints import PlacementConstraints
 from repro.obs.tracer import Tracer, use_tracer
 from repro.placement import FleetKernel
+from repro.placement import index as placement_index
 from repro.service import AllocationDaemon, ClusterStateStore, place_request
 from repro.workload import PhasedWorkload
 from repro.workload.generator import generate_vms
@@ -214,6 +215,108 @@ class TestMinEnergyBatchedFinish:
             assert restored.handle({"op": "stats"})["energy_total"] \
                 == runs[engine][1]
         assert runs["indexed"] == runs["indexed:kernel=off"]
+
+
+#: Long idle gaps: a ~5-tick VM every ~4 ticks on 60 servers, so most
+#: busy servers have been quiet for longer than their type's saturating
+#: gap when the next VM comes — each walk meets dormant clones.
+IDLE_VMS = generate_vms(400, mean_interarrival=4.0, seed=0)
+IDLE_CLUSTER = Cluster.paper_all_types(60)
+
+
+def _select_loop(engine: str, vms, policy) -> list:
+    """``select`` + ``place`` per VM in the given order — starts need not
+    rise — as ``(vm, server, evaluated, feasible, delta hex)``."""
+    allocator = make_allocator("min-energy", engine=engine, policy=policy)
+    states = [ServerState(server, policy=policy,
+                          engine=allocator.engine_config)
+              for server in IDLE_CLUSTER]
+    allocator.prepare(states)
+    trail = []
+    for vm in vms:
+        chosen = allocator.select(vm, states)
+        trail.append((vm.vm_id, chosen.server.server_id,
+                      allocator.candidates_evaluated,
+                      allocator.candidates_feasible, chosen.place(vm).hex()))
+    return trail
+
+
+class TestMinEnergyCloneClass:
+    """The walk probes one member of a type's clone class (its pristine
+    and dormant servers) and still decides — and counts — like the
+    walk that asks each, and like collect-then-``choose``."""
+
+    @pytest.mark.parametrize("policy", list(SleepPolicy))
+    def test_the_walk_decides_like_choose_without_pricing_clones(
+            self, policy, monkeypatch):
+        deltas = 0
+        idle_delta = ServerState.idle_delta
+
+        def counted(state, interval):
+            nonlocal deltas
+            deltas += 1
+            return idle_delta(state, interval)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ServerState, "idle_delta", counted)
+            walk, _ = _min_energy_trail("indexed", IDLE_VMS, IDLE_CLUSTER,
+                                        policy=policy)
+        scalar, _ = _min_energy_trail("indexed:kernel=off", IDLE_VMS,
+                                      IDLE_CLUSTER, policy=policy)
+        chosen, _ = _min_energy_trail("dense", IDLE_VMS, IDLE_CLUSTER,
+                                      policy=policy)
+        assert walk == scalar
+        assert [(row[0], row[1], row[4]) for row in walk] \
+            == [(row[0], row[1], row[4]) for row in chosen]
+        # Each commit prices its VM once; the rest priced candidates.
+        priced = deltas - sum(row[1] is not None for row in walk)
+        feasible = sum(row[3] for row in walk)
+        evaluated = sum(row[2] for row in walk)
+        if policy is SleepPolicy.NEVER_SLEEP:  # nothing goes dormant
+            assert priced == feasible
+        else:
+            assert priced < feasible / 2 and feasible <= evaluated
+
+    def test_a_refused_representative_asks_each_clone(self, monkeypatch):
+        # Leave the radii out of static admission, as the index once did:
+        # whole clone classes refuse the big Γ VMs, and the walk must
+        # then ask each clone — as with no clone class at all, which a
+        # constrained walk (no groups) has.
+        monkeypatch.setattr(placement_index, "static_demand",
+                            lambda vm, robust: (vm.cpu, vm.memory))
+        asked_each = 0
+        ask_each_clone = min_energy._ask_each_clone
+
+        def counted(*args):
+            nonlocal asked_each
+            asked_each += 1
+            ask_each_clone(*args)
+
+        monkeypatch.setattr(min_energy, "_ask_each_clone", counted)
+        vms, servers = STREAMS["phased"]
+        cluster = Cluster.paper_all_types(servers)
+        walk, _ = _min_energy_trail("indexed:gamma=2", vms, cluster)
+        assert asked_each > 0
+        unconstrained = PlacementConstraints.build(separate=[], colocate=[])
+        assert walk == _min_energy_trail("indexed:gamma=2", vms, cluster,
+                                         unconstrained)[0]
+
+    @pytest.mark.parametrize("policy", list(SleepPolicy))
+    def test_starts_out_of_order_settle_back(self, policy):
+        # A stream's second half interleaved with its first: the dormant
+        # queues are cut ~200 ticks late, then back early, by turns. With
+        # ~10 VMs alive at once a type has several servers the early VMs
+        # just left, warm again for the next early one.
+        ordered = sorted(generate_vms(400, mean_interarrival=1.0,
+                                      mean_duration=10.0, seed=0),
+                         key=lambda v: (v.start, v.vm_id))
+        vms = [vm for pair in zip(ordered[200:], ordered[:200])
+               for vm in pair]
+        walk = _select_loop("indexed", vms, policy)
+        assert walk == _select_loop("indexed:kernel=off", vms, policy)
+        chosen = _select_loop("dense", vms, policy)
+        assert [(row[0], row[1], row[4]) for row in walk] \
+            == [(row[0], row[1], row[4]) for row in chosen]
 
 
 class TestEngineEquivalence:

@@ -14,7 +14,9 @@ import pytest
 
 from repro.allocators import allocator_names, make_allocator
 from repro.allocators.state import ServerState
+from repro.model.intervals import TimeInterval
 from repro.model.server import Server, ServerSpec
+from repro.model.vm import VM, VMSpec
 
 from conftest import make_vm
 
@@ -125,6 +127,30 @@ class TestScanOrderCounters:
         assert allocator.candidates_evaluated == 1
         assert allocator.candidates_feasible == 1
 
+    @pytest.mark.parametrize("algo", ["min-energy", "first-fit",
+                                      "best-fit", "random-fit"])
+    @pytest.mark.parametrize("kernel", ["on", "off"])
+    def test_static_pruning_charges_the_radii_on_a_robust_fleet(
+            self, algo, kernel):
+        # 20 cpu and a 6-cpu radius: under Γ >= 1 a 24-cpu type's probe
+        # refuses it on capacity, so the index prunes that type too.
+        small = ServerSpec("small", cpu_capacity=24.0, memory_capacity=24.0,
+                           p_idle=50.0, p_peak=100.0, transition_time=1.0)
+        big = ServerSpec("big", cpu_capacity=48.0, memory_capacity=48.0,
+                         p_idle=90.0, p_peak=180.0, transition_time=1.0)
+        allocator = make_allocator(algo, seed=0,
+                                   engine=f"indexed:kernel={kernel},gamma=2")
+        states = [ServerState(Server(i, spec), engine=allocator.engine_config)
+                  for i, spec in enumerate((small, small, big))]
+        allocator.prepare(states)
+        vm = VM(vm_id=0, spec=VMSpec("r", cpu=20.0, memory=4.0,
+                                     cpu_radius=6.0),
+                interval=TimeInterval(1, 10))
+        assert states[0].probe(vm).reason == "cpu:capacity"
+        assert allocator.select(vm, states) is states[2]
+        assert allocator.candidates_evaluated == 1
+        assert allocator.candidates_feasible == 1
+
 
 class TestExplainCounters:
     @pytest.mark.parametrize("algo", allocator_names())
@@ -144,3 +170,29 @@ class TestExplainCounters:
                              replay.candidates_feasible)
         # And the explanation itself still covers the whole fleet.
         assert len(explanation.candidates) == len(states)
+
+    def test_explain_prices_each_candidate_once(self, monkeypatch):
+        # min-energy's cost terms and its score (the incremental cost)
+        # come from one idle_delta per feasible candidate
+        allocator = make_allocator("min-energy")
+        states = _fleet(allocator)
+        vm = make_vm(0, 1, 10, cpu=2.0)
+        calls = 0
+        idle_delta = ServerState.idle_delta
+
+        def counted(state, interval):
+            nonlocal calls
+            calls += 1
+            return idle_delta(state, interval)
+
+        monkeypatch.setattr(ServerState, "idle_delta", counted)
+        allocator.select(vm, states)
+        walked, calls = calls, 0
+        _, explanation = allocator.explain_select(vm, states)
+        feasible = [v for v in explanation.candidates if v.feasible]
+        assert len(feasible) == len(states)
+        assert calls == walked + len(feasible)
+        monkeypatch.undo()
+        by_id = {state.server.server_id: state for state in states}
+        assert [v.score for v in feasible] \
+            == [by_id[v.server_id].incremental_cost(vm) for v in feasible]

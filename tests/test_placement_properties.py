@@ -1,7 +1,8 @@
 """Property tests: the skyline engine is bit-equivalent to the dense
 oracle, ``ServerState.admits`` is ``probe(...).feasible`` on every
-engine spec, and ``FleetKernel.admits_fleet`` is
-``probe_fleet(...).feasible`` on nominal and Γ-robust fleets.
+engine spec, ``FleetKernel.admits_fleet`` is
+``probe_fleet(...).feasible`` on nominal and Γ-robust fleets, and a
+server idle long enough before a VM answers it like a pristine twin.
 
 A random interleaving of place / remove / probe is applied to two
 ServerStates that differ only in their occupancy engine. Verdicts and
@@ -17,9 +18,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.allocators.state import ServerState
+from repro.energy.cost import (
+    SleepPolicy,
+    gap_cost,
+    saturating_gap,
+    sleeps_through,
+)
 from repro.model.intervals import TimeInterval
 from repro.model.phases import DemandPhase, PhasedVM, split_vm
 from repro.model.server import Server, ServerSpec
@@ -286,3 +293,84 @@ class TestAdmitsFleetIsTheFleetProbesYesOrNo:
         kernel = FleetKernel(states)
         for vm in _long_history_probes(gamma):
             _fleet_yes_or_no(kernel, states, vm, range(len(states)))
+
+
+# -- the clone class: a server idle long enough answers like a pristine one --
+
+#: ``_FLEET_ASKS`` plus kind 5 = swap the book for its ``live_copy``.
+_CLONE_ASKS = st.tuples(st.integers(0, 5), st.integers(-20, 60),
+                        st.integers(0, 12), st.integers(1, 72),
+                        st.integers(1, 72), st.integers(0, 2))
+
+
+def _dormant_for(state: ServerState, vm: VM, gap: int | None) -> bool:
+    """The candidate index's test: quiet since ``vm.start - 1 - gap``."""
+    quiet = state.quiet_after
+    return gap is not None and quiet is not None \
+        and quiet <= vm.start - 1 - gap
+
+
+class TestAnIdleServerIsAClone:
+    """A server quiet since ``saturating_gap`` ticks before a VM starts
+    answers that VM like a pristine twin: the same verdict on all six
+    fields, and a bit-equal ``idle_delta`` — its last gap already costs
+    the whole wake-up, as a first wake-up does. What lets min-energy's
+    walk probe one member of a type's clone class."""
+
+    @pytest.mark.parametrize("policy", list(SleepPolicy))
+    @pytest.mark.parametrize("engine", ["indexed", "indexed:kernel=off",
+                                        "dense", "indexed:gamma=2"])
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(_CLONE_ASKS, min_size=1, max_size=20),
+           st.integers(0, 6))
+    # two residents cut at 5 leave (((0 + .13) + 1.3) - .13) - 1.3 > 0
+    # on [5, 10]: dormant only from the residue's end, not the busy one
+    @example([(0, 0, 10, 1, 1, 0), (0, 0, 10, 10, 10, 0),
+              (1, 0, 5, 1, 1, 0), (1, 0, 5, 1, 1, 0)], 0)
+    def test_after_any_place_cut_retire_compact_copy(self, engine, policy,
+                                                      ops, later):
+        state = ServerState(Server(0, SPEC), policy=policy, engine=engine)
+        twin = ServerState(Server(1, SPEC), policy=policy, engine=engine)
+        gap = saturating_gap(SPEC, policy)
+        asked, horizon = [], -100
+        for i, (kind, start, length, cpu8, mem8, shape) in enumerate(ops):
+            if engine == "dense":
+                start = abs(start)      # a dense timeline starts at 0
+            # 0.13 steps: inexact sums, so a cut can leave residue
+            vm = _shaped(i, start, length, cpu8 * 0.13, mem8 * 0.13, shape)
+            asked.append(vm)
+            if kind == 5:
+                horizon = max(horizon, start)
+                state = state.live_copy(horizon)
+            else:
+                horizon = _mutate(state, horizon, i, kind, start, length,
+                                  vm)
+            probes = list(asked)
+            if gap is not None and state.quiet_after is not None:
+                # every shape, from the first tick the book is dormant for
+                first = state.quiet_after + 1 + gap + later
+                probes += [_shaped(100 + i, first, length, cpu8 * 0.13,
+                                   mem8 * 0.13, shape) for shape in range(3)]
+                assert _dormant_for(state, probes[-1], gap)
+            for probe in probes:
+                if _dormant_for(state, probe, gap):
+                    assert state.probe(probe) == twin.probe(probe)
+                    assert state.idle_delta(probe.interval).hex() \
+                        == twin.idle_delta(probe.interval).hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.5, 500.0), st.floats(0.0, 50.0))
+    def test_the_gap_is_where_the_cost_saturates(self, p_idle, wake_time):
+        spec = ServerSpec("g", cpu_capacity=8.0, memory_capacity=8.0,
+                          p_idle=p_idle, p_peak=2 * p_idle,
+                          transition_time=wake_time)
+        gap = saturating_gap(spec, SleepPolicy.OPTIMAL)
+        assert gap >= 1
+        for length in (gap, gap + 1, 10 * gap):
+            idle = TimeInterval(0, length - 1)
+            assert sleeps_through(spec, idle)
+            assert gap_cost(spec, idle) == spec.transition_cost
+        if gap > 1:
+            assert not sleeps_through(spec, TimeInterval(0, gap - 2))
+        assert saturating_gap(spec, SleepPolicy.ALWAYS_SLEEP) == 1
+        assert saturating_gap(spec, SleepPolicy.NEVER_SLEEP) is None

@@ -15,7 +15,9 @@ import pytest
 from repro.model.cluster import Cluster
 from repro.model.intervals import TimeInterval
 from repro.model.vm import VM, VMSpec
+from repro.service import AllocationDaemon, place_request
 from repro.service.state import ClusterStateStore
+from repro.workload.generator import generate_vms
 
 SPEC = VMSpec("t", cpu=1.0, memory=1.0)
 
@@ -100,6 +102,29 @@ class TestDaemonMemory:
             assert mine.cost == theirs.cost
             assert len(mine.vms) == len(theirs.vms)
             assert mine.occupancy_points() == theirs.occupancy_points()
+
+    def test_candidate_queues_stay_bounded_by_the_fleet(self):
+        # Long VMs keep servers warm while later commits move their last
+        # busy tick on: each move files a fresh heap entry and strands
+        # the old one until the clock passes it. Compaction keeps the
+        # index's heaps within twice the warm servers — O(fleet), not
+        # O(commits).
+        servers = 30
+        daemon = AllocationDaemon(
+            ClusterStateStore(Cluster.paper_all_types(servers)))
+        vms = sorted(generate_vms(2000, mean_interarrival=0.5,
+                                  mean_duration=100.0, seed=1),
+                     key=lambda v: (v.start, v.end, v.vm_id))
+        placed = peak = 0
+        for vm in vms:
+            response = daemon.handle(place_request(vm))
+            placed += response["decision"] == "placed"
+            heaps = [(len(g._ends or ()), len(g.warm))
+                     for g in daemon.allocator._index._groups.values()]
+            assert all(size <= 2 * warm + 1 for size, warm in heaps)
+            peak = max(peak, sum(size for size, _ in heaps))
+        assert placed > 1000
+        assert peak <= 2 * servers + len(heaps)
 
     def test_past_commit_is_retired_immediately(self):
         store = ClusterStateStore(Cluster.paper_all_types(2))

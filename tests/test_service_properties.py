@@ -298,6 +298,13 @@ def assert_index_matches_the_scan_list(daemon: AllocationDaemon) -> None:
         (pristine if book.is_pristine else busy).append(pos)
     assert {key: (group.busy, group.pristine)
             for key, group in index._groups.items()} == queues
+    # busy = warm + dormant, cut where the group last settled; the heap
+    # of warm quiet ticks compacted
+    assert index._quiet == [book.quiet_after for book in live]
+    for group in index._groups.values():
+        assert group.dormant == [pos for pos in group.busy
+                                 if index._quiet[pos] <= group.horizon]
+        assert len(group._ends or ()) <= 2 * len(group.warm) + 1
     kernel = index.kernel
     assert (kernel is None) == (not engine.use_kernel)
     if kernel is None:
