@@ -189,9 +189,11 @@ def test_candidate_index_fleet_scaling(monkeypatch):
     assert examines <= EXAMINES_CEILING, summary
 
 
-#: Where ``probe_fleet`` runs: best-fit scores every candidate, so the
-#: kernel must win at fleet scale, sparse (~5 concurrent VMs, one long
-#: history beside thousands of short ones) and dense (~1200 concurrent).
+#: Where ``probe_fleet`` runs: best-fit scores each type's warm servers
+#: and one clone per idle class, so the kernel must win at fleet scale
+#: where the warm rows are many — dense (~1200 concurrent VMs, ~290 rows
+#: a call) — and is not reached where they are few — sparse (~5
+#: concurrent; one long history beside thousands of short ones).
 PROBE_FLEET_3K = {
     "sparse": generate_vms(2000, mean_interarrival=1.0, seed=0),
     "dense": generate_vms(2000, mean_interarrival=0.05, mean_duration=60,
@@ -202,13 +204,39 @@ PROBE_FLEET_3K = {
 VMS_PAPER = generate_vms(1000, mean_interarrival=1.0, seed=0)
 PROBE_FLOOR = 2.0
 PAPER_SCALE_CEILING = 1.25
+#: The sparse point, as counts (kernel on ~ off there): measured 0
+#: ``probe_fleet`` calls and 7.847 scalar ``ServerState.probe`` calls per
+#: VM (the scan that probed every candidate made one 3000-row call per
+#: VM); the gates are 1.25x those.
+SPARSE_FLEET_CALLS = 0
+SPARSE_PROBES_PER_VM = 7.847
 
 
-def test_probe_fleet_speedup():
+def _score_probe_counts(vms, cluster, monkeypatch) -> tuple[int, int]:
+    """One untimed best-fit ``kernel=on`` run: (scalar
+    ``ServerState.probe`` calls, ``probe_fleet`` calls)."""
+    scalar = 0
+    probe = ServerState.probe
+
+    def counted(state, vm):
+        nonlocal scalar
+        scalar += 1
+        return probe(state, vm)
+
+    allocator = make_allocator("best-fit", seed=0, engine="indexed:kernel=on")
+    with monkeypatch.context() as patch:
+        patch.setattr(ServerState, "probe", counted)
+        allocator.allocate(vms, cluster)
+    return scalar, allocator._index.kernel.probe_calls
+
+
+def test_probe_fleet_speedup(monkeypatch):
     """``FleetKernel.probe_fleet`` vs the scalar probe loop, identical
-    placements: best-fit ``kernel=on`` >= 2x ``kernel=off`` at 2000 VMs /
-    3000 servers sparse and dense; first-fit / ffps / best-fit
-    ``kernel=on`` <= 1.25x ``kernel=off`` at 1000 VMs / 300 servers."""
+    placements: best-fit ``kernel=on`` >= 2x ``kernel=off`` at 2000 dense
+    VMs / 3000 servers; on the sparse stream at that scale it makes
+    <= 1.25x the measured ``probe_fleet`` calls and scalar probes per VM;
+    first-fit / ffps / best-fit ``kernel=on`` <= 1.25x ``kernel=off`` at
+    1000 VMs / 300 servers."""
     lines, summary = [], {}
     for label, vms in PROBE_FLEET_3K.items():
         on_s, on_placed = _best_run(
@@ -216,13 +244,28 @@ def test_probe_fleet_speedup():
         off_s, off_placed = _best_run(
             "best-fit", "indexed:kernel=off", vms, CLUSTER_3K, 1)
         assert on_placed == off_placed
-        summary[f"best-fit-3k-{label}"] = {
-            "kernel_on_ms": round(on_s * 1000, 1),
-            "kernel_off_ms": round(off_s * 1000, 1),
-            "speedup": round(off_s / on_s, 2), "floor": PROBE_FLOOR}
+        row = {"kernel_on_ms": round(on_s * 1000, 1),
+               "kernel_off_ms": round(off_s * 1000, 1),
+               "speedup": round(off_s / on_s, 2)}
+        if label == "dense":
+            row["floor"] = PROBE_FLOOR
+            gate = f"(floor {PROBE_FLOOR:.2f}x)"
+        else:
+            scalar, calls = _score_probe_counts(vms, CLUSTER_3K, monkeypatch)
+            row.update(
+                probe_fleet_calls=calls,
+                probe_fleet_calls_ceiling=int(1.25 * SPARSE_FLEET_CALLS),
+                scalar_probes_per_vm=round(scalar / len(vms), 3),
+                scalar_probes_per_vm_ceiling=round(
+                    1.25 * SPARSE_PROBES_PER_VM, 2))
+            gate = (f"(probe_fleet calls {calls}, scalar probes / VM "
+                    f"{scalar / len(vms):.3f}; ceilings "
+                    f"{row['probe_fleet_calls_ceiling']}, "
+                    f"{row['scalar_probes_per_vm_ceiling']:.2f})")
+        summary[f"best-fit-3k-{label}"] = row
         lines.append(f"best-fit 2000 VMs / 3000 servers {label:6s}: "
                      f"on {on_s * 1000:8.1f} ms  off {off_s * 1000:8.1f} ms"
-                     f"  {off_s / on_s:6.2f}x (floor {PROBE_FLOOR:.2f}x)")
+                     f"  {off_s / on_s:6.2f}x {gate}")
     for algo in ("first-fit", "ffps", "best-fit"):
         # ~15 ms runs on a box whose cores change speed: take turns, so
         # both sides see the same phases, and keep each side's best.
@@ -247,8 +290,13 @@ def test_probe_fleet_speedup():
     record_result("kernel_speedup", "\n".join(lines))
     record_json("kernel", summary, section="probe_fleet")
     for name, row in summary.items():
-        if "speedup" in row:
+        if "floor" in row:
             assert row["speedup"] >= PROBE_FLOOR, (name, row)
+        elif "scalar_probes_per_vm" in row:
+            assert row["probe_fleet_calls"] \
+                <= row["probe_fleet_calls_ceiling"], (name, row)
+            assert row["scalar_probes_per_vm"] \
+                <= row["scalar_probes_per_vm_ceiling"], (name, row)
         else:
             assert row["on_over_off"] <= PAPER_SCALE_CEILING, (name, row)
 

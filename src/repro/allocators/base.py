@@ -11,15 +11,17 @@ states only its selection rule, once, as one of three declarations:
   short-circuit walk);
 * a **score** (:attr:`Allocator.score`) — one vectorized rating of a
   :class:`~repro.placement.kernels.FeasibilityBatch`, lowest admissible
-  row wins (:meth:`Allocator._best_scored`);
+  row wins (:meth:`Allocator._best_scored`): the batch holds each
+  admissible type's warm servers and one member of its clone class,
+  which scores for all of them;
 * a :meth:`Allocator.choose` among all the admissible servers.
 
 ``_select``, ``choose``, ``candidate_score`` and the explain scores are
 derived from the declaration here; an allocator whose rule is a walk of
 its own (min-energy's queues, round robin's cursor) overrides
-``_select``. Whatever needs a verdict for every candidate reads one
-batch from :meth:`Allocator._probe_batch` — the only place that knows
-whether the fleet kernel or a loop of scalar probes filled it.
+``_select``. Whatever needs verdicts reads one batch from
+:meth:`Allocator._probe_batch` — the only place that knows whether the
+fleet kernel or a loop of scalar probes filled it.
 
 The ``candidates_evaluated`` / ``candidates_feasible`` counters — *probes
 performed* and *admissible probes* — are kept by :meth:`Allocator._examine`
@@ -37,6 +39,7 @@ per-algorithm parameters by name.
 
 from __future__ import annotations
 
+import bisect
 from contextlib import closing
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -61,6 +64,14 @@ from repro.placement.index import CandidateIndex
 from repro.placement.kernels import FeasibilityBatch
 
 __all__ = ["Allocator"]
+
+#: Rows from which a named batch (a score scan's warm servers and clone
+#: representatives) is one ``probe_fleet`` call rather than one scalar
+#: ``ServerState.probe`` per row — when there is a kernel. Measured on
+#: busy rows of best-fit fleets (1000 VMs / 300 servers, sparse and
+#: dense; 2000 dense VMs / 3000 servers): a scalar probe ~1.5 us a row,
+#: a ``probe_fleet`` ~45 us plus ~0.35 us a row; even at 32-48 rows.
+_FLEET_PROBE_FROM = 40
 
 
 class Allocator:
@@ -230,7 +241,8 @@ class Allocator:
         return True
 
     def _probe_batch(self, vm: VM, states: Sequence[ServerState], *,
-                     prune: bool = True) -> FeasibilityBatch:
+                     prune: bool = True,
+                     positions: list[int] | None = None) -> FeasibilityBatch:
         """The verdicts of ``vm`` on ``states`` as one batch — the one
         place that decides who probes.
 
@@ -242,14 +254,28 @@ class Allocator:
         does not cover (ad-hoc recovery scans) — the batch is filled from
         one ``ServerState.probe`` per candidate. Same rows in the same
         fleet order either way, equal field for field.
+
+        ``positions`` (fleet positions in fleet order, on a fleet the
+        index covers) names the rows instead: a score scan's warm
+        servers and clone representatives. Fewer than
+        :data:`_FLEET_PROBE_FROM` of them are probed one by one, kernel
+        or not; more, given a kernel, are one ``probe_fleet`` call.
         """
         index = self._index
-        if index is not None and index.covers(states):
-            if index.kernel is not None:
-                return index.kernel.probe_fleet(
-                    vm, index.candidate_positions(vm) if prune else None)
-            if prune:
-                states = index.candidates(vm)
+        covered = index is not None and index.covers(states)
+        kernel = index.kernel if covered else None
+        if positions is not None:
+            if kernel is not None and len(positions) >= _FLEET_PROBE_FROM:
+                rows = np.array(positions, dtype=np.intp)
+            else:
+                kernel = None
+                states = [states[pos] for pos in positions]
+        elif kernel is not None:
+            rows = index.candidate_positions(vm) if prune else None
+        elif covered and prune:
+            states = index.candidates(vm)
+        if kernel is not None:
+            return kernel.probe_fleet(vm, rows)
         return FeasibilityBatch(
             states, np.arange(len(states)), vm=vm,
             verdicts=[state.probe(vm) for state in states])
@@ -306,9 +332,42 @@ class Allocator:
         equal scores the earliest in fleet order wins (``argmin``
         returns the first minimum). Every statically admitted server
         counts as evaluated, the admissible ones as feasible.
+
+        Given the index's queues and no placement constraints, only the
+        warm servers of each admissible type and the first member of
+        its clone class (:meth:`SpecGroup.representative
+        <repro.placement.index.SpecGroup.representative>`) are probed:
+        a clone is idle over the VM's interval and scores bit for bit
+        like its representative (``TestAnIdleServerScoresLikeAClone``
+        in ``tests/test_placement_properties.py``), so a later clone
+        ties on score and loses on position. The
+        clones left out count as asked, and as admitted exactly when
+        their representative is. Constraints are per server: with them
+        every candidate is probed.
         """
-        batch = self._probe_batch(vm, states)
-        rows = self._admissible_rows(vm, batch)
+        index = self._index
+        if self._constraints is not None or index is None \
+                or not index.covers(states):
+            batch = self._probe_batch(vm, states)
+            rows = self._admissible_rows(vm, batch)
+        else:
+            positions: list[int] = []
+            #: representative position -> the clones it answers for
+            clones: dict[int, int] = {}
+            for group in index.groups_for(vm):
+                positions += group.warm
+                rep = group.representative()
+                if rep is not None:
+                    positions.append(rep)
+                    clones[rep] = len(group.dormant) + len(group.pristine) - 1
+            positions.sort()
+            batch = self._probe_batch(vm, states, positions=positions)
+            rows = self._admissible_rows(vm, batch)
+            self.candidates_evaluated += sum(clones.values())
+            feasible = batch.feasible
+            self.candidates_feasible += sum(
+                n for rep, n in clones.items()
+                if feasible[bisect.bisect_left(positions, rep)])
         if not rows.size:
             return None
         return batch.state_at(
@@ -410,6 +469,16 @@ class Allocator:
 
     def on_prepare(self, states: Sequence[ServerState]) -> None:
         """Hook run once before any placement (e.g. shuffle an order)."""
+
+    def replayed(self, vm: VM, state: ServerState) -> None:
+        """Hook: ``vm`` went to ``state`` by a recorded decision of this
+        allocator, applied without :meth:`select` (a daemon restore), in
+        commit order since the fleet was last prepared. An allocator
+        whose next decision depends on its own earlier ones beyond what
+        the books hold catches up here (round robin's rotation).
+        Random draws cannot be caught up this way: random fit, and
+        FFPS's re-shuffle after a fleet change, are not restore-exact
+        (``docs/service.md``)."""
 
     def order_vms(self, vms: list[VM]) -> list[VM]:
         """Processing order: increasing start time (the paper's online

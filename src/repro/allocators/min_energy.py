@@ -152,8 +152,7 @@ class MinIncrementalEnergy(Allocator):
                 heap.append((warm[0], _BUSY, 0, group, warm))
             if dormant and constraints is None:
                 # The clone class: its representative is its queue.
-                rep = dormant[0] if not pristine or dormant[0] < pristine[0] \
-                    else pristine[0]
+                rep = group.representative()
                 heap.append((rep, _CLONE, 0, group, (rep,)))
                 continue
             if dormant:

@@ -47,5 +47,10 @@ class RoundRobin(Allocator):
         self._next = (pos + 1) % n
         return states[pos]
 
+    def replayed(self, vm: VM, state: ServerState) -> None:
+        """A recorded decision moves the rotation as :meth:`_select`'s
+        own would: past the server it chose."""
+        self._next = (self._position[id(state)] + 1) % len(self._position)
+
     def choose(self, vm: VM, feasible: Sequence[ServerState]) -> ServerState:
         return feasible[0]

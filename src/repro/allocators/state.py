@@ -147,13 +147,25 @@ class ServerState:
     def admits(self, vm: VM) -> bool:
         """``probe(vm).feasible`` for a caller that only asks yes or no
         (equal to it on every engine spec: the contract the property in
-        ``tests/test_placement_properties.py`` holds). The plain skyline
-        stops at the first overloaded segment and builds no verdict; a
-        dense or Γ-robust book answers through :meth:`probe`."""
-        if self.robustness is not None or self.engine != "indexed":
+        ``tests/test_placement_properties.py`` holds). A skyline, plain
+        or Γ-robust, stops at the first overloaded segment and builds no
+        verdict; a dense book answers through :meth:`probe`."""
+        if self.engine != "indexed":
             return self.probe(vm).feasible
         spec = self.server.spec
         cpu_cap, mem_cap = spec.cpu_capacity, spec.memory_capacity
+        if self.robustness is not None:
+            cpu_need, mem_need = static_demand(vm, robust=True)
+            if cpu_need > cpu_cap or mem_need > mem_cap:
+                return False
+            admits_robust = self._occ.admits_piece_robust
+            cpu_radius, mem_radius = vm.cpu_radius, vm.mem_radius
+            for piece, cpu, memory in demand_profile(vm):
+                if not admits_robust(piece.start, piece.end, cpu, memory,
+                                     cpu_radius, mem_radius, cpu_cap,
+                                     mem_cap, TOL):
+                    return False
+            return True
         if vm.cpu > cpu_cap or vm.memory > mem_cap:
             return False
         admits_piece = self._occ.admits_piece
@@ -537,31 +549,36 @@ class ServerState:
 
     @property
     def is_pristine(self) -> bool:
-        """Never hosted anything: no live VMs *and* no busy history.
+        """Never hosted anything that is still on the book: no live
+        VMs, no busy history and no committed demand
+        (:attr:`quiet_after` is ``None``).
 
         Pristine servers of the same spec are interchangeable for
         placement — identical probe verdicts and identical incremental
         cost — and so is a server idle long enough (:attr:`quiet_after`).
         """
-        return not self.vms and not self._busy_starts
+        return self.quiet_after is None
 
     @property
     def quiet_after(self) -> int | None:
         """The last tick this server is busy or holds committed demand
         (``None`` when pristine): its book is empty from the next tick
         on. The occupancy counts as well as the busy segments because a
-        cut can leave subtraction residue past the last busy tick.
+        cut can leave subtraction residue past the last busy tick — or,
+        where every resident was cut before it started, with no busy
+        segment left at all.
 
         A VM starting at least ``saturating_gap`` ticks later probes and
         prices here exactly as on a pristine twin: the candidate index
         queues such *dormant* servers with the pristine ones, as one
         clone class per type (``tests/test_placement_properties.py::
-        TestAnIdleServerIsAClone`` holds the claim).
+        TestAnIdleServerIsAClone`` and ``TestAnIdleServerScoresLikeAClone``
+        hold the claim).
         """
-        if not self._busy_ends:
-            return None
-        end = self._busy_ends[-1]
         tail = self._occ.tail()
+        if not self._busy_ends:
+            return None if tail is None else tail - 1
+        end = self._busy_ends[-1]
         return end if tail is None or tail <= end + 1 else tail - 1
 
     def occupancy_points(self) -> int:

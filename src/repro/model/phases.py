@@ -18,7 +18,7 @@ handle both transparently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from repro.exceptions import ValidationError
 from repro.model.intervals import TimeInterval
@@ -54,7 +54,9 @@ class PhasedVM(VM):
     The inherited ``spec`` carries the *peak* demand over all phases, so
     every consumer that treats the VM conservatively (``vm.cpu``,
     ``vm.memory``) remains sound; phase-aware consumers go through
-    :func:`demand_profile`. Phases must tile the interval exactly.
+    :func:`demand_profile`, which hands back ``pieces`` — the
+    ``(interval, cpu, memory)`` tuple per phase, built once here. Phases
+    must tile the interval exactly.
     """
 
     phases: tuple[DemandPhase, ...] = field(default=(), compare=False)
@@ -76,6 +78,14 @@ class PhasedVM(VM):
                 f"spec must carry the peak demand ({peak_cpu}cu/"
                 f"{peak_mem}GB), got {self.spec.cpu}cu/"
                 f"{self.spec.memory}GB")
+        # The demand pieces every probe iterates, built once (not a
+        # field: equality, hashing and records never see it).
+        pieces, t = [], self.start
+        for phase in self.phases:
+            pieces.append((TimeInterval(t, t + phase.duration - 1),
+                           phase.cpu, phase.memory))
+            t += phase.duration
+        object.__setattr__(self, "pieces", tuple(pieces))
 
     @classmethod
     def from_phases(cls, vm_id: int, start: int,
@@ -115,19 +125,12 @@ def demand_profile(vm: VM) -> Iterable[tuple[TimeInterval, float, float]]:
 
     A plain VM has one piece covering its whole interval — handed back
     as a 1-tuple, so the probe hot path starts no generator; a
-    :class:`PhasedVM` yields one piece per phase.
+    :class:`PhasedVM` hands back the tuple of one piece per phase it
+    built at construction.
     """
     if isinstance(vm, PhasedVM):
-        return _phase_pieces(vm)
+        return vm.pieces
     return ((vm.interval, vm.cpu, vm.memory),)
-
-
-def _phase_pieces(vm: PhasedVM) -> Iterator[tuple[TimeInterval, float, float]]:
-    t = vm.start
-    for phase in vm.phases:
-        yield (TimeInterval(t, t + phase.duration - 1),
-               phase.cpu, phase.memory)
-        t += phase.duration
 
 
 def demand_at(vm: VM, t: int) -> tuple[float, float]:

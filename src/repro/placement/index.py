@@ -18,8 +18,9 @@ once per type instead of once per server. :class:`CandidateIndex` groups a
   whole. Pristine servers (never hosted anything) of one spec are
   interchangeable, and so is a server idle for at least the type's
   ``saturating_gap`` before the VM starts (*dormant* for it): together
-  they are the type's *clone class*, which lets min-energy probe one
-  representative instead of hundreds of identical idle machines.
+  they are the type's *clone class*, which lets min-energy, best-fit and
+  worst-fit probe one representative (:meth:`SpecGroup.representative`)
+  instead of hundreds of identical idle machines.
 
 Static admission charges what the probes charge
 (:func:`~repro.placement.feasibility.static_demand`: the VM's radii too
@@ -103,6 +104,15 @@ class SpecGroup:
     def busy(self) -> list[int]:
         """Every position that has hosted something, warm or dormant."""
         return list(heapq.merge(self.warm, self.dormant))
+
+    def representative(self) -> int | None:
+        """The clone class's first member in fleet order — the one of
+        ``dormant`` and ``pristine`` a scan asks for all of them — or
+        ``None`` when the type has no clone."""
+        dormant, pristine = self.dormant, self.pristine
+        if dormant and (not pristine or dormant[0] < pristine[0]):
+            return dormant[0]
+        return pristine[0] if pristine else None
 
     def _queue(self, quiet: int | None) -> list[int]:
         if quiet is None:

@@ -15,12 +15,13 @@ numbers the Γ-robust probe formula needs (see
   worst-case set (the Γ-th largest resident radius; 0.0 in box mode or
   when fewer than Γ residents overlap).
 
-Both probe paths — the scalar :meth:`probe_piece_robust` and the
-vectorized kernel mirror fed by :meth:`export_robust_rows` — evaluate
-the identical IEEE-754 expression ``value = nominal + (drop +
-max(r, threshold))`` and compare ``value + piece_demand > capacity +
-tol``, so kernel-driven and scalar robust scans choose the same server
-bit for bit, exactly like the nominal engine.
+Every probe path — the scalar :meth:`probe_piece_robust`, its yes/no
+:meth:`admits_piece_robust` and the vectorized kernel mirror fed by
+:meth:`export_robust_rows` — evaluates the identical IEEE-754
+expression ``value = nominal + (drop + max(r, threshold))`` and
+compares ``value + piece_demand > capacity + tol``, so kernel-driven
+and scalar robust scans choose the same server bit for bit, exactly
+like the nominal engine.
 
 The nominal arithmetic is untouched: radius bookkeeping only *adds*
 breakpoints (cutting a segment copies its value bits) and the coalesce
@@ -200,6 +201,30 @@ class RobustSkyline(SkylineOccupancy):
         if t_mem is not None:
             return f"mem:overlap@{t_mem}", peak_cpu, peak_mem
         return None, peak_cpu, peak_mem
+
+    def admits_piece_robust(self, start: int, end: int, cpu: float,
+                            mem: float, cpu_radius: float, mem_radius: float,
+                            cpu_cap: float, mem_cap: float, tol: float
+                            ) -> bool:
+        """Whether :meth:`probe_piece_robust` would find no violation —
+        its comparisons, each operand built in the same operation order,
+        over the same segments, stopping at the first overloaded one and
+        building neither peaks nor a reason."""
+        xs, seg_cpu, seg_mem = self._xs, self._cpu, self._mem
+        dc, tc, dm, tm = self._dc, self._tc, self._dm, self._tm
+        cpu_limit, mem_limit = cpu_cap + tol, mem_cap + tol
+        for k in range(max(bisect.bisect_right(xs, start) - 1, 0), len(xs)):
+            if xs[k] > end:
+                break
+            t = tc[k]
+            if seg_cpu[k] + (dc[k] + (cpu_radius if cpu_radius > t else t)) \
+                    + cpu > cpu_limit:
+                return False
+            t = tm[k]
+            if seg_mem[k] + (dm[k] + (mem_radius if mem_radius > t else t)) \
+                    + mem > mem_limit:
+                return False
+        return True
 
     def export_robust_rows(self) -> tuple[
             list[int], list[float], list[float], list[float], list[float],

@@ -359,10 +359,14 @@ class AllocationDaemon:
 
         Replayed placements apply the journalled decision directly (no
         allocator re-run), so the restored state is identical even when
-        the original decisions came from a randomized allocator.
-        Journal entries carry the trace ids of the original requests;
-        replay reuses the *recorded* ids (logs and spans correlate to
-        the original episodes) and never re-generates them.
+        the original decisions came from a randomized allocator; then
+        the allocator hears of those made since the fleet last changed
+        (``Allocator.replayed``: round robin resumes its rotation —
+        random fit's and FFPS's draws are not replayed, see
+        ``docs/service.md``). Journal entries carry the trace ids of
+        the original requests; replay reuses the *recorded* ids (logs
+        and spans correlate to the original episodes) and never
+        re-generates them.
 
         ``on_built`` is invoked with the daemon after construction but
         *before* the journal tail replays, while :attr:`ready` is still
@@ -418,6 +422,10 @@ class AllocationDaemon:
         for entry in entries:
             if int(entry["seq"]) > covered:
                 daemon._replay(entry)
+        # Replay selected nothing: hand the allocator the decisions made
+        # on today's fleet, as a daemon that never stopped has seen them.
+        for vm, server_id in store.commits_since_fleet_change():
+            daemon.allocator.replayed(vm, store.states[server_id])
         daemon.ready = True
         daemon._sample_telemetry()
         return daemon

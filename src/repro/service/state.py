@@ -805,6 +805,14 @@ class ClusterStateStore:
         """``server_id -> failure tick`` of the currently-failed servers."""
         return dict(self._dead)
 
+    def commits_since_fleet_change(self) -> list[tuple[VM, int]]:
+        """The ``(vm, server_id)`` commits, in order, since the last
+        failure, recovery or consolidation that moved something — the
+        decisions made on today's :meth:`live_states`."""
+        after = self._events[-1]["after"] if self._events else 0
+        return [(vm, server_id)
+                for vm, server_id, _ in self._commit_log[after:]]
+
     def live_states(self) -> list[ServerState]:
         """Planning states of the non-failed servers, ascending id —
         the fleet allocators are allowed to scan. Note the list

@@ -25,6 +25,7 @@ across the engine specs — reason strings, cost terms, scores, chosen.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.allocators import allocator_names, make_allocator, min_energy
@@ -317,6 +318,80 @@ class TestMinEnergyCloneClass:
         chosen = _select_loop("dense", vms, policy)
         assert [(row[0], row[1], row[4]) for row in walk] \
             == [(row[0], row[1], row[4]) for row in chosen]
+
+
+def _full_batch_choice(allocator, vm, states):
+    """The score rule over every candidate's verdict — what
+    ``_best_scored`` did before it probed one clone per idle class — and
+    the counters that scan keeps."""
+    allocator.candidates_evaluated = allocator.candidates_feasible = 0
+    batch = allocator._probe_batch(vm, states)
+    rows = allocator._admissible_rows(vm, batch)
+    chosen = None if not rows.size else batch.state_at(
+        rows[int(np.argmin(allocator.score(vm, batch)[rows]))])
+    return chosen, (allocator.candidates_evaluated,
+                    allocator.candidates_feasible)
+
+
+def _kernel_calls(allocator) -> int:
+    kernel = allocator._index.kernel
+    return 0 if kernel is None else kernel.probe_calls
+
+
+#: name -> (VMs in the order they are offered, servers): long idle gaps
+#: (dormant clones), starts out of order (the settle rewind), a dense
+#: stream (more warm rows than the scalar fill takes: one probe_fleet),
+#: and the radii a Γ spec charges.
+_SCORE_STREAMS = {
+    "idle": (IDLE_VMS, 60),
+    "interleaved": ([vm for pair in zip(IDLE_VMS[200:], IDLE_VMS[:200])
+                     for vm in pair], 60),
+    "dense": (sorted(DENSE_STREAMS["poisson"][:300],
+                     key=lambda v: (v.start, v.vm_id)), 90),
+    "phased": (sorted(DENSE_STREAMS["phased"][:300],
+                      key=lambda v: (v.start, v.vm_id)), 90),
+}
+
+
+class TestScoreScanCloneClass:
+    """Best-fit and worst-fit probe each type's warm servers and one
+    member of its clone class, and choose — and count — like the scan
+    that probes every candidate, on books that retire and compact."""
+
+    @pytest.mark.parametrize("policy", list(SleepPolicy))
+    @pytest.mark.parametrize("engine", ["indexed", "indexed:kernel=off",
+                                        "indexed:gamma=2"])
+    @pytest.mark.parametrize("stream", sorted(_SCORE_STREAMS))
+    @pytest.mark.parametrize("algo", SCORE_FAMILY)
+    def test_the_reduced_scan_is_the_full_batchs(self, algo, stream,
+                                                  engine, policy):
+        vms, servers = _SCORE_STREAMS[stream]
+        allocator = make_allocator(algo, engine=engine, policy=policy)
+        states = [ServerState(server, policy=policy,
+                              engine=allocator.engine_config)
+                  for server in Cluster.paper_all_types(servers)]
+        allocator.prepare(states)
+        running: list = []
+        fleet_probes = 0
+        for vm in vms:
+            # retire what ended two ticks ago, compacting the book
+            for entry in [e for e in running if e[0] < vm.start - 1]:
+                running.remove(entry)
+                entry[1].retire(entry[2], before=vm.start - 1)
+            calls = _kernel_calls(allocator)
+            chosen = allocator.select(vm, states)
+            fleet_probes += _kernel_calls(allocator) - calls
+            counters = (allocator.candidates_evaluated,
+                        allocator.candidates_feasible)
+            assert (chosen, counters) \
+                == _full_batch_choice(allocator, vm, states)
+            if chosen is not None:
+                chosen.place(vm)
+                running.append((vm.end, chosen, vm))
+        if stream == "dense" and "kernel=off" not in engine:
+            assert fleet_probes > 0   # the named rows went to the kernel
+        elif stream == "idle":
+            assert fleet_probes == 0
 
 
 class TestEngineEquivalence:

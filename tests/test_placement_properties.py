@@ -2,7 +2,8 @@
 oracle, ``ServerState.admits`` is ``probe(...).feasible`` on every
 engine spec, ``FleetKernel.admits_fleet`` is
 ``probe_fleet(...).feasible`` on nominal and Γ-robust fleets, and a
-server idle long enough before a VM answers it like a pristine twin.
+server idle long enough before a VM answers it — and scores it — like a
+pristine twin.
 
 A random interleaving of place / remove / probe is applied to two
 ServerStates that differ only in their occupancy engine. Verdicts and
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.allocators import make_allocator
 from repro.allocators.state import ServerState
 from repro.energy.cost import (
     SleepPolicy,
@@ -374,3 +376,57 @@ class TestAnIdleServerIsAClone:
             assert not sleeps_through(spec, TimeInterval(0, gap - 2))
         assert saturating_gap(spec, SleepPolicy.ALWAYS_SLEEP) == 1
         assert saturating_gap(spec, SleepPolicy.NEVER_SLEEP) is None
+
+
+class TestAnIdleServerScoresLikeAClone:
+    """Every member of a type's clone class — pristine, or dormant for
+    the VM — gets best-fit's and worst-fit's score bit for bit as a
+    pristine twin does, from a kernel batch and from a scalar one: why
+    a score scan may probe one representative per class and count the
+    rest."""
+
+    @pytest.mark.parametrize("policy", list(SleepPolicy))
+    @pytest.mark.parametrize("engine", ["indexed", "indexed:kernel=off",
+                                        "indexed:gamma=2"])
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(_CLONE_ASKS, min_size=1, max_size=20),
+           st.integers(0, 6))
+    # two residents cut before they start leave residue on [10, 20] and
+    # no busy segment: not a clone until the residue's end
+    @example([(0, 10, 10, 1, 1, 0), (0, 10, 10, 10, 10, 0),
+              (1, 0, 0, 1, 1, 0), (1, 0, 0, 1, 1, 0)], 0)
+    def test_after_any_place_cut_retire_compact_copy(self, engine, policy,
+                                                      ops, later):
+        state = ServerState(Server(0, SPEC), policy=policy, engine=engine)
+        twin = ServerState(Server(1, SPEC), policy=policy, engine=engine)
+        gap = saturating_gap(SPEC, policy)
+        best, worst = (make_allocator(name, engine=engine, policy=policy)
+                       for name in ("best-fit", "worst-fit"))
+        asked, horizon = [], -100
+        for i, (kind, start, length, cpu8, mem8, shape) in enumerate(ops):
+            vm = _shaped(i, start, length, cpu8 * 0.13, mem8 * 0.13, shape)
+            asked.append(vm)
+            if kind == 5:
+                horizon = max(horizon, start)
+                state = state.live_copy(horizon)
+            else:
+                horizon = _mutate(state, horizon, i, kind, start, length,
+                                  vm)
+            probes = list(asked)
+            quiet = state.quiet_after
+            if gap is not None and quiet is not None:
+                first = quiet + 1 + gap + later
+                probes += [_shaped(100 + i, first, length, cpu8 * 0.13,
+                                   mem8 * 0.13, shape) for shape in range(3)]
+            fleet = [state, twin]
+            best.prepare(fleet)     # the kernel, where the spec has one
+            for probe in probes:
+                if quiet is not None and not _dormant_for(state, probe, gap):
+                    continue
+                batch = best._probe_batch(probe, fleet)
+                if len(batch) < 2:
+                    continue        # the type can never host it
+                assert batch[0] == batch[1]
+                for allocator in (best, worst):
+                    score = allocator.score(probe, batch)
+                    assert score[0].hex() == score[1].hex()
