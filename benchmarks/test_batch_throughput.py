@@ -1,5 +1,6 @@
 """Benchmark gate: ``place_batch`` vs per-VM ``place`` over real TCP
-(the asyncio front ``repro serve`` runs).
+(the socket front ``repro serve`` runs, which answers each request on
+the connection's own thread).
 
 The v2 batch operation exists to amortize per-request overhead: the
 TCP round trip *and* the durability cost, since a batch commits as one

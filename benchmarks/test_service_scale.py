@@ -1,4 +1,4 @@
-"""Benchmark gate: the async multi-protocol service at fleet scale.
+"""Benchmark gate: the multi-protocol socket front at fleet scale.
 
 Two contracts from the v3 rearchitecture, held under load:
 
@@ -9,7 +9,7 @@ Two contracts from the v3 rearchitecture, held under load:
   client-observed p99 latency (``benchmarks/results/service_scale.txt``
   holds the measurement the gates derive from).
 * **v1 byte-compatibility** — a raw v1 JSON-lines exchange over the
-  async server matches the in-process ``handle_line`` bytes modulo
+  socket front matches the in-process ``handle_line`` bytes modulo
   the timing field.
 """
 
@@ -62,7 +62,7 @@ def test_concurrent_clients_sustain_throughput_and_p99():
     daemon = AllocationDaemon(
         ClusterStateStore(Cluster.paper_all_types(N_SERVERS)),
         algorithm="min-energy", max_inflight=0)
-    server = serve_async(daemon, handler_threads=N_CLIENTS + 4)
+    server = serve_async(daemon)
     host, port = server.address
     latencies: list[list[float]] = [[] for _ in range(N_CLIENTS)]
     outcomes: list[list[str]] = [[] for _ in range(N_CLIENTS)]

@@ -23,9 +23,10 @@ under-packed servers through the shared
 atomic group. See ``docs/service.md`` and the ``repro serve`` /
 ``repro client`` / ``repro consolidate`` CLI commands.
 
-Protocol v3 is the async multi-worker generation: one
-:class:`AsyncDaemonServer` port speaks JSON-lines *and* length-prefixed
-binary frames (sniffed per connection, v1/v2 clients byte-unchanged),
+Protocol v3 is the multi-connection generation: one
+:class:`AsyncDaemonServer` port (a thread per connection) speaks
+JSON-lines *and* length-prefixed binary frames (sniffed per
+connection, v1/v2 clients byte-unchanged),
 failures carry the typed error envelope of
 :mod:`repro.service.errors`, and an HTTP/REST gateway
 (:func:`start_gateway`) translates ``POST /v1/place`` and friends onto

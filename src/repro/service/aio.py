@@ -1,273 +1,226 @@
-"""The async daemon server: one port, every protocol generation.
+"""The socket front: one port, every protocol generation.
 
-:class:`AsyncDaemonServer` runs an :mod:`asyncio` event loop on a
-background thread and serves persistent connections for all three
-wire dialects at once:
+:class:`AsyncDaemonServer` is a threaded TCP server
+(:class:`socketserver.ThreadingTCPServer`, as the HTTP gateway is) that
+serves persistent connections for all three wire dialects at once:
 
 * **v1/v2 JSON-lines** — newline-terminated JSON, one response line
   per request line.
 * **v3 binary framing** — length-prefixed frames
   (:mod:`repro.service.framing`).
 
-Each connection is *sniffed* on its first byte: ``0xF3`` (the frame
-magic, impossible as the first byte of a JSON-lines request) selects
-the framed loop, anything else replays the byte into the line loop.
-A connected client keeps its dialect for the connection's lifetime.
-
-The event loop only shuttles bytes; request execution runs on a
-bounded thread pool (``handler_threads``) through the daemon's own
-``handle_line`` — the commit lock, the bounded ingest window and the
-read-op fast path all apply exactly as for in-process and gateway
-callers, so a mixed fleet of v1 sockets, v3 frames and gateway HTTP
-clients observes one consistent daemon.
+Each connection is served start to finish on its own thread. The thread
+*sniffs* the first byte (a peek, nothing is consumed): ``0xF3`` (the
+frame magic, impossible as the first byte of a JSON-lines request)
+selects frames, read with :func:`~repro.service.framing.read_frame`;
+anything else selects lines. A connected client keeps its dialect for
+the connection's lifetime. The thread then reads each request, runs it
+through the daemon's own ``handle_line`` and writes the reply itself —
+the commit lock, the bounded ingest window and the lock-free reads all
+apply exactly as for in-process and gateway callers, so a mixed fleet
+of v1 sockets, v3 frames and gateway HTTP clients observes one
+consistent daemon, and a ``stats`` on one connection is answered while
+another connection's ``place`` holds the commit lock.
 """
 
 from __future__ import annotations
 
-import asyncio
+import socket
+import socketserver
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
-from repro.exceptions import ServiceError
+from repro.exceptions import ServiceError, TransportError
 from repro.service.daemon import AllocationDaemon
 from repro.service.framing import (
     FRAME_MAGIC,
-    HEADER_SIZE,
     MAX_FRAME,
-    decode_header,
     encode_frame,
+    read_frame,
 )
 
 __all__ = ["AsyncDaemonServer", "serve_async"]
 
+#: Connections the kernel queues for ``accept`` on either network front
+#: (``socketserver``'s default of 5 makes a burst of connects wait out a
+#: one-second SYN retry).
+LISTEN_BACKLOG = 100
 
-class AsyncDaemonServer:
+
+def _read_line(rfile) -> str | None:
+    """The next non-blank JSON line; ``None`` on EOF. A final
+    unterminated line is served like any other."""
+    while True:
+        raw = rfile.readline(MAX_FRAME + 1)
+        if not raw:
+            return None
+        if len(raw) > MAX_FRAME and not raw.endswith(b"\n"):
+            raise ServiceError(
+                f"request line exceeds the {MAX_FRAME}-byte limit")
+        line = raw.decode("utf-8", errors="replace")
+        if line.strip():
+            return line
+
+
+def _read_frame(rfile) -> str | None:
+    """The next v3 frame's payload; ``None`` on EOF between frames."""
+    payload = read_frame(rfile)
+    return None if payload is None \
+        else payload.decode("utf-8", errors="replace")
+
+
+class _Connection(socketserver.StreamRequestHandler):
+    """One connection's request loop, on the thread that accepted it."""
+
+    disable_nagle_algorithm = True
+
+    def handle(self) -> None:
+        daemon = self.server.daemon
+        try:
+            first = self.rfile.peek(1)[:1]
+            if not first:
+                return
+            framed = first[0] == FRAME_MAGIC
+            read = _read_frame if framed else _read_line
+            while True:
+                try:
+                    line = read(self.rfile)
+                except TransportError:
+                    return  # the peer hung up inside a frame
+                except ServiceError as exc:
+                    # A request that cannot even be delimited leaves the
+                    # stream out of step: answer once, typed, in this
+                    # connection's dialect (frames are protocol v3, a
+                    # bare line reads the legacy shape), then hang up.
+                    self._write(daemon.refuse(exc, 3 if framed else 1),
+                                framed)
+                    return
+                if line is None:
+                    return
+                self._write(daemon.handle_line(line), framed)
+                if daemon.closed:
+                    return  # the shutdown just answered; its hook stops us
+        except ConnectionError:
+            pass  # the peer went away; nothing to answer
+
+    def _write(self, response: str, framed: bool) -> None:
+        self.wfile.write(
+            encode_frame(response.rstrip("\n").encode("utf-8"))
+            if framed else response.encode("utf-8"))
+
+
+class AsyncDaemonServer(socketserver.ThreadingTCPServer):
     """Serve ``daemon`` over TCP with per-connection protocol sniffing.
 
-    Parameters
-    ----------
-    daemon:
-        The shared :class:`AllocationDaemon`.
-    host / port:
-        Bind address; port ``0`` picks an ephemeral port (read it back
-        from :attr:`address` after :meth:`start`).
-    handler_threads:
-        Width of the request-execution pool. Connections beyond this
-        still connect and queue; the daemon's ``max_inflight`` bound
-        governs shedding.
+    The port is bound on construction (port ``0`` picks an ephemeral
+    port; read it back from :attr:`address`); :meth:`start` accepts on
+    a background thread, one thread per connection after that. An idle
+    connection costs a parked thread; ``max_inflight`` on the daemon is
+    the only bound on requests in flight.
     """
 
+    allow_reuse_address = True
+    request_queue_size = LISTEN_BACKLOG
+
     def __init__(self, daemon: AllocationDaemon,
-                 host: str = "127.0.0.1", port: int = 0, *,
-                 handler_threads: int = 16) -> None:
+                 host: str = "127.0.0.1", port: int = 0) -> None:
+        super().__init__((host, port), _Connection)
         self.daemon = daemon
-        self._host = host
-        self._port = port
-        self.address: tuple[str, int] | None = None
-        self._executor = ThreadPoolExecutor(
-            max_workers=handler_threads,
-            thread_name_prefix="repro-aio-handler")
+        self.address: tuple[str, int] = self.server_address[:2]
         self._thread: threading.Thread | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop_event: asyncio.Event | None = None
-        self._started = threading.Event()
-        self._bind_error: BaseException | None = None
-        self._stopped = False
-        #: Connections currently executing a request (loop-thread only).
-        self._busy = 0
+        self._stopping = False
+        self._lock = threading.Lock()
+        #: Accepted connection -> its thread, until the thread hangs up.
+        self._open: dict[socket.socket, threading.Thread] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "AsyncDaemonServer":
-        """Bind and start serving on the background loop thread."""
+        """Start accepting on the background thread."""
         if self._thread is not None:
             raise ServiceError("server already started")
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="repro-aio")
+        self._thread = threading.Thread(target=self.serve_forever,
+                                        daemon=True, name="repro-aio")
         self._thread.start()
-        self._started.wait()
-        if self._bind_error is not None:
-            raise self._bind_error
         return self
 
-    def _run(self) -> None:
-        asyncio.run(self._main())
+    def serve_forever(self, poll_interval: float | None = None) -> None:
+        """Accept until :meth:`request_stop`, then hang up on every
+        connection and join their threads. There is no poll:
+        ``request_stop`` wakes the blocked ``accept`` at once."""
+        while True:
+            try:
+                conn, peer = self.get_request()
+            except OSError:
+                if self._stopping:
+                    break
+                continue
+            self.process_request(conn, peer)
+        # Shutting the read side wakes every parked reader with EOF; a
+        # thread still computing its reply (the shutdown's own, say)
+        # can still write it before it hangs up.
+        with self._lock:
+            threads = list(self._open.values())
+            for conn in self._open:
+                try:
+                    conn.shutdown(socket.SHUT_RD)
+                except OSError:  # pragma: no cover - racy peer reset
+                    pass
+        self.server_close()
+        for thread in threads:
+            thread.join()
 
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        try:
-            server = await asyncio.start_server(
-                self._on_connection, self._host, self._port,
-                limit=MAX_FRAME)
-        except OSError as exc:
-            self._bind_error = exc
-            self._started.set()
-            return
-        self.address = server.sockets[0].getsockname()[:2]
-        self._started.set()
-        async with server:
-            await self._stop_event.wait()
-        # A shutdown op fires request_stop from *inside* handle (the
-        # daemon's on_shutdown hook), while its response is still being
-        # computed. Grace-wait for in-flight handlers to finish writing
-        # before returning — asyncio.run() cancels whatever tasks
-        # remain, which must only ever be idle readers.
-        deadline = self._loop.time() + 10.0
-        while self._busy and self._loop.time() < deadline:
-            await asyncio.sleep(0.01)
+    def process_request(self, request: socket.socket,
+                        client_address: tuple) -> None:
+        thread = threading.Thread(target=self.process_request_thread,
+                                  args=(request, client_address),
+                                  daemon=True, name="repro-aio-conn")
+        with self._lock:
+            self._open[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request: socket.socket) -> None:
+        with self._lock:
+            self._open.pop(request, None)
+        super().shutdown_request(request)
 
     def request_stop(self) -> None:
-        """Ask the loop to stop accepting and unwind (non-blocking)."""
-        loop = self._loop
-        if loop is not None and not loop.is_closed() \
-                and self._stop_event is not None:
-            loop.call_soon_threadsafe(self._stop_event.set)
+        """Stop accepting and unwind (non-blocking; safe to call from a
+        connection's thread, as the daemon's shutdown hook does)."""
+        self._stopping = True
+        try:
+            self.socket.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # already stopped
 
     def stop(self, *, timeout: float = 10.0) -> None:
-        """Stop the server and join the loop thread (idempotent)."""
-        if self._stopped:
-            return
-        self._stopped = True
+        """Stop the server and join its threads (idempotent)."""
         self.request_stop()
-        if self._thread is not None:
+        if self._thread is None:
+            self.server_close()
+        else:
             self._thread.join(timeout)
-        self._executor.shutdown(wait=False, cancel_futures=True)
+
+    # ``BaseServer.shutdown`` waits for its own ``serve_forever`` loop,
+    # which this server replaces.
+    shutdown = stop
 
     def join(self, timeout: float | None = None) -> None:
         """Block until the server stops (the CLI's serve loop)."""
         if self._thread is not None:
             self._thread.join(timeout)
 
-    def __enter__(self) -> "AsyncDaemonServer":
-        return self
-
     def __exit__(self, *exc_info: object) -> None:
         self.stop()
 
-    # -- connection handling -----------------------------------------------
-
-    async def _handle(self, line: str) -> str:
-        """One request on the handler pool; the loop never blocks."""
-        return await asyncio.get_running_loop().run_in_executor(
-            self._executor, self.daemon.handle_line, line)
-
-    async def _on_connection(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        try:
-            first = await reader.read(1)
-            if first:
-                await self._serve(reader, writer, first)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # peer went away; nothing to answer
-        except asyncio.CancelledError:
-            pass  # loop teardown cancelled an idle connection
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError,  # pragma: no cover - racy close
-                    asyncio.CancelledError):
-                pass
-
-    async def _after_response(self, writer: asyncio.StreamWriter) -> bool:
-        """Drain; returns True when the connection should end (the
-        daemon was shut down by the request just answered)."""
-        await writer.drain()
-        if self.daemon.closed:
-            # Flush and close *this* connection before unwinding the
-            # loop, so the shutdown caller reads its response instead
-            # of racing the teardown.
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except ConnectionError:  # pragma: no cover - racy close
-                pass
-            self.request_stop()
-            return True
-        return False
-
-    async def _serve(self, reader: asyncio.StreamReader,
-                     writer: asyncio.StreamWriter, first: bytes) -> None:
-        """One connection's request loop, in the dialect its sniffed
-        ``first`` byte selects."""
-        framed = first[0] == FRAME_MAGIC
-        read = self._read_frame if framed else self._read_line
-
-        def write(response: str) -> None:
-            writer.write(
-                encode_frame(response.rstrip("\n").encode("utf-8"))
-                if framed else response.encode("utf-8"))
-
-        while True:
-            try:
-                line = await read(reader, first)
-            except ServiceError as exc:
-                # A request that cannot even be delimited leaves the
-                # stream out of step: answer once, typed, in this
-                # connection's dialect (frames are protocol v3, a bare
-                # line reads the legacy shape), then hang up.
-                write(self.daemon.refuse(exc, 3 if framed else 1))
-                await writer.drain()
-                return
-            if line is None:
-                return
-            first = b""
-            self._busy += 1
-            try:
-                write(await self._handle(line))
-                ended = await self._after_response(writer)
-            finally:
-                self._busy -= 1
-            if ended:
-                return
-
-    @staticmethod
-    async def _read_frame(reader: asyncio.StreamReader,
-                          first: bytes) -> str | None:
-        """The next v3 frame's payload (``first`` is the sniffed magic
-        byte, if any); ``None`` on EOF between frames."""
-        first = first or await reader.read(1)
-        if not first:
-            return None
-        header = first + await reader.readexactly(HEADER_SIZE - 1)
-        payload = await reader.readexactly(decode_header(header))
-        return payload.decode("utf-8", errors="replace")
-
-    @staticmethod
-    async def _read_line(reader: asyncio.StreamReader,
-                         first: bytes) -> str | None:
-        """The next non-blank JSON line (``first`` is the sniffed
-        byte, if any); ``None`` on EOF. A final unterminated line is
-        served like any other."""
-        while True:
-            try:
-                raw = first + await reader.readuntil(b"\n")
-            except asyncio.IncompleteReadError as exc:
-                raw = first + exc.partial
-                if not raw:
-                    return None
-            except asyncio.LimitOverrunError:
-                raise ServiceError(
-                    f"request line exceeds the {MAX_FRAME}-byte "
-                    f"limit") from None
-            first = b""
-            line = raw.decode("utf-8", errors="replace")
-            if line.strip():
-                return line
-
 
 def serve_async(daemon: AllocationDaemon, host: str = "127.0.0.1",
-                port: int = 0, *,
-                handler_threads: int = 16) -> AsyncDaemonServer:
+                port: int = 0) -> AsyncDaemonServer:
     """Start an :class:`AsyncDaemonServer` for ``daemon``.
 
     The server is already accepting when this returns (``port=0``
     binds an ephemeral port — read :attr:`AsyncDaemonServer.address`),
     and a daemon shutdown served over *any* transport stops it.
     """
-    server = AsyncDaemonServer(daemon, host, port,
-                               handler_threads=handler_threads)
-    server.start()
+    server = AsyncDaemonServer(daemon, host, port).start()
     daemon.on_shutdown(server.request_stop)
     return server

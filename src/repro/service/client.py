@@ -125,8 +125,11 @@ class AllocationClient:
 
     ``framing`` selects the wire dialect: ``"lines"`` (JSON-lines, the
     default, byte-compatible with every daemon generation) or
-    ``"frames"`` (the protocol-v3 binary framing — requires a server
-    with the sniffing accept path, :mod:`repro.service.aio`).
+    ``"frames"`` (the protocol-v3 binary framing — requires the socket
+    front of :mod:`repro.service.aio`, which sniffs each connection's
+    first byte). Both sides read frames with the same
+    :func:`~repro.service.framing.read_frame`, and the front answers on
+    the thread that read the request.
 
     ``connect`` and ``sleep`` are injectable for tests: ``connect()``
     must return a connected socket-like object (``makefile``/``close``)
@@ -238,12 +241,12 @@ class AllocationClient:
             if self._sock is None:
                 self._open()
             line = self._exchange(message)
-        except TransportError:
-            raise
         except (OSError, ValueError, ServiceError) as exc:
-            # ValueError covers writes on a half-closed file object;
-            # ServiceError covers a connection dying mid-frame.
+            # ValueError covers writes on a half-closed file object; a
+            # connection dying mid-frame is a TransportError already.
             self._drop()
+            if isinstance(exc, TransportError):
+                raise
             raise TransportError(
                 f"connection to daemon failed: {exc}") from exc
         if not line:

@@ -20,9 +20,9 @@ Sniffing
 The magic byte ``0xF3`` is not valid as the first byte of any v1/v2
 request: a JSON-lines request starts with ``{`` (0x7B) or
 insignificant ASCII whitespace, and 0xF3 cannot begin a UTF-8
-sequence that decodes to either. The async server therefore *sniffs*
+sequence that decodes to either. The socket front therefore *sniffs*
 the first byte of each connection — 0xF3 selects the framed loop,
-anything else replays the byte into the line loop — so one port
+anything else the line loop — so one port
 serves v1, v2 and v3 clients simultaneously and every pre-v3 client
 stays byte-compatible.
 
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import struct
 
-from repro.exceptions import ServiceError
+from repro.exceptions import ServiceError, TransportError
 
 __all__ = ["FRAME_MAGIC", "FRAME_VERSION", "HEADER_SIZE", "MAX_FRAME",
            "FrameDecoder", "encode_frame", "read_frame", "write_frame"]
@@ -132,14 +132,15 @@ def read_frame(stream, *, max_frame: int = MAX_FRAME) -> bytes | None:
     """Read one frame from a blocking binary stream.
 
     Returns the payload, or ``None`` on a clean EOF *before* any header
-    byte. An EOF inside a frame raises :class:`ServiceError` — the peer
-    died mid-message.
+    byte. An EOF inside a frame raises :class:`TransportError` (a
+    :class:`ServiceError`) — the peer died mid-message; a bad header
+    raises a plain :class:`ServiceError`.
     """
     header = stream.read(HEADER_SIZE)
     if not header:
         return None
     if len(header) < HEADER_SIZE:
-        raise ServiceError(
+        raise TransportError(
             f"connection closed inside a frame header "
             f"({len(header)} of {HEADER_SIZE} bytes)")
     length = decode_header(header, max_frame=max_frame)
@@ -147,7 +148,7 @@ def read_frame(stream, *, max_frame: int = MAX_FRAME) -> bytes | None:
     while len(payload) < length:
         chunk = stream.read(length - len(payload))
         if not chunk:
-            raise ServiceError(
+            raise TransportError(
                 f"connection closed inside a frame payload "
                 f"({len(payload)} of {length} bytes)")
         payload.extend(chunk)

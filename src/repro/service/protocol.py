@@ -32,7 +32,7 @@ shape* and the *transport*:
   retry_after]}}`` (see :mod:`repro.service.errors`); v1/v2 requests
   keep the historical bare-string ``error`` byte-for-byte;
 * v3 connections may speak the length-prefixed binary framing of
-  :mod:`repro.service.framing` — the async server sniffs the first
+  :mod:`repro.service.framing` — the socket front sniffs the first
   byte of each connection, so framed and line clients share one port;
 * the HTTP/REST gateway (:mod:`repro.service.gateway`) translates
   ``POST /v1/place`` &c. onto these same operations at version 3.

@@ -6,6 +6,9 @@ from __future__ import annotations
 import io
 import json
 import socket
+import sys
+import threading
+import time
 import urllib.request
 
 import pytest
@@ -172,16 +175,16 @@ class TestUnreadableRequests:
     """A request the socket front cannot even delimit — a bad frame
     header, an over-long line — gets one typed ``bad_request`` in the
     connection's own dialect, is counted as an error, and the
-    connection is closed; nothing escapes into the event loop."""
+    connection is closed; nothing escapes the connection's thread."""
 
     @pytest.fixture()
     def front(self):
         daemon = fresh_daemon()
-        escaped: list[dict] = []
+        escaped: list[object] = []
         with serve_async(daemon) as server:
-            server._loop.call_soon_threadsafe(
-                server._loop.set_exception_handler,
-                lambda loop, context: escaped.append(context))
+            # The server's error path: what a connection's thread raises.
+            server.handle_error = lambda request, address: escaped.append(
+                sys.exc_info()[1])
             yield daemon, server
         assert escaped == []
 
@@ -228,6 +231,98 @@ class TestUnreadableRequests:
         assert daemon.metrics.errors == 1
         text = daemon.render_metrics()
         assert "repro_request_errors_total 1" in text
+
+
+class TestThreadPerConnection:
+    """What the socket front promises now that each connection is served
+    on its own thread: reads never queue behind the commit lock,
+    ``stop()`` hangs up on idle clients at once and leaves no thread
+    behind, and a burst of connects is not held at the listen
+    backlog — the REST gateway's included."""
+
+    def test_stats_is_answered_while_the_commit_lock_is_held(self):
+        daemon = fresh_daemon()
+        vm = generate_vms(1, mean_interarrival=2.0, seed=3)[0]
+        with serve_async(daemon) as server:
+            writer = socket.create_connection(server.address, timeout=10)
+            reader = socket.create_connection(server.address, timeout=10)
+            with writer, reader:
+                with daemon._commit_lock:
+                    writer.sendall(
+                        (json.dumps(place_request(vm)) + "\n").encode())
+                    deadline = time.monotonic() + 10
+                    while not daemon._inflight:  # the place waits on the lock
+                        assert time.monotonic() < deadline
+                        time.sleep(0.001)
+                    reader.sendall(b'{"op": "stats"}\n')
+                    stats = json.loads(reader.makefile("rb").readline())
+                    assert stats["ok"] is True and stats["placed"] == 0
+                    writer.settimeout(0.2)  # and it is not answered
+                    with pytest.raises(TimeoutError):
+                        writer.recv(1)
+                writer.settimeout(10)
+                placed = json.loads(writer.makefile("rb").readline())
+        assert placed["ok"] is True and placed["decision"] == "placed"
+
+    def test_stop_hangs_up_on_idle_clients_and_leaves_no_thread(self):
+        before = set(threading.enumerate())
+        server = serve_async(fresh_daemon())
+        clients = [socket.create_connection(server.address, timeout=10)
+                   for _ in range(4)]
+        try:
+            # Clients 0 and 1 never send a byte: parked on the sniff.
+            # They are accepted before 2 and 3, whose pings are answered.
+            clients[2].sendall(b'{"op": "ping"}\n')
+            clients[3].sendall(encode_frame(b'{"op": "ping", "v": 3}'))
+            clients[2].makefile("rb").readline()
+            read_frame(clients[3].makefile("rb"))
+            started = time.perf_counter()
+            server.stop()
+            assert time.perf_counter() - started < 0.25
+            for client in clients:
+                assert client.recv(1) == b""
+        finally:
+            for client in clients:
+                client.close()
+        assert set(threading.enumerate()) - before == set()
+
+    BURST = 32
+
+    @pytest.mark.parametrize("front", ["socket", "gateway"])
+    def test_a_burst_of_connects_is_answered_at_once(self, front):
+        daemon = fresh_daemon()
+        if front == "socket":
+            server = serve_async(daemon)
+            address = server.address
+        else:
+            server = start_gateway(daemon)
+            address = server.server_address[:2]
+        barrier = threading.Barrier(self.BURST)
+        waits: list[float] = []
+
+        def ping() -> None:
+            barrier.wait(10)
+            started = time.perf_counter()
+            with socket.create_connection(address, timeout=10) as raw:
+                if front == "socket":
+                    raw.sendall(b'{"op": "ping"}\n')
+                else:
+                    raw.sendall(b"GET /v1/ping HTTP/1.1\r\nHost: x\r\n"
+                                b"Connection: close\r\n\r\n")
+                assert raw.makefile("rb").readline()
+            waits.append(time.perf_counter() - started)
+
+        threads = [threading.Thread(target=ping) for _ in range(self.BURST)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert len(waits) == self.BURST
+        assert max(waits) < 0.5, sorted(waits)
 
 
 class TestAsyncChaosSoak:
