@@ -25,6 +25,7 @@ import json
 import threading
 from collections import deque
 from pathlib import Path
+from time import perf_counter
 from typing import Mapping
 
 from repro.exceptions import ValidationError
@@ -58,52 +59,70 @@ def _compact(value: object, depth: int = 0) -> object:
 
 
 class FlightRecord:
-    """One recorded request/response tuple.
+    """One request, from the moment it is read to the moment its answer
+    is encoded: the daemon's one record of it.
 
-    Payload compaction is deferred to first access: the hot record
-    path stores raw references only, and the bounded copies are built
-    (then cached) when the ring is actually read — a dump, the
-    ``dump_debug`` op, or a test poking at ``.request``. The daemon
-    never mutates a request or response after the handler returns, so
-    the deferred copy observes the same payload an eager one would.
+    The daemon fills each field once; the ring keeps the object, and the
+    request's log line, SLO sample and wrapper spans read it. Stamps are
+    ``time.perf_counter()`` seconds, ``None`` for a stage not reached:
+    ``read``; ``decoded`` (parsed and validated from a line — a message
+    handed over in-process is decoded when read); ``locked`` (the
+    commit lock taken); ``decided`` (the decision loop done);
+    ``journaled`` (durable: journaled, and checkpointed when due);
+    ``answered``; ``encoded``. ``latency_ms`` runs from ``decoded`` to
+    ``answered``, as the ``service.request`` span does; ``ctx`` is the
+    request's :class:`~repro.obs.context.TraceContext`.
+
+    Payload compaction is deferred to first access: the hot path stores
+    raw references only, and the bounded copies are built (then cached)
+    when the ring is read. The daemon never mutates a request or
+    response after answering it, so the deferred copy observes the same
+    payload an eager one would.
     """
 
-    __slots__ = ("seq", "op", "trace_id", "request_id", "ok",
-                 "latency_ms", "error", "_raw_request", "_raw_response",
+    __slots__ = ("seq", "op", "version", "ctx", "ok", "error", "decision",
+                 "read", "decoded", "locked", "decided", "journaled",
+                 "answered", "encoded", "raw_request", "raw_response",
                  "_request", "_response")
 
-    def __init__(self, *, seq: int, op: str, trace_id: str,
-                 request_id: str, ok: bool, latency_ms: float,
-                 request: Mapping | None, response: Mapping | None,
-                 error: str | None = None) -> None:
-        self.seq = seq
-        self.op = op
-        self.trace_id = trace_id
-        self.request_id = request_id
-        self.ok = ok
-        self.latency_ms = latency_ms
-        self.error = error
-        self._raw_request = request
-        self._raw_response = response
+    def __init__(self, read: float) -> None:
+        self.read = self.decoded = read
+        self.locked = self.decided = self.journaled = None
+        self.answered = self.encoded = None
+        self.seq, self.op, self.version, self.ctx = 0, None, 1, None
+        self.ok, self.error, self.decision = False, None, None
+        self.raw_request: Mapping | None = None
+        self.raw_response: Mapping | None = None
         self._request: dict | None = None
         self._response: dict | None = None
 
     @property
+    def latency_ms(self) -> float:
+        return round((self.answered - self.decoded) * 1e3, 3)
+
+    def durable(self) -> float:
+        """Stamp ``journaled`` now; returns the milliseconds since the
+        commit lock was taken — the ``latency_ms`` a mutating op
+        reports."""
+        self.journaled = now = perf_counter()
+        return (now - self.locked) * 1e3
+
+    @property
     def request(self) -> dict:
         if self._request is None:
-            self._request = _compact(self._raw_request or {})
+            self._request = _compact(self.raw_request or {})
         return self._request
 
     @property
     def response(self) -> dict:
         if self._response is None:
-            self._response = _compact(self._raw_response or {})
+            self._response = _compact(self.raw_response or {})
         return self._response
 
     def to_record(self) -> dict[str, object]:
         record: dict[str, object] = {
-            "seq": self.seq, "op": self.op, "trace_id": self.trace_id,
-            "request_id": self.request_id, "ok": self.ok,
+            "seq": self.seq, "op": self.op, "trace_id": self.ctx.trace_id,
+            "request_id": self.ctx.request_id, "ok": self.ok,
             "latency_ms": self.latency_ms, "request": self.request,
             "response": self.response}
         if self.error is not None:
@@ -131,21 +150,15 @@ class FlightRecorder:
     def enabled(self) -> bool:
         return self.capacity > 0
 
-    def record(self, *, op: str, trace_id: str, request_id: str,
-               ok: bool, latency_ms: float, request: Mapping | None,
-               response: Mapping | None,
-               error: str | None = None) -> None:
-        """Record one finished request (compaction happens on read)."""
+    def record(self, entry: FlightRecord) -> None:
+        """Keep one answered request's record, numbered in arrival
+        order (compaction happens on read)."""
         if self.capacity == 0:
             return
         with self._lock:
             self._seq += 1
-            self._records.append(FlightRecord(
-                seq=self._seq, op=op, trace_id=trace_id,
-                request_id=request_id, ok=ok,
-                latency_ms=round(latency_ms, 3),
-                request=request, response=response,
-                error=error))
+            entry.seq = self._seq
+            self._records.append(entry)
 
     def last(self, n: int | None = None) -> tuple[FlightRecord, ...]:
         """The newest ``n`` records (all when ``None``), oldest first."""

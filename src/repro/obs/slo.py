@@ -22,15 +22,15 @@ Two objectives are tracked:
 * **availability** — a request is *good* when it does not error; the
   target is the fraction that must be good (e.g. 0.999).
 
-Observations live in a bounded deque pruned to the longest window, so
-memory stays constant under sustained load.
+Observations live in one log pruned to the longest window and a
+capacity, so memory stays constant under sustained load; each window
+is a moving left edge into it, so a report costs O(windows).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -99,32 +99,17 @@ class SLOConfig:
             windows=tuple(float(w) for w in record["windows"]))
 
 
-class _Observation:
-    __slots__ = ("ts", "fast", "ok")
-
-    def __init__(self, ts: float, fast: bool, ok: bool) -> None:
-        self.ts = ts
-        self.fast = fast
-        self.ok = ok
-
-
-@dataclass
-class _WindowBurn:
-    """Burn rates of one trailing window (internal accumulator)."""
-
-    window: float
-    requests: int = 0
-    slow: int = 0
-    errors: int = 0
-    latency_burn: float = 0.0
-    availability_burn: float = 0.0
-
-
 class SLOTracker:
     """Observes request outcomes; reports multi-window burn rates.
 
     Thread-safe. ``clock`` is injectable (monotonic seconds) so tests
     can step time deterministically.
+
+    Each observation is logged as ``(ts, slow, errors)`` — its time and
+    the lifetime slow / error totals *before* it — so a window's counts
+    are the totals now minus those at its left edge. The edges only move
+    forwards, so an observation costs one append and a report O(windows),
+    amortised, however many requests the windows hold.
     """
 
     def __init__(self, config: SLOConfig | None = None, *,
@@ -135,54 +120,50 @@ class SLOTracker:
                 f"capacity must be positive, got {capacity}")
         self.config = config if config is not None else SLOConfig()
         self._clock = clock
+        self._capacity = capacity
         self._lock = threading.Lock()
-        self._observations: deque[_Observation] = deque(maxlen=capacity)
+        self._log: list[tuple[float, int, int]] = []
+        #: Log index of the oldest retained observation (within the
+        #: longest window and the capacity), and of each window's oldest.
+        self._head = 0
+        self._edges = [0] * len(self.config.windows)
         self.requests = 0
         self.errors = 0
         self.slow = 0
+
+    @property
+    def _observations(self) -> list[tuple[float, int, int]]:
+        """The retained observations, oldest first."""
+        return self._log[self._head:]
 
     def observe(self, latency_seconds: float, *, ok: bool = True) -> None:
         """Record one finished request."""
         fast = latency_seconds <= self.config.latency_objective
         with self._lock:
+            now = self._clock()
+            self._log.append((now, self.slow, self.errors))
             self.requests += 1
             if not ok:
                 self.errors += 1
             if not fast:
                 self.slow += 1
-            self._observations.append(
-                _Observation(self._clock(), fast, ok))
-            self._prune(self._clock())
+            self._retain(now)
 
-    def _prune(self, now: float) -> None:
+    def _retain(self, now: float) -> None:
+        """Move the head past what the capacity evicts and what the
+        longest window has left; drop the dead prefix once it outgrows
+        the capacity (amortised O(1))."""
+        log, head = self._log, self._head
         horizon = now - self.config.windows[-1]
-        observations = self._observations
-        while observations and observations[0].ts < horizon:
-            observations.popleft()
-
-    def _burns(self) -> list[_WindowBurn]:
-        now = self._clock()
-        latency_budget = 1.0 - self.config.latency_target
-        availability_budget = 1.0 - self.config.availability_target
-        burns = [_WindowBurn(window=w) for w in self.config.windows]
-        with self._lock:
-            self._prune(now)
-            for obs in self._observations:
-                age = now - obs.ts
-                for burn in burns:
-                    if age <= burn.window:
-                        burn.requests += 1
-                        if not obs.fast:
-                            burn.slow += 1
-                        if not obs.ok:
-                            burn.errors += 1
-        for burn in burns:
-            if burn.requests:
-                burn.latency_burn = \
-                    (burn.slow / burn.requests) / latency_budget
-                burn.availability_burn = \
-                    (burn.errors / burn.requests) / availability_budget
-        return burns
+        if len(log) - head > self._capacity:
+            head = len(log) - self._capacity
+        while head < len(log) and log[head][0] < horizon:
+            head += 1
+        if head > self._capacity:
+            del log[:head]
+            self._edges = [max(edge - head, 0) for edge in self._edges]
+            head = 0
+        self._head = head
 
     def report(self) -> dict[str, object]:
         """The full objective report (the ``repro slo`` payload).
@@ -190,19 +171,35 @@ class SLOTracker:
         ``healthy`` is True when no window burns above 1.0 — the error
         budget is being spent no faster than the objectives allow.
         """
-        burns = self._burns()
+        latency_budget = 1.0 - self.config.latency_target
+        availability_budget = 1.0 - self.config.availability_target
+        counts = []
         with self._lock:
+            now = self._clock()
+            self._retain(now)
+            log, end = self._log, len(self._log)
             totals = {"requests": self.requests, "errors": self.errors,
                       "slow": self.slow}
-        windows = [{
-            "window_seconds": burn.window,
-            "requests": burn.requests,
-            "slow": burn.slow,
-            "errors": burn.errors,
-            "latency_burn_rate": round(burn.latency_burn, 6),
-            "availability_burn_rate": round(burn.availability_burn, 6),
-        } for burn in burns]
-        healthy = all(burn.latency_burn <= 1.0
-                      and burn.availability_burn <= 1.0 for burn in burns)
+            for k, window in enumerate(self.config.windows):
+                edge = max(self._edges[k], self._head)
+                while edge < end and now - log[edge][0] > window:
+                    edge += 1
+                self._edges[k] = edge
+                _, slow, errors = log[edge] if edge < end \
+                    else (now, self.slow, self.errors)
+                counts.append((window, end - edge, self.slow - slow,
+                               self.errors - errors))
+        windows, healthy = [], True
+        for seconds, requests, slow, errors in counts:
+            latency_burn = availability_burn = 0.0
+            if requests:
+                latency_burn = (slow / requests) / latency_budget
+                availability_burn = (errors / requests) / availability_budget
+            healthy &= latency_burn <= 1.0 and availability_burn <= 1.0
+            windows.append({
+                "window_seconds": seconds, "requests": requests,
+                "slow": slow, "errors": errors,
+                "latency_burn_rate": round(latency_burn, 6),
+                "availability_burn_rate": round(availability_burn, 6)})
         return {"config": self.config.to_record(), "totals": totals,
                 "windows": windows, "healthy": healthy}

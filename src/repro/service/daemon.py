@@ -23,7 +23,8 @@ fronts are :func:`repro.service.aio.serve_async` (JSON lines and v3
 frames on one port) and :func:`repro.service.gateway.start_gateway`
 (HTTP), and :func:`serve_stdio` adapts a pair of text streams. Every
 front ends in :meth:`AllocationDaemon.handle`, which runs each request
-through :func:`repro.service.protocol.validate_request` exactly once.
+through :func:`repro.service.protocol.validate_request` exactly once
+and keeps one :class:`~repro.obs.flight.FlightRecord` of it.
 
 Consolidation: with ``consolidate_every`` and/or ``frag_threshold``
 set, the daemon runs a background defragmentation pass at epoch
@@ -38,27 +39,21 @@ kill+restore mid-consolidation reproduces exact state.
 
 Concurrency model
 -----------------
-Mutating operations (``place``, ``place_batch``, ``tick``,
-``fail_server``, ``recover_server``, ``consolidate``, plus
-snapshotting and shutdown) serialize on one *commit lock* — placement
-decisions must observe each other's commits, so decision order is the
-wire arrival order. Within a decision the allocator's ``select`` scans
-the live server states on the calling thread and the commit follows
-under the same hold of that lock — nothing else serializes a scan or a
-commit — so a probe never observes a half-applied placement. Read-only
-operations (``stats``, ``metrics``, ``ping``) take no lock at all —
-:class:`ServiceMetrics` is internally thread-safe and the store's
-gauges are single reads — so scrapes and health checks never queue
-behind placements. Ingest is *bounded*: at
-most ``max_inflight`` mutating requests may be in flight; beyond that
-the daemon answers ``{"ok": false, "error": "overloaded",
-"retry_after": ...}`` instead of piling up threads.
+Mutating operations, snapshots and shutdown serialize on one *commit
+lock* (the op classes are :attr:`AllocationDaemon._OPS`): decisions
+observe each other's commits in wire arrival order, and a scan and its
+commit share one hold of the lock, so a probe never observes a
+half-applied placement. Read-only operations take no lock —
+:class:`ServiceMetrics` is thread-safe and the store's gauges are
+single reads — so scrapes never queue behind placements. Ingest is
+*bounded*: beyond ``max_inflight`` mutating requests in flight the
+daemon answers ``{"ok": false, "error": "overloaded", "retry_after":
+...}`` instead of piling up threads.
 """
 
 from __future__ import annotations
 
 import inspect
-import json
 import threading
 from pathlib import Path
 from time import monotonic, perf_counter
@@ -79,17 +74,13 @@ from repro.exceptions import (
 from repro.model.vm import VM
 from repro.obs.context import TraceContext, trace_context_of
 from repro.obs.explain import ExplainRecorder
-from repro.obs.flight import FlightRecorder
+from repro.obs.flight import FlightRecord, FlightRecorder
 from repro.obs.logging import get_logger
 from repro.obs.slo import SLOConfig, SLOTracker
 from repro.obs.telemetry import TelemetryRing, TelemetrySample
 from repro.obs.tracer import get_tracer
 from repro.placement.config import EngineConfig
-from repro.service.errors import (
-    attach_error,
-    envelope_of_exception,
-    error_fields,
-)
+from repro.service.errors import attach_error, envelope_of_exception
 from repro.service.metrics import ServiceMetrics
 from repro.service.persistence import (
     RequestJournal,
@@ -98,9 +89,10 @@ from repro.service.persistence import (
 )
 from repro.service.protocol import (
     Request,
+    echo_envelope,
     encode,
-    negotiate_version,
     parse_request,
+    requested_version,
     validate_request,
 )
 from repro.service.state import (
@@ -113,27 +105,6 @@ from repro.workload.trace import vm_to_record
 __all__ = ["AllocationDaemon", "serve_stdio"]
 
 JOURNAL_NAME = "journal.jsonl"
-
-
-def _requested_version(request: object) -> int:
-    """Best-effort read of the version a *failing* request asked for.
-
-    Decides which error shape the client can read — the v3 envelope or
-    the legacy string — so even rejected requests answer in the
-    caller's dialect. Anything unparseable is treated as a v1 reader
-    (the legacy shape is the conservative choice).
-    """
-    message = request
-    if isinstance(message, str):
-        try:
-            message = json.loads(message)
-        except ValueError:
-            return 1
-    if isinstance(message, Mapping):
-        version = message.get("v", 1)
-        if isinstance(version, int) and not isinstance(version, bool):
-            return version
-    return 1
 
 
 class AllocationDaemon:
@@ -190,12 +161,10 @@ class AllocationDaemon:
         and served by the ``telemetry`` op / ``repro slo``.
     telemetry_capacity:
         Tick capacity of the fleet telemetry ring (one sample per
-        cluster tick, newest kept; 0 disables telemetry sampling
-        entirely).
+        cluster tick, newest kept; 0 disables sampling).
     flight_capacity:
-        Entry capacity of the flight recorder (the last N request/
-        response tuples served by ``dump_debug`` and dumped on
-        unhandled errors; 0 disables recording).
+        How many request records the flight recorder keeps (served by
+        ``dump_debug``, dumped on unhandled errors; 0 disables it).
     """
 
     def __init__(self, store: ClusterStateStore, *,
@@ -302,15 +271,10 @@ class AllocationDaemon:
         self._sample_telemetry()
 
     def _rebuild_fleet(self) -> None:
-        """(Re)build the scan list over the *live* servers.
-
-        Failure, recovery and consolidation change which state objects
-        may be scanned, so all three funnel through here: the list is
-        re-read from :meth:`ClusterStateStore.live_states` and the
-        allocator re-prepared, so its candidate index covers exactly
-        the servers it may choose. Note list positions are scan
-        positions, not server ids, once a server is dead.
-        """
+        """(Re)build the scan list over the *live* servers — after a
+        failure, a recovery or a consolidation swapped the state objects
+        — and re-prepare the allocator on it. List positions are scan
+        positions, not server ids, once a server is dead."""
         self._live = self.store.live_states()
         self.allocator.prepare(self._live)
 
@@ -342,8 +306,7 @@ class AllocationDaemon:
                 self._placed_since_snapshot >= every:
             self.write_snapshot()
 
-    def _journal(self, op: str, ctx: TraceContext,
-                 **payload: object) -> None:
+    def _journal(self, op: str, ctx: TraceContext, **payload: object) -> None:
         """Append one mutation — the one writer of the entries
         :meth:`ClusterStateStore.apply` reads; no-op without a journal."""
         if self.journal is not None:
@@ -363,16 +326,12 @@ class AllocationDaemon:
         the allocator hears of those made since the fleet last changed
         (``Allocator.replayed``: round robin resumes its rotation —
         random fit's and FFPS's draws are not replayed, see
-        ``docs/service.md``). Journal entries carry the trace ids of
-        the original requests; replay reuses the *recorded* ids (logs
-        and spans correlate to the original episodes) and never
-        re-generates them.
+        ``docs/service.md``). Replay logs the *recorded* trace ids,
+        never fresh ones.
 
-        ``on_built`` is invoked with the daemon after construction but
-        *before* the journal tail replays, while :attr:`ready` is still
-        False — the CLI uses it to bring the gateway up early, so
-        probes report not-ready and mutating requests are refused
-        during the restore.
+        ``on_built`` gets the daemon before the tail replays, while
+        :attr:`ready` is still False — the CLI brings the gateway up
+        there, so probes report not-ready and mutations are refused.
         """
         data_dir = Path(data_dir)
         document = SnapshotManager(data_dir).load_latest()
@@ -438,12 +397,9 @@ class AllocationDaemon:
         if logger.enabled:
             # Replay logs carry the *recorded* trace ids verbatim — a
             # restored daemon's log tells the original run's story.
-            fields: dict[str, object] = {"op": str(op),
-                                         "seq": entry.get("seq")}
-            for key in ("trace_id", "request_id"):
-                if key in entry:
-                    fields[key] = entry[key]
-            logger.info("service.replay", **fields)
+            logger.info("service.replay", op=str(op), seq=entry.get("seq"),
+                        **{key: entry[key] for key in ("trace_id",
+                           "request_id") if key in entry})
         # Recorded decisions are applied verbatim, one atomic group per
         # batch/failure/episode; what comes back is what it counts for.
         applied = self.store.apply(entry)
@@ -479,21 +435,35 @@ class AllocationDaemon:
     # -- request handling --------------------------------------------------
 
     def handle_line(self, line: str) -> str:
-        """Serve one raw protocol line; always returns a response line."""
+        """Serve one raw protocol line; always returns a response line.
+
+        The request's :class:`~repro.obs.flight.FlightRecord` is made
+        here, stamped read, decoded and encoded; :meth:`handle` fills
+        the rest. An unreadable line is refused and recorded nowhere."""
+        record = FlightRecord(perf_counter())
         tracer = get_tracer()
-        with tracer.span("service.ingest"):
-            try:
-                message = parse_request(line)
-            except ServiceError as exc:
-                return self.refuse(exc, _requested_version(line))
-        response = self.handle(message)
-        with tracer.span("service.respond"):
-            return encode(response)
+        try:
+            message = parse_request(line)
+        except ServiceError as exc:
+            text = self.refuse(exc, requested_version(line))
+            if tracer.enabled:
+                tracer.finished_span("service.ingest", record.read,
+                                     perf_counter())
+            return text
+        record.decoded = perf_counter()
+        text = encode(self.handle(message, record))
+        record.encoded = perf_counter()
+        if tracer.enabled:
+            tracer.finished_span("service.ingest", record.read,
+                                 record.decoded)
+            tracer.finished_span("service.respond", record.answered,
+                                 record.encoded)
+        return text
 
     def refuse(self, error: ServiceError, version: int) -> str:
-        """The response line for a request that could not be read at
-        all — an invalid line, or (from the socket front) a bad frame
-        header or an over-long line — in the shape ``version`` reads."""
+        """The answer to a request that could not be read at all — an
+        invalid line, a bad frame header or an over-long line — in the
+        shape ``version`` reads."""
         return encode(self._failure(error, version))
 
     def _failure(self, error: ReproError, version: int,
@@ -514,97 +484,101 @@ class AllocationDaemon:
             response["supported_ops"] = list(error.supported)
         return response
 
-    def handle(self, message: Mapping[str, object]) -> dict[str, object]:
+    def handle(self, message: Mapping[str, object],
+               record: FlightRecord | None = None) -> dict[str, object]:
         """Serve one request; never raises on domain errors.
 
-        A message that is not a :class:`~repro.service.protocol.Request`
-        (it did not come out of ``parse_request``) is validated here
-        first, so every front is held to the same field rules.
-        Responses echo the request's ``"v"`` field when one was sent
-        (v1 clients that omit it keep getting byte-identical replies),
-        and echo ``trace_id``/``request_id`` whenever the request
-        carried either — id-less requests are still correlated
-        internally (spans, journal, logs) with daemon-minted ids.
+        ``record`` is the one :meth:`handle_line` made; an in-process
+        message gets its own. A message that did not come out of
+        ``parse_request`` is validated here, so every front is held to
+        the same field rules. A request whose version or ids cannot be
+        read is only answered; any other is served, and its record is
+        what the flight ring keeps, the SLO tracker samples, the log
+        line says and the wrapper spans are booked from. Id-less
+        requests are still correlated internally with minted ids.
         """
+        if record is None:
+            record = FlightRecord(perf_counter())
         op = message.get("op")
+        request, refusal = message, None
+        if not isinstance(message, Request):
+            try:
+                request = validate_request(message)
+            except ReproError as exc:
+                refusal = exc
+        record.version = version = requested_version(request)
         try:
-            version = negotiate_version(message)
-            ctx = trace_context_of(message)
+            if isinstance(refusal, ProtocolVersionError):
+                raise refusal
+            record.ctx = ctx = trace_context_of(message)
         except ServiceError as exc:
-            return self._failure(exc, _requested_version(message), op=op)
-        tracer = get_tracer()
-        started = perf_counter()
-        with tracer.span("service.request", op=str(op),
-                         trace_id=ctx.trace_id,
-                         request_id=ctx.request_id) as span:
-            response = self._guarded(op, message, ctx, version)
-            ok = bool(response.get("ok"))
-            span.set(ok=ok)
-        latency = perf_counter() - started
-        self._observe_outcome(op, message, response, ctx, latency, ok)
-        if "trace_id" in message or "request_id" in message:
-            response.setdefault("trace_id", ctx.trace_id)
-            response.setdefault("request_id", ctx.request_id)
-        if "v" in message:
-            response.setdefault("v", message["v"])
-        return response
-
-    def _observe_outcome(self, op: object, message: Mapping[str, object],
-                         response: Mapping[str, object],
-                         ctx: TraceContext, latency: float,
-                         ok: bool) -> None:
-        """Feed one finished request to the SLO tracker, the flight
-        recorder and the structured log."""
-        self.slo.observe(latency, ok=ok)
-        if ok:
-            error = None
-        else:
-            # The envelope and the legacy string both reduce to one
-            # message for the black box / log line.
-            fields_view = error_fields(response)
-            error = fields_view.message if fields_view is not None \
-                else str(response.get("error"))
-        self.flight.record(
-            op=str(op), trace_id=ctx.trace_id,
-            request_id=ctx.request_id, ok=ok, latency_ms=latency * 1e3,
-            request=message, response=response, error=error)
-        logger = get_logger()
-        if logger.enabled:
-            fields: dict[str, object] = {
-                "op": str(op), "trace_id": ctx.trace_id,
-                "request_id": ctx.request_id,
-                "latency_ms": round(latency * 1e3, 3)}
-            if "decision" in response:
-                fields["decision"] = response["decision"]
-            if ok:
-                logger.info("service.request", **fields)
-            else:
-                logger.error("service.request", error=error, **fields)
-
-    def _guarded(self, op: object, message: Mapping[str, object],
-                 ctx: TraceContext, version: int) -> dict[str, object]:
-        """Validate (unless ``parse_request`` already did), run the
-        op, and turn any domain error into the failure response."""
+            response = self._failure(exc, version, op=op)
+            record.answered = perf_counter()
+            return response
+        record.op, record.raw_request = str(op), message
         try:
-            if not isinstance(message, Request):
-                message = validate_request(message)
-            return self._run(message, ctx)
+            if refusal is not None:
+                raise refusal
+            response = self._run(request, record)
         except ReproError as exc:
-            return self._failure(exc, version, op=op)
+            response = self._failure(exc, version, op=op)
+            record.error = str(exc)
         except Exception as exc:
             # An unhandled error is a daemon bug: preserve the raise,
             # but first capture the black box for the post-mortem.
-            self._dump_on_error(exc, op, ctx)
+            self._dump_on_error(exc, record)
             raise
+        record.answered = perf_counter()
+        record.ok = ok = bool(response.get("ok"))
+        record.raw_response = response
+        self.slo.observe(record.answered - record.decoded, ok=ok)
+        self.flight.record(record)
+        logger = get_logger()
+        if logger.enabled:
+            fields: dict[str, object] = {
+                "op": record.op, **ctx.to_fields(),
+                "latency_ms": record.latency_ms}
+            if record.decision is not None:
+                fields["decision"] = record.decision
+            if ok:
+                logger.info("service.request", **fields)
+            else:
+                logger.error("service.request", error=record.error,
+                             **fields)
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.finished_span("service.request", record.decoded,
+                                 record.answered, op=record.op,
+                                 **ctx.to_fields(), ok=ok)
+            spanned = self._OP_SPANS.get(record.op)
+            if spanned is not None and ok:
+                tracer.finished_span(f"service.{record.op}", record.locked,
+                                     record.journaled, **spanned(response))
+        return echo_envelope(message, response, ctx.to_fields())
+
+    #: ``op -> its span's attributes, read from its response``: the span
+    #: runs from the commit lock to the durable point, inside
+    #: ``service.request``. ``tick`` has none; a ``consolidate`` episode
+    #: books its own, as a background one does.
+    _OP_SPANS = {
+        "place": lambda r: {"vm_id": r["vm_id"], "decision": r["decision"]},
+        "place_batch": lambda r: {"batch": r["count"], "placed": r["placed"]},
+        "fail_server": lambda r: {
+            "server_id": r["server_id"], "time": r["time"],
+            "killed": r["killed"], "replaced": r["replaced"],
+            "lost": len(r["lost"])},
+        "recover_server": lambda r: {"server_id": r["server_id"]},
+    }
 
     def _run(self, request: Request,
-             ctx: TraceContext) -> dict[str, object]:
+             record: FlightRecord) -> dict[str, object]:
         """Apply the readiness gate and the ingest bound, take the
-        lock the op's class needs (see :attr:`_OPS`), dispatch."""
+        lock the op's class needs (see :attr:`_OPS`), stamp the record
+        ``locked`` and dispatch."""
         handler, kind = self._OPS[request["op"]]
         if kind == "read":
             if not self.closed:
-                return handler(self, request, ctx)
+                return handler(self, request, record)
         elif not self.ready:
             raise UnavailableError("daemon is restoring")
         mutating = kind == "mutating"
@@ -617,9 +591,10 @@ class AllocationDaemon:
                 self._inflight += 1
         try:
             with self._commit_lock:
+                record.locked = perf_counter()
                 if self.closed:
                     raise UnavailableError("daemon is shut down")
-                response = handler(self, request, ctx)
+                response = handler(self, request, record)
                 if mutating:
                     self._sample_telemetry()
                 return response
@@ -630,22 +605,21 @@ class AllocationDaemon:
             if gate is not None:
                 gate.release()
 
-    def _dump_on_error(self, exc: BaseException, op: object,
-                       ctx: TraceContext) -> None:
+    def _dump_on_error(self, exc: BaseException,
+                       record: FlightRecord) -> None:
         """Dump the flight recorder on an unhandled error (best effort)."""
-        logger = get_logger()
+        logger, ctx = get_logger(), record.ctx
         if logger.enabled:
-            logger.error("service.unhandled_error", op=str(op),
-                         trace_id=ctx.trace_id,
-                         request_id=ctx.request_id,
+            logger.error("service.unhandled_error", op=record.op,
+                         **ctx.to_fields(),
                          exception=f"{type(exc).__name__}: {exc}")
         if self._data_dir is None or not self.flight.enabled:
             return
         try:
-            name = f"flight-dump-{ctx.trace_id}.json"
             self.flight.dump_to(
-                self._data_dir / name,
-                reason=f"unhandled {type(exc).__name__} in op {op!r}")
+                self._data_dir / f"flight-dump-{ctx.trace_id}.json",
+                reason=f"unhandled {type(exc).__name__} in op "
+                       f"{record.op!r}")
         except OSError:  # pragma: no cover - best-effort black box
             pass
 
@@ -656,30 +630,26 @@ class AllocationDaemon:
         window = int(self.config["max_inflight"]) or 1
         return round(min(5.0, max(0.01, p50 * window)), 4)
 
-    def _handle_metrics(self, request: Request,
-                        ctx: TraceContext) -> dict[str, object]:
+    def _handle_metrics(self, *_: object) -> dict[str, object]:
         return {"ok": True, "op": "metrics", "text": self.render_metrics()}
 
-    def _handle_dump_debug(self, request: Request,
-                           ctx: TraceContext) -> dict[str, object]:
+    def _handle_dump_debug(self, *_: object) -> dict[str, object]:
         return {"ok": True, "op": "dump_debug", "count": len(self.flight),
                 "capacity": self.flight.capacity,
                 "records": self.flight.dump()}
 
-    def _handle_snapshot(self, request: Request,
-                         ctx: TraceContext) -> dict[str, object]:
+    def _handle_snapshot(self, *_: object) -> dict[str, object]:
         path = self.write_snapshot()
         if path is None:
             raise ServiceError(
                 "daemon runs without a data_dir; nothing to snapshot")
         return {"ok": True, "op": "snapshot", "path": str(path)}
 
-    def _handle_ping(self, request: Request,
-                     ctx: TraceContext) -> dict[str, object]:
+    def _handle_ping(self, *_: object) -> dict[str, object]:
         return {"ok": True, "op": "ping", "clock": self.store.clock}
 
     def _handle_telemetry(self, request: Request,
-                          ctx: TraceContext) -> dict[str, object]:
+                          record: FlightRecord) -> dict[str, object]:
         return {"ok": True, "op": "telemetry",
                 "clock": self.store.clock,
                 "enabled": self.telemetry.enabled,
@@ -688,20 +658,13 @@ class AllocationDaemon:
                 "slo": self.slo.report()}
 
     def _sample_telemetry(self) -> None:
-        """Record one fleet sample when the cluster tick has moved.
-
-        Called on the commit path (under the commit lock), so the
-        per-request cost while the tick is unchanged is one integer
-        compare; the full sample — including the fragmentation scan —
-        runs once per tick.
-        """
-        if not self.telemetry.enabled:
-            return
-        clock = self.store.clock
-        if clock == self._last_sampled_tick:
+        """Record one fleet sample when the cluster tick has moved: on
+        the commit path a request pays one integer compare, and the
+        full sample (fragmentation scan included) runs once per tick."""
+        store, clock = self.store, self.store.clock
+        if not self.telemetry.enabled or clock == self._last_sampled_tick:
             return
         self._last_sampled_tick = clock
-        store = self.store
         fleet = store.fleet  # O(1) incrementally-maintained totals
         self.telemetry.record(TelemetrySample(
             tick=clock,
@@ -717,7 +680,7 @@ class AllocationDaemon:
             placed=self.metrics.requests["placed"],
             rejected=self.metrics.requests["rejected"]))
 
-    def _decide(self, vms: Sequence[VM],
+    def _decide(self, vms: Sequence[VM], record: FlightRecord,
                 recorder: ExplainRecorder | None = None) -> tuple:
         """The one decision loop — ``place`` is a batch of one: each VM,
         in the paper's online order (start, end, id), advances the
@@ -725,8 +688,9 @@ class AllocationDaemon:
         commits. Returns the response items in request order, the
         placed count, their deltas summed in decision order and the
         journal records (``None`` without a journal). One
-        ``observe_request`` counts the decisions; a tracer books each
-        stage from the clock reads the samples take."""
+        ``observe_request`` counts the decisions; the clock reads taken
+        for its samples also book the stage spans and stamp
+        ``record.decided``."""
         store, allocator, live = self.store, self.allocator, self._live
         max_delay = int(self.config["max_delay"])
         algorithm = str(self.config["algorithm"])
@@ -739,6 +703,7 @@ class AllocationDaemon:
         entries = [] if self.journal is not None else None
         energy_delta, placed, delayed = 0.0, 0, 0
         latencies, candidates, scans = [], [], []
+        ended = record.locked   # an empty batch decides at the lock
         try:
             for i in order:
                 vm = vms[i]
@@ -756,8 +721,8 @@ class AllocationDaemon:
                     book("service.allocate", scanning, ended,
                          algorithm=algorithm)
                 if decision is None:
-                    record: dict[str, object] = {"decision": "rejected"}
-                    items[i] = {"vm_id": vm.vm_id, **record}
+                    outcome: dict[str, object] = {"decision": "rejected"}
+                    items[i] = {"vm_id": vm.vm_id, **outcome}
                 else:
                     server_id = decision.state.server.server_id
                     delta = store.commit(decision.vm, server_id)
@@ -765,9 +730,9 @@ class AllocationDaemon:
                     if book:
                         book("service.commit", scanned, ended,
                              server_id=server_id)
-                    record = {"decision": "placed", "server_id": server_id,
-                              "delay": decision.delay}
-                    items[i] = {"vm_id": vm.vm_id, **record,
+                    outcome = {"decision": "placed", "server_id": server_id,
+                               "delay": decision.delay}
+                    items[i] = {"vm_id": vm.vm_id, **outcome,
                                 "energy_delta": delta}
                     energy_delta += delta
                     placed += 1
@@ -775,38 +740,36 @@ class AllocationDaemon:
                 latencies.append(ended - started)
                 candidates.append(allocator.candidates_feasible)
                 if entries is not None:
-                    entries.append({"vm": vm_to_record(vm), **record})
+                    entries.append({"vm": vm_to_record(vm), **outcome})
         finally:    # a raising commit keeps the decided VMs' samples
             self.metrics.observe_request(
                 placed=placed, rejected=len(latencies) - placed,
                 delayed=delayed, algorithm=algorithm, latencies=latencies,
                 candidates=candidates, scans=scans)
+        record.decided = ended
         return items, placed, energy_delta, entries
 
     def _handle_place(self, request: Request,
-                      ctx: TraceContext) -> dict[str, object]:
-        vm = request["_vm"]
+                      record: FlightRecord) -> dict[str, object]:
         recorder = ExplainRecorder() if request.get("explain") else None
-        started = perf_counter()
-        with get_tracer().span("service.place", vm_id=vm.vm_id) as span:
-            (item,), placed, _, entries = self._decide([vm], recorder)
-            span.set(decision=item["decision"])
-            response = {"ok": True, "op": "place", **item,
-                        "latency_ms": (perf_counter() - started) * 1e3}
-            if recorder is not None and recorder.last is not None:
-                response["explanation"] = recorder.last.to_record()
-            if entries:
-                self._journal("place", ctx, **entries[0])
-            self._maybe_snapshot(placed)
+        (item,), placed, _, entries = self._decide([request["_vm"]], record,
+                                                   recorder)
+        if entries:
+            self._journal("place", record.ctx, **entries[0])
+        self._maybe_snapshot(placed)
+        record.decision = item["decision"]
+        response = {"ok": True, "op": "place", **item,
+                    "latency_ms": record.durable()}
+        if recorder is not None and recorder.last is not None:
+            response["explanation"] = recorder.last.to_record()
         self._maybe_consolidate()
         return response
 
     def _handle_place_batch(self, request: Request,
-                            ctx: TraceContext) -> dict[str, object]:
+                            record: FlightRecord) -> dict[str, object]:
         vms = request["_vms"]
-        # Whole-batch validation before any mutation: a duplicate vm_id
-        # (within the batch or against committed placements) would fail
-        # mid-batch and tear the journal group, so reject it up front.
+        # A duplicate vm_id (in the batch or already placed) would fail
+        # mid-batch and tear the journal group: refuse it up front.
         seen: set[int] = set()
         for vm in vms:
             if vm.vm_id in seen:
@@ -814,59 +777,50 @@ class AllocationDaemon:
                     f"place_batch carries vm_id {vm.vm_id} twice")
             seen.add(vm.vm_id)
             if self.store.is_placed(vm.vm_id):
-                raise ServiceError(
-                    f"vm_id {vm.vm_id} is already placed")
-        started = perf_counter()
-        with get_tracer().span("service.place_batch",
-                               batch=len(vms)) as span:
-            self.metrics.batch_size.observe(len(vms))
-            decisions, placed, energy_delta, entries = self._decide(vms)
-            for item in decisions:  # a batch spells a rejection out
-                if item["decision"] == "rejected":
-                    item.update(server_id=None, delay=0, energy_delta=0.0)
-            span.set(placed=placed)
-            if entries:
-                # The trace ids ride the group header — one id for the
-                # whole batch episode, replayed verbatim on restore.
-                self._journal("place_batch", ctx, decisions=entries)
-            self._maybe_snapshot(placed)
+                raise ServiceError(f"vm_id {vm.vm_id} is already placed")
+        self.metrics.batch_size.observe(len(vms))
+        decisions, placed, energy_delta, entries = self._decide(vms, record)
+        for item in decisions:  # a batch spells a rejection out
+            if item["decision"] == "rejected":
+                item.update(server_id=None, delay=0, energy_delta=0.0)
+        if entries:
+            # The trace ids ride the group header — one id for the
+            # whole batch episode, replayed verbatim on restore.
+            self._journal("place_batch", record.ctx, decisions=entries)
+        self._maybe_snapshot(placed)
+        response = {"ok": True, "op": "place_batch", "count": len(vms),
+                    "placed": placed, "rejected": len(vms) - placed,
+                    "decisions": decisions, "energy_delta": energy_delta,
+                    "latency_ms": record.durable()}
         self._maybe_consolidate()
-        return {"ok": True, "op": "place_batch", "count": len(vms),
-                "placed": placed, "rejected": len(vms) - placed,
-                "decisions": decisions, "energy_delta": energy_delta,
-                "latency_ms": (perf_counter() - started) * 1e3}
+        return response
 
     def _handle_tick(self, request: Request,
-                     ctx: TraceContext) -> dict[str, object]:
+                     record: FlightRecord) -> dict[str, object]:
         now = request["now"]
         if now > self.store.clock:
             self.store.advance_to(now)
-            self._journal("tick", ctx, now=now)
+            self._journal("tick", record.ctx, now=now)
             self._maybe_consolidate()
         return {"ok": True, "op": "tick", "clock": self.store.clock,
                 "servers_active": self.store.servers_active(),
                 "running_vms": self.store.running_vms()}
 
     def _handle_fail_server(self, request: Request,
-                            ctx: TraceContext) -> dict[str, object]:
+                            record: FlightRecord) -> dict[str, object]:
         server_id = request["server_id"]
         # Default: the failure is observed now. Clock 0 (nothing placed
         # yet) rounds up to the first real tick.
         time = request.get("time", max(self.store.clock, 1))
-        started = perf_counter()
-        with get_tracer().span("service.fail_server", server_id=server_id,
-                               time=time) as span:
-            report = self.store.fail_server(server_id, time,
-                                            recovery=self.allocator)
-            self._rebuild_fleet()
-            span.set(killed=report.killed, replaced=report.replaced,
-                     lost=len(report.lost))
-            # One atomic journal group per failure: the episode's
-            # every re-placement restores together or not at all.
-            self._journal("fail_server", ctx, server_id=server_id,
-                          time=report.time, replacements=report.records)
-            self._count_failure(report)
-            self._maybe_snapshot(report.replaced)
+        report = self.store.fail_server(server_id, time,
+                                        recovery=self.allocator)
+        self._rebuild_fleet()
+        # One atomic journal group per failure: the episode's every
+        # re-placement restores together or not at all.
+        self._journal("fail_server", record.ctx, server_id=server_id,
+                      time=report.time, replacements=report.records)
+        self._count_failure(report)
+        self._maybe_snapshot(report.replaced)
         return {
             "ok": True, "op": "fail_server", "server_id": server_id,
             "time": report.time, "killed": report.killed,
@@ -876,21 +830,19 @@ class AllocationDaemon:
             "energy_delta": report.energy_delta,
             "replacements": [
                 {"vm_id": r.vm.vm_id,
-                 "head_id": r.head.vm_id if r.head is not None else None,
+                 "head_id": getattr(r.head, "vm_id", None),
                  "remainder_id": r.remainder.vm_id,
-                 "server_id": r.server_id,
-                 "energy_delta": r.energy_delta}
+                 "server_id": r.server_id, "energy_delta": r.energy_delta}
                 for r in report.replacements],
-            "latency_ms": (perf_counter() - started) * 1e3,
+            "latency_ms": record.durable(),
         }
 
     # -- consolidation -----------------------------------------------------
 
-    def _run_consolidation(self, time: int,
-                           ctx: TraceContext) -> tuple[object, float]:
+    def _run_consolidation(self, time: int, ctx: TraceContext):
         """One consolidation episode at tick ``time``: plan against the
         store, journal the moves as one atomic group, refresh the fleet
-        and the metrics. Returns ``(report, duration_seconds)``."""
+        and the metrics. Returns the episode's report."""
         started = perf_counter()
         with get_tracer().span("service.consolidate", time=time,
                                trace_id=ctx.trace_id) as span:
@@ -908,10 +860,9 @@ class AllocationDaemon:
             # on-demand one may still have advanced the clock.
             self._journal("consolidate", ctx, time=report.time,
                           moves=report.records)
-            duration = perf_counter() - started
-            self._count_consolidation(report, duration)
+            self._count_consolidation(report, perf_counter() - started)
             self._maybe_snapshot(report.migrations)
-        return report, duration
+        return report
 
     def _maybe_consolidate(self) -> None:
         """Fire the background consolidation pass when a trigger is due
@@ -920,24 +871,21 @@ class AllocationDaemon:
         if clock < 1 or clock == self._last_consolidated_tick:
             return
         every = int(self.config["consolidate_every"])
-        if every > 0 and \
-                clock // every > self._last_consolidated_tick // every:
+        threshold = self.config["frag_threshold"]
+        if (every > 0 and
+                clock // every > self._last_consolidated_tick // every) or (
+                threshold is not None and float(threshold) <=
+                self.monitor.reading(self.store).fragmentation):
             # A background episode is its own logical operation: it
             # gets a fresh trace context of its own.
             self._run_consolidation(clock, TraceContext.new())
-            return
-        threshold = self.config["frag_threshold"]
-        if threshold is not None and \
-                self.monitor.reading(self.store).fragmentation \
-                >= float(threshold):
-            self._run_consolidation(clock, TraceContext.new())
 
     def _handle_consolidate(self, request: Request,
-                            ctx: TraceContext) -> dict[str, object]:
+                            record: FlightRecord) -> dict[str, object]:
         # Default: consolidate now. Clock 0 (nothing placed yet) rounds
         # up to the first real tick.
         time = request.get("time", max(self.store.clock, 1))
-        report, duration = self._run_consolidation(time, ctx)
+        report = self._run_consolidation(time, record.ctx)
         return {
             "ok": True, "op": "consolidate", "time": report.time,
             "migrations": report.migrations,
@@ -945,31 +893,25 @@ class AllocationDaemon:
             "energy_saved": report.energy_saved,
             "migration_energy": report.migration_energy,
             "moves": [
-                {"vm_id": move.vm.vm_id,
-                 "head_id": move.head.vm_id,
-                 "remainder_id": move.remainder.vm_id,
-                 "source_id": move.source_id,
-                 "target_id": move.target_id,
-                 "saving": move.saving, "cost": move.cost}
-                for move in report.moves],
-            "latency_ms": duration * 1e3,
+                {"vm_id": m.vm.vm_id, "head_id": m.head.vm_id,
+                 "remainder_id": m.remainder.vm_id, "source_id": m.source_id,
+                 "target_id": m.target_id, "saving": m.saving, "cost": m.cost}
+                for m in report.moves],
+            "latency_ms": record.durable(),
         }
 
     def _handle_recover_server(self, request: Request,
-                               ctx: TraceContext) -> dict[str, object]:
+                               record: FlightRecord) -> dict[str, object]:
         server_id = request["server_id"]
-        tracer = get_tracer()
-        with tracer.span("service.recover_server", server_id=server_id):
-            self.store.recover_server(server_id)
-            self._rebuild_fleet()
-            self._journal("recover_server", ctx, server_id=server_id)
+        self.store.recover_server(server_id)
+        self._rebuild_fleet()
+        self._journal("recover_server", record.ctx, server_id=server_id)
+        record.durable()
         return {"ok": True, "op": "recover_server",
                 "server_id": server_id, "clock": self.store.clock,
                 "servers_failed": self.store.servers_failed()}
 
-    def _handle_stats(self, request: Request | None = None,
-                      ctx: TraceContext | None = None
-                      ) -> dict[str, object]:
+    def _handle_stats(self, *_: object) -> dict[str, object]:
         return {
             "ok": True, "op": "stats",
             "clock": self.store.clock,
@@ -988,8 +930,7 @@ class AllocationDaemon:
             "migrations": self.metrics.migrations,
         }
 
-    def _handle_shutdown(self, request: Request,
-                         ctx: TraceContext) -> dict[str, object]:
+    def _handle_shutdown(self, *_: object) -> dict[str, object]:
         self.write_snapshot()
         if self.journal is not None:
             self.journal.close()
@@ -998,11 +939,10 @@ class AllocationDaemon:
             hook()
         return {"ok": True, "op": "shutdown", "clock": self.store.clock}
 
-    #: The op table: ``op -> (handler, class)``. ``"mutating"`` ops
-    #: count against the bounded ingest window, take the commit lock
-    #: and feed the telemetry ring; ``"control"`` ops take the commit
-    #: lock only; ``"read"`` ops take no lock and are the only ones
-    #: served while a restore replays.
+    #: The op table: ``op -> (handler, class)``. ``"mutating"`` ops count
+    #: against the ingest window, take the commit lock and feed the
+    #: telemetry ring; ``"control"`` ops take the commit lock only;
+    #: ``"read"`` ops take none and alone are served during a restore.
     _OPS = {
         "place": (_handle_place, "mutating"),
         "place_batch": (_handle_place_batch, "mutating"),

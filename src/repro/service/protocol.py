@@ -141,7 +141,8 @@ from repro.model.vm import VM
 from repro.workload.trace import vm_from_record, vm_to_record
 
 __all__ = ["PROTOCOL_VERSION", "SUPPORTED_VERSIONS", "OPS",
-           "Request", "negotiate_version", "parse_request",
+           "Request", "negotiate_version", "requested_version",
+           "echo_envelope", "parse_request",
            "validate_request", "parse_response",
            "encode", "place_request", "place_batch_request",
            "fail_server_request", "recover_server_request",
@@ -251,6 +252,40 @@ def negotiate_version(message: Mapping[str, object]) -> int:
             f"speaks versions {list(SUPPORTED_VERSIONS)}",
             version=version, supported=SUPPORTED_VERSIONS)
     return version
+
+
+def requested_version(message: object) -> int:
+    """Best-effort read of the version a message or raw line asked for
+    — the negotiated one when :func:`negotiate_version` accepts it.
+
+    Decides which error shape a failure is answered in (the v3
+    envelope or the legacy string); anything unparseable reads as v1,
+    the conservative choice.
+    """
+    if isinstance(message, str):
+        try:
+            message = json.loads(message)
+        except ValueError:
+            return 1
+    if isinstance(message, Mapping):
+        version = message.get("v", 1)
+        if isinstance(version, int) and not isinstance(version, bool):
+            return version
+    return 1
+
+
+def echo_envelope(request: Mapping[str, object],
+                  response: dict[str, object],
+                  ids: Mapping[str, str]) -> dict[str, object]:
+    """``response`` in the dialect ``request`` spoke: the trace ``ids``
+    echoed when it carried either (an id-less v1 client keeps getting
+    byte-identical replies), and its ``"v"`` when it sent one."""
+    if "trace_id" in request or "request_id" in request:
+        for key, value in ids.items():
+            response.setdefault(key, value)
+    if "v" in request:
+        response.setdefault("v", request["v"])
+    return response
 
 
 class Request(dict):

@@ -101,6 +101,8 @@ class TestTracer:
             begun = time.perf_counter()
             ended = begun + 2.5e-6
             tracer.finished_span("stage", begun, ended, server_id=3)
+            while time.perf_counter() <= ended:  # the stage's made-up end
+                pass                             # must fall inside outer
         stage, outer = tracer.events
         assert stage.kind == SPAN and stage.name == "stage"
         assert stage.ts_ns == round(begun * 1e9)

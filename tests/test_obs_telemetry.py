@@ -6,8 +6,11 @@ from __future__ import annotations
 
 import json
 import re
+import time
+from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ServiceError, ValidationError
 from repro.obs import (
@@ -23,8 +26,9 @@ from repro.obs import (
 )
 from repro.obs.context import new_request_id, new_trace_id, \
     trace_context_of
-from repro.obs.flight import MAX_LIST_ITEMS, MAX_STRING_LENGTH
+from repro.obs.flight import MAX_LIST_ITEMS, MAX_STRING_LENGTH, FlightRecord
 from repro.obs.logging import NULL_LOGGER, NullLogger, set_logger
+from repro.obs.slo import DEFAULT_CAPACITY
 from repro.obs.telemetry import samples_from_records
 from repro.obs.tracer import COUNTER
 
@@ -345,20 +349,116 @@ class TestSLOTracker:
         assert all(w["requests"] == 0 for w in report["windows"])
 
 
+def full_scan_report(history, now, config, capacity):
+    """The report as the tracker once built it: every observation into
+    one deque capped at ``capacity`` and pruned past the longest window
+    as it arrives, then, per report, a scan of all that is retained."""
+    retained = deque(maxlen=capacity)
+
+    def prune(at):
+        while retained and retained[0][0] < at - config.windows[-1]:
+            retained.popleft()
+
+    for ts, latency, ok in history:
+        retained.append((ts, latency <= config.latency_objective, ok))
+        prune(ts)
+    prune(now)
+    windows, burning = [], False
+    for window in config.windows:
+        inside = [(fast, ok) for ts, fast, ok in retained
+                  if now - ts <= window]
+        slow = sum(not fast for fast, _ in inside)
+        errors = sum(not ok for _, ok in inside)
+        latency_burn = availability_burn = 0.0
+        if inside:
+            latency_burn = (slow / len(inside)) / (1 - config.latency_target)
+            availability_burn = (errors / len(inside)) \
+                / (1 - config.availability_target)
+        burning |= latency_burn > 1.0 or availability_burn > 1.0
+        windows.append({
+            "window_seconds": window, "requests": len(inside),
+            "slow": slow, "errors": errors,
+            "latency_burn_rate": round(latency_burn, 6),
+            "availability_burn_rate": round(availability_burn, 6)})
+    totals = {"requests": len(history),
+              "errors": sum(not ok for _, _, ok in history),
+              "slow": sum(latency > config.latency_objective
+                          for _, latency, _ in history)}
+    return {"config": config.to_record(), "totals": totals,
+            "windows": windows, "healthy": not burning}
+
+
+STEPS = st.lists(st.tuples(
+    st.sampled_from([0.0, 0.25, 1.0, 2.5, 7.0, 10.0, 40.0]),
+    st.one_of(st.none(), st.tuples(st.sampled_from([0.01, 0.5]),
+                                   st.booleans()))), max_size=60)
+
+
+class TestSLOReportIsTheFullScan:
+    """Running per-window counts answer what a scan of every retained
+    observation answered, capacity eviction included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(steps=STEPS, capacity=st.integers(1, 12),
+           windows=st.sampled_from([(10.0,), (2.5, 10.0),
+                                    (1.0, 10.0, 40.0)]))
+    def test_report_equals_the_full_scan(self, steps, capacity, windows):
+        config = SLOConfig(latency_objective=0.1, latency_target=0.8,
+                           availability_target=0.8, windows=windows)
+        now = [0.0]
+        tracker = SLOTracker(config, clock=lambda: now[0],
+                             capacity=capacity)
+        history = []
+        for step, observed in steps:
+            now[0] += step
+            if observed is None:   # a report at this moment
+                assert tracker.report() == full_scan_report(
+                    history, now[0], config, capacity)
+            else:
+                latency, ok = observed
+                tracker.observe(latency, ok=ok)
+                history.append((now[0], latency, ok))
+        assert tracker.report() == full_scan_report(
+            history, now[0], config, capacity)
+
+    def test_a_report_at_capacity_costs_no_scan(self):
+        tracker = SLOTracker(clock=lambda: 5.0)
+        for i in range(DEFAULT_CAPACITY + 10):
+            tracker.observe(0.5 if i % 7 == 0 else 0.01, ok=i % 11 != 0)
+        assert len(tracker._observations) == DEFAULT_CAPACITY
+        costs = []
+        for _ in range(20):
+            started = time.perf_counter()
+            report = tracker.report()
+            costs.append(time.perf_counter() - started)
+        assert report["windows"][0]["requests"] == DEFAULT_CAPACITY
+        assert min(costs) < 1e-4, min(costs)
+
+
+def answered(op, *, ok=True, latency_ms=0.1, trace_id="t",
+             request_id="r", request=None, response=None, error=None):
+    """A request record as the daemon leaves it once answered."""
+    record = FlightRecord(0.0)
+    record.answered = latency_ms / 1e3
+    record.op, record.ok, record.error = op, ok, error
+    record.ctx = TraceContext(trace_id, request_id)
+    record.raw_request, record.raw_response = request, response
+    return record
+
+
 class TestFlightRecorder:
     def record_one(self, recorder, seq_op="place", ok=True, **kwargs):
-        recorder.record(op=seq_op, trace_id="t" * 16, request_id="r" * 8,
-                        ok=ok, latency_ms=1.23456,
-                        request=kwargs.get("request", {"op": seq_op}),
-                        response=kwargs.get("response", {"ok": ok}),
-                        error=kwargs.get("error"))
+        recorder.record(answered(
+            seq_op, ok=ok, latency_ms=1.23456, trace_id="t" * 16,
+            request_id="r" * 8,
+            request=kwargs.get("request", {"op": seq_op}),
+            response=kwargs.get("response", {"ok": ok}),
+            error=kwargs.get("error")))
 
     def test_ring_keeps_newest(self):
         recorder = FlightRecorder(capacity=3)
         for i in range(5):
-            recorder.record(op=f"op{i}", trace_id="t", request_id="r",
-                            ok=True, latency_ms=0.1, request={},
-                            response={})
+            recorder.record(answered(f"op{i}", request={}, response={}))
         assert [r.op for r in recorder.last()] == ["op2", "op3", "op4"]
         assert [r.seq for r in recorder.last()] == [3, 4, 5]
         assert len(recorder) == 3
