@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import bisect
 from contextlib import closing
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -62,6 +62,9 @@ from repro.obs.tracer import get_tracer
 from repro.placement.config import EngineConfig
 from repro.placement.index import CandidateIndex
 from repro.placement.kernels import FeasibilityBatch
+
+if TYPE_CHECKING:
+    from repro.simulation.admission import AdmissionDecision
 
 __all__ = ["Allocator"]
 
@@ -141,12 +144,12 @@ class Allocator:
         placements: dict[VM, int] = {}
         with closing(self._walk(vms, cluster, constraints, recorder,
                                 "allocator.allocate")) as walk:
-            for vm, server_id, _ in walk:
-                if server_id is None:
+            for vm, decision, _ in walk:
+                if decision is None:
                     raise AllocationError(
                         f"no admissible server can host {vm} for its "
                         f"whole duration", vm_id=vm.vm_id)
-                placements[vm] = server_id
+                placements[vm] = decision.state.server.server_id
         return Allocation(cluster, placements)
 
     def allocate_batch(self, vms: Iterable[VM], cluster: Cluster,
@@ -171,24 +174,38 @@ class Allocator:
         decisions: list[Decision | None] = [None] * len(items)
         with closing(self._walk(items, cluster, constraints, None,
                                 "allocator.allocate_batch")) as walk:
-            for vm, server_id, delta in walk:
+            for vm, decision, delta in walk:
                 decisions[slots[id(vm)].pop(0)] = Decision(
-                    vm=vm, server_id=server_id, energy_delta=delta)
+                    vm=vm, server_id=None if decision is None
+                    else decision.state.server.server_id,
+                    energy_delta=delta)
         return decisions
+
+    def books(self, cluster: Cluster) -> list[ServerState]:
+        """Fresh books for ``cluster`` with this allocator's sleep policy
+        and engine config: its walk's, and those of the failure replays
+        and epoch passes it decides for — one policy, one Γ."""
+        return [ServerState(server, policy=self._policy,
+                            engine=self.engine_config)
+                for server in cluster]
 
     def _walk(self, vms: Iterable[VM], cluster: Cluster,
               constraints: PlacementConstraints | None,
-              recorder: ExplainRecorder | None, span: str
-              ) -> Iterator[tuple[VM, int | None, float]]:
-        """The one offline decision loop behind :meth:`allocate` and
-        :meth:`allocate_batch`: on a fresh fleet, ``(vm, server_id,
-        energy_delta)`` per VM in :meth:`order_vms` order (``None``,
-        ``0.0`` when rejected). Run it under :func:`contextlib.closing`
+              recorder: ExplainRecorder | None, span: str,
+              max_delay: int = 0
+              ) -> Iterator[tuple[VM, AdmissionDecision | None, float]]:
+        """The one offline decision loop (:meth:`allocate`,
+        :meth:`allocate_batch`, ``AdmissionController.run``): on fresh
+        :meth:`books`, each VM in :meth:`order_vms` order goes through
+        :func:`~repro.simulation.admission.offer` with ``max_delay`` and
+        is committed; yields ``(vm, decision, energy_delta)``, ``None``
+        and ``0.0`` when rejected. Run it under :func:`contextlib.closing`
         so its ``finally`` runs when the caller stops at a rejection."""
+        # deferred: the admission module imports the allocators
+        from repro.simulation.admission import offer
+
         ordered = self.order_vms(list(vms))
-        states = [ServerState(server, policy=self._policy,
-                              engine=self.engine_config)
-                  for server in cluster]
+        states = self.books(cluster)
         self.prepare(states)
         self._constraints = constraints
         self._placed_ids = {}
@@ -197,24 +214,20 @@ class Allocator:
             with tracer.span(span, algorithm=self.name, vms=len(ordered),
                              servers=len(states)):
                 for vm in ordered:
-                    if recorder is not None:
-                        chosen, explanation = self.explain_select(
-                            vm, states)
-                        recorder.record(explanation)
-                    else:
-                        chosen = self.select(vm, states)
-                    if chosen is None:
+                    decision = offer(vm, states, self, max_delay, recorder)
+                    if decision is None:
                         yield vm, None, 0.0
                         continue
-                    delta = chosen.place(vm)
-                    server_id = chosen.server.server_id
+                    # ``offer`` has just admitted it on these books
+                    delta = decision.state.place_trusted(decision.vm)
+                    server_id = decision.state.server.server_id
                     self._placed_ids[vm.vm_id] = server_id
                     if tracer.enabled:
                         tracer.instant(
                             "place", vm_id=vm.vm_id, server_id=server_id,
                             feasible=self.candidates_feasible,
                             evaluated=self.candidates_evaluated)
-                    yield vm, server_id, delta
+                    yield vm, decision, delta
         finally:
             self._constraints = None
             self._placed_ids = {}

@@ -583,10 +583,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.allocators import make_allocator
-    from repro.allocators.state import ServerState
     from repro.model.cluster import Cluster
     from repro.obs.explain import ExplainRecorder, format_decision_table
-    from repro.simulation.admission import offer
+    from repro.simulation.admission import AdmissionController
 
     vms = _load_or_generate(args)
     if not vms:
@@ -594,16 +593,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         return 0
     n_servers = args.servers or max(1, len(vms) // 2)
     cluster = Cluster.paper_all_types(n_servers)
-    allocator = make_allocator(args.algorithm, seed=args.seed)
-    states = [ServerState(server) for server in cluster]
-    allocator.prepare(states)
     recorder = ExplainRecorder()
-    ordered = sorted(vms, key=lambda v: (v.start, v.end, v.vm_id))
-    for vm in ordered:
-        decision = offer(vm, states, allocator,
-                         max_delay=args.max_delay, recorder=recorder)
-        if decision is not None:
-            decision.state.place(decision.vm)
+    AdmissionController(make_allocator(args.algorithm, seed=args.seed),
+                        args.max_delay).run(vms, cluster, recorder=recorder)
     explanations = list(recorder)
     if args.vm_id is not None:
         explanations = recorder.for_vm(args.vm_id)
@@ -612,7 +604,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 1
     print(f"{args.algorithm} on {n_servers} servers, "
-          f"{len(ordered)} VMs offered "
+          f"{len(vms)} VMs offered "
           f"(max delay {args.max_delay}):\n")
     print(format_decision_table(explanations))
     # Full per-candidate breakdowns: every explanation when one VM was
@@ -656,6 +648,7 @@ def _parse_algo_params(pairs: Sequence[str]) -> dict[str, object]:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.allocators import make_allocator
     from repro.model.cluster import Cluster
     from repro.service import (
         AllocationDaemon,
@@ -696,14 +689,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     else:
         from repro.obs import SLOConfig
 
-        # ``--algo-param engine=...`` (an EngineConfig spec string,
-        # e.g. "indexed:kernel=off") configures the store's planning
-        # states too, so the allocator and the fleet agree.
+        # The store books with the engine the allocator resolves —
+        # ``--algo-param engine=...`` or gamma-ff's own Γ — so the
+        # daemon finds the two agreeing.
         algo_params = _parse_algo_params(args.algo_param)
-        engine = algo_params.get("engine")
         store = ClusterStateStore(
             Cluster.paper_all_types(args.servers),
-            **({"engine": engine} if isinstance(engine, str) else {}))
+            engine=make_allocator(args.algorithm, seed=args.seed,
+                                  **algo_params).engine_config.spec)
         daemon = AllocationDaemon(
             store, algorithm=args.algorithm, seed=args.seed,
             algo_params=algo_params,

@@ -35,9 +35,7 @@ from typing import Iterable
 
 from repro.allocators.base import Allocator
 from repro.allocators.min_energy import MinIncrementalEnergy
-from repro.allocators.state import ServerState
 from repro.consolidation.planner import MigrationPlanner
-from repro.energy.cost import SleepPolicy
 from repro.exceptions import ValidationError
 from repro.model.allocation import Allocation
 from repro.model.cluster import Cluster
@@ -88,7 +86,8 @@ class EpochConsolidator:
         watt-time-unit currency as the rest of the model.
     base:
         The allocator producing the initial plan (the paper's heuristic
-        by default).
+        by default). Its books (``Allocator.books``) carry the plan, so
+        its policy and engine (Γ included) price every migration too.
     planner:
         The shared :class:`MigrationPlanner` selecting moves (built from
         ``migration_cost_per_gb`` when omitted). Passing the daemon's
@@ -99,7 +98,6 @@ class EpochConsolidator:
     def __init__(self, epoch_length: int = 30,
                  migration_cost_per_gb: float = 5.0,
                  base: Allocator | None = None,
-                 policy: SleepPolicy = SleepPolicy.OPTIMAL,
                  planner: MigrationPlanner | None = None) -> None:
         if epoch_length <= 0:
             raise ValidationError(
@@ -108,15 +106,13 @@ class EpochConsolidator:
         self._planner = planner if planner is not None \
             else MigrationPlanner(migration_cost_per_gb)
         self._base = base if base is not None else MinIncrementalEnergy()
-        self._policy = policy
 
     def allocate(self, vms: Iterable[VM], cluster: Cluster
                  ) -> ConsolidationResult:
         """Produce the consolidated plan for ``vms`` on ``cluster``."""
         vms = list(vms)
         initial = self._base.allocate(vms, cluster)
-        states = [ServerState(server, policy=self._policy)
-                  for server in cluster]
+        states = self._base.books(cluster)
         # Pieces carry fresh ids above the original range so the final
         # Allocation stays a plain VM -> server mapping.
         next_id = max((vm.vm_id for vm in vms), default=-1) + 1
@@ -124,7 +120,7 @@ class EpochConsolidator:
         origin: dict[int, int] = {}
         for vm in vms:
             server_id = initial.server_of(vm)
-            states[server_id].place(vm)
+            states[server_id].place_trusted(vm)
             pieces[vm] = server_id
             origin[vm.vm_id] = vm.vm_id
 

@@ -19,12 +19,13 @@ and the accepted plan's energy — the inputs to a capacity-vs-SLA study
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import reduce
+from operator import add
+from typing import Iterable, NamedTuple, Sequence
 
 from repro.allocators.base import Allocator
 from repro.allocators.min_energy import MinIncrementalEnergy
 from repro.allocators.state import ServerState
-from repro.energy.cost import SleepPolicy
 from repro.exceptions import ValidationError
 from repro.model.allocation import Allocation
 from repro.model.cluster import Cluster
@@ -73,14 +74,14 @@ def shift_request(vm: VM, delay: int) -> VM:
               interval=vm.interval.shift(delay))
 
 
-@dataclass(frozen=True)
-class AdmissionDecision:
+class AdmissionDecision(NamedTuple):
     """A successful admission: where (and with what delay) a VM lands.
 
     ``vm`` is the request as admitted — identical to the offered one when
     ``delay == 0``, otherwise shifted ``delay`` units later. The decision
     is advisory: nothing has been placed yet; callers commit it with
-    ``state.place(decision.vm)``.
+    ``state.place(decision.vm)``. A named tuple, like ``Feasibility``:
+    one is built per decision on every path.
     """
 
     vm: VM
@@ -105,8 +106,9 @@ def offer(vm: VM, states: Sequence[ServerState], allocator: Allocator,
     when every shift fails — the undelayed attempt, whose per-candidate
     verdicts show what blocked the request on arrival.
 
-    This is the single-request core shared by the batch
-    :class:`AdmissionController` and the online allocation service
+    This is the per-VM rule of both decision loops: the allocator's
+    offline walk (``allocate``, ``allocate_batch`` and
+    :class:`AdmissionController`) and the online allocation service
     (:mod:`repro.service`).
     """
     if max_delay < 0:
@@ -125,54 +127,40 @@ def offer(vm: VM, states: Sequence[ServerState], allocator: Allocator,
             if chosen is not None:
                 recorder.record(explanation)
         if chosen is not None:
-            return AdmissionDecision(vm=candidate, state=chosen, delay=delay)
+            return AdmissionDecision(candidate, chosen, delay)
     if recorder is not None and undelayed is not None:
         recorder.record(undelayed)
     return None
 
 
 class AdmissionController:
-    """Online arrival processing with reject-or-defer semantics."""
+    """Online arrival processing with reject-or-defer semantics: one
+    offline walk of the allocator (``Allocator._walk``) with a delay
+    budget of ``max_delay``, on the books the allocator builds."""
 
     def __init__(self, allocator: Allocator | None = None,
-                 max_delay: int = 0,
-                 policy: SleepPolicy = SleepPolicy.OPTIMAL) -> None:
+                 max_delay: int = 0) -> None:
         if max_delay < 0:
             raise ValidationError(
                 f"max_delay must be >= 0, got {max_delay}")
         self._allocator = allocator if allocator is not None \
             else MinIncrementalEnergy()
         self._max_delay = max_delay
-        self._policy = policy
 
-    def run(self, vms: Iterable[VM], cluster: Cluster) -> AdmissionOutcome:
-        """Process ``vms`` in arrival order against ``cluster``."""
-        ordered = sorted(vms, key=lambda v: (v.start, v.end, v.vm_id))
-        states = [ServerState(server, policy=self._policy)
-                  for server in cluster]
-        self._allocator.prepare(states)
-        placements: dict[VM, int] = {}
-        rejected: list[VM] = []
-        delayed = 0
-        total_delay = 0
-        total_energy = 0.0
-        for vm in ordered:
-            decision = offer(vm, states, self._allocator,
-                             max_delay=self._max_delay)
-            if decision is None:
-                rejected.append(vm)
-                continue
-            total_energy += decision.state.place(decision.vm)
-            placements[decision.vm] = decision.state.server.server_id
-            if decision.delay:
-                delayed += 1
-                total_delay += decision.delay
-        allocation = Allocation(cluster, placements)
+    def run(self, vms: Iterable[VM], cluster: Cluster, *,
+            recorder: ExplainRecorder | None = None) -> AdmissionOutcome:
+        """Offer ``vms`` to ``cluster`` in the allocator's ``order_vms``
+        order: arrival order (start, end, id) but for the clairvoyant
+        extensions. A ``recorder`` gets one explanation per offer."""
+        decided = list(self._allocator._walk(
+            vms, cluster, None, recorder, "admission.run", self._max_delay))
+        placed = [(d, delta) for _, d, delta in decided if d is not None]
+        delays = [d.delay for d, _ in placed if d.delay]
+        placements = {d.vm: d.state.server.server_id for d, _ in placed}
         return AdmissionOutcome(
-            allocation=allocation,
+            allocation=Allocation(cluster, placements),
             accepted=len(placements),
-            rejected=tuple(rejected),
-            delayed=delayed,
-            total_delay=total_delay,
-            total_energy=total_energy,
-        )
+            rejected=tuple(vm for vm, d, _ in decided if d is None),
+            delayed=len(delays), total_delay=sum(delays),
+            # one rounding per decision, in order (sum() compensates 3.12+)
+            total_energy=reduce(add, (delta for _, delta in placed), 0.0))

@@ -21,8 +21,6 @@ import numpy as np
 
 from repro.allocators.base import Allocator
 from repro.allocators.min_energy import MinIncrementalEnergy
-from repro.allocators.state import ServerState
-from repro.energy.cost import SleepPolicy
 from repro.exceptions import ValidationError
 from repro.model.allocation import Allocation
 from repro.model.cluster import Cluster
@@ -84,8 +82,7 @@ def random_failures(cluster: Cluster, count: int, horizon: int,
 
 def inject_failures(allocation: Allocation,
                     failures: Iterable[ServerFailure], *,
-                    recovery: Allocator | None = None,
-                    policy: SleepPolicy = SleepPolicy.OPTIMAL
+                    recovery: Allocator | None = None
                     ) -> FailureOutcome:
     """Replay ``allocation`` under crashes; returns the repaired plan.
 
@@ -95,7 +92,9 @@ def inject_failures(allocation: Allocation,
     ``[failure_time + 1, end]`` — are offered to the recovery allocator
     over the surviving servers. Remainders that fit nowhere are reported
     in ``lost``. VMs whose whole interval lies after the failure are
-    simply re-placed without waste.
+    simply re-placed without waste. The plan is booked as given on the
+    recovery allocator's books, whose policy and engine (Γ included)
+    price and admit every re-placement.
     """
     cluster = allocation.cluster
     recovery = recovery if recovery is not None else MinIncrementalEnergy()
@@ -111,19 +110,18 @@ def inject_failures(allocation: Allocation,
         seen.add(failure.server_id)
 
     dead: dict[int, int] = {}  # server id -> death time
-    states = {server.server_id: ServerState(server, policy=policy)
-              for server in cluster}
+    states = recovery.books(cluster)
     placements: dict[VM, int] = {}
     next_id = max((vm.vm_id for vm in allocation), default=-1) + 1
     for vm in allocation.vms:
-        states[allocation.server_of(vm)].place(vm)
+        states[allocation.server_of(vm)].place_trusted(vm)
         placements[vm] = allocation.server_of(vm)
 
     killed = 0
     recovered = 0
     lost: list[VM] = []
     wasted = 0.0
-    recovery.prepare(list(states.values()))
+    recovery.prepare(states)
     for failure in ordered_failures:
         dead[failure.server_id] = failure.time
         victim_state = states[failure.server_id]
@@ -138,7 +136,7 @@ def inject_failures(allocation: Allocation,
                 killed += 1
                 # The head ran and its energy is spent but useless; it
                 # stays on the dead server's books as waste.
-                wasted += victim_state.place(head)
+                wasted += victim_state.place_trusted(head)
                 placements[head] = failure.server_id
             target = recover_target(remainder, states, dead, recovery)
             if target is None:
@@ -150,7 +148,7 @@ def inject_failures(allocation: Allocation,
                 recovered += 1
 
     repaired = Allocation(cluster, placements)
-    total = sum(state.cost for state in states.values())
+    total = sum(state.cost for state in states)
     return FailureOutcome(
         allocation=repaired,
         killed=killed,

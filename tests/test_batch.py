@@ -16,10 +16,17 @@ from repro.energy import allocation_cost
 from repro.model.allocation import Allocation
 from repro.model.cluster import Cluster
 from repro.model.constraints import PlacementConstraints
+from repro.simulation.admission import AdmissionController
+from repro.workload import PhasedWorkload
 from repro.workload.generator import generate_vms
 
 VMS = generate_vms(120, mean_interarrival=2.5, seed=3)
 CLUSTER = Cluster.paper_all_types(40)
+#: ±30 % demand radii, for the Γ-robust engine
+RADII_VMS = PhasedWorkload(mean_interarrival=1.0,
+                           uncertainty=0.3).generate(120, rng=3)
+#: small enough that every stream above has rejections
+TIGHT = Cluster.paper_all_types(6)
 
 
 def _sequential(algo, vms=VMS, cluster=CLUSTER, seed=0):
@@ -44,6 +51,33 @@ class TestBatchEquivalence:
         placements_batch, energy_batch, _ = _batched(algo)
         assert placements_batch == placements_seq
         assert energy_batch == energy_seq  # bit-identical, no approx
+
+    @pytest.mark.parametrize("engine", ["indexed", "indexed:kernel=off",
+                                        "dense", "indexed:gamma=2"])
+    @pytest.mark.parametrize("algo", allocator_names())
+    def test_admission_without_delay_is_the_batch(self, algo, engine):
+        """``AdmissionController`` at ``max_delay=0`` is one walk of the
+        allocator: the same placements, rejections and energy bits."""
+        if engine == "dense" and algo == "gamma-ff":
+            pytest.skip("robust probing is indexed-only")
+        vms = RADII_VMS if "gamma" in engine else VMS
+        outcome = AdmissionController(
+            make_allocator(algo, seed=0, engine=engine)).run(vms, TIGHT)
+        allocator = make_allocator(algo, seed=0, engine=engine)
+        decisions = {id(d.vm): d
+                     for d in allocator.allocate_batch(vms, TIGHT)}
+        assert outcome.rejected
+        assert {vm.vm_id: sid for vm, sid in outcome.allocation.items()} \
+            == {d.vm.vm_id: d.server_id for d in decisions.values()
+                if d.placed}
+        walked = [decisions[id(vm)]  # in decision order
+                  for vm in allocator.order_vms(list(vms))]
+        assert list(outcome.rejected) == [d.vm for d in walked
+                                          if not d.placed]
+        energy = 0.0
+        for decision in walked:
+            energy += decision.energy_delta
+        assert outcome.total_energy.hex() == energy.hex()
 
     def test_decisions_in_request_order(self):
         _, _, decisions = _batched("best-fit")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,9 @@ from repro.extensions import (
     OfflineMinEnergy,
     WeightedMinEnergy,
 )
+from repro.extensions.consolidation import EpochConsolidator
+from repro.simulation.admission import AdmissionController
+from repro.simulation.failures import inject_failures
 
 
 class TestMakeAllocator:
@@ -132,3 +137,47 @@ class TestARuleIsStatedOnce:
         # for a yes or no
         assert callers("probe_fleet(") == {"base.py": 1}
         assert callers("admits_fleet(") == {"min_energy.py": 1}
+
+
+class TestTheAllocatorOwnsItsBooks:
+    """A fleet's books are built by the allocator (``books``) or by the
+    live store, and decided on by one offline walk and one live loop,
+    both through the per-VM rule ``offer``."""
+
+    SOURCE = Path(repro.__file__).parent
+
+    def _files(self) -> dict[str, str]:
+        return {path.relative_to(self.SOURCE).as_posix(): path.read_text()
+                for path in sorted(self.SOURCE.rglob("*.py"))}
+
+    def test_books_are_built_in_three_files(self):
+        assert {name for name, text in self._files().items()
+                if "ServerState(" in text} == {
+            "allocators/state.py", "allocators/base.py", "service/state.py"}
+
+    def test_offer_is_called_by_the_two_loops(self):
+        callers = set()
+
+        def visit(node: ast.AST, scope: tuple[str, ...], name: str) -> None:
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                      ast.AsyncFunctionDef)):
+                    inner = scope + (child.name,)
+                elif isinstance(child, ast.Call):
+                    func = child.func
+                    called = func.id if isinstance(func, ast.Name) \
+                        else getattr(func, "attr", None)
+                    if called == "offer":
+                        callers.add((name, ".".join(scope)))
+                visit(child, inner, name)
+
+        for name, text in self._files().items():
+            visit(ast.parse(text), (), name)
+        assert callers == {("allocators/base.py", "Allocator._walk"),
+                           ("service/daemon.py", "AllocationDaemon._decide")}
+
+    def test_no_path_takes_a_policy_of_its_own(self):
+        for owner in (AdmissionController, inject_failures,
+                      EpochConsolidator):
+            assert "policy" not in inspect.signature(owner).parameters, owner

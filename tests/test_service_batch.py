@@ -34,6 +34,7 @@ from repro.service import daemon as daemon_module
 from repro.service.metrics import ServiceMetrics
 from repro.service.persistence import read_journal
 from repro.service.protocol import encode, parse_request
+from repro.simulation.admission import AdmissionController
 from repro.workload.generator import generate_vms
 
 from conftest import make_vm, serving
@@ -253,12 +254,14 @@ class TestADecisionIsMadeInOneLoop:
             AllocationDaemon._decide)
 
     def test_the_offline_twin_selects_from_one_loop(self):
-        assert inspect.getsource(Allocator._walk).count(
-            "self.select(") == 1
-        for method in (Allocator.allocate, Allocator.allocate_batch):
+        # the walk decides each VM by the daemon's per-VM rule, ``offer``
+        walk = inspect.getsource(Allocator._walk)
+        assert walk.count("offer(") == 1 and "select(" not in walk
+        for method in (Allocator.allocate, Allocator.allocate_batch,
+                       AdmissionController.run):
             source = inspect.getsource(method)
-            assert "select(" not in source
-            assert "self._walk(" in source
+            assert "select(" not in source and "offer(" not in source
+            assert "._walk(" in source
 
 
 class TestBatchDurability:

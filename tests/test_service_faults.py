@@ -9,7 +9,11 @@ import json
 
 import pytest
 
-from repro.allocators import MinIncrementalEnergy, allocator_names
+from repro.allocators import (
+    MinIncrementalEnergy,
+    allocator_names,
+    make_allocator,
+)
 from repro.energy import allocation_cost
 from repro.exceptions import ValidationError
 from repro.model.cluster import Cluster
@@ -619,8 +623,12 @@ class TestARestoredDaemonDecidesLikeItsTwin:
     CRASHES = (30, 60)
 
     def _decisions(self, algorithm, data_dir, crashes=()):
+        # the store books with the allocator's engine (gamma-ff's Γ), as
+        # ``repro serve`` builds it
         daemon = AllocationDaemon(
-            ClusterStateStore(Cluster.paper_all_types(40)),
+            ClusterStateStore(Cluster.paper_all_types(40),
+                              engine=make_allocator(
+                                  algorithm).engine_config.spec),
             algorithm=algorithm, seed=7, data_dir=data_dir, fsync=False,
             snapshot_every=25)
         decided = []
