@@ -8,7 +8,6 @@ offline bounds how much the arrival-order restriction costs.
 
 from __future__ import annotations
 
-import repro.extensions  # noqa: F401 - registers the offline allocators
 from conftest import record_result
 from repro.allocators import make_allocator
 from repro.energy.cost import allocation_cost

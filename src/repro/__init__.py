@@ -17,146 +17,240 @@ Quickstart::
     cluster = Cluster.paper_all_types(50)
     plan = MinIncrementalEnergy().allocate(vms, cluster)
     print(allocation_cost(plan).total)
+
+The top-level names resolve on first use (PEP 562): ``import repro``
+loads no subpackage, and ``repro.Cluster`` imports :mod:`repro.model`
+when it is first read. So a daemon or a CLI command pays only for the
+modules it runs — not for scipy or networkx, which only the analysis,
+metrics, ILP and experiment code import.
 """
 
-from repro.allocators import (
-    Allocator,
-    BestFit,
-    Decision,
-    FirstFit,
-    FirstFitPowerSaving,
-    GammaFF,
-    MinIncrementalEnergy,
-    PowerAwareFirstFit,
-    RandomFit,
-    RoundRobin,
-    WorstFit,
-    allocator_names,
-    make_allocator,
-)
-from repro.energy import (
-    CostBreakdown,
-    EnergyReport,
-    SleepPolicy,
-    allocation_cost,
-    energy_report,
-    run_energy,
-)
-from repro.exceptions import (
-    AllocationError,
-    AllocatorConfigError,
-    CapacityError,
-    OverloadedError,
-    ProtocolVersionError,
-    ReproError,
-    RetryableError,
-    ServiceError,
-    SimulationError,
-    SolverError,
-    TransportError,
-    UnknownOperationError,
-    ValidationError,
-)
-from repro.placement import (
-    CandidateIndex,
-    DenseOccupancy,
-    EngineConfig,
-    Feasibility,
-    FeasibilityBatch,
-    FleetKernel,
-    SkylineOccupancy,
-)
-from repro.analysis import (
-    concurrency_profile,
-    conflict_graph,
-    energy_lower_bound,
-)
-from repro.consolidation import (
-    ConsolidationReport,
-    FragmentationMonitor,
-    MigrationPlanner,
-    PlannedMove,
-    VictimSelector,
-)
-from repro.experiments import ScenarioConfig, compare_averaged
-from repro.extensions import (
-    EpochConsolidator,
-    LongestFirstMinEnergy,
-    OfflineMinEnergy,
-    SuperlinearPowerModel,
-    evaluate_under_model,
-)
-from repro.ilp import RecedingHorizonSolver, solve_ilp, solve_relaxation
-from repro.metrics import (
-    energy_reduction_ratio,
-    linear_fit,
-    logarithmic_fit,
-    utilization_stats,
-)
-from repro.model import (
-    VM,
-    DemandPhase,
-    PhasedVM,
-    Allocation,
-    Cluster,
-    PlacementConstraints,
-    Server,
-    ServerSpec,
-    TimeInterval,
-    VMSpec,
-    server_type,
-    vm_type,
-)
-from repro.obs import (
-    CandidateVerdict,
-    CostTerms,
-    ExplainRecorder,
-    FlightRecorder,
-    JsonLogger,
-    PlacementExplanation,
-    SLOConfig,
-    SLOTracker,
-    TelemetryRing,
-    TelemetrySample,
-    TraceContext,
-    Tracer,
-    format_decision_table,
-    get_logger,
-    get_tracer,
-    set_logger,
-    set_tracer,
-    to_chrome_trace,
-    use_logger,
-    use_tracer,
-    write_chrome_trace,
-)
-from repro.results import STATUSES, PlacementResult
-from repro.service import (
-    SUPPORTED_VERSIONS,
-    AllocationClient,
-    AllocationDaemon,
-    ClientConfig,
-    ClusterStateStore,
-    ReplaySummary,
-    consolidate_request,
-    place_batch_request,
-    replay_trace,
-    serve_async,
-    start_gateway,
-)
-from repro.robust import RobustnessConfig, RobustSkyline
-from repro.simulation import SimulationEngine, simulate_online
-from repro.workload import (
-    BurstyWorkload,
-    PhasedWorkload,
-    DiurnalWorkload,
-    HeavyTailWorkload,
-    PoissonWorkload,
-    Trace,
-    generate_vms,
-)
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+# The names as static imports, for type checkers and linters; at run time
+# they resolve through ``__getattr__`` below. tests/test_layering.py
+# keeps this block, ``_EXPORTS`` and ``__all__`` naming the same homes.
+if TYPE_CHECKING:
+    from repro.allocators import (
+        Allocator,
+        BestFit,
+        Decision,
+        FirstFit,
+        FirstFitPowerSaving,
+        GammaFF,
+        MinIncrementalEnergy,
+        PowerAwareFirstFit,
+        RandomFit,
+        RoundRobin,
+        WorstFit,
+        allocator_names,
+        make_allocator,
+    )
+    from repro.energy import (
+        CostBreakdown,
+        EnergyReport,
+        SleepPolicy,
+        allocation_cost,
+        energy_report,
+        run_energy,
+    )
+    from repro.exceptions import (
+        AllocationError,
+        AllocatorConfigError,
+        CapacityError,
+        OverloadedError,
+        ProtocolVersionError,
+        ReproError,
+        RetryableError,
+        ServiceError,
+        SimulationError,
+        SolverError,
+        TransportError,
+        UnknownOperationError,
+        ValidationError,
+    )
+    from repro.placement import (
+        CandidateIndex,
+        DenseOccupancy,
+        EngineConfig,
+        Feasibility,
+        FeasibilityBatch,
+        FleetKernel,
+        SkylineOccupancy,
+    )
+    from repro.analysis import (
+        concurrency_profile,
+        conflict_graph,
+        energy_lower_bound,
+    )
+    from repro.consolidation import (
+        ConsolidationReport,
+        FragmentationMonitor,
+        MigrationPlanner,
+        PlannedMove,
+        VictimSelector,
+    )
+    from repro.experiments import ScenarioConfig, compare_averaged
+    from repro.extensions import (
+        EpochConsolidator,
+        LongestFirstMinEnergy,
+        OfflineMinEnergy,
+        SuperlinearPowerModel,
+        evaluate_under_model,
+    )
+    from repro.ilp import RecedingHorizonSolver, solve_ilp, solve_relaxation
+    from repro.metrics import (
+        energy_reduction_ratio,
+        linear_fit,
+        logarithmic_fit,
+        utilization_stats,
+    )
+    from repro.model import (
+        VM,
+        DemandPhase,
+        PhasedVM,
+        Allocation,
+        Cluster,
+        PlacementConstraints,
+        Server,
+        ServerSpec,
+        TimeInterval,
+        VMSpec,
+        server_type,
+        vm_type,
+    )
+    from repro.obs import (
+        CandidateVerdict,
+        CostTerms,
+        ExplainRecorder,
+        FlightRecorder,
+        JsonLogger,
+        PlacementExplanation,
+        SLOConfig,
+        SLOTracker,
+        TelemetryRing,
+        TelemetrySample,
+        TraceContext,
+        Tracer,
+        format_decision_table,
+        get_logger,
+        get_tracer,
+        set_logger,
+        set_tracer,
+        to_chrome_trace,
+        use_logger,
+        use_tracer,
+        write_chrome_trace,
+    )
+    from repro.results import STATUSES, PlacementResult
+    from repro.service import (
+        SUPPORTED_VERSIONS,
+        AllocationClient,
+        AllocationDaemon,
+        ClientConfig,
+        ClusterStateStore,
+        ReplaySummary,
+        consolidate_request,
+        place_batch_request,
+        replay_trace,
+        serve_async,
+        start_gateway,
+    )
+    from repro.robust import RobustnessConfig, RobustSkyline
+    from repro.simulation import SimulationEngine, simulate_online
+    from repro.workload import (
+        BurstyWorkload,
+        PhasedWorkload,
+        DiurnalWorkload,
+        HeavyTailWorkload,
+        PoissonWorkload,
+        Trace,
+        generate_vms,
+    )
 
 __version__ = "1.0.0"
+
+#: Home module of every top-level name, imported on first access.
+_EXPORTS: dict[str, tuple[str, ...]] = {
+    "repro.allocators": (
+        "Allocator", "BestFit", "Decision", "FirstFit", "FirstFitPowerSaving",
+        "GammaFF", "MinIncrementalEnergy", "PowerAwareFirstFit", "RandomFit",
+        "RoundRobin", "WorstFit", "allocator_names", "make_allocator",
+    ),
+    "repro.energy": (
+        "CostBreakdown", "EnergyReport", "SleepPolicy", "allocation_cost",
+        "energy_report", "run_energy",
+    ),
+    "repro.exceptions": (
+        "AllocationError", "AllocatorConfigError", "CapacityError",
+        "OverloadedError", "ProtocolVersionError", "ReproError",
+        "RetryableError", "ServiceError", "SimulationError", "SolverError",
+        "TransportError", "UnknownOperationError", "ValidationError",
+    ),
+    "repro.placement": (
+        "CandidateIndex", "DenseOccupancy", "EngineConfig", "Feasibility",
+        "FeasibilityBatch", "FleetKernel", "SkylineOccupancy",
+    ),
+    "repro.analysis": (
+        "concurrency_profile", "conflict_graph", "energy_lower_bound",
+    ),
+    "repro.consolidation": (
+        "ConsolidationReport", "FragmentationMonitor", "MigrationPlanner",
+        "PlannedMove", "VictimSelector",
+    ),
+    "repro.experiments": (
+        "ScenarioConfig", "compare_averaged",
+    ),
+    "repro.extensions": (
+        "EpochConsolidator", "LongestFirstMinEnergy", "OfflineMinEnergy",
+        "SuperlinearPowerModel", "evaluate_under_model",
+    ),
+    "repro.ilp": (
+        "RecedingHorizonSolver", "solve_ilp", "solve_relaxation",
+    ),
+    "repro.metrics": (
+        "energy_reduction_ratio", "linear_fit", "logarithmic_fit",
+        "utilization_stats",
+    ),
+    "repro.model": (
+        "VM", "DemandPhase", "PhasedVM", "Allocation", "Cluster",
+        "PlacementConstraints", "Server", "ServerSpec", "TimeInterval",
+        "VMSpec", "server_type", "vm_type",
+    ),
+    "repro.obs": (
+        "CandidateVerdict", "CostTerms", "ExplainRecorder", "FlightRecorder",
+        "JsonLogger", "PlacementExplanation", "SLOConfig", "SLOTracker",
+        "TelemetryRing", "TelemetrySample", "TraceContext", "Tracer",
+        "format_decision_table", "get_logger", "get_tracer", "set_logger",
+        "set_tracer", "to_chrome_trace", "use_logger", "use_tracer",
+        "write_chrome_trace",
+    ),
+    "repro.results": (
+        "STATUSES", "PlacementResult",
+    ),
+    "repro.service": (
+        "SUPPORTED_VERSIONS", "AllocationClient", "AllocationDaemon",
+        "ClientConfig", "ClusterStateStore", "ReplaySummary",
+        "consolidate_request", "place_batch_request", "replay_trace",
+        "serve_async", "start_gateway",
+    ),
+    "repro.robust": (
+        "RobustnessConfig", "RobustSkyline",
+    ),
+    "repro.simulation": (
+        "SimulationEngine", "simulate_online",
+    ),
+    "repro.workload": (
+        "BurstyWorkload", "PhasedWorkload", "DiurnalWorkload",
+        "HeavyTailWorkload", "PoissonWorkload", "Trace", "generate_vms",
+    ),
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "Allocator",

@@ -20,6 +20,7 @@ from repro.allocators.ffps import FirstFitPowerSaving
 from repro.allocators.first_fit import FirstFit
 from repro.allocators.gamma_ff import GammaFF
 from repro.allocators.min_energy import MinIncrementalEnergy
+from repro.allocators.offline import LongestFirstMinEnergy, OfflineMinEnergy
 from repro.allocators.power_aware import PowerAwareFirstFit
 from repro.allocators.random_fit import RandomFit
 from repro.allocators.round_robin import RoundRobin
@@ -42,6 +43,8 @@ ALLOCATORS: dict[str, Type[Allocator]] = {
         RoundRobin,
         PowerAwareFirstFit,
         GammaFF,
+        OfflineMinEnergy,
+        LongestFirstMinEnergy,
     )
 }
 

@@ -12,12 +12,13 @@ workload statistics the examples report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Sequence
 
 from repro.model.phases import demand_profile
 from repro.model.vm import VM
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["ConcurrencyProfile", "conflict_graph", "concurrency_profile",
            "peak_demand"]
@@ -30,6 +31,8 @@ def conflict_graph(vms: Sequence[VM]) -> nx.Graph:
     edges join temporally overlapping VMs. Built by a sweep over interval
     endpoints, O(m log m + E).
     """
+    import networkx as nx  # on the call: the bounds and sweeps never need it
+
     graph = nx.Graph()
     for vm in vms:
         graph.add_node(vm.vm_id, vm=vm)

@@ -35,32 +35,35 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.allocators.registry import allocator_names
-from repro.experiments import figures as figures_mod
-from repro.experiments.config import ScenarioConfig
-from repro.experiments.runner import compare_averaged
-from repro.experiments.tables import table1, table2
 from repro.exceptions import ReproError
 from repro.workload.trace import Trace
 
+if TYPE_CHECKING:
+    from repro.experiments.config import ScenarioConfig
+
 __all__ = ["main", "build_parser"]
 
+#: ``repro figure NAME`` -> the :mod:`repro.experiments.figures`
+#: function that regenerates it. Like every ``repro.experiments`` import
+#: here, that module (and the scipy it pulls in) loads only when a
+#: subcommand that needs it runs.
 _FIGURES = {
-    "fig2": figures_mod.fig2,
-    "fig3": figures_mod.fig3,
-    "fig4": figures_mod.fig4,
-    "fig5": figures_mod.fig5,
-    "fig6": figures_mod.fig6,
-    "fig7": figures_mod.fig7,
-    "fig8": figures_mod.fig8,
-    "fig9": figures_mod.fig9,
-    "zoo": figures_mod.ablation_zoo,
-    "sleep": figures_mod.ablation_sleep_policy,
-    "wake": figures_mod.ablation_initial_wake,
-    "ilp-gap": figures_mod.ilp_gap,
-    "robust": figures_mod.robust_frontier,
+    "fig2": "fig2",
+    "fig3": "fig3",
+    "fig4": "fig4",
+    "fig5": "fig5",
+    "fig6": "fig6",
+    "fig7": "fig7",
+    "fig8": "fig8",
+    "fig9": "fig9",
+    "zoo": "ablation_zoo",
+    "sleep": "ablation_sleep_policy",
+    "wake": "ablation_initial_wake",
+    "ilp-gap": "ilp_gap",
+    "robust": "robust_frontier",
 }
 
 #: Reduced grids so --quick completes in seconds.
@@ -393,18 +396,24 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    from repro.experiments.tables import table1, table2
+
     print(table1() if args.which == "vms" else table2())
     return 0
 
 
 def _scenario(args: argparse.Namespace, **extra: object) -> ScenarioConfig:
     """The scenario ``--vms`` / ``--interarrival`` / ``--duration`` name."""
+    from repro.experiments.config import ScenarioConfig
+
     return ScenarioConfig(n_vms=args.vms,
                           mean_interarrival=args.interarrival,
                           mean_duration=args.duration, **extra)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.experiments.runner import compare_averaged
+
     config = _scenario(args, transition_time=args.transition,
                        seeds=tuple(args.seeds))
     result = compare_averaged(config, algorithm=args.algorithm)
@@ -425,7 +434,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    fn = _FIGURES[args.name]
+    from repro.experiments import figures
+
+    fn = getattr(figures, _FIGURES[args.name])
     kwargs = _QUICK_OVERRIDES.get(args.name, {}) if args.quick else {}
     result = fn(**kwargs)
     print(result.format())
@@ -439,7 +450,9 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_robust(args: argparse.Namespace) -> int:
-    result = figures_mod.robust_frontier(
+    from repro.experiments.figures import robust_frontier
+
+    result = robust_frontier(
         n_vms=args.vms, mean_interarrival=args.interarrival,
         mean_duration=args.duration, uncertainty=args.uncertainty,
         gammas=tuple(args.gammas), include_box=not args.no_box,

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from repro.exceptions import ValidationError
 
@@ -107,6 +106,10 @@ def exponential_fit(x: Sequence[float], y: Sequence[float]) -> FitResult:
     derived from the data; raises :class:`ValidationError` when the
     optimiser cannot converge.
     """
+    # scipy.optimize is imported on the call: linear and logarithmic
+    # fits, and every caller of the rest of repro.metrics, never pay it.
+    from scipy import optimize
+
     x, y = _validate_xy(x, y, 4)
 
     def model(t, a, b, c):

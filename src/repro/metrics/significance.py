@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from repro.exceptions import ValidationError
 
@@ -64,6 +63,8 @@ def paired_t_test(a: Sequence[float],
         return PairedComparison(mean_diff=float(diffs.mean()),
                                 statistic=float("inf"), p_value=0.0,
                                 n=int(a.size))
+    from scipy import stats  # on the call: importing this module stays cheap
+
     result = stats.ttest_rel(a, b)
     return PairedComparison(
         mean_diff=float(diffs.mean()),

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from repro.exceptions import ValidationError
 
@@ -56,6 +55,8 @@ def aggregate(values: Sequence[float], confidence: float = 0.95) -> Aggregate:
                          ci_high=mean, n=1)
     std = float(data.std(ddof=1))
     sem = std / math.sqrt(data.size)
+    from scipy import stats  # on the call: importing this module stays cheap
+
     t_crit = float(stats.t.ppf((1 + confidence) / 2, df=data.size - 1))
     half = t_crit * sem
     return Aggregate(mean=mean, std=std, sem=sem, ci_low=mean - half,

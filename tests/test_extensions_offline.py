@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import repro.extensions  # noqa: F401 - registers the offline allocators
 from repro.allocators import allocator_names, make_allocator
 from repro.energy.cost import allocation_cost
 from repro.extensions import LongestFirstMinEnergy, OfflineMinEnergy
