@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from repro.energy.cost import (
     CostBreakdown,
     SleepPolicy,
+    _sleeps,
     server_cost,
 )
 from repro.energy.segments import ServerTimeline, timeline_of
@@ -38,20 +39,9 @@ def active_intervals(timeline: ServerTimeline, spec_transition_cost: float,
         return []
     pieces: list[TimeInterval] = list(timeline.busy)
     for gap in timeline.idle:
-        stays_active = not _gap_sleeps(spec_transition_cost, p_idle, gap,
-                                       policy)
-        if stays_active:
+        if not _sleeps(spec_transition_cost, p_idle, gap.length, policy):
             pieces.append(gap)
     return merge_intervals(pieces)
-
-
-def _gap_sleeps(transition_cost: float, p_idle: float, gap: TimeInterval,
-                policy: SleepPolicy) -> bool:
-    if policy is SleepPolicy.NEVER_SLEEP:
-        return False
-    if policy is SleepPolicy.ALWAYS_SLEEP:
-        return True
-    return transition_cost < p_idle * gap.length
 
 
 def transition_count(timeline: ServerTimeline, spec_transition_cost: float,
@@ -65,7 +55,7 @@ def transition_count(timeline: ServerTimeline, spec_transition_cost: float,
         return 0
     wakes = 1
     for gap in timeline.idle:
-        if _gap_sleeps(spec_transition_cost, p_idle, gap, policy):
+        if _sleeps(spec_transition_cost, p_idle, gap.length, policy):
             wakes += 1
     return wakes
 

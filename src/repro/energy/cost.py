@@ -49,14 +49,20 @@ class SleepPolicy(enum.Enum):
     ALWAYS_SLEEP = "always-sleep"
 
 
+def _sleeps(alpha: float, p_idle: float, length: int,
+            policy: SleepPolicy) -> bool:
+    """The Eq.-16 sleep rule, stated once: a server sleeps through an
+    idle gap of ``length`` ticks iff ``policy`` says so — under OPTIMAL
+    iff one wake-up ``alpha`` costs less than idling through it."""
+    if policy is SleepPolicy.OPTIMAL:
+        return alpha < p_idle * length
+    return policy is SleepPolicy.ALWAYS_SLEEP
+
+
 def sleeps_through(spec: ServerSpec, gap: TimeInterval,
                    policy: SleepPolicy = SleepPolicy.OPTIMAL) -> bool:
     """Whether the server powers down for ``gap`` under ``policy``."""
-    if policy is SleepPolicy.NEVER_SLEEP:
-        return False
-    if policy is SleepPolicy.ALWAYS_SLEEP:
-        return True
-    return spec.transition_cost < spec.p_idle * gap.length
+    return _sleeps(spec.transition_cost, spec.p_idle, gap.length, policy)
 
 
 def gap_cost(spec: ServerSpec, gap: TimeInterval,
@@ -69,7 +75,7 @@ def saturating_gap(spec: ServerSpec, policy: SleepPolicy) -> int | None:
     """The shortest idle gap the server sleeps through under ``policy``
     — as through every longer one, each costing exactly ``alpha``
     (Eq. 16): the smallest ``g`` with ``alpha < P_idle * g`` under
-    OPTIMAL (:func:`sleeps_through`'s float comparison), 1 under
+    OPTIMAL (:func:`_sleeps`'s float comparison), 1 under
     ALWAYS_SLEEP, ``None`` under NEVER_SLEEP. A server idle at least
     that long before a VM starts prices the VM exactly as one that
     never ran does."""
@@ -79,9 +85,9 @@ def saturating_gap(spec: ServerSpec, policy: SleepPolicy) -> int | None:
         return None
     alpha, p_idle = spec.transition_cost, spec.p_idle
     gap = max(1, math.floor(alpha / p_idle))
-    while gap > 1 and alpha < p_idle * (gap - 1):
+    while gap > 1 and _sleeps(alpha, p_idle, gap - 1, policy):
         gap -= 1
-    while not alpha < p_idle * gap:
+    while not _sleeps(alpha, p_idle, gap, policy):
         gap += 1
     return gap
 
@@ -90,12 +96,9 @@ def _gap_length_cost(spec: ServerSpec, length: int,
                      policy: SleepPolicy) -> float:
     """:func:`gap_cost` from the gap's length alone (the incremental
     cost path knows lengths and builds no intervals)."""
-    idle = spec.p_idle * length
-    if policy is SleepPolicy.NEVER_SLEEP:
-        return idle
-    if policy is SleepPolicy.ALWAYS_SLEEP or spec.transition_cost < idle:
+    if _sleeps(spec.transition_cost, spec.p_idle, length, policy):
         return spec.transition_cost
-    return idle
+    return spec.p_idle * length
 
 
 @dataclass(frozen=True)

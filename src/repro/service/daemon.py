@@ -95,10 +95,7 @@ from repro.service.protocol import (
     requested_version,
     validate_request,
 )
-from repro.service.state import (
-    ClusterStateStore,
-    snapshot_meta,
-)
+from repro.service.state import ClusterStateStore, snapshot_meta
 from repro.simulation.admission import offer
 from repro.workload.trace import vm_to_record
 
@@ -253,12 +250,12 @@ class AllocationDaemon:
             if max_inflight > 0 else None
         self._placed_since_snapshot = 0
         self._shutdown_hooks: list = []
+        self._data_dir = None if data_dir is None else Path(data_dir)
         self.journal: RequestJournal | None = None
         self.snapshots: SnapshotManager | None = None
-        if data_dir is not None:
-            data_dir = Path(data_dir)
-            self.snapshots = SnapshotManager(data_dir)
-            self.journal = RequestJournal(data_dir / JOURNAL_NAME,
+        if self._data_dir is not None:
+            self.snapshots = SnapshotManager(self._data_dir)
+            self.journal = RequestJournal(self._data_dir / JOURNAL_NAME,
                                           fsync=fsync)
             if _restored_seq is None:
                 if self.journal.next_seq > 1:
@@ -271,7 +268,6 @@ class AllocationDaemon:
                     "op": "init",
                     "snapshot": store.to_snapshot(self._meta(seq=1)),
                 })
-        self._data_dir = None if data_dir is None else Path(data_dir)
         #: False while a restore is still replaying the journal tail
         #: (see :meth:`restore`): the gateway's ``/healthz`` and
         #: ``/readyz`` answer 503, ``/varz`` shows it, and every op
@@ -299,20 +295,19 @@ class AllocationDaemon:
 
     def write_snapshot(self) -> Path | None:
         """Checkpoint the store now; returns the snapshot path."""
+        self._placed_since_snapshot = 0
         if self.snapshots is None:
             return None
         seq = self._last_seq()
-        text = self.store.snapshot_text(self._meta(seq))
-        self._placed_since_snapshot = 0
-        return self.snapshots.save(text, seq)
+        return self.snapshots.save(self.store.snapshot_parts(self._meta(seq)),
+                                   seq)
 
     def _maybe_snapshot(self, placed: int) -> None:
         """Count ``placed`` commits (placements, re-placements, moves)
         toward the next checkpoint and write it once it is due."""
         self._placed_since_snapshot += placed
         every = int(self.config["snapshot_every"])
-        if self.snapshots is not None and every > 0 and \
-                self._placed_since_snapshot >= every:
+        if every > 0 and self._placed_since_snapshot >= every:
             self.write_snapshot()
 
     def _journal(self, op: str, ctx: TraceContext, **payload: object) -> None:
@@ -320,8 +315,7 @@ class AllocationDaemon:
         :meth:`ClusterStateStore.apply` reads; no-op without a journal."""
         if self.journal is not None:
             with get_tracer().span("service.journal"):
-                self.journal.append(
-                    {"op": op, **ctx.to_fields(), **payload})
+                self.journal.append({"op": op, **ctx.to_fields(), **payload})
 
     @classmethod
     def restore(cls, data_dir: str | Path, *, fsync: bool = True,
@@ -358,13 +352,11 @@ class AllocationDaemon:
             raise ValidationError(f"{data_dir}: malformed snapshot config")
         store = ClusterStateStore.from_snapshot(document)
         covered = int(meta.get("seq", 0))
-        algo_params = config.get("algo_params")
-        if algo_params is not None and not isinstance(algo_params, Mapping):
-            raise ValidationError(
-                f"{data_dir}: malformed snapshot algo_params")
+        for key in ("algo_params", "slo"):
+            if config.get(key) is not None and \
+                    not isinstance(config[key], Mapping):
+                raise ValidationError(f"{data_dir}: malformed snapshot {key}")
         slo_record = config.get("slo")
-        if slo_record is not None and not isinstance(slo_record, Mapping):
-            raise ValidationError(f"{data_dir}: malformed snapshot slo")
         # Recorded keys the constructor takes are passed as recorded,
         # its signature supplies the ones a record lacks, and the rest
         # (``shards`` / ``scan_processes`` of older builds) are ignored.
@@ -400,8 +392,6 @@ class AllocationDaemon:
 
     def _replay(self, entry: Mapping[str, object]) -> None:
         op = entry.get("op")
-        if op == "init":
-            return
         logger = get_logger()
         if logger.enabled:
             # Replay logs carry the *recorded* trace ids verbatim — a

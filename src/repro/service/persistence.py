@@ -10,7 +10,10 @@ pair:
   with monotone sequence numbers;
 * periodically the whole :class:`~repro.service.state.ClusterStateStore`
   is checkpointed as a **snapshot** that records the last journal
-  sequence it covers.
+  sequence it covers. :class:`SnapshotManager` is the one writer and
+  the one reader of snapshot files; the store hands it the document as
+  chunks (:meth:`~repro.service.state.ClusterStateStore.snapshot_parts`),
+  never as one string.
 
 Restore loads the newest readable snapshot and replays only the journal
 entries after its sequence number. A torn final journal line (the crash
@@ -28,7 +31,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from repro.exceptions import ValidationError
 
@@ -148,12 +151,19 @@ class SnapshotManager:
     def path_for(self, seq: int) -> Path:
         return self.directory / f"snapshot-{seq:010d}.json"
 
-    def save(self, text: str, seq: int) -> Path:
-        """Atomically write ``text`` — the JSON of a snapshot document —
-        as the snapshot covering journal entries <= seq."""
+    def save(self, parts: Iterable[bytes], seq: int) -> Path:
+        """Atomically write ``parts`` — the UTF-8 JSON of a snapshot
+        document, in chunks — as the snapshot covering journal entries
+        <= seq.
+
+        The file is not fsynced before the rename: a crash can leave a
+        torn ``.tmp`` or a torn newest snapshot, and both are safe —
+        :meth:`load_latest` skips what does not parse, and the journal,
+        never truncated behind a snapshot, replays the difference."""
         path = self.path_for(seq)
         tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(text, encoding="utf-8")
+        with tmp.open("wb") as fh:
+            fh.writelines(parts)
         os.replace(tmp, path)
         self._prune()
         return path
@@ -169,15 +179,15 @@ class SnapshotManager:
     def load_latest(self) -> dict[str, object] | None:
         """The newest readable snapshot document, or ``None``.
 
-        A snapshot that fails to parse (e.g. the crash interrupted an
-        ``os.replace`` on a filesystem without atomic rename) is skipped
-        in favour of the previous one.
+        A snapshot that fails to parse (a crash tore it: the file is not
+        fsynced before its rename) is skipped in favour of the previous
+        one.
         """
         for path in sorted(self.directory.glob(_SNAPSHOT_GLOB),
                            reverse=True):
             try:
-                document = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError):
+                document = json.loads(path.read_bytes())
+            except (OSError, ValueError):  # a torn or garbled file
                 continue
             if isinstance(document, dict):
                 return document

@@ -21,16 +21,16 @@ axis a long-running service needs:
   frozen into a :class:`~repro.simulation.telemetry.Telemetry` on demand.
 
 The store is crash-safe via :meth:`to_snapshot` / :meth:`from_snapshot`
-(:meth:`snapshot_text` is the same document as text, for the cost of the
-commits since the last one): a snapshot records the cluster, the clock
-and every placement in commit order *with the clock value it was
-committed at*, and restoring replays each placement at that clock. That
-reproduces the live interleaving of commits and clock advances exactly —
-including out-of-order arrivals (``vm.start < clock`` starts
-immediately, not at its nominal tick) and sleep/wake cycles the one-tick
-lookahead would otherwise elide when all starts are known up front — so
-planning state, machines (power state, residents, transition counters)
-and telemetry are rebuilt bit-for-bit.
+(:meth:`snapshot_parts` is the same document as UTF-8 chunks, for the
+cost of the commits since the last one): a snapshot records the
+cluster, the clock and every placement in commit order *with the clock
+value it was committed at*, and restoring replays each placement at
+that clock. That reproduces the live interleaving of commits and clock
+advances exactly — including out-of-order arrivals (``vm.start <
+clock`` starts immediately, not at its nominal tick) and sleep/wake
+cycles the one-tick lookahead would otherwise elide when all starts are
+known up front — so planning state, machines (power state, residents,
+transition counters) and telemetry are rebuilt bit-for-bit.
 
 Failures are first-class: :meth:`fail_server` kills a server at a tick,
 splits every affected VM through the shared
@@ -67,12 +67,10 @@ is never re-run on restore.
 from __future__ import annotations
 
 import json
-import os
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -248,10 +246,10 @@ class ClusterStateStore:
         #: carries ``after`` = how many commits preceded it, so replay
         #: interleaves the two streams exactly.
         self._events: list[dict] = []
-        #: JSON of the snapshot parts that never change once written
-        #: (:meth:`snapshot_text`): the cluster array, then the records
-        #: of the first ``_encoded`` commits, one chunk per snapshot
-        self._kept_json: list[str] = []
+        #: UTF-8 JSON of the snapshot parts that never change once
+        #: written (:meth:`snapshot_parts`): the cluster array, then the
+        #: records of the first ``_encoded`` commits, one chunk per snapshot
+        self._kept_json: list[bytes] = []
         self._encoded = 0
         #: server_id -> failure tick of currently-dead servers
         self._dead: dict[int, int] = {}
@@ -842,10 +840,11 @@ class ClusterStateStore:
         return {"format_version": version, "policy": self.policy.value,
                 "engine": self.engine_config.spec, "clock": self.clock}
 
-    def _placement_records(self, start: int = 0) -> list[dict[str, object]]:
-        return [{"server_id": server_id, "committed_at": committed_at,
-                 "vm": vm_to_record(vm)}
-                for vm, server_id, committed_at in self._commit_log[start:]]
+    def _placement_records(self, start: int = 0
+                           ) -> Iterator[dict[str, object]]:
+        for vm, server_id, committed_at in self._commit_log[start:]:
+            yield {"server_id": server_id, "committed_at": committed_at,
+                   "vm": vm_to_record(vm)}
 
     def to_snapshot(self, meta: Mapping[str, object] | None = None
                     ) -> dict[str, object]:
@@ -861,33 +860,38 @@ class ClusterStateStore:
         document = self._snapshot_head()
         document["cluster"] = [_spec_record(server.spec)
                                for server in self.cluster]
-        document["placements"] = self._placement_records()
+        document["placements"] = list(self._placement_records())
         document["meta"] = dict(meta) if meta else {}
         if self._events:
             document["events"] = [dict(event) for event in self._events]
         return document
 
-    def snapshot_text(self, meta: Mapping[str, object] | None = None
-                      ) -> str:
-        """``json.dumps(self.to_snapshot(meta))``, byte for byte, for the
-        cost of the commits since the previous call: the cluster never
-        changes and the commit log only grows, so their JSON is kept
-        and only the head, ``meta`` and the (few) events are encoded
-        afresh."""
-        if not self._kept_json:
+    def snapshot_parts(self, meta: Mapping[str, object] | None = None
+                       ) -> Iterator[bytes]:
+        """``json.dumps(self.to_snapshot(meta))`` as UTF-8 chunks, whose
+        join is the document byte for byte, for the cost of the commits
+        since the previous call: the cluster never changes and the
+        commit log only grows, so their JSON is kept encoded and only
+        the head, ``meta`` and the (few) events are encoded afresh. The
+        chunks are meant to be written as they come, never joined; only
+        a store's first call encodes its whole commit log as one."""
+        kept = self._kept_json
+        if not kept:
             cluster = [_spec_record(server.spec) for server in self.cluster]
-            self._kept_json.append(
-                f', "cluster": {json.dumps(cluster)}, "placements": [')
-        fresh = self._placement_records(self._encoded)
-        if fresh:
-            self._kept_json.append((", " if self._encoded else "")
-                                   + json.dumps(fresh)[1:-1])
-            self._encoded += len(fresh)
+            kept.append(f', "cluster": {json.dumps(cluster)}, '
+                        f'"placements": ['.encode())
+        if self._encoded < len(self._commit_log):
+            # One record at a time: their dicts never coexist.
+            fresh = map(json.dumps, self._placement_records(self._encoded))
+            lead = ", " if self._encoded else ""
+            kept.append((lead + ", ".join(fresh)).encode())
+            self._encoded = len(self._commit_log)
         tail: dict[str, object] = {"meta": dict(meta) if meta else {}}
         if self._events:
             tail["events"] = self._events
-        return "".join((json.dumps(self._snapshot_head())[:-1],
-                        *self._kept_json, "], ", json.dumps(tail)[1:]))
+        yield json.dumps(self._snapshot_head())[:-1].encode()
+        yield from kept
+        yield ("], " + json.dumps(tail)[1:]).encode()
 
     @classmethod
     def from_snapshot(cls, document: Mapping[str, object]
@@ -937,25 +941,6 @@ class ClusterStateStore:
             store._apply_event(events.popleft())
         store.advance_to(clock)
         return store
-
-    def save(self, path: str | Path,
-             meta: Mapping[str, object] | None = None) -> None:
-        """Atomically write the snapshot document to ``path``."""
-        path = Path(path)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(self.snapshot_text(meta))
-        os.replace(tmp, path)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ClusterStateStore":
-        """Load a snapshot written by :meth:`save`."""
-        path = Path(path)
-        try:
-            document = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ValidationError(
-                f"{path}: not a valid snapshot: {exc}") from exc
-        return cls.from_snapshot(document)
 
     def __repr__(self) -> str:
         return (f"ClusterStateStore(n_servers={len(self.cluster)}, "

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
+from pathlib import Path
 
+import repro
+from repro.energy import accounting, cost
 from repro.energy.cost import (
     CostBreakdown,
     SleepPolicy,
@@ -147,3 +152,41 @@ class TestAllocationCost:
         split = allocation_cost(Allocation(cluster, {v0: 0, v1: 1})).total
         packed = allocation_cost(Allocation(cluster, {v0: 0, v1: 0})).total
         assert packed < split
+
+
+class TestTheSleepRuleIsStatedOnce:
+    """Eq. 16 — sleep iff ``alpha < P_idle * length`` — is written out
+    in one function; the predicate, the gap pricer, the saturating-gap
+    search and the active-timeline derivation all call it."""
+
+    SOURCE = Path(repro.__file__).parent
+
+    @staticmethod
+    def _idles(node: ast.AST) -> bool:
+        """Whether ``node`` is a product with a ``p_idle`` factor."""
+        return isinstance(node, ast.BinOp) and \
+            isinstance(node.op, ast.Mult) and any(
+                getattr(side, "id", getattr(side, "attr", None)) == "p_idle"
+                for side in (node.left, node.right))
+
+    def test_one_comparison_against_the_idle_energy(self):
+        sites = []
+        for path in sorted(self.SOURCE.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            for function in ast.walk(tree):
+                if not isinstance(function, ast.FunctionDef):
+                    continue
+                for node in ast.walk(function):
+                    if isinstance(node, ast.Compare) and any(
+                            self._idles(side)
+                            for side in (node.left, *node.comparators)):
+                        sites.append((path.relative_to(self.SOURCE)
+                                      .as_posix(), function.name))
+        assert sites == [("energy/cost.py", "_sleeps")]
+
+    def test_every_sleep_decision_calls_the_rule(self):
+        for function in (cost.sleeps_through, cost._gap_length_cost,
+                         cost.saturating_gap, accounting.active_intervals,
+                         accounting.transition_count):
+            assert "_sleeps(" in inspect.getsource(function), function
+        assert not hasattr(accounting, "_gap_sleeps")

@@ -145,9 +145,9 @@ class TestClusterStateStore:
         store = ClusterStateStore(Cluster.homogeneous(SPEC, 2))
         store.commit(make_vm(0, 1, 3), 0)
         store.advance_to(2)
-        path = tmp_path / "snap.json"
-        store.save(path)
-        restored = ClusterStateStore.load(path)
+        manager = SnapshotManager(tmp_path)
+        manager.save(store.snapshot_parts(), 1)
+        restored = ClusterStateStore.from_snapshot(manager.load_latest())
         assert restored.to_snapshot() == store.to_snapshot()
 
     def test_rejects_unknown_snapshot_version(self):
@@ -467,7 +467,8 @@ class TestPersistence:
     def test_snapshot_rotation_keeps_newest(self, tmp_path):
         manager = SnapshotManager(tmp_path, keep=2)
         for seq in (1, 2, 3):
-            manager.save(json.dumps({"format_version": 1, "seq": seq}), seq)
+            manager.save([json.dumps({"format_version": 1,
+                                      "seq": seq}).encode()], seq)
         remaining = sorted(p.name for p in
                            tmp_path.glob("snapshot-*.json"))
         assert len(remaining) == 2
@@ -479,13 +480,13 @@ class TestPersistence:
         stale = manager.path_for(1).with_suffix(".json.tmp")
         stale.write_text('{"format_version": 1, "pla')
         assert manager.load_latest() is None
-        manager.save(json.dumps({"seq": 2}), 2)
+        manager.save([json.dumps({"seq": 2}).encode()], 2)
         assert not stale.exists()
         assert manager.load_latest()["seq"] == 2
 
     def test_corrupt_latest_snapshot_falls_back(self, tmp_path):
         manager = SnapshotManager(tmp_path)
-        manager.save(json.dumps({"marker": "good"}), 1)
+        manager.save([json.dumps({"marker": "good"}).encode()], 1)
         manager.path_for(2).write_text("{broken")
         assert manager.load_latest()["marker"] == "good"
 

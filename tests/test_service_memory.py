@@ -10,12 +10,18 @@ load, not elapsed time.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from repro.model.cluster import Cluster
 from repro.model.intervals import TimeInterval
 from repro.model.vm import VM, VMSpec
-from repro.service import AllocationDaemon, place_request
+from repro.service import (
+    AllocationDaemon,
+    place_batch_request,
+    place_request,
+)
 from repro.service.state import ClusterStateStore
 from repro.workload.generator import generate_vms
 
@@ -132,3 +138,32 @@ class TestDaemonMemory:
         store.commit(_vm(0, 5, 9), 0)  # entirely in the past
         assert store.states[0].vms == []
         assert store.energy_accumulated > 0
+
+
+class TestSnapshotMemory:
+    def test_a_snapshot_allocates_a_fraction_of_its_file(self, tmp_path):
+        # The kept chunks go to disk as they are: a snapshot encodes the
+        # head, the commits since the last one (one record at a time)
+        # and the tail, never the whole document as one str or bytes —
+        # which read twice the file.
+        daemon = AllocationDaemon(
+            ClusterStateStore(Cluster.paper_all_types(300)),
+            algorithm="first-fit", data_dir=tmp_path, snapshot_every=200,
+            fsync=False)
+        vms = sorted(generate_vms(5150, mean_interarrival=0.2, seed=3),
+                     key=lambda v: (v.start, v.end, v.vm_id))
+        # 25 periodic snapshots, then 150 commits none has covered
+        for first in range(0, len(vms), 200):
+            response = daemon.handle(
+                place_batch_request(vms[first:first + 200]))
+            assert response["placed"] == response["count"], response
+        assert daemon.store.placement_count() == 5150
+        tracemalloc.start()
+        try:
+            path = daemon.write_snapshot()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            daemon.journal.close()
+        size = path.stat().st_size
+        assert peak < size / 4, (peak, size)

@@ -13,7 +13,7 @@ interleavings of every mutating op: the awake set and the integer
 fleet totals against a scan of the machines, the closed-tick series
 against a twin store that closes ticks by walking the whole fleet
 twice (:class:`TwoWalkStore`, the oracle), the incrementally
-encoded snapshot text against ``json.dumps(to_snapshot(meta))``, and
+encoded snapshot chunks against ``json.dumps(to_snapshot(meta))``, and
 (slice three) the allocator's candidate queues and kernel planes
 against a partition of the scan list and the skylines they mirror.
 
@@ -29,7 +29,8 @@ reader (:meth:`ClusterStateStore.apply`) and one writer
 (``AllocationDaemon._journal``), so the live store, a restore from the
 newest snapshot plus the journal tail and a restore from the journal
 alone are one state, and a crash at any byte of the final journal group
-loses that group and nothing else.
+loses that group and nothing else — as a crash at any byte of a
+snapshot write loses nothing at all.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from repro.obs.tracer import Tracer, use_tracer
 from repro.service import (
     AllocationDaemon,
     ClusterStateStore,
+    SnapshotManager,
     consolidate_request,
     fail_server_request,
     place_batch_request,
@@ -272,10 +274,14 @@ def closed_ticks(store: ClusterStateStore):
     return store._power, store._active, store._running, store.fleet.power
 
 
-def assert_text_is_the_document(store: ClusterStateStore, meta) -> str:
-    text = store.snapshot_text(meta)
-    assert text == json.dumps(store.to_snapshot(meta))
-    return text
+def snapshot_bytes(store: ClusterStateStore, meta) -> bytes:
+    return b"".join(store.snapshot_parts(meta))
+
+
+def assert_parts_are_the_document(store: ClusterStateStore, meta) -> bytes:
+    data = snapshot_bytes(store, meta)
+    assert data == json.dumps(store.to_snapshot(meta)).encode()
+    return data
 
 
 def assert_index_matches_the_scan_list(daemon: AllocationDaemon) -> None:
@@ -359,16 +365,16 @@ def test_derived_structures_equal_a_recomputation(engine, ops):
         assert_aggregates_match_a_scan(store)
         assert_index_matches_the_scan_list(daemon)
         assert closed_ticks(store) == closed_ticks(twin.store)  # floats ==
-        # warm cache: every call but the first extends the kept text
-        assert_text_is_the_document(store, {"seq": step})
+        # warm cache: every call but the first extends the kept chunks
+        assert_parts_are_the_document(store, {"seq": step})
     store.run_to_completion()
     twin.store.run_to_completion()
     assert_aggregates_match_a_scan(store)
     assert closed_ticks(store) == closed_ticks(twin.store)
-    text = assert_text_is_the_document(store, {"seq": len(ops)})
+    data = assert_parts_are_the_document(store, {"seq": len(ops)})
     # cold cache: a rebuilt store has kept nothing yet
-    rebuilt = ClusterStateStore.from_snapshot(json.loads(text))
-    assert rebuilt.snapshot_text({"seq": len(ops)}) == text
+    rebuilt = ClusterStateStore.from_snapshot(json.loads(data))
+    assert snapshot_bytes(rebuilt, {"seq": len(ops)}) == data
 
 
 # -- cut books == books rebuilt from the placement log ------------------------
@@ -474,7 +480,8 @@ def test_snapshot_file_is_the_document_for_every_format(tmp_path, version):
     def file_is_the_document():
         path = daemon.write_snapshot()
         meta = daemon._meta(daemon._last_seq())
-        assert path.read_text() == json.dumps(store.to_snapshot(meta))
+        assert path.read_bytes() == \
+            json.dumps(store.to_snapshot(meta)).encode()
 
     fragment(daemon)            # periodic snapshots warmed the cache
     file_is_the_document()
@@ -491,10 +498,10 @@ def test_snapshot_file_is_the_document_for_every_format(tmp_path, version):
 
     restored = AllocationDaemon.restore(tmp_path, fsync=False)
     meta = {"seq": 0}
-    assert assert_text_is_the_document(restored.store, meta) == \
-        store.snapshot_text(meta)
+    assert assert_parts_are_the_document(restored.store, meta) == \
+        snapshot_bytes(store, meta)
     assert restored.handle(place_request(make_vm(5001, 12, 30)))["ok"]
-    assert_text_is_the_document(restored.store, meta)
+    assert_parts_are_the_document(restored.store, meta)
 
 
 def test_zero_length_gap_bridges_one_close_and_sleeps_at_the_next():
@@ -513,7 +520,7 @@ def test_zero_length_gap_bridges_one_close_and_sleeps_at_the_next():
         assert machine.state is PowerState.POWER_SAVING
         assert not store.fleet.awake
         store.advance_to(7)
-        assert_text_is_the_document(store, None)
+        assert_parts_are_the_document(store, None)
     assert closed_ticks(stores[0]) == closed_ticks(stores[1])
     assert stores[0]._active == [1, 1, 1, 1, 0, 0]
 
@@ -522,12 +529,12 @@ def test_zero_length_gap_bridges_one_close_and_sleeps_at_the_next():
 
 def durable_state(daemon: AllocationDaemon) -> tuple:
     """Everything a restore must land on bit for bit: the snapshot
-    text, the running energy sums, every machine, and the counters the
+    bytes, the running energy sums, every machine, and the counters the
     journal carries (a refused request is counted but never journaled)."""
     store = daemon.store
     counters = {key: value for key, value in daemon.metrics.to_meta().items()
                 if key not in ("errors", "overloaded")}
-    return (store.snapshot_text({"seq": 0}), store.energy_accumulated,
+    return (snapshot_bytes(store, {"seq": 0}), store.energy_accumulated,
             store.migration_energy, counters, daemon._last_consolidated_tick,
             [(m.state, set(m.resident_vms), m.transitions, m.transition_energy)
              for m in store.machines.values()])
@@ -628,6 +635,78 @@ def test_a_crash_at_any_byte_of_the_final_group_loses_only_that_group(
             restored.journal.close()
         assert [entry["seq"] for entry in read_journal(journal)] == \
             list(range(1, entries + len(rest) + 1)), cut
+
+
+def files_of(directory: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def lay_out(directory: Path, files: dict[str, bytes]) -> None:
+    """Make ``directory`` hold exactly ``files``."""
+    for path in directory.iterdir():
+        if path.name not in files:
+            path.unlink()
+    for name, data in files.items():
+        (directory / name).write_bytes(data)
+
+
+@pytest.mark.parametrize("torn", ["tmp", "newest"])
+def test_a_crash_inside_a_snapshot_write_restores_like_its_twin(
+        tmp_path, monkeypatch, torn):
+    """A snapshot file is not fsynced before its rename, so a crash can
+    leave it cut at any byte: as the ``.tmp`` the rename never reached
+    (``tmp``), or as the newest ``snapshot-*.json`` (``newest``). Cut at
+    every chunk boundary and at sampled offsets, the restore skips the
+    torn file and lands, through an older snapshot and the journal, on
+    the state, energy and counters of the daemon that never crashed."""
+    written: list[list[bytes]] = []
+    save = SnapshotManager.save
+
+    def recording(self, parts, seq):
+        parts = list(parts)
+        written.append(parts)
+        return save(self, parts, seq)
+    monkeypatch.setattr(SnapshotManager, "save", recording)
+
+    daemon = AllocationDaemon(
+        ClusterStateStore(Cluster.homogeneous(SPEC, SERVERS)),
+        data_dir=tmp_path, snapshot_every=3, fsync=False)
+    fragment(daemon)
+    for request in (fail_server_request(1), consolidate_request(),
+                    recover_server_request(1),
+                    place_batch_request([make_vm(9000, 12, 30, cpu=1.1),
+                                         make_vm(9001, 13, 20, cpu=1.1)]),
+                    {"op": "tick", "now": 14}):   # journaled, not covered
+        assert daemon.handle(request)["ok"], request
+    before = files_of(tmp_path)
+    path = daemon.write_snapshot()      # the write the crash tears
+    twin = durable_state(daemon)        # never crashed
+    daemon.journal.close()
+    after = files_of(tmp_path)
+    parts = written[-1]
+    document = b"".join(parts)
+    assert len(written) > 2 and after[path.name] == document
+    covered = json.loads(document)["meta"]["seq"]
+
+    boundaries, offset = {0}, 0
+    for part in parts:
+        offset += len(part)
+        boundaries.add(offset)
+    cuts = sorted(boundaries | set(range(1, len(document), 97)))
+    assert len(cuts) > 20
+    for cut in cuts:
+        if torn == "tmp":
+            lay_out(tmp_path, {**before, path.name + ".tmp": document[:cut]})
+        else:
+            lay_out(tmp_path, {**after, path.name: document[:cut]})
+        latest = SnapshotManager(tmp_path).load_latest()
+        assert (latest["meta"]["seq"] < covered) == \
+            (torn == "tmp" or cut < len(document)), cut
+        restored = AllocationDaemon.restore(tmp_path, fsync=False)
+        try:
+            assert durable_state(restored) == twin, cut
+        finally:
+            restored.journal.close()
 
 
 class TestARecordedMutationHasOneReaderAndOneWriter:
