@@ -485,10 +485,11 @@ class Allocator:
 
     def replayed(self, vm: VM, state: ServerState) -> None:
         """Hook: ``vm`` went to ``state`` by a recorded decision of this
-        allocator, applied without :meth:`select` (a daemon restore), in
-        commit order since the fleet was last prepared. An allocator
-        whose next decision depends on its own earlier ones beyond what
-        the books hold catches up here (round robin's rotation).
+        allocator, applied without :meth:`select` (a daemon restore) —
+        the last such decision since the fleet was last prepared, which
+        is all a daemon keeps. An allocator whose next decision depends
+        on its own latest one beyond what the books hold catches up
+        here (round robin's rotation).
         Random draws cannot be caught up this way: random fit, and
         FFPS's re-shuffle after a fleet change, are not restore-exact
         (``docs/service.md``)."""

@@ -80,9 +80,12 @@ class ServerState:
 
         Watchers implement ``server_state_changed(state)`` and are held
         weakly: a replaced index/kernel (fleet rebuilds re-run
-        ``prepare``) is dropped on the next notification instead of
-        leaking.
+        ``prepare``) is dropped on the next notification or the next
+        registration, whichever comes first — a book that never changes
+        again must not keep one dead reference per rebuild.
         """
+        self._watchers = [ref for ref in self._watchers
+                          if ref() is not None]
         self._watchers.append(weakref.ref(watcher))
 
     def _notify(self) -> None:
@@ -482,6 +485,27 @@ class ServerState:
         for vm in twin.vms:
             twin._occupy(vm, time)
         return twin
+
+    def book(self) -> tuple[list[int], list[int], dict[str, list]]:
+        """The busy-segment starts and ends and the occupancy rows, by
+        reference: with :attr:`vms` and :attr:`cost`, all this book
+        holds (a snapshot writes it; :meth:`restored` reads it back)."""
+        return self._busy_starts, self._busy_ends, self._occ.rows()
+
+    @classmethod
+    def restored(cls, server: Server, *, policy: SleepPolicy,
+                 engine: EngineConfig, vms: list[VM],
+                 busy_starts: list[int], busy_ends: list[int],
+                 cost: float, rows: dict[str, list]) -> "ServerState":
+        """The book whose :attr:`vms`, :attr:`cost` and :meth:`book`
+        are these, verbatim: it probes and prices bit for bit as the
+        one they were read off, with nothing recomputed."""
+        state = cls(server, policy=policy, engine=engine)
+        state.vms = vms
+        state._busy_starts, state._busy_ends = busy_starts, busy_ends
+        state.cost = cost
+        state._occ.load_rows(rows)
+        return state
 
     def retire(self, vm: VM, *, before: int | None = None) -> None:
         """Forget a *finished* VM without undoing its energy accounting.

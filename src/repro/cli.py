@@ -37,9 +37,8 @@ import os
 import sys
 from typing import TYPE_CHECKING, Sequence
 
-from repro.allocators.registry import allocator_names
+from repro.allocators.names import ALLOCATOR_NAMES
 from repro.exceptions import ReproError
-from repro.workload.trace import Trace
 
 if TYPE_CHECKING:
     from repro.experiments.config import ScenarioConfig
@@ -130,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", _cmd_run,
         help="compare one algorithm against FFPS on a scenario")
     p_run.add_argument("--algorithm", default="min-energy",
-                       choices=allocator_names())
+                       choices=ALLOCATOR_NAMES)
     add_workload(p_run, seed=False)
     p_run.add_argument("--transition", type=float, default=1.0)
     p_run.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4])
@@ -160,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_robust.add_argument("--no-box", action="store_true",
                           help="skip the full worst-case anchor point")
     p_robust.add_argument("--algorithm", default="first-fit",
-                          choices=allocator_names())
+                          choices=ALLOCATOR_NAMES)
     p_robust.add_argument("--draws", type=int, default=20,
                           help="realized demand worlds per budget")
     p_robust.add_argument("--seed", type=int, default=7)
@@ -193,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "server_ratio"))
     p_sweep.add_argument("--values", type=float, nargs="+", required=True)
     p_sweep.add_argument("--algorithm", default="min-energy",
-                         choices=allocator_names())
+                         choices=ALLOCATOR_NAMES)
     add_workload(p_sweep, seed=False)
     p_sweep.add_argument("--seeds", type=int, nargs="+",
                          default=[0, 1, 2, 3, 4])
@@ -217,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_workload(p_audit, trace=True)
     p_audit.add_argument("--servers", type=int, default=None)
     p_audit.add_argument("--algorithm", default="min-energy",
-                         choices=allocator_names())
+                         choices=ALLOCATOR_NAMES)
 
     p_explain = command(
         "explain", _cmd_explain,
@@ -227,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain.add_argument("--servers", type=int, default=None,
                            help="fleet size (default: half the VMs)")
     p_explain.add_argument("--algorithm", default="min-energy",
-                           choices=allocator_names())
+                           choices=ALLOCATOR_NAMES)
     p_explain.add_argument("--max-delay", type=int, default=0,
                            help="admission queue depth in ticks")
     p_explain.add_argument("--vm-id", type=int, default=None,
@@ -249,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--servers", type=int, default=100,
                          help="fleet size (paper's five-type mix)")
     p_serve.add_argument("--algorithm", default="min-energy",
-                         choices=allocator_names())
+                         choices=ALLOCATOR_NAMES)
     p_serve.add_argument("--seed", type=int, default=None)
     p_serve.add_argument("--algo-param", action="append", default=[],
                          metavar="KEY=VALUE", dest="algo_param",
@@ -390,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
-    for name in allocator_names():
+    for name in ALLOCATOR_NAMES:
         print(name)
     return 0
 
@@ -473,6 +472,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print("error: --out is required when generating a trace",
               file=sys.stderr)
         return 2
+    from repro.workload.trace import Trace
+
     trace = Trace.from_vms(
         _scenario(args).generate_vms(args.seed),
         n_vms=args.vms, mean_interarrival=args.interarrival,
@@ -487,6 +488,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _load_or_generate(args: argparse.Namespace):
     if getattr(args, "trace", None):
+        from repro.workload.trace import Trace
+
         loader = (Trace.load_json if args.trace.endswith(".json")
                   else Trace.load_csv)
         return list(loader(args.trace))

@@ -229,8 +229,8 @@ class ConsolidationReport:
 
     @cached_property
     def records(self) -> list[dict[str, object]]:
-        """The moves as JSON records, encoded once: the list in the
-        store's snapshot event is the list the daemon journals."""
+        """The moves as JSON records, encoded once, as the daemon
+        journals them."""
         return [move.to_record() for move in self.moves]
 
 

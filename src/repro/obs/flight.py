@@ -12,11 +12,15 @@ were the last requests before this?"* without any log shipping:
   ``flight-dump-*.json`` file in the data dir — a black box for the
   post-mortem.
 
-Payloads are *compacted* before recording: internal ``_``-prefixed
-fields (parsed VM objects) are dropped, long lists are truncated to
-their head with a ``"... (+N more)"`` marker, and long strings are
-clipped — a 10 000-VM batch records as a handful of entries, keeping
-ring memory bounded regardless of request size.
+Payloads are *compacted* for the dump: internal ``_``-prefixed fields
+(parsed VM objects) are dropped, long lists are truncated to their head
+with a ``"... (+N more)"`` marker, and long strings are clipped — a
+10 000-VM batch records as a handful of entries. A payload with a
+top-level list longer than that head is clipped the same way, one level
+deep, the moment its record enters the ring, so the ring never holds a
+batch's full lists or its parsed VMs, and its memory is bounded
+regardless of request size; the rest of the compaction waits for a
+read.
 """
 
 from __future__ import annotations
@@ -36,6 +40,44 @@ __all__ = ["FlightRecord", "FlightRecorder"]
 MAX_LIST_ITEMS = 16
 MAX_STRING_LENGTH = 256
 
+#: Ops whose request and response carry no list: recorded as they come,
+#: with no scan for one to clip (``place`` is the hot path).
+_LISTLESS_OPS = frozenset({"place", "tick", "ping", "stats",
+                           "recover_server", "snapshot", "shutdown"})
+
+
+class _Head(list):
+    """The first :data:`MAX_LIST_ITEMS` items of a longer list, and the
+    length it had — what :func:`_clip` keeps of it."""
+
+    __slots__ = ("total",)
+
+
+def _clip(payload: Mapping | None) -> Mapping | None:
+    """``payload`` itself when no top-level list is longer than
+    :data:`MAX_LIST_ITEMS` (a ``place``: bounded already, and left
+    uncopied on the hot path), else a copy without its ``_``-prefixed
+    keys and with each such list cut to a :class:`_Head`. Either way
+    :func:`_compact` of the result is :func:`_compact` of ``payload``."""
+    if payload is None:
+        return None
+    for value in payload.values():
+        # a payload's lists are lists (decoded JSON, or built as such)
+        if value.__class__ is list and len(value) > MAX_LIST_ITEMS:
+            break
+    else:
+        return payload
+    clipped = {}
+    for key, value in payload.items():
+        if str(key).startswith("_"):
+            continue
+        if value.__class__ is list and len(value) > MAX_LIST_ITEMS:
+            head = _Head(value[:MAX_LIST_ITEMS])
+            head.total = len(value)
+            value = head
+        clipped[key] = value
+    return clipped
+
 
 def _compact(value: object, depth: int = 0) -> object:
     """A bounded copy of ``value``: long lists/strings clipped."""
@@ -52,8 +94,9 @@ def _compact(value: object, depth: int = 0) -> object:
                 if not str(k).startswith("_")}
     if isinstance(value, (list, tuple)):
         items = [_compact(v, depth + 1) for v in value[:MAX_LIST_ITEMS]]
-        if len(value) > MAX_LIST_ITEMS:
-            items.append(f"... (+{len(value) - MAX_LIST_ITEMS} more)")
+        total = getattr(value, "total", len(value))
+        if total > MAX_LIST_ITEMS:
+            items.append(f"... (+{total - MAX_LIST_ITEMS} more)")
         return items
     return value
 
@@ -73,11 +116,13 @@ class FlightRecord:
     ``answered``, as the ``service.request`` span does; ``ctx`` is the
     request's :class:`~repro.obs.context.TraceContext`.
 
-    Payload compaction is deferred to first access: the hot path stores
-    raw references only, and the bounded copies are built (then cached)
-    when the ring is read. The daemon never mutates a request or
-    response after answering it, so the deferred copy observes the same
-    payload an eager one would.
+    The ring keeps a payload with a long top-level list clipped one
+    level deep (recording drops its ``_``-prefixed keys and cuts those
+    lists to their heads); the rest of the compaction is deferred to
+    first access, and the bounded copies are built (then cached) when
+    the ring is read. The daemon never mutates a request or response after
+    answering it, so the deferred copy observes the same payload an
+    eager one would.
     """
 
     __slots__ = ("seq", "op", "version", "ctx", "ok", "error", "decision",
@@ -152,9 +197,13 @@ class FlightRecorder:
 
     def record(self, entry: FlightRecord) -> None:
         """Keep one answered request's record, numbered in arrival
-        order (compaction happens on read)."""
+        order, a payload with a long list clipped at its top level (the
+        deep compaction happens on read)."""
         if self.capacity == 0:
             return
+        if entry.op not in _LISTLESS_OPS:
+            entry.raw_request = _clip(entry.raw_request)
+            entry.raw_response = _clip(entry.raw_response)
         with self._lock:
             self._seq += 1
             entry.seq = self._seq

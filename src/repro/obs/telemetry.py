@@ -26,7 +26,11 @@ from typing import Mapping, Sequence
 from repro.exceptions import ValidationError
 from repro.obs.tracer import COUNTER, TraceEvent
 
-__all__ = ["TelemetrySample", "TelemetryRing"]
+__all__ = ["DEFAULT_CAPACITY", "TelemetrySample", "TelemetryRing"]
+
+#: Ticks a ring holds unless told otherwise (``repro serve
+#: --telemetry-capacity``'s default).
+DEFAULT_CAPACITY = 1024
 
 #: Nanoseconds per simulated tick on the Chrome-trace axis (one tick
 #: renders as 1 µs, matching :mod:`repro.simulation.telemetry`).
@@ -73,7 +77,7 @@ class TelemetryRing:
     observability-off benchmark configuration use.
     """
 
-    def __init__(self, capacity: int = 1024) -> None:
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 0:
             raise ValidationError(
                 f"telemetry capacity must be >= 0, got {capacity}")

@@ -203,6 +203,16 @@ class SkylineOccupancy:
         """
         return self._xs, self._cpu, self._mem
 
+    def rows(self) -> dict[str, list]:
+        """Every row the skyline keeps, by name and by reference — what
+        a snapshot writes verbatim and :meth:`load_rows` reads back (a
+        cut leaves subtraction residue no re-add would reproduce)."""
+        return {"xs": self._xs, "cpu": self._cpu, "mem": self._mem}
+
+    def load_rows(self, rows: dict[str, list]) -> None:
+        """Take :meth:`rows` back; the lists are adopted, not copied."""
+        self._xs, self._cpu, self._mem = rows["xs"], rows["cpu"], rows["mem"]
+
 
 class DenseOccupancy:
     """The original dense per-time-unit numpy timeline (test oracle)."""
@@ -274,6 +284,14 @@ class DenseOccupancy:
         """Nonzero time units (dense arrays have no change-point structure)."""
         return [int(t) for t in
                 np.flatnonzero((self._cpu != 0.0) | (self._mem != 0.0))]
+
+    def rows(self) -> dict[str, list]:
+        """The two timelines as float lists (the skyline's contract)."""
+        return {"cpu": self._cpu.tolist(), "mem": self._mem.tolist()}
+
+    def load_rows(self, rows: dict[str, list]) -> None:
+        self._cpu = np.array(rows["cpu"], dtype=float)
+        self._mem = np.array(rows["mem"], dtype=float)
 
 
 def make_occupancy(engine: str, robustness=None):

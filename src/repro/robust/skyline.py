@@ -237,6 +237,19 @@ class RobustSkyline(SkylineOccupancy):
         return (self._xs, self._cpu, self._mem,
                 self._dc, self._tc, self._dm, self._tm)
 
+    def rows(self) -> dict[str, list]:
+        """The nominal rows, the radius multisets and their cached
+        accumulators — written as kept, never re-derived."""
+        return {**super().rows(), "rc": self._rc, "rm": self._rm,
+                "dc": self._dc, "tc": self._tc, "dm": self._dm,
+                "tm": self._tm}
+
+    def load_rows(self, rows: dict[str, list]) -> None:
+        super().load_rows(rows)
+        self._rc, self._rm = rows["rc"], rows["rm"]
+        self._dc, self._tc = rows["dc"], rows["tc"]
+        self._dm, self._tm = rows["dm"], rows["tm"]
+
 
 def _insert(radii: tuple[float, ...], r: float) -> tuple[float, ...]:
     """``radii`` with ``r`` inserted, keeping descending order."""

@@ -77,7 +77,8 @@ from repro.obs.explain import ExplainRecorder
 from repro.obs.flight import FlightRecord, FlightRecorder
 from repro.obs.logging import get_logger
 from repro.obs.slo import SLOConfig, SLOTracker
-from repro.obs.telemetry import TelemetryRing, TelemetrySample
+from repro.obs.telemetry import DEFAULT_CAPACITY, TelemetryRing, \
+    TelemetrySample
 from repro.obs.tracer import get_tracer
 from repro.placement.config import EngineConfig
 from repro.service.errors import attach_error, envelope_of_exception
@@ -176,7 +177,7 @@ class AllocationDaemon:
                  migration_cost_per_gb: float = 5.0,
                  migration_k: int | None = None,
                  slo: SLOConfig | None = None,
-                 telemetry_capacity: int = 1024,
+                 telemetry_capacity: int = DEFAULT_CAPACITY,
                  flight_capacity: int = 256,
                  _restored_seq: int | None = None) -> None:
         for name, value in (("max_delay", max_delay),
@@ -323,11 +324,13 @@ class AllocationDaemon:
                 | None = None) -> "AllocationDaemon":
         """Rebuild a daemon from ``data_dir``'s snapshot + journal tail.
 
-        Replayed placements apply the journalled decision directly (no
-        allocator re-run), so the restored state is identical even when
-        the original decisions came from a randomized allocator; then
-        the allocator hears of those made since the fleet last changed
-        (``Allocator.replayed``: round robin resumes its rotation —
+        The snapshot loads as written (format 4; older formats replay
+        their commit log), and journalled placements apply the recorded
+        decision directly (no allocator re-run), so the restored state
+        is identical even when the original decisions came from a
+        randomized allocator; then the allocator hears of the last one
+        made since the fleet last changed (``Allocator.replayed``:
+        round robin resumes its rotation —
         random fit's and FFPS's draws are not replayed, see
         ``docs/service.md``). Replay logs the *recorded* trace ids,
         never fresh ones.
@@ -382,8 +385,8 @@ class AllocationDaemon:
         for entry in entries:
             if int(entry["seq"]) > covered:
                 daemon._replay(entry)
-        # Replay selected nothing: hand the allocator the decisions made
-        # on today's fleet, as a daemon that never stopped has seen them.
+        # Replay selected nothing: hand the allocator the last decision
+        # made on today's fleet, as a daemon that never stopped saw it.
         for vm, server_id in store.commits_since_fleet_change():
             daemon.allocator.replayed(vm, store.states[server_id])
         daemon.ready = True
@@ -529,7 +532,8 @@ class AllocationDaemon:
             raise
         record.answered = perf_counter()
         record.ok = ok = bool(response.get("ok"))
-        record.raw_response = response
+        record.raw_response = response = echo_envelope(
+            message, response, ctx.to_fields())
         self.slo.observe(record.answered - record.decoded, ok=ok)
         self.flight.record(record)
         logger = get_logger()
@@ -553,7 +557,7 @@ class AllocationDaemon:
             if spanned is not None and ok:
                 tracer.finished_span(f"service.{record.op}", record.locked,
                                      record.journaled, **spanned(response))
-        return echo_envelope(message, response, ctx.to_fields())
+        return response
 
     #: ``op -> its span's attributes, read from its response``: the span
     #: runs from the commit lock to the durable point, inside

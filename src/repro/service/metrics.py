@@ -215,39 +215,39 @@ _HISTOGRAMS = (
 )
 
 #: Families read live off the store: ``(family, type, HELP, read)``;
-#: ``read(store, closed)`` gets the store and its closed-tick
-#: :class:`~repro.simulation.telemetry.Telemetry` (built once a page).
+#: each ``read(store)`` is O(1) or O(awake servers) — the closed-tick
+#: families read the store's running totals, not a series.
 _STORE_FAMILIES = (
     ("repro_fleet_power_watts", "gauge",
      "Instantaneous fleet power draw (Eq. 1).",
-     lambda store, closed: store.fleet_power()),
+     lambda store: store.fleet_power()),
     ("repro_servers_active", "gauge",
      "Servers currently in the active power state.",
-     lambda store, closed: store.servers_active()),
+     lambda store: store.servers_active()),
     ("repro_servers_asleep", "gauge",
      "Servers currently in the power-saving state.",
-     lambda store, closed: store.servers_asleep()),
+     lambda store: store.servers_asleep()),
     ("repro_servers_failed", "gauge",
      "Servers currently in the failed state.",
-     lambda store, closed: store.servers_failed()),
+     lambda store: store.servers_failed()),
     ("repro_running_vms", "gauge",
      "VM demand pieces currently resident on the fleet.",
-     lambda store, closed: store.running_vms()),
+     lambda store: store.running_vms()),
     ("repro_clock_ticks", "gauge",
      "Current wall-clock tick of the cluster state.",
-     lambda store, closed: store.clock),
+     lambda store: store.clock),
     ("repro_vms_placed", "gauge",
      "VMs committed to the plan since daemon start.",
-     lambda store, closed: store.placement_count()),
+     lambda store: store.placement_count()),
     ("repro_energy_accumulated_watt_ticks", "gauge",
      "Analytic Eq.-17 energy of the plan; cut placements lower it.",
-     lambda store, closed: store.energy_accumulated),
+     lambda store: store.energy_accumulated),
     ("repro_busy_energy_watt_ticks", "counter",
      "Integrated live fleet power over closed ticks.",
-     lambda store, closed: closed.total_energy),
+     lambda store: store.busy_energy),
     ("repro_power_peak_watts", "gauge",
      "Peak per-tick fleet power over closed ticks.",
-     lambda store, closed: closed.peak_power),
+     lambda store: store.power_peak),
 )
 
 #: SLO families: ``(family, type, HELP, section, key)`` — a path into
@@ -396,7 +396,6 @@ class ServiceMetrics:
         :meth:`repro.obs.slo.SLOTracker.report`; when given, the
         ``repro_slo_*`` objective and burn-rate families are appended.
         """
-        closed = store.telemetry()
         with self._lock:
             requests = dict(self.requests)
             decisions = sorted(self.decisions.items())
@@ -447,7 +446,7 @@ class ServiceMetrics:
             lines.append(f"{name}_sum {total:.10g}")
             lines.append(f"{name}_count {count}")
         for name, kind, help_text, read in _STORE_FAMILIES:
-            family(name, kind, help_text, [("", float(read(store, closed)))])
+            family(name, kind, help_text, [("", float(read(store)))])
         if slo is not None:
             report = slo.report()
             for name, kind, help_text, section, key in _SLO_FAMILIES:

@@ -162,7 +162,9 @@ class SnapshotManager:
         never truncated behind a snapshot, replays the difference."""
         path = self.path_for(seq)
         tmp = path.with_suffix(".json.tmp")
-        with tmp.open("wb") as fh:
+        # Unbuffered: a chunk goes straight to the file, so the writer
+        # holds one chunk, not a buffer's worth, at a time.
+        with tmp.open("wb", buffering=0) as fh:
             fh.writelines(parts)
         os.replace(tmp, path)
         self._prune()

@@ -17,33 +17,35 @@ axis a long-running service needs:
   length zero; the *authoritative* energy remains the analytic
   accounting, which applies the configured sleep policy exactly). A
   tick closes in O(awake servers + pieces ending), whatever the fleet;
-* **telemetry** — per-tick fleet power, active servers and running VMs,
-  frozen into a :class:`~repro.simulation.telemetry.Telemetry` on demand.
+* **telemetry** — per-tick fleet power, active servers and running VMs
+  of the newest :data:`TICK_WINDOW` closed ticks, frozen into a
+  :class:`~repro.simulation.telemetry.Telemetry` on demand, and running
+  totals (:attr:`ClusterStateStore.busy_energy`,
+  :attr:`ClusterStateStore.power_peak`) over every closed tick.
 
-The store is crash-safe via :meth:`to_snapshot` / :meth:`from_snapshot`
-(:meth:`snapshot_parts` is the same document as UTF-8 chunks, for the
-cost of the commits since the last one): a snapshot records the
-cluster, the clock and every placement in commit order *with the clock
-value it was committed at*, and restoring replays each placement at
-that clock. That reproduces the live interleaving of commits and clock
-advances exactly — including out-of-order arrivals (``vm.start <
-clock`` starts immediately, not at its nominal tick) and sleep/wake
-cycles the one-tick lookahead would otherwise elide when all starts are
-known up front — so planning state, machines (power state, residents,
-transition counters) and telemetry are rebuilt bit-for-bit.
+The store keeps state, not history: once a VM's last piece ends it
+leaves its book, and nothing else remembers it but the vm-id runs (ids
+are the requests' identity) and the counters. It is crash-safe via
+:meth:`to_snapshot` / :meth:`from_snapshot` (:meth:`snapshot_parts` is
+the same document as UTF-8 chunks), whose codec lives in
+:mod:`repro.service.snapshot`: a format-4 snapshot records each book,
+machine and open demand piece verbatim — floats as hex — so planning
+state, machines (power state, residents, transition counters) and the
+closed-tick totals are rebuilt bit-for-bit in O(live VMs + fleet).
+Snapshots of formats 1–3 recorded the commit log instead and are
+restored by replaying it.
 
 Failures are first-class: :meth:`fail_server` kills a server at a tick,
 splits every affected VM through the shared
 :mod:`repro.simulation.recovery` mechanics (interrupted heads stay on
 the victim's books as wasted energy, remainders are re-placed through a
-recovery allocator over the surviving fleet), and records the whole
-episode — every head/remainder/target — as one event in the snapshot
-stream, so a restore replays the *recorded* re-placements instead of
-re-running the allocator. :meth:`recover_server` brings a dead server
-back to POWER_SAVING; its next wake pays the usual transition cost
-``alpha``, which is exactly the paper's Eq.-17 accounting of
-recovery as an energy event. Snapshots carrying failure events use
-format version 2; event-free snapshots keep writing version 1.
+recovery allocator over the surviving fleet), and returns the whole
+episode — every head/remainder/target — as the report the daemon
+journals, so a journal replay applies the *recorded* re-placements
+instead of re-running the allocator. :meth:`recover_server` brings a
+dead server back to POWER_SAVING; its next wake pays the usual
+transition cost ``alpha``, which is exactly the paper's Eq.-17
+accounting of recovery as an energy event.
 
 Consolidation reuses the same machinery in the opposite direction:
 :meth:`consolidate` runs one migration episode of the shared
@@ -57,17 +59,15 @@ retired VMs stay where they are), heads stay behind as
 legitimately-spent energy, remainders are re-scheduled on their
 targets, drained-empty servers power down at the close of the tick,
 and the per-move migration cost accrues in :attr:`migration_energy`.
-No book is rebuilt from the placement log: an episode and a failure
-cost what is live, not what has been. Each episode is one event in the
-snapshot stream (kind ``"consolidate"``, format version 3), replayed
-from its recorded moves exactly like a failure episode — the planner
-is never re-run on restore.
+No book is rebuilt from a placement log — the store keeps none: an
+episode and a failure cost what is live, not what has been. A journaled
+episode is replayed from its recorded moves exactly like a failure
+episode — the planner is never re-run on restore.
 """
 
 from __future__ import annotations
 
-import json
-from collections import deque
+import bisect
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
@@ -82,15 +82,17 @@ from repro.consolidation.planner import (
     MigrationPlanner,
     PlannedMove,
 )
-from repro.energy.cost import SleepPolicy, allocation_cost
+from repro.energy.cost import SleepPolicy
 from repro.exceptions import ValidationError
 from repro.model.allocation import Allocation
 from repro.model.cluster import Cluster
 from repro.model.phases import demand_profile
-from repro.model.server import ServerSpec
 from repro.model.vm import VM
+from repro.obs.telemetry import DEFAULT_CAPACITY
 from repro.placement.config import EngineConfig
 from repro.placement.occupancy import DEFAULT_ENGINE
+from repro.service import snapshot
+from repro.service.snapshot import SNAPSHOT_FORMAT_VERSION, snapshot_meta
 from repro.simulation.admission import shift_request
 from repro.simulation.power_state import (
     FleetAggregates,
@@ -104,14 +106,9 @@ from repro.workload.trace import vm_from_record, vm_to_record
 __all__ = ["ClusterStateStore", "ConsolidationReport", "FailureReport",
            "Replacement", "SNAPSHOT_FORMAT_VERSION", "snapshot_meta"]
 
-#: Highest snapshot format this build writes (and reads). Version 2
-#: added the failure/recovery event stream; version 3 adds consolidation
-#: episodes to it. Stores write the lowest version that can express
-#: their event stream, so snapshots stay readable by older builds
-#: whenever possible.
-SNAPSHOT_FORMAT_VERSION = 3
-
-_SUPPORTED_SNAPSHOT_VERSIONS = (1, 2, 3)
+#: Closed ticks :meth:`ClusterStateStore.telemetry` returns: the newest
+#: window, as long as the daemon's telemetry ring holds by default.
+TICK_WINDOW = DEFAULT_CAPACITY
 
 
 @dataclass(frozen=True)
@@ -188,21 +185,55 @@ class FailureReport:
 
     @cached_property
     def records(self) -> list[dict[str, object]]:
-        """The replacements as JSON records, encoded once: the list in
-        the store's snapshot event is the list the daemon journals."""
+        """The replacements as JSON records, encoded once, as the daemon
+        journals them."""
         return [r.to_record() for r in self.replacements]
 
 
-#: snapshot event ``kind`` -> the journal op recording the same episode
+#: format 1–3 snapshot event ``kind`` -> the journal op recording the
+#: same episode
 _EVENT_OPS = {"fail": "fail_server", "recover": "recover_server",
               "consolidate": "consolidate"}
 
-_SPEC_FIELDS = ("name", "cpu_capacity", "memory_capacity", "p_idle",
-                "p_peak", "transition_time")
 
+class _IdRuns:
+    """The vm ids ever committed, as sorted disjoint ``[lo, hi]`` runs:
+    ids a stream hands out in order cost one run, not one entry each."""
 
-def _spec_record(spec: ServerSpec) -> dict[str, object]:
-    return {field: getattr(spec, field) for field in _SPEC_FIELDS}
+    __slots__ = ("_lo", "_hi")
+
+    def __init__(self) -> None:
+        self._lo: list[int] = []
+        self._hi: list[int] = []
+
+    def __contains__(self, vm_id: int) -> bool:
+        k = bisect.bisect_right(self._lo, vm_id) - 1
+        return k >= 0 and vm_id <= self._hi[k]
+
+    def add(self, vm_id: int) -> None:
+        lo, hi = self._lo, self._hi
+        k = bisect.bisect_right(lo, vm_id) - 1
+        if k >= 0 and vm_id <= hi[k]:
+            return
+        joins_left = k >= 0 and hi[k] == vm_id - 1
+        joins_right = k + 1 < len(lo) and lo[k + 1] == vm_id + 1
+        if joins_left and joins_right:
+            hi[k] = hi[k + 1]
+            del lo[k + 1], hi[k + 1]
+        elif joins_left:
+            hi[k] = vm_id
+        elif joins_right:
+            lo[k + 1] = vm_id
+        else:
+            lo.insert(k + 1, vm_id)
+            hi.insert(k + 1, vm_id)
+
+    def runs(self) -> list[list[int]]:
+        return [[lo, hi] for lo, hi in zip(self._lo, self._hi)]
+
+    def load(self, runs) -> None:
+        self._lo = [int(lo) for lo, _ in runs]
+        self._hi = [int(hi) for _, hi in runs]
 
 
 class ClusterStateStore:
@@ -236,24 +267,17 @@ class ClusterStateStore:
         #: energy charged for live migrations (per-move cost, on top of
         #: the Eq.-17 placement energy)
         self.migration_energy = 0.0
-        self._placements: list[tuple[VM, int]] = []
-        #: durable replay stream: every normal commit as (vm, server_id,
-        #: clock committed at). Unlike ``_placements`` — the live
-        #: allocation truth, which failures edit in place — this log is
-        #: append-only; snapshots serialize it plus the event stream.
-        self._commit_log: list[tuple[VM, int, int]] = []
-        #: failure/recovery events, JSON-safe, in occurrence order; each
-        #: carries ``after`` = how many commits preceded it, so replay
-        #: interleaves the two streams exactly.
-        self._events: list[dict] = []
-        #: UTF-8 JSON of the snapshot parts that never change once
-        #: written (:meth:`snapshot_parts`): the cluster array, then the
-        #: records of the first ``_encoded`` commits, one chunk per snapshot
-        self._kept_json: list[bytes] = []
-        self._encoded = 0
+        #: (vm, server) entries ever booked: commits, plus the heads and
+        #: remainders failures and migrations split VMs into, less the
+        #: VMs so split (:meth:`placement_count`)
+        self._placed = 0
+        #: the last :meth:`commit` since a failure, a recovery or an
+        #: episode that moved something, as (vm, server_id) — all
+        #: ``Allocator.replayed`` needs after a restore
+        self._last_commit: tuple[VM, int] | None = None
         #: server_id -> failure tick of currently-dead servers
         self._dead: dict[int, int] = {}
-        self._vm_ids: set[int] = set()
+        self._vm_ids = _IdRuns()
         #: next fresh vm id for failure splits (heads/remainders get ids
         #: above every id ever committed, mirroring the offline replay)
         self._next_vm_id = 0
@@ -267,10 +291,21 @@ class ClusterStateStore:
         self._open_pieces: dict[int, list] = {}  # vm_id -> [vm, sid, n]
         self._next_piece = 0
         self._max_end = 0
-        # per-tick samples; index 0 is tick 1 (ticks < clock are closed)
+        #: what the snapshot codec encodes once and keeps: the
+        #: ``cluster`` array's JSON, and the closed-tick power blocks
+        #: the window holds whole (:func:`snapshot._power_blocks`)
+        self._cluster_json: bytes | None = None
+        self._power_blocks: dict[int, str] = {}
+        # the newest TICK_WINDOW closed-tick samples (ticks < clock
+        # are closed), and running totals over every closed tick since
+        # the store began
         self._power: list[float] = []
         self._active: list[int] = []
         self._running: list[int] = []
+        #: integrated live fleet power over every closed tick
+        self.busy_energy = 0.0
+        #: peak per-tick fleet power over every closed tick
+        self.power_peak = 0.0
 
     # -- placement ---------------------------------------------------------
 
@@ -286,8 +321,7 @@ class ClusterStateStore:
         ``vm_id`` is the request's identity: committing a second VM
         with an already-placed id raises
         :class:`~repro.exceptions.ValidationError` (duplicates would
-        silently collapse in the :class:`Allocation` view and corrupt
-        the from-scratch energy total).
+        silently collapse in the :class:`Allocation` view).
         """
         if vm.vm_id in self._vm_ids:
             raise ValidationError(
@@ -301,8 +335,8 @@ class ClusterStateStore:
         delta = self.states[server_id].place(vm)
         self._vm_ids.add(vm.vm_id)
         self._next_vm_id = max(self._next_vm_id, vm.vm_id + 1)
-        self._placements.append((vm, server_id))
-        self._commit_log.append((vm, server_id, self.clock))
+        self._placed += 1
+        self._last_commit = (vm, server_id)
         self.energy_accumulated += delta
         self._schedule_live(vm, server_id)
         return delta
@@ -371,9 +405,7 @@ class ClusterStateStore:
         power = 0.0
         for server_id in ids:
             power += awake[server_id]
-        self._power.append(power)
-        self._active.append(self.fleet.active)
-        self._running.append(self.fleet.running_vms)
+        self._record_tick(power, self.fleet.active, self.fleet.running_vms)
         for piece_id, server_id in self._ends.pop(tick, ()):
             cpu, memory = self._piece_demand.pop(piece_id)
             self.machines[server_id].end_vm(piece_id, cpu, memory)
@@ -395,6 +427,17 @@ class ClusterStateStore:
                     not machine.resident_vms and \
                     server_id not in imminent:
                 machine.sleep()
+
+    def _record_tick(self, power: float, active: int, running: int) -> None:
+        """Fold one closed tick into the running totals and the window."""
+        self.busy_energy += power
+        if power > self.power_peak:
+            self.power_peak = power
+        self._power.append(power)
+        self._active.append(active)
+        self._running.append(running)
+        if len(self._power) > TICK_WINDOW:
+            del self._power[0], self._active[0], self._running[0]
 
     def run_to_completion(self) -> None:
         """Advance past the last scheduled retirement, closing every tick."""
@@ -448,7 +491,6 @@ class ClusterStateStore:
             raise ValidationError(
                 f"cannot fail server {server_id} in the past: "
                 f"tick {time} < clock {self.clock}")
-        at = self.clock
         self.advance_to(time)
         victim = self.states[server_id]
         if replacements is None:
@@ -494,10 +536,7 @@ class ClusterStateStore:
             server_id=server_id, time=time, replacements=tuple(out),
             victim_delta=victim_delta,
             energy_delta=victim_delta + sum(r.energy_delta for r in out))
-        self._events.append({
-            "kind": "fail", "server_id": server_id, "time": time,
-            "at": at, "after": len(self._commit_log),
-            "replacements": report.records})
+        self._last_commit = None
         return report
 
     def recover_server(self, server_id: int) -> None:
@@ -515,9 +554,7 @@ class ClusterStateStore:
                 f"server {server_id} is not failed")
         del self._dead[server_id]
         self.machines[server_id].recover()
-        self._events.append({
-            "kind": "recover", "server_id": server_id,
-            "at": self.clock, "after": len(self._commit_log)})
+        self._last_commit = None
 
     # -- consolidation -----------------------------------------------------
 
@@ -542,10 +579,10 @@ class ClusterStateStore:
         and sources drained of their last resident power down when the
         tick closes.
 
-        The whole episode is recorded as **one** event in the snapshot
-        stream; ``moves`` is :meth:`apply`'s way in — such a recorded
-        episode applied verbatim, the planner never re-run. Dead
-        servers are neither drained nor targeted.
+        The daemon journals the whole episode as **one** group;
+        ``moves`` is :meth:`apply`'s way in — such a recorded episode
+        applied verbatim, the planner never re-run. Dead servers are
+        neither drained nor targeted.
         """
         time = self.clock if time is None else int(time)
         if time < 1:
@@ -555,7 +592,6 @@ class ClusterStateStore:
             raise ValidationError(
                 f"cannot consolidate in the past: tick {time} < "
                 f"clock {self.clock}")
-        at = self.clock
         self.advance_to(time)
         if moves is None:
             copies = [state.live_copy(time) for state in self.states]
@@ -564,9 +600,7 @@ class ClusterStateStore:
                 skip=frozenset(self._dead)).moves
         report = self._apply_migrations(tuple(moves), time)
         if moves:
-            self._events.append({
-                "kind": "consolidate", "time": time, "at": at,
-                "after": len(self._commit_log), "moves": report.records})
+            self._last_commit = None
         return report
 
     def _apply_migrations(self, moves: tuple[PlannedMove, ...],
@@ -580,8 +614,6 @@ class ClusterStateStore:
         so each target's book already shows the episode's drains when
         its capacity is probed.
         """
-        # Heads are appended to the placement list afterwards in move
-        # order, exactly as per-move remove-then-append would leave it.
         self._unplace([(move.vm, move.source_id) for move in moves])
         # Batch the live evictions: one pass over the piece table
         # instead of a scan per move (the per-move order of machine
@@ -605,7 +637,7 @@ class ClusterStateStore:
             # useful; it stays on the source's books.
             self.energy_accumulated -= self.states[move.source_id].cut(
                 move.vm, time, move.head)
-            self._placements.append((move.head, move.source_id))
+            self._placed += 1
             self._vm_ids.add(move.head.vm_id)
             self._next_vm_id = max(self._next_vm_id,
                                    move.head.vm_id + 1,
@@ -621,7 +653,7 @@ class ClusterStateStore:
         for move in moves:
             delta = self.states[move.target_id].place(move.remainder)
             self.energy_accumulated += delta
-            self._placements.append((move.remainder, move.target_id))
+            self._placed += 1
             self._vm_ids.add(move.remainder.vm_id)
             self._schedule_live(move.remainder, move.target_id)
         occupied = {entry[1] for entry in self._open_pieces.values()}
@@ -634,44 +666,39 @@ class ClusterStateStore:
                            victim_id: int, target_id: int | None
                            ) -> Replacement:
         """Book one affected VM's head/remainder after its old entry has
-        been removed from the placement list."""
+        been unplaced."""
         delta = 0.0
         self.states[victim_id].cut(vm, self.clock, head)
         if head is not None:
             # The head ran on the victim and its energy is spent but
             # useless; it stays on the dead server's books as waste
             # (accounted in the victim's delta, not here).
-            self._placements.append((head, victim_id))
+            self._placed += 1
             self._vm_ids.add(head.vm_id)
         if target_id is not None:
             delta = self.states[target_id].place(remainder)
             self.energy_accumulated += delta
-            self._placements.append((remainder, target_id))
+            self._placed += 1
             self._vm_ids.add(remainder.vm_id)
             self._schedule_live(remainder, target_id)
         return Replacement(vm=vm, head=head, remainder=remainder,
                            server_id=target_id, energy_delta=delta)
 
     def _unplace(self, doomed: Sequence[tuple[VM, int]]) -> None:
-        """Drop the ``(vm, server_id)`` entries from the placement list
-        in one order-preserving sweep keyed on the ids (not an equality
-        scan of the log per entry); raises before dropping anything
-        unless each is, field for field, a resident of its server's
-        book — what :meth:`ServerState.cut` will ask for."""
-        if not doomed:
-            return
+        """Take the ``(vm, server_id)`` entries off the placement count;
+        raises before anything is touched unless each is, field for
+        field and once, a resident of its server's book — what
+        :meth:`ServerState.cut` will ask for. The books are the check:
+        there is no log to sweep."""
         for vm, sid in doomed:
             if not (0 <= sid < len(self.states)
                     and vm in self.states[sid].vms):
                 raise ValidationError(
                     f"vm {vm.vm_id} is not placed on server {sid}")
-        keys = {(vm.vm_id, sid) for vm, sid in doomed}
-        kept = [entry for entry in self._placements
-                if (entry[0].vm_id, entry[1]) not in keys]
-        if len(kept) != len(self._placements) - len(doomed):
+        if len({(vm.vm_id, sid) for vm, sid in doomed}) != len(doomed):
             raise ValidationError(
                 "duplicate placement entries for an episode's VM")
-        self._placements[:] = kept
+        self._placed -= len(doomed)
 
     def _purge_pieces(self, vm_ids: set[int]) -> None:
         """Drop every live-schedule trace of the given VMs (their
@@ -699,7 +726,8 @@ class ClusterStateStore:
               ) -> tuple[tuple[str, int], ...] | FailureReport \
             | ConsolidationReport | None:
         """Apply one recorded mutation verbatim: a journal entry, or a
-        snapshot event under its journal name (:meth:`_apply_event`).
+        format 1–3 snapshot event under its journal name
+        (:meth:`_apply_event`).
 
         Decisions, re-placements and moves are applied as recorded — no
         allocator, no planner — so the same records on the same store
@@ -743,7 +771,7 @@ class ClusterStateStore:
         return decision, delay
 
     def _apply_event(self, event: Mapping[str, object]) -> None:
-        """Replay one snapshot event: a journal group under its
+        """Replay one format 1–3 snapshot event: a journal group under its
         ``kind`` name, stamped with the clock (``at``) it ran at. An
         unknown kind, like a missing field, is a malformed event."""
         try:
@@ -760,12 +788,19 @@ class ClusterStateStore:
 
     @property
     def placements(self) -> tuple[tuple[VM, int], ...]:
-        """Every committed (vm, server_id) pair in commit order."""
-        return tuple(self._placements)
+        """The live placements: each book's residents as (vm,
+        server_id), ascending server id, in book order. A VM leaves
+        when its last piece ends, or when a failure or a migration cuts
+        it (a remainder then lives on its target); O(live VMs)."""
+        return tuple((vm, server_id)
+                     for server_id, book in enumerate(self.states)
+                     for vm in book.vms)
 
     def placement_count(self) -> int:
-        """``len(self.placements)`` without building the tuple."""
-        return len(self._placements)
+        """The (vm, server_id) entries booked since the store began:
+        commits, plus the heads and remainders failures and migrations
+        split VMs into, less the VMs so split — a counter."""
+        return self._placed
 
     def is_placed(self, vm_id: int) -> bool:
         """Whether a VM with this id has already been committed (the
@@ -774,13 +809,15 @@ class ClusterStateStore:
         return vm_id in self._vm_ids
 
     def allocation(self) -> Allocation:
-        """The committed placements as an :class:`Allocation`."""
-        return Allocation(self.cluster,
-                          {vm: sid for vm, sid in self._placements})
+        """The live :attr:`placements` as an :class:`Allocation`."""
+        return Allocation(self.cluster, dict(self.placements))
 
     def energy_total(self) -> float:
-        """From-scratch analytic Eq.-17 energy of the committed plan."""
-        return allocation_cost(self.allocation(), policy=self.policy).total
+        """Analytic Eq.-17 energy of everything ever booked: the books'
+        running costs summed in server order, O(fleet). It agrees with
+        ``allocation_cost`` of the whole placement history to rounding
+        (``docs/service.md`` gives the tolerance)."""
+        return sum([book.cost for book in self.states], 0.0)
 
     def fleet_power(self) -> float:
         """Instantaneous fleet power draw (Eq. 1) on the current tick."""
@@ -804,12 +841,12 @@ class ClusterStateStore:
         return dict(self._dead)
 
     def commits_since_fleet_change(self) -> list[tuple[VM, int]]:
-        """The ``(vm, server_id)`` commits, in order, since the last
-        failure, recovery or consolidation that moved something — the
-        decisions made on today's :meth:`live_states`."""
-        after = self._events[-1]["after"] if self._events else 0
-        return [(vm, server_id)
-                for vm, server_id, _ in self._commit_log[after:]]
+        """The last ``(vm, server_id)`` commit since the last failure,
+        recovery or consolidation that moved something — the newest
+        decision made on today's :meth:`live_states` — or none. Round
+        robin's rotation, the one ``Allocator.replayed`` hook that reads
+        anything, needs no more."""
+        return [] if self._last_commit is None else [self._last_commit]
 
     def live_states(self) -> list[ServerState]:
         """Planning states of the non-failed servers, ascending id —
@@ -821,134 +858,49 @@ class ClusterStateStore:
     def running_vms(self) -> int:
         return self.fleet.running_vms
 
+    def telemetry_window(self) -> tuple[Iterator[float], Iterator[int],
+                                        Iterator[int]]:
+        """Power, active servers and running VMs of the newest
+        :data:`TICK_WINDOW` closed ticks, oldest first, uncopied."""
+        return iter(self._power), iter(self._active), iter(self._running)
+
     def telemetry(self) -> Telemetry:
-        """The closed-tick series as an immutable Telemetry."""
-        return Telemetry(power=np.array(self._power, dtype=float),
-                         active_servers=np.array(self._active, dtype=int),
-                         running_vms=np.array(self._running, dtype=int))
+        """The newest :data:`TICK_WINDOW` closed ticks (all of them on a
+        younger store) as an immutable Telemetry; index 0 is the oldest
+        of the window. :attr:`busy_energy` and :attr:`power_peak` hold
+        the totals over every closed tick."""
+        power, active, running = self.telemetry_window()
+        return Telemetry(power=np.fromiter(power, dtype=float),
+                         active_servers=np.fromiter(active, dtype=int),
+                         running_vms=np.fromiter(running, dtype=int))
 
     # -- snapshots ---------------------------------------------------------
 
-    def _snapshot_head(self) -> dict[str, object]:
-        if any(event.get("kind") == "consolidate"
-               for event in self._events):
-            version = 3
-        elif self._events:
-            version = 2
-        else:
-            version = 1
-        return {"format_version": version, "policy": self.policy.value,
-                "engine": self.engine_config.spec, "clock": self.clock}
-
-    def _placement_records(self, start: int = 0
-                           ) -> Iterator[dict[str, object]]:
-        for vm, server_id, committed_at in self._commit_log[start:]:
-            yield {"server_id": server_id, "committed_at": committed_at,
-                   "vm": vm_to_record(vm)}
-
     def to_snapshot(self, meta: Mapping[str, object] | None = None
                     ) -> dict[str, object]:
-        """A JSON-safe document from which :meth:`from_snapshot` rebuilds
-        an identical store. ``meta`` rides along uninterpreted (the
-        daemon stores its counters and journal sequence there).
-
-        Failure/recovery events make the document format version 2
-        (commit stream + interleaved event stream) and consolidation
-        episodes make it version 3; a store that never saw either keeps
-        writing version 1, byte-compatible with older builds.
-        """
-        document = self._snapshot_head()
-        document["cluster"] = [_spec_record(server.spec)
-                               for server in self.cluster]
-        document["placements"] = list(self._placement_records())
-        document["meta"] = dict(meta) if meta else {}
-        if self._events:
-            document["events"] = [dict(event) for event in self._events]
-        return document
+        """A JSON-safe format-4 document from which :meth:`from_snapshot`
+        rebuilds an identical store (:mod:`repro.service.snapshot`).
+        ``meta`` rides along uninterpreted (the daemon stores its
+        counters and journal sequence there)."""
+        return snapshot.to_snapshot(self, meta)
 
     def snapshot_parts(self, meta: Mapping[str, object] | None = None
                        ) -> Iterator[bytes]:
-        """``json.dumps(self.to_snapshot(meta))`` as UTF-8 chunks, whose
-        join is the document byte for byte, for the cost of the commits
-        since the previous call: the cluster never changes and the
-        commit log only grows, so their JSON is kept encoded and only
-        the head, ``meta`` and the (few) events are encoded afresh. The
-        chunks are meant to be written as they come, never joined; only
-        a store's first call encodes its whole commit log as one."""
-        kept = self._kept_json
-        if not kept:
-            cluster = [_spec_record(server.spec) for server in self.cluster]
-            kept.append(f', "cluster": {json.dumps(cluster)}, '
-                        f'"placements": ['.encode())
-        if self._encoded < len(self._commit_log):
-            # One record at a time: their dicts never coexist.
-            fresh = map(json.dumps, self._placement_records(self._encoded))
-            lead = ", " if self._encoded else ""
-            kept.append((lead + ", ".join(fresh)).encode())
-            self._encoded = len(self._commit_log)
-        tail: dict[str, object] = {"meta": dict(meta) if meta else {}}
-        if self._events:
-            tail["events"] = self._events
-        yield json.dumps(self._snapshot_head())[:-1].encode()
-        yield from kept
-        yield ("], " + json.dumps(tail)[1:]).encode()
+        """``json.dumps(self.to_snapshot(meta))`` as UTF-8 chunks whose
+        join is the document byte for byte, none larger than one
+        server's record — written as they come, never joined."""
+        return snapshot.snapshot_parts(self, meta)
 
     @classmethod
     def from_snapshot(cls, document: Mapping[str, object]
                       ) -> "ClusterStateStore":
-        """Rebuild a store from a :meth:`to_snapshot` document.
-
-        Placements are re-committed in their original order, each at
-        its recorded ``committed_at`` clock, with failure/recovery
-        events interleaved at their recorded positions (each event's
-        ``after`` counts the commits preceding it) and applied with
-        their *recorded* re-placements — the allocator is never re-run
-        — so the live sequence of commits, clock advances and failures,
-        and with it planning state, power states, transition counters
-        and telemetry, is reproduced exactly.
-        """
-        version = document.get("format_version")
-        if version not in _SUPPORTED_SNAPSHOT_VERSIONS:
-            raise ValidationError(
-                f"unsupported snapshot format version {version!r}")
-        try:
-            specs = [ServerSpec(**record) for record in document["cluster"]]
-            policy = SleepPolicy(document["policy"])
-            # Pre-engine snapshots carry no field: they were produced by
-            # the dense-only build, but replay is engine-agnostic, so the
-            # default (indexed) engine restores them bit-exactly too.
-            engine = EngineConfig.parse(
-                str(document.get("engine", DEFAULT_ENGINE)))
-            clock = int(document["clock"])
-            entries = list(document["placements"])
-            events = deque(document.get("events", ()))
-        except (TypeError, KeyError, ValueError) as exc:
-            raise ValidationError(f"malformed snapshot: {exc}") from exc
-        store = cls(Cluster.from_specs(specs), policy=policy, engine=engine)
-        for i, entry in enumerate(entries):
-            while events and int(events[0].get("after", 0)) <= i:
-                store._apply_event(events.popleft())
-            try:
-                vm = vm_from_record(entry["vm"])
-                server_id = int(entry["server_id"])
-                committed_at = int(entry["committed_at"])
-            except (TypeError, KeyError, ValueError) as exc:
-                raise ValidationError(
-                    f"malformed snapshot placement #{i}: {exc}") from exc
-            store.advance_to(max(store.clock, committed_at))
-            store.commit(vm, server_id)
-        while events:
-            store._apply_event(events.popleft())
-        store.advance_to(clock)
-        return store
+        """Rebuild a store from a snapshot document: format 4 loads the
+        recorded state as written, in O(live VMs + fleet); formats 1–3
+        replay their commit log and events at their recorded clocks."""
+        return snapshot.load(cls, document)
 
     def __repr__(self) -> str:
         return (f"ClusterStateStore(n_servers={len(self.cluster)}, "
-                f"clock={self.clock}, placements={len(self._placements)}, "
+                f"clock={self.clock}, placements={self._placed}, "
                 f"active={self.servers_active()})")
 
-
-def snapshot_meta(document: Mapping[str, object]) -> dict[str, object]:
-    """The ``meta`` payload of a snapshot document (empty when absent)."""
-    meta = document.get("meta")
-    return dict(meta) if isinstance(meta, Mapping) else {}

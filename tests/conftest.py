@@ -6,11 +6,13 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.energy.cost import allocation_cost
+from repro.model.allocation import Allocation
 from repro.model.cluster import Cluster
 from repro.model.intervals import TimeInterval
 from repro.model.server import Server, ServerSpec
 from repro.model.vm import VM, VMSpec
-from repro.service import serve_async
+from repro.service import ClusterStateStore, serve_async
 
 
 @pytest.fixture
@@ -63,6 +65,55 @@ def book_answers(state, time: int) -> tuple[list, list, list]:
     return ([state._occ.peak(t, t) for t in range(time, time + 40)],
             [state.probe(probe) for probe in probes],
             [state.incremental_cost(probe).hex() for probe in probes])
+
+
+class HistoryStore(ClusterStateStore):
+    """A store that also keeps the placement log the service does not:
+    every ``(vm, server_id)`` ever booked, in booking order — a commit
+    appends; a failure or an episode drops each VM it splits, then
+    appends the heads and remainders as the store books them — for
+    tests whose oracle is the whole history (the offline replay, the
+    from-scratch Eq.-17 total, the golden digests)."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.history: list[tuple[VM, int]] = []
+
+    def commit(self, vm, server_id):
+        delta = super().commit(vm, server_id)
+        self.history.append((vm, server_id))
+        return delta
+
+    def fail_server(self, server_id, time=None, **kwargs):
+        report = super().fail_server(server_id, time, **kwargs)
+        self._drop([(r.vm, server_id) for r in report.replacements])
+        for r in report.replacements:
+            if r.head is not None:
+                self.history.append((r.head, server_id))
+            if r.server_id is not None:
+                self.history.append((r.remainder, r.server_id))
+        return report
+
+    def consolidate(self, time=None, **kwargs):
+        report = super().consolidate(time, **kwargs)
+        self._drop([(m.vm, m.source_id) for m in report.moves])
+        self.history += [(m.head, m.source_id) for m in report.moves]
+        self.history += [(m.remainder, m.target_id) for m in report.moves]
+        return report
+
+    def _drop(self, doomed) -> None:
+        keys = {(vm.vm_id, sid) for vm, sid in doomed}
+        self.history = [(vm, sid) for vm, sid in self.history
+                        if (vm.vm_id, sid) not in keys]
+
+    def history_allocation(self) -> Allocation:
+        return Allocation(self.cluster, dict(self.history))
+
+    def energy_from_scratch(self) -> float:
+        """``allocation_cost`` of the whole history: the total ``stats``
+        reported before the store kept running sums only."""
+        return allocation_cost(self.history_allocation(),
+                               policy=self.policy).total
 
 
 @pytest.fixture

@@ -23,6 +23,7 @@ from repro.extensions import EpochConsolidator
 from repro.model.cluster import Cluster
 from repro.model.server import ServerSpec
 from repro.service import (
+    SNAPSHOT_FORMAT_VERSION,
     AllocationDaemon,
     ClusterStateStore,
     FaultEvent,
@@ -35,7 +36,7 @@ from repro.service import (
 )
 from repro.workload.generator import generate_vms
 
-from conftest import make_vm
+from conftest import HistoryStore, make_vm
 
 SPEC = ServerSpec("s", cpu_capacity=10.0, memory_capacity=10.0,
                   p_idle=50.0, p_peak=100.0, transition_time=1.0)
@@ -51,7 +52,7 @@ def fragmented_store(servers=4, *, short_end=8, long_end=200):
     """One short (heavy) and one long (light) VM per server: once the
     shorts retire, every server idles under a small long-running VM —
     the canonical defragmentation opportunity."""
-    store = ClusterStateStore(Cluster.homogeneous(SPEC, servers))
+    store = HistoryStore(Cluster.homogeneous(SPEC, servers))
     vid = 0
     for sid in range(servers):
         store.commit(make_vm(vid, 1, short_end, cpu=7.0, memory=5.0), sid)
@@ -213,7 +214,7 @@ class TestStoreConsolidate:
         assert store.migration_energy == pytest.approx(
             report.migration_energy)
         # Every head stays behind; every remainder runs on its target.
-        placed = {vm.vm_id: sid for vm, sid in store.placements}
+        placed = {vm.vm_id: sid for vm, sid in store.history}
         for move in report.moves:
             assert placed[move.head.vm_id] == move.source_id
             assert placed[move.remainder.vm_id] == move.target_id
@@ -263,7 +264,7 @@ class TestStoreConsolidate:
         store = fragmented_store(4)
         store.consolidate(10)
         document = json.loads(json.dumps(store.to_snapshot()))
-        assert document["format_version"] == 3
+        assert document["format_version"] == SNAPSHOT_FORMAT_VERSION
         restored = ClusterStateStore.from_snapshot(document)
         assert restored.to_snapshot() == store.to_snapshot()
         assert restored.migration_energy == store.migration_energy
@@ -278,7 +279,8 @@ class TestStoreConsolidate:
         store = ClusterStateStore(Cluster.homogeneous(SPEC, 1))
         store.commit(make_vm(0, 1, 3), 0)
         store.consolidate(2)
-        assert store.to_snapshot()["format_version"] == 1
+        assert store.to_snapshot()["format_version"] == \
+            SNAPSHOT_FORMAT_VERSION
 
     def test_replay_applies_recorded_moves_verbatim(self):
         live = fragmented_store(4)
@@ -548,7 +550,7 @@ class TestLiveMatchesOffline:
         horizon = max(vm.end for vm in vms)
         cluster_size = 40
 
-        store = ClusterStateStore(Cluster.paper_all_types(cluster_size))
+        store = HistoryStore(Cluster.paper_all_types(cluster_size))
         daemon = AllocationDaemon(store, migration_cost_per_gb=cost)
         for vm in online_order(vms):
             assert daemon.handle(place_request(vm))["decision"] == \
@@ -576,7 +578,7 @@ class TestLiveMatchesOffline:
             offline.placement_energy, rel=1e-12)
         assert store.migration_energy == pytest.approx(
             offline.migration_energy, rel=1e-12)
-        live_map = {vm.vm_id: sid for vm, sid in store.allocation().items()}
+        live_map = {vm.vm_id: sid for vm, sid in store.history}
         offline_map = {vm.vm_id: sid
                        for vm, sid in offline.allocation.items()}
         assert live_map == offline_map  # split piece ids included

@@ -6,8 +6,9 @@
 500th), what every episode decided under each allocator x engine x
 ``k_sample``: each move's ids, source, target and ``saving`` / ``cost``
 as float hex, each replacement's ids, target and Eq.-17 ``energy_delta``
-as hex, the final ``energy_total()`` as hex and a sha-256 of the
-placement list. The test regenerates the document and diffs it, so a
+as hex, the final from-scratch Eq.-17 total of the whole placement
+history as hex and a sha-256 of that history (``conftest.HistoryStore``
+keeps it: the store itself holds live state only). The test regenerates the document and diffs it, so a
 refactor of the planner, the books or the store passes only if no
 decision and no decision-visible float moved.
 
@@ -31,7 +32,6 @@ from repro.model.phases import DemandPhase, PhasedVM
 from repro.model.vm import VM, VMSpec
 from repro.service import (
     AllocationDaemon,
-    ClusterStateStore,
     consolidate_request,
     fail_server_request,
     place_request,
@@ -39,6 +39,8 @@ from repro.service import (
 )
 from repro.workload.generator import generate_vms
 from repro.workload.trace import vm_to_record
+
+from conftest import HistoryStore
 
 FIXTURE = Path(__file__).parent / "fixtures" / "episodes_golden.json"
 
@@ -77,8 +79,7 @@ def stream() -> list[VM]:
 
 
 def record_run(algorithm: str, engine: str, k_sample: int | None) -> dict:
-    store = ClusterStateStore(Cluster.paper_all_types(SERVERS),
-                              engine=engine)
+    store = HistoryStore(Cluster.paper_all_types(SERVERS), engine=engine)
     daemon = AllocationDaemon(store, algorithm=algorithm, seed=0,
                               algo_params={"engine": engine},
                               migration_k=k_sample, flight_capacity=0)
@@ -105,9 +106,9 @@ def record_run(algorithm: str, engine: str, k_sample: int | None) -> dict:
             assert daemon.handle(recover_server_request(victim))["ok"]
     store.run_to_completion()
     placed = json.dumps([[vm_to_record(vm), sid]
-                         for vm, sid in store.placements])
+                         for vm, sid in store.history])
     return {"moves": moves, "replacements": replacements,
-            "energy_total": store.energy_total().hex(),
+            "energy_total": store.energy_from_scratch().hex(),
             "placements_sha256": hashlib.sha256(placed.encode()).hexdigest()}
 
 

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.allocators
 import repro.extensions
 from repro.model.cluster import Cluster
 from repro.service import AllocationClient, AllocationDaemon, \
@@ -71,6 +72,24 @@ class TestImportCost:
             "import repro.service, repro.cli; " + _REPORT_HEAVY))
         assert heavy == []
 
+    def test_help_and_list_start_without_numpy(self):
+        # ``--algorithm`` choices and ``repro list`` read the names
+        # table; the allocator modules, and numpy with them, load only
+        # for a command that builds an allocator.
+        loaded = json.loads(_fresh(
+            "import contextlib, io, json, sys\n"
+            "from repro.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            "        main(['--help'])\n"
+            "    except SystemExit:\n"
+            "        pass\n"
+            "    assert main(['list']) == 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "      if m.partition('.')[0] == 'numpy'\n"
+            "      or m.startswith('repro.allocators.'))))"))
+        assert loaded == ["repro.allocators.names"]
+
     def test_serve_restore_skips_the_analysis_stack(self, tmp_path):
         store = ClusterStateStore(Cluster.paper_all_types(20))
         daemon = AllocationDaemon(store, data_dir=tmp_path,
@@ -110,7 +129,8 @@ class TestImportCost:
 
 
 class TestLazyExports:
-    @pytest.mark.parametrize("package", [repro, repro.extensions],
+    @pytest.mark.parametrize("package", [repro, repro.extensions,
+                                         repro.allocators],
                              ids=lambda p: p.__name__)
     def test_table_matches_all_and_declarations(self, package):
         table = {name: module for module, names in package._EXPORTS.items()
@@ -119,7 +139,8 @@ class TestLazyExports:
         assert _declared(package) == table
         assert set(package.__all__) <= set(dir(package))
 
-    @pytest.mark.parametrize("package", [repro, repro.extensions],
+    @pytest.mark.parametrize("package", [repro, repro.extensions,
+                                         repro.allocators],
                              ids=lambda p: p.__name__)
     def test_every_name_is_its_home_object(self, package):
         for module, names in package._EXPORTS.items():

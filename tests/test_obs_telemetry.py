@@ -4,15 +4,22 @@ burn-rate tracker, and the flight recorder."""
 
 from __future__ import annotations
 
+import gc
 import json
 import re
+import sys
 import time
 from collections import deque
+from types import ModuleType
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ServiceError, ValidationError
+from repro.model.cluster import Cluster
+from repro.model.intervals import TimeInterval
+from repro.model.server import ServerSpec
+from repro.model.vm import VM, VMSpec
 from repro.obs import (
     FlightRecorder,
     JsonLogger,
@@ -26,11 +33,14 @@ from repro.obs import (
 )
 from repro.obs.context import new_request_id, new_trace_id, \
     trace_context_of
-from repro.obs.flight import MAX_LIST_ITEMS, MAX_STRING_LENGTH, FlightRecord
+from repro.obs.flight import MAX_LIST_ITEMS, MAX_STRING_LENGTH, \
+    FlightRecord, _compact
 from repro.obs.logging import NULL_LOGGER, NullLogger, set_logger
 from repro.obs.slo import DEFAULT_CAPACITY
 from repro.obs.telemetry import samples_from_records
 from repro.obs.tracer import COUNTER
+from repro.service import AllocationDaemon, ClusterStateStore, \
+    place_batch_request
 
 
 def make_sample(tick: int, **overrides) -> TelemetrySample:
@@ -494,6 +504,54 @@ class TestFlightRecorder:
         document = json.loads(path.read_text())
         assert document["reason"] == "unhandled RuntimeError"
         assert len(document["records"]) == 1
+
+    def test_clipping_at_record_time_leaves_the_dump_as_it_was(self):
+        # The ring clips one level when it records; what it dumps must
+        # be the compaction of the payload as answered, byte for byte.
+        request = {"op": "place_batch", "_vms": ["parsed"] * 40,
+                   "vms": [{"vm_id": i, "tags": list(range(i)),
+                            "_vm": object()} for i in range(40)],
+                   "short": [1, 2], "nested": {"deep": list(range(30))},
+                   "note": "x" * (MAX_STRING_LENGTH + 3)}
+        response = {"ok": True, "decisions": [{"vm_id": i} for i in
+                                              range(MAX_LIST_ITEMS + 1)],
+                    "exact": list(range(MAX_LIST_ITEMS))}
+        recorder = FlightRecorder(capacity=2)
+        self.record_one(recorder, "place_batch", request=request,
+                        response=response)
+        [record] = recorder.last()
+        assert len(record.raw_request["vms"]) == MAX_LIST_ITEMS
+        assert "_vms" not in record.raw_request
+        assert json.dumps(recorder.dump()[0]["request"]) == \
+            json.dumps(_compact(request))
+        assert json.dumps(recorder.dump()[0]["response"]) == \
+            json.dumps(_compact(response))
+
+    def test_a_large_batch_leaves_only_its_head_in_the_ring(self):
+        daemon = AllocationDaemon(
+            ClusterStateStore(Cluster.homogeneous(
+                ServerSpec("s", 64.0, 64.0, 50.0, 100.0, 1.0), 40)),
+            algorithm="first-fit")
+        vms = [VM(vm_id=i, spec=VMSpec("t", cpu=0.5, memory=0.5),
+                  interval=TimeInterval(1 + i // 100, 3 + i // 100))
+               for i in range(10_000)]
+        assert daemon.handle(place_batch_request(vms))["placed"] == 10_000
+        # Everything the ring can reach, stopping at classes and
+        # modules (which reach everything else).
+        seen, todo, found = set(), [daemon.flight], []
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen or isinstance(obj, (type, ModuleType)):
+                continue
+            seen.add(id(obj))
+            found.append(obj)
+            todo.extend(gc.get_referents(obj))
+        assert not [obj for obj in found if isinstance(obj, VM)]
+        records = [obj for obj in found
+                   if isinstance(obj, dict) and "vm_id" in obj]
+        # the request's head and the response's head, nothing else
+        assert len(records) == 2 * MAX_LIST_ITEMS
+        assert sum(sys.getsizeof(obj) for obj in found) < 64 * 1024
 
     def test_capacity_zero_disables(self):
         recorder = FlightRecorder(capacity=0)

@@ -11,6 +11,7 @@ import pytest
 import repro
 from repro.allocators import ALLOCATORS, allocator_names, make_allocator
 from repro.allocators.min_energy import MinIncrementalEnergy
+from repro.allocators.names import ALLOCATOR_NAMES
 from repro.allocators.random_fit import RandomFit
 from repro.energy import SleepPolicy
 from repro.exceptions import (
@@ -32,6 +33,9 @@ class TestMakeAllocator:
     def test_builds_every_registered_name(self):
         for name in allocator_names():
             assert make_allocator(name).name == name
+
+    def test_the_cli_names_table_is_the_registry(self):
+        assert list(ALLOCATOR_NAMES) == allocator_names()
 
     def test_forwards_seed(self):
         a = make_allocator("random-fit", seed=42)

@@ -30,7 +30,7 @@ from repro.service import (
 from repro.simulation import simulate_online
 from repro.workload.generator import generate_vms
 
-from conftest import make_vm, serving
+from conftest import HistoryStore, make_vm, serving
 
 SPEC = ServerSpec("s", cpu_capacity=10.0, memory_capacity=10.0,
                   p_idle=50.0, p_peak=100.0, transition_time=1.0)
@@ -200,7 +200,7 @@ def edit_journal_init(data_dir, edit) -> None:
 class TestDaemon:
     def test_stream_matches_offline_simulation(self):
         vms = generate_vms(80, mean_interarrival=2.0, seed=5)
-        store = ClusterStateStore(Cluster.paper_all_types(40))
+        store = HistoryStore(Cluster.paper_all_types(40))
         daemon = AllocationDaemon(store)
         responses = list(stream(daemon, vms))
         assert all(r["decision"] == "placed" for r in responses)
@@ -210,7 +210,7 @@ class TestDaemon:
         assert store.energy_total() == pytest.approx(
             result.total_energy, rel=1e-12)
         offline = {vm.vm_id: sid for vm, sid in alloc.items()}
-        online = {vm.vm_id: sid for vm, sid in store.allocation().items()}
+        online = {vm.vm_id: sid for vm, sid in store.history}
         assert online == offline
 
     def test_rejects_when_fleet_full(self):
@@ -285,15 +285,20 @@ class TestDaemon:
         store = ClusterStateStore(Cluster.paper_all_types(110))
         first = AllocationDaemon(store, data_dir=tmp_path,
                                  snapshot_every=40, fsync=False)
+        online = {}
         for vm in ordered[:130]:
-            assert first.handle(place_request(vm))["decision"] == "placed"
+            response = first.handle(place_request(vm))
+            assert response["decision"] == "placed"
+            online[vm.vm_id] = response["server_id"]
         del first  # hard kill: no shutdown, no final snapshot
 
         second = AllocationDaemon.restore(tmp_path, fsync=False)
         assert second.metrics.requests["placed"] == 130
-        assert len(second.store.placements) == 130
+        assert second.store.placement_count() == 130
         for vm in ordered[130:]:
-            assert second.handle(place_request(vm))["decision"] == "placed"
+            response = second.handle(place_request(vm))
+            assert response["decision"] == "placed"
+            online[vm.vm_id] = response["server_id"]
         second.store.run_to_completion()
 
         alloc, result = simulate_online(
@@ -301,8 +306,6 @@ class TestDaemon:
         assert second.store.energy_total() == pytest.approx(
             result.total_energy, rel=1e-12)
         offline = {vm.vm_id: sid for vm, sid in alloc.items()}
-        online = {vm.vm_id: sid
-                  for vm, sid in second.store.allocation().items()}
         assert online == offline
         assert second.metrics.requests["rejected"] == 0
 

@@ -20,6 +20,7 @@ from repro.model.cluster import Cluster
 from repro.model.server import ServerSpec
 from repro.model.vm import VM
 from repro.service import (
+    SNAPSHOT_FORMAT_VERSION,
     AllocationDaemon,
     ClusterStateStore,
     FaultEvent,
@@ -36,7 +37,7 @@ from repro.simulation.failures import ServerFailure, inject_failures
 from repro.simulation.power_state import PowerState
 from repro.workload.generator import generate_vms
 
-from conftest import make_vm
+from conftest import HistoryStore, make_vm
 
 SPEC = ServerSpec("s", cpu_capacity=10.0, memory_capacity=10.0,
                   p_idle=50.0, p_peak=100.0, transition_time=1.0)
@@ -65,7 +66,7 @@ class DictApiTarget:
 
 class TestStoreFailServer:
     def test_running_vm_splits_and_replaces(self):
-        store = ClusterStateStore(Cluster.homogeneous(SPEC, 3))
+        store = HistoryStore(Cluster.homogeneous(SPEC, 3))
         store.commit(make_vm(0, 1, 8, cpu=4.0), 0)
         store.advance_to(3)
         report = store.fail_server(0, 4)
@@ -82,10 +83,13 @@ class TestStoreFailServer:
         assert store.servers_failed() == 1
         assert store.dead_servers() == {0: 4}
         # Head stays on the victim's books, remainder on the target.
-        placed = {vm.vm_id: sid for vm, sid in store.placements}
+        placed = {vm.vm_id: sid for vm, sid in store.history}
         assert placed[r.head.vm_id] == 0
         assert placed[r.remainder.vm_id] == r.server_id
         assert 0 not in placed  # the original entry was replaced
+        # Live, only the remainder runs: the head ended before the cut.
+        assert store.placements == ((r.remainder, r.server_id),)
+        assert store.placement_count() == 2
 
     def test_not_started_vm_moves_whole(self):
         store = ClusterStateStore(Cluster.homogeneous(SPEC, 2))
@@ -206,13 +210,13 @@ class TestStoreFailServer:
     def test_live_failures_match_offline_inject_failures(self):
         vms = generate_vms(80, mean_interarrival=2.0, seed=5)
         cluster = Cluster.paper_all_types(40)
-        store = ClusterStateStore(cluster)
+        store = HistoryStore(cluster)
         daemon = AllocationDaemon(store)
         for vm in online_order(vms):
             assert daemon.handle(place_request(vm))["decision"] == "placed"
         clock = store.clock
         by_server = {}
-        for vm, sid in store.placements:
+        for vm, sid in store.history:
             by_server[sid] = max(by_server.get(sid, -1), vm.end)
         victims = [sid for sid, end in sorted(by_server.items())
                    if end >= clock + 2][:2]
@@ -231,8 +235,10 @@ class TestStoreFailServer:
         assert store.energy_total() == pytest.approx(
             allocation_cost(outcome.allocation).total, rel=1e-12)
         offline = {vm.vm_id: sid for vm, sid in outcome.allocation.items()}
-        online = {vm.vm_id: sid for vm, sid in store.allocation().items()}
+        online = {vm.vm_id: sid for vm, sid in store.history}
         assert online == offline  # split ids included
+        assert store.energy_total() == pytest.approx(
+            store.energy_from_scratch(), rel=1e-12)
 
     def test_snapshot_roundtrip_with_failure_events(self):
         store = ClusterStateStore(Cluster.homogeneous(SPEC, 3))
@@ -242,7 +248,7 @@ class TestStoreFailServer:
         store.recover_server(0)
         store.commit(make_vm(50, 5, 7), 0)
         document = json.loads(json.dumps(store.to_snapshot()))
-        assert document["format_version"] == 2
+        assert document["format_version"] == SNAPSHOT_FORMAT_VERSION
         restored = ClusterStateStore.from_snapshot(document)
         assert restored.to_snapshot() == store.to_snapshot()
         assert restored.clock == store.clock
@@ -251,10 +257,20 @@ class TestStoreFailServer:
         assert {vm.vm_id: sid for vm, sid in restored.placements} == \
             {vm.vm_id: sid for vm, sid in store.placements}
 
-    def test_snapshot_stays_v1_without_events(self):
+    def test_a_snapshot_records_the_live_state_not_the_log(self):
+        # Format 4 whatever happened: a store that saw no failure holds
+        # the same kind of document as one that did, and a VM that has
+        # ended is in no book — only in the placement count.
         store = ClusterStateStore(Cluster.homogeneous(SPEC, 1))
         store.commit(make_vm(0, 1, 3), 0)
-        assert store.to_snapshot()["format_version"] == 1
+        store.commit(make_vm(1, 2, 9), 0)
+        store.advance_to(5)
+        document = store.to_snapshot()
+        assert document["format_version"] == SNAPSHOT_FORMAT_VERSION
+        assert "placements" not in document and "events" not in document
+        [(server_id, record)] = document["servers"]
+        assert server_id == 0 and [vm["vm_id"] for vm in record["vms"]] == [1]
+        assert document["store"]["placements"] == 2
 
 
 class TestDaemonFailureOps:
@@ -523,14 +539,19 @@ class TestEndToEnd:
         store = ClusterStateStore(Cluster.paper_all_types(110))
         first = AllocationDaemon(store, data_dir=tmp_path,
                                  snapshot_every=40, fsync=False)
+        # vm_id -> server as acknowledged: the daemons keep no log
+        online = {}
         for vm in ordered[:120]:
-            assert first.handle(place_request(vm))["decision"] == "placed"
+            response = first.handle(place_request(vm))
+            assert response["decision"] == "placed"
+            online[vm.vm_id] = response["server_id"]
         del first  # hard kill mid-stream
 
         second = AllocationDaemon.restore(tmp_path, fsync=False)
         for vm in ordered[120:]:
-            assert second.handle(
-                place_request(vm))["decision"] == "placed"
+            response = second.handle(place_request(vm))
+            assert response["decision"] == "placed"
+            online[vm.vm_id] = response["server_id"]
 
         # Build the failure schedule from what is actually running:
         # three distinct servers whose load outlives every failure
@@ -555,6 +576,13 @@ class TestEndToEnd:
             DictApiTarget(second))
         fired = injector.drain()
         assert len(fired) == 3 and all(r["ok"] for r in fired)
+        for failure in fired:   # heads stay, remainders move or are lost
+            for r in failure["replacements"]:
+                del online[r["vm_id"]]
+                if r["head_id"] is not None:
+                    online[r["head_id"]] = failure["server_id"]
+                if r["server_id"] is not None:
+                    online[r["remainder_id"]] = r["server_id"]
         replaced_total = sum(r["replaced"] for r in fired)
         assert any(r["killed"] for r in fired)
 
@@ -582,8 +610,6 @@ class TestEndToEnd:
             allocation_cost(outcome.allocation).total, rel=1e-12)
         offline = {vm.vm_id: sid
                    for vm, sid in outcome.allocation.items()}
-        online = {vm.vm_id: sid
-                  for vm, sid in third.store.allocation().items()}
         assert online == offline  # head/remainder split ids included
         assert third.store.energy_accumulated == pytest.approx(
             third.store.energy_total(), rel=1e-12)

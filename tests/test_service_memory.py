@@ -5,12 +5,18 @@ covering ``[0, horizon)`` — a daemon running for a simulated month held
 millions of float slots per server, and the ``vms`` lists grew without
 bound. Now finished VMs are retired as their last piece ends and the
 occupancy index is compacted, so planning-state memory tracks *live*
-load, not elapsed time.
+load, not elapsed time — and so does the rest of the daemon: the store
+keeps no placement log, a snapshot records state, and a restore loads
+it (:class:`TestUptime`).
 """
 
 from __future__ import annotations
 
+import gc
+import shutil
+import sys
 import tracemalloc
+from types import BuiltinFunctionType, FunctionType, ModuleType
 
 import pytest
 
@@ -19,8 +25,11 @@ from repro.model.intervals import TimeInterval
 from repro.model.vm import VM, VMSpec
 from repro.service import (
     AllocationDaemon,
+    consolidate_request,
+    fail_server_request,
     place_batch_request,
     place_request,
+    recover_server_request,
 )
 from repro.service.state import ClusterStateStore
 from repro.workload.generator import generate_vms
@@ -132,6 +141,23 @@ class TestDaemonMemory:
         assert placed > 1000
         assert peak <= 2 * servers + len(heaps)
 
+    def test_an_idle_book_keeps_no_dead_watcher(self):
+        # Every fleet rebuild registers the new index with every book;
+        # a book never touched again used to keep each replaced one's
+        # dead reference (~160 a book after 80 fail/recover pairs). The
+        # generation being replaced is still alive when its successor
+        # registers, so at most one dead one per live one is left.
+        daemon = AllocationDaemon(
+            ClusterStateStore(Cluster.paper_all_types(4)),
+            algorithm="first-fit")
+        daemon.handle(place_request(_vm(0, 1, 900)))
+        for _ in range(40):
+            assert daemon.handle(fail_server_request(3))["ok"]
+            assert daemon.handle(recover_server_request(3))["ok"]
+        for book in daemon.store.states:
+            live = sum(ref() is not None for ref in book._watchers)
+            assert len(book._watchers) <= 2 * live
+
     def test_past_commit_is_retired_immediately(self):
         store = ClusterStateStore(Cluster.paper_all_types(2))
         store.advance_to(100)
@@ -167,3 +193,92 @@ class TestSnapshotMemory:
             daemon.journal.close()
         size = path.stat().st_size
         assert peak < size / 4, (peak, size)
+
+
+def retained(root) -> int:
+    """Bytes of every object reachable from ``root`` (``sys.getsizeof``
+    each, once), stopping at classes, modules and functions — which
+    reach the whole interpreter."""
+    seen, todo, size = set(), [root], 0
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, _SHARED):
+            continue
+        seen.add(id(obj))
+        size += sys.getsizeof(obj)
+        todo.extend(gc.get_referents(obj))
+    return size
+
+
+_SHARED = (type, ModuleType, FunctionType, BuiltinFunctionType)
+
+
+class TestUptime:
+    """From N to 5N commits — failures and consolidations interleaved —
+    what the daemon retains, what its newest snapshot weighs and how
+    many VM records a restore decodes each grow by at most 1.2x, the
+    way ``candidate_index_scaling`` gates growth: a daemon's cost
+    tracks its live load, not its uptime. Every ring is full by N: the
+    latency reservoir's 4096 samples, and the flight and telemetry
+    rings, sized to 16 here (they bound the records they keep, not what
+    a record holds). A build that keeps the commit log grows ~4x, ~5x
+    and ~5x here."""
+
+    N, BATCH = 4_100, 50
+
+    def drive(self, daemon, start: int, stop: int) -> None:
+        """Commits ``start .. stop-1``: 1.5 arrivals a tick, 4–19 ticks
+        long; a consolidation every 250 commits, a failure and a
+        recovery of the busiest server every 1000. Each batch's ids
+        leave room above for the ids an episode mints."""
+        store = daemon.store
+        for first in range(start, stop, self.BATCH):
+            vms = [VM(vm_id=first // self.BATCH * 1000 + j, spec=SPEC,
+                      interval=TimeInterval(1 + i * 2 // 3,
+                                            4 + i * 2 // 3 + i % 16))
+                   for j, i in enumerate(range(first, first + self.BATCH))]
+            assert daemon.handle(place_batch_request(vms))["ok"]
+            done = first + self.BATCH
+            if done % 250 == 0:
+                assert daemon.handle(consolidate_request())["ok"]
+            if done % 1000 == 0:
+                victim = max(range(len(store.states)),
+                             key=lambda sid: len(store.states[sid].vms))
+                assert daemon.handle(fail_server_request(victim))["ok"]
+                assert daemon.handle(recover_server_request(victim))["ok"]
+
+    def reading(self, daemon, data_dir, restore_dir,
+                monkeypatch) -> tuple[int, int, int]:
+        """(bytes retained, newest snapshot bytes, VM records a restore
+        of a copy of ``data_dir`` decodes)."""
+        gc.collect()
+        held = retained(daemon)
+        newest = max(data_dir.glob("snapshot-*.json")).stat().st_size
+        shutil.copytree(data_dir, restore_dir)
+        decoded = [0]
+        made = VM.__init__
+
+        def counting(vm, *args, **kwargs):
+            decoded[0] += 1
+            made(vm, *args, **kwargs)
+        with monkeypatch.context() as patch:
+            patch.setattr(VM, "__init__", counting)
+            AllocationDaemon.restore(restore_dir, fsync=False).journal.close()
+        return held, newest, decoded[0]
+
+    def test_memory_snapshot_and_restore_track_live_load(
+            self, tmp_path, monkeypatch):
+        data_dir = tmp_path / "data"
+        daemon = AllocationDaemon(
+            ClusterStateStore(Cluster.paper_all_types(8)),
+            algorithm="first-fit", data_dir=data_dir, fsync=False,
+            flight_capacity=16, telemetry_capacity=16)
+        self.drive(daemon, 0, self.N)
+        early = self.reading(daemon, data_dir, tmp_path / "at-n",
+                             monkeypatch)
+        self.drive(daemon, self.N, 5 * self.N)
+        late = self.reading(daemon, data_dir, tmp_path / "at-5n",
+                            monkeypatch)
+        daemon.journal.close()
+        assert daemon.store.placement_count() >= 5 * self.N
+        assert max(b / a for a, b in zip(early, late)) <= 1.2, (early, late)

@@ -489,7 +489,7 @@ class TestEndToEndTrace:
         replay_records = []
         with use_logger(JsonLogger(sink=replay_records.append)):
             restored = AllocationDaemon.restore(tmp_path, fsync=False)
-        assert len(restored.store.placements) == len(vms)
+        assert restored.store.placement_count() == len(vms)
         replayed = [r for r in replay_records
                     if r["event"] == "service.replay"
                     and r.get("op") == "place_batch"]

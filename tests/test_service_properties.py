@@ -12,8 +12,8 @@ A third backstops what the store derives instead of recomputing —
 interleavings of every mutating op: the awake set and the integer
 fleet totals against a scan of the machines, the closed-tick series
 against a twin store that closes ticks by walking the whole fleet
-twice (:class:`TwoWalkStore`, the oracle), the incrementally
-encoded snapshot chunks against ``json.dumps(to_snapshot(meta))``, and
+twice (:class:`TwoWalkStore`, the oracle), the streamed snapshot
+chunks against ``json.dumps(to_snapshot(meta))``, and
 (slice three) the allocator's candidate queues and kernel planes
 against a partition of the scan list and the skylines they mirror.
 
@@ -21,8 +21,10 @@ Slice two holds the planning books to the same standard. A book that
 was cut in place (a migration, a failure) must answer, from the clock
 on, exactly like one rebuilt from the placement log —
 :func:`book_from_log` keeps that rebuild, which the store itself no
-longer runs, as the oracle — and a consolidation plan made on the
-O(live) copies must be the plan made on full-history replicas.
+longer runs, as the oracle, over the log a :class:`HistoryStore`
+keeps beside the store — a consolidation plan made on the O(live)
+copies must be the plan made on full-history replicas, and the books'
+running costs must sum to the from-scratch Eq.-17 total of that log.
 
 Slice four holds the one door in place: a recorded mutation has one
 reader (:meth:`ClusterStateStore.apply`) and one writer
@@ -52,6 +54,7 @@ from repro.model.server import ServerSpec
 from repro.model.vm import VM, VMSpec
 from repro.obs.tracer import Tracer, use_tracer
 from repro.service import (
+    SNAPSHOT_FORMAT_VERSION,
     AllocationDaemon,
     ClusterStateStore,
     SnapshotManager,
@@ -65,7 +68,7 @@ from repro.service import (
 from repro.simulation.power_state import PowerState
 from repro.workload.generator import PoissonWorkload
 
-from conftest import book_answers, make_vm
+from conftest import HistoryStore, book_answers, make_vm
 
 SLOW = settings(max_examples=20, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -365,21 +368,19 @@ def test_derived_structures_equal_a_recomputation(engine, ops):
         assert_aggregates_match_a_scan(store)
         assert_index_matches_the_scan_list(daemon)
         assert closed_ticks(store) == closed_ticks(twin.store)  # floats ==
-        # warm cache: every call but the first extends the kept chunks
         assert_parts_are_the_document(store, {"seq": step})
     store.run_to_completion()
     twin.store.run_to_completion()
     assert_aggregates_match_a_scan(store)
     assert closed_ticks(store) == closed_ticks(twin.store)
     data = assert_parts_are_the_document(store, {"seq": len(ops)})
-    # cold cache: a rebuilt store has kept nothing yet
     rebuilt = ClusterStateStore.from_snapshot(json.loads(data))
     assert snapshot_bytes(rebuilt, {"seq": len(ops)}) == data
 
 
 # -- cut books == books rebuilt from the placement log ------------------------
 
-def book_from_log(store: ClusterStateStore, server_id: int, *,
+def book_from_log(store: HistoryStore, server_id: int, *,
                   retire: bool) -> ServerState:
     """The rebuild the store ran per episode before books were cut in
     place: every placement this server ever took, re-placed into a
@@ -387,7 +388,7 @@ def book_from_log(store: ClusterStateStore, server_id: int, *,
     the clock, as the live book has."""
     book = ServerState(store.states[server_id].server, policy=store.policy,
                        engine=store.engine_config)
-    mine = [vm for vm, sid in store._placements if sid == server_id]
+    mine = [vm for vm, sid in store.history if sid == server_id]
     for vm in mine:
         book.place_trusted(vm)
     if retire:
@@ -416,11 +417,13 @@ def assert_books_answer_like_the_log(daemon: AllocationDaemon) -> None:
         assert book_answers(book, clock) == book_answers(rebuilt, clock)
         scratch = server_cost(
             book.server.spec,
-            [vm for vm, sid in store._placements if sid == server_id],
+            [vm for vm, sid in store.history if sid == server_id],
             policy=store.policy).total
         assert book.cost == pytest.approx(scratch, rel=1e-12, abs=1e-9)
     assert store.energy_accumulated == pytest.approx(
         store.energy_total(), rel=1e-12, abs=1e-9)
+    assert store.energy_total() == pytest.approx(
+        store.energy_from_scratch(), rel=1e-12, abs=1e-9)
     if clock >= 1:
         fleet = range(len(store.states))
         assert plan_of(daemon, [store.states[sid].live_copy(clock)
@@ -436,8 +439,7 @@ def assert_books_answer_like_the_log(daemon: AllocationDaemon) -> None:
 def test_cut_books_answer_like_a_rebuild_from_the_log(
         tmp_path_factory, engine, ops):
     data_dir = tmp_path_factory.mktemp("books")
-    store = ClusterStateStore(Cluster.homogeneous(SPEC, SERVERS),
-                              engine=engine)
+    store = HistoryStore(Cluster.homogeneous(SPEC, SERVERS), engine=engine)
     daemon = AllocationDaemon(store, algo_params={"engine": engine},
                               data_dir=data_dir, snapshot_every=7,
                               fsync=False)
@@ -472,6 +474,9 @@ def fragment(daemon: AllocationDaemon) -> None:
 
 @pytest.mark.parametrize("version", [1, 2, 3])
 def test_snapshot_file_is_the_document_for_every_format(tmp_path, version):
+    # ``version`` is the history the parent wrote each old format for —
+    # commits only (1), a failure and a recovery (2), a consolidation
+    # (3) — and this build writes format 4 for every one of them.
     daemon = AllocationDaemon(
         ClusterStateStore(Cluster.homogeneous(SPEC, SERVERS)),
         data_dir=tmp_path, snapshot_every=3, fsync=False)
@@ -493,7 +498,7 @@ def test_snapshot_file_is_the_document_for_every_format(tmp_path, version):
         assert daemon.handle(consolidate_request())["migrations"] > 0
     assert daemon.handle(place_request(make_vm(5000, 12, 30)))["ok"]
     file_is_the_document()      # a consecutive snapshot
-    assert store.to_snapshot()["format_version"] == version
+    assert store.to_snapshot()["format_version"] == SNAPSHOT_FORMAT_VERSION
     del daemon                  # hard kill: the journal tail replays
 
     restored = AllocationDaemon.restore(tmp_path, fsync=False)

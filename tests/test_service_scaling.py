@@ -31,7 +31,7 @@ from repro.service import (
     place_batch_request,
     place_request,
 )
-from repro.service import state as state_module
+from repro.service import snapshot as snapshot_module
 from repro.simulation import power_state as power_state_module
 from repro.simulation.power_state import ServerMachine
 
@@ -135,26 +135,29 @@ def test_a_first_fit_batch_asks_yes_or_no_and_builds_no_verdict(
     assert asked[0] == counted[0] + response["placed"]
 
 
-def test_periodic_snapshot_encodes_only_the_commits_since(
-        tmp_path, monkeypatch):
+def test_periodic_snapshot_encodes_only_the_live_vms(tmp_path, monkeypatch):
     every, rounds = 100, 4
     daemon = AllocationDaemon(
         ClusterStateStore(Cluster.paper_all_types(40)),
         data_dir=tmp_path, snapshot_every=every, fsync=False)
     store = daemon.store
-    # ``state`` binds vm_to_record by name: this counts the snapshot
+    # ``snapshot`` binds vm_to_record by name: this counts the snapshot
     # encoder's calls, not the journal's or the request builder's.
-    encoded = _counting(monkeypatch, state_module, "vm_to_record")
+    encoded = _counting(monkeypatch, snapshot_module, "vm_to_record")
     for n in range(1, rounds + 1):
         for i in range((n - 1) * every, n * every):
             response = daemon.handle(place_request(
                 make_vm(i, 1 + i // 10, 4 + i // 10)))
             assert response["decision"] == "placed", response
-        assert encoded[0] == every          # parent: n * every
+        # the residents and the last commit; every commit ever (n *
+        # every) in format 3, the commits since the last snapshot in
+        # its incremental encoder
+        live = len(store.placements)
+        assert encoded[0] == live + 1 and live <= 50
         seq = daemon._last_seq()
         written = daemon.snapshots.path_for(seq).read_text()
         assert written == json.dumps(store.to_snapshot(daemon._meta(seq)))
-        assert len(json.loads(written)["placements"]) == n * every
+        assert json.loads(written)["store"]["placements"] == n * every
         encoded[0] = 0
 
 
@@ -208,9 +211,9 @@ def test_an_episode_and_a_failure_cost_what_is_live(monkeypatch):
 
 
 def test_a_live_episode_encodes_each_record_once(monkeypatch, tmp_path):
-    # The list in the store's snapshot event is the list the daemon
-    # journals (``report.records``): a durable episode of k records
-    # used to cost 2k ``to_record`` calls, one sweep per destination.
+    # The list the daemon journals is ``report.records``, encoded once:
+    # a durable episode of k records used to cost 2k ``to_record``
+    # calls, one sweep per destination (the journal, a snapshot event).
     daemon = AllocationDaemon(
         ClusterStateStore(Cluster.paper_all_types(4)), algorithm="first-fit",
         data_dir=tmp_path, fsync=False)
@@ -227,8 +230,12 @@ def test_a_live_episode_encodes_each_record_once(monkeypatch, tmp_path):
     failure = daemon.handle(fail_server_request(victim))
     assert len(failure["replacements"]) >= 2
     assert replacements[0] == len(failure["replacements"])
+    # The journal is the one place the records go: a snapshot holds the
+    # books the episodes left, not the episodes.
     journal = [json.loads(line) for line
                in (tmp_path / "journal.jsonl").read_text().splitlines()]
-    events = daemon.store.to_snapshot()["events"]
-    assert journal[-2]["moves"] == events[0]["moves"]
-    assert journal[-1]["replacements"] == events[1]["replacements"]
+    assert len(journal[-2]["moves"]) == episode["migrations"]
+    assert len(journal[-1]["replacements"]) == len(failure["replacements"])
+    assert "events" not in daemon.store.to_snapshot()
+    assert (moves[0], replacements[0]) == (episode["migrations"],
+                                           len(failure["replacements"]))
