@@ -32,7 +32,7 @@ from repro.service import (
     ClusterStateStore,
     AllocationClient,
     replay_trace,
-    serve_async,
+    serve_socket,
 )
 from repro.workload.generator import generate_vms
 
@@ -58,7 +58,7 @@ def _run_stream(batch: int | None) -> tuple[float, dict, float]:
     daemon = AllocationDaemon(store, algorithm="first-fit",
                               data_dir=data_dir)
     try:
-        with serve_async(daemon) as server, \
+        with serve_socket(daemon) as server, \
                 AllocationClient(*server.address) as client:
             started = time.perf_counter()
             summary = replay_trace(client, VMS_1K, final_tick=False,

@@ -4,7 +4,7 @@ Two contracts from the v3 rearchitecture, held under load:
 
 * **Sustained concurrent throughput** — >= 10 clients (a mix of v1
   JSON-lines and v3 framed connections) stream placements at one
-  :func:`serve_async` daemon; the gate requires a quarter of the
+  :func:`serve_socket` daemon; the gate requires a quarter of the
   measured sustained placements/sec and allows four times the measured
   client-observed p99 latency (``benchmarks/results/service_scale.txt``
   holds the measurement the gates derive from).
@@ -26,7 +26,7 @@ from repro.service import (
     AllocationDaemon,
     ClusterStateStore,
     place_request,
-    serve_async,
+    serve_socket,
 )
 from repro.workload.generator import generate_vms
 from repro.workload.trace import vm_from_record, vm_to_record
@@ -62,7 +62,7 @@ def test_concurrent_clients_sustain_throughput_and_p99():
     daemon = AllocationDaemon(
         ClusterStateStore(Cluster.paper_all_types(N_SERVERS)),
         algorithm="min-energy", max_inflight=0)
-    server = serve_async(daemon)
+    server = serve_socket(daemon)
     host, port = server.address
     latencies: list[list[float]] = [[] for _ in range(N_CLIENTS)]
     outcomes: list[list[str]] = [[] for _ in range(N_CLIENTS)]
@@ -120,7 +120,7 @@ def test_v1_lines_byte_compatible_over_async_server():
         ClusterStateStore(Cluster.paper_all_types(10)))
     reference = AllocationDaemon(
         ClusterStateStore(Cluster.paper_all_types(10)))
-    server = serve_async(daemon)
+    server = serve_socket(daemon)
     try:
         with socket.create_connection(server.address, timeout=10) as raw:
             raw.sendall((json.dumps(place_request(vm)) + "\n").encode())

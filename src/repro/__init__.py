@@ -158,6 +158,7 @@ if TYPE_CHECKING:
         place_batch_request,
         replay_trace,
         serve_async,
+        serve_socket,
         start_gateway,
     )
     from repro.robust import RobustnessConfig, RobustSkyline
@@ -236,7 +237,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "SUPPORTED_VERSIONS", "AllocationClient", "AllocationDaemon",
         "ClientConfig", "ClusterStateStore", "ReplaySummary",
         "consolidate_request", "place_batch_request", "replay_trace",
-        "serve_async", "start_gateway",
+        "serve_async", "serve_socket", "start_gateway",
     ),
     "repro.robust": (
         "RobustnessConfig", "RobustSkyline",
@@ -360,6 +361,7 @@ __all__ = [
     "consolidate_request",
     "place_batch_request",
     "serve_async",
+    "serve_socket",
     "start_gateway",
     "replay_trace",
     "SimulationEngine",

@@ -31,7 +31,10 @@ histogram compares like with like across allocators.
 
 Allocators are deterministic given their ``seed``; randomized strategies
 (FFPS's shuffled server order, random fit) draw from a private
-``numpy.random.Generator`` so runs are reproducible. Construction is
+``numpy.random.Generator`` so runs are reproducible. The generator is
+made on the first draw, and numpy, like the batch types of
+:mod:`repro.placement.kernels`, is imported by the code that uses it:
+an allocator whose walk stays scalar never loads it. Construction is
 keyword-only (``seed``, ``policy``, ``engine``) so
 :func:`~repro.allocators.registry.make_allocator` can forward arbitrary
 per-algorithm parameters by name.
@@ -42,8 +45,6 @@ from __future__ import annotations
 import bisect
 from contextlib import closing
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
-
-import numpy as np
 
 from repro.allocators.batch import Decision
 from repro.allocators.state import ServerState
@@ -61,9 +62,11 @@ from repro.obs.explain import (
 from repro.obs.tracer import get_tracer
 from repro.placement.config import EngineConfig
 from repro.placement.index import CandidateIndex
-from repro.placement.kernels import FeasibilityBatch
 
 if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.placement.kernels import FeasibilityBatch
     from repro.simulation.admission import AdmissionDecision
 
 __all__ = ["Allocator"]
@@ -106,7 +109,8 @@ class Allocator:
     def __init__(self, *, seed: int | None = None,
                  policy: SleepPolicy = SleepPolicy.OPTIMAL,
                  engine: EngineConfig | str | None = None) -> None:
-        self._rng = np.random.default_rng(seed)
+        self._seed = seed
+        self._generator: np.random.Generator | None = None
         self._policy = policy
         #: the resolved engine configuration (occupancy backend, batch
         #: kernel toggle, robustness budget)
@@ -120,6 +124,15 @@ class Allocator:
         #: (fed into the service's candidate-count histogram).
         self.candidates_evaluated = 0
         self.candidates_feasible = 0
+
+    @property
+    def _rng(self) -> np.random.Generator:
+        """The private generator, made on the first draw from ``seed``."""
+        if self._generator is None:
+            import numpy as np
+
+            self._generator = np.random.default_rng(self._seed)
+        return self._generator
 
     # -- template method -----------------------------------------------------
 
@@ -274,24 +287,29 @@ class Allocator:
         :data:`_FLEET_PROBE_FROM` of them are probed one by one, kernel
         or not; more, given a kernel, are one ``probe_fleet`` call.
         """
+        import numpy as np
+
+        from repro.placement.kernels import FeasibilityBatch
+
         index = self._index
         covered = index is not None and index.covers(states)
-        kernel = index.kernel if covered else None
-        if positions is not None:
-            if kernel is not None and len(positions) >= _FLEET_PROBE_FROM:
-                rows = np.array(positions, dtype=np.intp)
-            else:
-                kernel = None
+        # Only a probe that runs batched reads ``index.kernel``: the
+        # read builds the kernel, on its first need.
+        if not (covered and index.batched and (
+                positions is None or len(positions) >= _FLEET_PROBE_FROM)):
+            if positions is not None:
                 states = [states[pos] for pos in positions]
-        elif kernel is not None:
+            elif covered and prune:
+                states = index.candidates(vm)
+            return FeasibilityBatch(
+                states, np.arange(len(states)), vm=vm,
+                verdicts=[state.probe(vm) for state in states])
+        kernel = index.kernel
+        if positions is not None:
+            rows = np.array(positions, dtype=np.intp)
+        else:
             rows = index.candidate_positions(vm) if prune else None
-        elif covered and prune:
-            states = index.candidates(vm)
-        if kernel is not None:
-            return kernel.probe_fleet(vm, rows)
-        return FeasibilityBatch(
-            states, np.arange(len(states)), vm=vm,
-            verdicts=[state.probe(vm) for state in states])
+        return kernel.probe_fleet(vm, rows)
 
     def _admissible_rows(self, vm: VM,
                          batch: FeasibilityBatch) -> np.ndarray:
@@ -305,6 +323,8 @@ class Allocator:
         rows = batch.feasible_indices()
         constraints = self._constraints
         if constraints is not None and rows.size:
+            import numpy as np
+
             placed = self._placed_ids
             rows = np.fromiter(
                 (i for i in rows if constraints.allows(
@@ -384,7 +404,7 @@ class Allocator:
         if not rows.size:
             return None
         return batch.state_at(
-            rows[int(np.argmin(self.score(vm, batch)[rows]))])
+            rows[int(self.score(vm, batch)[rows].argmin())])
 
     # -- explain-traces ------------------------------------------------------
 
@@ -465,9 +485,9 @@ class Allocator:
         plainly. The index keeps incremental per-type candidate queues
         and, when the :class:`EngineConfig` enables the batch kernel,
         builds the :class:`~repro.placement.kernels.FleetKernel` over
-        the fleet's skylines; both stay in sync through the state
-        watcher protocol, so repeated fleet rebuilds re-run this
-        cheaply.
+        the fleet's skylines on the first batch probe; both stay in
+        sync through the state watcher protocol, so repeated fleet
+        rebuilds re-run this cheaply.
         """
         if states and states[0].engine == "indexed":
             self._index = CandidateIndex(
@@ -541,7 +561,7 @@ class Allocator:
             raise NotImplementedError(
                 f"{type(self).__name__} declares no scan_key, score or choose")
         batch = self._probe_batch(vm, feasible)
-        return batch.state_at(int(np.argmin(self.score(vm, batch))))
+        return batch.state_at(int(self.score(vm, batch).argmin()))
 
     def _select(self, vm: VM,
                 states: Sequence[ServerState]) -> ServerState | None:

@@ -10,11 +10,15 @@ against the paper's energy-aware rule.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.allocators.base import Allocator
 from repro.model.vm import VM
-from repro.placement.kernels import FeasibilityBatch
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.placement.kernels import FeasibilityBatch
 
 __all__ = ["BestFit", "residual"]
 

@@ -53,8 +53,6 @@ import heapq
 import math
 from typing import Sequence
 
-import numpy as np
-
 from repro.allocators.base import Allocator
 from repro.allocators.state import ServerState
 from repro.energy.cost import SleepPolicy
@@ -182,8 +180,7 @@ class MinIncrementalEnergy(Allocator):
                     # clone classes does
                     _ask_each_clone(heap, pos, group)
                 refused += 1
-                if refused == _BATCH_AFTER \
-                        and self._index.kernel is not None:
+                if refused == _BATCH_AFTER and self._index.batched:
                     frontier = self._prefetch(
                         vm, heap, runs,
                         best_delta - _TIE_TOL if prune else math.inf)
@@ -199,8 +196,9 @@ class MinIncrementalEnergy(Allocator):
                 if prune:  # types this incumbent drops were asked to here
                     for dropped in [g for g in frontier
                                     if runs[id(g)] >= delta - _TIE_TOL]:
-                        self.candidates_evaluated += int(np.searchsorted(
-                            frontier.pop(dropped), pos, side="right"))
+                        self.candidates_evaluated += int(
+                            frontier.pop(dropped).searchsorted(
+                                pos, side="right"))
                     for dropped in [g for g in cloned
                                     if runs[id(g)] >= delta - _TIE_TOL]:
                         cloned.remove(dropped)
@@ -237,8 +235,12 @@ class MinIncrementalEnergy(Allocator):
         on the feasible rows (kind ``_PREFETCHED``: no second probe),
         the pristine and clone cursors stay (still scalar: one
         representative per type), the busy cursors of dropped types go.
-        Returns type -> frontier.
+        Returns type -> frontier. The first prefetch of the allocator's
+        life builds the kernel (:attr:`CandidateIndex.kernel`) and
+        imports numpy.
         """
+        import numpy as np
+
         frontier: dict = {}
         for _, kind, cursor, group, queue in heap:
             if kind == _BUSY and runs[id(group)] < bound:

@@ -11,47 +11,56 @@ a bare ``TypeError`` deep in a run.
 
 from __future__ import annotations
 
+import importlib
 import inspect
-from typing import Any, Type
+from typing import TYPE_CHECKING, Any, Type
 
-from repro.allocators.base import Allocator
-from repro.allocators.best_fit import BestFit
-from repro.allocators.ffps import FirstFitPowerSaving
-from repro.allocators.first_fit import FirstFit
-from repro.allocators.gamma_ff import GammaFF
-from repro.allocators.min_energy import MinIncrementalEnergy
-from repro.allocators.offline import LongestFirstMinEnergy, OfflineMinEnergy
-from repro.allocators.power_aware import PowerAwareFirstFit
-from repro.allocators.random_fit import RandomFit
-from repro.allocators.round_robin import RoundRobin
-from repro.allocators.worst_fit import WorstFit
 from repro.energy.cost import SleepPolicy
 from repro.exceptions import AllocatorConfigError, ValidationError
 from repro.placement.config import EngineConfig
 
+if TYPE_CHECKING:
+    from repro.allocators.base import Allocator
+
 __all__ = ["ALLOCATORS", "make_allocator", "allocator_names"]
 
-ALLOCATORS: dict[str, Type[Allocator]] = {
-    cls.name: cls
-    for cls in (
-        MinIncrementalEnergy,
-        FirstFitPowerSaving,
-        FirstFit,
-        BestFit,
-        WorstFit,
-        RandomFit,
-        RoundRobin,
-        PowerAwareFirstFit,
-        GammaFF,
-        OfflineMinEnergy,
-        LongestFirstMinEnergy,
-    )
+#: name -> (home module, class): :func:`make_allocator` imports the one
+#: it builds, so a daemon loads its own allocator's module and no other.
+_HOMES: dict[str, tuple[str, str]] = {
+    "min-energy": ("repro.allocators.min_energy", "MinIncrementalEnergy"),
+    "ffps": ("repro.allocators.ffps", "FirstFitPowerSaving"),
+    "first-fit": ("repro.allocators.first_fit", "FirstFit"),
+    "best-fit": ("repro.allocators.best_fit", "BestFit"),
+    "worst-fit": ("repro.allocators.worst_fit", "WorstFit"),
+    "random-fit": ("repro.allocators.random_fit", "RandomFit"),
+    "round-robin": ("repro.allocators.round_robin", "RoundRobin"),
+    "power-aware": ("repro.allocators.power_aware", "PowerAwareFirstFit"),
+    "gamma-ff": ("repro.allocators.gamma_ff", "GammaFF"),
+    "min-energy-offline": ("repro.allocators.offline", "OfflineMinEnergy"),
+    "min-energy-longest": ("repro.allocators.offline",
+                           "LongestFirstMinEnergy"),
 }
+
+
+def _load(name: str) -> Type[Allocator]:
+    module, cls = _HOMES[name]
+    return getattr(importlib.import_module(module), cls)
+
+
+def __getattr__(name: str) -> Any:
+    # ``ALLOCATORS`` (name -> class) imports every allocator, so it is
+    # built on first read.
+    if name != "ALLOCATORS":
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    allocators = globals()["ALLOCATORS"] = {key: _load(key)
+                                            for key in _HOMES}
+    return allocators
 
 
 def allocator_names() -> list[str]:
     """All registered algorithm names, sorted."""
-    return sorted(ALLOCATORS)
+    return sorted(_HOMES)
 
 
 def _accepted_params(cls: Type[Allocator]) -> list[str]:
@@ -79,12 +88,11 @@ def make_allocator(name: str, **params: Any) -> Allocator:
         For an unknown ``name`` or a parameter the allocator does not
         accept; the message lists the valid choices.
     """
-    try:
-        cls = ALLOCATORS[name]
-    except KeyError:
+    if name not in _HOMES:
         raise AllocatorConfigError(
             f"unknown allocator {name!r}; available: {allocator_names()}"
-        ) from None
+        )
+    cls = _load(name)
     policy = params.get("policy")
     if isinstance(policy, str):
         try:

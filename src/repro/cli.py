@@ -666,13 +666,8 @@ def _parse_algo_params(pairs: Sequence[str]) -> dict[str, object]:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.allocators import make_allocator
     from repro.model.cluster import Cluster
-    from repro.service import (
-        AllocationDaemon,
-        ClusterStateStore,
-        serve_async,
-        serve_stdio,
-        start_gateway,
-    )
+    from repro.service.daemon import AllocationDaemon, serve_stdio
+    from repro.service.state import ClusterStateStore
 
     # In stdio mode stdout carries the protocol, so banners go to stderr.
     log = sys.stderr if args.stdio else sys.stdout
@@ -692,6 +687,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # 503 "unavailable" while the tail is applied.
         nonlocal gateway
         if args.http_port is not None:
+            # the HTTP stack loads only for a daemon that serves it
+            from repro.service.gateway import start_gateway
+
             gateway = start_gateway(target, args.host, args.http_port)
             print(f"gateway on http://{gateway.server_address[0]}:"
                   f"{gateway.server_address[1]}/", file=log, flush=True)
@@ -745,7 +743,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.stdio:
             serve_stdio(daemon, sys.stdin, sys.stdout)
         else:
-            server = serve_async(daemon, args.host, args.port)
+            from repro.service.tcp import serve_socket
+
+            server = serve_socket(daemon, args.host, args.port)
             print(f"serving on {server.address[0]}:"
                   f"{server.address[1]} (JSON lines + v3 frames)",
                   file=log, flush=True)

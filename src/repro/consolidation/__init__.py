@@ -28,17 +28,41 @@ as one atomic group, so kill+restore mid-consolidation reproduces the
 exact state. See ``docs/service.md`` ("Consolidation").
 """
 
-from repro.consolidation.fragmentation import (
-    FragmentationMonitor,
-    FragmentationReading,
-)
-from repro.consolidation.planner import (
-    ConsolidationPlan,
-    ConsolidationReport,
-    MigrationPlanner,
-    PlannedMove,
-)
-from repro.consolidation.victim import VictimScore, VictimSelector
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+# The names as static imports, for type checkers and linters; at run time
+# they resolve through ``__getattr__`` below. tests/test_layering.py
+# keeps this block, ``_EXPORTS`` and ``__all__`` naming the same homes.
+if TYPE_CHECKING:
+    from repro.consolidation.fragmentation import (
+        FragmentationMonitor,
+        FragmentationReading,
+    )
+    from repro.consolidation.planner import (
+        ConsolidationPlan,
+        ConsolidationReport,
+        MigrationPlanner,
+        PlannedMove,
+    )
+    from repro.consolidation.victim import VictimScore, VictimSelector
+
+#: Home module of every name, imported on first access.
+_EXPORTS: dict[str, tuple[str, ...]] = {
+    "repro.consolidation.fragmentation": (
+        "FragmentationMonitor", "FragmentationReading",
+    ),
+    "repro.consolidation.planner": (
+        "ConsolidationPlan", "ConsolidationReport", "MigrationPlanner",
+        "PlannedMove",
+    ),
+    "repro.consolidation.victim": ("VictimScore", "VictimSelector"),
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "ConsolidationPlan",

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping
 
-import numpy as np
-
 from repro.exceptions import CapacityError, ValidationError
 from repro.model.cluster import Cluster
 from repro.model.vm import VM
@@ -115,6 +113,8 @@ class Allocation:
             if missing:
                 raise ValidationError(
                     f"{len(missing)} VM(s) not placed, e.g. {missing[0]}")
+        import numpy as np
+
         from repro.model.phases import demand_profile
 
         for server_id, placed in self._by_server.items():

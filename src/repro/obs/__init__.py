@@ -27,57 +27,95 @@ Designed to cost ~nothing when disabled:
 See ``docs/observability.md`` for the full tour.
 """
 
-from repro.obs.context import (
-    TraceContext,
-    new_request_id,
-    new_trace_id,
-    trace_context_of,
-)
-from repro.obs.explain import (
-    CandidateVerdict,
-    CostTerms,
-    ExplainRecorder,
-    PlacementExplanation,
-    format_decision_table,
-)
-from repro.obs.export import (
-    load_chrome_trace,
-    read_jsonl,
-    summarize_chrome_trace,
-    to_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.obs.flight import (
-    FlightRecord,
-    FlightRecorder,
-)
-from repro.obs.logging import (
-    NULL_LOGGER,
-    JsonLogger,
-    NullLogger,
-    get_logger,
-    set_logger,
-    use_logger,
-)
-from repro.obs.slo import (
-    SLOConfig,
-    SLOTracker,
-)
-from repro.obs.telemetry import (
-    TelemetryRing,
-    TelemetrySample,
-)
-from repro.obs.tracer import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    TraceEvent,
-    Tracer,
-    get_tracer,
-    set_tracer,
-    use_tracer,
-)
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+# The names as static imports, for type checkers and linters; at run time
+# they resolve through ``__getattr__`` below. tests/test_layering.py
+# keeps this block, ``_EXPORTS`` and ``__all__`` naming the same homes.
+if TYPE_CHECKING:
+    from repro.obs.context import (
+        TraceContext,
+        new_request_id,
+        new_trace_id,
+        trace_context_of,
+    )
+    from repro.obs.explain import (
+        CandidateVerdict,
+        CostTerms,
+        ExplainRecorder,
+        PlacementExplanation,
+        format_decision_table,
+    )
+    from repro.obs.export import (
+        load_chrome_trace,
+        read_jsonl,
+        summarize_chrome_trace,
+        to_chrome_trace,
+        write_chrome_trace,
+        write_jsonl,
+    )
+    from repro.obs.flight import (
+        FlightRecord,
+        FlightRecorder,
+    )
+    from repro.obs.logging import (
+        NULL_LOGGER,
+        JsonLogger,
+        NullLogger,
+        get_logger,
+        set_logger,
+        use_logger,
+    )
+    from repro.obs.slo import (
+        SLOConfig,
+        SLOTracker,
+    )
+    from repro.obs.telemetry import (
+        TelemetryRing,
+        TelemetrySample,
+    )
+    from repro.obs.tracer import (
+        NULL_TRACER,
+        NullTracer,
+        Span,
+        TraceEvent,
+        Tracer,
+        get_tracer,
+        set_tracer,
+        use_tracer,
+    )
+
+#: Home module of every name, imported on first access.
+_EXPORTS: dict[str, tuple[str, ...]] = {
+    "repro.obs.context": (
+        "TraceContext", "new_request_id", "new_trace_id", "trace_context_of",
+    ),
+    "repro.obs.explain": (
+        "CandidateVerdict", "CostTerms", "ExplainRecorder",
+        "PlacementExplanation", "format_decision_table",
+    ),
+    "repro.obs.export": (
+        "load_chrome_trace", "read_jsonl", "summarize_chrome_trace",
+        "to_chrome_trace", "write_chrome_trace", "write_jsonl",
+    ),
+    "repro.obs.flight": ("FlightRecord", "FlightRecorder"),
+    "repro.obs.logging": (
+        "NULL_LOGGER", "JsonLogger", "NullLogger", "get_logger", "set_logger",
+        "use_logger",
+    ),
+    "repro.obs.slo": ("SLOConfig", "SLOTracker"),
+    "repro.obs.telemetry": ("TelemetryRing", "TelemetrySample"),
+    "repro.obs.tracer": (
+        "NULL_TRACER", "NullTracer", "Span", "TraceEvent", "Tracer",
+        "get_tracer", "set_tracer", "use_tracer",
+    ),
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "CandidateVerdict",

@@ -27,11 +27,15 @@ Static admission charges what the probes charge
 on a Γ-robust fleet), so a type the probe would refuse on capacity alone
 is never walked.
 
-``kernel=True`` additionally builds the
+``kernel=True`` lets the index build the
 :class:`~repro.placement.kernels.FleetKernel` that batch-probes
 candidates, and the position arrays :meth:`candidate_positions` hands
-it; ``kernel=False`` means scalar probes only — same queues, same
-decisions.
+it, on the first read of :attr:`CandidateIndex.kernel` — the first walk
+that asks for a batch probe. Until then no kernel watches the books and
+numpy is not imported. A kernel starts with every row dirty, so one
+built late syncs at its first probe what one built here would, and
+answers and counts alike. ``kernel=False`` means scalar probes only —
+same queues, same decisions.
 
 The index is bound to the exact ``states`` list it was built from
 (:meth:`covers` is an identity check); callers fall back to a plain scan
@@ -46,12 +50,12 @@ import heapq
 import math
 from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
 from repro.energy.cost import saturating_gap
 from repro.placement.feasibility import static_demand
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    import numpy as np
+
     from repro.allocators.state import ServerState
     from repro.model.vm import VM
     from repro.placement.kernels import FleetKernel
@@ -188,9 +192,9 @@ class SpecGroup:
 class CandidateIndex:
     """Spec-grouped view of one fleet's ``ServerState`` list."""
 
-    __slots__ = ("_states", "_spec_ids", "_pos", "kernel", "_groups",
-                 "_quiet", "_robust", "_spec_positions", "_all_positions",
-                 "__weakref__")
+    __slots__ = ("_states", "_spec_ids", "_pos", "batched", "_kernel",
+                 "_groups", "_quiet", "_robust", "_spec_positions",
+                 "_all_positions", "__weakref__")
 
     def __init__(self, states: Sequence["ServerState"], *,
                  kernel: bool = False) -> None:
@@ -214,9 +218,19 @@ class CandidateIndex:
             self._quiet[i] = st.quiet_after
             group.file(i)
             st.add_watcher(self)
-        #: the batch-probe kernel (``None``: scalar probes only)
-        self.kernel: "FleetKernel | None" = None
-        if kernel and states:
+        #: whether a walk may batch-probe: :attr:`kernel` builds one
+        self.batched = kernel and bool(states)
+        self._kernel: "FleetKernel | None" = None
+
+    @property
+    def kernel(self) -> "FleetKernel | None":
+        """The batch-probe kernel, built on this first read (with the
+        position arrays it is handed); ``None`` when the index is
+        scalar-only. Read it only to probe: check :attr:`batched`
+        first."""
+        if self._kernel is None and self.batched:
+            import numpy as np
+
             from repro.placement.kernels import FleetKernel
 
             self._spec_positions = {
@@ -224,8 +238,10 @@ class CandidateIndex:
                     (i for i, k in enumerate(self._spec_ids) if k == key),
                     dtype=np.intp)
                 for key in self._groups}
-            self._all_positions = np.arange(len(states), dtype=np.intp)
-            self.kernel = FleetKernel(states)
+            self._all_positions = np.arange(len(self._states),
+                                            dtype=np.intp)
+            self._kernel = FleetKernel(self._states)
+        return self._kernel
 
     def covers(self, states: Sequence["ServerState"]) -> bool:
         """Whether this index was built from exactly this ``states`` list."""
@@ -277,9 +293,11 @@ class CandidateIndex:
     def candidate_positions(self, vm: "VM") -> np.ndarray:
         """Fleet positions of the admissible candidates, in fleet order.
 
-        Built with the kernel only. The all-admitted case returns a
-        cached ``arange`` — no per-VM allocation.
+        Read once :attr:`kernel` is built. The all-admitted case returns
+        a cached ``arange`` — no per-VM allocation.
         """
+        import numpy as np
+
         admits = self.spec_admits(vm)
         if all(admits.values()):
             return self._all_positions

@@ -248,12 +248,13 @@ _SPEC_COLUMNS = {
 class FleetKernel:
     """Structure-of-arrays occupancy pool over one fleet's skylines.
 
-    Built by the :class:`~repro.placement.index.CandidateIndex` at
-    ``prepare`` time for the indexed engine (when the
-    :class:`~repro.placement.config.EngineConfig` enables it) and kept
-    in sync through the ``ServerState`` watcher protocol: every
-    mutation marks its row dirty, and the next probe rewrites only
-    the dirty rows, in place.
+    Built by the :class:`~repro.placement.index.CandidateIndex` of the
+    indexed engine (when the
+    :class:`~repro.placement.config.EngineConfig` enables it) on the
+    first batch probe, every row dirty, and kept in sync through the
+    ``ServerState`` watcher protocol from then on: every mutation marks
+    its row dirty, and the next probe rewrites only the dirty rows, in
+    place.
     """
 
     def __init__(self, states: Sequence["ServerState"]) -> None:

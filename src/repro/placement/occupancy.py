@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import bisect
 
-import numpy as np
-
 __all__ = ["SkylineOccupancy", "DenseOccupancy", "make_occupancy",
            "ENGINES", "DEFAULT_ENGINE"]
 
@@ -215,11 +213,17 @@ class SkylineOccupancy:
 
 
 class DenseOccupancy:
-    """The original dense per-time-unit numpy timeline (test oracle)."""
+    """The original dense per-time-unit numpy timeline (test oracle).
+
+    numpy is imported by the methods that call it: the indexed engine,
+    which every daemon and the sparse skyline use, never loads it here.
+    """
 
     __slots__ = ("_cpu", "_mem")
 
     def __init__(self) -> None:
+        import numpy as np
+
         self._cpu = np.zeros(_INITIAL_HORIZON)
         self._mem = np.zeros(_INITIAL_HORIZON)
 
@@ -230,6 +234,8 @@ class DenseOccupancy:
         needed = end + 1
         if needed <= self._cpu.size:
             return
+        import numpy as np
+
         new_size = max(needed, self._cpu.size * 2)
         cpu = np.zeros(new_size)
         cpu[: self._cpu.size] = self._cpu
@@ -267,21 +273,27 @@ class DenseOccupancy:
         mem_slice = self._mem[start:hi]
         peak_cpu = float(cpu_slice.max())
         peak_mem = float(mem_slice.max())
+        # ``argmax`` of the overload mask: its first True, the first
+        # overloaded unit (the peak's own unit is one)
         if peak_cpu + cpu > cpu_cap + tol:
-            over = np.flatnonzero(cpu_slice + cpu > cpu_cap + tol)
-            return f"cpu:overlap@{start + int(over[0])}", peak_cpu, peak_mem
+            over = int((cpu_slice + cpu > cpu_cap + tol).argmax())
+            return f"cpu:overlap@{start + over}", peak_cpu, peak_mem
         if peak_mem + mem > mem_cap + tol:
-            over = np.flatnonzero(mem_slice + mem > mem_cap + tol)
-            return f"mem:overlap@{start + int(over[0])}", peak_cpu, peak_mem
+            over = int((mem_slice + mem > mem_cap + tol).argmax())
+            return f"mem:overlap@{start + over}", peak_cpu, peak_mem
         return None, peak_cpu, peak_mem
 
     def tail(self) -> int | None:
         """The time unit after the last nonzero one (``None``: all zero)."""
+        import numpy as np
+
         nonzero = np.flatnonzero((self._cpu != 0.0) | (self._mem != 0.0))
         return int(nonzero[-1]) + 1 if nonzero.size else None
 
     def points(self) -> list[int]:
         """Nonzero time units (dense arrays have no change-point structure)."""
+        import numpy as np
+
         return [int(t) for t in
                 np.flatnonzero((self._cpu != 0.0) | (self._mem != 0.0))]
 
@@ -290,6 +302,8 @@ class DenseOccupancy:
         return {"cpu": self._cpu.tolist(), "mem": self._mem.tolist()}
 
     def load_rows(self, rows: dict[str, list]) -> None:
+        import numpy as np
+
         self._cpu = np.array(rows["cpu"], dtype=float)
         self._mem = np.array(rows["mem"], dtype=float)
 

@@ -21,7 +21,7 @@ Statuses
     host failed mid-run (see ``fail_server`` in ``docs/service.md``).
 
 :class:`Decision` and :class:`AdmissionDecision` are re-exported here
-as thin aliases of their defining modules, so
+as thin aliases of their defining modules, resolved on first use, so
 ``from repro.results import Decision`` works alongside the historical
 import paths.
 """
@@ -29,14 +29,24 @@ import paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from repro.allocators.batch import Decision
+from repro._lazy import lazy_exports
 from repro.exceptions import ValidationError
 from repro.model.vm import VM
-from repro.simulation.admission import AdmissionDecision
+
+if TYPE_CHECKING:
+    from repro.allocators.batch import Decision
+    from repro.simulation.admission import AdmissionDecision
 
 __all__ = ["STATUSES", "PlacementResult", "Decision", "AdmissionDecision"]
+
+# The two aliases resolve on first use: the admission module imports the
+# allocators, which a client of the service never runs.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.allocators.batch": ("Decision",),
+    "repro.simulation.admission": ("AdmissionDecision",),
+})
 
 #: Every status a :class:`PlacementResult` may carry.
 STATUSES = ("placed", "rejected", "deferred", "replaced")

@@ -20,22 +20,41 @@ probed VM included) must fit under capacity.
   overload rate, and sweep Γ into an energy-vs-overload frontier.
 """
 
-from repro.robust.config import RobustnessConfig
-from repro.robust.skyline import RobustSkyline
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+# The names as static imports, for type checkers and linters; at run time
+# they resolve through ``__getattr__`` below. tests/test_layering.py
+# keeps this block, ``_EXPORTS`` and ``__all__`` naming the same homes.
+# (Lazy resolution also breaks the cycle an eager import of ``evaluate``
+# would close: it imports the allocators, which import
+# ``repro.placement.config``, which imports this package.)
+if TYPE_CHECKING:
+    from repro.robust.config import RobustnessConfig
+    from repro.robust.evaluate import (
+        FrontierPoint,
+        GammaSweep,
+        overload_rate,
+        realized_overload,
+        sweep_gamma,
+    )
+    from repro.robust.skyline import RobustSkyline
+
+#: Home module of every name, imported on first access.
+_EXPORTS: dict[str, tuple[str, ...]] = {
+    "repro.robust.config": ("RobustnessConfig",),
+    "repro.robust.evaluate": (
+        "FrontierPoint", "GammaSweep", "overload_rate", "realized_overload",
+        "sweep_gamma",
+    ),
+    "repro.robust.skyline": ("RobustSkyline",),
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = ["RobustnessConfig", "RobustSkyline", "FrontierPoint",
            "GammaSweep", "overload_rate", "realized_overload",
            "sweep_gamma"]
-
-#: Harness symbols resolved lazily: the evaluate module imports the
-#: allocator stack, which imports ``repro.placement.config``, which
-#: imports this package — an eager import here would be circular.
-_EVALUATE = ("FrontierPoint", "GammaSweep", "overload_rate",
-             "realized_overload", "sweep_gamma")
-
-
-def __getattr__(name: str):
-    if name in _EVALUATE:
-        from repro.robust import evaluate
-        return getattr(evaluate, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

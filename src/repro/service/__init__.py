@@ -24,82 +24,146 @@ atomic group. See ``docs/service.md`` and the ``repro serve`` /
 ``repro client`` / ``repro consolidate`` CLI commands.
 
 Protocol v3 is the multi-connection generation: one
-:class:`AsyncDaemonServer` port (a thread per connection) speaks
+:class:`ThreadingDaemonServer` port (a thread per connection) speaks
 JSON-lines *and* length-prefixed binary frames (sniffed per
 connection, v1/v2 clients byte-unchanged),
 failures carry the typed error envelope of
 :mod:`repro.service.errors`, and an HTTP/REST gateway
 (:func:`start_gateway`) translates ``POST /v1/place`` and friends onto
 the same op handlers.
+
+The names resolve on first use, like the top-level :mod:`repro`'s: a
+client imports the client, the codec and the framing, not the daemon,
+the allocators or numpy, and a daemon imports the HTTP gateway only
+when it serves one. ``AsyncDaemonServer`` and ``serve_async`` are
+one-release aliases of :class:`ThreadingDaemonServer` and
+:func:`serve_socket`.
 """
 
-from repro.service.aio import AsyncDaemonServer, serve_async
-from repro.service.client import (
-    AllocationClient,
-    ClientConfig,
-    ReplaySummary,
-    replay_trace,
-)
-from repro.service.daemon import AllocationDaemon, serve_stdio
-from repro.service.errors import (
-    CODES,
-    ErrorFields,
-    envelope,
-    envelope_of_exception,
-    error_fields,
-    http_status_of,
-)
-from repro.service.framing import (
-    FRAME_MAGIC,
-    FrameDecoder,
-    encode_frame,
-    read_frame,
-    write_frame,
-)
-from repro.service.gateway import GatewayServer, start_gateway
-from repro.service.metrics import (
-    Histogram,
-    LatencyReservoir,
-    ServiceMetrics,
-    parse_exposition,
-)
-from repro.service.faults import FaultEvent, FaultInjector
-from repro.service.persistence import (
-    RequestJournal,
-    SnapshotManager,
-    read_journal,
-)
-from repro.service.protocol import (
-    OPS,
-    PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
-    consolidate_request,
-    dump_debug_request,
-    encode,
-    fail_server_request,
-    negotiate_version,
-    parse_batch_records,
-    parse_request,
-    parse_response,
-    place_batch_request,
-    place_request,
-    recover_server_request,
-    telemetry_request,
-    validate_request,
-)
-from repro.service.state import (
-    SNAPSHOT_FORMAT_VERSION,
-    ClusterStateStore,
-    ConsolidationReport,
-    FailureReport,
-    Replacement,
-    snapshot_meta,
-)
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+# The names as static imports, for type checkers and linters; at run time
+# they resolve through ``__getattr__`` below. tests/test_layering.py
+# keeps this block, ``_EXPORTS`` and ``__all__`` naming the same homes.
+if TYPE_CHECKING:
+    from repro.service.tcp import (
+        AsyncDaemonServer,
+        ThreadingDaemonServer,
+        serve_async,
+        serve_socket,
+    )
+    from repro.service.client import (
+        AllocationClient,
+        ClientConfig,
+        ReplaySummary,
+        replay_trace,
+    )
+    from repro.service.daemon import AllocationDaemon, serve_stdio
+    from repro.service.errors import (
+        CODES,
+        ErrorFields,
+        envelope,
+        envelope_of_exception,
+        error_fields,
+        http_status_of,
+    )
+    from repro.service.framing import (
+        FRAME_MAGIC,
+        FrameDecoder,
+        encode_frame,
+        read_frame,
+        write_frame,
+    )
+    from repro.service.gateway import GatewayServer, start_gateway
+    from repro.service.metrics import (
+        Histogram,
+        LatencyReservoir,
+        ServiceMetrics,
+        parse_exposition,
+    )
+    from repro.service.faults import FaultEvent, FaultInjector
+    from repro.service.persistence import (
+        RequestJournal,
+        SnapshotManager,
+        read_journal,
+    )
+    from repro.service.protocol import (
+        OPS,
+        PROTOCOL_VERSION,
+        SUPPORTED_VERSIONS,
+        consolidate_request,
+        dump_debug_request,
+        encode,
+        fail_server_request,
+        negotiate_version,
+        parse_batch_records,
+        parse_request,
+        parse_response,
+        place_batch_request,
+        place_request,
+        recover_server_request,
+        telemetry_request,
+        validate_request,
+    )
+    from repro.service.state import (
+        SNAPSHOT_FORMAT_VERSION,
+        ClusterStateStore,
+        ConsolidationReport,
+        FailureReport,
+        Replacement,
+        snapshot_meta,
+    )
+
+#: Home module of every name, imported on first access.
+_EXPORTS: dict[str, tuple[str, ...]] = {
+    "repro.service.tcp": (
+        "AsyncDaemonServer", "ThreadingDaemonServer", "serve_async",
+        "serve_socket",
+    ),
+    "repro.service.client": (
+        "AllocationClient", "ClientConfig", "ReplaySummary", "replay_trace",
+    ),
+    "repro.service.daemon": ("AllocationDaemon", "serve_stdio"),
+    "repro.service.errors": (
+        "CODES", "ErrorFields", "envelope", "envelope_of_exception",
+        "error_fields", "http_status_of",
+    ),
+    "repro.service.framing": (
+        "FRAME_MAGIC", "FrameDecoder", "encode_frame", "read_frame",
+        "write_frame",
+    ),
+    "repro.service.gateway": ("GatewayServer", "start_gateway"),
+    "repro.service.metrics": (
+        "Histogram", "LatencyReservoir", "ServiceMetrics", "parse_exposition",
+    ),
+    "repro.service.faults": ("FaultEvent", "FaultInjector"),
+    "repro.service.persistence": (
+        "RequestJournal", "SnapshotManager", "read_journal",
+    ),
+    "repro.service.protocol": (
+        "OPS", "PROTOCOL_VERSION", "SUPPORTED_VERSIONS", "consolidate_request",
+        "dump_debug_request", "encode", "fail_server_request",
+        "negotiate_version", "parse_batch_records", "parse_request",
+        "parse_response", "place_batch_request", "place_request",
+        "recover_server_request", "telemetry_request", "validate_request",
+    ),
+    "repro.service.state": (
+        "SNAPSHOT_FORMAT_VERSION", "ClusterStateStore", "ConsolidationReport",
+        "FailureReport", "Replacement", "snapshot_meta",
+    ),
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "AllocationClient",
     "AllocationDaemon",
     "AsyncDaemonServer",
+    "ThreadingDaemonServer",
     "CODES",
     "ClientConfig",
     "ClusterStateStore",
@@ -143,6 +207,7 @@ __all__ = [
     "recover_server_request",
     "replay_trace",
     "serve_async",
+    "serve_socket",
     "serve_stdio",
     "snapshot_meta",
     "start_gateway",

@@ -126,7 +126,7 @@ class AllocationClient:
     ``framing`` selects the wire dialect: ``"lines"`` (JSON-lines, the
     default, byte-compatible with every daemon generation) or
     ``"frames"`` (the protocol-v3 binary framing — requires the socket
-    front of :mod:`repro.service.aio`, which sniffs each connection's
+    front of :mod:`repro.service.tcp`, which sniffs each connection's
     first byte). Both sides read frames with the same
     :func:`~repro.service.framing.read_frame`, and the front answers on
     the thread that read the request.

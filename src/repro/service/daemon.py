@@ -19,7 +19,7 @@ request before answering and checkpoints the store every
 newest snapshot plus the journal tail.
 
 This module is the service core and opens no socket: the network
-fronts are :func:`repro.service.aio.serve_async` (JSON lines and v3
+fronts are :func:`repro.service.tcp.serve_socket` (JSON lines and v3
 frames on one port) and :func:`repro.service.gateway.start_gateway`
 (HTTP), and :func:`serve_stdio` adapts a pair of text streams. Every
 front ends in :meth:`AllocationDaemon.handle`, which runs each request

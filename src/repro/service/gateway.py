@@ -47,7 +47,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from repro.obs.context import REQUEST_ID_FIELD, TRACE_ID_FIELD
-from repro.service.aio import LISTEN_BACKLOG
+from repro.service.tcp import LISTEN_BACKLOG
 from repro.service.daemon import AllocationDaemon
 from repro.service.errors import envelope, error_fields, http_status_of
 from repro.service.metrics import CONTENT_TYPE

@@ -70,9 +70,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from repro.allocators.base import Allocator
 from repro.allocators.min_energy import MinIncrementalEnergy
@@ -100,8 +98,10 @@ from repro.simulation.power_state import (
     ServerMachine,
 )
 from repro.simulation.recovery import recover_target, split_remainder
-from repro.simulation.telemetry import Telemetry
 from repro.workload.trace import vm_from_record, vm_to_record
+
+if TYPE_CHECKING:
+    from repro.simulation.telemetry import Telemetry
 
 __all__ = ["ClusterStateStore", "ConsolidationReport", "FailureReport",
            "Replacement", "SNAPSHOT_FORMAT_VERSION", "snapshot_meta"]
@@ -864,11 +864,15 @@ class ClusterStateStore:
         :data:`TICK_WINDOW` closed ticks, oldest first, uncopied."""
         return iter(self._power), iter(self._active), iter(self._running)
 
-    def telemetry(self) -> Telemetry:
+    def telemetry(self) -> "Telemetry":
         """The newest :data:`TICK_WINDOW` closed ticks (all of them on a
         younger store) as an immutable Telemetry; index 0 is the oldest
         of the window. :attr:`busy_energy` and :attr:`power_peak` hold
         the totals over every closed tick."""
+        import numpy as np
+
+        from repro.simulation.telemetry import Telemetry
+
         power, active, running = self.telemetry_window()
         return Telemetry(power=np.fromiter(power, dtype=float),
                          active_servers=np.fromiter(active, dtype=int),

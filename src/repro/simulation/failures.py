@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from repro.allocators.base import Allocator
 from repro.allocators.min_energy import MinIncrementalEnergy
 from repro.exceptions import ValidationError
@@ -73,6 +71,8 @@ def random_failures(cluster: Cluster, count: int, horizon: int,
             f"cannot fail {count} of {len(cluster)} servers")
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     victims = rng.choice(len(cluster), size=count, replace=False)
     times = rng.integers(1, horizon + 1, size=count)

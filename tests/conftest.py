@@ -12,7 +12,7 @@ from repro.model.cluster import Cluster
 from repro.model.intervals import TimeInterval
 from repro.model.server import Server, ServerSpec
 from repro.model.vm import VM, VMSpec
-from repro.service import ClusterStateStore, serve_async
+from repro.service import ClusterStateStore, serve_socket
 
 
 @pytest.fixture
@@ -126,5 +126,5 @@ def serving(daemon, **kwargs):
     """Serve ``daemon`` on an ephemeral port of the socket front
     (JSON lines and v3 frames); yields ``(host, port)`` and stops the
     server on exit."""
-    with serve_async(daemon, **kwargs) as server:
+    with serve_socket(daemon, **kwargs) as server:
         yield server.address

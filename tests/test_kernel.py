@@ -35,6 +35,7 @@ from repro.model.phases import DemandPhase, PhasedVM, demand_profile
 from repro.model.server import Server, ServerSpec
 from repro.model.vm import VM, VMSpec
 from repro.placement import EngineConfig, FeasibilityBatch, FleetKernel
+from repro.placement.index import CandidateIndex
 from repro.service.state import ClusterStateStore
 from repro.workload.generator import generate_vms
 
@@ -381,6 +382,155 @@ class TestSyncWritesARowWhereItLives:
             kernel.probe_fleet(probe)
         with pytest.raises(ValueError, match="time range"):
             kernel.admits_fleet(probe, np.arange(2))
+
+
+# -- a kernel built on first need answers like one built at prepare ---------
+
+#: One mutation of a small fleet: (kind, server, a, b, cpu, memory). A
+#: place books [a, a + b] if it fits; a cut stops a resident at a tick of
+#: its interval (keeping the head that ran); a retire forgets one and
+#: compacts before tick a; a compact drops detail before tick a; a sync
+#: writes the early kernel's dirty rows, as a probe would.
+fleet_op = st.tuples(
+    st.sampled_from(("place", "place", "place", "cut", "retire", "compact",
+                     "sync")),
+    st.integers(0, 3), st.integers(0, 40), st.integers(1, 12),
+    st.floats(0.25, 6.0), st.floats(0.25, 8.0))
+
+
+def _apply(op, fleets, vm_id: int) -> int:
+    """Apply ``op`` to every fleet alike; returns the next free vm id."""
+    kind, server, a, b, cpu, memory = op
+    books = [fleet[server] for fleet in fleets]
+    if kind == "place":
+        vm = make_vm(vm_id, a, a + b, cpu=cpu, memory=memory)
+        if books[0].admits(vm):
+            for book in books:
+                book.place_trusted(vm)
+        return vm_id + 1
+    if kind in ("cut", "retire") and books[0].vms:
+        vm = books[0].vms[b % len(books[0].vms)]
+        if kind == "retire":
+            for book in books:
+                book.retire(vm, before=a)
+            return vm_id
+        time = vm.start + b % (vm.end - vm.start + 1)
+        head = None if time == vm.start else make_vm(
+            vm_id, vm.start, time - 1, cpu=vm.cpu, memory=vm.memory)
+        for book in books:
+            book.cut(vm, time, head)
+        return vm_id + 1
+    if kind == "compact":
+        for book in books:
+            book.compact(a)
+    return vm_id
+
+
+class TestALateKernelAnswersLikeAnEarlyOne:
+    """``CandidateIndex.kernel`` is built on its first read. One built
+    after any history of commits, cuts, retirements and compactions
+    syncs every row at its first probe and answers — and counts — what
+    one built at ``prepare`` and kept in sync all along does."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(ops=st.lists(fleet_op, max_size=30),
+           probes=st.lists(probe_vm, min_size=1, max_size=4),
+           data=st.data())
+    def test_answers_and_counters_are_equal(self, ops, probes, data):
+        early_books, late_books = build_fleet([[]] * 4), build_fleet([[]] * 4)
+        early = CandidateIndex(early_books, kernel=True)
+        late = CandidateIndex(late_books, kernel=True)
+        early_kernel = early.kernel  # what prepare built before
+        vm_id = 0
+        for op in ops:
+            if op[0] == "sync":
+                early_kernel.sync()
+            vm_id = _apply(op, (early_books, late_books), vm_id)
+        assert late.batched and late._kernel is None  # nothing watched
+        late_kernel = late.kernel
+        for probe in probes:
+            _, vm = _materialize([], probe)
+            rows = np.array(data.draw(st.lists(
+                st.integers(0, 3), min_size=1, max_size=4)), dtype=np.intp)
+            assert early_kernel.admits_fleet(vm, rows).tolist() \
+                == late_kernel.admits_fleet(vm, rows).tolist()
+            got = late_kernel.probe_fleet(vm, rows)
+            want = early_kernel.probe_fleet(vm, rows)
+            assert list(got) == list(want)
+            assert got.run_cost.tolist() == want.run_cost.tolist()
+            assert_rows_match(got, [late_books[pos] for pos in rows], vm)
+        for counter in ("probe_calls", "rows_probed", "cells_probed"):
+            assert getattr(late_kernel, counter) \
+                == getattr(early_kernel, counter), counter
+
+    def test_a_scalar_scan_does_not_build_the_kernel(self):
+        allocator = make_allocator("best-fit", engine="indexed:kernel=on")
+        allocator.allocate(generate_vms(40, mean_interarrival=3.0, seed=5),
+                           Cluster.paper_all_types(12))
+        # a sparse stream: every score scan names < 40 rows, all scalar
+        assert allocator._index.batched
+        assert allocator._index._kernel is None
+
+
+#: The dense stream of ``tests/test_allocator_equivalence.py``: ~1200
+#: VMs alive at once on 90 servers, so most min-energy walks collect
+#: their 16 refusals and finish with the prefetch.
+_DENSE_BATCH = generate_vms(600, mean_interarrival=0.05, mean_duration=60,
+                            seed=3)
+
+#: A fresh daemon decides one ``place_batch`` of the dense stream; numpy
+#: must be absent until the batch and present after it.
+_FIRST_PREFETCH = """
+import json, sys
+from repro.model.cluster import Cluster
+from repro.service.daemon import AllocationDaemon
+from repro.service.state import ClusterStateStore
+request = json.loads(sys.stdin.read())
+daemon = AllocationDaemon(ClusterStateStore(Cluster.paper_all_types(90)))
+before = "numpy" in sys.modules
+response = daemon.handle(request)
+print(json.dumps({
+    "numpy_before": before, "numpy_after": "numpy" in sys.modules,
+    "probe_calls": daemon.allocator._index.kernel.probe_calls,
+    "decisions": [[d["vm_id"], d.get("server_id"),
+                   float(d.get("energy_delta", 0.0)).hex()]
+                  for d in response["decisions"]]}))
+"""
+
+#: sha256 of the decisions' JSON and the kernel calls, as a daemon that
+#: built its kernel at prepare decided and counted this batch.
+_DENSE_DECISIONS_SHA256 = \
+    "0ef2479b92527dfefc1f1a4c3378998d14f8c3de52897bcafe0d50f964f8ef8a"
+_DENSE_PROBE_CALLS = 496
+
+
+class TestTheFirstPrefetchLoadsTheKernel:
+    def test_a_dense_batch_loads_numpy_and_decides_as_before(self):
+        import hashlib
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+        from repro.service.protocol import place_batch_request
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", _FIRST_PREFETCH],
+            input=json.dumps(place_batch_request(_DENSE_BATCH)),
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src})
+        assert result.returncode == 0, result.stderr[-2000:]
+        run = json.loads(result.stdout)
+        assert not run["numpy_before"]
+        assert run["numpy_after"]
+        assert run["probe_calls"] == _DENSE_PROBE_CALLS > 0
+        assert len(run["decisions"]) == len(_DENSE_BATCH)
+        digest = hashlib.sha256(
+            json.dumps(run["decisions"]).encode()).hexdigest()
+        assert digest == _DENSE_DECISIONS_SHA256
 
 
 # -- allocator decisions: kernel on == kernel off ---------------------------

@@ -120,6 +120,7 @@ EXPECTED_ALL = [
     "place_batch_request",
     "replay_trace",
     "serve_async",
+    "serve_socket",
     "start_gateway",
     "SimulationEngine",
     "simulate_online",
@@ -170,7 +171,8 @@ class TestExports:
     def test_service_v3_surface_pinned(self):
         import repro.service as service
 
-        for name in ("AsyncDaemonServer", "serve_async", "GatewayServer",
+        for name in ("AsyncDaemonServer", "serve_async",
+                     "ThreadingDaemonServer", "serve_socket", "GatewayServer",
                      "start_gateway", "encode_frame", "read_frame",
                      "write_frame", "FrameDecoder", "FRAME_MAGIC", "CODES",
                      "envelope",
@@ -188,6 +190,16 @@ class TestExports:
             assert not hasattr(service, name), name
         assert 3 in service.SUPPORTED_VERSIONS
         assert service.PROTOCOL_VERSION == 3
+
+    def test_the_socket_front_keeps_its_old_names_for_a_release(self):
+        import repro.service as service
+        from repro.service import aio, tcp
+
+        assert service.AsyncDaemonServer is service.ThreadingDaemonServer
+        assert service.serve_async is service.serve_socket
+        assert repro.serve_async is repro.serve_socket
+        assert aio.AsyncDaemonServer is tcp.ThreadingDaemonServer
+        assert aio.serve_async is tcp.serve_socket
 
     def test_service_consolidation_surface_pinned(self):
         import repro.service as service

@@ -23,7 +23,7 @@ from repro.service import (
     encode_frame,
     place_request,
     read_frame,
-    serve_async,
+    serve_socket,
     start_gateway,
     write_frame,
 )
@@ -104,7 +104,7 @@ class TestSniffingServer:
 
     def _serve(self):
         daemon = fresh_daemon()
-        server = serve_async(daemon)
+        server = serve_socket(daemon)
         return daemon, server
 
     def test_lines_and_frames_share_one_port(self):
@@ -181,7 +181,7 @@ class TestUnreadableRequests:
     def front(self):
         daemon = fresh_daemon()
         escaped: list[object] = []
-        with serve_async(daemon) as server:
+        with serve_socket(daemon) as server:
             # The server's error path: what a connection's thread raises.
             server.handle_error = lambda request, address: escaped.append(
                 sys.exc_info()[1])
@@ -243,7 +243,7 @@ class TestThreadPerConnection:
     def test_stats_is_answered_while_the_commit_lock_is_held(self):
         daemon = fresh_daemon()
         vm = generate_vms(1, mean_interarrival=2.0, seed=3)[0]
-        with serve_async(daemon) as server:
+        with serve_socket(daemon) as server:
             writer = socket.create_connection(server.address, timeout=10)
             reader = socket.create_connection(server.address, timeout=10)
             with writer, reader:
@@ -266,7 +266,7 @@ class TestThreadPerConnection:
 
     def test_stop_hangs_up_on_idle_clients_and_leaves_no_thread(self):
         before = set(threading.enumerate())
-        server = serve_async(fresh_daemon())
+        server = serve_socket(fresh_daemon())
         clients = [socket.create_connection(server.address, timeout=10)
                    for _ in range(4)]
         try:
@@ -292,7 +292,7 @@ class TestThreadPerConnection:
     def test_a_burst_of_connects_is_answered_at_once(self, front):
         daemon = fresh_daemon()
         if front == "socket":
-            server = serve_async(daemon)
+            server = serve_socket(daemon)
             address = server.address
         else:
             server = start_gateway(daemon)
@@ -340,7 +340,7 @@ class TestAsyncChaosSoak:
             record["vm_id"] = 10_000 + 100 * vm.vm_id
             vms.append(vm_from_record(record))
         daemon = fresh_daemon(20, data_dir=tmp_path, fsync=False)
-        server = serve_async(daemon)
+        server = serve_socket(daemon)
         try:
             with AllocationClient(*server.address, framing="frames",
                                   config=ClientConfig(retries=3,
@@ -422,7 +422,7 @@ class TestCrossProtocolParity:
                 finally:
                     gateway.shutdown()
             else:
-                server = serve_async(daemon)
+                server = serve_socket(daemon)
                 run = self._run_lines if mode == "lines" \
                     else self._run_frames
                 try:
