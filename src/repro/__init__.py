@@ -157,7 +157,6 @@ if TYPE_CHECKING:
         consolidate_request,
         place_batch_request,
         replay_trace,
-        serve_async,
         serve_socket,
         start_gateway,
     )
@@ -237,7 +236,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "SUPPORTED_VERSIONS", "AllocationClient", "AllocationDaemon",
         "ClientConfig", "ClusterStateStore", "ReplaySummary",
         "consolidate_request", "place_batch_request", "replay_trace",
-        "serve_async", "serve_socket", "start_gateway",
+        "serve_socket", "start_gateway",
     ),
     "repro.robust": (
         "RobustnessConfig", "RobustSkyline",
@@ -360,7 +359,6 @@ __all__ = [
     "SUPPORTED_VERSIONS",
     "consolidate_request",
     "place_batch_request",
-    "serve_async",
     "serve_socket",
     "start_gateway",
     "replay_trace",

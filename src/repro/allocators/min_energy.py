@@ -28,15 +28,16 @@ cannot change the answer, only skip losers:
 * a type's *clone class* — its pristine servers (no busy history) and
   its *dormant* ones, quiet since at least ``saturating_gap`` ticks
   before the VM starts, so that their last gap already costs the full
-  wake-up ``alpha`` (Eq. 16) — all yield the same verdict and the same
-  cost (``tests/test_placement_properties.py::TestAnIdleServerIsAClone``).
-  Only the first clone in fleet order is probed; the others can never be
-  strictly better, so they are counted as asked and admitted, up to
-  where an incumbent drops the type, without a probe or an
-  ``idle_delta``. The index keeps each type's dormant servers in a queue
-  of their own (:class:`~repro.placement.index.SpecGroup`), so a walk
-  never pops them, and a type with none pays nothing. With placement
-  constraints every clone is probed: the constraint is per server.
+  wake-up ``alpha`` (Eq. 16) — is as good as a server that never ran
+  (``TestAnIdleServerIsAClone``): it fits iff its type's static fit
+  does, which the index has applied (``TestAFreshBookAdmitsByItsType``),
+  at ``W_ij + P_idle * |I_j| + alpha``
+  (:func:`~repro.energy.cost.wake_delta`). So the walk asks none of
+  them: it prices the first in fleet order by that closed form and
+  counts the rest as asked and admitted, up to where an incumbent drops
+  the type. Only busy servers are probed or refuse. With placement
+  constraints, which are per server, each dormant server is asked as a
+  busy one.
 
 On a dense stream the cheap types' busy servers are mostly full and
 refuse the VM one by one before the bound can prune; a walk refused
@@ -55,7 +56,7 @@ from typing import Sequence
 
 from repro.allocators.base import Allocator
 from repro.allocators.state import ServerState
-from repro.energy.cost import SleepPolicy
+from repro.energy.cost import SleepPolicy, wake_delta
 from repro.energy.power import run_energy
 from repro.model.vm import VM
 
@@ -80,9 +81,10 @@ _TIE_TOL = 1e-12
 #: ROADMAP).
 _BATCH_AFTER = 16
 
-#: Queue kinds of the walk: a type's busy servers, its pristine ones, the
-#: busy ones a prefetch found feasible, and its clone representative.
-_BUSY, _PRISTINE, _PREFETCHED, _CLONE = range(4)
+#: Queue kinds of the walk: a type's busy servers, the busy ones a
+#: prefetch found feasible, and its idle ones — the clone class's first
+#: member, or under constraints its pristine servers in fleet order.
+_BUSY, _PREFETCHED, _IDLE = range(3)
 
 
 class MinIncrementalEnergy(Allocator):
@@ -106,25 +108,23 @@ class MinIncrementalEnergy(Allocator):
                        groups) -> ServerState | None:
         """The walk over the index's per-type candidate queues.
 
-        A k-way merge walks the admissible types' warm queues and one
-        clone representative per type in ascending fleet position — the
-        order a scan of the whole fleet visits them in — and applies the
-        module docstring's skips to whole queues: a type whose run cost
-        reaches the incumbent's delta is dropped queue and all the
-        moment it surfaces (the bound is monotone, so it can never
-        re-qualify), and once a type's clone representative has been
-        probed admissible the rest of its class goes in one step.
+        A k-way merge walks the admissible types' warm queues and their
+        clone classes in ascending fleet position — the order a scan of
+        the whole fleet visits them in — and applies the module
+        docstring's skips to whole queues: a type whose run cost reaches
+        the incumbent's delta is dropped queue and all the moment it
+        surfaces (the bound is monotone, so it can never re-qualify).
 
-        Probes go through :meth:`_examine` one winner-candidate at a
-        time, so the per-VM cost is proportional to the handful of
-        probes, not to the fleet size — until the ``_BATCH_AFTER``-th
+        A busy server is asked through :meth:`_examine` one
+        winner-candidate at a time — until the ``_BATCH_AFTER``-th
         refusal, when :meth:`_prefetch` (given a kernel) swaps the busy
-        queues for their rows that fit. The counters stay those of the
-        walk that asks every busy server one position at a time: it
-        would have asked a prefetched queue, or the clones behind an
-        admitted representative, until an incumbent's delta dropped the
-        type — that is up to that incumbent's position, else all of it
-        (:meth:`_count_clones`).
+        queues for their rows that fit. An idle entry is admitted by its
+        type and priced by :func:`~repro.energy.cost.wake_delta`; only
+        constraints can refuse it. The counters stay those of the walk
+        that asks every server one position at a time: it would have
+        asked a prefetched queue, or a clone class, until an incumbent's
+        delta dropped the type — that is up to that incumbent's
+        position, else all of it (:meth:`_count_clones`).
         """
         prune = self._policy in (SleepPolicy.OPTIMAL,
                                  SleepPolicy.NEVER_SLEEP)
@@ -137,59 +137,60 @@ class MinIncrementalEnergy(Allocator):
         # entries never tie and nothing past the position is compared.
         heap: list = []
         runs: dict[int, float] = {}
-        probed_pristine: set[int] = set()
         refused = 0
         #: type -> the busy positions a prefetch probed for it
         frontier: dict = {}
-        #: the types whose clone representative was admitted
+        #: the types whose clone class was admitted
         cloned: list = []
         for group in groups:
             runs[id(group)] = run_energy(group.spec, vm)
             warm, dormant, pristine = group.warm, group.dormant, group.pristine
             if warm:
                 heap.append((warm[0], _BUSY, 0, group, warm))
-            if dormant and constraints is None:
-                # The clone class: its representative is its queue.
+            if constraints is None:
+                # The clone class: its first member is its queue.
                 rep = group.representative()
-                heap.append((rep, _CLONE, 0, group, (rep,)))
+                if rep is not None:
+                    heap.append((rep, _IDLE, 0, group, (rep,)))
                 continue
             if dormant:
                 heap.append((dormant[0], _BUSY, 0, group, dormant))
             if pristine:
-                heap.append((pristine[0], _PRISTINE, 0, group, pristine))
+                heap.append((pristine[0], _IDLE, 0, group, pristine))
         heapq.heapify(heap)
         while heap:
             pos, kind, cursor, group, queue = heapq.heappop(heap)
             run = runs[id(group)]
             if prune and run >= best_delta - _TIE_TOL:
-                continue  # drop this queue; the type's other one follows
-            if kind == _PRISTINE and id(group) in probed_pristine:
-                continue  # interchangeable clones: drop the whole queue
-            if cursor + 1 < len(queue):
+                continue  # drop this queue; the type's other ones follow
+            state = states[pos]
+            if kind == _BUSY:
+                fits = self._examine(vm, state)
+            else:  # fits by the kernel's yes, or by type (groups_for)
+                fits = constraints is None or constraints.allows(
+                    vm.vm_id, state.server.server_id, placed)
+                if kind == _IDLE:
+                    self.candidates_evaluated += 1
+                if fits:
+                    self.candidates_feasible += 1
+            # a busy queue goes on past every server, an idle one only
+            # past a refused one: the rest are its clones
+            if (kind != _IDLE or not fits) and cursor + 1 < len(queue):
                 heapq.heappush(heap, (queue[cursor + 1], kind, cursor + 1,
                                       group, queue))
-            state = states[pos]
-            if kind == _PREFETCHED:  # fits; constraints are per candidate
-                if constraints is not None and not constraints.allows(
-                        vm.vm_id, state.server.server_id, placed):
-                    continue
-                self.candidates_feasible += 1
-            elif not self._examine(vm, state):
-                if kind == _CLONE:
-                    # clones refuse alike: ask each, as a walk without
-                    # clone classes does
-                    _ask_each_clone(heap, pos, group)
+            if not fits:
                 refused += 1
                 if refused == _BATCH_AFTER and self._index.batched:
                     frontier = self._prefetch(
                         vm, heap, runs,
                         best_delta - _TIE_TOL if prune else math.inf)
                 continue
-            elif kind == _PRISTINE:
-                probed_pristine.add(id(group))
-            elif kind == _CLONE:
-                cloned.append(group)
-            delta = run + state.idle_delta(interval)
+            if kind != _IDLE:
+                delta = run + state.idle_delta(interval)
+            else:
+                delta = run + wake_delta(group.spec, interval.length)
+                if constraints is None:
+                    cloned.append(group)
             if delta < best_delta - _TIE_TOL:
                 best = state
                 best_delta = delta
@@ -210,18 +211,18 @@ class MinIncrementalEnergy(Allocator):
         return best
 
     def _count_clones(self, group, upto: int | None = None) -> None:
-        """Count the clones behind an admitted representative that the
-        one-at-a-time walk would have asked up to position ``upto``
-        (all, when ``None``), each admitted: the type's dormant servers
-        and its first pristine one (the rest of the pristine queue never
-        counted)."""
+        """Count the clones behind an admitted clone class's first
+        member that the one-at-a-time walk would have asked up to
+        position ``upto`` (all, when ``None``), each admitted: the
+        type's dormant servers and its first pristine one (that walk
+        never asks past an admitted pristine server)."""
         dormant, pristine = group.dormant, group.pristine
         if upto is None:
             asked = len(dormant) + (1 if pristine else 0)
         else:
             asked = bisect.bisect_right(dormant, upto) \
                 + (1 if pristine and pristine[0] <= upto else 0)
-        self.candidates_evaluated += asked - 1  # less the representative
+        self.candidates_evaluated += asked - 1  # less the first
         self.candidates_feasible += asked - 1
 
     def _prefetch(self, vm: VM, heap: list, runs: dict[int, float],
@@ -230,11 +231,11 @@ class MinIncrementalEnergy(Allocator):
         ``admits_fleet`` and point ``heap`` at the rows that fit.
 
         Each type's *frontier* — its busy positions from the cursors on
-        (warm, and dormant where the walk asks each clone) — is probed,
-        unless its run cost has reached ``bound``; its cursor restarts
-        on the feasible rows (kind ``_PREFETCHED``: no second probe),
-        the pristine and clone cursors stay (still scalar: one
-        representative per type), the busy cursors of dropped types go.
+        (warm, and dormant under constraints) — is probed, unless its
+        run cost has reached ``bound``; its cursor restarts on the
+        feasible rows (kind ``_PREFETCHED``: no second probe), the idle
+        cursors stay (admitted by type), the busy cursors of dropped
+        types go.
         Returns type -> frontier. The first prefetch of the allocator's
         life builds the kernel (:attr:`CandidateIndex.kernel`) and
         imports numpy.
@@ -271,14 +272,3 @@ class MinIncrementalEnergy(Allocator):
                 best_delta = delta
         return best
 
-
-def _ask_each_clone(heap: list, rep: int, group) -> None:
-    """Queue the rest of a refused representative's clone class the way
-    the one-at-a-time walk asks it: the dormant servers as busy ones,
-    the pristine queue until one is admitted."""
-    dormant, pristine = group.dormant, group.pristine
-    skip = 1 if dormant[0] == rep else 0
-    for kind, queue, cursor in ((_BUSY, dormant, skip),
-                                (_PRISTINE, pristine, 1 - skip)):
-        if cursor < len(queue):
-            heapq.heappush(heap, (queue[cursor], kind, cursor, group, queue))

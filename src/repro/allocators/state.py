@@ -29,7 +29,12 @@ from __future__ import annotations
 import bisect
 import weakref
 
-from repro.energy.cost import SleepPolicy, _gap_length_cost, server_cost
+from repro.energy.cost import (
+    SleepPolicy,
+    _gap_length_cost,
+    server_cost,
+    wake_delta,
+)
 from repro.energy.power import run_energy
 from repro.energy.segments import ServerTimeline
 from repro.exceptions import CapacityError
@@ -233,12 +238,12 @@ class ServerState:
         walk can cache the run term per server type.
         """
         spec, policy = self.server.spec, self.policy
+        if not self._busy_starts:
+            return wake_delta(spec, iv.length)  # the first wake-up
         lo, hi = self._affected_range(iv)
         if lo >= hi:
             # iv touches no existing segment: one new busy segment appears.
             delta = spec.p_idle * iv.length
-            if not self._busy_starts:
-                return delta + spec.transition_cost  # first wake-up
             # A surrounding gap (when interior) is replaced by up to two
             # smaller gaps. Extending the span outwards creates only one
             # new gap and moves — not duplicates — the initial wake-up.
@@ -597,7 +602,7 @@ class ServerState:
         queues such *dormant* servers with the pristine ones, as one
         clone class per type (``tests/test_placement_properties.py::
         TestAnIdleServerIsAClone`` and ``TestAnIdleServerScoresLikeAClone``
-        hold the claim).
+        hold the claim), which min-energy admits and prices by type.
         """
         tail = self._occ.tail()
         if not self._busy_ends:

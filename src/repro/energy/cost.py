@@ -35,7 +35,8 @@ from repro.model.server import ServerSpec
 from repro.model.vm import VM
 
 __all__ = ["SleepPolicy", "CostBreakdown", "server_cost",
-           "allocation_cost", "gap_cost", "saturating_gap", "sleeps_through"]
+           "allocation_cost", "gap_cost", "saturating_gap", "sleeps_through",
+           "wake_delta"]
 
 
 class SleepPolicy(enum.Enum):
@@ -90,6 +91,15 @@ def saturating_gap(spec: ServerSpec, policy: SleepPolicy) -> int | None:
     while not _sleeps(alpha, p_idle, gap, policy):
         gap += 1
     return gap
+
+
+def wake_delta(spec: ServerSpec, length: int) -> float:
+    """Eq.-17 delta, less the run cost, of busying ``length`` ticks on a
+    server asleep around them — one that never ran, or one idle for at
+    least :func:`saturating_gap` ticks before and nothing after: the
+    busy idle-power ``P_idle * length`` plus one wake-up ``alpha``. A
+    per-type constant for a VM, whatever the policy."""
+    return spec.p_idle * length + spec.transition_cost
 
 
 def _gap_length_cost(spec: ServerSpec, length: int,

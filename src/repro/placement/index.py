@@ -18,9 +18,10 @@ once per type instead of once per server. :class:`CandidateIndex` groups a
   whole. Pristine servers (never hosted anything) of one spec are
   interchangeable, and so is a server idle for at least the type's
   ``saturating_gap`` before the VM starts (*dormant* for it): together
-  they are the type's *clone class*, which lets min-energy, best-fit and
-  worst-fit probe one representative (:meth:`SpecGroup.representative`)
-  instead of hundreds of identical idle machines.
+  they are the type's *clone class*, which lets best-fit and worst-fit
+  probe one representative (:meth:`SpecGroup.representative`) instead
+  of hundreds of identical idle machines, and min-energy price it by
+  type without a probe.
 
 Static admission charges what the probes charge
 (:func:`~repro.placement.feasibility.static_demand`: the VM's radii too

@@ -35,9 +35,7 @@ the same op handlers.
 The names resolve on first use, like the top-level :mod:`repro`'s: a
 client imports the client, the codec and the framing, not the daemon,
 the allocators or numpy, and a daemon imports the HTTP gateway only
-when it serves one. ``AsyncDaemonServer`` and ``serve_async`` are
-one-release aliases of :class:`ThreadingDaemonServer` and
-:func:`serve_socket`.
+when it serves one.
 """
 
 from __future__ import annotations
@@ -50,12 +48,7 @@ from repro._lazy import lazy_exports
 # they resolve through ``__getattr__`` below. tests/test_layering.py
 # keeps this block, ``_EXPORTS`` and ``__all__`` naming the same homes.
 if TYPE_CHECKING:
-    from repro.service.tcp import (
-        AsyncDaemonServer,
-        ThreadingDaemonServer,
-        serve_async,
-        serve_socket,
-    )
+    from repro.service.tcp import ThreadingDaemonServer, serve_socket
     from repro.service.client import (
         AllocationClient,
         ClientConfig,
@@ -120,10 +113,7 @@ if TYPE_CHECKING:
 
 #: Home module of every name, imported on first access.
 _EXPORTS: dict[str, tuple[str, ...]] = {
-    "repro.service.tcp": (
-        "AsyncDaemonServer", "ThreadingDaemonServer", "serve_async",
-        "serve_socket",
-    ),
+    "repro.service.tcp": ("ThreadingDaemonServer", "serve_socket"),
     "repro.service.client": (
         "AllocationClient", "ClientConfig", "ReplaySummary", "replay_trace",
     ),
@@ -162,7 +152,6 @@ __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 __all__ = [
     "AllocationClient",
     "AllocationDaemon",
-    "AsyncDaemonServer",
     "ThreadingDaemonServer",
     "CODES",
     "ClientConfig",
@@ -206,7 +195,6 @@ __all__ = [
     "read_journal",
     "recover_server_request",
     "replay_trace",
-    "serve_async",
     "serve_socket",
     "serve_stdio",
     "snapshot_meta",

@@ -38,8 +38,7 @@ from repro.service.framing import (
     read_frame,
 )
 
-__all__ = ["ThreadingDaemonServer", "serve_socket",
-           "AsyncDaemonServer", "serve_async"]
+__all__ = ["ThreadingDaemonServer", "serve_socket"]
 
 #: Connections the kernel queues for ``accept`` on either network front
 #: (``socketserver``'s default of 5 makes a burst of connects wait out a
@@ -225,9 +224,3 @@ def serve_socket(daemon: AllocationDaemon, host: str = "127.0.0.1",
     server = ThreadingDaemonServer(daemon, host, port).start()
     daemon.on_shutdown(server.request_stop)
     return server
-
-
-# One-release aliases of the names this front had while it was an
-# asyncio loop; they go in the next release.
-AsyncDaemonServer = ThreadingDaemonServer
-serve_async = serve_socket

@@ -28,14 +28,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.allocators import allocator_names, make_allocator, min_energy
+from repro.allocators import allocator_names, make_allocator
 from repro.allocators.state import ServerState
 from repro.energy import SleepPolicy, allocation_cost
 from repro.model.cluster import Cluster
 from repro.model.constraints import PlacementConstraints
 from repro.obs.tracer import Tracer, use_tracer
 from repro.placement import FleetKernel
-from repro.placement import index as placement_index
 from repro.service import AllocationDaemon, ClusterStateStore, place_request
 from repro.workload import PhasedWorkload
 from repro.workload.generator import generate_vms
@@ -243,23 +242,34 @@ def _select_loop(engine: str, vms, policy) -> list:
 
 
 class TestMinEnergyCloneClass:
-    """The walk probes one member of a type's clone class (its pristine
-    and dormant servers) and still decides — and counts — like the
-    walk that asks each, and like collect-then-``choose``."""
+    """The walk admits and prices a type's clone class (its pristine
+    and dormant servers) by the type, asking none of them, and still
+    decides — and counts — like the walk that asks each, and like
+    collect-then-``choose``."""
 
     @pytest.mark.parametrize("policy", list(SleepPolicy))
     def test_the_walk_decides_like_choose_without_pricing_clones(
             self, policy, monkeypatch):
-        deltas = 0
-        idle_delta = ServerState.idle_delta
+        deltas = busy_admitted = pristine_asked = 0
+        idle_delta, admits = ServerState.idle_delta, ServerState.admits
 
-        def counted(state, interval):
+        def counted_delta(state, interval):
             nonlocal deltas
             deltas += 1
             return idle_delta(state, interval)
 
+        def counted_admits(state, vm):
+            nonlocal busy_admitted, pristine_asked
+            fits = admits(state, vm)
+            if state.quiet_after is None:
+                pristine_asked += 1
+            elif fits:
+                busy_admitted += 1
+            return fits
+
         with monkeypatch.context() as patch:
-            patch.setattr(ServerState, "idle_delta", counted)
+            patch.setattr(ServerState, "idle_delta", counted_delta)
+            patch.setattr(ServerState, "admits", counted_admits)
             walk, _ = _min_energy_trail("indexed", IDLE_VMS, IDLE_CLUSTER,
                                         policy=policy)
         scalar, _ = _min_energy_trail("indexed:kernel=off", IDLE_VMS,
@@ -269,38 +279,18 @@ class TestMinEnergyCloneClass:
         assert walk == scalar
         assert [(row[0], row[1], row[4]) for row in walk] \
             == [(row[0], row[1], row[4]) for row in chosen]
-        # Each commit prices its VM once; the rest priced candidates.
-        priced = deltas - sum(row[1] is not None for row in walk)
+        # A pristine server is admitted and priced by its type: never
+        # asked. Each commit prices its VM once; the rest priced
+        # candidates.
+        assert pristine_asked == 0
+        commits = sum(row[1] is not None for row in walk)
         feasible = sum(row[3] for row in walk)
         evaluated = sum(row[2] for row in walk)
         if policy is SleepPolicy.NEVER_SLEEP:  # nothing goes dormant
-            assert priced == feasible
+            assert deltas == busy_admitted + commits
         else:
-            assert priced < feasible / 2 and feasible <= evaluated
-
-    def test_a_refused_representative_asks_each_clone(self, monkeypatch):
-        # Leave the radii out of static admission, as the index once did:
-        # whole clone classes refuse the big Γ VMs, and the walk must
-        # then ask each clone — as with no clone class at all, which a
-        # constrained walk (no groups) has.
-        monkeypatch.setattr(placement_index, "static_demand",
-                            lambda vm, robust: (vm.cpu, vm.memory))
-        asked_each = 0
-        ask_each_clone = min_energy._ask_each_clone
-
-        def counted(*args):
-            nonlocal asked_each
-            asked_each += 1
-            ask_each_clone(*args)
-
-        monkeypatch.setattr(min_energy, "_ask_each_clone", counted)
-        vms, servers = STREAMS["phased"]
-        cluster = Cluster.paper_all_types(servers)
-        walk, _ = _min_energy_trail("indexed:gamma=2", vms, cluster)
-        assert asked_each > 0
-        unconstrained = PlacementConstraints.build(separate=[], colocate=[])
-        assert walk == _min_energy_trail("indexed:gamma=2", vms, cluster,
-                                         unconstrained)[0]
+            assert deltas - commits < feasible / 2 \
+                and feasible <= evaluated
 
     @pytest.mark.parametrize("policy", list(SleepPolicy))
     def test_starts_out_of_order_settle_back(self, policy):

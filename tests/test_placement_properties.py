@@ -28,12 +28,16 @@ from repro.energy.cost import (
     gap_cost,
     saturating_gap,
     sleeps_through,
+    wake_delta,
 )
+from repro.energy.power import run_energy
+from repro.model.catalog import SERVER_TYPES
 from repro.model.intervals import TimeInterval
 from repro.model.phases import DemandPhase, PhasedVM, split_vm
 from repro.model.server import Server, ServerSpec
 from repro.model.vm import VM, VMSpec
 from repro.placement import DenseOccupancy, SkylineOccupancy
+from repro.placement.index import CandidateIndex
 from repro.placement.kernels import FleetKernel
 
 from conftest import make_vm
@@ -376,6 +380,70 @@ class TestAnIdleServerIsAClone:
             assert not sleeps_through(spec, TimeInterval(0, gap - 2))
         assert saturating_gap(spec, SleepPolicy.ALWAYS_SLEEP) == 1
         assert saturating_gap(spec, SleepPolicy.NEVER_SLEEP) is None
+
+
+#: How far a VM's static demand sits from a server type's capacity:
+#: well inside, at it, and within or past the probes' 1e-9 tolerance.
+_NEAR_CAPACITY = st.sampled_from([-1.0, -1e-9, 0.0, 5e-10, 1e-9, 2e-9,
+                                  0.5]) | st.floats(-3e-9, 3e-9)
+
+
+def _near(target: ServerSpec, cpu_off: float, mem_off: float, shape: int,
+          slack: float, start: int, length: int) -> VM:
+    """A VM whose static demand — nominal plus its radii, the charge on
+    a Γ fleet — is ``target``'s capacity plus the offsets: plain (shape
+    0), with radii (1), phased (2) or phased with radii (3), its peak
+    phase ``slack`` above its spec (the spec must carry the peak to
+    1e-9)."""
+    cpu_need = target.cpu_capacity + cpu_off
+    mem_need = target.memory_capacity + mem_off
+    share = 0.25 if shape in (1, 3) else 0.0
+    cpu, mem = cpu_need - cpu_need * share, mem_need - mem_need * share
+    spec = VMSpec("near", cpu=cpu, memory=mem, cpu_radius=cpu_need * share,
+                  mem_radius=mem_need * share)
+    interval = TimeInterval(start, start + length)
+    if shape < 2:
+        return VM(vm_id=0, spec=spec, interval=interval)
+    return PhasedVM(vm_id=0, spec=spec, interval=interval, phases=(
+        DemandPhase(1, cpu / 2, mem), DemandPhase(length, cpu + slack,
+                                                  mem / 2)))
+
+
+class TestAFreshBookAdmitsByItsType:
+    """A book that never ran admits a VM exactly when its type's static
+    fit does (``CandidateIndex.spec_admits``, which ``groups_for``
+    applies) and prices it ``P_idle * |I_j| + alpha`` bit for bit under
+    every policy: why min-energy's walk admits and prices a clone class
+    (``TestAnIdleServerIsAClone``: a dormant server is a fresh one)
+    without asking any of its members."""
+
+    @pytest.mark.parametrize("policy", list(SleepPolicy))
+    @pytest.mark.parametrize("engine", ["indexed", "indexed:kernel=off",
+                                        "indexed:gamma=2"])
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(SERVER_TYPES), _NEAR_CAPACITY, _NEAR_CAPACITY,
+           st.integers(0, 3), st.floats(-0.999e-9, 0.999e-9),
+           st.integers(-20, 60), st.integers(1, 30))
+    # a spec at the capacity (less the tolerance), its peak phase about
+    # the tolerance above that: the static fit and the pieces agree
+    @example(SERVER_TYPES[0], 0.0, 0.0, 2, 0.999e-9, 0, 5)
+    @example(SERVER_TYPES[4], -1e-9, 0.0, 3, 0.999e-9, 3, 1)
+    def test_admits_and_prices_by_type(self, engine, policy, target,
+                                       cpu_off, mem_off, shape, slack,
+                                       start, length):
+        vm = _near(target, cpu_off, mem_off, shape, slack, start, length)
+        states = [ServerState(Server(i, spec), policy=policy, engine=engine)
+                  for i, spec in enumerate(SERVER_TYPES)]
+        by_type = CandidateIndex(states).spec_admits(vm)
+        for state in states:
+            spec = state.server.spec
+            assert state.admits(vm) == by_type[id(spec)]
+            closed = spec.p_idle * vm.interval.length + spec.transition_cost
+            assert state.idle_delta(vm.interval).hex() == closed.hex()
+            assert wake_delta(spec, vm.interval.length).hex() == closed.hex()
+            if by_type[id(spec)]:
+                assert state.incremental_cost(vm).hex() \
+                    == (run_energy(spec, vm) + closed).hex()
 
 
 class TestAnIdleServerScoresLikeAClone:

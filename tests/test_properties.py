@@ -9,7 +9,7 @@ orderings that respect optimality.
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.allocators import make_allocator
 from repro.allocators.registry import allocator_names
@@ -115,12 +115,23 @@ def test_ilp_optimum_lower_bounds_every_heuristic(seed, count):
         assert optimal <= cost + 1e-6
 
 
+def _peak_alive(vms) -> int:
+    """The most VMs alive at one tick (some VM's start is such a tick)."""
+    return max(sum(other.start <= vm.start <= other.end for other in vms)
+               for vm in vms)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
+# five memory-3 VMs alive at once: more than ten servers' four slots
+@example(8076)
 def test_energy_components_nonnegative(seed):
     wl = PoissonWorkload(mean_interarrival=2.0, mean_duration=5.0)
     vms = wl.generate(20, rng=seed)
-    cluster = Cluster.paper_all_types(10)
+    # Every VM type fits the largest server type alone, and a fleet
+    # cycling through the five types has one of those per five servers:
+    # one each for the VMs alive at once is always enough.
+    cluster = Cluster.paper_all_types(max(10, 5 * _peak_alive(vms)))
     allocation = make_allocator("min-energy").allocate(vms, cluster)
     cost = allocation_cost(allocation)
     assert cost.run >= 0

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import importlib
+import importlib.util
 
 import pytest
 
@@ -119,7 +119,6 @@ EXPECTED_ALL = [
     "consolidate_request",
     "place_batch_request",
     "replay_trace",
-    "serve_async",
     "serve_socket",
     "start_gateway",
     "SimulationEngine",
@@ -171,8 +170,7 @@ class TestExports:
     def test_service_v3_surface_pinned(self):
         import repro.service as service
 
-        for name in ("AsyncDaemonServer", "serve_async",
-                     "ThreadingDaemonServer", "serve_socket", "GatewayServer",
+        for name in ("ThreadingDaemonServer", "serve_socket", "GatewayServer",
                      "start_gateway", "encode_frame", "read_frame",
                      "write_frame", "FrameDecoder", "FRAME_MAGIC", "CODES",
                      "envelope",
@@ -191,15 +189,17 @@ class TestExports:
         assert 3 in service.SUPPORTED_VERSIONS
         assert service.PROTOCOL_VERSION == 3
 
-    def test_the_socket_front_keeps_its_old_names_for_a_release(self):
+    def test_the_socket_front_s_old_names_are_gone(self):
+        # the asyncio-era names, kept one release as aliases
         import repro.service as service
-        from repro.service import aio, tcp
+        from repro.service import tcp
 
-        assert service.AsyncDaemonServer is service.ThreadingDaemonServer
-        assert service.serve_async is service.serve_socket
-        assert repro.serve_async is repro.serve_socket
-        assert aio.AsyncDaemonServer is tcp.ThreadingDaemonServer
-        assert aio.serve_async is tcp.serve_socket
+        for module in (service, tcp):
+            for name in ("AsyncDaemonServer", "serve_async"):
+                assert name not in module.__all__, name
+                assert not hasattr(module, name), name
+        assert not hasattr(repro, "serve_async")
+        assert importlib.util.find_spec("repro.service.aio") is None
 
     def test_service_consolidation_surface_pinned(self):
         import repro.service as service
