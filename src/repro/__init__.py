@@ -31,345 +31,162 @@ from typing import TYPE_CHECKING
 
 from repro._lazy import lazy_exports
 
-# The names as static imports, for type checkers and linters; at run time
-# they resolve through ``__getattr__`` below. tests/test_layering.py
-# keeps this block, ``_EXPORTS`` and ``__all__`` naming the same homes.
+# This block is the export declaration: repro._lazy reads it at import.
 if TYPE_CHECKING:
     from repro.allocators import (
-        Allocator,
-        BestFit,
-        Decision,
-        FirstFit,
-        FirstFitPowerSaving,
-        GammaFF,
-        MinIncrementalEnergy,
-        PowerAwareFirstFit,
-        RandomFit,
-        RoundRobin,
-        WorstFit,
-        allocator_names,
-        make_allocator,
+        Allocator as Allocator,
+        BestFit as BestFit,
+        Decision as Decision,
+        FirstFit as FirstFit,
+        FirstFitPowerSaving as FirstFitPowerSaving,
+        GammaFF as GammaFF,
+        MinIncrementalEnergy as MinIncrementalEnergy,
+        PowerAwareFirstFit as PowerAwareFirstFit,
+        RandomFit as RandomFit,
+        RoundRobin as RoundRobin,
+        WorstFit as WorstFit,
+        allocator_names as allocator_names,
+        make_allocator as make_allocator,
     )
     from repro.energy import (
-        CostBreakdown,
-        EnergyReport,
-        SleepPolicy,
-        allocation_cost,
-        energy_report,
-        run_energy,
+        CostBreakdown as CostBreakdown,
+        EnergyReport as EnergyReport,
+        SleepPolicy as SleepPolicy,
+        allocation_cost as allocation_cost,
+        energy_report as energy_report,
+        run_energy as run_energy,
     )
     from repro.exceptions import (
-        AllocationError,
-        AllocatorConfigError,
-        CapacityError,
-        OverloadedError,
-        ProtocolVersionError,
-        ReproError,
-        RetryableError,
-        ServiceError,
-        SimulationError,
-        SolverError,
-        TransportError,
-        UnknownOperationError,
-        ValidationError,
+        AllocationError as AllocationError,
+        AllocatorConfigError as AllocatorConfigError,
+        CapacityError as CapacityError,
+        OverloadedError as OverloadedError,
+        ProtocolVersionError as ProtocolVersionError,
+        ReproError as ReproError,
+        RetryableError as RetryableError,
+        ServiceError as ServiceError,
+        SimulationError as SimulationError,
+        SolverError as SolverError,
+        TransportError as TransportError,
+        UnknownOperationError as UnknownOperationError,
+        ValidationError as ValidationError,
     )
     from repro.placement import (
-        CandidateIndex,
-        DenseOccupancy,
-        EngineConfig,
-        Feasibility,
-        FeasibilityBatch,
-        FleetKernel,
-        SkylineOccupancy,
+        CandidateIndex as CandidateIndex,
+        DenseOccupancy as DenseOccupancy,
+        EngineConfig as EngineConfig,
+        Feasibility as Feasibility,
+        FeasibilityBatch as FeasibilityBatch,
+        FleetKernel as FleetKernel,
+        SkylineOccupancy as SkylineOccupancy,
     )
     from repro.analysis import (
-        concurrency_profile,
-        conflict_graph,
-        energy_lower_bound,
+        concurrency_profile as concurrency_profile,
+        conflict_graph as conflict_graph,
+        energy_lower_bound as energy_lower_bound,
     )
     from repro.consolidation import (
-        ConsolidationReport,
-        FragmentationMonitor,
-        MigrationPlanner,
-        PlannedMove,
-        VictimSelector,
+        ConsolidationReport as ConsolidationReport,
+        FragmentationMonitor as FragmentationMonitor,
+        MigrationPlanner as MigrationPlanner,
+        PlannedMove as PlannedMove,
+        VictimSelector as VictimSelector,
     )
-    from repro.experiments import ScenarioConfig, compare_averaged
+    from repro.experiments import (
+        ScenarioConfig as ScenarioConfig,
+        compare_averaged as compare_averaged,
+    )
     from repro.extensions import (
-        EpochConsolidator,
-        LongestFirstMinEnergy,
-        OfflineMinEnergy,
-        SuperlinearPowerModel,
-        evaluate_under_model,
+        EpochConsolidator as EpochConsolidator,
+        LongestFirstMinEnergy as LongestFirstMinEnergy,
+        OfflineMinEnergy as OfflineMinEnergy,
+        SuperlinearPowerModel as SuperlinearPowerModel,
+        evaluate_under_model as evaluate_under_model,
     )
-    from repro.ilp import RecedingHorizonSolver, solve_ilp, solve_relaxation
+    from repro.ilp import (
+        RecedingHorizonSolver as RecedingHorizonSolver,
+        solve_ilp as solve_ilp,
+        solve_relaxation as solve_relaxation,
+    )
     from repro.metrics import (
-        energy_reduction_ratio,
-        linear_fit,
-        logarithmic_fit,
-        utilization_stats,
+        energy_reduction_ratio as energy_reduction_ratio,
+        linear_fit as linear_fit,
+        logarithmic_fit as logarithmic_fit,
+        utilization_stats as utilization_stats,
     )
     from repro.model import (
-        VM,
-        DemandPhase,
-        PhasedVM,
-        Allocation,
-        Cluster,
-        PlacementConstraints,
-        Server,
-        ServerSpec,
-        TimeInterval,
-        VMSpec,
-        server_type,
-        vm_type,
+        VM as VM,
+        DemandPhase as DemandPhase,
+        PhasedVM as PhasedVM,
+        Allocation as Allocation,
+        Cluster as Cluster,
+        PlacementConstraints as PlacementConstraints,
+        Server as Server,
+        ServerSpec as ServerSpec,
+        TimeInterval as TimeInterval,
+        VMSpec as VMSpec,
+        server_type as server_type,
+        vm_type as vm_type,
     )
     from repro.obs import (
-        CandidateVerdict,
-        CostTerms,
-        ExplainRecorder,
-        FlightRecorder,
-        JsonLogger,
-        PlacementExplanation,
-        SLOConfig,
-        SLOTracker,
-        TelemetryRing,
-        TelemetrySample,
-        TraceContext,
-        Tracer,
-        format_decision_table,
-        get_logger,
-        get_tracer,
-        set_logger,
-        set_tracer,
-        to_chrome_trace,
-        use_logger,
-        use_tracer,
-        write_chrome_trace,
+        CandidateVerdict as CandidateVerdict,
+        CostTerms as CostTerms,
+        ExplainRecorder as ExplainRecorder,
+        FlightRecorder as FlightRecorder,
+        JsonLogger as JsonLogger,
+        PlacementExplanation as PlacementExplanation,
+        SLOConfig as SLOConfig,
+        SLOTracker as SLOTracker,
+        TelemetryRing as TelemetryRing,
+        TelemetrySample as TelemetrySample,
+        TraceContext as TraceContext,
+        Tracer as Tracer,
+        format_decision_table as format_decision_table,
+        get_logger as get_logger,
+        get_tracer as get_tracer,
+        set_logger as set_logger,
+        set_tracer as set_tracer,
+        to_chrome_trace as to_chrome_trace,
+        use_logger as use_logger,
+        use_tracer as use_tracer,
+        write_chrome_trace as write_chrome_trace,
     )
-    from repro.results import STATUSES, PlacementResult
+    from repro.results import (
+        STATUSES as STATUSES,
+        PlacementResult as PlacementResult,
+    )
     from repro.service import (
-        SUPPORTED_VERSIONS,
-        AllocationClient,
-        AllocationDaemon,
-        ClientConfig,
-        ClusterStateStore,
-        ReplaySummary,
-        consolidate_request,
-        place_batch_request,
-        replay_trace,
-        serve_socket,
-        start_gateway,
+        SUPPORTED_VERSIONS as SUPPORTED_VERSIONS,
+        AllocationClient as AllocationClient,
+        AllocationDaemon as AllocationDaemon,
+        ClientConfig as ClientConfig,
+        ClusterStateStore as ClusterStateStore,
+        ReplaySummary as ReplaySummary,
+        consolidate_request as consolidate_request,
+        place_batch_request as place_batch_request,
+        replay_trace as replay_trace,
+        serve_socket as serve_socket,
+        start_gateway as start_gateway,
     )
-    from repro.robust import RobustnessConfig, RobustSkyline
-    from repro.simulation import SimulationEngine, simulate_online
+    from repro.robust import (
+        RobustnessConfig as RobustnessConfig,
+        RobustSkyline as RobustSkyline,
+    )
+    from repro.simulation import (
+        SimulationEngine as SimulationEngine,
+        simulate_online as simulate_online,
+    )
     from repro.workload import (
-        BurstyWorkload,
-        PhasedWorkload,
-        DiurnalWorkload,
-        HeavyTailWorkload,
-        PoissonWorkload,
-        Trace,
-        generate_vms,
+        BurstyWorkload as BurstyWorkload,
+        PhasedWorkload as PhasedWorkload,
+        DiurnalWorkload as DiurnalWorkload,
+        HeavyTailWorkload as HeavyTailWorkload,
+        PoissonWorkload as PoissonWorkload,
+        Trace as Trace,
+        generate_vms as generate_vms,
     )
 
 __version__ = "1.0.0"
 
-#: Home module of every top-level name, imported on first access.
-_EXPORTS: dict[str, tuple[str, ...]] = {
-    "repro.allocators": (
-        "Allocator", "BestFit", "Decision", "FirstFit", "FirstFitPowerSaving",
-        "GammaFF", "MinIncrementalEnergy", "PowerAwareFirstFit", "RandomFit",
-        "RoundRobin", "WorstFit", "allocator_names", "make_allocator",
-    ),
-    "repro.energy": (
-        "CostBreakdown", "EnergyReport", "SleepPolicy", "allocation_cost",
-        "energy_report", "run_energy",
-    ),
-    "repro.exceptions": (
-        "AllocationError", "AllocatorConfigError", "CapacityError",
-        "OverloadedError", "ProtocolVersionError", "ReproError",
-        "RetryableError", "ServiceError", "SimulationError", "SolverError",
-        "TransportError", "UnknownOperationError", "ValidationError",
-    ),
-    "repro.placement": (
-        "CandidateIndex", "DenseOccupancy", "EngineConfig", "Feasibility",
-        "FeasibilityBatch", "FleetKernel", "SkylineOccupancy",
-    ),
-    "repro.analysis": (
-        "concurrency_profile", "conflict_graph", "energy_lower_bound",
-    ),
-    "repro.consolidation": (
-        "ConsolidationReport", "FragmentationMonitor", "MigrationPlanner",
-        "PlannedMove", "VictimSelector",
-    ),
-    "repro.experiments": (
-        "ScenarioConfig", "compare_averaged",
-    ),
-    "repro.extensions": (
-        "EpochConsolidator", "LongestFirstMinEnergy", "OfflineMinEnergy",
-        "SuperlinearPowerModel", "evaluate_under_model",
-    ),
-    "repro.ilp": (
-        "RecedingHorizonSolver", "solve_ilp", "solve_relaxation",
-    ),
-    "repro.metrics": (
-        "energy_reduction_ratio", "linear_fit", "logarithmic_fit",
-        "utilization_stats",
-    ),
-    "repro.model": (
-        "VM", "DemandPhase", "PhasedVM", "Allocation", "Cluster",
-        "PlacementConstraints", "Server", "ServerSpec", "TimeInterval",
-        "VMSpec", "server_type", "vm_type",
-    ),
-    "repro.obs": (
-        "CandidateVerdict", "CostTerms", "ExplainRecorder", "FlightRecorder",
-        "JsonLogger", "PlacementExplanation", "SLOConfig", "SLOTracker",
-        "TelemetryRing", "TelemetrySample", "TraceContext", "Tracer",
-        "format_decision_table", "get_logger", "get_tracer", "set_logger",
-        "set_tracer", "to_chrome_trace", "use_logger", "use_tracer",
-        "write_chrome_trace",
-    ),
-    "repro.results": (
-        "STATUSES", "PlacementResult",
-    ),
-    "repro.service": (
-        "SUPPORTED_VERSIONS", "AllocationClient", "AllocationDaemon",
-        "ClientConfig", "ClusterStateStore", "ReplaySummary",
-        "consolidate_request", "place_batch_request", "replay_trace",
-        "serve_socket", "start_gateway",
-    ),
-    "repro.robust": (
-        "RobustnessConfig", "RobustSkyline",
-    ),
-    "repro.simulation": (
-        "SimulationEngine", "simulate_online",
-    ),
-    "repro.workload": (
-        "BurstyWorkload", "PhasedWorkload", "DiurnalWorkload",
-        "HeavyTailWorkload", "PoissonWorkload", "Trace", "generate_vms",
-    ),
-}
-
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
-
-__all__ = [
-    "Allocator",
-    "BestFit",
-    "Decision",
-    "FirstFit",
-    "FirstFitPowerSaving",
-    "GammaFF",
-    "MinIncrementalEnergy",
-    "PowerAwareFirstFit",
-    "RandomFit",
-    "RoundRobin",
-    "WorstFit",
-    "allocator_names",
-    "make_allocator",
-    "CostBreakdown",
-    "EnergyReport",
-    "SleepPolicy",
-    "allocation_cost",
-    "energy_report",
-    "run_energy",
-    "AllocationError",
-    "AllocatorConfigError",
-    "CapacityError",
-    "OverloadedError",
-    "ProtocolVersionError",
-    "ReproError",
-    "RetryableError",
-    "ServiceError",
-    "SimulationError",
-    "SolverError",
-    "TransportError",
-    "UnknownOperationError",
-    "ValidationError",
-    "CandidateIndex",
-    "DenseOccupancy",
-    "EngineConfig",
-    "Feasibility",
-    "FeasibilityBatch",
-    "FleetKernel",
-    "SkylineOccupancy",
-    "RobustnessConfig",
-    "RobustSkyline",
-    "ScenarioConfig",
-    "compare_averaged",
-    "ConsolidationReport",
-    "FragmentationMonitor",
-    "MigrationPlanner",
-    "PlannedMove",
-    "VictimSelector",
-    "EpochConsolidator",
-    "LongestFirstMinEnergy",
-    "OfflineMinEnergy",
-    "SuperlinearPowerModel",
-    "evaluate_under_model",
-    "RecedingHorizonSolver",
-    "solve_ilp",
-    "solve_relaxation",
-    "concurrency_profile",
-    "conflict_graph",
-    "energy_lower_bound",
-    "energy_reduction_ratio",
-    "linear_fit",
-    "logarithmic_fit",
-    "utilization_stats",
-    "VM",
-    "DemandPhase",
-    "PhasedVM",
-    "Allocation",
-    "Cluster",
-    "PlacementConstraints",
-    "Server",
-    "ServerSpec",
-    "TimeInterval",
-    "VMSpec",
-    "server_type",
-    "vm_type",
-    "CandidateVerdict",
-    "CostTerms",
-    "ExplainRecorder",
-    "FlightRecorder",
-    "JsonLogger",
-    "PlacementExplanation",
-    "SLOConfig",
-    "SLOTracker",
-    "TelemetryRing",
-    "TelemetrySample",
-    "TraceContext",
-    "Tracer",
-    "format_decision_table",
-    "get_logger",
-    "get_tracer",
-    "set_logger",
-    "set_tracer",
-    "to_chrome_trace",
-    "use_logger",
-    "use_tracer",
-    "write_chrome_trace",
-    "AllocationClient",
-    "AllocationDaemon",
-    "ClientConfig",
-    "ClusterStateStore",
-    "PlacementResult",
-    "ReplaySummary",
-    "STATUSES",
-    "SUPPORTED_VERSIONS",
-    "consolidate_request",
-    "place_batch_request",
-    "serve_socket",
-    "start_gateway",
-    "replay_trace",
-    "SimulationEngine",
-    "simulate_online",
-    "BurstyWorkload",
-    "DiurnalWorkload",
-    "HeavyTailWorkload",
-    "PhasedWorkload",
-    "PoissonWorkload",
-    "Trace",
-    "generate_vms",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals())
+__all__.append("__version__")

@@ -2,13 +2,18 @@
 
 :mod:`repro` and its subpackages publish names that live in their
 submodules. Rather than import every submodule when the package loads,
-each ``__init__`` declares where its names live and takes a module
-``__getattr__`` that imports the home module on first access and caches
-the value in the package namespace, so later reads are plain lookups.
+each ``__init__`` declares its names once, as ``from ... import name as
+name`` statements in an ``if TYPE_CHECKING:`` block: the interpreter
+skips it, and type checkers take the redundant alias as a re-export
+(they do not evaluate a computed ``__all__``). :func:`lazy_exports`
+parses the block from the module's source (so the ``.py`` files must be
+installed) and gives the module a ``__getattr__`` that imports the home
+module on first access and caches the value in the package namespace.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import sys
 from types import ModuleType
@@ -30,21 +35,35 @@ class _ExportsOverSubmodules(ModuleType):
         super().__setattr__(name, value)
 
 
-def lazy_exports(
-    namespace: dict[str, Any], exports: dict[str, tuple[str, ...]]
-) -> tuple[Callable[[str], Any], Callable[[], list[str]]]:
-    """``(__getattr__, __dir__)`` of the package whose globals are
-    ``namespace``.
+def _declared_homes(source: str) -> dict[str, str]:
+    """``name -> home module`` of the ``from ... import`` statements in
+    the top-level ``if TYPE_CHECKING:`` block of ``source``, in order."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) \
+                and node.test.id == "TYPE_CHECKING":
+            return {alias.name: statement.module
+                    for statement in node.body
+                    if isinstance(statement, ast.ImportFrom)
+                    for alias in statement.names}
+    return {}
 
-    ``exports`` maps each home module to the names it provides. A name
-    outside it that is a submodule of the package (``repro.analysis``
-    after a bare ``import repro``) is imported too; any other name raises
-    :class:`AttributeError`. A plain module (no ``__path__``: the
-    aliases of :mod:`repro.results`) has no submodules to try.
+
+def lazy_exports(namespace: dict[str, Any]) -> tuple[
+        Callable[[str], Any], Callable[[], list[str]], list[str]]:
+    """``(__getattr__, __dir__, __all__)`` of the module whose globals
+    are ``namespace``, from its ``if TYPE_CHECKING:`` block.
+
+    A name outside the block that is a submodule of the package
+    (``repro.analysis`` after a bare ``import repro``) is imported too;
+    any other name raises :class:`AttributeError`. A plain module
+    (:mod:`repro.results`) has no submodules to try.
     """
     package = namespace["__name__"]
-    homes = {name: module for module, names in exports.items()
-             for name in names}
+    source = namespace["__spec__"].loader.get_source(package)
+    if source is None:  # installed without its .py files
+        raise ImportError(f"{package} declares its exports in its source, "
+                          f"which is not installed", name=package)
+    homes = _declared_homes(source)
     is_package = "__path__" in namespace
     if any(home == f"{package}.{name}" for name, home in homes.items()):
         sys.modules[package].__class__ = _ExportsOverSubmodules
@@ -67,4 +86,4 @@ def lazy_exports(
     def __dir__() -> list[str]:
         return sorted(set(namespace) | set(namespace["__all__"]))
 
-    return __getattr__, __dir__
+    return __getattr__, __dir__, list(homes)

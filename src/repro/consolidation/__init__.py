@@ -34,43 +34,21 @@ from typing import TYPE_CHECKING
 
 from repro._lazy import lazy_exports
 
-# The names as static imports, for type checkers and linters; at run time
-# they resolve through ``__getattr__`` below. tests/test_layering.py
-# keeps this block, ``_EXPORTS`` and ``__all__`` naming the same homes.
+# This block is the export declaration: repro._lazy reads it at import.
 if TYPE_CHECKING:
     from repro.consolidation.fragmentation import (
-        FragmentationMonitor,
-        FragmentationReading,
+        FragmentationMonitor as FragmentationMonitor,
+        FragmentationReading as FragmentationReading,
     )
     from repro.consolidation.planner import (
-        ConsolidationPlan,
-        ConsolidationReport,
-        MigrationPlanner,
-        PlannedMove,
+        ConsolidationPlan as ConsolidationPlan,
+        ConsolidationReport as ConsolidationReport,
+        MigrationPlanner as MigrationPlanner,
+        PlannedMove as PlannedMove,
     )
-    from repro.consolidation.victim import VictimScore, VictimSelector
+    from repro.consolidation.victim import (
+        VictimScore as VictimScore,
+        VictimSelector as VictimSelector,
+    )
 
-#: Home module of every name, imported on first access.
-_EXPORTS: dict[str, tuple[str, ...]] = {
-    "repro.consolidation.fragmentation": (
-        "FragmentationMonitor", "FragmentationReading",
-    ),
-    "repro.consolidation.planner": (
-        "ConsolidationPlan", "ConsolidationReport", "MigrationPlanner",
-        "PlannedMove",
-    ),
-    "repro.consolidation.victim": ("VictimScore", "VictimSelector"),
-}
-
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
-
-__all__ = [
-    "ConsolidationPlan",
-    "ConsolidationReport",
-    "FragmentationMonitor",
-    "FragmentationReading",
-    "MigrationPlanner",
-    "PlannedMove",
-    "VictimScore",
-    "VictimSelector",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals())

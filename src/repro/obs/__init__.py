@@ -33,124 +33,55 @@ from typing import TYPE_CHECKING
 
 from repro._lazy import lazy_exports
 
-# The names as static imports, for type checkers and linters; at run time
-# they resolve through ``__getattr__`` below. tests/test_layering.py
-# keeps this block, ``_EXPORTS`` and ``__all__`` naming the same homes.
+# This block is the export declaration: repro._lazy reads it at import.
 if TYPE_CHECKING:
     from repro.obs.context import (
-        TraceContext,
-        new_request_id,
-        new_trace_id,
-        trace_context_of,
+        TraceContext as TraceContext,
+        new_request_id as new_request_id,
+        new_trace_id as new_trace_id,
+        trace_context_of as trace_context_of,
     )
     from repro.obs.explain import (
-        CandidateVerdict,
-        CostTerms,
-        ExplainRecorder,
-        PlacementExplanation,
-        format_decision_table,
+        CandidateVerdict as CandidateVerdict,
+        CostTerms as CostTerms,
+        ExplainRecorder as ExplainRecorder,
+        PlacementExplanation as PlacementExplanation,
+        format_decision_table as format_decision_table,
     )
     from repro.obs.export import (
-        load_chrome_trace,
-        read_jsonl,
-        summarize_chrome_trace,
-        to_chrome_trace,
-        write_chrome_trace,
-        write_jsonl,
+        load_chrome_trace as load_chrome_trace,
+        read_jsonl as read_jsonl,
+        summarize_chrome_trace as summarize_chrome_trace,
+        to_chrome_trace as to_chrome_trace,
+        write_chrome_trace as write_chrome_trace,
+        write_jsonl as write_jsonl,
     )
     from repro.obs.flight import (
-        FlightRecord,
-        FlightRecorder,
+        FlightRecord as FlightRecord,
+        FlightRecorder as FlightRecorder,
     )
     from repro.obs.logging import (
-        NULL_LOGGER,
-        JsonLogger,
-        NullLogger,
-        get_logger,
-        set_logger,
-        use_logger,
+        NULL_LOGGER as NULL_LOGGER,
+        JsonLogger as JsonLogger,
+        NullLogger as NullLogger,
+        get_logger as get_logger,
+        set_logger as set_logger,
+        use_logger as use_logger,
     )
-    from repro.obs.slo import (
-        SLOConfig,
-        SLOTracker,
-    )
+    from repro.obs.slo import SLOConfig as SLOConfig, SLOTracker as SLOTracker
     from repro.obs.telemetry import (
-        TelemetryRing,
-        TelemetrySample,
+        TelemetryRing as TelemetryRing,
+        TelemetrySample as TelemetrySample,
     )
     from repro.obs.tracer import (
-        NULL_TRACER,
-        NullTracer,
-        Span,
-        TraceEvent,
-        Tracer,
-        get_tracer,
-        set_tracer,
-        use_tracer,
+        NULL_TRACER as NULL_TRACER,
+        NullTracer as NullTracer,
+        Span as Span,
+        TraceEvent as TraceEvent,
+        Tracer as Tracer,
+        get_tracer as get_tracer,
+        set_tracer as set_tracer,
+        use_tracer as use_tracer,
     )
 
-#: Home module of every name, imported on first access.
-_EXPORTS: dict[str, tuple[str, ...]] = {
-    "repro.obs.context": (
-        "TraceContext", "new_request_id", "new_trace_id", "trace_context_of",
-    ),
-    "repro.obs.explain": (
-        "CandidateVerdict", "CostTerms", "ExplainRecorder",
-        "PlacementExplanation", "format_decision_table",
-    ),
-    "repro.obs.export": (
-        "load_chrome_trace", "read_jsonl", "summarize_chrome_trace",
-        "to_chrome_trace", "write_chrome_trace", "write_jsonl",
-    ),
-    "repro.obs.flight": ("FlightRecord", "FlightRecorder"),
-    "repro.obs.logging": (
-        "NULL_LOGGER", "JsonLogger", "NullLogger", "get_logger", "set_logger",
-        "use_logger",
-    ),
-    "repro.obs.slo": ("SLOConfig", "SLOTracker"),
-    "repro.obs.telemetry": ("TelemetryRing", "TelemetrySample"),
-    "repro.obs.tracer": (
-        "NULL_TRACER", "NullTracer", "Span", "TraceEvent", "Tracer",
-        "get_tracer", "set_tracer", "use_tracer",
-    ),
-}
-
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
-
-__all__ = [
-    "CandidateVerdict",
-    "CostTerms",
-    "ExplainRecorder",
-    "PlacementExplanation",
-    "format_decision_table",
-    "load_chrome_trace",
-    "read_jsonl",
-    "summarize_chrome_trace",
-    "to_chrome_trace",
-    "write_chrome_trace",
-    "write_jsonl",
-    "NULL_TRACER",
-    "NullTracer",
-    "Span",
-    "TraceEvent",
-    "Tracer",
-    "get_tracer",
-    "set_tracer",
-    "use_tracer",
-    "TraceContext",
-    "new_trace_id",
-    "new_request_id",
-    "trace_context_of",
-    "NULL_LOGGER",
-    "JsonLogger",
-    "NullLogger",
-    "get_logger",
-    "set_logger",
-    "use_logger",
-    "TelemetryRing",
-    "TelemetrySample",
-    "SLOConfig",
-    "SLOTracker",
-    "FlightRecord",
-    "FlightRecorder",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals())

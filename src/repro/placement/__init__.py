@@ -28,45 +28,21 @@ from typing import TYPE_CHECKING
 
 from repro._lazy import lazy_exports
 
-# The names as static imports, for type checkers and linters; at run time
-# they resolve through ``__getattr__`` below. tests/test_layering.py
-# keeps this block, ``_EXPORTS`` and ``__all__`` naming the same homes.
+# This block is the export declaration: repro._lazy reads it at import.
 if TYPE_CHECKING:
-    from repro.placement.config import EngineConfig
-    from repro.placement.feasibility import Feasibility
-    from repro.placement.index import CandidateIndex
-    from repro.placement.kernels import FeasibilityBatch, FleetKernel
+    from repro.placement.config import EngineConfig as EngineConfig
+    from repro.placement.feasibility import Feasibility as Feasibility
+    from repro.placement.index import CandidateIndex as CandidateIndex
+    from repro.placement.kernels import (
+        FeasibilityBatch as FeasibilityBatch,
+        FleetKernel as FleetKernel,
+    )
     from repro.placement.occupancy import (
-        DEFAULT_ENGINE,
-        ENGINES,
-        DenseOccupancy,
-        SkylineOccupancy,
-        make_occupancy,
+        DEFAULT_ENGINE as DEFAULT_ENGINE,
+        ENGINES as ENGINES,
+        DenseOccupancy as DenseOccupancy,
+        SkylineOccupancy as SkylineOccupancy,
+        make_occupancy as make_occupancy,
     )
 
-#: Home module of every name, imported on first access.
-_EXPORTS: dict[str, tuple[str, ...]] = {
-    "repro.placement.config": ("EngineConfig",),
-    "repro.placement.feasibility": ("Feasibility",),
-    "repro.placement.index": ("CandidateIndex",),
-    "repro.placement.kernels": ("FeasibilityBatch", "FleetKernel"),
-    "repro.placement.occupancy": (
-        "DEFAULT_ENGINE", "ENGINES", "DenseOccupancy", "SkylineOccupancy",
-        "make_occupancy",
-    ),
-}
-
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
-
-__all__ = [
-    "EngineConfig",
-    "Feasibility",
-    "FeasibilityBatch",
-    "FleetKernel",
-    "CandidateIndex",
-    "SkylineOccupancy",
-    "DenseOccupancy",
-    "make_occupancy",
-    "ENGINES",
-    "DEFAULT_ENGINE",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals())

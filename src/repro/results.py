@@ -35,18 +35,16 @@ from repro._lazy import lazy_exports
 from repro.exceptions import ValidationError
 from repro.model.vm import VM
 
-if TYPE_CHECKING:
-    from repro.allocators.batch import Decision
-    from repro.simulation.admission import AdmissionDecision
-
-__all__ = ["STATUSES", "PlacementResult", "Decision", "AdmissionDecision"]
-
 # The two aliases resolve on first use: the admission module imports the
 # allocators, which a client of the service never runs.
-__getattr__, __dir__ = lazy_exports(globals(), {
-    "repro.allocators.batch": ("Decision",),
-    "repro.simulation.admission": ("AdmissionDecision",),
-})
+if TYPE_CHECKING:
+    from repro.allocators.batch import Decision as Decision
+    from repro.simulation.admission import (
+        AdmissionDecision as AdmissionDecision,
+    )
+
+__getattr__, __dir__, __all__ = lazy_exports(globals())
+__all__ = ["STATUSES", "PlacementResult", *__all__]
 
 #: Every status a :class:`PlacementResult` may carry.
 STATUSES = ("placed", "rejected", "deferred", "replaced")

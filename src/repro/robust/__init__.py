@@ -26,35 +26,19 @@ from typing import TYPE_CHECKING
 
 from repro._lazy import lazy_exports
 
-# The names as static imports, for type checkers and linters; at run time
-# they resolve through ``__getattr__`` below. tests/test_layering.py
-# keeps this block, ``_EXPORTS`` and ``__all__`` naming the same homes.
+# This block is the export declaration: repro._lazy reads it at import.
 # (Lazy resolution also breaks the cycle an eager import of ``evaluate``
 # would close: it imports the allocators, which import
 # ``repro.placement.config``, which imports this package.)
 if TYPE_CHECKING:
-    from repro.robust.config import RobustnessConfig
+    from repro.robust.config import RobustnessConfig as RobustnessConfig
     from repro.robust.evaluate import (
-        FrontierPoint,
-        GammaSweep,
-        overload_rate,
-        realized_overload,
-        sweep_gamma,
+        FrontierPoint as FrontierPoint,
+        GammaSweep as GammaSweep,
+        overload_rate as overload_rate,
+        realized_overload as realized_overload,
+        sweep_gamma as sweep_gamma,
     )
-    from repro.robust.skyline import RobustSkyline
+    from repro.robust.skyline import RobustSkyline as RobustSkyline
 
-#: Home module of every name, imported on first access.
-_EXPORTS: dict[str, tuple[str, ...]] = {
-    "repro.robust.config": ("RobustnessConfig",),
-    "repro.robust.evaluate": (
-        "FrontierPoint", "GammaSweep", "overload_rate", "realized_overload",
-        "sweep_gamma",
-    ),
-    "repro.robust.skyline": ("RobustSkyline",),
-}
-
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
-
-__all__ = ["RobustnessConfig", "RobustSkyline", "FrontierPoint",
-           "GammaSweep", "overload_rate", "realized_overload",
-           "sweep_gamma"]
+__getattr__, __dir__, __all__ = lazy_exports(globals())

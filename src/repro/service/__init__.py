@@ -44,162 +44,81 @@ from typing import TYPE_CHECKING
 
 from repro._lazy import lazy_exports
 
-# The names as static imports, for type checkers and linters; at run time
-# they resolve through ``__getattr__`` below. tests/test_layering.py
-# keeps this block, ``_EXPORTS`` and ``__all__`` naming the same homes.
+# This block is the export declaration: repro._lazy reads it at import.
 if TYPE_CHECKING:
-    from repro.service.tcp import ThreadingDaemonServer, serve_socket
-    from repro.service.client import (
-        AllocationClient,
-        ClientConfig,
-        ReplaySummary,
-        replay_trace,
+    from repro.service.tcp import (
+        ThreadingDaemonServer as ThreadingDaemonServer,
+        serve_socket as serve_socket,
     )
-    from repro.service.daemon import AllocationDaemon, serve_stdio
+    from repro.service.client import (
+        AllocationClient as AllocationClient,
+        ClientConfig as ClientConfig,
+        ReplaySummary as ReplaySummary,
+        replay_trace as replay_trace,
+    )
+    from repro.service.daemon import (
+        AllocationDaemon as AllocationDaemon,
+        serve_stdio as serve_stdio,
+    )
     from repro.service.errors import (
-        CODES,
-        ErrorFields,
-        envelope,
-        envelope_of_exception,
-        error_fields,
-        http_status_of,
+        CODES as CODES,
+        ErrorFields as ErrorFields,
+        envelope as envelope,
+        envelope_of_exception as envelope_of_exception,
+        error_fields as error_fields,
+        http_status_of as http_status_of,
     )
     from repro.service.framing import (
-        FRAME_MAGIC,
-        FrameDecoder,
-        encode_frame,
-        read_frame,
-        write_frame,
+        FRAME_MAGIC as FRAME_MAGIC,
+        FrameDecoder as FrameDecoder,
+        encode_frame as encode_frame,
+        read_frame as read_frame,
+        write_frame as write_frame,
     )
-    from repro.service.gateway import GatewayServer, start_gateway
+    from repro.service.gateway import (
+        GatewayServer as GatewayServer,
+        start_gateway as start_gateway,
+    )
     from repro.service.metrics import (
-        Histogram,
-        LatencyReservoir,
-        ServiceMetrics,
-        parse_exposition,
+        Histogram as Histogram,
+        LatencyReservoir as LatencyReservoir,
+        ServiceMetrics as ServiceMetrics,
+        parse_exposition as parse_exposition,
     )
-    from repro.service.faults import FaultEvent, FaultInjector
+    from repro.service.faults import (
+        FaultEvent as FaultEvent,
+        FaultInjector as FaultInjector,
+    )
     from repro.service.persistence import (
-        RequestJournal,
-        SnapshotManager,
-        read_journal,
+        RequestJournal as RequestJournal,
+        SnapshotManager as SnapshotManager,
+        read_journal as read_journal,
     )
     from repro.service.protocol import (
-        OPS,
-        PROTOCOL_VERSION,
-        SUPPORTED_VERSIONS,
-        consolidate_request,
-        dump_debug_request,
-        encode,
-        fail_server_request,
-        negotiate_version,
-        parse_batch_records,
-        parse_request,
-        parse_response,
-        place_batch_request,
-        place_request,
-        recover_server_request,
-        telemetry_request,
-        validate_request,
+        OPS as OPS,
+        PROTOCOL_VERSION as PROTOCOL_VERSION,
+        SUPPORTED_VERSIONS as SUPPORTED_VERSIONS,
+        consolidate_request as consolidate_request,
+        dump_debug_request as dump_debug_request,
+        encode as encode,
+        fail_server_request as fail_server_request,
+        negotiate_version as negotiate_version,
+        parse_batch_records as parse_batch_records,
+        parse_request as parse_request,
+        parse_response as parse_response,
+        place_batch_request as place_batch_request,
+        place_request as place_request,
+        recover_server_request as recover_server_request,
+        telemetry_request as telemetry_request,
+        validate_request as validate_request,
     )
     from repro.service.state import (
-        SNAPSHOT_FORMAT_VERSION,
-        ClusterStateStore,
-        ConsolidationReport,
-        FailureReport,
-        Replacement,
-        snapshot_meta,
+        SNAPSHOT_FORMAT_VERSION as SNAPSHOT_FORMAT_VERSION,
+        ClusterStateStore as ClusterStateStore,
+        ConsolidationReport as ConsolidationReport,
+        FailureReport as FailureReport,
+        Replacement as Replacement,
+        snapshot_meta as snapshot_meta,
     )
 
-#: Home module of every name, imported on first access.
-_EXPORTS: dict[str, tuple[str, ...]] = {
-    "repro.service.tcp": ("ThreadingDaemonServer", "serve_socket"),
-    "repro.service.client": (
-        "AllocationClient", "ClientConfig", "ReplaySummary", "replay_trace",
-    ),
-    "repro.service.daemon": ("AllocationDaemon", "serve_stdio"),
-    "repro.service.errors": (
-        "CODES", "ErrorFields", "envelope", "envelope_of_exception",
-        "error_fields", "http_status_of",
-    ),
-    "repro.service.framing": (
-        "FRAME_MAGIC", "FrameDecoder", "encode_frame", "read_frame",
-        "write_frame",
-    ),
-    "repro.service.gateway": ("GatewayServer", "start_gateway"),
-    "repro.service.metrics": (
-        "Histogram", "LatencyReservoir", "ServiceMetrics", "parse_exposition",
-    ),
-    "repro.service.faults": ("FaultEvent", "FaultInjector"),
-    "repro.service.persistence": (
-        "RequestJournal", "SnapshotManager", "read_journal",
-    ),
-    "repro.service.protocol": (
-        "OPS", "PROTOCOL_VERSION", "SUPPORTED_VERSIONS", "consolidate_request",
-        "dump_debug_request", "encode", "fail_server_request",
-        "negotiate_version", "parse_batch_records", "parse_request",
-        "parse_response", "place_batch_request", "place_request",
-        "recover_server_request", "telemetry_request", "validate_request",
-    ),
-    "repro.service.state": (
-        "SNAPSHOT_FORMAT_VERSION", "ClusterStateStore", "ConsolidationReport",
-        "FailureReport", "Replacement", "snapshot_meta",
-    ),
-}
-
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
-
-__all__ = [
-    "AllocationClient",
-    "AllocationDaemon",
-    "ThreadingDaemonServer",
-    "CODES",
-    "ClientConfig",
-    "ClusterStateStore",
-    "ConsolidationReport",
-    "ErrorFields",
-    "FailureReport",
-    "FaultEvent",
-    "FaultInjector",
-    "FRAME_MAGIC",
-    "FrameDecoder",
-    "GatewayServer",
-    "Histogram",
-    "LatencyReservoir",
-    "OPS",
-    "PROTOCOL_VERSION",
-    "Replacement",
-    "ReplaySummary",
-    "RequestJournal",
-    "ServiceMetrics",
-    "SNAPSHOT_FORMAT_VERSION",
-    "SUPPORTED_VERSIONS",
-    "SnapshotManager",
-    "consolidate_request",
-    "dump_debug_request",
-    "encode",
-    "encode_frame",
-    "envelope",
-    "envelope_of_exception",
-    "error_fields",
-    "fail_server_request",
-    "http_status_of",
-    "negotiate_version",
-    "parse_batch_records",
-    "parse_exposition",
-    "parse_request",
-    "parse_response",
-    "place_batch_request",
-    "place_request",
-    "read_frame",
-    "read_journal",
-    "recover_server_request",
-    "replay_trace",
-    "serve_socket",
-    "serve_stdio",
-    "snapshot_meta",
-    "start_gateway",
-    "telemetry_request",
-    "validate_request",
-    "write_frame",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals())

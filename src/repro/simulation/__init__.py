@@ -7,70 +7,38 @@ from typing import TYPE_CHECKING
 
 from repro._lazy import lazy_exports
 
-# The names as static imports, for type checkers and linters; at run time
-# they resolve through ``__getattr__`` below. tests/test_layering.py
-# keeps this block, ``_EXPORTS`` and ``__all__`` naming the same homes.
+# This block is the export declaration: repro._lazy reads it at import.
 if TYPE_CHECKING:
     from repro.simulation.admission import (
-        AdmissionController,
-        AdmissionDecision,
-        AdmissionOutcome,
-        offer,
-        shift_request,
+        AdmissionController as AdmissionController,
+        AdmissionDecision as AdmissionDecision,
+        AdmissionOutcome as AdmissionOutcome,
+        offer as offer,
+        shift_request as shift_request,
     )
     from repro.simulation.engine import (
-        SimulationEngine,
-        SimulationResult,
-        simulate_online,
+        SimulationEngine as SimulationEngine,
+        SimulationResult as SimulationResult,
+        simulate_online as simulate_online,
     )
-    from repro.simulation.events import Event, EventKind, EventQueue
+    from repro.simulation.events import (
+        Event as Event,
+        EventKind as EventKind,
+        EventQueue as EventQueue,
+    )
     from repro.simulation.failures import (
-        FailureOutcome,
-        ServerFailure,
-        inject_failures,
-        random_failures,
+        FailureOutcome as FailureOutcome,
+        ServerFailure as ServerFailure,
+        inject_failures as inject_failures,
+        random_failures as random_failures,
     )
-    from repro.simulation.power_state import PowerState, ServerMachine
-    from repro.simulation.telemetry import Telemetry, TelemetryCollector
+    from repro.simulation.power_state import (
+        PowerState as PowerState,
+        ServerMachine as ServerMachine,
+    )
+    from repro.simulation.telemetry import (
+        Telemetry as Telemetry,
+        TelemetryCollector as TelemetryCollector,
+    )
 
-#: Home module of every name, imported on first access.
-_EXPORTS: dict[str, tuple[str, ...]] = {
-    "repro.simulation.admission": (
-        "AdmissionController", "AdmissionDecision", "AdmissionOutcome",
-        "offer", "shift_request",
-    ),
-    "repro.simulation.engine": (
-        "SimulationEngine", "SimulationResult", "simulate_online",
-    ),
-    "repro.simulation.events": ("Event", "EventKind", "EventQueue"),
-    "repro.simulation.failures": (
-        "FailureOutcome", "ServerFailure", "inject_failures",
-        "random_failures",
-    ),
-    "repro.simulation.power_state": ("PowerState", "ServerMachine"),
-    "repro.simulation.telemetry": ("Telemetry", "TelemetryCollector"),
-}
-
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
-
-__all__ = [
-    "AdmissionController",
-    "AdmissionDecision",
-    "AdmissionOutcome",
-    "offer",
-    "shift_request",
-    "SimulationEngine",
-    "SimulationResult",
-    "simulate_online",
-    "Event",
-    "EventKind",
-    "EventQueue",
-    "FailureOutcome",
-    "ServerFailure",
-    "inject_failures",
-    "random_failures",
-    "PowerState",
-    "ServerMachine",
-    "Telemetry",
-    "TelemetryCollector",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals())

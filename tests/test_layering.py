@@ -18,21 +18,28 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import repro
 import repro.allocators
+import repro.analysis
 import repro.consolidation
 import repro.energy
+import repro.experiments
 import repro.extensions
+import repro.ilp
+import repro.metrics
 import repro.model
 import repro.obs
 import repro.placement
+import repro.results
 import repro.robust
 import repro.service
 import repro.simulation
 import repro.workload
+from repro._lazy import lazy_exports
 from repro.model.cluster import Cluster
 from repro.service import AllocationClient, AllocationDaemon, \
     ClusterStateStore, place_request
@@ -59,10 +66,17 @@ def _fresh(code: str, *args: str) -> str:
     return result.stdout.strip().splitlines()[-1]
 
 
-def _declared(package) -> dict[str, str]:
-    """``name -> module`` of the package's ``if TYPE_CHECKING:`` imports."""
-    tree = ast.parse(Path(package.__file__).read_text())
-    block = next(node for node in tree.body if isinstance(node, ast.If))
+def _type_checking_block(tree: ast.Module) -> ast.If:
+    """The module's top-level ``if TYPE_CHECKING:`` statement."""
+    return next(node for node in tree.body if isinstance(node, ast.If)
+                and isinstance(node.test, ast.Name)
+                and node.test.id == "TYPE_CHECKING")
+
+
+def _declared(module) -> dict[str, str]:
+    """``name -> module`` of the module's ``if TYPE_CHECKING:`` imports,
+    in order."""
+    block = _type_checking_block(ast.parse(Path(module.__file__).read_text()))
     return {alias.name: node.module for node in block.body
             for alias in node.names}
 
@@ -77,6 +91,13 @@ class TestImportCost:
                    and name.partition(".")[0] != "repro"]
         assert foreign == []
         assert "repro.service" not in loaded
+
+    def test_analysis_packages_load_their_stack_on_first_use(self):
+        heavy = json.loads(_fresh(
+            "import repro.analysis, repro.experiments, repro.ilp, "
+            "repro.metrics; " + _REPORT_HEAVY))
+        assert heavy == ["repro.analysis", "repro.experiments", "repro.ilp",
+                         "repro.metrics"]
 
     def test_service_and_cli_skip_the_analysis_stack(self):
         heavy = json.loads(_fresh(
@@ -139,11 +160,15 @@ class TestImportCost:
         assert json.loads(out.strip().splitlines()[-1]) == []
 
 
-#: Every package that re-exports through ``repro._lazy``.
+#: Every package; each re-exports through ``repro._lazy``.
 LAZY_PACKAGES = [repro, repro.extensions, repro.allocators, repro.service,
                  repro.model, repro.workload, repro.simulation, repro.obs,
                  repro.placement, repro.energy, repro.consolidation,
-                 repro.robust]
+                 repro.robust, repro.analysis, repro.experiments, repro.ilp,
+                 repro.metrics]
+
+#: The lazy packages and the one plain module that re-exports lazily.
+LAZY_MODULES = [*LAZY_PACKAGES, repro.results]
 
 
 class TestTheClientLoadsNoServer:
@@ -267,28 +292,37 @@ class TestStartCensus:
 
 
 class TestLazyExports:
-    @pytest.mark.parametrize("package", LAZY_PACKAGES,
+    @pytest.mark.parametrize("package", LAZY_MODULES,
                              ids=lambda p: p.__name__)
     def test_table_matches_all_and_declarations(self, package):
-        table = {name: module for module, names in package._EXPORTS.items()
-                 for name in names}
-        assert set(table) == set(package.__all__) - {"__version__"}
-        assert _declared(package) == table
+        # The ``TYPE_CHECKING`` block is the table: ``__all__`` is its
+        # names in order, plus what the module defines itself.
+        declared = list(_declared(package))
+        expected = {
+            "repro": [*declared, "__version__"],
+            "repro.results": ["STATUSES", "PlacementResult", *declared],
+        }.get(package.__name__, declared)
+        assert package.__all__ == expected
         assert set(package.__all__) <= set(dir(package))
 
-    @pytest.mark.parametrize("package", LAZY_PACKAGES,
+    @pytest.mark.parametrize("package", LAZY_MODULES,
                              ids=lambda p: p.__name__)
     def test_every_name_is_its_home_object(self, package):
-        for module, names in package._EXPORTS.items():
+        for name, module in _declared(package).items():
             home = importlib.import_module(module)
-            for name in names:
-                assert getattr(package, name) is getattr(home, name), name
+            assert getattr(package, name) is getattr(home, name), name
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             repro.no_such_name
-        for package in LAZY_PACKAGES:
+        for package in LAZY_MODULES:
             assert not hasattr(package, "no_such_name"), package.__name__
+
+    def test_a_module_installed_without_source_fails_to_import(self):
+        spec = SimpleNamespace(loader=SimpleNamespace(
+            get_source=lambda name: None))
+        with pytest.raises(ImportError, match="declares its exports"):
+            lazy_exports({"__name__": "sourceless", "__spec__": spec})
 
     def test_star_import_binds_all(self):
         namespace: dict = {}
@@ -307,6 +341,70 @@ class TestLazyExports:
         assert "repro.model" in loaded
         assert "repro.service" not in loaded
         assert "repro.analysis" not in loaded
+
+
+def _bound_values(tree: ast.Module, name: str) -> list[ast.expr]:
+    """What every assignment in ``tree`` to the name ``name`` assigns."""
+    values = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        if any(isinstance(leaf, ast.Name) and leaf.id == name
+               for target in targets for leaf in ast.walk(target)):
+            values.append(node.value)
+    return values
+
+
+def _is_name_list(value: ast.expr | None) -> bool:
+    return isinstance(value, (ast.List, ast.Tuple)) and all(
+        isinstance(item, ast.Constant) and isinstance(item.value, str)
+        for item in value.elts)
+
+
+#: Every module under ``src/repro`` that re-exports through ``_lazy``.
+_LAZY_SOURCES = sorted(
+    path for path in (SRC / "repro").rglob("*.py")
+    if "from repro._lazy import lazy_exports" in path.read_text(
+        encoding="utf-8"))
+
+
+class TestOneDeclarationPerName:
+    """Each exported name is written once, in its module's ``if
+    TYPE_CHECKING:`` block, as ``name as name``: no name table beside
+    it, and no ``__all__`` that lists the names again."""
+
+    def test_every_package_init_is_lazy(self):
+        inits = sorted((SRC / "repro").rglob("__init__.py"))
+        assert set(inits) <= set(_LAZY_SOURCES)
+        assert sorted(".".join(path.relative_to(SRC).parent.parts)
+                      for path in inits) \
+            == sorted(package.__name__ for package in LAZY_PACKAGES)
+
+    def test_no_module_binds_a_name_table(self):
+        tables = [str(path.relative_to(SRC))
+                  for path in sorted((SRC / "repro").rglob("*.py"))
+                  if _bound_values(ast.parse(path.read_text(
+                      encoding="utf-8")), "_EXPORTS")]
+        assert tables == []
+
+    @pytest.mark.parametrize("path", _LAZY_SOURCES,
+                             ids=lambda path: str(path.relative_to(SRC)))
+    def test_all_is_computed_from_the_block(self, path):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not any(_is_name_list(value)
+                       for value in _bound_values(tree, "__all__"))
+        # ``_lazy`` reads ``from <absolute module> import <name> as
+        # <name>`` only; type checkers take the redundant alias, not the
+        # computed ``__all__``, as the mark of a re-export.
+        for node in _type_checking_block(tree).body:
+            assert isinstance(node, ast.ImportFrom) and node.level == 0, \
+                ast.unparse(node)
+            assert all(alias.asname == alias.name for alias in node.names), \
+                ast.unparse(node)
 
 
 class TestRegistryWithoutExtensions:
