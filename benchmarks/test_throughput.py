@@ -192,6 +192,15 @@ def test_candidate_index_fleet_scaling(monkeypatch):
     assert examines <= EXAMINES_CEILING, summary
 
 
+def _idle(state: ServerState, start: int) -> bool:
+    """Whether ``state`` is in its type's clone class for a VM starting
+    at ``start``: pristine, or dormant for it (quiet since its type's
+    saturating gap before ``start``)."""
+    quiet = state.quiet_after
+    gap = saturating_gap(state.server.spec, state.policy)
+    return quiet is None or gap is not None and quiet <= start - 1 - gap
+
+
 def test_min_energy_asks_no_idle_server(monkeypatch):
     """min-energy on the sparse 5000-VM stream, 3000 servers: its walks
     make no ``admits`` and no ``idle_delta`` call on a pristine server
@@ -203,22 +212,17 @@ def test_min_energy_asks_no_idle_server(monkeypatch):
     idle_asked = admits_calls = 0
     admits, idle_delta = ServerState.admits, ServerState.idle_delta
 
-    def idle(state, start):
-        quiet = state.quiet_after
-        gap = saturating_gap(state.server.spec, state.policy)
-        return quiet is None or gap is not None and quiet <= start - 1 - gap
-
     def counted_admits(state, vm):
         nonlocal idle_asked, admits_calls
         if walking:
             admits_calls += 1
-            idle_asked += idle(state, vm.start)
+            idle_asked += _idle(state, vm.start)
         return admits(state, vm)
 
     def counted_delta(state, interval):
         nonlocal idle_asked
         if walking:
-            idle_asked += idle(state, interval.start)
+            idle_asked += _idle(state, interval.start)
         return idle_delta(state, interval)
 
     allocator = make_allocator("min-energy", seed=0)
@@ -249,11 +253,11 @@ def test_min_energy_asks_no_idle_server(monkeypatch):
     assert per_vm <= EXAMINES_CEILING, per_vm
 
 
-#: Where ``probe_fleet`` runs: best-fit scores each type's warm servers
-#: and one clone per idle class, so the kernel must win at fleet scale
-#: where the warm rows are many — dense (~1200 concurrent VMs, ~290 rows
-#: a call) — and is not reached where they are few — sparse (~5
-#: concurrent; one long history beside thousands of short ones).
+#: Where ``probe_fleet`` runs: best-fit probes each type's warm servers
+#: (a clone class scores as its type), so the kernel must win at fleet
+#: scale where the warm rows are many — dense (~1200 concurrent VMs,
+#: ~290 rows a call) — and is not reached where they are few — sparse
+#: (~5 concurrent; one long history beside thousands of short ones).
 PROBE_FLEET_3K = {
     "sparse": generate_vms(2000, mean_interarrival=1.0, seed=0),
     "dense": generate_vms(2000, mean_interarrival=0.05, mean_duration=60,
@@ -265,11 +269,12 @@ VMS_PAPER = generate_vms(1000, mean_interarrival=1.0, seed=0)
 PROBE_FLOOR = 2.0
 PAPER_SCALE_CEILING = 1.25
 #: The sparse point, as counts (kernel on ~ off there): measured 0
-#: ``probe_fleet`` calls and 7.847 scalar ``ServerState.probe`` calls per
-#: VM (the scan that probed every candidate made one 3000-row call per
-#: VM); the gates are 1.25x those.
+#: ``probe_fleet`` calls and 3.758 scalar ``ServerState.probe`` calls per
+#: VM, the warm servers only (7.847 while each clone class's first
+#: member was probed too; the scan that probed every candidate made one
+#: 3000-row call per VM); the gates are 1.25x those.
 SPARSE_FLEET_CALLS = 0
-SPARSE_PROBES_PER_VM = 7.847
+SPARSE_PROBES_PER_VM = 3.758
 
 
 def _score_probe_counts(vms, cluster, monkeypatch) -> tuple[int, int]:
@@ -359,6 +364,56 @@ def test_probe_fleet_speedup(monkeypatch):
                 <= row["scalar_probes_per_vm_ceiling"], (name, row)
         else:
             assert row["on_over_off"] <= PAPER_SCALE_CEILING, (name, row)
+
+
+def _score_scan_counts(algo, vms, cluster, monkeypatch) -> dict:
+    """One untimed ``algo`` run: its ``ServerState.probe`` calls, those
+    on a pristine or dormant server, and the ``FeasibilityBatch``
+    objects built."""
+    from repro.placement.kernels import FeasibilityBatch
+
+    counts = {"probes": 0, "idle_probes": 0, "batches": 0}
+    probe, build = ServerState.probe, FeasibilityBatch.__init__
+
+    def counted_probe(state, vm):
+        counts["probes"] += 1
+        counts["idle_probes"] += _idle(state, vm.start)
+        return probe(state, vm)
+
+    def counted_build(batch, *args, **kwargs):
+        counts["batches"] += 1
+        build(batch, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ServerState, "probe", counted_probe)
+        patch.setattr(FeasibilityBatch, "__init__", counted_build)
+        make_allocator(algo, seed=0).allocate(vms, cluster)
+    return counts
+
+
+def test_score_scan_asks_no_idle_server(monkeypatch):
+    """best-fit and worst-fit on the sparse 2000-VM stream, 3000
+    servers: no ``ServerState.probe`` call on a pristine server or one
+    dormant for the VM — a clone class scores as its type — and no
+    ``FeasibilityBatch`` built — a scan of fewer than
+    ``_FLEET_PROBE_FROM`` warm rows scores them one at a time. Counts,
+    not a stopwatch: it fails if the scan goes back to probing a clone
+    class's representative, or to numpy columns for a few rows."""
+    vms = PROBE_FLEET_3K["sparse"]
+    summary = {}
+    for algo in ("best-fit", "worst-fit"):
+        counts = _score_scan_counts(algo, vms, CLUSTER_3K, monkeypatch)
+        summary[algo] = {
+            "idle_server_probes": counts["idle_probes"],
+            "batches_built": counts["batches"],
+            "scalar_probes_per_vm": round(counts["probes"] / len(vms), 3)}
+    record_json("kernel", {
+        "benchmark": "best-fit and worst-fit, 2000 sparse VMs / 3000 "
+                     "servers: what the score scans ask (counts)",
+        **summary}, section="score_scan_idle_asks")
+    for algo, row in summary.items():
+        assert row["idle_server_probes"] == 0, (algo, row)
+        assert row["batches_built"] == 0, (algo, row)
 
 
 #: The dense point: ~1200 VMs alive at once, so the cheap types' busy

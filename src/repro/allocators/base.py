@@ -9,25 +9,25 @@ states only its selection rule, once, as one of three declarations:
 * a **scan key** (:attr:`Allocator.scan_key`) — first fit along the
   servers sorted by it (:meth:`Allocator._first_admissible`, a scalar
   short-circuit walk);
-* a **score** (:attr:`Allocator.score`) — one vectorized rating of a
-  :class:`~repro.placement.kernels.FeasibilityBatch`, lowest admissible
-  row wins (:meth:`Allocator._best_scored`): the batch holds each
-  admissible type's warm servers and one member of its clone class,
-  which scores for all of them;
+* a **score** (:attr:`Allocator.score`) — elementwise arithmetic over
+  named columns, lowest admissible row wins
+  (:meth:`Allocator._best_scored`): a type's warm servers are probed
+  and rated on a kernel batch or one row at a time, its clone class as
+  the type itself;
 * a :meth:`Allocator.choose` among all the admissible servers.
 
 ``_select``, ``choose``, ``candidate_score`` and the explain scores are
 derived from the declaration here; an allocator whose rule is a walk of
 its own (min-energy's queues, round robin's cursor) overrides
-``_select``. Whatever needs verdicts reads one batch from
+``_select``. Whatever needs a batch of verdicts reads it from
 :meth:`Allocator._probe_batch` — the only place that knows whether the
 fleet kernel or a loop of scalar probes filled it.
 
 The ``candidates_evaluated`` / ``candidates_feasible`` counters — *probes
 performed* and *admissible probes* — are kept by :meth:`Allocator._examine`
-(one scalar yes/no) and :meth:`Allocator._admissible_rows` (one batch) and
-mean the same for every algorithm, so the service's candidate-count
-histogram compares like with like across allocators.
+(one scalar yes/no), :meth:`Allocator._admissible_rows` (one batch) and the
+score scan's rows, and mean the same for every algorithm, so the service's
+candidate-count histogram compares like with like across allocators.
 
 Allocators are deterministic given their ``seed``; randomized strategies
 (FFPS's shuffled server order, random fit) draw from a private
@@ -42,7 +42,6 @@ per-algorithm parameters by name.
 
 from __future__ import annotations
 
-import bisect
 from contextlib import closing
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -61,6 +60,7 @@ from repro.obs.explain import (
 )
 from repro.obs.tracer import get_tracer
 from repro.placement.config import EngineConfig
+from repro.placement.feasibility import Feasibility, ScoreRow
 from repro.placement.index import CandidateIndex
 
 if TYPE_CHECKING:
@@ -71,12 +71,12 @@ if TYPE_CHECKING:
 
 __all__ = ["Allocator"]
 
-#: Rows from which a named batch (a score scan's warm servers and clone
-#: representatives) is one ``probe_fleet`` call rather than one scalar
-#: ``ServerState.probe`` per row — when there is a kernel. Measured on
-#: busy rows of best-fit fleets (1000 VMs / 300 servers, sparse and
-#: dense; 2000 dense VMs / 3000 servers): a scalar probe ~1.5 us a row,
-#: a ``probe_fleet`` ~45 us plus ~0.35 us a row; even at 32-48 rows.
+#: Warm rows from which a score scan is one ``probe_fleet`` call and one
+#: vectorized score rather than one scalar ``ServerState.probe`` and one
+#: row score per server — when there is a kernel. Measured on busy rows
+#: of best-fit fleets (1000 VMs / 300 servers, sparse and dense; 2000
+#: dense VMs / 3000 servers): a scalar probe ~1.5 us a row, a
+#: ``probe_fleet`` ~45 us plus ~0.35 us a row; even at 32-48 rows.
 _FLEET_PROBE_FROM = 40
 
 
@@ -270,7 +270,7 @@ class Allocator:
                      prune: bool = True,
                      positions: list[int] | None = None) -> FeasibilityBatch:
         """The verdicts of ``vm`` on ``states`` as one batch — the one
-        place that decides who probes.
+        place that decides who probes a batch.
 
         When the prepared index covers ``states``, servers whose *type*
         can never host ``vm`` are left out (unless ``prune`` is off) and,
@@ -279,13 +279,9 @@ class Allocator:
         Without one — ``kernel=off``, the dense engine, a fleet the index
         does not cover (ad-hoc recovery scans) — the batch is filled from
         one ``ServerState.probe`` per candidate. Same rows in the same
-        fleet order either way, equal field for field.
-
-        ``positions`` (fleet positions in fleet order, on a fleet the
-        index covers) names the rows instead: a score scan's warm
-        servers and clone representatives. Fewer than
-        :data:`_FLEET_PROBE_FROM` of them are probed one by one, kernel
-        or not; more, given a kernel, are one ``probe_fleet`` call.
+        fleet order either way, equal field for field. ``positions``
+        (in fleet order, on a fleet the index covers) names the rows
+        instead: a long score scan's warm servers.
         """
         import numpy as np
 
@@ -295,8 +291,7 @@ class Allocator:
         covered = index is not None and index.covers(states)
         # Only a probe that runs batched reads ``index.kernel``: the
         # read builds the kernel, on its first need.
-        if not (covered and index.batched and (
-                positions is None or len(positions) >= _FLEET_PROBE_FROM)):
+        if not (covered and index.batched):
             if positions is not None:
                 states = [states[pos] for pos in positions]
             elif covered and prune:
@@ -366,45 +361,51 @@ class Allocator:
         returns the first minimum). Every statically admitted server
         counts as evaluated, the admissible ones as feasible.
 
-        Given the index's queues and no placement constraints, only the
-        warm servers of each admissible type and the first member of
-        its clone class (:meth:`SpecGroup.representative
-        <repro.placement.index.SpecGroup.representative>`) are probed:
-        a clone is idle over the VM's interval and scores bit for bit
-        like its representative (``TestAnIdleServerScoresLikeAClone``
-        in ``tests/test_placement_properties.py``), so a later clone
-        ties on score and loses on position. The
-        clones left out count as asked, and as admitted exactly when
-        their representative is. Constraints are per server: with them
-        every candidate is probed.
+        Given the index's queues and no placement constraints, a clone
+        class scores as its type's :meth:`Feasibility.idle` row at its
+        first member's position (``TestAnIdleServerScoresLikeAClone``)
+        and counts as asked and admitted whole. The warm servers are one
+        kernel batch from :data:`_FLEET_PROBE_FROM` on, else one
+        ``ServerState.probe`` and one :class:`ScoreRow` score each.
+        Constraints are per server: with them every candidate is probed.
         """
         index = self._index
         if self._constraints is not None or index is None \
                 or not index.covers(states):
             batch = self._probe_batch(vm, states)
             rows = self._admissible_rows(vm, batch)
-        else:
-            positions: list[int] = []
-            #: representative position -> the clones it answers for
-            clones: dict[int, int] = {}
-            for group in index.groups_for(vm):
-                positions += group.warm
-                rep = group.representative()
-                if rep is not None:
-                    positions.append(rep)
-                    clones[rep] = len(group.dormant) + len(group.pristine) - 1
-            positions.sort()
-            batch = self._probe_batch(vm, states, positions=positions)
+            if not rows.size:
+                return None
+            return batch.state_at(
+                rows[int(self.score(vm, batch)[rows].argmin())])
+        scored: list[tuple[float, int]] = []  # (score, fleet position)
+        warm: list[int] = []
+        for group in index.groups_for(vm):
+            warm += group.warm
+            rep = group.representative()
+            if rep is not None:
+                clones = len(group.dormant) + len(group.pristine)
+                self.candidates_evaluated += clones
+                self.candidates_feasible += clones
+                scored.append((self.score(vm, ScoreRow(
+                    vm, group.spec, Feasibility.idle(group.spec))), rep))
+        warm.sort()
+        if index.batched and len(warm) >= _FLEET_PROBE_FROM:
+            batch = self._probe_batch(vm, states, positions=warm)
             rows = self._admissible_rows(vm, batch)
-            self.candidates_evaluated += sum(clones.values())
-            feasible = batch.feasible
-            self.candidates_feasible += sum(
-                n for rep, n in clones.items()
-                if feasible[bisect.bisect_left(positions, rep)])
-        if not rows.size:
-            return None
-        return batch.state_at(
-            rows[int(self.score(vm, batch)[rows].argmin())])
+            if rows.size:
+                scores = self.score(vm, batch)[rows]
+                best = int(scores.argmin())
+                scored.append((scores[best], warm[rows[best]]))
+        else:
+            self.candidates_evaluated += len(warm)
+            for pos in warm:
+                spec, verdict = states[pos].server.spec, states[pos].probe(vm)
+                if verdict.feasible:
+                    self.candidates_feasible += 1
+                    scored.append((self.score(vm, ScoreRow(vm, spec, verdict)),
+                                   pos))
+        return states[min(scored)[1]] if scored else None
 
     # -- explain-traces ------------------------------------------------------
 
@@ -414,8 +415,8 @@ class Allocator:
 
         Lower is always more preferred; ``None`` means the algorithm
         applies no score to this candidate (e.g. random fit). Read off
-        the declared rule — the scan key, or :meth:`score` over a batch
-        of one — so only an allocator whose rule is its own walk
+        the declared rule — the scan key, or :meth:`score` over its one
+        row — so only an allocator whose rule is its own walk
         overrides it. ``cost`` is the candidate's incremental Eq.-17
         cost when the caller has priced it already (explain has), for a
         rule that scores by it. Used only by explain-traces — never on
@@ -424,7 +425,8 @@ class Allocator:
         if self.scan_key is not None:
             return float(self.scan_key(state))
         if self.score is not None:
-            return float(self.score(vm, self._probe_batch(vm, [state]))[0])
+            return float(self.score(vm, ScoreRow(
+                vm, state.server.spec, state.probe(vm))))
         return None
 
     def explain_select(self, vm: VM, states: Sequence[ServerState]
@@ -439,8 +441,7 @@ class Allocator:
         embedded :meth:`select` run — what the algorithm itself probed,
         not the exhaustive explain sweep.
         """
-        # One unpruned batch answers the whole fleet; a score allocator
-        # rates it in the one call its scan makes.
+        # One unpruned batch answers the whole fleet, scored in one call.
         batch = self._probe_batch(vm, states, prune=False)
         scores = self.score(vm, batch) if self.score is not None else None
         constraints = self._constraints
@@ -542,10 +543,11 @@ class Allocator:
     #: one wins; the key is also the explain score.
     scan_key: Callable[[ServerState], float] | None = None
 
-    #: Score allocators: ``score(vm, batch) -> float array``, one value
-    #: per row of the :class:`FeasibilityBatch`, vectorized over its
-    #: columns. The lowest admissible row wins, the earliest on ties.
-    score: Callable[[VM, FeasibilityBatch], np.ndarray] | None = None
+    #: Score allocators: ``score(vm, rows)``, elementwise over the named
+    #: columns of a :class:`FeasibilityBatch` or one :class:`ScoreRow`.
+    #: The lowest admissible row wins, the earliest on ties.
+    score: Callable[[VM, FeasibilityBatch | ScoreRow],
+                    np.ndarray | float] | None = None
 
     def choose(self, vm: VM, feasible: Sequence[ServerState]) -> ServerState:
         """Select the server for ``vm`` among the feasible candidates.

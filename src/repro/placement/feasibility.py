@@ -23,10 +23,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
+if TYPE_CHECKING:  # pragma: no cover - typing-only imports
+    from repro.model.server import ServerSpec
     from repro.model.vm import VM
 
-__all__ = ["Feasibility", "TOL", "static_demand"]
+__all__ = ["Feasibility", "ScoreRow", "TOL", "static_demand"]
 
 #: Headroom tolerance for capacity comparisons (absorbs float
 #: accumulation); shared by the scalar probe and the fleet kernel.
@@ -53,6 +54,33 @@ class Feasibility(NamedTuple):
 
     def __bool__(self) -> bool:
         return self.feasible
+
+    @classmethod
+    def idle(cls, spec: "ServerSpec") -> "Feasibility":
+        """The verdict on a type ``spec`` server idle over the VM's
+        interval once the type admits it: no peak, all headroom."""
+        return cls(True, None, 0.0, 0.0, spec.cpu_capacity - 0.0,
+                   spec.memory_capacity - 0.0)
+
+
+class ScoreRow:
+    """One candidate's ``FeasibilityBatch`` columns as Python floats —
+    each the float64 its batch column holds — so an elementwise
+    ``score(vm, rows)`` rates it bit for bit, with no batch or numpy."""
+
+    __slots__ = ("_vm", "_spec", "peak_cpu", "peak_mem", "headroom_cpu",
+                 "headroom_mem", "cpu_cap", "mem_cap")
+
+    def __init__(self, vm: "VM", spec: "ServerSpec",
+                 verdict: Feasibility) -> None:
+        (_, _, self.peak_cpu, self.peak_mem, self.headroom_cpu,
+         self.headroom_mem) = verdict
+        self._vm, self._spec, self.cpu_cap, self.mem_cap = (
+            vm, spec, float(spec.cpu_capacity), float(spec.memory_capacity))
+
+    @property
+    def run_cost(self) -> float:  # W_ij, computed when a score reads it
+        return self._spec.power_per_cpu_unit * self._vm.cpu_time
 
 
 def static_demand(vm: "VM", robust: bool) -> tuple[float, float]:

@@ -18,10 +18,10 @@ once per type instead of once per server. :class:`CandidateIndex` groups a
   whole. Pristine servers (never hosted anything) of one spec are
   interchangeable, and so is a server idle for at least the type's
   ``saturating_gap`` before the VM starts (*dormant* for it): together
-  they are the type's *clone class*, which lets best-fit and worst-fit
-  probe one representative (:meth:`SpecGroup.representative`) instead
-  of hundreds of identical idle machines, and min-energy price it by
-  type without a probe.
+  they are the type's *clone class*, which best-fit and worst-fit score
+  and min-energy prices by type, at its first member's position
+  (:meth:`SpecGroup.representative`), without probing any of hundreds
+  of identical idle machines.
 
 Static admission charges what the probes charge
 (:func:`~repro.placement.feasibility.static_demand`: the VM's radii too
@@ -112,7 +112,7 @@ class SpecGroup:
 
     def representative(self) -> int | None:
         """The clone class's first member in fleet order — the one of
-        ``dormant`` and ``pristine`` a scan asks for all of them — or
+        ``dormant`` and ``pristine`` a scan rates for all of them — or
         ``None`` when the type has no clone."""
         dormant, pristine = self.dormant, self.pristine
         if dormant and (not pristine or dormant[0] < pristine[0]):

@@ -4,15 +4,15 @@
 skyline occupancy indexes, and one :meth:`FleetKernel.probe_fleet` call
 answers feasibility, failing constraint, peak cpu/mem, headroom and the
 Eq.-2/3 run cost ``W_ij`` for many candidates of a VM, as one
-:class:`FeasibilityBatch`. The scans that need verdicts act on such a
-batch — the score family (best-fit, worst-fit) over each type's warm
-servers and one clone per idle class, the ``choose``-only route and
-``explain_select`` over every candidate — and do not know who filled
-it: ``Allocator._probe_batch`` asks this kernel when there is one and
-otherwise fills the same batch from scalar ``ServerState.probe`` calls
-(``kernel=off``, the dense engine, a fleet no index covers, a score
-scan's rows while they are few: ``allocators.base._FLEET_PROBE_FROM``),
-its columns built on first read. ``min-energy``'s
+:class:`FeasibilityBatch`. The ``choose``-only route and
+``explain_select`` act on such a batch of every candidate, filled by
+``Allocator._probe_batch`` from this kernel when there is one, else
+from scalar ``ServerState.probe`` calls (``kernel=off``, the dense
+engine, a fleet no index covers), its columns built on first read. The
+score family (best-fit, worst-fit) asks the kernel for a type's warm
+servers from ``allocators.base._FLEET_PROBE_FROM`` rows on and scores
+fewer as one ``ScoreRow`` of floats each, building no batch; a clone
+class scores as its type, unprobed. ``min-energy``'s
 queued walk calls the kernel itself, for what is left of its busy
 queues once 16 servers have refused the VM (dense streams), and reads a
 yes or no per row: :meth:`FleetKernel.admits_fleet`, the same pass

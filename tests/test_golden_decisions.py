@@ -194,8 +194,8 @@ def test_decisions_are_the_recorded_ones(golden, config):
         assert probe_calls > 0  # the prefetch fired
     elif algorithm in ("min-energy", "best-fit", "worst-fit") \
             and stream == "sparse":
-        # a score scan probes its few warm servers and one clone per
-        # idle class one by one: no probe_fleet either
+        # a score scan probes its few warm servers one by one and
+        # scores each clone class as its type: no probe_fleet either
         assert probe_calls == 0
 
 

@@ -504,26 +504,50 @@ _DENSE_DECISIONS_SHA256 = \
 _DENSE_PROBE_CALLS = 496
 
 
+#: Fresh best-fit and worst-fit daemons decide one ``place_batch`` of a
+#: sparse stream: every score scan names few warm rows and scores them
+#: one at a time, so no batch is built and numpy is never loaded.
+_SHORT_SCANS = """
+import json, sys
+from repro.model.cluster import Cluster
+from repro.service.daemon import AllocationDaemon
+from repro.service.state import ClusterStateStore
+request = json.loads(sys.stdin.read())
+placed = [AllocationDaemon(ClusterStateStore(Cluster.paper_all_types(90)),
+                           algorithm=algorithm).handle(request)["placed"]
+          for algorithm in ("best-fit", "worst-fit")]
+print(json.dumps(placed + ["numpy" in sys.modules]))
+"""
+
+
+def _fresh_run(script: str, vms) -> object:
+    """Run ``script`` in a fresh interpreter with a ``place_batch`` of
+    ``vms`` on stdin; returns the JSON it prints."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+    from repro.service.protocol import place_batch_request
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        input=json.dumps(place_batch_request(vms)),
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr[-2000:]
+    return json.loads(result.stdout)
+
+
 class TestTheFirstPrefetchLoadsTheKernel:
     def test_a_dense_batch_loads_numpy_and_decides_as_before(self):
         import hashlib
         import json
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
 
-        import repro
-        from repro.service.protocol import place_batch_request
-
-        src = str(Path(repro.__file__).resolve().parents[1])
-        result = subprocess.run(
-            [sys.executable, "-c", _FIRST_PREFETCH],
-            input=json.dumps(place_batch_request(_DENSE_BATCH)),
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": src})
-        assert result.returncode == 0, result.stderr[-2000:]
-        run = json.loads(result.stdout)
+        run = _fresh_run(_FIRST_PREFETCH, _DENSE_BATCH)
         assert not run["numpy_before"]
         assert run["numpy_after"]
         assert run["probe_calls"] == _DENSE_PROBE_CALLS > 0
@@ -531,6 +555,12 @@ class TestTheFirstPrefetchLoadsTheKernel:
         digest = hashlib.sha256(
             json.dumps(run["decisions"]).encode()).hexdigest()
         assert digest == _DENSE_DECISIONS_SHA256
+
+
+class TestAShortScoreScanLoadsNoNumpy:
+    def test_a_sparse_batch_is_decided_without_numpy(self):
+        vms = generate_vms(200, mean_interarrival=1.0, seed=3)
+        assert _fresh_run(_SHORT_SCANS, vms) == [len(vms), len(vms), False]
 
 
 # -- allocator decisions: kernel on == kernel off ---------------------------

@@ -37,6 +37,7 @@ from repro.model.phases import DemandPhase, PhasedVM, split_vm
 from repro.model.server import Server, ServerSpec
 from repro.model.vm import VM, VMSpec
 from repro.placement import DenseOccupancy, SkylineOccupancy
+from repro.placement.feasibility import Feasibility, ScoreRow
 from repro.placement.index import CandidateIndex
 from repro.placement.kernels import FleetKernel
 
@@ -412,10 +413,11 @@ def _near(target: ServerSpec, cpu_off: float, mem_off: float, shape: int,
 class TestAFreshBookAdmitsByItsType:
     """A book that never ran admits a VM exactly when its type's static
     fit does (``CandidateIndex.spec_admits``, which ``groups_for``
-    applies) and prices it ``P_idle * |I_j| + alpha`` bit for bit under
-    every policy: why min-energy's walk admits and prices a clone class
-    (``TestAnIdleServerIsAClone``: a dormant server is a fresh one)
-    without asking any of its members."""
+    applies), then probes it as the type's row (``Feasibility.idle``)
+    and prices it ``P_idle * |I_j| + alpha`` bit for bit under every
+    policy: why min-energy's walk admits and prices a clone class, and
+    the score scan scores one (``TestAnIdleServerIsAClone``: a dormant
+    server is a fresh one), without asking any of its members."""
 
     @pytest.mark.parametrize("policy", list(SleepPolicy))
     @pytest.mark.parametrize("engine", ["indexed", "indexed:kernel=off",
@@ -442,16 +444,20 @@ class TestAFreshBookAdmitsByItsType:
             assert state.idle_delta(vm.interval).hex() == closed.hex()
             assert wake_delta(spec, vm.interval.length).hex() == closed.hex()
             if by_type[id(spec)]:
+                assert state.probe(vm) == Feasibility.idle(spec)
                 assert state.incremental_cost(vm).hex() \
                     == (run_energy(spec, vm) + closed).hex()
 
 
 class TestAnIdleServerScoresLikeAClone:
     """Every member of a type's clone class — pristine, or dormant for
-    the VM — gets best-fit's and worst-fit's score bit for bit as a
-    pristine twin does, from a kernel batch and from a scalar one: why
-    a score scan may probe one representative per class and count the
-    rest."""
+    the VM — probes as its type's row (``Feasibility.idle``) and gets
+    best-fit's and worst-fit's score bit for bit as a pristine twin
+    does, from a kernel batch and from a scalar one: why a score scan
+    scores a clone class from its type, probing none of its members.
+    And every row a score rates, idle or busy, scores bit for bit as a
+    ``ScoreRow`` of floats as it does in its batch: why a short scan
+    scores one row at a time."""
 
     @pytest.mark.parametrize("policy", list(SleepPolicy))
     @pytest.mark.parametrize("engine", ["indexed", "indexed:kernel=off",
@@ -489,12 +495,18 @@ class TestAnIdleServerScoresLikeAClone:
             fleet = [state, twin]
             best.prepare(fleet)     # the kernel, where the spec has one
             for probe in probes:
+                batch = best._probe_batch(probe, fleet)
+                scores = [allocator.score(probe, batch)
+                          for allocator in (best, worst)]
+                for allocator, score in zip((best, worst), scores):
+                    for i, verdict in enumerate(batch):
+                        row = ScoreRow(probe, SPEC, verdict)
+                        assert allocator.score(probe, row).hex() \
+                            == score[i].hex()
                 if quiet is not None and not _dormant_for(state, probe, gap):
                     continue
-                batch = best._probe_batch(probe, fleet)
                 if len(batch) < 2:
                     continue        # the type can never host it
-                assert batch[0] == batch[1]
-                for allocator in (best, worst):
-                    score = allocator.score(probe, batch)
+                assert batch[0] == batch[1] == Feasibility.idle(SPEC)
+                for score in scores:
                     assert score[0].hex() == score[1].hex()
