@@ -11,6 +11,7 @@ index (see ``docs/api.md``, *Placement engine*).
 
 from __future__ import annotations
 
+import sys
 import time
 
 import pytest
@@ -19,9 +20,13 @@ from repro.allocators import make_allocator
 from repro.allocators.base import Allocator
 from repro.allocators.state import ServerState
 from repro.energy import allocation_cost
+from repro.energy import power
 from repro.energy.cost import saturating_gap
 from repro.ilp import build_problem
 from repro.model.cluster import Cluster
+from repro.service.daemon import AllocationDaemon
+from repro.service.protocol import place_batch_request
+from repro.service.state import ClusterStateStore
 from repro.simulation import SimulationEngine
 from repro.workload.generator import generate_vms
 
@@ -204,10 +209,11 @@ def _idle(state: ServerState, start: int) -> bool:
 def test_min_energy_asks_no_idle_server(monkeypatch):
     """min-energy on the sparse 5000-VM stream, 3000 servers: its walks
     make no ``admits`` and no ``idle_delta`` call on a pristine server
-    or one dormant for the VM (the commits price their server as
-    before), and <= ``EXAMINES_CEILING`` ``admits`` calls per VM. Counts,
-    not a stopwatch: it fails if the walk goes back to asking an idle
-    server what its type already answers."""
+    or one dormant for the VM (the commits price nothing:
+    :func:`test_min_energy_prices_once`), and <= ``EXAMINES_CEILING``
+    ``admits`` calls per VM. Counts, not a stopwatch: it fails if the
+    walk goes back to asking an idle server what its type already
+    answers."""
     walking = False
     idle_asked = admits_calls = 0
     admits, idle_delta = ServerState.admits, ServerState.idle_delta
@@ -251,6 +257,93 @@ def test_min_energy_asks_no_idle_server(monkeypatch):
     }, section="min_energy_idle_asks")
     assert idle_asked == 0
     assert per_vm <= EXAMINES_CEILING, per_vm
+
+
+def test_min_energy_prices_once(monkeypatch):
+    """min-energy prices each decision once: its walk prices the
+    winner, the commit books that price. Over ``allocate`` on the sparse
+    5000-VM stream, 3000 servers: 0 ``ServerState.incremental_cost``
+    calls, 0 ``run_energy`` calls (the walk reads a type's ``W_ij`` off
+    the spec and the VM's ``cpu_time``) and no ``idle_delta`` call
+    outside a walk; and a daemon's ``place_batch`` on 300 servers makes
+    0 ``incremental_cost`` calls from its commits. Counts, not a
+    stopwatch: it fails if a commit goes back to pricing its VM again
+    (while commits priced: 5000 ``incremental_cost``, 25 623
+    ``run_energy`` and 5000 ``idle_delta`` calls outside a walk, and 200
+    daemon commit prices)."""
+    walking = committing = False
+    calls = {"incremental_cost": 0, "run_energy": 0, "idle_delta": 0,
+             "idle_delta_outside_walks": 0, "daemon_commit_prices": 0}
+    incremental_cost, idle_delta = (ServerState.incremental_cost,
+                                    ServerState.idle_delta)
+    run_energy = power.run_energy
+
+    def counted_cost(state, vm):
+        calls["incremental_cost"] += 1
+        calls["daemon_commit_prices"] += committing
+        return incremental_cost(state, vm)
+
+    def counted_delta(state, interval):
+        calls["idle_delta"] += 1
+        calls["idle_delta_outside_walks"] += not walking
+        return idle_delta(state, interval)
+
+    def counted_run(spec, vm):
+        calls["run_energy"] += 1
+        return run_energy(spec, vm)
+
+    allocator = make_allocator("min-energy", seed=0)
+    select = allocator.select
+
+    def walk(vm, states):
+        nonlocal walking
+        walking = True
+        try:
+            return select(vm, states)
+        finally:
+            walking = False
+
+    allocator.select = walk
+    with monkeypatch.context() as patch:
+        patch.setattr(ServerState, "incremental_cost", counted_cost)
+        patch.setattr(ServerState, "idle_delta", counted_delta)
+        # every module of the package that imported the function by name
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro.") and \
+                    getattr(module, "run_energy", None) is run_energy:
+                patch.setattr(module, "run_energy", counted_run)
+        allocator.allocate(VMS_SPARSE_5K, CLUSTER_3K)
+        offline = dict(calls)
+        commit = ClusterStateStore.commit
+
+        def counted_commit(store, *args):
+            nonlocal committing
+            committing = True
+            try:
+                return commit(store, *args)
+            finally:
+                committing = False
+
+        patch.setattr(ClusterStateStore, "commit", counted_commit)
+        daemon = AllocationDaemon(
+            ClusterStateStore(Cluster.paper_all_types(300)))
+        response = daemon.handle(place_batch_request(VMS_SPARSE_5K[:200]))
+    assert response["ok"] and response["placed"] == 200, response
+    record_json("kernel", {
+        "benchmark": "min-energy, 5000 sparse VMs / 3000 servers, and a "
+                     "200-VM place_batch on 300 servers: what pricing "
+                     "the commits ask (counts)",
+        "incremental_cost_calls": offline["incremental_cost"],
+        "run_energy_calls": offline["run_energy"],
+        "idle_delta_per_vm": round(
+            offline["idle_delta"] / len(VMS_SPARSE_5K), 3),
+        "idle_delta_outside_walks": offline["idle_delta_outside_walks"],
+        "daemon_commit_prices": calls["daemon_commit_prices"],
+    }, section="min_energy_prices_once")
+    assert offline["incremental_cost"] == 0
+    assert offline["run_energy"] == 0
+    assert offline["idle_delta_outside_walks"] == 0
+    assert calls["daemon_commit_prices"] == 0
 
 
 #: Where ``probe_fleet`` runs: best-fit probes each type's warm servers

@@ -105,6 +105,8 @@ class Allocator:
 
     #: Registry name; subclasses must override.
     name: str = "abstract"
+    #: The Eq.-17 increase ``select`` last priced its choice at, or None.
+    chosen_cost: float | None = None
 
     def __init__(self, *, seed: int | None = None,
                  policy: SleepPolicy = SleepPolicy.OPTIMAL,
@@ -231,8 +233,9 @@ class Allocator:
                     if decision is None:
                         yield vm, None, 0.0
                         continue
-                    # ``offer`` has just admitted it on these books
-                    delta = decision.state.place_trusted(decision.vm)
+                    # ``offer`` admitted it, at ``chosen_cost`` if it priced it
+                    delta = decision.state.place_trusted(
+                        decision.vm, self.chosen_cost)
                     server_id = decision.state.server.server_id
                     self._placed_ids[vm.vm_id] = server_id
                     if tracer.enabled:
@@ -527,13 +530,14 @@ class Allocator:
                states: Sequence[ServerState]) -> ServerState | None:
         """Pick the server for ``vm``, or ``None`` when nothing fits.
 
-        Template method: resets the candidate counters, then delegates to
-        :meth:`_select`. Subclasses declare their rule (below) or, when
-        the rule is a walk of its own, override :meth:`_select` — never
-        this.
+        Template method: resets the candidate counters and
+        :attr:`chosen_cost`, then delegates to :meth:`_select`.
+        Subclasses declare their rule (below) or, when the rule is a walk
+        of its own, override :meth:`_select` — never this.
         """
         self.candidates_evaluated = 0
         self.candidates_feasible = 0
+        self.chosen_cost = None
         return self._select(vm, states)
 
     # -- the rule: a subclass declares exactly one of these three ------------

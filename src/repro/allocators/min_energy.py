@@ -16,8 +16,9 @@ compare against. With the indexed engine the selection is one walk over
 the candidate index's per-type queues in fleet order, which provably
 cannot change the answer, only skip losers:
 
-* the run cost ``W_ij`` depends only on the server *type*, so it is
-  computed once per type, not once per server;
+* the run cost ``W_ij = P^1_i * cpu_time`` depends only on the server
+  *type*, so it is computed once per type (unchecked: ``groups_for``
+  applied the static fit), not once per server;
 * under the OPTIMAL and NEVER_SLEEP policies the non-run delta is
   non-negative (busying an interval never lowers idle/gap energy), so
   ``W_ij`` lower-bounds the incremental cost and a type whose run cost
@@ -57,7 +58,6 @@ from typing import Sequence
 from repro.allocators.base import Allocator
 from repro.allocators.state import ServerState
 from repro.energy.cost import SleepPolicy, wake_delta
-from repro.energy.power import run_energy
 from repro.model.vm import VM
 
 __all__ = ["MinIncrementalEnergy"]
@@ -99,14 +99,9 @@ class MinIncrementalEnergy(Allocator):
 
     def _select(self, vm: VM,
                 states: Sequence[ServerState]) -> ServerState | None:
-        index = self._index
-        if index is None or not index.covers(states):
-            return super()._select(vm, states)
-        return self._select_queued(vm, states, index.groups_for(vm))
-
-    def _select_queued(self, vm: VM, states: Sequence[ServerState],
-                       groups) -> ServerState | None:
-        """The walk over the index's per-type candidate queues.
+        """The walk over the index's per-type candidate queues; on a
+        fleet the index does not cover, collect-then-:meth:`choose`. Both
+        leave the winner's delta in ``chosen_cost``, for the commit to book.
 
         A k-way merge walks the admissible types' warm queues and their
         clone classes in ascending fleet position — the order a scan of
@@ -126,9 +121,12 @@ class MinIncrementalEnergy(Allocator):
         delta dropped the type — that is up to that incumbent's
         position, else all of it (:meth:`_count_clones`).
         """
+        index = self._index
+        if index is None or not index.covers(states):
+            return super()._select(vm, states)
         prune = self._policy in (SleepPolicy.OPTIMAL,
                                  SleepPolicy.NEVER_SLEEP)
-        interval = vm.interval
+        interval, cpu_time = vm.interval, vm.cpu_time
         constraints, placed = self._constraints, self._placed_ids
         best: ServerState | None = None
         best_delta = math.inf
@@ -142,8 +140,8 @@ class MinIncrementalEnergy(Allocator):
         frontier: dict = {}
         #: the types whose clone class was admitted
         cloned: list = []
-        for group in groups:
-            runs[id(group)] = run_energy(group.spec, vm)
+        for group in index.groups_for(vm):
+            runs[id(group)] = group.spec.power_per_cpu_unit * cpu_time
             warm, dormant, pristine = group.warm, group.dormant, group.pristine
             if warm:
                 heap.append((warm[0], _BUSY, 0, group, warm))
@@ -180,7 +178,7 @@ class MinIncrementalEnergy(Allocator):
                                       group, queue))
             if not fits:
                 refused += 1
-                if refused == _BATCH_AFTER and self._index.batched:
+                if refused == _BATCH_AFTER and index.batched:
                     frontier = self._prefetch(
                         vm, heap, runs,
                         best_delta - _TIE_TOL if prune else math.inf)
@@ -208,6 +206,7 @@ class MinIncrementalEnergy(Allocator):
             rows.size for rows in frontier.values())
         for group in cloned:
             self._count_clones(group)
+        self.chosen_cost = None if best is None else best_delta
         return best
 
     def _count_clones(self, group, upto: int | None = None) -> None:
@@ -270,5 +269,6 @@ class MinIncrementalEnergy(Allocator):
             if delta < best_delta - _TIE_TOL:
                 best = state
                 best_delta = delta
+        self.chosen_cost = best_delta
         return best
 

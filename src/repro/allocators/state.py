@@ -344,34 +344,34 @@ class ServerState:
         self._busy_starts = saved[0][:k] + starts
         self._busy_ends = saved[1][:k] + ends
         try:
-            return run_energy(self.server.spec, vm) + \
-                self.idle_delta(vm.interval)
+            return self.incremental_cost(vm)
         finally:
             self._busy_starts, self._busy_ends = saved
 
     # -- mutation --------------------------------------------------------------
 
-    def place(self, vm: VM) -> float:
+    def place(self, vm: VM, cost: float | None = None) -> float:
         """Commit ``vm`` to this server; returns the cost increase.
 
         Raises :class:`CapacityError` when the VM does not fit (callers are
-        expected to have checked :meth:`admits`).
+        expected to have checked :meth:`admits`). A ``cost`` is booked
+        as is: the :meth:`incremental_cost` a walk priced on this book.
         """
         if not self.admits(vm):
             raise CapacityError(
                 f"{vm} does not fit on {self.server}",
                 server_id=self.server.server_id)
-        return self.place_trusted(vm)
+        return self.place_trusted(vm, cost)
 
-    def place_trusted(self, vm: VM) -> float:
+    def place_trusted(self, vm: VM, cost: float | None = None) -> float:
         """:meth:`place` without the feasibility probe.
 
-        For booking what is known to fit — a migration's remainder on
-        the target its planner probed, test books built from a
-        known-good log: re-validating is pure overhead. The cost
-        arithmetic is identical to :meth:`place`.
+        For booking what is known to fit — the offline walk's decision,
+        a migration's remainder on the target its planner probed, test
+        books built from a known-good log: re-validating is pure
+        overhead. The cost arithmetic is identical to :meth:`place`.
         """
-        delta = self.incremental_cost(vm)
+        delta = self.incremental_cost(vm) if cost is None else cost
         for piece, cpu, memory in demand_profile(vm):
             self._occ.add(piece.start, piece.end, cpu, memory)
         if self.robustness is not None:

@@ -119,6 +119,11 @@ class SpecGroup:
             return dormant[0]
         return pristine[0] if pristine else None
 
+    def fits(self, cpu: float, mem: float) -> bool:
+        """Whether static demand ``(cpu, mem)`` fits the type at all."""
+        spec = self.spec
+        return not (cpu > spec.cpu_capacity or mem > spec.memory_capacity)
+
     def _queue(self, quiet: int | None) -> list[int]:
         if quiet is None:
             return self.pristine
@@ -275,8 +280,7 @@ class CandidateIndex:
     def spec_admits(self, vm: "VM") -> dict[int, bool]:
         """``id(spec) -> can this server type ever host vm`` (static caps)."""
         cpu, mem = static_demand(vm, self._robust)
-        return {key: not (cpu > group.spec.cpu_capacity
-                          or mem > group.spec.memory_capacity)
+        return {key: group.fits(cpu, mem)
                 for key, group in self._groups.items()}
 
     def candidates(self, vm: "VM") -> Sequence["ServerState"]:
@@ -312,9 +316,9 @@ class CandidateIndex:
         """The admissible types' candidate queues, each settled for
         ``vm``: its ``dormant`` queue is that type's servers a VM
         starting then finds as good as pristine."""
-        admits = self.spec_admits(vm)
-        groups = [group for key, group in self._groups.items()
-                  if admits[key]]
+        cpu, mem = static_demand(vm, self._robust)
+        groups = [group for group in self._groups.values()
+                  if group.fits(cpu, mem)]
         for group in groups:
             group.settle(vm.start)
         return groups

@@ -685,15 +685,14 @@ class AllocationDaemon:
 
     def _decide(self, vms: Sequence[VM], record: FlightRecord,
                 recorder: ExplainRecorder | None = None) -> tuple:
-        """The one decision loop — ``place`` is a batch of one: each VM,
-        in the paper's online order (start, end, id), advances the
-        clock, runs the admission scan (``recorder`` explains it) and
-        commits. Returns the response items in request order, the
-        placed count, their deltas summed in decision order and the
-        journal records (``None`` without a journal). One
-        ``observe_request`` counts the decisions; the clock reads taken
-        for its samples also book the stage spans and stamp
-        ``record.decided``."""
+        """The one decision loop — ``place`` is a batch of one: each VM, in the
+        paper's online order (start, end, id), advances the clock, runs the
+        admission scan (``recorder`` explains it) and commits at the scan's
+        ``chosen_cost``. Returns the response items in request order, the
+        placed count, their deltas summed in decision order and the journal
+        records (``None`` without a journal). One ``observe_request`` counts
+        the decisions; its samples' clock reads also book the stage spans and
+        stamp ``record.decided``."""
         store, allocator, live = self.store, self.allocator, self._live
         max_delay = int(self.config["max_delay"])
         algorithm = str(self.config["algorithm"])
@@ -728,7 +727,8 @@ class AllocationDaemon:
                     items[i] = {"vm_id": vm.vm_id, **outcome}
                 else:
                     server_id = decision.state.server.server_id
-                    delta = store.commit(decision.vm, server_id)
+                    delta = store.commit(decision.vm, server_id,
+                                         allocator.chosen_cost)
                     scanned, ended = ended, perf_counter()
                     if book:
                         book("service.commit", scanned, ended,

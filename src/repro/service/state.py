@@ -309,14 +309,15 @@ class ClusterStateStore:
 
     # -- placement ---------------------------------------------------------
 
-    def commit(self, vm: VM, server_id: int) -> float:
+    def commit(self, vm: VM, server_id: int,
+               cost: float | None = None) -> float:
         """Commit ``vm`` to server ``server_id``; returns the energy delta.
 
         Updates the planning state (raising
         :class:`~repro.exceptions.CapacityError` when the VM does not
-        fit), registers the VM's start/end on the live schedule, and —
-        when the VM starts on the current tick — wakes the server and
-        admits it immediately.
+        fit; a ``cost`` the scan priced is booked as is), registers the
+        VM's start/end on the live schedule, and — when the VM starts on
+        the current tick — wakes the server and admits it immediately.
 
         ``vm_id`` is the request's identity: committing a second VM
         with an already-placed id raises
@@ -332,7 +333,7 @@ class ClusterStateStore:
                 f"server {server_id} failed at tick "
                 f"{self._dead[server_id]} and has not recovered; "
                 "it cannot host new VMs")
-        delta = self.states[server_id].place(vm)
+        delta = self.states[server_id].place(vm, cost)
         self._vm_ids.add(vm.vm_id)
         self._next_vm_id = max(self._next_vm_id, vm.vm_id + 1)
         self._placed += 1

@@ -78,10 +78,10 @@ class AdmissionDecision(NamedTuple):
     """A successful admission: where (and with what delay) a VM lands.
 
     ``vm`` is the request as admitted — identical to the offered one when
-    ``delay == 0``, otherwise shifted ``delay`` units later. The decision
-    is advisory: nothing has been placed yet; callers commit it with
-    ``state.place(decision.vm)``. A named tuple, like ``Feasibility``:
-    one is built per decision on every path.
+    ``delay == 0``, otherwise shifted ``delay`` units later. Nothing is
+    placed yet: callers book ``vm`` on ``state`` at the price ``select``
+    chose it at, ``allocator.chosen_cost``. A named tuple, like
+    ``Feasibility``: one is built per decision on every path.
     """
 
     vm: VM

@@ -79,8 +79,8 @@ class HistoryStore(ClusterStateStore):
         super().__init__(*args, **kwargs)
         self.history: list[tuple[VM, int]] = []
 
-    def commit(self, vm, server_id):
-        delta = super().commit(vm, server_id)
+    def commit(self, vm, server_id, cost=None):
+        delta = super().commit(vm, server_id, cost)
         self.history.append((vm, server_id))
         return delta
 

@@ -280,17 +280,14 @@ class TestMinEnergyCloneClass:
         assert [(row[0], row[1], row[4]) for row in walk] \
             == [(row[0], row[1], row[4]) for row in chosen]
         # A pristine server is admitted and priced by its type: never
-        # asked. Each commit prices its VM once; the rest priced
-        # candidates.
+        # asked. The walk prices each busy server it admits, and only
+        # those; each commit books its walk's price, pricing nothing.
         assert pristine_asked == 0
-        commits = sum(row[1] is not None for row in walk)
+        assert deltas == busy_admitted
         feasible = sum(row[3] for row in walk)
         evaluated = sum(row[2] for row in walk)
-        if policy is SleepPolicy.NEVER_SLEEP:  # nothing goes dormant
-            assert deltas == busy_admitted + commits
-        else:
-            assert deltas - commits < feasible / 2 \
-                and feasible <= evaluated
+        if policy is not SleepPolicy.NEVER_SLEEP:  # clones go unpriced
+            assert deltas < feasible / 2 and feasible <= evaluated
 
     @pytest.mark.parametrize("policy", list(SleepPolicy))
     def test_starts_out_of_order_settle_back(self, policy):
