@@ -11,6 +11,7 @@ index (see ``docs/api.md``, *Placement engine*).
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -19,16 +20,18 @@ import pytest
 from repro.allocators import make_allocator
 from repro.allocators.base import Allocator
 from repro.allocators.state import ServerState
-from repro.energy import allocation_cost
+from repro.energy import allocation_cost, energy_report
 from repro.energy import power
 from repro.energy.cost import saturating_gap
 from repro.ilp import build_problem
 from repro.model.cluster import Cluster
+from repro.model.intervals import TimeInterval
 from repro.service.daemon import AllocationDaemon
 from repro.service.protocol import place_batch_request
 from repro.service.state import ClusterStateStore
 from repro.simulation import SimulationEngine
 from repro.workload.generator import generate_vms
+from repro.workload.phased import PhasedWorkload
 
 from conftest import record_json, record_result
 
@@ -344,6 +347,70 @@ def test_min_energy_prices_once(monkeypatch):
     assert offline["run_energy"] == 0
     assert offline["idle_delta_outside_walks"] == 0
     assert calls["daemon_commit_prices"] == 0
+
+
+#: The model's derived values: stored at construction, never computed
+#: by a call. ``length`` is a ``TimeInterval``'s, the two power terms a
+#: ``ServerSpec``'s, ``pieces`` a ``PhasedVM``'s, the rest a ``VM``'s.
+STORED_VALUES = frozenset({
+    "start", "end", "duration", "cpu", "memory", "cpu_radius",
+    "mem_radius", "cpu_time", "pieces", "length", "transition_cost",
+    "power_per_cpu_unit"})
+MODEL_FILES = tuple(f"repro{os.sep}model{os.sep}{name}.py"
+                    for name in ("vm", "phases", "intervals", "server"))
+
+
+def test_model_values_are_stored():
+    """One zoo pass — the six ``offline-zoo-1k`` allocator configs over
+    1000 VMs on 300 servers, each plan priced by ``energy_report`` —
+    calls no function of ``repro.model``'s value types named as a
+    stored value, and no ``TimeInterval.__lt__``: the readers read
+    slots, and interval sorts go by ``(start, end)``. Counts, under
+    ``sys.setprofile``: while the values were properties, seed 0 made
+    286 632 such calls (47.8 per decision) and 14 018 ``__lt__`` calls
+    (2.34 per decision)."""
+    vms = generate_vms(1000, mean_interarrival=1.0, seed=0)
+    streams = {"plain": vms, "radii": PhasedWorkload(
+        mean_interarrival=1.0, uncertainty=0.3).generate(1000, rng=0)}
+    members = [("min-energy", {}, "plain"),
+               ("min-energy", {"engine": "indexed:kernel=off"}, "plain"),
+               ("min-energy", {"engine": "indexed:gamma=2"}, "radii"),
+               ("ffps", {"seed": 0}, "plain"),
+               ("first-fit", {}, "plain"),
+               ("best-fit", {}, "plain")]
+    less_than = TimeInterval.__lt__.__code__
+    calls = {"stored_value_calls": 0, "interval_lt_calls": 0}
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            if code is less_than:
+                calls["interval_lt_calls"] += 1
+            elif code.co_name in STORED_VALUES and \
+                    code.co_filename.endswith(MODEL_FILES):
+                calls["stored_value_calls"] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for algo, params, stream in members:
+            plan = make_allocator(algo, **params).allocate(
+                streams[stream], CLUSTER_300)
+            energy_report(plan)
+    finally:
+        sys.setprofile(previous)
+    assert len(plan) == len(vms)
+    decisions = len(members) * len(vms)
+    record_json("kernel", {
+        "benchmark": "the six offline-zoo-1k configs, 1000 VMs / 300 "
+                     "servers, plus energy_report: calls of the model's "
+                     "derived values and of TimeInterval.__lt__ (counts)",
+        "decisions": decisions,
+        **calls,
+        "while_properties_per_decision": {"stored_value_calls": 47.772,
+                                "interval_lt_calls": 2.336},
+    }, section="model_values_stored")
+    assert calls == {"stored_value_calls": 0, "interval_lt_calls": 0}
 
 
 #: Where ``probe_fleet`` runs: best-fit probes each type's warm servers

@@ -69,5 +69,6 @@ class ServerTimeline:
 def timeline_of(vms: Sequence[VM]) -> ServerTimeline:
     """The busy/idle decomposition of a server hosting ``vms``."""
     busy = busy_segments(vms)
-    idle = gaps_between(busy)
-    return ServerTimeline(busy=tuple(busy), idle=tuple(idle))
+    idle = tuple(TimeInterval(prev.end + 1, nxt.start - 1)
+                 for prev, nxt in zip(busy, busy[1:]))
+    return ServerTimeline(busy=tuple(busy), idle=idle)

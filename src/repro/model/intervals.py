@@ -9,7 +9,8 @@ on the :class:`TimeInterval` type and the merge/gap helpers here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from repro.exceptions import ValidationError
@@ -23,17 +24,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class TimeInterval:
     """A closed interval ``[start, end]`` of integer time units.
 
     Instances are immutable, hashable and ordered lexicographically by
     ``(start, end)``, which makes them directly sortable and usable as
-    dictionary keys.
+    dictionary keys. ``length`` — the number of time units covered
+    (closed interval: ``end - start + 1``) — is stored at construction.
     """
 
     start: int
     end: int
+    length: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.start, int) or not isinstance(self.end, int):
@@ -45,11 +48,7 @@ class TimeInterval:
             raise ValidationError(
                 f"interval end {self.end} precedes start {self.start}"
             )
-
-    @property
-    def length(self) -> int:
-        """Number of time units covered (closed interval: ``end-start+1``)."""
-        return self.end - self.start + 1
+        object.__setattr__(self, "length", self.end - self.start + 1)
 
     def contains(self, t: int) -> bool:
         """Whether time unit ``t`` lies inside this interval."""
@@ -92,6 +91,10 @@ class TimeInterval:
         return f"[{self.start}, {self.end}]"
 
 
+#: The sort key of the dataclass order, read without calling ``__lt__``.
+_span = attrgetter("start", "end")
+
+
 def merge_intervals(intervals: Iterable[TimeInterval]) -> list[TimeInterval]:
     """Merge intervals into maximal disjoint, sorted intervals.
 
@@ -99,7 +102,7 @@ def merge_intervals(intervals: Iterable[TimeInterval]) -> list[TimeInterval]:
     merge to ``[1,6]`` because no idle time unit separates them. This is
     exactly the busy-segment semantics of the paper's Fig. 1.
     """
-    ordered = sorted(intervals)
+    ordered = sorted(intervals, key=_span)
     if not ordered:
         return []
     merged = [ordered[0]]
@@ -132,5 +135,5 @@ def total_length(intervals: Iterable[TimeInterval]) -> int:
 
 def intervals_overlap(intervals: Sequence[TimeInterval]) -> bool:
     """Whether any two intervals in the sequence share a time unit."""
-    ordered = sorted(intervals)
+    ordered = sorted(intervals, key=_span)
     return any(a.end >= b.start for a, b in zip(ordered, ordered[1:]))

@@ -47,7 +47,7 @@ class DemandPhase:
                 "instead of zeroing it)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class PhasedVM(VM):
     """A VM whose demand varies over its lifetime in phases.
 
@@ -56,13 +56,17 @@ class PhasedVM(VM):
     ``vm.memory``) remains sound; phase-aware consumers go through
     :func:`demand_profile`, which hands back ``pieces`` — the
     ``(interval, cpu, memory)`` tuple per phase, built once here. Phases
-    must tile the interval exactly.
+    must tile the interval exactly. ``cpu_time`` is the exact Eq.-3
+    integral ``sum_t R^CPU_jt`` over the phases. Equality and hashing
+    are a VM's (``eq=False`` inherits them).
     """
 
     phases: tuple[DemandPhase, ...] = field(default=(), compare=False)
+    pieces: tuple[tuple[TimeInterval, float, float], ...] = field(
+        init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        super().__post_init__()
+        VM.__post_init__(self)  # a slotted class has no zero-arg super()
         if not self.phases:
             raise ValidationError("a PhasedVM needs at least one phase")
         total = sum(phase.duration for phase in self.phases)
@@ -78,14 +82,14 @@ class PhasedVM(VM):
                 f"spec must carry the peak demand ({peak_cpu}cu/"
                 f"{peak_mem}GB), got {self.spec.cpu}cu/"
                 f"{self.spec.memory}GB")
-        # The demand pieces every probe iterates, built once (not a
-        # field: equality, hashing and records never see it).
         pieces, t = [], self.start
         for phase in self.phases:
             pieces.append((TimeInterval(t, t + phase.duration - 1),
                            phase.cpu, phase.memory))
             t += phase.duration
         object.__setattr__(self, "pieces", tuple(pieces))
+        object.__setattr__(self, "cpu_time", sum(
+            phase.cpu * phase.duration for phase in self.phases))
 
     @classmethod
     def from_phases(cls, vm_id: int, start: int,
@@ -102,11 +106,6 @@ class PhasedVM(VM):
         return cls(vm_id=vm_id, spec=spec,
                    interval=TimeInterval(start, start + total - 1),
                    phases=phases)
-
-    @property
-    def cpu_time(self) -> float:
-        """``sum_t R^CPU_jt`` — the exact Eq.-3 integral over phases."""
-        return sum(phase.cpu * phase.duration for phase in self.phases)
 
     def demand_at(self, t: int) -> tuple[float, float]:
         """The (cpu, memory) demand during time unit ``t`` (0 outside)."""

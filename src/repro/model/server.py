@@ -9,14 +9,14 @@ work the paper highlights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from repro.exceptions import ValidationError
 
 __all__ = ["ServerSpec", "Server"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServerSpec:
     """An immutable server type.
 
@@ -45,6 +45,12 @@ class ServerSpec:
     p_idle: float
     p_peak: float
     transition_time: float = 1.0
+    #: Stored at construction: the energy ``alpha_i = P_peak,i *
+    #: transition_time_i`` of one power-saving -> active switch, drawn at
+    #: peak power throughout (Sec. IV-B3), and the marginal power
+    #: ``P^1_i`` of one compute unit of load (Eq. 2).
+    transition_cost: float = field(init=False, compare=False, repr=False)
+    power_per_cpu_unit: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.cpu_capacity <= 0:
@@ -65,20 +71,10 @@ class ServerSpec:
             raise ValidationError(
                 f"server type {self.name!r}: transition_time must be "
                 f"non-negative, got {self.transition_time}")
-
-    @property
-    def transition_cost(self) -> float:
-        """Energy ``alpha_i`` of one power-saving -> active switch.
-
-        The server draws peak power for the whole transition
-        (Sec. IV-B3), so ``alpha_i = P_peak,i * transition_time_i``.
-        """
-        return self.p_peak * self.transition_time
-
-    @property
-    def power_per_cpu_unit(self) -> float:
-        """Marginal power ``P^1_i`` of one compute unit of load (Eq. 2)."""
-        return (self.p_peak - self.p_idle) / self.cpu_capacity
+        object.__setattr__(self, "transition_cost",
+                           self.p_peak * self.transition_time)
+        object.__setattr__(self, "power_per_cpu_unit",
+                           (self.p_peak - self.p_idle) / self.cpu_capacity)
 
     @property
     def idle_peak_ratio(self) -> float:
@@ -103,14 +99,7 @@ class ServerSpec:
 
     def with_transition_time(self, transition_time: float) -> "ServerSpec":
         """A copy of this spec with a different transition time."""
-        return ServerSpec(
-            name=self.name,
-            cpu_capacity=self.cpu_capacity,
-            memory_capacity=self.memory_capacity,
-            p_idle=self.p_idle,
-            p_peak=self.p_peak,
-            transition_time=transition_time,
-        )
+        return replace(self, transition_time=transition_time)
 
     def __str__(self) -> str:
         return (f"{self.name}({self.cpu_capacity}cu/"

@@ -56,66 +56,48 @@ class VMSpec:
         return f"{self.name}({self.cpu}cu/{self.memory}GB)"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VM:
     """A VM request: a spec active over the closed interval ``[start, end]``.
 
     ``start`` and ``end`` are integer time units (minutes in the paper's
     setting); the VM occupies its server for every unit of the interval.
+    They, the ``duration``, the spec's constant demand (``cpu`` =
+    ``R^CPU_j`` in compute units, ``memory`` = ``R^MEM_j`` in GBytes)
+    and its uncertainty radii are stored at construction, as is
+    ``cpu_time`` — ``sum_t R^CPU_jt`` from Eq. (3), with stable demand
+    simply ``cpu * duration``. A VM is its request: equal VMs share a
+    ``vm_id`` and a spec, and a VM hashes by its id.
     """
 
     vm_id: int
     spec: VMSpec
     interval: TimeInterval = field(compare=False)
+    start: int = field(init=False, compare=False, repr=False)
+    end: int = field(init=False, compare=False, repr=False)
+    duration: int = field(init=False, compare=False, repr=False)
+    cpu: float = field(init=False, compare=False, repr=False)
+    memory: float = field(init=False, compare=False, repr=False)
+    cpu_radius: float = field(init=False, compare=False, repr=False)
+    mem_radius: float = field(init=False, compare=False, repr=False)
+    cpu_time: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.vm_id < 0:
             raise ValidationError(f"vm_id must be non-negative, got "
                                   f"{self.vm_id}")
+        interval, spec, store = self.interval, self.spec, object.__setattr__
+        store(self, "start", interval.start)
+        store(self, "end", interval.end)
+        store(self, "duration", interval.length)
+        store(self, "cpu", spec.cpu)
+        store(self, "memory", spec.memory)
+        store(self, "cpu_radius", spec.cpu_radius)
+        store(self, "mem_radius", spec.mem_radius)
+        store(self, "cpu_time", spec.cpu * interval.length)
 
-    @property
-    def start(self) -> int:
-        """Starting time unit ``t_s`` (inclusive)."""
-        return self.interval.start
-
-    @property
-    def end(self) -> int:
-        """Finishing time unit ``t_e`` (inclusive)."""
-        return self.interval.end
-
-    @property
-    def duration(self) -> int:
-        """Lifetime in time units."""
-        return self.interval.length
-
-    @property
-    def cpu(self) -> float:
-        """CPU demand ``R^CPU_j`` in compute units (constant over life)."""
-        return self.spec.cpu
-
-    @property
-    def memory(self) -> float:
-        """Memory demand ``R^MEM_j`` in GBytes (constant over life)."""
-        return self.spec.memory
-
-    @property
-    def cpu_radius(self) -> float:
-        """CPU demand uncertainty radius (0 for exact demand)."""
-        return self.spec.cpu_radius
-
-    @property
-    def mem_radius(self) -> float:
-        """Memory demand uncertainty radius (0 for exact demand)."""
-        return self.spec.mem_radius
-
-    @property
-    def cpu_time(self) -> float:
-        """Total CPU demand integrated over the lifetime.
-
-        This is ``sum_t R^CPU_jt`` from Eq. (3); with stable demand it is
-        simply ``cpu * duration``.
-        """
-        return self.cpu * self.duration
+    def __hash__(self) -> int:
+        return hash(self.vm_id)
 
     def active_at(self, t: int) -> bool:
         """Whether the VM runs during time unit ``t``."""

@@ -82,8 +82,9 @@ class SpecGroup:
     position)`` over the warm ones (built by the first :meth:`settle`),
     so a type whose earliest warm server is still busy at the cut costs
     one comparison per VM. A commit that moves a warm server's last
-    tick pushes a fresh entry and leaves the old one stale; the heap is
-    rebuilt from ``warm`` before it holds twice as many entries as that.
+    tick pushes a fresh entry and leaves the old one stale, as does a
+    server leaving ``warm``; the heap is rebuilt from ``warm`` before it
+    holds twice as many entries as that.
     """
 
     __slots__ = ("spec", "gap", "warm", "dormant", "pristine", "horizon",
@@ -133,7 +134,12 @@ class SpecGroup:
         """Put warm ``pos`` on the (built) heap at its quiet tick."""
         ends = self._ends
         heapq.heappush(ends, (self._quiet[pos], pos))
-        if len(ends) > 2 * len(self.warm) + 1:
+        self._compact()
+
+    def _compact(self) -> None:
+        """Rebuild the heap once stale entries outnumber the warm ones;
+        every change to the heap or to ``warm`` ends here."""
+        if len(self._ends) > 2 * len(self.warm) + 1:
             self._rebuild_heap()
 
     def _rebuild_heap(self) -> None:
@@ -150,8 +156,11 @@ class SpecGroup:
         if source is not target:
             del source[bisect.bisect_left(source, pos)]
             bisect.insort(target, pos)
-        if target is self.warm and self._ends is not None:
-            self._watch(pos)
+        if self._ends is not None:
+            if target is self.warm:
+                self._watch(pos)
+            elif source is self.warm:
+                self._compact()
 
     def settle(self, start: int) -> None:
         """Make ``dormant`` exactly the servers quiet since ``start - 1 -
@@ -180,6 +189,7 @@ class SpecGroup:
             if i < len(warm) and warm[i] == pos:
                 del warm[i]
                 bisect.insort(self.dormant, pos)
+        self._compact()
 
     def _rewind(self, horizon: int) -> None:
         """Lower the cut to ``horizon``: the dormant servers quiet after

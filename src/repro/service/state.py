@@ -390,6 +390,8 @@ class ClusterStateStore:
         while self.clock < t:
             if self.clock >= 1:
                 self._close_tick(self.clock)
+            else:  # tick 0 precedes the sampled horizon (y_i,0 = 0)
+                self._end_tick(0)
             self.clock += 1
             for piece_id, server_id in self._starts.pop(self.clock, ()):
                 machine = self.machines[server_id]
@@ -407,6 +409,12 @@ class ClusterStateStore:
         for server_id in ids:
             power += awake[server_id]
         self._record_tick(power, self.fleet.active, self.fleet.running_vms)
+        self._end_tick(tick)
+
+    def _end_tick(self, tick: int) -> None:
+        """End the pieces due at ``tick``, then power emptied servers
+        down; the awake ids are the tick's own (ending a piece wakes or
+        sleeps nothing)."""
         for piece_id, server_id in self._ends.pop(tick, ()):
             cpu, memory = self._piece_demand.pop(piece_id)
             self.machines[server_id].end_vm(piece_id, cpu, memory)
@@ -422,7 +430,7 @@ class ClusterStateStore:
         # scheduled for the very next tick (a zero-length gap).
         imminent = {server_id
                     for _, server_id in self._starts.get(tick + 1, ())}
-        for server_id in ids:
+        for server_id in self.fleet.awake_ids():
             machine = self.machines[server_id]
             if machine.state is PowerState.ACTIVE and \
                     not machine.resident_vms and \

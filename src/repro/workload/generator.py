@@ -70,13 +70,19 @@ class PoissonWorkload:
             1, np.rint(rng.exponential(self.mean_duration,
                                        size=count))).astype(int)
         type_indices = rng.integers(len(self.vm_types), size=count)
-        vms = []
-        for i in range(count):
-            start = int(arrivals[i])
-            end = start + int(durations[i]) - 1
-            vms.append(VM(vm_id=i, spec=self.vm_types[int(type_indices[i])],
-                          interval=TimeInterval(start, end)))
-        return vms
+        return _build_vms(arrivals, durations, type_indices, self.vm_types)
+
+
+def _build_vms(arrivals: np.ndarray, durations: np.ndarray,
+               type_indices: np.ndarray,
+               vm_types: Sequence[VMSpec]) -> list[VM]:
+    """VMs ``0..n-1`` from the drawn arrival times, lengths and types;
+    each draw is read once, as a list."""
+    return [VM(vm_id=i, spec=vm_types[kind],
+               interval=TimeInterval(start, start + length - 1))
+            for i, (start, length, kind) in enumerate(zip(
+                arrivals.tolist(), durations.tolist(),
+                type_indices.tolist()))]
 
 
 def generate_vms(count: int, mean_interarrival: float,

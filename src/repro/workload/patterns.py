@@ -16,8 +16,8 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.model.catalog import ALL_VM_TYPES
-from repro.model.intervals import TimeInterval
 from repro.model.vm import VM, VMSpec
+from repro.workload.generator import _build_vms
 
 __all__ = ["BurstyWorkload", "DiurnalWorkload", "HeavyTailWorkload"]
 
@@ -26,18 +26,6 @@ def _coerce_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     return np.random.default_rng(rng)
-
-
-def _build_vms(arrivals: np.ndarray, durations: np.ndarray,
-               type_indices: np.ndarray,
-               vm_types: tuple[VMSpec, ...]) -> list[VM]:
-    vms = []
-    for i in range(arrivals.size):
-        start = int(arrivals[i])
-        end = start + int(durations[i]) - 1
-        vms.append(VM(vm_id=i, spec=vm_types[int(type_indices[i])],
-                      interval=TimeInterval(start, end)))
-    return vms
 
 
 @dataclass(frozen=True)

@@ -85,14 +85,14 @@ class PhasedWorkload:
                        mem_radius=self.uncertainty * s.memory)
                 for s in self.vm_types)
         vms = []
-        for i in range(count):
-            spec = specs[int(type_indices[i])]
-            duration = int(durations[i])
+        for i, (start, duration, kind) in enumerate(zip(
+                arrivals.tolist(), durations.tolist(),
+                type_indices.tolist())):
+            spec = specs[kind]
             phases = self._draw_phases(rng, spec, duration)
             vms.append(PhasedVM(
                 vm_id=i, spec=spec,
-                interval=TimeInterval(int(arrivals[i]),
-                                      int(arrivals[i]) + duration - 1),
+                interval=TimeInterval(start, start + duration - 1),
                 phases=phases))
         return vms
 

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from repro.energy.segments import timeline_of
 from repro.exceptions import ValidationError
 from repro.model.intervals import (
     TimeInterval,
@@ -13,6 +14,7 @@ from repro.model.intervals import (
     merge_intervals,
     total_length,
 )
+from repro.model.vm import VM, VMSpec
 
 
 def interval_strategy(lo=0, hi=200):
@@ -189,3 +191,49 @@ class TestIntervalsOverlap:
     def test_empty_and_single(self):
         assert not intervals_overlap([])
         assert not intervals_overlap([TimeInterval(1, 2)])
+
+
+# -- the key sort is the dataclass order: merges, overlap checks and
+# timelines agree with a reference that sorts through ``__lt__`` --------
+
+def _reference_merge(intervals):
+    ordered = sorted(intervals)  # TimeInterval.__lt__
+    merged = []
+    for iv in ordered:
+        if merged and iv.start <= merged[-1].end + 1:
+            merged[-1] = TimeInterval(merged[-1].start,
+                                      max(merged[-1].end, iv.end))
+        else:
+            merged.append(iv)
+    return merged
+
+
+# a narrow range, so duplicates and adjacent intervals are common
+_CROWDED = st.lists(interval_strategy(hi=20).map(
+    lambda iv: TimeInterval(iv.start, iv.start + iv.length % 4)),
+    max_size=12).flatmap(lambda ivs: st.permutations(ivs + ivs[:3]))
+
+
+class TestKeySortIsTheDataclassOrder:
+    @given(_CROWDED)
+    @example([TimeInterval(1, 3), TimeInterval(4, 6), TimeInterval(1, 3),
+              TimeInterval(1, 2), TimeInterval(8, 8), TimeInterval(7, 7)])
+    def test_merge_and_overlap_match_the_reference(self, intervals):
+        merged = merge_intervals(intervals)
+        assert merged == _reference_merge(intervals)
+        assert [iv.length for iv in merged] == \
+            [iv.end - iv.start + 1 for iv in merged]
+        ordered = sorted(intervals)
+        assert intervals_overlap(intervals) == any(
+            a.end >= b.start for a, b in zip(ordered, ordered[1:]))
+
+    @given(_CROWDED)
+    def test_timeline_merges_once_and_matches_the_reference(self, intervals):
+        spec = VMSpec("t", cpu=1.0, memory=1.0)
+        vms = [VM(i, spec, iv) for i, iv in enumerate(intervals)]
+        busy = _reference_merge(intervals)
+        timeline = timeline_of(vms)
+        assert list(timeline.busy) == busy
+        assert list(timeline.idle) == gaps_between(intervals) == [
+            TimeInterval(a.end + 1, b.start - 1)
+            for a, b in zip(busy, busy[1:])]

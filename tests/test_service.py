@@ -12,6 +12,7 @@ import pytest
 from repro.allocators import MinIncrementalEnergy
 from repro.exceptions import ServiceError, ValidationError
 from repro.model.cluster import Cluster
+from repro.model.phases import DemandPhase, PhasedVM
 from repro.model.server import ServerSpec
 from repro.service import (
     OPS,
@@ -183,6 +184,27 @@ class TestClusterStateStore:
         assert restored.machines[0].transitions == 2
         assert restored.machines[0].transition_energy == \
             store.machines[0].transition_energy
+
+    @pytest.mark.parametrize("engine", ["indexed", "dense"])
+    def test_pieces_ending_at_tick_zero_end(self, engine):
+        # Tick 0 is closed like any other, minus its sample: pieces that
+        # end there leave the live server, so a later admission does not
+        # meet a phantom overcommit.
+        store = ClusterStateStore(Cluster.paper_all_types(4), engine=engine)
+        daemon = AllocationDaemon(store)
+        for vm in (make_vm(1, 0, 0), make_vm(2, 0, 0),
+                   PhasedVM.from_phases(3, 0, [DemandPhase(1, 4.0, 1.0),
+                                               DemandPhase(1, 2.0, 1.0)])):
+            assert daemon.handle(place_request(vm))["ok"]
+        assert daemon.handle({"op": "tick", "now": 1})["ok"]
+        assert store.running_vms() == 1
+        reply = daemon.handle(place_request(make_vm(4, 1, 1)))
+        assert reply["ok"] and reply["decision"] == "placed", reply
+        store.run_to_completion()
+        assert store.running_vms() == 0 and store.servers_active() == 0
+        assert len(store.telemetry().power) == 1  # tick 1; tick 0 unsampled
+        restored = ClusterStateStore.from_snapshot(store.to_snapshot())
+        assert restored.to_snapshot() == store.to_snapshot()
 
 
 

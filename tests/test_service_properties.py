@@ -349,6 +349,16 @@ def assert_index_matches_the_scan_list(daemon: AllocationDaemon) -> None:
                                           ("place", (0, 9, HEAVY))])
 # Every server failed: the scan list is empty and nothing is indexed.
 @example("indexed", [("fail_server", i) for i in range(SERVERS)])
+# A cut moves a warm server to dormant and leaves its heap entry stale:
+# the heap compacts on the shrink, not only on the next push.
+@example("indexed", [("place", (0, 2, (6.7, 5.0))),
+                     ("place", (1, 1, (6.7, 5.0))),
+                     ("place", (0, 2, (6.7, 5.0))),
+                     ("tick", 1),
+                     ("place_batch", [(0, 2, (2.3, 4.0)),
+                                      (1, 2, (6.7, 5.0)),
+                                      (2, 2, (2.3, 4.0)),
+                                      (3, 1, (6.7, 5.0))])])
 def test_derived_structures_equal_a_recomputation(engine, ops):
     # Two server types with equal numbers: the books, the energy and the
     # tick series are a homogeneous fleet's, the index keeps two groups.
