@@ -14,6 +14,10 @@ from repro._lazy import lazy_exports
 
 # This block is the export declaration: repro._lazy reads it at import.
 if TYPE_CHECKING:
+    from repro.allocators.offline import (
+        LongestFirstMinEnergy as LongestFirstMinEnergy,
+        OfflineMinEnergy as OfflineMinEnergy,
+    )
     from repro.extensions.consolidation import (
         ConsolidationResult as ConsolidationResult,
         EpochConsolidator as EpochConsolidator,
@@ -22,10 +26,6 @@ if TYPE_CHECKING:
     from repro.extensions.cost_terms import (
         CostWeights as CostWeights,
         WeightedMinEnergy as WeightedMinEnergy,
-    )
-    from repro.extensions.offline import (
-        LongestFirstMinEnergy as LongestFirstMinEnergy,
-        OfflineMinEnergy as OfflineMinEnergy,
     )
     from repro.extensions.power_curve import (
         SuperlinearPowerModel as SuperlinearPowerModel,

@@ -278,7 +278,7 @@ class TestDocstrings:
         "repro.ilp.receding",
         "repro.experiments.sensitivity", "repro.experiments.export",
         "repro.experiments.report", "repro.experiments.scaling",
-        "repro.extensions.consolidation", "repro.extensions.offline",
+        "repro.extensions.consolidation",
         "repro.extensions.cost_terms", "repro.extensions.power_curve",
         "repro.extensions.warmpool",
         "repro.service.protocol", "repro.service.state",
@@ -288,7 +288,7 @@ class TestDocstrings:
         "repro.consolidation.fragmentation",
         "repro.consolidation.victim", "repro.consolidation.planner",
         "repro.results",
-        "repro.allocators.batch",
+        "repro.allocators.batch", "repro.allocators.offline",
     ])
     def test_every_module_documented(self, module_name):
         module = importlib.import_module(module_name)
