@@ -86,15 +86,18 @@ class VM:
         if self.vm_id < 0:
             raise ValidationError(f"vm_id must be non-negative, got "
                                   f"{self.vm_id}")
-        interval, spec, store = self.interval, self.spec, object.__setattr__
-        store(self, "start", interval.start)
-        store(self, "end", interval.end)
-        store(self, "duration", interval.length)
-        store(self, "cpu", spec.cpu)
-        store(self, "memory", spec.memory)
-        store(self, "cpu_radius", spec.cpu_radius)
-        store(self, "mem_radius", spec.mem_radius)
-        store(self, "cpu_time", spec.cpu * interval.length)
+        # Each slot is set through its member descriptor: the frozen
+        # class's __setattr__ refuses, and object.__setattr__ costs a
+        # name lookup per field.
+        interval, spec = self.interval, self.spec
+        _set_start(self, interval.start)
+        _set_end(self, interval.end)
+        _set_duration(self, interval.length)
+        _set_cpu(self, spec.cpu)
+        _set_memory(self, spec.memory)
+        _set_cpu_radius(self, spec.cpu_radius)
+        _set_mem_radius(self, spec.mem_radius)
+        _set_cpu_time(self, spec.cpu * interval.length)
 
     def __hash__(self) -> int:
         return hash(self.vm_id)
@@ -105,3 +108,10 @@ class VM:
 
     def __str__(self) -> str:
         return f"vm{self.vm_id}:{self.spec.name}@{self.interval}"
+
+
+(_set_start, _set_end, _set_duration, _set_cpu, _set_memory, _set_cpu_radius,
+ _set_mem_radius, _set_cpu_time) = (
+    VM.__dict__[name].__set__ for name in (
+        "start", "end", "duration", "cpu", "memory", "cpu_radius",
+        "mem_radius", "cpu_time"))

@@ -154,10 +154,10 @@ class SLOTracker:
         longest window has left; drop the dead prefix once it outgrows
         the capacity (amortised O(1))."""
         log, head = self._log, self._head
-        horizon = now - self.config.windows[-1]
-        if len(log) - head > self._capacity:
-            head = len(log) - self._capacity
-        while head < len(log) and log[head][0] < horizon:
+        n, horizon = len(log), now - self.config.windows[-1]
+        if n - head > self._capacity:
+            head = n - self._capacity
+        while head < n and log[head][0] < horizon:
             head += 1
         if head > self._capacity:
             del log[:head]

@@ -16,10 +16,11 @@ sample lines, one metric family per block; histograms expose the
 cumulative ``_bucket`` series (ending in ``le="+Inf"``), ``_sum`` and
 ``_count``.
 
-Thread safety: the reservoir and each histogram carry a lock, and
-:class:`ServiceMetrics` holds one more for the scalar counters — so
-concurrent recorders never lose increments, and ``render()`` reads a
-consistent snapshot of each family without a daemon-wide lock.
+Thread safety: the reservoir and each histogram carry a lock — inside
+a :class:`ServiceMetrics`, the one that guards its scalar counters too,
+so a decision's counts and samples land under one hold. Concurrent
+recorders never lose increments, and ``render()`` reads a consistent
+snapshot of each family without a daemon-wide lock.
 """
 
 from __future__ import annotations
@@ -89,9 +90,13 @@ class LatencyReservoir:
     def observe_many(self, seconds: Sequence[float]) -> None:
         """One sample per entry, in order, under one lock hold."""
         with self._lock:
-            self.count += len(seconds)
-            self.total += sum(seconds)
-            self._samples.extend(seconds)
+            self._fold(seconds)
+
+    def _fold(self, seconds: Sequence[float]) -> None:
+        """:meth:`observe_many` for a caller holding the lock."""
+        self.count += len(seconds)
+        self.total += sum(seconds)
+        self._samples.extend(seconds)
 
     def quantile(self, q: float) -> float:
         """The q-quantile of the window, by the nearest-rank definition.
@@ -133,7 +138,8 @@ class Histogram:
             raise ValidationError(
                 "histogram bounds must be finite (+Inf is implicit)")
         self.bounds = cleaned
-        self._counts = [0] * len(cleaned)
+        #: per-bucket counts, the last one the implicit +Inf bucket's
+        self._counts = [0] * (len(cleaned) + 1)
         self._lock = threading.Lock()
         self.count = 0
         self.sum = 0.0
@@ -143,14 +149,17 @@ class Histogram:
 
     def observe_many(self, values: Sequence[float]) -> None:
         """One sample per entry, in order, under one lock hold."""
-        bounds, counts = self.bounds, self._counts
         with self._lock:
-            for value in values:
-                index = bisect.bisect_left(bounds, value)
-                if index < len(counts):
-                    counts[index] += 1
-                self.sum += value
-            self.count += len(values)
+            self._fold(values)
+
+    def _fold(self, values: Sequence[float]) -> None:
+        """:meth:`observe_many` for a caller holding the lock."""
+        bounds, counts, n = self.bounds, self._counts, self.count
+        for value in values:
+            counts[bisect.bisect_left(bounds, value)] += 1
+            self.sum += value
+            n += 1
+        self.count = n
 
     def cumulative(self) -> list[tuple[float, int]]:
         """(bound, cumulative count) pairs, ending with ``(inf, count)``."""
@@ -286,12 +295,18 @@ class ServiceMetrics:
     decision counters and the latency summary are written out by hand."""
 
     def __init__(self) -> None:
+        #: guards the scalar counters below, and is the lock of each
+        #: histogram family and of the reservoir too
+        self._lock = threading.Lock()
         self.requests = {decision: 0 for decision in _DECISIONS}
         for attribute, (_, _, zero) in _COUNTERS.items():
             setattr(self, attribute, zero)
         self.latency = LatencyReservoir()
+        self.latency._lock = self._lock
         for attribute, _, _, bounds in _HISTOGRAMS:
-            setattr(self, attribute, Histogram(bounds))
+            histogram = Histogram(bounds)
+            histogram._lock = self._lock
+            setattr(self, attribute, histogram)
         #: (algorithm, decision) -> count; the labelled twin of
         #: ``requests`` once an algorithm is registered.
         self.decisions: dict[tuple[str, str], int] = {}
@@ -299,9 +314,6 @@ class ServiceMetrics:
         self.build_info: dict[str, str] = {}
         #: Monotonic birth time; ``repro_uptime_seconds`` reads off it.
         self.started = time.monotonic()
-        #: guards the scalar counters above (each histogram family and
-        #: the reservoir carry their own lock).
-        self._lock = threading.Lock()
 
     def set_build_info(self, **labels: object) -> None:
         """Set the static labels of the ``repro_build_info`` gauge
@@ -323,9 +335,9 @@ class ServiceMetrics:
                         candidates: Sequence[float] = (),
                         scans: Sequence[float] = ()) -> None:
         """Count decided placement requests and take their samples, one
-        per decision and family — one decision's, a batch's (one lock
-        hold per family) or, for a journal-replayed entry, none. A
-        decision that raised before it was counted leaves a scan only."""
+        per decision and family — one decision's, a batch's or, for a
+        journal-replayed entry, none — under one lock hold. A decision
+        that raised before it was counted leaves a scan only."""
         with self._lock:
             self.delayed += delayed
             for decision, n in (("placed", placed), ("rejected", rejected)):
@@ -333,10 +345,10 @@ class ServiceMetrics:
                 if n and algorithm is not None:
                     key = (algorithm, decision)
                     self.decisions[key] = self.decisions.get(key, 0) + n
-        self.latency.observe_many(latencies)
-        self.latency_hist.observe_many(latencies)
-        self.candidates.observe_many(candidates)
-        self.scan.observe_many(scans)
+            self.latency._fold(latencies)
+            self.latency_hist._fold(latencies)
+            self.candidates._fold(candidates)
+            self.scan._fold(scans)
 
     def count(self, **increments: float) -> None:
         """Add to scalar counters by ``_COUNTERS`` key, under one lock

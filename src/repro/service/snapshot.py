@@ -124,8 +124,8 @@ def _servers(store: "ClusterStateStore") -> Iterator[list]:
     rows) and its machine (state, resident demand, transitions)."""
     config = store.engine_config
     fresh = len(make_occupancy(config.engine, config.active_robustness))
-    for server_id, book in enumerate(store.states):
-        machine = store.machines[server_id]
+    for server_id in sorted(store._touched):   # the rest are fresh
+        book, machine = store.states[server_id], store.machines[server_id]
         if machine.transitions == 0 and not book.vms \
                 and machine.state is PowerState.POWER_SAVING \
                 and book.cost == 0.0 and book.is_pristine \
@@ -311,17 +311,18 @@ def _load_state(store: "ClusterStateStore", document: Mapping,
             cost=float.fromhex(server["cost"]),
             rows=_decode_rows(server["rows"]))
         store.states[server_id] = book
+        store._touched[server_id] = None
         for vm in book.vms:
             owners[vm.vm_id] = vm
         machine = store.machines[server_id]
-        fleet.remove(machine)       # as built: asleep, hosting nothing
         state, cpu, memory, transitions, energy = server["machine"]
         machine.state = PowerState(state)
         machine.resident_cpu = float.fromhex(cpu)
         machine.resident_mem = float.fromhex(memory)
         machine.transitions = int(transitions)
         machine.transition_energy = float.fromhex(energy)
-        fleet.add(machine)
+        # as built: asleep, hosting nothing
+        fleet.changed(machine, PowerState.POWER_SAVING, 0.0, 0.0, 0)
     schedule = document["schedule"]
     for piece_id, vm_id, cpu, memory in schedule["pieces"]:
         store._piece_demand[piece_id] = (float.fromhex(cpu),
@@ -337,9 +338,9 @@ def _load_state(store: "ClusterStateStore", document: Mapping,
         for piece_id, server_id in entries:
             if piece_id not in pending:
                 machine = store.machines[server_id]
-                fleet.remove(machine)
                 machine.resident_vms.add(piece_id)
-                fleet.add(machine)
+                fleet.changed(machine, machine.state, machine.resident_cpu,
+                              machine.resident_mem, 1)
             vm_id = store._piece_vm[piece_id]
             entry = store._open_pieces.get(vm_id)
             if entry is None:

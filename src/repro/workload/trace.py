@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 from repro.exceptions import ValidationError
+from repro.model.catalog import VM_TYPES
 from repro.model.intervals import TimeInterval
 from repro.model.phases import DemandPhase, PhasedVM
 from repro.model.vm import VM, VMSpec
@@ -55,15 +56,21 @@ def vm_to_record(vm: VM) -> dict[str, object]:
 def vm_from_record(record: Mapping[str, object]) -> VM:
     """Rebuild a :class:`VM` (or :class:`PhasedVM`) from its record.
 
+    A record of a catalog type, exact demand, gets the catalog's own
+    (immutable, already checked) :class:`VMSpec`; any other builds one.
     Raises ``TypeError``/``KeyError``/``ValueError`` on malformed input;
     callers wrap these with their own context (file line, request id).
     """
-    spec = VMSpec(name=str(record["type"]), cpu=float(record["cpu"]),
-                  memory=float(record["memory"]),
-                  cpu_radius=float(record.get("cpu_radius", 0.0)),
-                  mem_radius=float(record.get("mem_radius", 0.0)))
+    name, cpu = str(record["type"]), float(record["cpu"])
+    memory = float(record["memory"])
+    spec = VM_TYPES.get(name)
+    if spec is None or spec.cpu != cpu or spec.memory != memory \
+            or "cpu_radius" in record or "mem_radius" in record:
+        spec = VMSpec(name=name, cpu=cpu, memory=memory,
+                      cpu_radius=float(record.get("cpu_radius", 0.0)),
+                      mem_radius=float(record.get("mem_radius", 0.0)))
     interval = TimeInterval(int(record["start"]), int(record["end"]))
-    if record.get("phases") is not None:
+    if "phases" in record and record["phases"] is not None:
         phases = tuple(
             DemandPhase(duration=int(p["duration"]), cpu=float(p["cpu"]),
                         memory=float(p["memory"]))
