@@ -60,6 +60,25 @@ class TestProtocol:
         with pytest.raises(ServiceError):
             parse_request("{nope")
 
+    @pytest.mark.parametrize("line", [
+        ' {"op": "ping"}\r\n', '{"op": "ping"}', '\ufeff{"op": "ping"}\n',
+        '{"op": "ping"} {}\n', '{"op": "ping"\n', '[]\n'])
+    def test_a_line_reads_as_json_loads_reads_it(self, line):
+        """One decoder for every line: what ``json.loads`` reads is
+        read, and what it refuses (a BOM too) is refused in its words."""
+        try:
+            expected = json.loads(line)
+        except json.JSONDecodeError as exc:
+            with pytest.raises(ServiceError) as refused:
+                parse_request(line)
+            assert str(refused.value) == f"malformed request line: {exc}"
+        else:
+            if not isinstance(expected, dict):
+                with pytest.raises(ServiceError, match="JSON object"):
+                    parse_request(line)
+            else:
+                assert parse_request(line) == expected
+
     def test_rejects_unknown_op(self):
         with pytest.raises(ServiceError):
             parse_request('{"op": "frobnicate"}')

@@ -459,9 +459,9 @@ def scripted_scenario():
         yield f"place_batch of {len(chunk)}", daemon
     assert not daemon.handle({"op": "nope"})["ok"]
     yield "unknown op", daemon
-    daemon._ingest.acquire()  # the one ingest slot is taken: shed
+    daemon._inflight = 1  # the one ingest slot is taken: shed
     assert not daemon.handle(place_request(arrivals[80]))["ok"]
-    daemon._ingest.release()
+    daemon._inflight = 0
     yield "shed place", daemon
     fullest = max(store.states, key=lambda s: len(s.vms)).server.server_id
     assert daemon.handle(fail_server_request(fullest))["replaced"] > 0

@@ -65,6 +65,7 @@ from repro.service import (
     read_journal,
     recover_server_request,
 )
+from repro.service import snapshot
 from repro.simulation.power_state import PowerState
 from repro.workload.generator import PoissonWorkload
 
@@ -269,6 +270,19 @@ def assert_aggregates_match_a_scan(store: ClusterStateStore) -> None:
     # repr: an all-asleep fleet draws 0.0, not the int 0 of an empty sum
     assert repr(store.fleet_power()) == \
         repr(sum(m.power_draw() for m in machines.values()))
+    # the servers a tick may put to sleep: ACTIVE and hosting nothing
+    assert fleet.idle.keys() == {
+        sid for sid, m in machines.items()
+        if m.state is PowerState.ACTIVE and not m.resident_vms}
+    # a snapshot reads only the servers the store marked touched, and
+    # writes the rows a read of every server would
+    touched = store._touched
+    try:
+        store._touched = dict.fromkeys(range(len(store.states)))
+        every_server = list(snapshot._servers(store))
+    finally:
+        store._touched = touched
+    assert list(snapshot._servers(store)) == every_server
 
 
 def closed_ticks(store: ClusterStateStore):
