@@ -27,6 +27,7 @@ the calls made under no stage of the drive.
 
 from __future__ import annotations
 
+import bisect
 import sys
 import tempfile
 import weakref
@@ -44,8 +45,10 @@ from repro.energy import energy_report, power
 from repro.energy.cost import saturating_gap
 from repro.model import intervals, phases, server, vm
 from repro.model.cluster import Cluster
+from repro.obs import flight, logging, slo, tracer
 from repro.obs.context import REQUEST_ID_FIELD, TRACE_ID_FIELD
 from repro.placement.kernels import FeasibilityBatch, FleetKernel
+from repro.placement.occupancy import SkylineOccupancy
 from repro.service.daemon import AllocationDaemon
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import (
@@ -61,12 +64,16 @@ from repro.workload.generator import generate_vms
 from repro.workload.phased import PhasedWorkload
 
 from conftest import record_json
+from test_obs_overhead import LINES as OBS_LINES, OBS_OFF, OBS_ON, obs_daemon
 
 
 def calls(*functions: Callable) -> tuple[CodeType, ...]:
     """A row's target: the code objects of ``functions``, resolved by
-    import, so a renamed or deleted function raises instead of reading 0."""
-    return tuple(function.__code__ for function in functions)
+    import, so a renamed or deleted function raises instead of reading 0.
+    A builtin (no code object) is its own target; its ``when`` gets the
+    frame that calls it."""
+    return tuple(getattr(function, "__code__", function)
+                 for function in functions)
 
 
 def inside(frame: FrameType, code: CodeType) -> bool:
@@ -154,6 +161,8 @@ def count(drive: Drive) -> tuple[dict[str, float], Counter]:
         elif event == "c_call":
             named[getattr(arg, "__module__", None) or "builtins",
                   getattr(arg, "__qualname__", "?")] += 1
+            for row in watched.get(id(arg), ()):
+                hits[row.name] += row.when is None or row.when(frame)
             if stages:
                 hits[stage[1]] += 1
         elif event == "return" and frame is stage[0]:
@@ -208,7 +217,8 @@ def on_idle(argument: str, walking: bool = False
 
 
 ADMITS, IDLE_DELTA = calls(ServerState.admits), calls(ServerState.idle_delta)
-KERNEL = calls(FleetKernel.probe_fleet, FleetKernel.admits_fleet)
+KERNEL = calls(FleetKernel.probe_fleet)
+ADMITS_PIECE = SkylineOccupancy.admits_piece.__code__
 MODEL = frozenset(module.__name__ for module in (vm, phases, intervals, server))
 #: The model's derived values: stored at construction, never computed by
 #: a call (``getattr`` raises here on a renamed one).
@@ -241,10 +251,16 @@ EXAMINES_CEILING = round(1.25 * 2.887, 2)
 #: servers, the warm servers only: measured 3.758 (7.847 while each
 #: clone class's first member was probed too); the ceiling is 1.25x.
 SCORE_PROBES_CEILING = round(1.25 * 3.758, 2)
-#: min-energy, dense 5k / 3k, ``kernel=on``: measured 17.6 scalar
-#: ``admits`` and 0.86 kernel calls per VM (225.9 and 0 with
-#: ``kernel=off``: the same walk, never prefetching).
-DENSE_ADMITS_CEILING, DENSE_KERNEL_CEILING = 40, 1
+#: min-energy, dense 5k / 3k, ``kernel=on``: measured 34.416 scalar
+#: ``admits`` per VM and no kernel call (17.6 and 0.86 calls while the
+#: prefetch asked the kernel; 225.9 never prefetching); the ceiling is
+#: 1.1x.
+DENSE_ADMITS_CEILING = round(1.1 * 34.416, 1)
+#: Searches (``bisect_right``) in ``SkylineOccupancy.admits_piece`` per
+#: VM of the same drive: measured 19.905 of its 34.416 calls, the rest
+#: refused by the remembered segment (all 34.416 would search with no
+#: memory); the ceiling is 1.1x.
+DENSE_SEARCHES_CEILING = round(1.1 * 19.905, 1)
 #: Calls per ``place`` through ``handle_line``, ffps on 1000 servers,
 #: no journal: 333.2 while a request was decoded into a VM and encoded
 #: back, and each tick re-summed the fleet; 232.5 now, over this
@@ -262,10 +278,8 @@ DURABLE_CALLS_CEILING = round(1.1 * 367.31, 1)
 def _allocate(algo: str, vms, cluster, **params):
     allocator = make_allocator(algo, seed=0, **params)
 
-    def run() -> dict[str, int]:
+    def run() -> None:
         allocator.allocate(vms, cluster)
-        kernel = allocator._index._kernel  # built on the first batch only
-        return {"rows_probed": kernel.rows_probed if kernel else 0}
     return run
 
 
@@ -351,6 +365,36 @@ def _place_durable():
     return run
 
 
+def _obs_place(variant: tuple[frozenset[str], bool]):
+    """``benchmarks/test_obs_overhead.py``'s ``place`` drive — ffps,
+    2000 VMs as request lines on 1000 servers — with one side of its
+    gate's consumers live; the daemon is built outside the profile."""
+    on, traced = variant
+    daemon, tracer_, logger = obs_daemon(on)
+    lines = OBS_LINES[traced, None]
+
+    def run() -> None:
+        with tracer.use_tracer(tracer_), logging.use_logger(logger):
+            for line in lines:
+                daemon.handle_line(line)
+        stats = daemon.handle({"op": "stats"})
+        assert stats["placed"] + stats["rejected"] == len(lines)
+    return run
+
+
+#: The per-request obs consumers, by the functions the daemon calls
+#: them through.
+OBS_CONSUMERS = (
+    ("tracer", (tracer.Tracer.span, tracer.Tracer.finished_span,
+                tracer.Span.__enter__, tracer.Span.__exit__)),
+    ("logger", (logging.JsonLogger.log, logging.JsonLogger.info,
+                logging.JsonLogger.error)),
+    ("telemetry", (AllocationDaemon._sample_telemetry,)),
+    ("slo", (slo.SLOTracker.observe,)),
+    ("flight", (flight.FlightRecorder.record,)),
+)
+
+
 def _score_scan(probes_ceiling: float | None) -> tuple[Row, ...]:
     probe = calls(ServerState.probe)
     return (Row("probes_per_vm", probe, ceiling=probes_ceiling,
@@ -397,9 +441,13 @@ DRIVES = (
                                   engine="indexed:kernel=on"), (
               Row("admits_per_vm", ADMITS, ceiling=DENSE_ADMITS_CEILING,
                   per_vm=True),
-              Row("kernel_calls_per_vm", KERNEL,
-                  ceiling=DENSE_KERNEL_CEILING, per_vm=True),
-              Row("rows_probed_per_vm", "rows_probed", per_vm=True))),
+              Row("kernel_calls_per_vm", KERNEL, ceiling=0,
+                  control="admits_per_vm", per_vm=True),
+              Row("admits_piece_per_vm", calls(SkylineOccupancy.admits_piece),
+                  per_vm=True),
+              Row("admits_piece_searches_per_vm", calls(bisect.bisect_right),
+                  lambda frame: frame.f_code is ADMITS_PIECE,
+                  ceiling=DENSE_SEARCHES_CEILING, per_vm=True))),
     Drive("best-fit-sparse",
           "best-fit, 2000 sparse VMs / 3000 servers, default engine",
           2000, lambda: _allocate("best-fit", VMS_SPARSE_2K, CLUSTER_3K), (
@@ -451,6 +499,18 @@ DRIVES = (
                   ceiling=0, control="offer"),
               Row("fleet_add_calls", calls(FleetAggregates.add),
                   ceiling=0, control="offer"))),
+    *(Drive(f"daemon-obs-{side}",
+            f"the obs-overhead gate's {side} side: ffps, 2000 "
+            f"{'traced ' if traced else ''}place lines on 1000 servers, "
+            f"consumers on: {', '.join(sorted(on)) or 'none'}; the daemon "
+            f"is built outside the profile",
+            2000, lambda variant=(on, traced): _obs_place(variant), (
+                Row("calls_per_place", lambda module, qualname: True,
+                    per_vm=True),
+                *(Row(name, Stage(calls(*functions)), per_vm=True)
+                  for name, functions in OBS_CONSUMERS),
+                Row("rest", Stage(()), per_vm=True)))
+      for side, (on, traced) in (("off", OBS_OFF), ("on", OBS_ON))),
 )
 
 

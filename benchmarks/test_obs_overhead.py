@@ -142,13 +142,12 @@ LINES = {(traced, batch): _request_lines(traced, batch)
          for traced in (False, True) for batch in (None, BATCH)}
 
 
-def _drive_daemon(on: frozenset[str], batch: int | None,
-                  traced: bool) -> float:
-    """Seconds to serve the drive with the ``on`` consumers live, from
-    request lines with (``traced``) or without trace ids."""
+def obs_daemon(on: frozenset[str]):
+    """A fresh daemon for the drive with the ``on`` consumers live, and
+    the tracer and logger to serve it under."""
     import io
 
-    from repro.obs import JsonLogger, Tracer, use_logger, use_tracer
+    from repro.obs import JsonLogger, Tracer
     from repro.obs.logging import NULL_LOGGER
     from repro.obs.tracer import NULL_TRACER
     from repro.service import AllocationDaemon, ClusterStateStore
@@ -162,6 +161,16 @@ def _drive_daemon(on: frozenset[str], batch: int | None,
     tracer = Tracer() if "tracer" in on else NULL_TRACER
     logger = JsonLogger(io.StringIO(), level="info") if "logger" in on \
         else NULL_LOGGER
+    return daemon, tracer, logger
+
+
+def _drive_daemon(on: frozenset[str], batch: int | None,
+                  traced: bool) -> float:
+    """Seconds to serve the drive with the ``on`` consumers live, from
+    request lines with (``traced``) or without trace ids."""
+    from repro.obs import use_logger, use_tracer
+
+    daemon, tracer, logger = obs_daemon(on)
     lines = LINES[(traced, batch)]
     with use_tracer(tracer), use_logger(logger):
         start = time.perf_counter()

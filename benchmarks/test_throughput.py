@@ -204,40 +204,6 @@ def test_probe_fleet_speedup():
             assert row["on_over_off"] <= PAPER_SCALE_CEILING, (name, row)
 
 
-#: The dense point: ~1200 VMs alive at once, so the cheap types' busy
-#: queues are full servers and min-energy's walk is refused over and
-#: over — where it finishes with one batch probe of its frontier.
-VMS_DENSE_5K = generate_vms(5000, mean_interarrival=0.05, mean_duration=60,
-                            seed=0)
-#: Measured 1.75x ``kernel=off``; what the batched walk asks is counted
-#: in ``benchmarks/test_census.py``.
-DENSE_FRONTIER_FLOOR = 1.3
-
-
-def test_min_energy_dense_frontier():
-    """min-energy at 5000 VMs / 3000 servers, dense — one walk, batched
-    (``kernel=on``) vs unbatched (``off``): identical placements, and
-    batched >= 1.3x unbatched."""
-    on_s = off_s = float("inf")
-    for _ in range(2):  # take turns: both sides see the same box phases
-        seconds, on_placed = _best_run(
-            "min-energy", "indexed:kernel=on", VMS_DENSE_5K, CLUSTER_3K, 1)
-        on_s = min(on_s, seconds)
-        seconds, off_placed = _best_run(
-            "min-energy", "indexed:kernel=off", VMS_DENSE_5K, CLUSTER_3K, 1)
-        off_s = min(off_s, seconds)
-    assert on_placed == off_placed
-    speedup = off_s / on_s
-    record_json("kernel", {
-        "benchmark": "min-energy, 5000 dense VMs / 3000 servers "
-                     "(best of 2, alternating)",
-        "kernel_on_ms": round(on_s * 1000, 1),
-        "kernel_off_ms": round(off_s * 1000, 1),
-        "speedup": round(speedup, 2), "floor": DENSE_FRONTIER_FLOOR,
-    }, section="min_energy_frontier")
-    assert speedup >= DENSE_FRONTIER_FLOOR
-
-
 def test_kernel_equivalence_at_scale_10k():
     """Bit-identical Eq.-17 energy, kernel on vs off, at the 10k point."""
     totals = []

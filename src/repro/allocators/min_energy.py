@@ -41,11 +41,11 @@ cannot change the answer, only skip losers:
   busy one.
 
 On a dense stream the cheap types' busy servers are mostly full and
-refuse the VM one by one before the bound can prune; a walk refused
-``_BATCH_AFTER`` times asks the kernel a yes or no for what is left of
-its busy queues in one ``FleetKernel.admits_fleet`` and carries on over
-the rows that fit. ``kernel=off`` builds no kernel, so that walk probes
-scalar to the end — same decisions, same counters.
+refuse the VM one by one before the bound can prune, mostly where they
+refused the last VM: a walk refused ``_BATCH_AFTER`` times drops from
+what is left of its busy queues every server whose skyline remembers a
+refusal that refuses the VM (``SkylineOccupancy.refuses``) and asks the
+rest one at a time. ``kernel=on`` and ``kernel=off`` walk the same code.
 """
 
 from __future__ import annotations
@@ -58,7 +58,9 @@ from typing import Sequence
 from repro.allocators.base import Allocator
 from repro.allocators.state import ServerState
 from repro.energy.cost import SleepPolicy, wake_delta
+from repro.model.phases import demand_profile
 from repro.model.vm import VM
+from repro.placement.feasibility import TOL
 
 __all__ = ["MinIncrementalEnergy"]
 
@@ -66,25 +68,16 @@ __all__ = ["MinIncrementalEnergy"]
 #: candidate, "better" meaning an improvement beyond this tolerance.
 _TIE_TOL = 1e-12
 
-#: Refusals after which the queued walk batches what is left of it.
-#: Tuned at 5000 dense VMs / 3000 servers while a refusal cost ~3.5 us
-#: and one ``probe_fleet`` over the ~330 rows left ~235 us with its
-#: sync: 8 / 16 / 32 within noise of each other, 1.5-2x never batching.
-#: A refusal is ~1.2 us since ``ServerState.admits`` and the batch
-#: (``admits_fleet`` over ~300 rows, sync included) ~110 us: 4 / 8 / 16
-#: / 32 still within noise, ~2x never batching. 8 still fires on the
-#: sparse 10k stream, 16 never does — refusals, unlike probes, are rare
-#: there.
-#: It counts refusals, not what is left: on small dense fleets the
-#: prefetch still loses to walking on (kernel=on 1.4x off's time at 300
-#: VMs / 18 servers, 1.0-1.2x at 600 / 120, 0.65x at 2000 / 300; see
-#: ROADMAP).
+#: Refusals after which the walk prefetches what is left of it. At 5000
+#: dense VMs / 3000 servers 4 / 8 / 16 are within noise (24 / 28 / 35
+#: ``admits`` a VM), 32 ~10 % slower, never prefetching 2-3x (230); 8 is
+#: ~5-9 % ahead at 600 / 120 and 2000 / 300. 16 never fires on sparse 10k.
 _BATCH_AFTER = 16
 
-#: Queue kinds of the walk: a type's busy servers, the busy ones a
-#: prefetch found feasible, and its idle ones — the clone class's first
-#: member, or under constraints its pristine servers in fleet order.
-_BUSY, _PREFETCHED, _IDLE = range(3)
+#: Queue kinds of the walk: a type's busy servers, and its idle ones —
+#: the clone class's first member, or under constraints its pristine
+#: servers in fleet order.
+_BUSY, _IDLE = range(2)
 
 
 class MinIncrementalEnergy(Allocator):
@@ -111,15 +104,15 @@ class MinIncrementalEnergy(Allocator):
         surfaces (the bound is monotone, so it can never re-qualify).
 
         A busy server is asked through :meth:`_examine` one
-        winner-candidate at a time — until the ``_BATCH_AFTER``-th
-        refusal, when :meth:`_prefetch` (given a kernel) swaps the busy
-        queues for their rows that fit. An idle entry is admitted by its
-        type and priced by :func:`~repro.energy.cost.wake_delta`; only
-        constraints can refuse it. The counters stay those of the walk
-        that asks every server one position at a time: it would have
-        asked a prefetched queue, or a clone class, until an incumbent's
-        delta dropped the type — that is up to that incumbent's
-        position, else all of it (:meth:`_count_clones`).
+        winner-candidate at a time; at the ``_BATCH_AFTER``-th refusal
+        :meth:`_prefetch` drops from the busy queues the servers whose
+        remembered refusal refuses the VM. An idle entry is admitted by
+        its type and priced by :func:`~repro.energy.cost.wake_delta`;
+        only constraints can refuse it. The counters stay those of the
+        walk that asks every server one position at a time: it would
+        have asked a dropped server, or a clone class, until an
+        incumbent's delta dropped the type — that is up to that
+        incumbent's position, else all of it (:meth:`_count_clones`).
         """
         index = self._index
         if index is None or not index.covers(states):
@@ -136,7 +129,7 @@ class MinIncrementalEnergy(Allocator):
         heap: list = []
         runs: dict[int, float] = {}
         refused = 0
-        #: type -> the busy positions a prefetch probed for it
+        #: type -> the busy positions a prefetch dropped for it
         frontier: dict = {}
         #: the types whose clone class was admitted
         cloned: list = []
@@ -164,11 +157,10 @@ class MinIncrementalEnergy(Allocator):
             state = states[pos]
             if kind == _BUSY:
                 fits = self._examine(vm, state)
-            else:  # fits by the kernel's yes, or by type (groups_for)
+            else:  # fits by type (groups_for)
                 fits = constraints is None or constraints.allows(
                     vm.vm_id, state.server.server_id, placed)
-                if kind == _IDLE:
-                    self.candidates_evaluated += 1
+                self.candidates_evaluated += 1
                 if fits:
                     self.candidates_feasible += 1
             # a busy queue goes on past every server, an idle one only
@@ -178,12 +170,12 @@ class MinIncrementalEnergy(Allocator):
                                       group, queue))
             if not fits:
                 refused += 1
-                if refused == _BATCH_AFTER and index.batched:
+                if refused == _BATCH_AFTER:
                     frontier = self._prefetch(
-                        vm, heap, runs,
+                        vm, states, heap, runs,
                         best_delta - _TIE_TOL if prune else math.inf)
                 continue
-            if kind != _IDLE:
+            if kind == _BUSY:
                 delta = run + state.idle_delta(interval)
             else:
                 delta = run + wake_delta(group.spec, interval.length)
@@ -195,15 +187,13 @@ class MinIncrementalEnergy(Allocator):
                 if prune:  # types this incumbent drops were asked to here
                     for dropped in [g for g in frontier
                                     if runs[id(g)] >= delta - _TIE_TOL]:
-                        self.candidates_evaluated += int(
-                            frontier.pop(dropped).searchsorted(
-                                pos, side="right"))
+                        self.candidates_evaluated += bisect.bisect_right(
+                            frontier.pop(dropped), pos)
                     for dropped in [g for g in cloned
                                     if runs[id(g)] >= delta - _TIE_TOL]:
                         cloned.remove(dropped)
                         self._count_clones(dropped, pos)
-        self.candidates_evaluated += sum(
-            rows.size for rows in frontier.values())
+        self.candidates_evaluated += sum(map(len, frontier.values()))
         for group in cloned:
             self._count_clones(group)
         self.chosen_cost = None if best is None else best_delta
@@ -224,40 +214,41 @@ class MinIncrementalEnergy(Allocator):
         self.candidates_evaluated += asked - 1  # less the first
         self.candidates_feasible += asked - 1
 
-    def _prefetch(self, vm: VM, heap: list, runs: dict[int, float],
-                  bound: float) -> dict:
-        """Ask what is left of the walk's busy queues in one
-        ``admits_fleet`` and point ``heap`` at the rows that fit.
+    def _prefetch(self, vm: VM, states: Sequence[ServerState], heap: list,
+                  runs: dict[int, float], bound: float) -> dict:
+        """Drop from what is left of the walk's busy queues every server
+        whose skyline remembers a refusal that refuses ``vm`` (the
+        skyline's own rule, ``refuses``: what asking it would answer).
 
-        Each type's *frontier* — its busy positions from the cursors on
-        (warm, and dormant under constraints) — is probed, unless its
-        run cost has reached ``bound``; its cursor restarts on the
-        feasible rows (kind ``_PREFETCHED``: no second probe), the idle
-        cursors stay (admitted by type), the busy cursors of dropped
-        types go.
-        Returns type -> frontier. The first prefetch of the allocator's
-        life builds the kernel (:attr:`CandidateIndex.kernel`) and
-        imports numpy.
+        Each type's busy positions from the cursors on (warm, and
+        dormant under constraints) are filtered unless its run cost has
+        reached ``bound``; the kept ones are its busy queue in ``heap``,
+        the busy cursors of dropped types go, the idle ones stay.
+        Returns type -> the positions dropped, in fleet order.
         """
-        import numpy as np
-
-        frontier: dict = {}
+        queues: dict = {}
         for _, kind, cursor, group, queue in heap:
             if kind == _BUSY and runs[id(group)] < bound:
-                rows = np.array(queue[cursor:], dtype=np.intp)
-                if group in frontier:  # its warm and its dormant queue
-                    rows = np.sort(np.concatenate((frontier[group], rows)))
-                frontier[group] = rows
+                queues.setdefault(group, []).append(queue[cursor:])
         heap[:] = [entry for entry in heap if entry[1] != _BUSY]
-        if frontier:
-            fits = self._index.kernel.admits_fleet(
-                vm, np.concatenate(list(frontier.values())))
-            start = 0
-            for group, rows in frontier.items():
-                fitting = rows[fits[start:start + rows.size]].tolist()
-                if fitting:
-                    heap.append((fitting[0], _PREFETCHED, 0, group, fitting))
-                start += rows.size
+        pieces = [(piece.start, piece.end, cpu, mem, vm.cpu_radius,
+                   vm.mem_radius) for piece, cpu, mem in demand_profile(vm)]
+        frontier: dict = {}
+        for group, parts in queues.items():
+            spec = group.spec
+            cpu_limit = spec.cpu_capacity + TOL
+            mem_limit = spec.memory_capacity + TOL
+            kept: list[int] = []
+            dropped: list[int] = []
+            for pos in heapq.merge(*parts) if len(parts) > 1 else parts[0]:
+                if states[pos]._occ.refuses(pieces, cpu_limit, mem_limit):
+                    dropped.append(pos)
+                else:
+                    kept.append(pos)
+            if kept:
+                heap.append((kept[0], _BUSY, 0, group, kept))
+            if dropped:
+                frontier[group] = dropped
         heapq.heapify(heap)
         return frontier
 

@@ -12,13 +12,11 @@ engine, a fleet no index covers), its columns built on first read. The
 score family (best-fit, worst-fit) asks the kernel for a type's warm
 servers from ``allocators.base._FLEET_PROBE_FROM`` rows on and scores
 fewer as one ``ScoreRow`` of floats each, building no batch; a clone
-class scores as its type, unprobed. ``min-energy``'s
-queued walk calls the kernel itself, for what is left of its busy
-queues once 16 servers have refused the VM (dense streams), and reads a
-yes or no per row: :meth:`FleetKernel.admits_fleet`, the same pass
-without the verdict. Walks that stop early (the first-fit family) or
-end by lower-bound pruning (``min-energy`` on sparse streams) ask
-scalar, one ``O(log k)`` ``ServerState.admits`` at a time.
+class scores as its type, unprobed. The yes-or-no walks ask scalar,
+one ``ServerState.admits`` at a time — the first-fit family, which
+stops early, and ``min-energy``, which ends by lower-bound pruning or,
+refused 16 times (dense streams), drops what is left of its busy queues
+that the skylines' remembered refusals refuse: no kernel either way.
 ``kernel=off`` builds no kernel: the same scans decide the same on
 scalar probes throughout.
 
@@ -50,11 +48,10 @@ loop walks. Rows with an empty window hold nothing in the piece:
 feasible, zero peaks, never touched. For the remaining rows
 ``probe_fleet`` fancy-gathers ``live_rows x longest_window`` cells
 (shorter windows repeat their last cell, which changes neither a max
-nor a first violation), ``admits_fleet`` the windows end to end, each
-at its own length; either way a probe costs what the VM's interval
+nor a first violation), so a probe costs what the VM's interval
 overlaps, not what the fleet remembers.
 :attr:`FleetKernel.cells_probed` counts those cells, ``probe_calls`` /
-``rows_probed`` the calls and candidate rows of both.
+``rows_probed`` the calls and candidate rows.
 
 Bit-exactness
 -------------
@@ -281,12 +278,11 @@ class FleetKernel:
                         for _ in range(2 if self._robust is None else 6)]
         self._dirty: set[int] = set(range(n))
         #: cells gathered by :meth:`probe_fleet` (rows x longest window)
-        #: and :meth:`admits_fleet` (each window's own) so far, summed
-        #: per demand piece — the work counter the tests bound by the
-        #: segments a probe overlaps.
+        #: so far, summed per demand piece — the work counter the tests
+        #: bound by the segments a probe overlaps.
         self.cells_probed = 0
-        #: calls of the two and the candidate rows they covered: "did
-        #: this scan batch, and over how much?" as a read.
+        #: its calls and the candidate rows they covered: "did this scan
+        #: batch, and over how much?" as a read.
         self.probe_calls = 0
         self.rows_probed = 0
         for state in self._states:
@@ -383,55 +379,6 @@ class FleetKernel:
         width = np.searchsorted(keys, base + end, side="right")
         width -= first
         return first, width
-
-    def admits_fleet(self, vm: "VM", rows: np.ndarray) -> np.ndarray:
-        """``probe_fleet(vm, rows).feasible`` for a caller that reads
-        nothing else (``min-energy``'s prefetch): the same static test,
-        the same windows and the same ``c + demand > cap + TOL`` over
-        their cells — laid end to end, each window at its own length —
-        and a row that has one such cell does not fit. No peaks, codes,
-        times, headroom or run cost. Counts like ``probe_fleet``;
-        ``cells_probed`` grows by the cells read.
-        """
-        self.sync()
-        rows = rows.astype(np.intp, copy=False)
-        self.probe_calls += 1
-        self.rows_probed += rows.size
-        robust = self._robust is not None
-        cpu_cap = self._cpu_cap[rows]
-        mem_cap = self._mem_cap[rows]
-        cpu_need, mem_need = static_demand(vm, robust)
-        fits = (cpu_need <= cpu_cap) & (mem_need <= mem_cap)
-        cpu_cap += TOL
-        mem_cap += TOL
-        planes = self._planes
-        base = self._base[rows]
-        row_cell = self._off[rows]
-        for piece, cpu, mem in demand_profile(vm):
-            first, width = self._windows(base, row_cell,
-                                         piece.start, piece.end)
-            # A row refused on one piece is inactive for the later ones.
-            live = np.flatnonzero(fits & (width > 0))
-            if not live.size:
-                continue
-            # Window k is cells[begin[k]:begin[k] + width[k]], of row[k].
-            width = width[live]
-            begin = np.cumsum(width)
-            total = int(begin[-1])
-            begin -= width
-            self.cells_probed += total
-            cells = np.arange(total) + np.repeat(first[live] - begin, width)
-            row = np.repeat(live, width)
-            val_cpu = planes[0][cells]
-            val_mem = planes[1][cells]
-            if robust:  # the probed value of probe_fleet, same op order
-                dc, tc, dm, tm = (plane[cells] for plane in planes[2:])
-                val_cpu += dc + np.maximum(vm.cpu_radius, tc)
-                val_mem += dm + np.maximum(vm.mem_radius, tm)
-            over = (val_cpu + cpu > cpu_cap[row]) \
-                | (val_mem + mem > mem_cap[row])
-            fits[row[over]] = False
-        return fits
 
     def probe_fleet(self, vm: "VM", candidates: np.ndarray | None = None
                     ) -> FeasibilityBatch:

@@ -26,6 +26,7 @@ in ``tests/test_placement_properties.py`` assert ``==`` on floats, not
 from __future__ import annotations
 
 import bisect
+import math
 
 __all__ = ["SkylineOccupancy", "DenseOccupancy", "make_occupancy",
            "ENGINES", "DEFAULT_ENGINE"]
@@ -41,7 +42,7 @@ _INITIAL_HORIZON = 256
 class SkylineOccupancy:
     """Sparse change-point skyline of committed (cpu, mem) over time."""
 
-    __slots__ = ("_xs", "_cpu", "_mem")
+    __slots__ = ("_xs", "_cpu", "_mem", "_refused")
 
     def __init__(self) -> None:
         #: sorted breakpoints; segment i is [xs[i], xs[i+1]) at constant
@@ -49,6 +50,9 @@ class SkylineOccupancy:
         self._xs: list[int] = []
         self._cpu: list[float] = []
         self._mem: list[float] = []
+        #: ``(x, next x, *values)`` of the segment that last refused a
+        #: piece in :meth:`admits_piece`; every mutator forgets it
+        self._refused: tuple | None = None
 
     def __len__(self) -> int:
         """Number of tracked change points (the index's memory footprint)."""
@@ -70,6 +74,7 @@ class SkylineOccupancy:
         return i + 1
 
     def _apply(self, start: int, end: int, cpu: float, mem: float) -> None:
+        self._refused = None
         lo = self._cut(start)
         hi = self._cut(end + 1)
         for k in range(lo, hi):
@@ -107,6 +112,7 @@ class SkylineOccupancy:
         ``[before, inf)`` are unaffected. Used by the online service to
         retire finished VMs so memory tracks *live* load, not elapsed time.
         """
+        self._refused = None
         i = bisect.bisect_right(self._xs, before) - 1
         if i > 0:
             del self._xs[:i], self._cpu[:i], self._mem[:i]
@@ -172,15 +178,41 @@ class SkylineOccupancy:
                      cpu_cap: float, mem_cap: float, tol: float) -> bool:
         """Whether :meth:`probe_piece` would find no violation — the same
         comparisons over the same segments, stopping at the first
-        overloaded one and building neither peaks nor a reason."""
-        xs, seg_cpu, seg_mem = self._xs, self._cpu, self._mem
+        overloaded one and building neither peaks nor a reason.
+
+        That segment is remembered until the next mutation; a piece it
+        refuses (:meth:`refuses`) is refused with no search.
+        """
         cpu_limit, mem_limit = cpu_cap + tol, mem_cap + tol
+        if self._refused is not None and self.refuses(
+                ((start, end, cpu, mem, 0.0, 0.0),), cpu_limit, mem_limit):
+            return False
+        xs, seg_cpu, seg_mem = self._xs, self._cpu, self._mem
         for k in range(max(bisect.bisect_right(xs, start) - 1, 0), len(xs)):
             if xs[k] > end:
                 break
             if seg_cpu[k] + cpu > cpu_limit or seg_mem[k] + mem > mem_limit:
+                self._refused = (xs[k], xs[k + 1] if k + 1 < len(xs)
+                                 else math.inf, seg_cpu[k], seg_mem[k])
                 return False
         return True
+
+    def refuses(self, pieces: list[tuple], cpu_limit: float,
+                mem_limit: float) -> bool:
+        """Whether the segment that last refused a piece here overlaps
+        one of ``pieces`` (``(start, end, cpu, mem, cpu_radius,
+        mem_radius)``; radii for a Γ-robust book) and fails the search's
+        own comparison there against ``capacity + tol``: ``True`` is
+        :meth:`admits_piece`'s answer bit for bit, ``False`` none."""
+        seg = self._refused
+        if seg is None:
+            return False
+        lo, hi, seg_cpu, seg_mem = seg
+        for start, end, cpu, mem, _, _ in pieces:
+            if start < hi and end >= lo and (
+                    seg_cpu + cpu > cpu_limit or seg_mem + mem > mem_limit):
+                return True
+        return False
 
     def tail(self) -> int | None:
         """The first time from which nothing is committed for good —
@@ -210,6 +242,7 @@ class SkylineOccupancy:
     def load_rows(self, rows: dict[str, list]) -> None:
         """Take :meth:`rows` back; the lists are adopted, not copied."""
         self._xs, self._cpu, self._mem = rows["xs"], rows["cpu"], rows["mem"]
+        self._refused = None
 
 
 class DenseOccupancy:

@@ -32,6 +32,7 @@ changes any nominal sum or peak.
 from __future__ import annotations
 
 import bisect
+import math
 
 from repro.placement.occupancy import SkylineOccupancy
 from repro.robust.config import RobustnessConfig
@@ -98,6 +99,7 @@ class RobustSkyline(SkylineOccupancy):
         del self._dc[k], self._tc[k], self._dm[k], self._tm[k]
 
     def compact(self, before: int) -> None:
+        self._refused = None
         i = bisect.bisect_right(self._xs, before) - 1
         if i > 0:
             del self._xs[:i], self._cpu[:i], self._mem[:i]
@@ -119,6 +121,7 @@ class RobustSkyline(SkylineOccupancy):
         """
         if cpu_radius == 0.0 and mem_radius == 0.0:
             return
+        self._refused = None
         lo = self._cut(start)
         hi = self._cut(end + 1)
         for k in range(lo, hi):
@@ -134,6 +137,7 @@ class RobustSkyline(SkylineOccupancy):
         """Withdraw a resident's radii (migration / removal)."""
         if cpu_radius == 0.0 and mem_radius == 0.0:
             return
+        self._refused = None
         lo = self._cut(start)
         hi = self._cut(end + 1)
         for k in range(lo, hi):
@@ -209,22 +213,46 @@ class RobustSkyline(SkylineOccupancy):
         """Whether :meth:`probe_piece_robust` would find no violation —
         its comparisons, each operand built in the same operation order,
         over the same segments, stopping at the first overloaded one and
-        building neither peaks nor a reason."""
+        building neither peaks nor a reason. That segment is remembered
+        as in the nominal ``admits_piece``, with its accumulators."""
+        cpu_limit, mem_limit = cpu_cap + tol, mem_cap + tol
+        if self._refused is not None and self.refuses(
+                ((start, end, cpu, mem, cpu_radius, mem_radius),),
+                cpu_limit, mem_limit):
+            return False
         xs, seg_cpu, seg_mem = self._xs, self._cpu, self._mem
         dc, tc, dm, tm = self._dc, self._tc, self._dm, self._tm
-        cpu_limit, mem_limit = cpu_cap + tol, mem_cap + tol
         for k in range(max(bisect.bisect_right(xs, start) - 1, 0), len(xs)):
             if xs[k] > end:
                 break
-            t = tc[k]
-            if seg_cpu[k] + (dc[k] + (cpu_radius if cpu_radius > t else t)) \
-                    + cpu > cpu_limit:
-                return False
-            t = tm[k]
-            if seg_mem[k] + (dm[k] + (mem_radius if mem_radius > t else t)) \
+            if seg_cpu[k] + (dc[k] + (cpu_radius if cpu_radius > tc[k]
+                                      else tc[k])) + cpu > cpu_limit \
+                    or seg_mem[k] + (dm[k] + (mem_radius if mem_radius
+                                              > tm[k] else tm[k])) \
                     + mem > mem_limit:
+                self._refused = (xs[k], xs[k + 1] if k + 1 < len(xs)
+                                 else math.inf, seg_cpu[k], dc[k], tc[k],
+                                 seg_mem[k], dm[k], tm[k])
                 return False
         return True
+
+    def refuses(self, pieces: list[tuple], cpu_limit: float,
+                mem_limit: float) -> bool:
+        """The nominal ``refuses`` by :meth:`admits_piece_robust`'s
+        comparison: the remembered segment's excess charged at each
+        piece's radii."""
+        seg = self._refused
+        if seg is None:
+            return False
+        lo, hi, seg_cpu, dc, tc, seg_mem, dm, tm = seg
+        for start, end, cpu, mem, cpu_radius, mem_radius in pieces:
+            if start < hi and end >= lo and (
+                    seg_cpu + (dc + (cpu_radius if cpu_radius > tc else tc))
+                    + cpu > cpu_limit
+                    or seg_mem + (dm + (mem_radius if mem_radius > tm
+                                        else tm)) + mem > mem_limit):
+                return True
+        return False
 
     def export_robust_rows(self) -> tuple[
             list[int], list[float], list[float], list[float], list[float],

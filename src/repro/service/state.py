@@ -13,9 +13,10 @@ axis a long-running service needs:
   servers wake when a placed VM's start tick arrives, expired VMs are
   retired at their end tick, and an emptied server powers down (an online
   controller cannot evaluate the Eq.-16 sleep rule — the next arrival is
-  unknown — so the live view sleeps greedily, bridging only gaps of
-  length zero; the *authoritative* energy remains the analytic
-  accounting, which applies the configured sleep policy exactly). A
+  unknown — so the live view sleeps greedily, bridging a zero-length gap
+  only to a VM committed before its start tick, not one placed at it;
+  the *authoritative* energy remains the analytic accounting, which
+  applies the configured sleep policy exactly). A
   tick closes in O(awake servers + pieces ending), whatever the fleet;
 * **telemetry** — per-tick fleet power, active servers and running VMs
   of the newest :data:`TICK_WINDOW` closed ticks, frozen into a

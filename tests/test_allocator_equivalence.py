@@ -13,10 +13,11 @@ server *and* probe counters, kernel on, kernel off and dense — on the
 inputs where their branches can drift apart: a server type that can
 never host some VMs, active anti-affinity groups, and Γ > 0.
 
-``min-energy``'s queued walk finishes a much-refused VM with one batch
-probe of what is left of its queues. It is held to the one-at-a-time
-walks (``kernel=off``, ``dense``) on dense streams, where that batch
-fires for most VMs: server, both counters and the Eq.-17 delta as hex.
+``min-energy``'s queued walk, refused 16 times, drops what is left of
+its queues that a remembered refusal refuses, and asks no kernel. It is
+held to the walk that never prefetches and asks every busy server (and
+to ``dense``) on dense streams, where the prefetch fires for most VMs:
+server, both counters and the Eq.-17 delta as hex.
 
 An explanation is the same whoever probed: every registry allocator's
 ``PlacementExplanation`` sequence on the four golden streams is ``==``
@@ -25,10 +26,12 @@ across the engine specs — reason strings, cost terms, scores, chosen.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.allocators import allocator_names, make_allocator
+from repro.allocators import allocator_names, make_allocator, min_energy
 from repro.allocators.state import ServerState
 from repro.energy import SleepPolicy, allocation_cost
 from repro.model.cluster import Cluster
@@ -78,10 +81,12 @@ def _min_energy_trail(engine: str, vms, cluster, constraints=None,
                       policy=SleepPolicy.OPTIMAL):
     """Per decision ``(vm, server, candidates_evaluated, _feasible,
     Eq.-17 delta as hex)`` — ``server`` is ``None`` where nothing fits —
-    and the run's ``probe_fleet`` call count (``None``: no kernel)."""
+    the run's kernel call count (``None``: kernel off or no index; 0: no
+    kernel was built) and how many walks prefetched."""
     allocator = make_allocator("min-energy", engine=engine, policy=policy)
     counters = {}
-    select = allocator.select
+    prefetches = 0
+    select, prefetch = allocator.select, allocator._prefetch
 
     def counted_select(vm, states):
         chosen = select(vm, states)
@@ -89,13 +94,30 @@ def _min_energy_trail(engine: str, vms, cluster, constraints=None,
                               allocator.candidates_feasible)
         return chosen
 
+    def counted_prefetch(*args):
+        nonlocal prefetches
+        prefetches += 1
+        return prefetch(*args)
+
     allocator.select = counted_select
+    allocator._prefetch = counted_prefetch
     decisions = allocator.allocate_batch(vms, cluster, constraints)
     index = allocator._index
-    kernel = index.kernel if index is not None else None
+    calls = None
+    if index is not None and index.batched:
+        calls = 0 if index._kernel is None else index._kernel.probe_calls
     return ([(d.vm.vm_id, d.server_id, *counters[d.vm.vm_id],
               d.energy_delta.hex()) for d in decisions],
-            None if kernel is None else kernel.probe_calls)
+            calls, prefetches)
+
+
+def _one_at_a_time(engine: str, vms, cluster, constraints=None,
+                   policy=SleepPolicy.OPTIMAL):
+    """:func:`_min_energy_trail` of the walk that never prefetches:
+    every busy server it reaches is asked through ``_examine``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(min_energy, "_BATCH_AFTER", math.inf)
+        return _min_energy_trail(engine, vms, cluster, constraints, policy)
 
 
 #: ~1200 VMs alive at once on 90 servers: most busy servers are full, so
@@ -129,19 +151,23 @@ class TestMinEnergyBatchedFinish:
         vms = DENSE_STREAMS[stream]
         constraints = _colliding_groups(vms) if constrained else None
         option = f",gamma={gamma}" if gamma else ""
-        batched, calls = _min_energy_trail(
+        batched, calls, prefetches = _min_energy_trail(
             "indexed:kernel=on" + option, vms, DENSE_CLUSTER, constraints,
             policy)
-        scalar, no_kernel = _min_energy_trail(
+        kernel_off, no_kernel, _ = _min_energy_trail(
+            "indexed:kernel=off" + option, vms, DENSE_CLUSTER, constraints,
+            policy)
+        scalar, _, never = _one_at_a_time(
             "indexed:kernel=off" + option, vms, DENSE_CLUSTER, constraints,
             policy)
         assert len(batched) == len(vms)
-        assert batched == scalar
+        assert batched == kernel_off == scalar
         assert no_kernel is None
-        assert 0 < calls <= len(vms)  # the batch fired, once per VM at most
+        assert calls == 0  # the prefetch asks no kernel
+        assert 0 < prefetches <= len(vms) and never == 0
         if not gamma:  # robust probing is indexed-only
-            dense, _ = _min_energy_trail("dense", vms, DENSE_CLUSTER,
-                                         constraints, policy)
+            dense, *_ = _min_energy_trail("dense", vms, DENSE_CLUSTER,
+                                          constraints, policy)
             # No index: dense probes every server, so its counters
             # include the types and pristine clones the queues skip.
             assert [(row[0], row[1], row[4]) for row in dense] \
@@ -149,72 +175,70 @@ class TestMinEnergyBatchedFinish:
 
     @pytest.mark.parametrize("engine", ["indexed", "indexed:gamma=2"])
     def test_the_prefetch_asks_yes_or_no(self, engine, monkeypatch):
-        # The walk's one batched call reads a mask: no full verdicts.
-        calls = {"probe_fleet": 0, "admits_fleet": 0}
+        # The prefetch asks each skyline's remembered refusal a yes or
+        # no, and no kernel: none is built, numpy's or otherwise.
+        built = []
+        init = FleetKernel.__init__
 
-        def counted(name):
-            method = getattr(FleetKernel, name)
+        def counted_init(self, *args):
+            built.append(self)
+            init(self, *args)
 
-            def wrapper(self, *args):
-                calls[name] += 1
-                return method(self, *args)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(FleetKernel, name, counted(name))
+        monkeypatch.setattr(FleetKernel, "__init__", counted_init)
         vms = DENSE_STREAMS["poisson"]
-        _, counter = _min_energy_trail(engine, vms, DENSE_CLUSTER)
-        assert calls["probe_fleet"] == 0
-        assert 0 < calls["admits_fleet"] == counter <= len(vms)
+        _, calls, prefetches = _min_energy_trail(engine, vms, DENSE_CLUSTER)
+        assert built == [] and calls == 0
+        assert 0 < prefetches <= len(vms)
 
     def test_sparse_stream_never_batches(self):
-        batched, calls = _min_energy_trail("indexed", VMS, CLUSTER)
-        scalar, _ = _min_energy_trail("indexed:kernel=off", VMS, CLUSTER)
+        batched, calls, prefetches = _min_energy_trail("indexed", VMS,
+                                                       CLUSTER)
+        scalar, *_ = _min_energy_trail("indexed:kernel=off", VMS, CLUSTER)
         assert batched == scalar
-        assert calls == 0
+        assert calls == prefetches == 0
 
     def test_overfull_fleet_rejects_with_equal_counters(self):
         vms = DENSE_STREAMS["poisson"][:300]
         cluster = Cluster.paper_all_types(18)
-        batched, calls = _min_energy_trail("indexed", vms, cluster)
-        scalar, _ = _min_energy_trail("indexed:kernel=off", vms, cluster)
+        batched, _, prefetches = _min_energy_trail("indexed", vms, cluster)
+        scalar, *_ = _one_at_a_time("indexed", vms, cluster)
         assert any(server is None for _, server, *_ in batched)
         assert batched == scalar
-        assert calls > 0
+        assert prefetches > 0
 
     def test_daemon_ticks_between_batched_probes(self, tmp_path):
-        # retire/compact dirty kernel rows between batched probes; the
-        # journal replays to the same energy.
+        # retire/compact forget remembered refusals between prefetches;
+        # the journal replays to the same energy.
         vms = sorted(DENSE_STREAMS["poisson"][:400],
                      key=lambda v: (v.start, v.end, v.vm_id))
         runs = {}
-        for engine in ("indexed", "indexed:kernel=off"):
-            store = ClusterStateStore(DENSE_CLUSTER, engine=engine)
-            daemon = AllocationDaemon(
-                store, data_dir=tmp_path / engine, fsync=False,
-                snapshot_every=150, algo_params={"engine": engine})
-            responses = []
-            for i, vm in enumerate(vms):
-                if i % 25 == 0:
-                    assert daemon.handle({"op": "tick",
-                                          "now": vm.start})["ok"]
-                response = daemon.handle(place_request(vm))
-                responses.append((response.get("server_id"),
-                                  response.get("energy_delta"),
-                                  response.get("candidates")))
-            kernel = daemon.allocator._index.kernel
-            runs[engine] = (responses,
-                            daemon.handle({"op": "stats"})["energy_total"])
-            if engine == "indexed":
-                assert kernel.probe_calls > 0
-            else:
-                assert kernel is None
+        for prefetching in (True, False):
+            name = f"prefetch-{prefetching}"
+            with pytest.MonkeyPatch.context() as patch:
+                if not prefetching:
+                    patch.setattr(min_energy, "_BATCH_AFTER", math.inf)
+                store = ClusterStateStore(DENSE_CLUSTER, engine="indexed")
+                daemon = AllocationDaemon(
+                    store, data_dir=tmp_path / name, fsync=False,
+                    snapshot_every=150, algo_params={"engine": "indexed"})
+                responses = []
+                for i, vm in enumerate(vms):
+                    if i % 25 == 0:
+                        assert daemon.handle({"op": "tick",
+                                              "now": vm.start})["ok"]
+                    response = daemon.handle(place_request(vm))
+                    responses.append((response.get("server_id"),
+                                      response.get("energy_delta"),
+                                      response.get("candidates")))
+            runs[prefetching] = (
+                responses, daemon.handle({"op": "stats"})["energy_total"])
+            assert daemon.allocator._index._kernel is None
             del daemon  # hard kill: no shutdown, no final snapshot
-            restored = AllocationDaemon.restore(tmp_path / engine,
+            restored = AllocationDaemon.restore(tmp_path / name,
                                                 fsync=False)
             assert restored.handle({"op": "stats"})["energy_total"] \
-                == runs[engine][1]
-        assert runs["indexed"] == runs["indexed:kernel=off"]
+                == runs[prefetching][1]
+        assert runs[True] == runs[False]
 
 
 #: Long idle gaps: a ~5-tick VM every ~4 ticks on 60 servers, so most
@@ -270,12 +294,12 @@ class TestMinEnergyCloneClass:
         with monkeypatch.context() as patch:
             patch.setattr(ServerState, "idle_delta", counted_delta)
             patch.setattr(ServerState, "admits", counted_admits)
-            walk, _ = _min_energy_trail("indexed", IDLE_VMS, IDLE_CLUSTER,
-                                        policy=policy)
-        scalar, _ = _min_energy_trail("indexed:kernel=off", IDLE_VMS,
-                                      IDLE_CLUSTER, policy=policy)
-        chosen, _ = _min_energy_trail("dense", IDLE_VMS, IDLE_CLUSTER,
-                                      policy=policy)
+            walk, *_ = _min_energy_trail("indexed", IDLE_VMS, IDLE_CLUSTER,
+                                         policy=policy)
+        scalar, *_ = _min_energy_trail("indexed:kernel=off", IDLE_VMS,
+                                       IDLE_CLUSTER, policy=policy)
+        chosen, *_ = _min_energy_trail("dense", IDLE_VMS, IDLE_CLUSTER,
+                                       policy=policy)
         assert walk == scalar
         assert [(row[0], row[1], row[4]) for row in walk] \
             == [(row[0], row[1], row[4]) for row in chosen]

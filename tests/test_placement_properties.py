@@ -1,7 +1,7 @@
 """Property tests: the skyline engine is bit-equivalent to the dense
 oracle, ``ServerState.admits`` is ``probe(...).feasible`` on every
-engine spec, ``FleetKernel.admits_fleet`` is
-``probe_fleet(...).feasible`` on nominal and Γ-robust fleets, and a
+engine spec, a refusal the skyline remembers answers like the search it
+skips (and min-energy's prefetch drops only servers that refuse), and a
 server idle long enough before a VM answers it — and scores it — like a
 pristine twin.
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -32,14 +31,19 @@ from repro.energy.cost import (
 )
 from repro.energy.power import run_energy
 from repro.model.catalog import SERVER_TYPES
+from repro.model.cluster import Cluster
 from repro.model.intervals import TimeInterval
-from repro.model.phases import DemandPhase, PhasedVM, split_vm
+from repro.model.phases import DemandPhase, PhasedVM, demand_profile, split_vm
 from repro.model.server import Server, ServerSpec
 from repro.model.vm import VM, VMSpec
 from repro.placement import DenseOccupancy, SkylineOccupancy
-from repro.placement.feasibility import Feasibility, ScoreRow
+from repro.placement.feasibility import (
+    TOL,
+    Feasibility,
+    ScoreRow,
+    static_demand,
+)
 from repro.placement.index import CandidateIndex
-from repro.placement.kernels import FleetKernel
 
 from conftest import make_vm
 from test_kernel import _long_history_fleet, _long_history_probes
@@ -160,12 +164,15 @@ class TestOccupancyEquivalence:
 
 #: (kind, start, length, cpu_octets, mem_octets, shape): kind 0 = place
 #: when admitted, 1 = cut a resident, 2 = retire one, 3 = ask only (and,
-#: in ``_FLEET_ASKS``, 4 = compact);
+#: in ``_BOOK_ASKS``, 4 = compact and 5 = swap the book for a twin);
 #: shape 0 = plain, 1 = radius-carrying, 2 = phased. Octets above 64
 #: exceed the 8.0 capacity: the static cpu / mem refusals.
 _ASKS = st.tuples(st.integers(0, 3), st.integers(-20, 60),
                   st.integers(0, 12), st.integers(1, 72), st.integers(1, 72),
                   st.integers(0, 2))
+_BOOK_ASKS = st.tuples(st.integers(0, 5), st.integers(-20, 60),
+                       st.integers(0, 12), st.integers(1, 72),
+                       st.integers(1, 72), st.integers(0, 2))
 
 
 def _shaped(vm_id: int, start: int, length: int, cpu: float, memory: float,
@@ -238,76 +245,161 @@ class TestAdmitsIsTheProbesYesOrNo:
         assert True in answers and False in answers
 
 
-# -- admits_fleet: the kernel's yes or no ------------------------------------
+# -- a remembered refusal: the search's answer, without the search ----------
 
-#: Row 2 is never booked (an empty skyline); the last row is, so a window
-#: can end on the planes' last cell.
-_FLEET = 5
-_EMPTY_ROW = 2
-#: ``_ASKS`` plus kind 4 = compact the server at ``start``.
-_FLEET_ASKS = st.tuples(st.integers(0, 4), st.integers(-20, 60),
-                        st.integers(0, 12), st.integers(1, 72),
-                        st.integers(1, 72), st.integers(0, 2))
+#: (kind, start, length, cpu_octets, mem_octets): kind 0 = add, 1 =
+#: subtract an earlier add, 2 = compact at ``start``, 3 = reload the
+#: rows, 4 = ask only. Octets above 64 exceed the 8.0 capacity.
+_OCC_OPS = st.tuples(st.integers(0, 4), st.integers(-20, 60),
+                     st.integers(0, 12), st.integers(1, 72),
+                     st.integers(1, 72))
 
 
-def _fleet_yes_or_no(kernel: FleetKernel, states, vm: VM, rows) -> None:
-    """``admits_fleet`` is ``probe_fleet(...).feasible`` (and the scalar
-    ``admits``), counts as it does and reads no more cells."""
-    rows = np.array(rows, dtype=np.intp)
-
-    def counters():
-        return kernel.probe_calls, kernel.rows_probed, kernel.cells_probed
-    before = counters()
-    fits = kernel.admits_fleet(vm, rows)
-    between = counters()
-    verdicts = kernel.probe_fleet(vm, rows)
-    after = counters()
-    assert fits.dtype == bool
-    assert fits.tolist() == verdicts.feasible.tolist() \
-        == [states[row].admits(vm) for row in rows.tolist()]
-    assert between[0] - before[0] == after[0] - between[0] == 1
-    assert between[1] - before[1] == after[1] - between[1] == rows.size
-    assert 0 <= between[2] - before[2] <= after[2] - between[2]
+def _fresh_copy(occ: SkylineOccupancy) -> SkylineOccupancy:
+    """A book with ``occ``'s rows and no memory."""
+    twin = SkylineOccupancy()
+    twin.load_rows({name: list(row) for name, row in occ.rows().items()})
+    return twin
 
 
-class TestAdmitsFleetIsTheFleetProbesYesOrNo:
+def _remembered_answer(occ: SkylineOccupancy, piece, tol: float) -> bool:
+    """``occ.admits_piece`` on ``piece``, held to ``probe_piece`` and to
+    a book without memory; a refusal it remembers stays ``refuses``."""
+    start, end, cpu, mem = piece
+    answer = occ.admits_piece(start, end, cpu, mem, 8.0, 8.0, tol)
+    assert answer is (occ.probe_piece(start, end, cpu, mem, 8.0, 8.0,
+                                      tol)[0] is None)
+    assert answer is _fresh_copy(occ).admits_piece(start, end, cpu, mem,
+                                                    8.0, 8.0, tol)
+    if not answer:
+        assert occ.refuses([(*piece, 0.0, 0.0)], 8.0 + tol, 8.0 + tol)
+    return answer
+
+
+def _restored(state: ServerState) -> ServerState:
+    """``state`` through a snapshot: its book, copied, and no memory."""
+    starts, ends, rows = state.book()
+    return ServerState.restored(
+        state.server, policy=state.policy, engine=state.engine_config,
+        vms=list(state.vms), busy_starts=list(starts), busy_ends=list(ends),
+        cost=state.cost,
+        rows={name: list(row) for name, row in rows.items()})
+
+
+def _fits_the_type(state: ServerState, vm: VM) -> bool:
+    cpu, mem = static_demand(vm, state.robustness is not None)
+    return cpu <= SPEC.cpu_capacity and mem <= SPEC.memory_capacity
+
+
+def _remembered(state: ServerState, vm: VM) -> bool:
+    """Whether ``state``'s skyline refuses ``vm`` from memory alone."""
+    pieces = [(piece.start, piece.end, cpu, mem, vm.cpu_radius,
+               vm.mem_radius) for piece, cpu, mem in demand_profile(vm)]
+    return state._occ.refuses(pieces, SPEC.cpu_capacity + TOL,
+                              SPEC.memory_capacity + TOL)
+
+
+class TestARememberedRefusalIsTheSearchsAnswer:
+    """``SkylineOccupancy`` remembers the segment that last refused a
+    piece and refuses a piece it overloads with no search; every
+    mutator forgets it. Asked again and again after any history, it
+    answers what ``probe_piece`` and a book with no memory answer."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_OCC_OPS, min_size=1, max_size=30),
+           st.sampled_from([0.0, TOL, 0.125]))
+    def test_after_any_add_subtract_compact_reload(self, ops, tol):
+        occ = SkylineOccupancy()
+        added, asked = [], []
+        for kind, start, length, cpu8, mem8 in ops:
+            piece = (start, start + length, cpu8 / 8.0, mem8 / 8.0)
+            mutated = kind in (0, 2, 3) or kind == 1 and bool(added)
+            if kind == 0:
+                occ.add(*piece)
+                added.append(piece)
+            elif kind == 1 and added:
+                occ.subtract(*added.pop(start % len(added)))
+            elif kind == 2:
+                occ.compact(start)
+                asked = [p for p in asked if p[0] >= start]
+            elif kind == 3:
+                occ.load_rows({name: list(row)
+                               for name, row in occ.rows().items()})
+            assert not (mutated and occ.refuses(
+                [(*p, 0.0, 0.0) for p in asked], 8.0 + tol, 8.0 + tol)), \
+                "a mutation kept its memory"
+            asked.append(piece)
+            for earlier in asked + asked:  # the second pass remembers
+                _remembered_answer(occ, earlier, tol)
+
+    def test_a_demand_landing_on_the_limit_fits_remembered_or_not(self):
+        occ = SkylineOccupancy()
+        occ.add(0, 9, 3.0, 1.0)
+        limit = 8.0 + TOL
+        exact = limit - 3.0
+        while 3.0 + exact > limit:
+            exact = math.nextafter(exact, -math.inf)
+        while 3.0 + math.nextafter(exact, math.inf) <= limit:
+            exact = math.nextafter(exact, math.inf)
+        over = math.nextafter(exact, math.inf)
+        assert not occ.admits_piece(2, 4, over, 1.0, 8.0, 8.0, TOL)
+        assert occ.refuses([(5, 6, over, 1.0, 0.0, 0.0)], limit, limit)
+        assert not occ.refuses([(5, 6, exact, 1.0, 0.0, 0.0)], limit, limit)
+        assert occ.admits_piece(5, 6, exact, 1.0, 8.0, 8.0, TOL)
+        assert not occ.admits_piece(5, 6, over, 1.0, 8.0, 8.0, TOL)
+        # the remembered segment is [0, 10): past it nothing is refused
+        assert not occ.refuses([(10, 12, over, 1.0, 0.0, 0.0)],
+                                limit, limit)
+
     @pytest.mark.parametrize("engine", ["indexed", "indexed:gamma=2"])
     @settings(max_examples=120, deadline=None)
-    @given(st.lists(_FLEET_ASKS, min_size=1, max_size=20),
-           st.permutations(range(_FLEET)), st.integers(1, _FLEET - 1))
-    def test_after_any_place_cut_retire_compact(self, engine, ops, order,
-                                                subset):
-        states = [ServerState(Server(i, SPEC), engine=engine)
-                  for i in range(_FLEET)]
-        kernel = FleetKernel(states)
-        booked = [pos for pos in range(_FLEET) if pos != _EMPTY_ROW]
-        asked, horizons = [], [-100] * _FLEET
+    @given(st.lists(_BOOK_ASKS, min_size=1, max_size=25))
+    def test_after_any_place_cut_retire_restore(self, engine, ops):
+        # kind 5 swaps the book for its snapshot twin (``restored``); a
+        # Γ-robust book remembers by ``admits_piece_robust``'s comparison
+        # and forgets on its radius updates too
+        state = ServerState(Server(0, SPEC), engine=engine)
+        asked, horizon = [], -100
         for i, (kind, start, length, cpu8, mem8, shape) in enumerate(ops):
-            pos = booked[(start + length) % len(booked)]
             vm = _shaped(i, start, length, cpu8 / 8.0, mem8 / 8.0, shape)
+            if kind == 5:
+                state = _restored(state)
+            else:
+                horizon = _mutate(state, horizon, i, kind, start, length,
+                                  vm)
             asked.append(vm)
-            horizons[pos] = _mutate(states[pos], horizons[pos], i, kind,
-                                    start, length, vm)
-            for earlier in asked:
-                # every row out of order (the empty one and the last
-                # among them), then a strict subset
-                _fleet_yes_or_no(kernel, states, earlier, order)
-                _fleet_yes_or_no(kernel, states, earlier, order[:subset])
+            for earlier in asked + asked:
+                answer = _yes_or_no(state, earlier)
+                assert answer is _restored(state).admits(earlier)
+                if not answer and _fits_the_type(state, earlier):
+                    assert _remembered(state, earlier)
 
-    @pytest.mark.parametrize("gamma", [0, 2])
-    def test_long_history_probes(self, gamma):
-        states = _long_history_fleet(gamma)
-        kernel = FleetKernel(states)
-        for vm in _long_history_probes(gamma):
-            _fleet_yes_or_no(kernel, states, vm, range(len(states)))
+    @pytest.mark.parametrize("engine", ["indexed", "indexed:gamma=2"])
+    @pytest.mark.parametrize("stream", ["poisson", "phased"])
+    def test_the_prefetch_drops_only_refusing_servers(self, stream, engine):
+        # every server min-energy's prefetch drops, the search refuses
+        from test_allocator_equivalence import DENSE_STREAMS
+
+        allocator = make_allocator("min-energy", engine=engine)
+        prefetch = allocator._prefetch
+        dropped = 0
+
+        def checked(vm, states, *args):
+            nonlocal dropped
+            frontier = prefetch(vm, states, *args)
+            for positions in frontier.values():
+                dropped += len(positions)
+                assert not any(states[pos].probe(vm).feasible
+                               for pos in positions)
+            return frontier
+
+        allocator._prefetch = checked
+        allocator.allocate_batch(DENSE_STREAMS[stream][:300],
+                                 Cluster.paper_all_types(30))
+        assert dropped > 0
 
 
 # -- the clone class: a server idle long enough answers like a pristine one --
-
-#: ``_FLEET_ASKS`` plus kind 5 = swap the book for its ``live_copy``.
-_CLONE_ASKS = st.tuples(st.integers(0, 5), st.integers(-20, 60),
-                        st.integers(0, 12), st.integers(1, 72),
-                        st.integers(1, 72), st.integers(0, 2))
 
 
 def _dormant_for(state: ServerState, vm: VM, gap: int | None) -> bool:
@@ -328,7 +420,7 @@ class TestAnIdleServerIsAClone:
     @pytest.mark.parametrize("engine", ["indexed", "indexed:kernel=off",
                                         "dense", "indexed:gamma=2"])
     @settings(max_examples=50, deadline=None)
-    @given(st.lists(_CLONE_ASKS, min_size=1, max_size=20),
+    @given(st.lists(_BOOK_ASKS, min_size=1, max_size=20),
            st.integers(0, 6))
     # two residents cut at 5 leave (((0 + .13) + 1.3) - .13) - 1.3 > 0
     # on [5, 10]: dormant only from the residue's end, not the busy one
@@ -463,7 +555,7 @@ class TestAnIdleServerScoresLikeAClone:
     @pytest.mark.parametrize("engine", ["indexed", "indexed:kernel=off",
                                         "indexed:gamma=2"])
     @settings(max_examples=30, deadline=None)
-    @given(st.lists(_CLONE_ASKS, min_size=1, max_size=20),
+    @given(st.lists(_BOOK_ASKS, min_size=1, max_size=20),
            st.integers(0, 6))
     # two residents cut before they start leave residue on [10, 20] and
     # no busy segment: not a clone until the residue's end

@@ -137,10 +137,15 @@ class TestARuleIsStatedOnce:
                       for path in package.glob("*.py")}
             return {name: n for name, n in counts.items() if n}
 
-        # the fill helper asks for verdicts, min-energy's ``_prefetch``
-        # for a yes or no
+        # the fill helper asks for verdicts; min-energy asks no kernel:
+        # its ``_prefetch`` reads the skyline's remembered refusal, by
+        # the rule the skyline's own ``admits`` reads — one nominal, one
+        # Γ-robust
         assert callers("probe_fleet(") == {"base.py": 1}
-        assert callers("admits_fleet(") == {"min_energy.py": 1}
+        assert callers(".refuses(") == {"min_energy.py": 1}
+        rules = {path.name for path in package.parent.rglob("*.py")
+                 if "def refuses(" in path.read_text()}
+        assert rules == {"occupancy.py", "skyline.py"}
 
 
 class TestTheAllocatorOwnsItsBooks:
