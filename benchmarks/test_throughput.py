@@ -11,7 +11,10 @@ index (see ``docs/api.md``, *Placement engine*).
 
 from __future__ import annotations
 
+import math
 import time
+from contextlib import nullcontext
+from unittest import mock
 
 import pytest
 
@@ -46,16 +49,21 @@ def test_allocator_throughput_1k(benchmark, algo):
     assert len(allocation) == len(VMS_1K)
 
 
-def _best_run(algo: str, engine: str, vms, cluster, rounds: int
-              ) -> tuple[float, dict[int, int]]:
+def _best_run(algo: str, engine: str, vms, cluster, rounds: int, *,
+              scalar: bool = False) -> tuple[float, dict[int, int]]:
+    """Best wall time of ``rounds`` allocations, and the placements.
+    ``scalar`` probes every batch one ``ServerState.probe`` a row, as if
+    no batch reached ``allocators.base._FLEET_PROBE_FROM``."""
     best = float("inf")
     placements: dict[int, int] = {}
-    for _ in range(rounds):
-        allocator = make_allocator(algo, seed=0, engine=engine)
-        started = time.perf_counter()
-        plan = allocator.allocate(vms, cluster)
-        best = min(best, time.perf_counter() - started)
-        placements = {vm.vm_id: sid for vm, sid in plan.items()}
+    with mock.patch("repro.allocators.base._FLEET_PROBE_FROM", math.inf) \
+            if scalar else nullcontext():
+        for _ in range(rounds):
+            allocator = make_allocator(algo, seed=0, engine=engine)
+            started = time.perf_counter()
+            plan = allocator.allocate(vms, cluster)
+            best = min(best, time.perf_counter() - started)
+            placements = {vm.vm_id: sid for vm, sid in plan.items()}
     return best, placements
 
 
@@ -86,50 +94,40 @@ def test_indexed_engine_speedup_1k():
 
 #: The kernel-scale fleet: 3000 servers, ten times the paper's largest.
 CLUSTER_3K = Cluster.paper_all_types(3000)
-VMS_10K = generate_vms(10_000, mean_interarrival=1.0, seed=0)
 
 #: What the candidate queues are for: a walk costs the servers it
 #: probes, not the fleet it skips. One sparse stream, two fleets. Measured
-#: 1.07x (kernel on) / 1.15x (off) for ten times the servers; the
-#: fleet-order scan the queues replaced grew 5.57x.
+#: 1.03x for ten times the servers; the fleet-order scan the queues
+#: replaced grew 5.57x.
 VMS_SPARSE_5K = generate_vms(5000, mean_interarrival=1.0, seed=0)
 FLEET_SCALING_CEILING = 2.0
 
 
 def test_candidate_index_fleet_scaling():
     """min-energy on one sparse 5000-VM stream takes <= 2x as long on
-    3000 servers as on 300, with and without a kernel; both specs place
-    identically. What the walk asks there (no ``probe_fleet`` call, the
-    servers it asks one at a time) is counted in
+    3000 servers as on 300. What the walk asks there (no ``probe_fleet``
+    call, the servers it asks one at a time) is counted in
     ``benchmarks/test_census.py``."""
     fleets = {300: CLUSTER_300, 3000: CLUSTER_3K}
-    engines = ("indexed", "indexed:kernel=off")
-    seconds = {(engine, n): float("inf") for n in fleets
-               for engine in engines}
-    placed = {}
-    for _ in range(3):  # take turns: every side sees the same box phases
-        for engine, n in seconds:
-            run_s, placed[engine, n] = _best_run(
-                "min-energy", engine, VMS_SPARSE_5K, fleets[n], 1)
-            seconds[engine, n] = min(seconds[engine, n], run_s)
-    for n in fleets:
-        assert placed["indexed", n] == placed["indexed:kernel=off", n]
+    seconds = dict.fromkeys(fleets, float("inf"))
+    for _ in range(3):  # take turns: both fleets see the same box phases
+        for n in fleets:
+            run_s, _ = _best_run("min-energy", "indexed", VMS_SPARSE_5K,
+                                 fleets[n], 1)
+            seconds[n] = min(seconds[n], run_s)
     title = "min-energy, 5000 sparse VMs, 3000 vs 300 servers " \
             "(best of 3, alternating)"
-    lines = [title]
-    summary = {"benchmark": title, "ceiling": FLEET_SCALING_CEILING}
-    for engine in engines:
-        small, large = seconds[engine, 300], seconds[engine, 3000]
-        summary[engine] = {"servers_300_ms": round(small * 1000, 1),
+    small, large = seconds[300], seconds[3000]
+    summary = {"benchmark": title, "ceiling": FLEET_SCALING_CEILING,
+               "indexed": {"servers_300_ms": round(small * 1000, 1),
                            "servers_3000_ms": round(large * 1000, 1),
-                           "growth": round(large / small, 2)}
-        lines.append(f"{engine:18s}: {small * 1000:7.1f} ms -> "
-                     f"{large * 1000:7.1f} ms  {large / small:5.2f}x "
-                     f"(ceiling {FLEET_SCALING_CEILING:.2f}x)")
-    record_result("candidate_index_scaling", "\n".join(lines))
+                           "growth": round(large / small, 2)}}
+    record_result("candidate_index_scaling", "\n".join([
+        title, f"indexed: {small * 1000:7.1f} ms -> {large * 1000:7.1f} ms"
+               f"  {large / small:5.2f}x (ceiling "
+               f"{FLEET_SCALING_CEILING:.2f}x)"]))
     record_json("kernel", summary, section="candidate_index")
-    for engine in engines:
-        assert summary[engine]["growth"] <= FLEET_SCALING_CEILING, summary
+    assert summary["indexed"]["growth"] <= FLEET_SCALING_CEILING, summary
 
 
 #: Where ``probe_fleet`` runs: best-fit probes each type's warm servers
@@ -142,8 +140,8 @@ PROBE_FLEET_3K = {
     "dense": generate_vms(2000, mean_interarrival=0.05, mean_duration=60,
                           seed=0),
 }
-#: ... and at paper scale the kernel-on engine may cost the walks that
-#: never probe a batch (first-fit, ffps) at most this much.
+#: ... and at paper scale the default rule may cost the walks that never
+#: probe a batch (first-fit, ffps) at most this much over all-scalar.
 VMS_PAPER = generate_vms(1000, mean_interarrival=1.0, seed=0)
 PROBE_FLOOR = 2.0
 PAPER_SCALE_CEILING = 1.25
@@ -151,20 +149,20 @@ PAPER_SCALE_CEILING = 1.25
 
 def test_probe_fleet_speedup():
     """``FleetKernel.probe_fleet`` vs the scalar probe loop, identical
-    placements: best-fit ``kernel=on`` >= 2x ``kernel=off`` at 2000 dense
-    VMs / 3000 servers (the sparse stream at that scale is timed, and its
+    placements: best-fit under the default rule (the kernel from
+    ``_FLEET_PROBE_FROM`` rows on) >= 2x all-scalar at 2000 dense VMs /
+    3000 servers (the sparse stream at that scale is timed, and its
     probes counted in ``benchmarks/test_census.py``); first-fit / ffps /
-    best-fit ``kernel=on`` <= 1.25x ``kernel=off`` at 1000 VMs / 300
-    servers."""
+    best-fit default <= 1.25x all-scalar at 1000 VMs / 300 servers."""
     lines, summary = [], {}
     for label, vms in PROBE_FLEET_3K.items():
-        on_s, on_placed = _best_run(
-            "best-fit", "indexed:kernel=on", vms, CLUSTER_3K, 2)
-        off_s, off_placed = _best_run(
-            "best-fit", "indexed:kernel=off", vms, CLUSTER_3K, 1)
+        on_s, on_placed = _best_run("best-fit", "indexed", vms,
+                                    CLUSTER_3K, 2)
+        off_s, off_placed = _best_run("best-fit", "indexed", vms,
+                                      CLUSTER_3K, 1, scalar=True)
         assert on_placed == off_placed
-        row = {"kernel_on_ms": round(on_s * 1000, 1),
-               "kernel_off_ms": round(off_s * 1000, 1),
+        row = {"default_ms": round(on_s * 1000, 1),
+               "scalar_ms": round(off_s * 1000, 1),
                "speedup": round(off_s / on_s, 2)}
         gate = ""
         if label == "dense":
@@ -172,46 +170,38 @@ def test_probe_fleet_speedup():
             gate = f"(floor {PROBE_FLOOR:.2f}x)"
         summary[f"best-fit-3k-{label}"] = row
         lines.append(f"best-fit 2000 VMs / 3000 servers {label:6s}: "
-                     f"on {on_s * 1000:8.1f} ms  off {off_s * 1000:8.1f} ms"
-                     f"  {off_s / on_s:6.2f}x {gate}")
+                     f"default {on_s * 1000:8.1f} ms  scalar "
+                     f"{off_s * 1000:8.1f} ms  {off_s / on_s:6.2f}x {gate}")
     for algo in ("first-fit", "ffps", "best-fit"):
         # ~15 ms runs on a box whose cores change speed: take turns, so
         # both sides see the same phases, and keep each side's best.
         on_s = off_s = float("inf")
         for _ in range(9):
             seconds, on_placed = _best_run(
-                algo, "indexed:kernel=on", VMS_PAPER, CLUSTER_300, 1)
+                algo, "indexed", VMS_PAPER, CLUSTER_300, 1)
             on_s = min(on_s, seconds)
             seconds, off_placed = _best_run(
-                algo, "indexed:kernel=off", VMS_PAPER, CLUSTER_300, 1)
+                algo, "indexed", VMS_PAPER, CLUSTER_300, 1, scalar=True)
             off_s = min(off_s, seconds)
         assert on_placed == off_placed
         summary[f"{algo}-1k"] = {
-            "kernel_on_ms": round(on_s * 1000, 1),
-            "kernel_off_ms": round(off_s * 1000, 1),
-            "on_over_off": round(on_s / off_s, 2),
+            "default_ms": round(on_s * 1000, 1),
+            "scalar_ms": round(off_s * 1000, 1),
+            "default_over_scalar": round(on_s / off_s, 2),
             "ceiling": PAPER_SCALE_CEILING}
         lines.append(f"{algo:9s} 1000 VMs / 300 servers        : "
-                     f"on {on_s * 1000:8.1f} ms  off {off_s * 1000:8.1f} ms"
-                     f"  on/off {on_s / off_s:5.2f} "
-                     f"(ceiling {PAPER_SCALE_CEILING:.2f})")
+                     f"default {on_s * 1000:8.1f} ms  scalar "
+                     f"{off_s * 1000:8.1f} ms  default/scalar "
+                     f"{on_s / off_s:5.2f} (ceiling "
+                     f"{PAPER_SCALE_CEILING:.2f})")
     record_result("kernel_speedup", "\n".join(lines))
     record_json("kernel", summary, section="probe_fleet")
     for name, row in summary.items():
         if "floor" in row:
             assert row["speedup"] >= PROBE_FLOOR, (name, row)
         elif "ceiling" in row:
-            assert row["on_over_off"] <= PAPER_SCALE_CEILING, (name, row)
-
-
-def test_kernel_equivalence_at_scale_10k():
-    """Bit-identical Eq.-17 energy, kernel on vs off, at the 10k point."""
-    totals = []
-    for engine in ("indexed:kernel=on", "indexed:kernel=off"):
-        allocator = make_allocator("min-energy", seed=0, engine=engine)
-        totals.append(
-            allocation_cost(allocator.allocate(VMS_10K, CLUSTER_3K)).total)
-    assert totals[0] == totals[1]
+            assert row["default_over_scalar"] <= PAPER_SCALE_CEILING, \
+                (name, row)
 
 
 def test_engine_equivalence_at_scale():

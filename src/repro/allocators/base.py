@@ -20,8 +20,9 @@ states only its selection rule, once, as one of three declarations:
 derived from the declaration here; an allocator whose rule is a walk of
 its own (min-energy's queues, round robin's cursor) overrides
 ``_select``. Whatever needs a batch of verdicts reads it from
-:meth:`Allocator._probe_batch` — the only place that knows whether the
-fleet kernel or a loop of scalar probes filled it.
+:meth:`Allocator._probe_batch` — the only place that decides, by the
+batch's length, whether the fleet kernel or a loop of scalar probes
+fills it.
 
 The ``candidates_evaluated`` / ``candidates_feasible`` counters — *probes
 performed* and *admissible probes* — are kept by :meth:`Allocator._examine`
@@ -71,12 +72,13 @@ if TYPE_CHECKING:
 
 __all__ = ["Allocator"]
 
-#: Warm rows from which a score scan is one ``probe_fleet`` call and one
-#: vectorized score rather than one scalar ``ServerState.probe`` and one
-#: row score per server — when there is a kernel. Measured on busy rows
-#: of best-fit fleets (1000 VMs / 300 servers, sparse and dense; 2000
-#: dense VMs / 3000 servers): a scalar probe ~1.5 us a row, a
-#: ``probe_fleet`` ~45 us plus ~0.35 us a row; even at 32-48 rows.
+#: Rows from which a batch on a fleet the index covers is one
+#: ``probe_fleet`` call (and a score scan's warm rows one vectorized
+#: score) rather than one scalar ``ServerState.probe`` (and one row
+#: score) per server. Measured on busy rows of best-fit fleets (1000
+#: VMs / 300 servers, sparse and dense; 2000 dense VMs / 3000 servers):
+#: a scalar probe ~1.5 us a row, a ``probe_fleet`` ~45 us plus ~0.35 us
+#: a row; even at 32-48 rows.
 _FLEET_PROBE_FROM = 40
 
 
@@ -95,8 +97,7 @@ class Allocator:
     engine:
         An :class:`~repro.placement.config.EngineConfig` selecting the
         occupancy backend (``"indexed"`` sparse skyline — the default —
-        or the ``"dense"`` numpy oracle), whether scans may use the
-        vectorized fleet-probe kernel, and the Γ-robustness budget.
+        or the ``"dense"`` numpy oracle) and the Γ-robustness budget.
         ``None`` means the default config. A bare string raises
         :class:`~repro.exceptions.ValidationError`; spec strings go
         through :meth:`EngineConfig.parse` or
@@ -114,8 +115,8 @@ class Allocator:
         self._seed = seed
         self._generator: np.random.Generator | None = None
         self._policy = policy
-        #: the resolved engine configuration (occupancy backend, batch
-        #: kernel toggle, robustness budget)
+        #: the resolved engine configuration (occupancy backend,
+        #: robustness budget)
         self.engine_config = EngineConfig.coerce(engine)
         #: the occupancy backend name (kept for compatibility)
         self.engine = self.engine_config.engine
@@ -276,15 +277,15 @@ class Allocator:
         place that decides who probes a batch.
 
         When the prepared index covers ``states``, servers whose *type*
-        can never host ``vm`` are left out (unless ``prune`` is off) and,
-        given a kernel, the rest are one
+        can never host ``vm`` are left out (unless ``prune`` is off);
+        ``positions`` (in fleet order, on a fleet the index covers)
+        names the rows instead: a long score scan's warm servers. From
+        :data:`_FLEET_PROBE_FROM` rows on, a covered batch is one
         :meth:`~repro.placement.kernels.FleetKernel.probe_fleet` call.
-        Without one — ``kernel=off``, the dense engine, a fleet the index
-        does not cover (ad-hoc recovery scans) — the batch is filled from
-        one ``ServerState.probe`` per candidate. Same rows in the same
-        fleet order either way, equal field for field. ``positions``
-        (in fleet order, on a fleet the index covers) names the rows
-        instead: a long score scan's warm servers.
+        A shorter one, the dense engine and a fleet the index does not
+        cover (ad-hoc recovery scans) are filled from one
+        ``ServerState.probe`` per row. Same rows in the same fleet
+        order either way, equal field for field.
         """
         import numpy as np
 
@@ -292,22 +293,21 @@ class Allocator:
 
         index = self._index
         covered = index is not None and index.covers(states)
-        # Only a probe that runs batched reads ``index.kernel``: the
-        # read builds the kernel, on its first need.
-        if not (covered and index.batched):
+        if covered and prune and positions is None:
+            states = index.candidates(vm)
+        picked = states if positions is None else positions
+        if covered and len(picked) >= _FLEET_PROBE_FROM:
+            kernel = index.kernel  # built, with its positions, on need
             if positions is not None:
-                states = [states[pos] for pos in positions]
-            elif covered and prune:
-                states = index.candidates(vm)
-            return FeasibilityBatch(
-                states, np.arange(len(states)), vm=vm,
-                verdicts=[state.probe(vm) for state in states])
-        kernel = index.kernel
+                rows = np.array(positions, dtype=np.intp)
+            else:
+                rows = index.candidate_positions(vm) if prune else None
+            return kernel.probe_fleet(vm, rows)
         if positions is not None:
-            rows = np.array(positions, dtype=np.intp)
-        else:
-            rows = index.candidate_positions(vm) if prune else None
-        return kernel.probe_fleet(vm, rows)
+            states = [states[pos] for pos in positions]
+        return FeasibilityBatch(
+            states, np.arange(len(states)), vm=vm,
+            verdicts=[state.probe(vm) for state in states])
 
     def _admissible_rows(self, vm: VM,
                          batch: FeasibilityBatch) -> np.ndarray:
@@ -368,8 +368,9 @@ class Allocator:
         class scores as its type's :meth:`Feasibility.idle` row at its
         first member's position (``TestAnIdleServerScoresLikeAClone``)
         and counts as asked and admitted whole. The warm servers are one
-        kernel batch from :data:`_FLEET_PROBE_FROM` on, else one
-        ``ServerState.probe`` and one :class:`ScoreRow` score each.
+        batch from :data:`_FLEET_PROBE_FROM` on (the kernel's, see
+        :meth:`_probe_batch`), else one ``ServerState.probe`` and one
+        :class:`ScoreRow` score each.
         Constraints are per server: with them every candidate is probed.
         """
         index = self._index
@@ -393,7 +394,7 @@ class Allocator:
                 scored.append((self.score(vm, ScoreRow(
                     vm, group.spec, Feasibility.idle(group.spec))), rep))
         warm.sort()
-        if index.batched and len(warm) >= _FLEET_PROBE_FROM:
+        if len(warm) >= _FLEET_PROBE_FROM:
             batch = self._probe_batch(vm, states, positions=warm)
             rows = self._admissible_rows(vm, batch)
             if rows.size:
@@ -487,15 +488,13 @@ class Allocator:
         Called once per fleet before any placement. The index is only
         built for the indexed engine; the dense oracle path scans
         plainly. The index keeps incremental per-type candidate queues
-        and, when the :class:`EngineConfig` enables the batch kernel,
-        builds the :class:`~repro.placement.kernels.FleetKernel` over
-        the fleet's skylines on the first batch probe; both stay in
-        sync through the state watcher protocol, so repeated fleet
-        rebuilds re-run this cheaply.
+        and builds the :class:`~repro.placement.kernels.FleetKernel`
+        over the fleet's skylines on the first batch long enough to
+        want it; both stay in sync through the state watcher protocol,
+        so repeated fleet rebuilds re-run this cheaply.
         """
         if states and states[0].engine == "indexed":
-            self._index = CandidateIndex(
-                states, kernel=self.engine_config.use_kernel)
+            self._index = CandidateIndex(states)
         else:
             self._index = None
         self.on_prepare(states)

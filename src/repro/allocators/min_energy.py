@@ -45,7 +45,7 @@ refuse the VM one by one before the bound can prune, mostly where they
 refused the last VM: a walk refused ``_BATCH_AFTER`` times drops from
 what is left of its busy queues every server whose skyline remembers a
 refusal that refuses the VM (``SkylineOccupancy.refuses``) and asks the
-rest one at a time. ``kernel=on`` and ``kernel=off`` walk the same code.
+rest one at a time, so the walk never builds a batch.
 """
 
 from __future__ import annotations

@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="extra allocator constructor parameter "
                               "(repeatable), e.g. --algo-param "
                               "policy=never-sleep --algo-param "
-                              "engine=indexed:kernel=off (engine takes "
+                              "engine=indexed:gamma=2 (engine takes "
                               "an EngineConfig spec string and also "
                               "configures the cluster store)")
     p_serve.add_argument("--max-delay", type=int, default=0,

@@ -16,8 +16,9 @@ service protocol (``"explain": true`` on a ``place`` request) and into
 event logs unchanged. :func:`format_decision_table` renders a run's
 explanations as the per-VM table behind ``repro explain``.
 
-When the batch probe kernel is active, the explain sweep is one
-``FleetKernel.probe_fleet`` call and the per-candidate verdicts —
+On a fleet of at least ``allocators.base._FLEET_PROBE_FROM`` servers
+the explain sweep is one ``FleetKernel.probe_fleet`` call and the
+per-candidate verdicts —
 including the reason *strings*, which only the explain path ever needs
 — are materialized lazily from the array-backed
 :class:`~repro.placement.kernels.FeasibilityBatch`

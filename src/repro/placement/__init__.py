@@ -15,8 +15,7 @@ single entry point every allocator uses to test a candidate server:
   batch probe over a structure-of-arrays mirror of the fleet's
   skylines;
 * :class:`~repro.placement.config.EngineConfig` — the frozen
-  engine/kernel/robustness choice accepted wherever the old engine string
-  was.
+  engine/robustness choice accepted wherever the old engine string was.
 
 See ``docs/api.md`` ("Placement engine") for the replacements of the
 removed ``fits`` / ``fit_reason`` / ``peak_usage`` methods.

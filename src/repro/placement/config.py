@@ -3,17 +3,17 @@
 Historically the placement engine was chosen by a bare string
 (``engine="indexed"`` / ``"dense"``) threaded through every constructor,
 and each speedup layer bolted on its own toggle next to it. An
-:class:`EngineConfig` collapses the whole choice — occupancy backend,
-batch probe kernel on/off and the Γ-robustness budget — into a single
-frozen value accepted everywhere the string used to be:
+:class:`EngineConfig` collapses the whole choice — occupancy backend
+and the Γ-robustness budget — into a single frozen value accepted
+everywhere the string used to be:
 :func:`~repro.allocators.registry.make_allocator`, the allocator and
 :class:`~repro.service.state.ClusterStateStore` constructors, and
-``repro serve --algo-param engine=...``.
+``repro serve --algo-param engine=...``. Who probes a batch is no part
+of it: the batch's size decides (``Allocator._probe_batch``).
 
 The **spec string** (:meth:`EngineConfig.parse`) is the sanctioned flat
 form for CLIs, config files and snapshots: ``"indexed"``, ``"dense"``,
-``"indexed:kernel=off"``, ``"indexed:gamma=2"``,
-``"indexed:gamma=3,mode=box"``.
+``"indexed:gamma=2"``, ``"indexed:gamma=3,mode=box"``.
 
 The legacy ctor string (``engine="dense"`` passed directly to an
 allocator constructor) completed its deprecation cycle and has been
@@ -26,12 +26,13 @@ string* (:class:`~repro.service.state.ClusterStateStore`,
 allocator-constructor form is gone.
 
 Snapshots and the journaled daemon config carry the active config as
-its :attr:`spec`, so a restored daemon picks the same engine, kernel
-setting and robustness budget it was running with; a spec written
-before the robustness options existed parses to ``robustness=None``
-(nominal probing) unchanged. A stored spec may carry a ``shards``
-option, which selects nothing: it is validated as an integer >= 1 and
-dropped, and :attr:`spec` never emits it.
+its :attr:`spec`, so a restored daemon picks the same engine and
+robustness budget it was running with; a spec written before the
+robustness options existed parses to ``robustness=None`` (nominal
+probing) unchanged. A stored spec may carry a ``kernel`` or a
+``shards`` option, which select nothing: each is validated (``kernel``
+as on/off/true/false, ``shards`` as an integer >= 1) and dropped, and
+:attr:`spec` never emits it.
 """
 
 from __future__ import annotations
@@ -66,14 +67,6 @@ class EngineConfig:
     engine:
         Occupancy backend: ``"indexed"`` (sparse skyline, the default)
         or ``"dense"`` (numpy timeline oracle).
-    kernel:
-        Who probes: whether a fleet-probe kernel
-        (:class:`~repro.placement.kernels.FleetKernel`) is built for
-        the scans that batch their probes. Off means scalar probes
-        only — same scans, decisions and counters. ``None`` means the
-        engine default — on for ``"indexed"``, and necessarily off
-        for ``"dense"`` (the kernel mirrors skylines). Explicitly
-        requesting ``kernel=True`` on the dense engine is an error.
     robustness:
         Optional :class:`~repro.robust.config.RobustnessConfig`.
         ``None`` (and an inactive config, ``gamma=0``) means nominal
@@ -84,7 +77,6 @@ class EngineConfig:
     """
 
     engine: str = DEFAULT_ENGINE
-    kernel: bool | None = None
     robustness: RobustnessConfig | None = None
 
     def __post_init__(self) -> None:
@@ -92,24 +84,12 @@ class EngineConfig:
             raise ValidationError(
                 f"unknown placement engine {self.engine!r}; "
                 f"valid engines: {ENGINES}")
-        if self.kernel is True and self.engine != "indexed":
-            raise ValidationError(
-                "the batch probe kernel mirrors skyline occupancy and "
-                "needs engine='indexed'; drop kernel=True or switch "
-                "engines")
         if self.robustness is not None and self.robustness.active \
                 and self.engine != "indexed":
             raise ValidationError(
                 "robust probing tracks per-segment radius multisets on "
                 "the skyline index and needs engine='indexed'; drop the "
                 "robustness config or switch engines")
-
-    @property
-    def use_kernel(self) -> bool:
-        """The resolved kernel toggle (engine default applied)."""
-        if self.kernel is None:
-            return self.engine == "indexed"
-        return self.kernel
 
     @property
     def active_robustness(self) -> RobustnessConfig | None:
@@ -127,14 +107,9 @@ class EngineConfig:
     @property
     def spec(self) -> str:
         """The canonical flat spec string (``parse`` round-trips it)."""
-        options = []
-        if self.kernel is not None:
-            options.append(f"kernel={'on' if self.kernel else 'off'}")
-        if self.robustness is not None:
-            options.extend(self.robustness.spec_options)
-        if not options:
+        if self.robustness is None:
             return self.engine
-        return f"{self.engine}:{','.join(options)}"
+        return f"{self.engine}:{','.join(self.robustness.spec_options)}"
 
     @classmethod
     def parse(cls, text: str) -> "EngineConfig":
@@ -145,7 +120,6 @@ class EngineConfig:
         """
         head, sep, tail = text.partition(":")
         engine = head.strip()
-        kernel: bool | None = None
         gamma: int | None = None
         mode: str | None = None
         if sep:
@@ -156,12 +130,11 @@ class EngineConfig:
                     raise ValidationError(
                         f"bad engine spec {text!r}: expected "
                         f"key=value, got {item!r}")
-                if key == "kernel":
+                if key == "kernel":  # selects nothing: checked, dropped
                     if raw not in ("on", "off", "true", "false"):
                         raise ValidationError(
                             f"bad engine spec {text!r}: kernel must be "
                             f"on/off, got {raw!r}")
-                    kernel = raw in ("on", "true")
                 elif key == "shards":
                     _check_legacy_shards(raw, f"bad engine spec {text!r}")
                 elif key == "gamma":
@@ -176,13 +149,13 @@ class EngineConfig:
                 else:
                     raise ValidationError(
                         f"bad engine spec {text!r}: unknown option "
-                        f"{key!r} (valid: kernel, gamma, mode)")
+                        f"{key!r} (valid: gamma, mode)")
         robustness: RobustnessConfig | None = None
         if gamma is not None or mode is not None:
             robustness = RobustnessConfig(
                 gamma=0 if gamma is None else gamma,
                 mode="gamma" if mode is None else mode)
-        return cls(engine=engine, kernel=kernel, robustness=robustness)
+        return cls(engine=engine, robustness=robustness)
 
     @classmethod
     def coerce(cls, value: "EngineConfig | str | None", *,

@@ -28,15 +28,14 @@ Static admission charges what the probes charge
 on a Γ-robust fleet), so a type the probe would refuse on capacity alone
 is never walked.
 
-``kernel=True`` lets the index build the
-:class:`~repro.placement.kernels.FleetKernel` that batch-probes
-candidates, and the position arrays :meth:`candidate_positions` hands
-it, on the first read of :attr:`CandidateIndex.kernel` — the first walk
-that asks for a batch probe. Until then no kernel watches the books and
-numpy is not imported. A kernel starts with every row dirty, so one
+The index builds the :class:`~repro.placement.kernels.FleetKernel`
+that batch-probes candidates, and the position arrays
+:meth:`candidate_positions` hands it, on the first read of
+:attr:`CandidateIndex.kernel` — the first batch long enough to be worth
+it (``Allocator._probe_batch``). Until then no kernel watches the books
+and numpy is not imported. A kernel starts with every row dirty, so one
 built late syncs at its first probe what one built here would, and
-answers and counts alike. ``kernel=False`` means scalar probes only —
-same queues, same decisions.
+answers and counts alike.
 
 The index is bound to the exact ``states`` list it was built from
 (:meth:`covers` is an identity check); callers fall back to a plain scan
@@ -208,12 +207,11 @@ class SpecGroup:
 class CandidateIndex:
     """Spec-grouped view of one fleet's ``ServerState`` list."""
 
-    __slots__ = ("_states", "_spec_ids", "_pos", "batched", "_kernel",
+    __slots__ = ("_states", "_spec_ids", "_pos", "_kernel",
                  "_groups", "_quiet", "_robust", "_spec_positions",
                  "_all_positions", "__weakref__")
 
-    def __init__(self, states: Sequence["ServerState"], *,
-                 kernel: bool = False) -> None:
+    def __init__(self, states: Sequence["ServerState"]) -> None:
         # Bound by identity: `covers` compares with `is`, not `==`.
         self._states = states
         self._spec_ids = [id(st.server.spec) for st in states]
@@ -234,17 +232,14 @@ class CandidateIndex:
             self._quiet[i] = st.quiet_after
             group.file(i)
             st.add_watcher(self)
-        #: whether a walk may batch-probe: :attr:`kernel` builds one
-        self.batched = kernel and bool(states)
         self._kernel: "FleetKernel | None" = None
 
     @property
-    def kernel(self) -> "FleetKernel | None":
+    def kernel(self) -> "FleetKernel":
         """The batch-probe kernel, built on this first read (with the
-        position arrays it is handed); ``None`` when the index is
-        scalar-only. Read it only to probe: check :attr:`batched`
-        first."""
-        if self._kernel is None and self.batched:
+        position arrays it is handed). Read it only to probe: the read
+        imports numpy and puts a watcher on every row."""
+        if self._kernel is None:
             import numpy as np
 
             from repro.placement.kernels import FleetKernel

@@ -6,19 +6,19 @@ answers feasibility, failing constraint, peak cpu/mem, headroom and the
 Eq.-2/3 run cost ``W_ij`` for many candidates of a VM, as one
 :class:`FeasibilityBatch`. The ``choose``-only route and
 ``explain_select`` act on such a batch of every candidate, filled by
-``Allocator._probe_batch`` from this kernel when there is one, else
-from scalar ``ServerState.probe`` calls (``kernel=off``, the dense
-engine, a fleet no index covers), its columns built on first read. The
+``Allocator._probe_batch`` from this kernel from
+``allocators.base._FLEET_PROBE_FROM`` rows on, else (a shorter batch,
+the dense engine, a fleet no index covers) from scalar
+``ServerState.probe`` calls, its columns built on first read. The
 score family (best-fit, worst-fit) asks the kernel for a type's warm
-servers from ``allocators.base._FLEET_PROBE_FROM`` rows on and scores
-fewer as one ``ScoreRow`` of floats each, building no batch; a clone
-class scores as its type, unprobed. The yes-or-no walks ask scalar,
-one ``ServerState.admits`` at a time — the first-fit family, which
-stops early, and ``min-energy``, which ends by lower-bound pruning or,
-refused 16 times (dense streams), drops what is left of its busy queues
-that the skylines' remembered refusals refuse: no kernel either way.
-``kernel=off`` builds no kernel: the same scans decide the same on
-scalar probes throughout.
+servers from that many rows on and scores fewer as one ``ScoreRow`` of
+floats each, building no batch; a clone class scores as its type,
+unprobed. The yes-or-no walks ask scalar, one ``ServerState.admits``
+at a time — the first-fit family, which stops early, and
+``min-energy``, which ends by lower-bound pruning or, refused 16 times
+(dense streams), drops what is left of its busy queues that the
+skylines' remembered refusals refuse: no kernel either way. Either
+route decides the same, counter for counter.
 
 Layout
 ------

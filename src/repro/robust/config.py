@@ -12,7 +12,7 @@ about demand radii:
   ``gamma`` is ignored in box mode; a box config is always active.
 
 The config rides inside :class:`~repro.placement.config.EngineConfig`
-(``"indexed:kernel=on,gamma=2"`` spec strings) so every allocator,
+(``"indexed:gamma=2"`` spec strings) so every allocator,
 the service store and the CLI pick it up through the one construction
 surface.
 """

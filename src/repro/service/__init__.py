@@ -70,7 +70,6 @@ if TYPE_CHECKING:
     )
     from repro.service.framing import (
         FRAME_MAGIC as FRAME_MAGIC,
-        FrameDecoder as FrameDecoder,
         encode_frame as encode_frame,
         read_frame as read_frame,
         write_frame as write_frame,

@@ -194,7 +194,7 @@ class AllocationDaemon:
         algo_params = dict(algo_params or {})
         # The journaled config must be JSON: the engine is stored as
         # its canonical spec string (make_allocator parses it back), so
-        # restores rebuild the same engine + kernel.
+        # restores rebuild the same engine and robustness budget.
         if algo_params.get("engine") is not None:
             algo_params["engine"] = EngineConfig.coerce(
                 algo_params["engine"], warn=False).spec

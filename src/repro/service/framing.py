@@ -41,7 +41,7 @@ import struct
 from repro.exceptions import ServiceError, TransportError
 
 __all__ = ["FRAME_MAGIC", "FRAME_VERSION", "HEADER_SIZE", "MAX_FRAME",
-           "FrameDecoder", "encode_frame", "read_frame", "write_frame"]
+           "encode_frame", "read_frame", "write_frame"]
 
 #: First byte of every frame; sniffed by the accept path.
 FRAME_MAGIC = 0xF3
@@ -88,39 +88,6 @@ def decode_header(header: bytes, *, max_frame: int = MAX_FRAME) -> int:
         raise ServiceError(
             f"frame of {length} bytes exceeds the {max_frame}-byte limit")
     return length
-
-
-class FrameDecoder:
-    """Incremental frame parser for a byte stream.
-
-    Feed arbitrary chunks with :meth:`feed`; complete payloads come
-    back in arrival order. Partial frames are buffered across calls,
-    so the decoder works over any transport that delivers bytes in
-    unpredictable pieces.
-    """
-
-    def __init__(self, *, max_frame: int = MAX_FRAME) -> None:
-        self._buffer = bytearray()
-        self._max_frame = max_frame
-
-    def feed(self, data: bytes) -> list[bytes]:
-        """Absorb ``data``; returns every payload completed by it."""
-        self._buffer.extend(data)
-        payloads: list[bytes] = []
-        while len(self._buffer) >= HEADER_SIZE:
-            length = decode_header(bytes(self._buffer[:HEADER_SIZE]),
-                                   max_frame=self._max_frame)
-            end = HEADER_SIZE + length
-            if len(self._buffer) < end:
-                break
-            payloads.append(bytes(self._buffer[HEADER_SIZE:end]))
-            del self._buffer[:end]
-        return payloads
-
-    @property
-    def pending(self) -> int:
-        """Bytes buffered towards an incomplete frame."""
-        return len(self._buffer)
 
 
 def write_frame(stream, payload: bytes) -> None:

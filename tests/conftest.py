@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 
@@ -128,3 +130,12 @@ def serving(daemon, **kwargs):
     server on exit."""
     with serve_socket(daemon, **kwargs) as server:
         yield server.address
+
+
+@contextmanager
+def probe_route(route: str):
+    """Send every batch of verdicts to ``"kernel"`` (``probe_fleet`` from
+    one row on) or to ``"scalar"`` probes (whatever the batch's length)."""
+    threshold = {"kernel": 1, "scalar": math.inf}[route]
+    with mock.patch("repro.allocators.base._FLEET_PROBE_FROM", threshold):
+        yield

@@ -9,7 +9,8 @@ code remains the oracle.
 
 The two scan walks of ``allocators/base.py`` (first admissible along an
 order; best score) are additionally held to it per decision — chosen
-server *and* probe counters, kernel on, kernel off and dense — on the
+server *and* probe counters, every batch on the kernel, every batch
+scalar, and dense — on the
 inputs where their branches can drift apart: a server type that can
 never host some VMs, active anti-affinity groups, and Γ > 0.
 
@@ -21,12 +22,14 @@ server, both counters and the Eq.-17 delta as hex.
 
 An explanation is the same whoever probed: every registry allocator's
 ``PlacementExplanation`` sequence on the four golden streams is ``==``
-across the engine specs — reason strings, cost terms, scores, chosen.
+across the engine specs and the probe routes — reason strings, cost
+terms, scores, chosen.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -42,6 +45,7 @@ from repro.service import AllocationDaemon, ClusterStateStore, place_request
 from repro.workload import PhasedWorkload
 from repro.workload.generator import generate_vms
 
+from conftest import probe_route
 from test_golden_decisions import NOMINAL, ROBUST, STREAMS
 
 VMS = generate_vms(150, mean_interarrival=3.0, seed=0)
@@ -81,8 +85,8 @@ def _min_energy_trail(engine: str, vms, cluster, constraints=None,
                       policy=SleepPolicy.OPTIMAL):
     """Per decision ``(vm, server, candidates_evaluated, _feasible,
     Eq.-17 delta as hex)`` — ``server`` is ``None`` where nothing fits —
-    the run's kernel call count (``None``: kernel off or no index; 0: no
-    kernel was built) and how many walks prefetched."""
+    the run's fleet kernel (``None``: none was built) and how many walks
+    prefetched."""
     allocator = make_allocator("min-energy", engine=engine, policy=policy)
     counters = {}
     prefetches = 0
@@ -103,12 +107,9 @@ def _min_energy_trail(engine: str, vms, cluster, constraints=None,
     allocator._prefetch = counted_prefetch
     decisions = allocator.allocate_batch(vms, cluster, constraints)
     index = allocator._index
-    calls = None
-    if index is not None and index.batched:
-        calls = 0 if index._kernel is None else index._kernel.probe_calls
     return ([(d.vm.vm_id, d.server_id, *counters[d.vm.vm_id],
               d.energy_delta.hex()) for d in decisions],
-            calls, prefetches)
+            None if index is None else index._kernel, prefetches)
 
 
 def _one_at_a_time(engine: str, vms, cluster, constraints=None,
@@ -150,20 +151,14 @@ class TestMinEnergyBatchedFinish:
                                                   constrained, policy):
         vms = DENSE_STREAMS[stream]
         constraints = _colliding_groups(vms) if constrained else None
-        option = f",gamma={gamma}" if gamma else ""
-        batched, calls, prefetches = _min_energy_trail(
-            "indexed:kernel=on" + option, vms, DENSE_CLUSTER, constraints,
-            policy)
-        kernel_off, no_kernel, _ = _min_energy_trail(
-            "indexed:kernel=off" + option, vms, DENSE_CLUSTER, constraints,
-            policy)
+        engine = f"indexed:gamma={gamma}" if gamma else "indexed"
+        batched, kernel, prefetches = _min_energy_trail(
+            engine, vms, DENSE_CLUSTER, constraints, policy)
         scalar, _, never = _one_at_a_time(
-            "indexed:kernel=off" + option, vms, DENSE_CLUSTER, constraints,
-            policy)
+            engine, vms, DENSE_CLUSTER, constraints, policy)
         assert len(batched) == len(vms)
-        assert batched == kernel_off == scalar
-        assert no_kernel is None
-        assert calls == 0  # the prefetch asks no kernel
+        assert batched == scalar
+        assert kernel is None  # the prefetch asks no kernel
         assert 0 < prefetches <= len(vms) and never == 0
         if not gamma:  # robust probing is indexed-only
             dense, *_ = _min_energy_trail("dense", vms, DENSE_CLUSTER,
@@ -186,16 +181,13 @@ class TestMinEnergyBatchedFinish:
 
         monkeypatch.setattr(FleetKernel, "__init__", counted_init)
         vms = DENSE_STREAMS["poisson"]
-        _, calls, prefetches = _min_energy_trail(engine, vms, DENSE_CLUSTER)
-        assert built == [] and calls == 0
+        _, kernel, prefetches = _min_energy_trail(engine, vms, DENSE_CLUSTER)
+        assert built == [] and kernel is None
         assert 0 < prefetches <= len(vms)
 
     def test_sparse_stream_never_batches(self):
-        batched, calls, prefetches = _min_energy_trail("indexed", VMS,
-                                                       CLUSTER)
-        scalar, *_ = _min_energy_trail("indexed:kernel=off", VMS, CLUSTER)
-        assert batched == scalar
-        assert calls == prefetches == 0
+        _, kernel, prefetches = _min_energy_trail("indexed", VMS, CLUSTER)
+        assert kernel is None and prefetches == 0
 
     def test_overfull_fleet_rejects_with_equal_counters(self):
         vms = DENSE_STREAMS["poisson"][:300]
@@ -296,11 +288,8 @@ class TestMinEnergyCloneClass:
             patch.setattr(ServerState, "admits", counted_admits)
             walk, *_ = _min_energy_trail("indexed", IDLE_VMS, IDLE_CLUSTER,
                                          policy=policy)
-        scalar, *_ = _min_energy_trail("indexed:kernel=off", IDLE_VMS,
-                                       IDLE_CLUSTER, policy=policy)
         chosen, *_ = _min_energy_trail("dense", IDLE_VMS, IDLE_CLUSTER,
                                        policy=policy)
-        assert walk == scalar
         assert [(row[0], row[1], row[4]) for row in walk] \
             == [(row[0], row[1], row[4]) for row in chosen]
         # A pristine server is admitted and priced by its type: never
@@ -325,7 +314,6 @@ class TestMinEnergyCloneClass:
         vms = [vm for pair in zip(ordered[200:], ordered[:200])
                for vm in pair]
         walk = _select_loop("indexed", vms, policy)
-        assert walk == _select_loop("indexed:kernel=off", vms, policy)
         chosen = _select_loop("dense", vms, policy)
         assert [(row[0], row[1], row[4]) for row in walk] \
             == [(row[0], row[1], row[4]) for row in chosen]
@@ -345,7 +333,7 @@ def _full_batch_choice(allocator, vm, states):
 
 
 def _kernel_calls(allocator) -> int:
-    kernel = allocator._index.kernel
+    kernel = allocator._index._kernel
     return 0 if kernel is None else kernel.probe_calls
 
 
@@ -370,12 +358,13 @@ class TestScoreScanCloneClass:
     that probes every candidate, on books that retire and compact."""
 
     @pytest.mark.parametrize("policy", list(SleepPolicy))
-    @pytest.mark.parametrize("engine", ["indexed", "indexed:kernel=off",
+    @pytest.mark.parametrize("engine", ["indexed", "indexed/scalar",
                                         "indexed:gamma=2"])
     @pytest.mark.parametrize("stream", sorted(_SCORE_STREAMS))
     @pytest.mark.parametrize("algo", SCORE_FAMILY)
     def test_the_reduced_scan_is_the_full_batchs(self, algo, stream,
                                                   engine, policy):
+        engine, _, route = engine.partition("/")
         vms, servers = _SCORE_STREAMS[stream]
         allocator = make_allocator(algo, engine=engine, policy=policy)
         states = [ServerState(server, policy=policy,
@@ -384,22 +373,23 @@ class TestScoreScanCloneClass:
         allocator.prepare(states)
         running: list = []
         fleet_probes = 0
-        for vm in vms:
-            # retire what ended two ticks ago, compacting the book
-            for entry in [e for e in running if e[0] < vm.start - 1]:
-                running.remove(entry)
-                entry[1].retire(entry[2], before=vm.start - 1)
-            calls = _kernel_calls(allocator)
-            chosen = allocator.select(vm, states)
-            fleet_probes += _kernel_calls(allocator) - calls
-            counters = (allocator.candidates_evaluated,
-                        allocator.candidates_feasible)
-            assert (chosen, counters) \
-                == _full_batch_choice(allocator, vm, states)
-            if chosen is not None:
-                chosen.place(vm)
-                running.append((vm.end, chosen, vm))
-        if stream == "dense" and "kernel=off" not in engine:
+        with probe_route(route) if route else nullcontext():
+            for vm in vms:
+                # retire what ended two ticks ago, compacting the book
+                for entry in [e for e in running if e[0] < vm.start - 1]:
+                    running.remove(entry)
+                    entry[1].retire(entry[2], before=vm.start - 1)
+                calls = _kernel_calls(allocator)
+                chosen = allocator.select(vm, states)
+                fleet_probes += _kernel_calls(allocator) - calls
+                counters = (allocator.candidates_evaluated,
+                            allocator.candidates_feasible)
+                assert (chosen, counters) \
+                    == _full_batch_choice(allocator, vm, states)
+                if chosen is not None:
+                    chosen.place(vm)
+                    running.append((vm.end, chosen, vm))
+        if stream == "dense" and not route:
             assert fleet_probes > 0   # the named rows went to the kernel
         elif stream == "idle":
             assert fleet_probes == 0
@@ -458,11 +448,11 @@ class TestEngineEquivalence:
         ids = [vm.vm_id for vm in vms]
         constraints = PlacementConstraints.build(
             separate=[ids[:6], ids[20:24], ids[90:94]])
-        option = f",gamma={gamma}" if gamma else ""
-        kernel = _trail(algo, "indexed:kernel=on" + option, vms, cluster,
-                        constraints)
-        scalar = _trail(algo, "indexed:kernel=off" + option, vms, cluster,
-                        constraints)
+        engine = f"indexed:gamma={gamma}" if gamma else "indexed"
+        with probe_route("kernel"):
+            kernel = _trail(algo, engine, vms, cluster, constraints)
+        with probe_route("scalar"):
+            scalar = _trail(algo, engine, vms, cluster, constraints)
         assert len(kernel) == len(vms)
         assert scalar == kernel
         if not gamma:  # robust probing is indexed-only
@@ -511,10 +501,15 @@ class TestExplainParity:
     @pytest.mark.parametrize("algo", allocator_names())
     def test_explanations_equal_whoever_probed(self, algo, stream):
         # gamma-ff installs its own Γ config: no dense run
-        nominal = NOMINAL[:2] if algo == "gamma-ff" else NOMINAL
+        nominal = NOMINAL[:1] if algo == "gamma-ff" else NOMINAL
         for specs in (nominal, ROBUST):
-            first, *others = (_explanations(algo, engine, stream)
-                              for engine in specs)
+            # a golden fleet is shorter than _FLEET_PROBE_FROM: the
+            # default probes scalar, the patch sends every batch to the
+            # kernel
+            with probe_route("kernel"):
+                first = _explanations(algo, specs[0], stream)
+            others = [_explanations(algo, engine, stream)
+                      for engine in specs]
             assert len(first) == len(STREAMS[stream][0])
             assert any(v.feasible for e in first for v in e.candidates)
             for other in others:

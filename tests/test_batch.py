@@ -9,8 +9,11 @@ request order, rejections as decisions — is checked beside it.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import pytest
 
+from conftest import probe_route
 from repro.allocators import Decision, allocator_names, make_allocator
 from repro.energy import allocation_cost
 from repro.model.allocation import Allocation
@@ -52,20 +55,23 @@ class TestBatchEquivalence:
         assert placements_batch == placements_seq
         assert energy_batch == energy_seq  # bit-identical, no approx
 
-    @pytest.mark.parametrize("engine", ["indexed", "indexed:kernel=off",
+    @pytest.mark.parametrize("engine", ["indexed", "indexed/kernel",
                                         "dense", "indexed:gamma=2"])
     @pytest.mark.parametrize("algo", allocator_names())
     def test_admission_without_delay_is_the_batch(self, algo, engine):
         """``AdmissionController`` at ``max_delay=0`` is one walk of the
-        allocator: the same placements, rejections and energy bits."""
+        allocator: the same placements, rejections and energy bits —
+        ``indexed/kernel`` with every batch on the fleet kernel."""
         if engine == "dense" and algo == "gamma-ff":
             pytest.skip("robust probing is indexed-only")
+        engine, _, route = engine.partition("/")
         vms = RADII_VMS if "gamma" in engine else VMS
-        outcome = AdmissionController(
-            make_allocator(algo, seed=0, engine=engine)).run(vms, TIGHT)
-        allocator = make_allocator(algo, seed=0, engine=engine)
-        decisions = {id(d.vm): d
-                     for d in allocator.allocate_batch(vms, TIGHT)}
+        with probe_route(route) if route else nullcontext():
+            outcome = AdmissionController(
+                make_allocator(algo, seed=0, engine=engine)).run(vms, TIGHT)
+            allocator = make_allocator(algo, seed=0, engine=engine)
+            decisions = {id(d.vm): d
+                         for d in allocator.allocate_batch(vms, TIGHT)}
         assert outcome.rejected
         assert {vm.vm_id: sid for vm, sid in outcome.allocation.items()} \
             == {d.vm.vm_id: d.server_id for d in decisions.values()

@@ -192,11 +192,11 @@ class TestTheDaemonAndItsStoreAgree:
         daemon = AllocationDaemon(ClusterStateStore(CLUSTER, engine=GAMMA))
         assert daemon.allocator.engine_config.spec == GAMMA
 
-    def test_the_kernel_toggle_is_the_allocators_alone(self):
+    def test_a_legacy_kernel_option_names_the_same_engine(self):
         daemon = AllocationDaemon(
             ClusterStateStore(CLUSTER, engine="indexed:kernel=off"),
             algo_params={"engine": "indexed:kernel=on"})
-        assert daemon.allocator.engine_config.use_kernel
+        assert daemon.allocator.engine_config.spec == "indexed"
 
     def test_a_mismatched_data_dir_refuses_to_restore(self, tmp_path):
         daemon = AllocationDaemon(ClusterStateStore(CLUSTER, engine=GAMMA),

@@ -18,8 +18,10 @@ kernel), ``phased`` (two-phase demand with
 ±30 % radii, read by the Γ specs) and ``overfull`` (more demand than
 fleet: rejections).
 
-Runs that decided the same thing share one record (``kernel=off`` must
-land on the matching ``kernel=on`` run). The fixture is a recording,
+Runs that decided the same thing share one record. No golden fleet
+reaches ``_FLEET_PROBE_FROM`` rows; the allocators that batch are run
+again with every batch on the kernel, and land on the same records.
+The fixture is a recording,
 not a specification: regenerate it with ``PYTHONPATH=src python
 tests/test_golden_decisions.py`` only when a decision is *meant* to
 change, and review the diff.
@@ -41,6 +43,8 @@ from repro.model.constraints import PlacementConstraints
 from repro.workload import PhasedWorkload
 from repro.workload.generator import generate_vms
 
+from conftest import probe_route
+
 FIXTURE = Path(__file__).parent / "fixtures" / "decisions_golden.json"
 
 #: The catalog's half-server-and-up VM types: 36 of them overfill 20
@@ -58,8 +62,8 @@ STREAMS = {
     "overfull": (generate_vms(36, mean_interarrival=0.05, mean_duration=60,
                               vm_types=BIG_VM_TYPES, seed=2), 20),
 }
-NOMINAL = ("indexed", "indexed:kernel=off", "dense")
-ROBUST = ("indexed:gamma=2", "indexed:kernel=off,gamma=2")
+NOMINAL = ("indexed", "dense")
+ROBUST = ("indexed:gamma=2",)
 OPTIMAL = SleepPolicy.OPTIMAL.value
 
 
@@ -78,7 +82,7 @@ def configs() -> list[tuple[str, str, str, str, bool]]:
     for algorithm in allocator_names():
         # gamma-ff installs its own Γ config; robust probing has no
         # dense run.
-        engines = NOMINAL[:2] + ROBUST if algorithm == "gamma-ff" \
+        engines = NOMINAL[:1] + ROBUST if algorithm == "gamma-ff" \
             else NOMINAL + ROBUST
         for engine in engines:
             for stream in STREAMS:
@@ -95,11 +99,18 @@ def configs() -> list[tuple[str, str, str, str, bool]]:
 
 CONFIGS = configs()
 
+#: The allocators whose scans batch their probes (the score family's
+#: warm rows, random-fit's ``choose``-only route), on the indexed specs.
+KERNEL_CONFIGS = [(algorithm, engine, stream, OPTIMAL, False)
+                  for algorithm in ("best-fit", "worst-fit", "random-fit")
+                  for engine in ("indexed", "indexed:gamma=2")
+                  for stream in STREAMS]
+
 
 def record_run(algorithm: str, engine: str, stream: str, policy: str,
-               constrained: bool) -> tuple[list, int | None]:
-    """The run's decision trail and its kernel call count (``None``: no
-    kernel was built)."""
+               constrained: bool) -> tuple[list, object]:
+    """The run's decision trail and its fleet kernel (``None``: none was
+    built)."""
     vms, servers = STREAMS[stream]
     allocator = make_allocator(algorithm, seed=5, engine=engine,
                                policy=policy)
@@ -117,12 +128,11 @@ def record_run(algorithm: str, engine: str, stream: str, policy: str,
         vms, Cluster.paper_all_types(servers),
         constraints_for(stream) if constrained else None)
     index = allocator._index
-    kernel = index.kernel if index is not None else None
     arrivals = sorted(decisions,
                       key=lambda d: (d.vm.start, d.vm.end, d.vm.vm_id))
     return ([[d.vm.vm_id, d.server_id, *counters[d.vm.vm_id],
               d.energy_delta.hex()] for d in arrivals],
-            None if kernel is None else kernel.probe_calls)
+            None if index is None else index._kernel)
 
 
 def config_name(algorithm: str, engine: str, stream: str, policy: str,
@@ -176,28 +186,23 @@ def test_the_fixture_holds_exactly_the_matrix(golden):
     assert set(golden["records"]) == set(golden["runs"].values())
 
 
-def test_kernel_off_lands_on_kernel_on(golden):
-    for name, digest in golden["runs"].items():
-        if "indexed:kernel=off" in name:
-            assert digest == golden["runs"][
-                name.replace("kernel=off,", "").replace(":kernel=off", "")]
-
-
 @pytest.mark.parametrize("config", CONFIGS,
                          ids=[config_name(*c) for c in CONFIGS])
 def test_decisions_are_the_recorded_ones(golden, config):
-    trail, probe_calls = record_run(*config)
+    trail, kernel = record_run(*config)
     assert trail == golden["records"][golden["runs"][config_name(*config)]]
-    algorithm, engine, stream = config[:3]
-    if "kernel=off" in engine or engine == "dense":
-        assert probe_calls is None
-    elif algorithm == "min-energy" and stream in ("dense", "overfull"):
-        assert probe_calls == 0  # the prefetch reads remembered refusals
-    elif algorithm in ("min-energy", "best-fit", "worst-fit") \
-            and stream == "sparse":
-        # a score scan probes its few warm servers one by one and
-        # scores each clone class as its type: no probe_fleet either
-        assert probe_calls == 0
+    # <= 24 servers: no batch reaches _FLEET_PROBE_FROM rows, and
+    # min-energy's prefetch reads remembered refusals, not a kernel
+    assert kernel is None
+
+
+@pytest.mark.parametrize("config", KERNEL_CONFIGS,
+                         ids=[config_name(*c) for c in KERNEL_CONFIGS])
+def test_the_kernel_route_lands_on_the_recorded_trail(golden, config):
+    with probe_route("kernel"):
+        trail, kernel = record_run(*config)
+    assert trail == golden["records"][golden["runs"][config_name(*config)]]
+    assert kernel.probe_calls > 0
 
 
 if __name__ == "__main__":

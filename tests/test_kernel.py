@@ -8,11 +8,10 @@ Three contracts pin the vectorized fleet probe:
   reason string (code + first-violation tick), peaks and headrooms,
   over random fleets and random probe VMs — the hypothesis property;
 * **decision equivalence** — every registered allocator places the same
-  VMs on the same servers with bit-identical Eq.-17 energy whether the
-  kernel is on or off (``==`` on floats, no tolerance);
+  VMs on the same servers with bit-identical Eq.-17 energy whether every
+  batch or none goes to the kernel (``==`` on floats, no tolerance);
 * **config surface** — ``EngineConfig`` round-trips its spec string, is
-  journaled through store snapshots, and the legacy bare-string ctor
-  form still works but warns.
+  journaled through store snapshots, and refuses the bare-string ctor.
 """
 
 from __future__ import annotations
@@ -36,10 +35,11 @@ from repro.model.server import Server, ServerSpec
 from repro.model.vm import VM, VMSpec
 from repro.placement import EngineConfig, FeasibilityBatch, FleetKernel
 from repro.placement.index import CandidateIndex
+from repro.robust import RobustnessConfig
 from repro.service.state import ClusterStateStore
 from repro.workload.generator import generate_vms
 
-from conftest import make_vm
+from conftest import make_vm, probe_route
 
 SPEC_SMALL = ServerSpec("small", cpu_capacity=6.0, memory_capacity=8.0,
                         p_idle=80.0, p_peak=140.0, transition_time=2.0)
@@ -434,15 +434,15 @@ class TestALateKernelAnswersLikeAnEarlyOne:
            data=st.data())
     def test_answers_and_counters_are_equal(self, ops, probes, data):
         early_books, late_books = build_fleet([[]] * 4), build_fleet([[]] * 4)
-        early = CandidateIndex(early_books, kernel=True)
-        late = CandidateIndex(late_books, kernel=True)
+        early = CandidateIndex(early_books)
+        late = CandidateIndex(late_books)
         early_kernel = early.kernel  # what prepare built before
         vm_id = 0
         for op in ops:
             if op[0] == "sync":
                 early_kernel.sync()
             vm_id = _apply(op, (early_books, late_books), vm_id)
-        assert late.batched and late._kernel is None  # nothing watched
+        assert late._kernel is None  # nothing watched
         late_kernel = late.kernel
         for probe in probes:
             _, vm = _materialize([], probe)
@@ -458,11 +458,10 @@ class TestALateKernelAnswersLikeAnEarlyOne:
                 == getattr(early_kernel, counter), counter
 
     def test_a_scalar_scan_does_not_build_the_kernel(self):
-        allocator = make_allocator("best-fit", engine="indexed:kernel=on")
+        allocator = make_allocator("best-fit")
         allocator.allocate(generate_vms(40, mean_interarrival=3.0, seed=5),
                            Cluster.paper_all_types(12))
         # a sparse stream: every score scan names < 40 rows, all scalar
-        assert allocator._index.batched
         assert allocator._index._kernel is None
 
 
@@ -555,15 +554,16 @@ class TestAShortScoreScanLoadsNoNumpy:
         assert _fresh_run(_SHORT_SCANS, vms) == [len(vms), len(vms), False]
 
 
-# -- allocator decisions: kernel on == kernel off ---------------------------
+# -- allocator decisions: every batch on the kernel == none -----------------
 
 VMS = generate_vms(140, mean_interarrival=3.0, seed=3)
 CLUSTER = Cluster.paper_all_types(50)
 
 
-def _run(algo, engine, seed=0, constraints=None):
-    allocator = make_allocator(algo, seed=seed, engine=engine)
-    plan = allocator.allocate(VMS, CLUSTER, constraints)
+def _run(algo, route, seed=0, constraints=None):
+    with probe_route(route):
+        allocator = make_allocator(algo, seed=seed)
+        plan = allocator.allocate(VMS, CLUSTER, constraints)
     placements = {vm.vm_id: sid for vm, sid in plan.items()}
     return placements, allocation_cost(plan).total
 
@@ -571,16 +571,16 @@ def _run(algo, engine, seed=0, constraints=None):
 class TestKernelDecisionEquivalence:
     @pytest.mark.parametrize("algo", allocator_names())
     def test_identical_placements_and_energy(self, algo):
-        placed_on, energy_on = _run(algo, "indexed:kernel=on")
-        placed_off, energy_off = _run(algo, "indexed:kernel=off")
+        placed_on, energy_on = _run(algo, "kernel")
+        placed_off, energy_off = _run(algo, "scalar")
         assert placed_on == placed_off
         assert energy_on == energy_off  # bit-identical, no approx
 
     @pytest.mark.parametrize("algo", ["min-energy", "ffps", "random-fit",
                                       "round-robin", "best-fit"])
     def test_seeded_runs_agree(self, algo):
-        placed_on, energy_on = _run(algo, "indexed:kernel=on", seed=11)
-        placed_off, energy_off = _run(algo, "indexed:kernel=off", seed=11)
+        placed_on, energy_on = _run(algo, "kernel", seed=11)
+        placed_off, energy_off = _run(algo, "scalar", seed=11)
         assert placed_on == placed_off
         assert energy_on == energy_off
 
@@ -590,9 +590,8 @@ class TestKernelDecisionEquivalence:
         ids = [vm.vm_id for vm in VMS]
         constraints = PlacementConstraints.build(
             separate=[ids[:6], ids[10:14]])
-        placed_on, energy_on = _run(algo, "indexed:kernel=on",
-                                    constraints=constraints)
-        placed_off, energy_off = _run(algo, "indexed:kernel=off",
+        placed_on, energy_on = _run(algo, "kernel", constraints=constraints)
+        placed_off, energy_off = _run(algo, "scalar",
                                       constraints=constraints)
         assert placed_on == placed_off
         assert energy_on == energy_off
@@ -609,17 +608,20 @@ class TestEngineConfig:
         config = EngineConfig.parse(spec)
         assert EngineConfig.parse(config.spec) == config
 
-    def test_kernel_defaults_follow_engine(self):
-        assert EngineConfig(engine="indexed").use_kernel is True
-        assert EngineConfig(engine="dense").use_kernel is False
-        assert EngineConfig(engine="indexed",
-                            kernel=False).use_kernel is False
-
-    def test_dense_kernel_is_rejected(self):
-        with pytest.raises(ValidationError):
-            EngineConfig(engine="dense", kernel=True)
-        with pytest.raises(ValidationError):
-            EngineConfig.parse("dense:kernel=on")
+    @pytest.mark.parametrize("spec, canonical", [
+        ("indexed:kernel=on", "indexed"),
+        ("indexed:kernel=off,gamma=2", "indexed:gamma=2"),
+        ("dense:kernel=on", "dense"),
+        ("indexed:kernel=on,shards=8", "indexed")])
+    def test_stored_kernel_entry_is_validated_then_dropped(self, spec,
+                                                           canonical):
+        # Specs and snapshots written by earlier builds may carry one;
+        # who probes is the batch's length, not the config.
+        config = EngineConfig.parse(spec)
+        assert config == EngineConfig.parse(canonical)
+        assert config.spec == canonical
+        with pytest.raises(TypeError):
+            EngineConfig(kernel=True)
 
     def test_bad_specs_are_rejected(self):
         for bad in ("warp", "indexed:kernel=maybe", "indexed:shards=x",
@@ -630,17 +632,19 @@ class TestEngineConfig:
 
     def test_record_round_trips(self):
         # The stored form is the spec string (snapshots, daemon config).
-        config = EngineConfig(engine="indexed", kernel=False)
+        config = EngineConfig(engine="indexed",
+                              robustness=RobustnessConfig(gamma=2))
         assert EngineConfig.parse(config.spec) == config
 
     def test_stored_shards_entry_is_validated_then_dropped(self):
         # Specs written by earlier builds may carry one.
-        config = EngineConfig.parse("indexed:kernel=on,shards=8")
-        assert config == EngineConfig(engine="indexed", kernel=True)
-        assert config.spec == "indexed:kernel=on"
+        config = EngineConfig.parse("indexed:shards=8")
+        assert config == EngineConfig(engine="indexed")
+        assert config.spec == "indexed"
         assert EngineConfig.parse("dense:shards=2").spec == "dense"
-        restored = EngineConfig.parse("indexed:kernel=off,shards=4")
-        assert restored == EngineConfig(engine="indexed", kernel=False)
+        restored = EngineConfig.parse("indexed:shards=4,gamma=1")
+        assert restored == EngineConfig(
+            engine="indexed", robustness=RobustnessConfig(gamma=1))
         assert "shards" not in restored.spec
         for bad in ("x", 0, -3):
             with pytest.raises(ValidationError):
@@ -660,16 +664,14 @@ class TestEngineConfig:
     def test_make_allocator_spec_string_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            allocator = make_allocator("min-energy",
-                                       engine="indexed:kernel=off")
-        assert allocator.engine_config == EngineConfig(
-            engine="indexed", kernel=False)
+            allocator = make_allocator("min-energy", engine="dense")
+        assert allocator.engine_config == EngineConfig(engine="dense")
 
     def test_snapshot_journals_engine_config(self):
         store = ClusterStateStore(Cluster.paper_all_types(4),
-                                  engine="indexed:kernel=off")
+                                  engine="indexed:gamma=2")
         document = store.to_snapshot()
-        assert document["engine"] == "indexed:kernel=off"
+        assert document["engine"] == "indexed:gamma=2"
         restored = ClusterStateStore.from_snapshot(document)
         assert restored.engine_config == store.engine_config
         assert restored.engine == "indexed"

@@ -45,7 +45,7 @@ from repro.placement.feasibility import (
 )
 from repro.placement.index import CandidateIndex
 
-from conftest import make_vm
+from conftest import make_vm, probe_route
 from test_kernel import _long_history_fleet, _long_history_probes
 
 SPEC = ServerSpec("s", cpu_capacity=8.0, memory_capacity=8.0,
@@ -220,8 +220,8 @@ def _yes_or_no(state: ServerState, vm: VM) -> bool:
 
 
 class TestAdmitsIsTheProbesYesOrNo:
-    @pytest.mark.parametrize("engine", ["indexed", "indexed:kernel=off",
-                                        "dense", "indexed:gamma=2"])
+    @pytest.mark.parametrize("engine", ["indexed", "dense",
+                                        "indexed:gamma=2"])
     @settings(max_examples=120, deadline=None)
     @given(st.lists(_ASKS, min_size=1, max_size=25))
     def test_after_any_place_cut_retire(self, engine, ops):
@@ -417,8 +417,8 @@ class TestAnIdleServerIsAClone:
     walk probe one member of a type's clone class."""
 
     @pytest.mark.parametrize("policy", list(SleepPolicy))
-    @pytest.mark.parametrize("engine", ["indexed", "indexed:kernel=off",
-                                        "dense", "indexed:gamma=2"])
+    @pytest.mark.parametrize("engine", ["indexed", "dense",
+                                        "indexed:gamma=2"])
     @settings(max_examples=50, deadline=None)
     @given(st.lists(_BOOK_ASKS, min_size=1, max_size=20),
            st.integers(0, 6))
@@ -512,8 +512,7 @@ class TestAFreshBookAdmitsByItsType:
     server is a fresh one), without asking any of its members."""
 
     @pytest.mark.parametrize("policy", list(SleepPolicy))
-    @pytest.mark.parametrize("engine", ["indexed", "indexed:kernel=off",
-                                        "indexed:gamma=2"])
+    @pytest.mark.parametrize("engine", ["indexed", "indexed:gamma=2"])
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(SERVER_TYPES), _NEAR_CAPACITY, _NEAR_CAPACITY,
            st.integers(0, 3), st.floats(-0.999e-9, 0.999e-9),
@@ -552,8 +551,8 @@ class TestAnIdleServerScoresLikeAClone:
     scores one row at a time."""
 
     @pytest.mark.parametrize("policy", list(SleepPolicy))
-    @pytest.mark.parametrize("engine", ["indexed", "indexed:kernel=off",
-                                        "indexed:gamma=2"])
+    @pytest.mark.parametrize("engine", ["indexed/kernel", "indexed/scalar",
+                                        "indexed:gamma=2/kernel"])
     @settings(max_examples=30, deadline=None)
     @given(st.lists(_BOOK_ASKS, min_size=1, max_size=20),
            st.integers(0, 6))
@@ -563,6 +562,7 @@ class TestAnIdleServerScoresLikeAClone:
               (1, 0, 0, 1, 1, 0), (1, 0, 0, 1, 1, 0)], 0)
     def test_after_any_place_cut_retire_compact_copy(self, engine, policy,
                                                       ops, later):
+        engine, _, route = engine.partition("/")
         state = ServerState(Server(0, SPEC), policy=policy, engine=engine)
         twin = ServerState(Server(1, SPEC), policy=policy, engine=engine)
         gap = saturating_gap(SPEC, policy)
@@ -585,9 +585,10 @@ class TestAnIdleServerScoresLikeAClone:
                 probes += [_shaped(100 + i, first, length, cpu8 * 0.13,
                                    mem8 * 0.13, shape) for shape in range(3)]
             fleet = [state, twin]
-            best.prepare(fleet)     # the kernel, where the spec has one
+            best.prepare(fleet)
             for probe in probes:
-                batch = best._probe_batch(probe, fleet)
+                with probe_route(route):
+                    batch = best._probe_batch(probe, fleet)
                 scores = [allocator.score(probe, batch)
                           for allocator in (best, worst)]
                 for allocator, score in zip((best, worst), scores):

@@ -31,7 +31,7 @@ from repro.model.vm import VM, VMSpec
 from repro.service import AllocationDaemon, ClusterStateStore, place_request
 from repro.simulation.admission import shift_request
 
-ENGINES = ["indexed", "indexed:kernel=off", "indexed:gamma=2", "dense"]
+ENGINES = ["indexed", "indexed:gamma=2", "dense"]
 
 #: Paper types 1-3, one server each: a burst fills them (delays,
 #: rejections), the largest VM types never fit (static refusals), and a

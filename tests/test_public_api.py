@@ -172,7 +172,7 @@ class TestExports:
 
         for name in ("ThreadingDaemonServer", "serve_socket", "GatewayServer",
                      "start_gateway", "encode_frame", "read_frame",
-                     "write_frame", "FrameDecoder", "FRAME_MAGIC", "CODES",
+                     "write_frame", "FRAME_MAGIC", "CODES",
                      "envelope",
                      "error_fields", "http_status_of", "validate_request"):
             assert name in service.__all__, name

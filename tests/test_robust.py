@@ -101,7 +101,7 @@ class TestRobustnessConfig:
 
 class TestEngineConfigRobustness:
     def test_spec_round_trips(self):
-        for spec in ("indexed:gamma=2", "indexed:kernel=off,gamma=1",
+        for spec in ("indexed:gamma=2", "indexed:gamma=1",
                      "indexed:gamma=3,mode=box"):
             config = EngineConfig.parse(spec)
             assert EngineConfig.parse(config.spec) == config

@@ -26,6 +26,8 @@ from repro.model.vm import VM, VMSpec
 from repro.placement import EngineConfig
 from repro.robust import RobustnessConfig
 
+from conftest import probe_route
+
 SPEC = ServerSpec("prop", cpu_capacity=8.0, memory_capacity=10.0,
                   p_idle=90.0, p_peak=180.0, transition_time=2.0)
 
@@ -55,24 +57,20 @@ class TestGammaZeroIsNominal:
     def test_placements_and_energy_identical(self, algo, kernel, entries):
         vms = materialize(entries)
         cluster = Cluster.homogeneous(SPEC, 4)
-        nominal_engine = EngineConfig(kernel=kernel)
-        zero_engine = EngineConfig(kernel=kernel,
-                                   robustness=RobustnessConfig(gamma=0))
-        if algo == "gamma-ff":
-            # gamma-ff injects a default Γ=1 when the engine carries no
-            # config; its Γ=0 law is equality with plain first-fit.
-            nominal = make_allocator("first-fit", seed=3,
-                                     engine=nominal_engine) \
-                .allocate_batch(vms, cluster)
-            zero = make_allocator(algo, seed=3, gamma=0,
-                                  engine=nominal_engine) \
-                .allocate_batch(vms, cluster)
-        else:
-            nominal = make_allocator(algo, seed=3,
-                                     engine=nominal_engine) \
-                .allocate_batch(vms, cluster)
-            zero = make_allocator(algo, seed=3, engine=zero_engine) \
-                .allocate_batch(vms, cluster)
+        zero_engine = EngineConfig(robustness=RobustnessConfig(gamma=0))
+        with probe_route("kernel" if kernel else "scalar"):
+            if algo == "gamma-ff":
+                # gamma-ff injects a default Γ=1 when the engine carries
+                # no config; its Γ=0 law is equality with plain first-fit.
+                nominal = make_allocator("first-fit", seed=3) \
+                    .allocate_batch(vms, cluster)
+                zero = make_allocator(algo, seed=3, gamma=0) \
+                    .allocate_batch(vms, cluster)
+            else:
+                nominal = make_allocator(algo, seed=3) \
+                    .allocate_batch(vms, cluster)
+                zero = make_allocator(algo, seed=3, engine=zero_engine) \
+                    .allocate_batch(vms, cluster)
         assert [d.server_id for d in nominal] == \
             [d.server_id for d in zero]
         assert [d.energy_delta for d in nominal] == \

@@ -371,7 +371,8 @@ class TestDaemon:
 
     def test_restore_drops_removed_scan_keys(self, tmp_path):
         """Durable state that still carries ``shards`` /
-        ``scan_processes`` (config keys and engine-spec token) loads,
+        ``scan_processes`` (config keys and engine-spec token) and a
+        ``kernel`` engine-spec token loads,
         keeps placing exactly like an uninterrupted run, and the next
         snapshot no longer carries them."""
         vms = online_order(generate_vms(120, mean_interarrival=2.0,
@@ -379,10 +380,9 @@ class TestDaemon:
 
         def build(**kwargs):
             return AllocationDaemon(
-                ClusterStateStore(Cluster.paper_all_types(60),
-                                  engine="indexed:kernel=on"),
+                ClusterStateStore(Cluster.paper_all_types(60)),
                 algorithm="first-fit", fsync=False,
-                algo_params={"engine": "indexed:kernel=on"}, **kwargs)
+                algo_params={"engine": "indexed"}, **kwargs)
 
         def trail(responses):
             return [(r["vm_id"], r["decision"], r.get("server_id"))
@@ -415,8 +415,8 @@ class TestDaemon:
         document = json.loads(second.write_snapshot().read_text())
         config = document["meta"]["config"]
         assert "shards" not in config and "scan_processes" not in config
-        assert document["engine"] == "indexed:kernel=on"
-        assert config["algo_params"]["engine"] == "indexed:kernel=on"
+        assert document["engine"] == "indexed"
+        assert config["algo_params"]["engine"] == "indexed"
 
     def test_restore_takes_unrecorded_keys_from_the_signature(
             self, tmp_path):

@@ -303,9 +303,10 @@ def assert_parts_are_the_document(store: ClusterStateStore, meta) -> bytes:
 
 def assert_index_matches_the_scan_list(daemon: AllocationDaemon) -> None:
     """The candidate queues are the scan list partitioned by server type
-    and ``is_pristine``, in ascending position; the kernel, where one was
-    built, holds every skyline verbatim in the live cells of its row's
-    slot, pad keys after them, the key plane sorted end to end."""
+    and ``is_pristine``, in ascending position; the kernel (built by
+    the first check when no walk built it, then kept in sync by its
+    watchers) holds every skyline verbatim in the live cells of its
+    row's slot, pad keys after them, the key plane sorted end to end."""
     index = daemon.allocator._index
     engine = daemon.allocator.engine_config
     live = daemon._live
@@ -329,9 +330,6 @@ def assert_index_matches_the_scan_list(daemon: AllocationDaemon) -> None:
                                  if index._quiet[pos] <= group.horizon]
         assert len(group._ends or ()) <= 2 * len(group.warm) + 1
     kernel = index.kernel
-    assert (kernel is None) == (not engine.use_kernel)
-    if kernel is None:
-        return
     kernel.sync()
     keys, off = kernel._keys.tolist(), kernel._off
     assert keys == sorted(keys)
@@ -352,12 +350,11 @@ def assert_index_matches_the_scan_list(daemon: AllocationDaemon) -> None:
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(st.sampled_from(["indexed", "indexed:kernel=off", "indexed:gamma=2",
-                        "dense"]),
+@given(st.sampled_from(["indexed", "indexed:gamma=2", "dense"]),
        st.lists(OP, max_size=25))
 # A recovered server comes back pristine at a position *below* a busy
 # one of its type: the next commit must insert, not append.
-@example("indexed:kernel=off",
+@example("indexed",
          [("place", (0, 9, HEAVY))] * 3 + [("fail_server", 0),
                                           ("recover_server", 0),
                                           ("place", (0, 9, HEAVY))])

@@ -19,7 +19,6 @@ from repro.service import (
     AllocationClient,
     AllocationDaemon,
     ClusterStateStore,
-    FrameDecoder,
     encode_frame,
     place_request,
     read_frame,
@@ -82,21 +81,6 @@ class TestFraming:
         header = bytes([FRAME_MAGIC, 0x03]) + (MAX_FRAME + 1).to_bytes(4, "big")
         with pytest.raises(ServiceError):
             read_frame(io.BytesIO(header))
-
-    def test_decoder_handles_byte_dribble(self):
-        frames = [encode_frame(f"payload-{i}".encode()) for i in range(3)]
-        blob = b"".join(frames)
-        decoder = FrameDecoder()
-        seen: list[bytes] = []
-        for i in range(len(blob)):
-            seen.extend(decoder.feed(blob[i:i + 1]))
-        assert seen == [f"payload-{i}".encode() for i in range(3)]
-        assert decoder.pending == 0
-
-    def test_decoder_handles_coalesced_frames(self):
-        frames = [encode_frame(b"a"), encode_frame(b"bb")]
-        decoder = FrameDecoder()
-        assert decoder.feed(b"".join(frames)) == [b"a", b"bb"]
 
 
 class TestSniffingServer:
