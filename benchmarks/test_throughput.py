@@ -4,9 +4,9 @@ These use pytest-benchmark's statistics properly (multiple rounds) and
 guard the library's performance envelope: the paper's heuristic evaluates
 the incremental cost on every feasible server per VM, so it must stay
 usable at the paper's 1000-VM scale. The 1000-VM / 300-server point also
-pins the indexed placement engine's speedup over the dense oracle — the
-contract that justified replacing the numpy timelines with the skyline
-index (see ``docs/api.md``, *Placement engine*).
+pins the candidate index's speedup over the unindexed route — every
+server probed, collect-then-``choose``: the paper's rule read literally
+(see ``docs/api.md``, *Placement engine*).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from unittest import mock
 import pytest
 
 from repro.allocators import make_allocator
+from repro.allocators.base import Allocator
 from repro.energy import allocation_cost
 from repro.ilp import build_problem
 from repro.model.cluster import Cluster
@@ -49,17 +50,37 @@ def test_allocator_throughput_1k(benchmark, algo):
     assert len(allocation) == len(VMS_1K)
 
 
-def _best_run(algo: str, engine: str, vms, cluster, rounds: int, *,
-              scalar: bool = False) -> tuple[float, dict[int, int]]:
-    """Best wall time of ``rounds`` allocations, and the placements.
-    ``scalar`` probes every batch one ``ServerState.probe`` a row, as if
-    no batch reached ``allocators.base._FLEET_PROBE_FROM``."""
+_PREPARE = Allocator.prepare
+
+
+def _unindexed_prepare(allocator, states):
+    """``Allocator.prepare``, then the candidate index dropped."""
+    _PREPARE(allocator, states)
+    allocator._index = None
+
+
+#: ``route`` -> the patch it runs under: ``scalar`` probes every batch
+#: one ``ServerState.probe`` a row, as if no batch reached
+#: ``allocators.base._FLEET_PROBE_FROM``; ``unindexed`` drops the
+#: candidate index, so every server is probed and ``choose`` decides.
+_ROUTES = {
+    None: nullcontext,
+    "scalar": lambda: mock.patch(
+        "repro.allocators.base._FLEET_PROBE_FROM", math.inf),
+    "unindexed": lambda: mock.patch.object(Allocator, "prepare",
+                                           _unindexed_prepare),
+}
+
+
+def _best_run(algo: str, vms, cluster, rounds: int, *,
+              route: str | None = None) -> tuple[float, dict[int, int]]:
+    """Best wall time of ``rounds`` allocations on ``route`` (see
+    :data:`_ROUTES`), and the placements."""
     best = float("inf")
     placements: dict[int, int] = {}
-    with mock.patch("repro.allocators.base._FLEET_PROBE_FROM", math.inf) \
-            if scalar else nullcontext():
+    with _ROUTES[route]():
         for _ in range(rounds):
-            allocator = make_allocator(algo, seed=0, engine=engine)
+            allocator = make_allocator(algo, seed=0)
             started = time.perf_counter()
             plan = allocator.allocate(vms, cluster)
             best = min(best, time.perf_counter() - started)
@@ -68,24 +89,25 @@ def _best_run(algo: str, engine: str, vms, cluster, rounds: int, *,
 
 
 def test_indexed_engine_speedup_1k():
-    """Indexed >= 3x faster than dense at 1000 VMs / 300 servers, with
-    identical placements (the equivalence contract on the hot path)."""
+    """The default (indexed) route >= 3x faster than the unindexed one
+    at 1000 VMs / 300 servers, with identical placements (the
+    equivalence contract on the hot path)."""
     indexed_s, indexed_placed = _best_run(
-        "min-energy", "indexed", VMS_1K, CLUSTER_300, 3)
-    dense_s, dense_placed = _best_run(
-        "min-energy", "dense", VMS_1K, CLUSTER_300, 3)
-    assert indexed_placed == dense_placed
-    speedup = dense_s / indexed_s
+        "min-energy", VMS_1K, CLUSTER_300, 3)
+    unindexed_s, unindexed_placed = _best_run(
+        "min-energy", VMS_1K, CLUSTER_300, 3, route="unindexed")
+    assert indexed_placed == unindexed_placed
+    speedup = unindexed_s / indexed_s
     record_result("engine_speedup", "\n".join([
         "min-energy, 1000 VMs / 300 servers (best of 3)",
-        f"indexed engine: {indexed_s * 1000:8.1f} ms",
-        f"dense engine:   {dense_s * 1000:8.1f} ms",
+        f"indexed:        {indexed_s * 1000:8.1f} ms",
+        f"unindexed:      {unindexed_s * 1000:8.1f} ms",
         f"speedup:        {speedup:8.2f}x (floor: 3.00x)",
     ]))
     record_json("engine", {
         "benchmark": "min-energy, 1000 VMs / 300 servers (best of 3)",
         "indexed_ms": round(indexed_s * 1000, 1),
-        "dense_ms": round(dense_s * 1000, 1),
+        "unindexed_ms": round(unindexed_s * 1000, 1),
         "speedup": round(speedup, 2),
         "floor": 3.0,
     })
@@ -112,8 +134,7 @@ def test_candidate_index_fleet_scaling():
     seconds = dict.fromkeys(fleets, float("inf"))
     for _ in range(3):  # take turns: both fleets see the same box phases
         for n in fleets:
-            run_s, _ = _best_run("min-energy", "indexed", VMS_SPARSE_5K,
-                                 fleets[n], 1)
+            run_s, _ = _best_run("min-energy", VMS_SPARSE_5K, fleets[n], 1)
             seconds[n] = min(seconds[n], run_s)
     title = "min-energy, 5000 sparse VMs, 3000 vs 300 servers " \
             "(best of 3, alternating)"
@@ -147,6 +168,22 @@ PROBE_FLOOR = 2.0
 PAPER_SCALE_CEILING = 1.25
 
 
+def _take_turns(algo: str, vms, cluster, turns: int
+                ) -> tuple[float, float]:
+    """Each side's best of ``turns`` runs — the default rule, then
+    all-scalar, by turns, so both see the same phases of a box whose
+    cores change speed — with identical placements."""
+    on_s = off_s = float("inf")
+    for _ in range(turns):
+        seconds, on_placed = _best_run(algo, vms, cluster, 1)
+        on_s = min(on_s, seconds)
+        seconds, off_placed = _best_run(algo, vms, cluster, 1,
+                                        route="scalar")
+        off_s = min(off_s, seconds)
+    assert on_placed == off_placed
+    return on_s, off_s
+
+
 def test_probe_fleet_speedup():
     """``FleetKernel.probe_fleet`` vs the scalar probe loop, identical
     placements: best-fit under the default rule (the kernel from
@@ -156,11 +193,7 @@ def test_probe_fleet_speedup():
     best-fit default <= 1.25x all-scalar at 1000 VMs / 300 servers."""
     lines, summary = [], {}
     for label, vms in PROBE_FLEET_3K.items():
-        on_s, on_placed = _best_run("best-fit", "indexed", vms,
-                                    CLUSTER_3K, 2)
-        off_s, off_placed = _best_run("best-fit", "indexed", vms,
-                                      CLUSTER_3K, 1, scalar=True)
-        assert on_placed == off_placed
+        on_s, off_s = _take_turns("best-fit", vms, CLUSTER_3K, 3)
         row = {"default_ms": round(on_s * 1000, 1),
                "scalar_ms": round(off_s * 1000, 1),
                "speedup": round(off_s / on_s, 2)}
@@ -173,17 +206,7 @@ def test_probe_fleet_speedup():
                      f"default {on_s * 1000:8.1f} ms  scalar "
                      f"{off_s * 1000:8.1f} ms  {off_s / on_s:6.2f}x {gate}")
     for algo in ("first-fit", "ffps", "best-fit"):
-        # ~15 ms runs on a box whose cores change speed: take turns, so
-        # both sides see the same phases, and keep each side's best.
-        on_s = off_s = float("inf")
-        for _ in range(9):
-            seconds, on_placed = _best_run(
-                algo, "indexed", VMS_PAPER, CLUSTER_300, 1)
-            on_s = min(on_s, seconds)
-            seconds, off_placed = _best_run(
-                algo, "indexed", VMS_PAPER, CLUSTER_300, 1, scalar=True)
-            off_s = min(off_s, seconds)
-        assert on_placed == off_placed
+        on_s, off_s = _take_turns(algo, VMS_PAPER, CLUSTER_300, 9)
         summary[f"{algo}-1k"] = {
             "default_ms": round(on_s * 1000, 1),
             "scalar_ms": round(off_s * 1000, 1),
@@ -205,12 +228,14 @@ def test_probe_fleet_speedup():
 
 
 def test_engine_equivalence_at_scale():
-    """Bit-identical Eq.-17 energy between engines at the 1k point."""
+    """Bit-identical Eq.-17 energy, indexed and unindexed, at the 1k
+    point."""
     totals = []
-    for engine in ("indexed", "dense"):
-        allocator = make_allocator("min-energy", seed=0, engine=engine)
-        totals.append(
-            allocation_cost(allocator.allocate(VMS_1K, CLUSTER_300)).total)
+    for route in (None, "unindexed"):
+        allocator = make_allocator("min-energy", seed=0)
+        with _ROUTES[route]():
+            plan = allocator.allocate(VMS_1K, CLUSTER_300)
+        totals.append(allocation_cost(plan).total)
     assert totals[0] == totals[1]
 
 

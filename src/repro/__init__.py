@@ -73,7 +73,6 @@ if TYPE_CHECKING:
     )
     from repro.placement import (
         CandidateIndex as CandidateIndex,
-        DenseOccupancy as DenseOccupancy,
         EngineConfig as EngineConfig,
         Feasibility as Feasibility,
         FeasibilityBatch as FeasibilityBatch,

@@ -95,10 +95,9 @@ class Allocator:
         Sleep policy used when evaluating energy costs during allocation
         (the paper's rule, :attr:`SleepPolicy.OPTIMAL`, by default).
     engine:
-        An :class:`~repro.placement.config.EngineConfig` selecting the
-        occupancy backend (``"indexed"`` sparse skyline — the default —
-        or the ``"dense"`` numpy oracle) and the Γ-robustness budget.
-        ``None`` means the default config. A bare string raises
+        An :class:`~repro.placement.config.EngineConfig` carrying the
+        Γ-robustness budget. ``None`` means the default config (nominal
+        probing). A bare string raises
         :class:`~repro.exceptions.ValidationError`; spec strings go
         through :meth:`EngineConfig.parse` or
         :func:`~repro.allocators.registry.make_allocator`.
@@ -115,11 +114,8 @@ class Allocator:
         self._seed = seed
         self._generator: np.random.Generator | None = None
         self._policy = policy
-        #: the resolved engine configuration (occupancy backend,
-        #: robustness budget)
+        #: the resolved engine configuration (robustness budget)
         self.engine_config = EngineConfig.coerce(engine)
-        #: the occupancy backend name (kept for compatibility)
-        self.engine = self.engine_config.engine
         self._index: CandidateIndex | None = None
         self._constraints: PlacementConstraints | None = None
         self._placed_ids: dict[int, int] = {}
@@ -282,8 +278,8 @@ class Allocator:
         names the rows instead: a long score scan's warm servers. From
         :data:`_FLEET_PROBE_FROM` rows on, a covered batch is one
         :meth:`~repro.placement.kernels.FleetKernel.probe_fleet` call.
-        A shorter one, the dense engine and a fleet the index does not
-        cover (ad-hoc recovery scans) are filled from one
+        A shorter one and a fleet the index does not cover (ad-hoc
+        recovery scans) are filled from one
         ``ServerState.probe`` per row. Same rows in the same fleet
         order either way, equal field for field.
         """
@@ -485,18 +481,13 @@ class Allocator:
         """Build the fleet candidate index, run :meth:`on_prepare`, then
         sort the fleet by :meth:`scan_key` when one is declared.
 
-        Called once per fleet before any placement. The index is only
-        built for the indexed engine; the dense oracle path scans
-        plainly. The index keeps incremental per-type candidate queues
-        and builds the :class:`~repro.placement.kernels.FleetKernel`
+        Called once per fleet before any placement. The index keeps
+        incremental per-type candidate queues and builds the :class:`~repro.placement.kernels.FleetKernel`
         over the fleet's skylines on the first batch long enough to
         want it; both stay in sync through the state watcher protocol,
         so repeated fleet rebuilds re-run this cheaply.
         """
-        if states and states[0].engine == "indexed":
-            self._index = CandidateIndex(states)
-        else:
-            self._index = None
+        self._index = CandidateIndex(states) if states else None
         self.on_prepare(states)
         if self.scan_key is not None:
             #: fleet positions in ascending scan key, ties in fleet order

@@ -11,8 +11,8 @@ a wake-up is unavoidable, servers with low transition cost win.
 Ties are broken by server id, making the algorithm fully deterministic.
 
 Read literally that is collect-then-:meth:`~MinIncrementalEnergy.choose`,
-the route ``dense`` and foreign fleets take and the oracle the tests
-compare against. With the indexed engine the selection is one walk over
+the route foreign fleets take and the oracle the tests compare against.
+On a fleet the candidate index covers the selection is one walk over
 the candidate index's per-type queues in fleet order, which provably
 cannot change the answer, only skip losers:
 

@@ -78,7 +78,7 @@ def make_allocator(name: str, **params: Any) -> Allocator:
     and extensions may add their own. ``policy`` may be given as the
     :class:`SleepPolicy` value string (e.g. ``"never-sleep"``) and
     ``engine`` as an :class:`EngineConfig` spec string (e.g.
-    ``"dense"``, ``"indexed:gamma=2"``) — this is the sanctioned
+    ``"indexed"``, ``"indexed:gamma=2"``) — this is the sanctioned
     string entry point for CLIs and config files, so no deprecation
     fires here.
 

@@ -45,7 +45,7 @@ from repro.model.vm import VM
 from repro.obs.explain import CostTerms
 from repro.placement.config import EngineConfig
 from repro.placement.feasibility import TOL, Feasibility, static_demand
-from repro.placement.occupancy import DEFAULT_ENGINE, make_occupancy
+from repro.placement.occupancy import make_occupancy
 
 __all__ = ["ServerState"]
 
@@ -55,7 +55,7 @@ class ServerState:
 
     def __init__(self, server: Server, *,
                  policy: SleepPolicy = SleepPolicy.OPTIMAL,
-                 engine: EngineConfig | str = DEFAULT_ENGINE) -> None:
+                 engine: EngineConfig | str | None = None) -> None:
         self.server = server
         self.policy = policy
         # ServerState is internal plumbing, so both forms are accepted
@@ -63,15 +63,13 @@ class ServerState:
         # service store) own the legacy-string deprecation.
         config = EngineConfig.coerce(engine, warn=False)
         self.engine_config = config
-        #: which occupancy backend answers probes ("indexed" or "dense")
-        self.engine = config.engine
         #: the active robustness config, or None for nominal probing
         self.robustness = config.active_robustness
         self.vms: list[VM] = []
         #: merged, sorted busy segments as parallel start/end lists
         self._busy_starts: list[int] = []
         self._busy_ends: list[int] = []
-        self._occ = make_occupancy(config.engine, self.robustness)
+        self._occ = make_occupancy(self.robustness)
         #: running Eq.-17 total (run + busy idle + gaps + initial wake)
         self.cost: float = 0.0
         #: weakly-held observers notified after every mutation (the
@@ -155,11 +153,9 @@ class ServerState:
     def admits(self, vm: VM) -> bool:
         """``probe(vm).feasible`` for a caller that only asks yes or no
         (equal to it on every engine spec: the contract the property in
-        ``tests/test_placement_properties.py`` holds). A skyline, plain
+        ``tests/test_placement_properties.py`` holds). The skyline, plain
         or Γ-robust, stops at the first overloaded segment and builds no
-        verdict; a dense book answers through :meth:`probe`."""
-        if self.engine != "indexed":
-            return self.probe(vm).feasible
+        verdict."""
         spec = self.server.spec
         cpu_cap, mem_cap = spec.cpu_capacity, spec.memory_capacity
         if self.robustness is not None:
@@ -611,7 +607,7 @@ class ServerState:
         return end if tail is None or tail <= end + 1 else tail - 1
 
     def occupancy_points(self) -> int:
-        """Number of change points (or dense slots) the index tracks now."""
+        """Number of change points the index tracks now."""
         return len(self._occ)
 
     def busy_segments(self) -> list[TimeInterval]:

@@ -707,6 +707,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # ``--algo-param engine=...`` or gamma-ff's own Γ — so the
         # daemon finds the two agreeing.
         algo_params = _parse_algo_params(args.algo_param)
+        if "engine" in algo_params:  # a bad spec is a usage error
+            from repro.placement import EngineConfig
+            try:
+                EngineConfig.parse(str(algo_params["engine"]))
+            except ReproError as exc:
+                print(f"error: --algo-param engine: {exc}", file=sys.stderr)
+                return 2
         store = ClusterStateStore(
             Cluster.paper_all_types(args.servers),
             engine=make_allocator(args.algorithm, seed=args.seed,

@@ -5,9 +5,8 @@ single entry point every allocator uses to test a candidate server:
 
 * :class:`~repro.placement.feasibility.Feasibility` — the unified verdict
   (feasible flag, failing constraint, peak usage, headroom);
-* :class:`~repro.placement.occupancy.SkylineOccupancy` /
-  :class:`~repro.placement.occupancy.DenseOccupancy` — the sparse
-  change-point index and the dense numpy oracle it is tested against;
+* :class:`~repro.placement.occupancy.SkylineOccupancy` — the sparse
+  change-point index every server's book keeps;
 * :class:`~repro.placement.index.CandidateIndex` — fleet-level static
   pruning by server type, with incremental per-type candidate queues;
 * :class:`~repro.placement.kernels.FleetKernel` /
@@ -15,7 +14,7 @@ single entry point every allocator uses to test a candidate server:
   batch probe over a structure-of-arrays mirror of the fleet's
   skylines;
 * :class:`~repro.placement.config.EngineConfig` — the frozen
-  engine/robustness choice accepted wherever the old engine string was.
+  robustness setting accepted wherever the old engine string was.
 
 See ``docs/api.md`` ("Placement engine") for the replacements of the
 removed ``fits`` / ``fit_reason`` / ``peak_usage`` methods.
@@ -37,9 +36,6 @@ if TYPE_CHECKING:
         FleetKernel as FleetKernel,
     )
     from repro.placement.occupancy import (
-        DEFAULT_ENGINE as DEFAULT_ENGINE,
-        ENGINES as ENGINES,
-        DenseOccupancy as DenseOccupancy,
         SkylineOccupancy as SkylineOccupancy,
         make_occupancy as make_occupancy,
     )

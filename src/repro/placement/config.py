@@ -1,21 +1,22 @@
-"""Engine selection as one frozen config object.
+"""The placement engine's settings as one frozen config object.
 
-Historically the placement engine was chosen by a bare string
-(``engine="indexed"`` / ``"dense"``) threaded through every constructor,
-and each speedup layer bolted on its own toggle next to it. An
-:class:`EngineConfig` collapses the whole choice — occupancy backend
-and the Γ-robustness budget — into a single frozen value accepted
-everywhere the string used to be:
+An :class:`EngineConfig` carries the Γ-robustness budget — the one
+setting that changes what a probe answers — and is accepted everywhere
+the old bare engine string was:
 :func:`~repro.allocators.registry.make_allocator`, the allocator and
 :class:`~repro.service.state.ClusterStateStore` constructors, and
-``repro serve --algo-param engine=...``. Who probes a batch is no part
-of it: the batch's size decides (``Allocator._probe_batch``).
+``repro serve --algo-param engine=...``. Every book is a skyline
+(:mod:`repro.placement.occupancy`); who probes a batch is decided by the
+batch's size (``Allocator._probe_batch``).
 
 The **spec string** (:meth:`EngineConfig.parse`) is the sanctioned flat
-form for CLIs, config files and snapshots: ``"indexed"``, ``"dense"``,
-``"indexed:gamma=2"``, ``"indexed:gamma=3,mode=box"``.
+form for CLIs, config files and snapshots: ``"indexed"``,
+``"indexed:gamma=2"``, ``"indexed:gamma=3,mode=box"``. Its head names
+the skyline engine, the only one; the ``dense`` engine, a per-time-unit
+numpy timeline that decided exactly as ``indexed`` does, was removed,
+and a spec naming it is refused.
 
-The legacy ctor string (``engine="dense"`` passed directly to an
+The legacy ctor string (``engine="indexed"`` passed directly to an
 allocator constructor) completed its deprecation cycle and has been
 **removed**: :meth:`EngineConfig.coerce` now raises
 :class:`~repro.exceptions.ValidationError` for it. Pass an
@@ -26,13 +27,12 @@ string* (:class:`~repro.service.state.ClusterStateStore`,
 allocator-constructor form is gone.
 
 Snapshots and the journaled daemon config carry the active config as
-its :attr:`spec`, so a restored daemon picks the same engine and
-robustness budget it was running with; a spec written before the
-robustness options existed parses to ``robustness=None`` (nominal
-probing) unchanged. A stored spec may carry a ``kernel`` or a
-``shards`` option, which select nothing: each is validated (``kernel``
-as on/off/true/false, ``shards`` as an integer >= 1) and dropped, and
-:attr:`spec` never emits it.
+its :attr:`spec`, so a restored daemon picks the same robustness budget
+it was running with; a spec written before the robustness options
+existed parses to ``robustness=None`` (nominal probing) unchanged. A
+stored spec may carry a ``kernel`` or a ``shards`` option, which select
+nothing: each is validated (``kernel`` as on/off/true/false, ``shards``
+as an integer >= 1) and dropped, and :attr:`spec` never emits it.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.exceptions import ValidationError
-from repro.placement.occupancy import DEFAULT_ENGINE, ENGINES
 from repro.robust.config import RobustnessConfig
 
 __all__ = ["EngineConfig"]
@@ -60,36 +59,18 @@ def _check_legacy_shards(raw: object, where: str) -> None:
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """The placement-engine choice, as one immutable value.
+    """The placement-engine settings, as one immutable value.
 
     Parameters
     ----------
-    engine:
-        Occupancy backend: ``"indexed"`` (sparse skyline, the default)
-        or ``"dense"`` (numpy timeline oracle).
     robustness:
         Optional :class:`~repro.robust.config.RobustnessConfig`.
         ``None`` (and an inactive config, ``gamma=0``) means nominal
         probing — bit-identical to the engine before robustness
-        existed. An *active* config needs the indexed engine: the
-        robust skyline tracks per-segment radius multisets the dense
-        oracle has no representation for.
+        existed.
     """
 
-    engine: str = DEFAULT_ENGINE
     robustness: RobustnessConfig | None = None
-
-    def __post_init__(self) -> None:
-        if self.engine not in ENGINES:
-            raise ValidationError(
-                f"unknown placement engine {self.engine!r}; "
-                f"valid engines: {ENGINES}")
-        if self.robustness is not None and self.robustness.active \
-                and self.engine != "indexed":
-            raise ValidationError(
-                "robust probing tracks per-segment radius multisets on "
-                "the skyline index and needs engine='indexed'; drop the "
-                "robustness config or switch engines")
 
     @property
     def active_robustness(self) -> RobustnessConfig | None:
@@ -108,8 +89,8 @@ class EngineConfig:
     def spec(self) -> str:
         """The canonical flat spec string (``parse`` round-trips it)."""
         if self.robustness is None:
-            return self.engine
-        return f"{self.engine}:{','.join(self.robustness.spec_options)}"
+            return "indexed"
+        return f"indexed:{','.join(self.robustness.spec_options)}"
 
     @classmethod
     def parse(cls, text: str) -> "EngineConfig":
@@ -120,6 +101,14 @@ class EngineConfig:
         """
         head, sep, tail = text.partition(":")
         engine = head.strip()
+        if engine == "dense":
+            raise ValidationError(
+                f"bad engine spec {text!r}: the dense engine was removed; "
+                f"'indexed' makes the same decisions")
+        if engine != "indexed":
+            raise ValidationError(
+                f"unknown placement engine {engine!r}; the engine is "
+                f"'indexed'")
         gamma: int | None = None
         mode: str | None = None
         if sep:
@@ -155,7 +144,7 @@ class EngineConfig:
             robustness = RobustnessConfig(
                 gamma=0 if gamma is None else gamma,
                 mode="gamma" if mode is None else mode)
-        return cls(engine=engine, robustness=robustness)
+        return cls(robustness=robustness)
 
     @classmethod
     def coerce(cls, value: "EngineConfig | str | None", *,

@@ -8,7 +8,7 @@ Eq.-2/3 run cost ``W_ij`` for many candidates of a VM, as one
 ``explain_select`` act on such a batch of every candidate, filled by
 ``Allocator._probe_batch`` from this kernel from
 ``allocators.base._FLEET_PROBE_FROM`` rows on, else (a shorter batch,
-the dense engine, a fleet no index covers) from scalar
+a fleet no index covers) from scalar
 ``ServerState.probe`` calls, its columns built on first read. The
 score family (best-fit, worst-fit) asks the kernel for a type's warm
 servers from that many rows on and scores fewer as one ``ScoreRow`` of

@@ -1,26 +1,24 @@
-"""Per-server occupancy indexes: how much CPU/memory is committed when.
+"""Per-server occupancy: how much CPU/memory is committed when.
 
-Two interchangeable backends answer the three queries every placement
+:class:`SkylineOccupancy` answers the three queries every placement
 decision needs — peak usage over a closed interval ``[start, end]``, the
 first time unit where adding ``(cpu, mem)`` would violate capacity, and
-incremental add/subtract as VMs are placed and removed:
+incremental add/subtract as VMs are placed and removed. It is a sorted
+change-point *skyline*: breakpoint ``xs[i]`` opens a segment
+``[xs[i], xs[i+1])`` of constant committed ``(cpu, mem)``; usage is zero
+before ``xs[0]`` and the last segment extends to infinity (its value is
+zero once trailing demand is coalesced away). Updates and probes cost
+O(log k + s) for k breakpoints and s overlapped segments — independent
+of the simulated horizon, so a long-running daemon's memory tracks its
+live load, not time.
 
-* :class:`SkylineOccupancy` — the production index. A sorted change-point
-  *skyline*: breakpoint ``xs[i]`` opens a segment ``[xs[i], xs[i+1])`` of
-  constant committed ``(cpu, mem)``; usage is zero before ``xs[0]`` and the
-  last segment extends to infinity (its value is zero once trailing
-  demand is coalesced away). Updates and probes cost O(log k + s) for k
-  breakpoints and s overlapped segments — independent of the simulated
-  horizon, so a long-running daemon's memory no longer grows with time.
-* :class:`DenseOccupancy` — the original dense numpy timeline, kept as the
-  test oracle and selectable via ``engine="dense"``.
-
-Bit-exact equivalence, not approximate: for any time unit the skyline
-applies the same IEEE-754 ``+=``/``-=`` sequence to the same running value
-the dense arrays would (splitting a segment copies the value's bits), and
-peaks take a max over the identical multiset of values. The property tests
-in ``tests/test_placement_properties.py`` assert ``==`` on floats, not
-``pytest.approx``.
+Bit-exact with the paper's per-time-unit rule (Eqs. 7–14), not
+approximate: for any time unit the skyline applies the same IEEE-754
+``+=``/``-=`` sequence to the same running value a per-unit timeline
+would (splitting a segment copies the value's bits), and peaks take a
+max over the identical multiset of values. The property tests in
+``tests/test_placement_properties.py`` hold it ``==`` to such a
+timeline, on floats, not ``pytest.approx``.
 """
 
 from __future__ import annotations
@@ -28,15 +26,7 @@ from __future__ import annotations
 import bisect
 import math
 
-__all__ = ["SkylineOccupancy", "DenseOccupancy", "make_occupancy",
-           "ENGINES", "DEFAULT_ENGINE"]
-
-#: Valid values for the ``engine`` parameter accepted across the API.
-ENGINES = ("indexed", "dense")
-#: The sparse skyline index is the default everywhere.
-DEFAULT_ENGINE = "indexed"
-
-_INITIAL_HORIZON = 256
+__all__ = ["SkylineOccupancy", "make_occupancy"]
 
 
 class SkylineOccupancy:
@@ -245,120 +235,16 @@ class SkylineOccupancy:
         self._refused = None
 
 
-class DenseOccupancy:
-    """The original dense per-time-unit numpy timeline (test oracle).
+def make_occupancy(robustness=None):
+    """Build a book's occupancy index.
 
-    numpy is imported by the methods that call it: the indexed engine,
-    which every daemon and the sparse skyline use, never loads it here.
+    With an *active* :class:`~repro.robust.config.RobustnessConfig` it is
+    the :class:`~repro.robust.skyline.RobustSkyline` (per-segment radius
+    multisets next to the nominal values); an inactive or absent config
+    keeps the plain skyline, so nominal probing is the identical code
+    path, not a zero-budget special case.
     """
-
-    __slots__ = ("_cpu", "_mem")
-
-    def __init__(self) -> None:
-        import numpy as np
-
-        self._cpu = np.zeros(_INITIAL_HORIZON)
-        self._mem = np.zeros(_INITIAL_HORIZON)
-
-    def __len__(self) -> int:
-        return int(self._cpu.size)
-
-    def _ensure_horizon(self, end: int) -> None:
-        needed = end + 1
-        if needed <= self._cpu.size:
-            return
-        import numpy as np
-
-        new_size = max(needed, self._cpu.size * 2)
-        cpu = np.zeros(new_size)
-        cpu[: self._cpu.size] = self._cpu
-        mem = np.zeros(new_size)
-        mem[: self._mem.size] = self._mem
-        self._cpu = cpu
-        self._mem = mem
-
-    def add(self, start: int, end: int, cpu: float, mem: float) -> None:
-        self._ensure_horizon(end)
-        self._cpu[start:end + 1] += cpu
-        self._mem[start:end + 1] += mem
-
-    def subtract(self, start: int, end: int, cpu: float, mem: float) -> None:
-        self._cpu[start:end + 1] -= cpu
-        self._mem[start:end + 1] -= mem
-
-    def compact(self, before: int) -> None:
-        """Dense timelines cannot forget the past; kept for interface parity."""
-
-    def peak(self, start: int, end: int) -> tuple[float, float]:
-        hi = min(end + 1, self._cpu.size)
-        if start >= hi:
-            return 0.0, 0.0
-        return (float(self._cpu[start:hi].max()),
-                float(self._mem[start:hi].max()))
-
-    def probe_piece(self, start: int, end: int, cpu: float, mem: float,
-                    cpu_cap: float, mem_cap: float, tol: float
-                    ) -> tuple[str | None, float, float]:
-        hi = min(end + 1, self._cpu.size)
-        if start >= hi:  # beyond tracked usage: empty there
-            return None, 0.0, 0.0
-        cpu_slice = self._cpu[start:hi]
-        mem_slice = self._mem[start:hi]
-        peak_cpu = float(cpu_slice.max())
-        peak_mem = float(mem_slice.max())
-        # ``argmax`` of the overload mask: its first True, the first
-        # overloaded unit (the peak's own unit is one)
-        if peak_cpu + cpu > cpu_cap + tol:
-            over = int((cpu_slice + cpu > cpu_cap + tol).argmax())
-            return f"cpu:overlap@{start + over}", peak_cpu, peak_mem
-        if peak_mem + mem > mem_cap + tol:
-            over = int((mem_slice + mem > mem_cap + tol).argmax())
-            return f"mem:overlap@{start + over}", peak_cpu, peak_mem
-        return None, peak_cpu, peak_mem
-
-    def tail(self) -> int | None:
-        """The time unit after the last nonzero one (``None``: all zero)."""
-        import numpy as np
-
-        nonzero = np.flatnonzero((self._cpu != 0.0) | (self._mem != 0.0))
-        return int(nonzero[-1]) + 1 if nonzero.size else None
-
-    def points(self) -> list[int]:
-        """Nonzero time units (dense arrays have no change-point structure)."""
-        import numpy as np
-
-        return [int(t) for t in
-                np.flatnonzero((self._cpu != 0.0) | (self._mem != 0.0))]
-
-    def rows(self) -> dict[str, list]:
-        """The two timelines as float lists (the skyline's contract)."""
-        return {"cpu": self._cpu.tolist(), "mem": self._mem.tolist()}
-
-    def load_rows(self, rows: dict[str, list]) -> None:
-        import numpy as np
-
-        self._cpu = np.array(rows["cpu"], dtype=float)
-        self._mem = np.array(rows["mem"], dtype=float)
-
-
-def make_occupancy(engine: str, robustness=None):
-    """Build the occupancy backend for ``engine`` (see :data:`ENGINES`).
-
-    With an *active* :class:`~repro.robust.config.RobustnessConfig` the
-    indexed engine gets the :class:`~repro.robust.skyline.RobustSkyline`
-    (per-segment radius multisets next to the nominal values); an
-    inactive or absent config keeps the plain skyline, so nominal
-    probing is the identical code path, not a zero-budget special case.
-    """
-    if engine == "indexed":
-        if robustness is not None and robustness.active:
-            from repro.robust.skyline import RobustSkyline
-            return RobustSkyline(robustness)
-        return SkylineOccupancy()
-    if engine == "dense":
-        if robustness is not None and robustness.active:
-            raise ValueError(
-                "robust probing needs the indexed (skyline) engine")
-        return DenseOccupancy()
-    raise ValueError(
-        f"unknown placement engine {engine!r}; valid engines: {ENGINES}")
+    if robustness is not None and robustness.active:
+        from repro.robust.skyline import RobustSkyline
+        return RobustSkyline(robustness)
+    return SkylineOccupancy()

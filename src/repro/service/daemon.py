@@ -118,8 +118,8 @@ class AllocationDaemon:
         Extra keyword parameters forwarded to the allocator constructor
         (``repro serve --algo-param k=v``), over ``seed`` and the store's
         ``policy`` and engine; persisted in snapshot metadata so
-        :meth:`restore` rebuilds the same allocator, whose backend and
-        active Γ must be the store's (else ``ValidationError``).
+        :meth:`restore` rebuilds the same allocator, whose active Γ
+        must be the store's (else ``ValidationError``).
     max_delay:
         Admission behaviour when nothing fits: ``0`` rejects outright,
         ``k > 0`` queues the request up to ``k`` ticks later (the first
@@ -227,12 +227,11 @@ class AllocationDaemon:
                                      **algo_params}
         self.allocator = make_allocator(algorithm, **params)
         mine, books = self.allocator.engine_config, store.engine_config
-        if (mine.engine, mine.active_robustness) != \
-                (books.engine, books.active_robustness):
+        if mine.active_robustness != books.active_robustness:
             raise ValidationError(
                 f"allocator {algorithm!r} probes with engine {mine.spec!r} "
-                f"but the store books with {books.spec!r}; their backend "
-                f"and Γ-robustness must agree")
+                f"but the store books with {books.spec!r}; their "
+                f"Γ-robustness must agree")
         self.metrics = ServiceMetrics()
         self.metrics.register_algorithm(algorithm)
         from repro import __version__  # deferred: repro imports service

@@ -43,7 +43,6 @@ from repro.exceptions import ValidationError
 from repro.model.cluster import Cluster
 from repro.model.server import ServerSpec
 from repro.placement.config import EngineConfig
-from repro.placement.occupancy import DEFAULT_ENGINE, make_occupancy
 from repro.simulation.power_state import PowerState
 from repro.workload.trace import vm_from_record, vm_to_record
 
@@ -122,14 +121,12 @@ def _servers(store: "ClusterStateStore") -> Iterator[list]:
     """``[server_id, record]`` of every server not as a fresh store
     builds it: its book (residents, busy segments, cost, occupancy
     rows) and its machine (state, resident demand, transitions)."""
-    config = store.engine_config
-    fresh = len(make_occupancy(config.engine, config.active_robustness))
     for server_id in sorted(store._touched):   # the rest are fresh
         book, machine = store.states[server_id], store.machines[server_id]
         if machine.transitions == 0 and not book.vms \
                 and machine.state is PowerState.POWER_SAVING \
                 and book.cost == 0.0 and book.is_pristine \
-                and book.occupancy_points() == fresh \
+                and book.occupancy_points() == 0 \
                 and machine.transition_energy == 0.0 \
                 and machine.resident_cpu == 0.0 == machine.resident_mem:
             continue
@@ -263,11 +260,10 @@ def load(cls: type["ClusterStateStore"],
     try:
         specs = [ServerSpec(**record) for record in document["cluster"]]
         policy = SleepPolicy(document["policy"])
-        # Pre-engine snapshots carry no field: they were produced by
-        # the dense-only build, but replay is engine-agnostic, so the
-        # default (indexed) engine restores them bit-exactly too.
-        engine = EngineConfig.parse(
-            str(document.get("engine", DEFAULT_ENGINE)))
+        # Pre-engine snapshots carry no field: replay is
+        # engine-agnostic, so the default config restores them
+        # bit-exactly.
+        engine = EngineConfig.parse(str(document.get("engine", "indexed")))
         clock = int(document["clock"])
     except (TypeError, KeyError, ValueError) as exc:
         raise ValidationError(f"malformed snapshot: {exc}") from exc

@@ -90,7 +90,6 @@ from repro.model.phases import demand_profile
 from repro.model.vm import VM
 from repro.obs.telemetry import DEFAULT_CAPACITY
 from repro.placement.config import EngineConfig
-from repro.placement.occupancy import DEFAULT_ENGINE
 from repro.service import snapshot
 from repro.service.snapshot import SNAPSHOT_FORMAT_VERSION, snapshot_meta
 from repro.simulation.admission import shift_request
@@ -243,15 +242,13 @@ class ClusterStateStore:
 
     def __init__(self, cluster: Cluster, *,
                  policy: SleepPolicy = SleepPolicy.OPTIMAL,
-                 engine: EngineConfig | str = DEFAULT_ENGINE) -> None:
+                 engine: EngineConfig | str | None = None) -> None:
         self.cluster = cluster
         self.policy = policy
         # The store is a config-file-level entry point (CLI, snapshots),
         # so a string here is read as the sanctioned spec string — no
         # ctor-string deprecation, unlike the allocator constructors.
         self.engine_config = EngineConfig.coerce(engine, warn=False)
-        #: backend name (``"indexed"``/``"dense"``), kept for back-compat
-        self.engine = self.engine_config.engine
         self.states = [ServerState(server, policy=policy,
                                    engine=self.engine_config)
                        for server in cluster]

@@ -8,6 +8,7 @@ from unittest import mock
 
 import pytest
 
+from repro.allocators.base import Allocator
 from repro.energy.cost import allocation_cost
 from repro.model.allocation import Allocation
 from repro.model.cluster import Cluster
@@ -135,7 +136,20 @@ def serving(daemon, **kwargs):
 @contextmanager
 def probe_route(route: str):
     """Send every batch of verdicts to ``"kernel"`` (``probe_fleet`` from
-    one row on) or to ``"scalar"`` probes (whatever the batch's length)."""
+    one row on) or to ``"scalar"`` probes (whatever the batch's length),
+    or run ``"unindexed"``: drop the candidate index after every
+    ``Allocator.prepare``, so each fleet is scanned as a foreign one —
+    collect every server's verdict, then ``choose``, probed scalar."""
+    if route == "unindexed":
+        prepare = Allocator.prepare
+
+        def unindexed(self, states):
+            prepare(self, states)
+            self._index = None
+
+        with mock.patch.object(Allocator, "prepare", unindexed):
+            yield
+        return
     threshold = {"kernel": 1, "scalar": math.inf}[route]
     with mock.patch("repro.allocators.base._FLEET_PROBE_FROM", threshold):
         yield

@@ -1,24 +1,25 @@
-"""The indexed engine must not change what any allocator decides.
+"""The candidate index must not change what any allocator decides.
 
-Every registered algorithm is run twice on the same workload — once per
-engine — and must produce the *identical* placement map and a
-*bit-identical* Eq.-17 energy total (``==`` on floats, no tolerance).
-This is the contract that lets the skyline index and the fused candidate
-scans replace the dense arrays as the production path while the dense
-code remains the oracle.
+Every registered algorithm is run twice on the same workload — once
+with its candidate index, once on the ``unindexed`` route (the index
+dropped after ``prepare``: every server probed, collect-then-``choose``)
+— and must produce the *identical* placement map and a *bit-identical*
+Eq.-17 energy total (``==`` on floats, no tolerance). This is the
+contract that lets the index and the fused candidate scans skip
+servers: the unindexed route is the paper's rule read literally.
 
 The two scan walks of ``allocators/base.py`` (first admissible along an
 order; best score) are additionally held to it per decision — chosen
 server *and* probe counters, every batch on the kernel, every batch
-scalar, and dense — on the
+scalar, and unindexed — on the
 inputs where their branches can drift apart: a server type that can
 never host some VMs, active anti-affinity groups, and Γ > 0.
 
 ``min-energy``'s queued walk, refused 16 times, drops what is left of
 its queues that a remembered refusal refuses, and asks no kernel. It is
 held to the walk that never prefetches and asks every busy server (and
-to ``dense``) on dense streams, where the prefetch fires for most VMs:
-server, both counters and the Eq.-17 delta as hex.
+to the unindexed route) on dense streams, where the prefetch fires for
+most VMs: server, both counters and the Eq.-17 delta as hex.
 
 An explanation is the same whoever probed: every registry allocator's
 ``PlacementExplanation`` sequence on the four golden streams is ``==``
@@ -51,17 +52,22 @@ from test_golden_decisions import NOMINAL, ROBUST, STREAMS
 VMS = generate_vms(150, mean_interarrival=3.0, seed=0)
 CLUSTER = Cluster.paper_all_types(60)
 
-# gamma-ff carries an active robustness config, and robust probing is
-# indexed-only (the dense timeline has no radius planes) — there is no
-# dense run to compare against.  Its correctness oracle is the
-# brute-force robust probe in tests/test_robust.py instead.
-DENSE_COMPARABLE = [a for a in allocator_names() if a != "gamma-ff"]
+
+def _built(engine: str):
+    """The spec ``spec[/route]`` builds with and the probe route it runs
+    on; the golden matrix's ``unindexed`` is ``indexed/unindexed``."""
+    if engine == "unindexed":
+        engine = "indexed/unindexed"
+    spec, _, route = engine.partition("/")
+    return spec, probe_route(route) if route else nullcontext()
 
 
 def _run(algo: str, engine: str, vms=VMS, cluster=CLUSTER, seed=0,
          constraints=None):
+    engine, route = _built(engine)
     allocator = make_allocator(algo, seed=seed, engine=engine)
-    plan = allocator.allocate(vms, cluster, constraints)
+    with route:
+        plan = allocator.allocate(vms, cluster, constraints)
     placements = {vm.vm_id: sid for vm, sid in plan.items()}
     return placements, allocation_cost(plan).total
 
@@ -73,8 +79,9 @@ SCORE_FAMILY = ["best-fit", "worst-fit"]
 
 def _trail(algo: str, engine: str, vms, cluster, constraints):
     """Per decision: (vm, server, candidates_evaluated, _feasible)."""
+    engine, route = _built(engine)
     allocator = make_allocator(algo, seed=5, engine=engine)
-    with use_tracer(Tracer()) as tracer:
+    with route, use_tracer(Tracer()) as tracer:
         allocator.allocate(vms, cluster, constraints)
     return [(e.args["vm_id"], e.args["server_id"], e.args["evaluated"],
              e.args["feasible"])
@@ -87,6 +94,7 @@ def _min_energy_trail(engine: str, vms, cluster, constraints=None,
     Eq.-17 delta as hex)`` — ``server`` is ``None`` where nothing fits —
     the run's fleet kernel (``None``: none was built) and how many walks
     prefetched."""
+    engine, route = _built(engine)
     allocator = make_allocator("min-energy", engine=engine, policy=policy)
     counters = {}
     prefetches = 0
@@ -105,7 +113,8 @@ def _min_energy_trail(engine: str, vms, cluster, constraints=None,
 
     allocator.select = counted_select
     allocator._prefetch = counted_prefetch
-    decisions = allocator.allocate_batch(vms, cluster, constraints)
+    with route:
+        decisions = allocator.allocate_batch(vms, cluster, constraints)
     index = allocator._index
     return ([(d.vm.vm_id, d.server_id, *counters[d.vm.vm_id],
               d.energy_delta.hex()) for d in decisions],
@@ -160,13 +169,12 @@ class TestMinEnergyBatchedFinish:
         assert batched == scalar
         assert kernel is None  # the prefetch asks no kernel
         assert 0 < prefetches <= len(vms) and never == 0
-        if not gamma:  # robust probing is indexed-only
-            dense, *_ = _min_energy_trail("dense", vms, DENSE_CLUSTER,
-                                          constraints, policy)
-            # No index: dense probes every server, so its counters
-            # include the types and pristine clones the queues skip.
-            assert [(row[0], row[1], row[4]) for row in dense] \
-                == [(row[0], row[1], row[4]) for row in batched]
+        unindexed, *_ = _min_energy_trail(f"{engine}/unindexed", vms,
+                                          DENSE_CLUSTER, constraints, policy)
+        # No index: every server is probed, so the counters include
+        # the types and pristine clones the queues skip.
+        assert [(row[0], row[1], row[4]) for row in unindexed] \
+            == [(row[0], row[1], row[4]) for row in batched]
 
     @pytest.mark.parametrize("engine", ["indexed", "indexed:gamma=2"])
     def test_the_prefetch_asks_yes_or_no(self, engine, monkeypatch):
@@ -243,11 +251,13 @@ IDLE_CLUSTER = Cluster.paper_all_types(60)
 def _select_loop(engine: str, vms, policy) -> list:
     """``select`` + ``place`` per VM in the given order — starts need not
     rise — as ``(vm, server, evaluated, feasible, delta hex)``."""
+    engine, route = _built(engine)
     allocator = make_allocator("min-energy", engine=engine, policy=policy)
     states = [ServerState(server, policy=policy,
                           engine=allocator.engine_config)
               for server in IDLE_CLUSTER]
-    allocator.prepare(states)
+    with route:
+        allocator.prepare(states)
     trail = []
     for vm in vms:
         chosen = allocator.select(vm, states)
@@ -288,7 +298,7 @@ class TestMinEnergyCloneClass:
             patch.setattr(ServerState, "admits", counted_admits)
             walk, *_ = _min_energy_trail("indexed", IDLE_VMS, IDLE_CLUSTER,
                                          policy=policy)
-        chosen, *_ = _min_energy_trail("dense", IDLE_VMS, IDLE_CLUSTER,
+        chosen, *_ = _min_energy_trail("unindexed", IDLE_VMS, IDLE_CLUSTER,
                                        policy=policy)
         assert [(row[0], row[1], row[4]) for row in walk] \
             == [(row[0], row[1], row[4]) for row in chosen]
@@ -314,7 +324,7 @@ class TestMinEnergyCloneClass:
         vms = [vm for pair in zip(ordered[200:], ordered[:200])
                for vm in pair]
         walk = _select_loop("indexed", vms, policy)
-        chosen = _select_loop("dense", vms, policy)
+        chosen = _select_loop("unindexed", vms, policy)
         assert [(row[0], row[1], row[4]) for row in walk] \
             == [(row[0], row[1], row[4]) for row in chosen]
 
@@ -396,30 +406,30 @@ class TestScoreScanCloneClass:
 
 
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("algo", DENSE_COMPARABLE)
+    @pytest.mark.parametrize("algo", allocator_names())
     def test_identical_placements_and_energy(self, algo):
         placed_idx, energy_idx = _run(algo, "indexed")
-        placed_dense, energy_dense = _run(algo, "dense")
-        assert placed_idx == placed_dense
-        assert energy_idx == energy_dense  # bit-identical, no approx
+        placed_unx, energy_unx = _run(algo, "unindexed")
+        assert placed_idx == placed_unx
+        assert energy_idx == energy_unx  # bit-identical, no approx
 
     @pytest.mark.parametrize("algo", ["min-energy", "ffps", "random-fit",
                                       "round-robin"])
     @pytest.mark.parametrize("seed", [1, 7])
     def test_seeded_runs_agree(self, algo, seed):
         placed_idx, energy_idx = _run(algo, "indexed", seed=seed)
-        placed_dense, energy_dense = _run(algo, "dense", seed=seed)
-        assert placed_idx == placed_dense
-        assert energy_idx == energy_dense
+        placed_unx, energy_unx = _run(algo, "unindexed", seed=seed)
+        assert placed_idx == placed_unx
+        assert energy_idx == energy_unx
 
-    @pytest.mark.parametrize("algo", DENSE_COMPARABLE)
+    @pytest.mark.parametrize("algo", allocator_names())
     def test_phased_workload_agrees(self, algo):
         vms = PhasedWorkload(mean_interarrival=3.0).generate(80, rng=0)
         cluster = Cluster.paper_all_types(40)
         placed_idx, energy_idx = _run(algo, "indexed", vms, cluster)
-        placed_dense, energy_dense = _run(algo, "dense", vms, cluster)
-        assert placed_idx == placed_dense
-        assert energy_idx == energy_dense
+        placed_unx, energy_unx = _run(algo, "unindexed", vms, cluster)
+        assert placed_idx == placed_unx
+        assert energy_idx == energy_unx
 
     @pytest.mark.parametrize("algo", ["min-energy", "first-fit",
                                       "best-fit"])
@@ -429,10 +439,10 @@ class TestEngineEquivalence:
             separate=[ids[:6], ids[10:14]])
         placed_idx, energy_idx = _run(algo, "indexed",
                                       constraints=constraints)
-        placed_dense, energy_dense = _run(algo, "dense",
+        placed_unx, energy_unx = _run(algo, "unindexed",
                                           constraints=constraints)
-        assert placed_idx == placed_dense
-        assert energy_idx == energy_dense
+        assert placed_idx == placed_unx
+        assert energy_idx == energy_unx
 
     @pytest.mark.parametrize("gamma", [0, 2])
     @pytest.mark.parametrize("algo", FIRST_FIT_FAMILY + SCORE_FAMILY)
@@ -455,32 +465,34 @@ class TestEngineEquivalence:
             scalar = _trail(algo, engine, vms, cluster, constraints)
         assert len(kernel) == len(vms)
         assert scalar == kernel
-        if not gamma:  # robust probing is indexed-only
-            dense = _trail(algo, "dense", vms, cluster, constraints)
-            # The dense oracle builds no index, so it also probes (and
-            # counts as evaluated) the types the index skips.
-            assert [(vm, sid, feasible) for vm, sid, _, feasible in dense] \
-                == [(vm, sid, feasible) for vm, sid, _, feasible in kernel]
+        unindexed = _trail(algo, f"{engine}/unindexed", vms, cluster,
+                           constraints)
+        # With no index every server is probed, so the types the index
+        # skips count as evaluated too.
+        assert [(vm, sid, feasible) for vm, sid, _, feasible in unindexed] \
+            == [(vm, sid, feasible) for vm, sid, _, feasible in kernel]
 
     def test_tight_fleet_agrees_under_pressure(self):
         # Few servers: feasibility pruning and tie-breaking both bite.
         vms = generate_vms(80, mean_interarrival=2.0, seed=3)
         cluster = Cluster.paper_all_types(30)
-        for algo in DENSE_COMPARABLE:
+        for algo in allocator_names():
             placed_idx, energy_idx = _run(algo, "indexed", vms, cluster)
-            placed_dense, energy_dense = _run(algo, "dense", vms, cluster)
-            assert placed_idx == placed_dense, algo
-            assert energy_idx == energy_dense, algo
+            placed_unx, energy_unx = _run(algo, "unindexed", vms, cluster)
+            assert placed_idx == placed_unx, algo
+            assert energy_idx == energy_unx, algo
 
 
 def _explanations(algo: str, engine: str, stream: str) -> list:
     """``explain_select`` + ``place`` over a golden stream; a rejected
     VM is explained and skipped."""
     vms, servers = STREAMS[stream]
+    engine, route = _built(engine)
     allocator = make_allocator(algo, seed=5, engine=engine)
     states = [ServerState(server, engine=allocator.engine_config)
               for server in Cluster.paper_all_types(servers)]
-    allocator.prepare(states)
+    with route:
+        allocator.prepare(states)
     by_id = {state.server.server_id: state for state in states}
     explanations = []
     for vm in allocator.order_vms(list(vms)):
@@ -500,9 +512,7 @@ class TestExplainParity:
     @pytest.mark.parametrize("stream", STREAMS)
     @pytest.mark.parametrize("algo", allocator_names())
     def test_explanations_equal_whoever_probed(self, algo, stream):
-        # gamma-ff installs its own Γ config: no dense run
-        nominal = NOMINAL[:1] if algo == "gamma-ff" else NOMINAL
-        for specs in (nominal, ROBUST):
+        for specs in (NOMINAL, ROBUST):
             # a golden fleet is shorter than _FLEET_PROBE_FROM: the
             # default probes scalar, the patch sends every batch to the
             # kernel

@@ -101,12 +101,16 @@ class TestServiceCommands:
 
     @pytest.mark.parametrize("flag", ["--shards", "--workers",
                                       "--scan-processes",
-                                      "--metrics-port"])
+                                      "--metrics-port",
+                                      "--algo-param=engine=dense"])
     def test_serve_rejects_removed_scan_flags(self, flag, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["serve", flag, "2"])
-        assert excinfo.value.code == 2
-        assert flag in capsys.readouterr().err
+        argv = ["serve", "--stdio", flag] + ([] if "=" in flag else ["2"])
+        try:
+            code = main(argv)
+        except SystemExit as excinfo:
+            code = excinfo.code
+        assert code == 2
+        assert flag.rpartition("=")[2] in capsys.readouterr().err
 
     def test_client_defaults(self):
         args = build_parser().parse_args(["client"])
@@ -162,7 +166,7 @@ class TestServiceCommands:
         assert main(["serve", "--stdio", "--servers", "2",
                      "--algorithm", "ffps",
                      "--algo-param", "policy=never-sleep",
-                     "--algo-param", "engine=dense"]) == 0
+                     "--algo-param", "engine=indexed:gamma=2"]) == 0
         assert json.loads(capsys.readouterr().out.splitlines()[0])["ok"]
 
     def test_serve_bad_algo_param_is_refused(self, monkeypatch, capsys):

@@ -170,13 +170,13 @@ def test_a_gamma_plan_is_booked_under_gamma(path, tmp_path, capsys,
 
 class TestTheDaemonAndItsStoreAgree:
     """The daemon hands the allocator the store's engine config and
-    refuses to run the two on different backends or Γ budgets."""
+    refuses to run the two on different Γ budgets."""
 
     @pytest.mark.parametrize("store_spec, params", [
         ("indexed", {"algorithm": "gamma-ff", "algo_params": {"gamma": 2}}),
         ("indexed", {"algo_params": {"engine": GAMMA}}),
         (GAMMA, {"algo_params": {"engine": "indexed"}}),
-        ("indexed", {"algo_params": {"engine": "dense"}}),
+        ("indexed", {"algo_params": {"engine": "indexed:mode=box"}}),
         ("indexed:gamma=3", {"algo_params": {"engine": GAMMA}}),
     ])
     def test_a_mismatch_is_refused_naming_both_specs(self, store_spec,

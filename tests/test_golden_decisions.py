@@ -2,7 +2,8 @@
 
 ``tests/fixtures/decisions_golden.json`` records, for four small seeded
 streams, what each registry allocator decided for every VM under every
-engine spec: ``[vm_id, server_id, candidates_evaluated,
+engine spec, and on the ``unindexed`` route (no candidate index:
+collect-then-``choose``): ``[vm_id, server_id, candidates_evaluated,
 candidates_feasible, Eq.-17 delta as float hex]`` in arrival order,
 ``server_id`` ``null`` where nothing fits. ``min-energy`` is also
 recorded under the other two sleep policies and under anti-affinity /
@@ -62,7 +63,8 @@ STREAMS = {
     "overfull": (generate_vms(36, mean_interarrival=0.05, mean_duration=60,
                               vm_types=BIG_VM_TYPES, seed=2), 20),
 }
-NOMINAL = ("indexed", "dense")
+#: ``unindexed`` is the ``indexed`` spec run on ``probe_route("unindexed")``
+NOMINAL = ("indexed", "unindexed")
 ROBUST = ("indexed:gamma=2",)
 OPTIMAL = SleepPolicy.OPTIMAL.value
 
@@ -80,8 +82,8 @@ def configs() -> list[tuple[str, str, str, str, bool]]:
     """``(allocator, engine, stream, policy, constrained)`` per run."""
     out = []
     for algorithm in allocator_names():
-        # gamma-ff installs its own Γ config; robust probing has no
-        # dense run.
+        # gamma-ff installs its own Γ config: it runs on the indexed
+        # specs only.
         engines = NOMINAL[:1] + ROBUST if algorithm == "gamma-ff" \
             else NOMINAL + ROBUST
         for engine in engines:
@@ -111,6 +113,10 @@ def record_run(algorithm: str, engine: str, stream: str, policy: str,
                constrained: bool) -> tuple[list, object]:
     """The run's decision trail and its fleet kernel (``None``: none was
     built)."""
+    if engine == "unindexed":
+        with probe_route("unindexed"):
+            return record_run(algorithm, "indexed", stream, policy,
+                              constrained)
     vms, servers = STREAMS[stream]
     allocator = make_allocator(algorithm, seed=5, engine=engine,
                                policy=policy)

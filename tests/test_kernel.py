@@ -600,10 +600,9 @@ class TestKernelDecisionEquivalence:
 # -- EngineConfig surface ---------------------------------------------------
 
 class TestEngineConfig:
-    @pytest.mark.parametrize("spec", ["indexed", "dense",
+    @pytest.mark.parametrize("spec", ["indexed",
                                       "indexed:kernel=off",
-                                      "indexed:kernel=on,shards=8",
-                                      "dense:shards=2"])
+                                      "indexed:kernel=on,shards=8"])
     def test_spec_round_trips(self, spec):
         config = EngineConfig.parse(spec)
         assert EngineConfig.parse(config.spec) == config
@@ -611,7 +610,6 @@ class TestEngineConfig:
     @pytest.mark.parametrize("spec, canonical", [
         ("indexed:kernel=on", "indexed"),
         ("indexed:kernel=off,gamma=2", "indexed:gamma=2"),
-        ("dense:kernel=on", "dense"),
         ("indexed:kernel=on,shards=8", "indexed")])
     def test_stored_kernel_entry_is_validated_then_dropped(self, spec,
                                                            canonical):
@@ -632,19 +630,16 @@ class TestEngineConfig:
 
     def test_record_round_trips(self):
         # The stored form is the spec string (snapshots, daemon config).
-        config = EngineConfig(engine="indexed",
-                              robustness=RobustnessConfig(gamma=2))
+        config = EngineConfig(robustness=RobustnessConfig(gamma=2))
         assert EngineConfig.parse(config.spec) == config
 
     def test_stored_shards_entry_is_validated_then_dropped(self):
         # Specs written by earlier builds may carry one.
         config = EngineConfig.parse("indexed:shards=8")
-        assert config == EngineConfig(engine="indexed")
+        assert config == EngineConfig()
         assert config.spec == "indexed"
-        assert EngineConfig.parse("dense:shards=2").spec == "dense"
         restored = EngineConfig.parse("indexed:shards=4,gamma=1")
-        assert restored == EngineConfig(
-            engine="indexed", robustness=RobustnessConfig(gamma=1))
+        assert restored == EngineConfig(robustness=RobustnessConfig(gamma=1))
         assert "shards" not in restored.spec
         for bad in ("x", 0, -3):
             with pytest.raises(ValidationError):
@@ -656,16 +651,17 @@ class TestEngineConfig:
         with pytest.raises(ValidationError, match="removed"):
             make_allocator("first-fit").__class__(engine="indexed")
         with pytest.raises(ValidationError, match="EngineConfig"):
-            EngineConfig.coerce("dense")
+            EngineConfig.coerce("indexed:gamma=2")
         # Sanctioned spec-string surfaces still parse strings silently.
-        assert EngineConfig.coerce("dense", warn=False) == \
-            EngineConfig(engine="dense")
+        assert EngineConfig.coerce("indexed:gamma=2", warn=False) == \
+            EngineConfig(robustness=RobustnessConfig(gamma=2))
 
     def test_make_allocator_spec_string_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            allocator = make_allocator("min-energy", engine="dense")
-        assert allocator.engine_config == EngineConfig(engine="dense")
+            allocator = make_allocator("min-energy", engine="indexed:gamma=2")
+        assert allocator.engine_config == \
+            EngineConfig(robustness=RobustnessConfig(gamma=2))
 
     def test_snapshot_journals_engine_config(self):
         store = ClusterStateStore(Cluster.paper_all_types(4),
@@ -674,11 +670,22 @@ class TestEngineConfig:
         assert document["engine"] == "indexed:gamma=2"
         restored = ClusterStateStore.from_snapshot(document)
         assert restored.engine_config == store.engine_config
-        assert restored.engine == "indexed"
 
     def test_legacy_snapshot_engine_string_restores(self):
         store = ClusterStateStore(Cluster.paper_all_types(3))
         document = store.to_snapshot()
-        document["engine"] = "dense"  # pre-config snapshots: bare name
+        document["engine"] = "indexed:kernel=off"  # an earlier build's
         restored = ClusterStateStore.from_snapshot(document)
-        assert restored.engine_config == EngineConfig(engine="dense")
+        assert restored.engine_config == EngineConfig()
+        del document["engine"]  # pre-engine snapshots carry no field
+        assert ClusterStateStore.from_snapshot(document).engine_config \
+            == EngineConfig()
+
+    def test_a_dense_snapshot_is_refused(self):
+        document = ClusterStateStore(Cluster.paper_all_types(3)) \
+            .to_snapshot()
+        document["engine"] = "dense"
+        with pytest.raises(ValidationError,
+                           match="the dense engine was removed; 'indexed' "
+                                 "makes the same decisions"):
+            ClusterStateStore.from_snapshot(document)

@@ -8,13 +8,16 @@ import pytest
 from repro.allocators.state import ServerState
 from repro.model.intervals import TimeInterval
 from repro.model.server import Server, ServerSpec
+from repro.exceptions import ValidationError
 from repro.placement import (
     CandidateIndex,
-    DenseOccupancy,
+    EngineConfig,
     Feasibility,
     SkylineOccupancy,
 )
-from repro.placement.occupancy import DEFAULT_ENGINE, ENGINES, make_occupancy
+from repro.placement.occupancy import make_occupancy
+from repro.robust import RobustnessConfig
+from repro.robust.skyline import RobustSkyline
 
 from conftest import make_vm
 
@@ -22,7 +25,11 @@ SPEC = ServerSpec("s", cpu_capacity=10.0, memory_capacity=10.0,
                   p_idle=50.0, p_peak=100.0, transition_time=1.0)
 
 
-def new_state(engine: str = DEFAULT_ENGINE) -> ServerState:
+#: nominal probing, and a Γ config too small to be active: one code path
+SPECS = ("indexed", "indexed:gamma=0")
+
+
+def new_state(engine: str = "indexed") -> ServerState:
     return ServerState(Server(0, SPEC), engine=engine)
 
 
@@ -113,54 +120,28 @@ class TestSkylineOccupancy:
         assert len(occ) == 0
 
 
-class TestDenseOccupancy:
-    def test_matches_skyline_on_basic_sequence(self):
-        sky, dense = SkylineOccupancy(), DenseOccupancy()
-        for occ in (sky, dense):
-            occ.add(1, 10, 2.5, 1.5)
-            occ.add(5, 15, 3.25, 2.25)
-            occ.subtract(5, 15, 3.25, 2.25)
-        for lo, hi in [(0, 4), (1, 10), (5, 15), (0, 100)]:
-            assert sky.peak(lo, hi) == dense.peak(lo, hi)
-
-    def test_probe_piece_agrees_with_skyline(self):
-        sky, dense = SkylineOccupancy(), DenseOccupancy()
-        for occ in (sky, dense):
-            occ.add(4, 8, 6.0, 1.0)
-        args = (1, 10, 5.0, 1.0, 10.0, 10.0, 1e-9)
-        assert sky.probe_piece(*args) == dense.probe_piece(*args)
-
-    def test_grows_beyond_initial_horizon(self):
-        dense = DenseOccupancy()
-        dense.add(1, 5000, 1.0, 1.0)
-        assert dense.peak(4999, 5000) == (1.0, 1.0)
-
-    def test_compact_is_a_no_op(self):
-        dense = DenseOccupancy()
-        dense.add(1, 5, 1.0, 1.0)
-        dense.compact(100)
-        assert dense.peak(1, 5) == (1.0, 1.0)
-
-
 class TestMakeOccupancy:
     def test_engines(self):
-        assert isinstance(make_occupancy("indexed"), SkylineOccupancy)
-        assert isinstance(make_occupancy("dense"), DenseOccupancy)
-        assert DEFAULT_ENGINE in ENGINES
+        assert type(make_occupancy()) is SkylineOccupancy
+        assert type(make_occupancy(RobustnessConfig(gamma=0))) \
+            is SkylineOccupancy
+        assert isinstance(make_occupancy(RobustnessConfig(gamma=1)),
+                          RobustSkyline)
 
     def test_unknown_engine_raises(self):
-        with pytest.raises(ValueError, match="dense"):
-            make_occupancy("quantum")
+        with pytest.raises(ValidationError,
+                           match="unknown placement engine 'quantum'"):
+            EngineConfig.parse("quantum")
 
 
 class TestProbe:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", SPECS)
     def test_feasible_verdict_is_truthy(self, engine):
         verdict = new_state(engine).probe(make_vm(0, 1, 5, cpu=10.0))
         assert verdict
         assert verdict.feasible and verdict.reason is None
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", SPECS)
     def test_static_capacity_reasons(self, engine):
         state = new_state(engine)
         assert state.probe(make_vm(0, 1, 5, cpu=10.5)).reason == \
@@ -168,7 +149,7 @@ class TestProbe:
         assert state.probe(make_vm(0, 1, 5, memory=10.5)).reason == \
             "mem:capacity"
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", SPECS)
     def test_overlap_reason_names_first_violation(self, engine):
         state = new_state(engine)
         state.place(make_vm(0, 4, 8, cpu=6.0))
@@ -176,7 +157,7 @@ class TestProbe:
         assert not verdict
         assert verdict.reason == "cpu:overlap@4"
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", SPECS)
     def test_peaks_and_headroom(self, engine):
         state = new_state(engine)
         state.place(make_vm(0, 1, 5, cpu=3.0, memory=2.0))

@@ -1,16 +1,18 @@
-"""Property tests: the skyline engine is bit-equivalent to the dense
-oracle, ``ServerState.admits`` is ``probe(...).feasible`` on every
+"""Property tests: the skyline is bit-equivalent to a per-time-unit
+timeline, ``ServerState.admits`` is ``probe(...).feasible`` on every
 engine spec, a refusal the skyline remembers answers like the search it
 skips (and min-energy's prefetch drops only servers that refuse), and a
 server idle long enough before a VM answers it — and scores it — like a
 pristine twin.
 
 A random interleaving of place / remove / probe is applied to two
-ServerStates that differ only in their occupancy engine. Verdicts and
-peaks must agree exactly (``==`` on floats — both engines apply the same
-IEEE-754 operation sequence per time unit), incremental costs to a 1e-12
-relative tolerance (they share the cost code; the tolerance only guards
-the comparison itself).
+ServerStates that differ only in their occupancy: the skyline, and
+:class:`_Timeline`, the paper's capacity rule (Eqs. 7–14) read
+literally, one value per time unit. Verdicts and peaks must agree
+exactly (``==`` on floats — both apply the same IEEE-754 operation
+sequence per time unit), incremental costs to a 1e-12 relative
+tolerance (they share the cost code; the tolerance only guards the
+comparison itself).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from repro.model.intervals import TimeInterval
 from repro.model.phases import DemandPhase, PhasedVM, demand_profile, split_vm
 from repro.model.server import Server, ServerSpec
 from repro.model.vm import VM, VMSpec
-from repro.placement import DenseOccupancy, SkylineOccupancy
+from repro.placement import SkylineOccupancy
 from repro.placement.feasibility import (
     TOL,
     Feasibility,
@@ -58,18 +60,60 @@ _OPS = st.tuples(st.integers(0, 2), st.integers(1, 60), st.integers(0, 10),
                  st.integers(1, 24), st.integers(1, 24))
 
 
+class _Timeline:
+    """Committed (cpu, mem) per time unit from 0, each unit updated by
+    the ``+=`` / ``-=`` the skyline applies to the segment holding it."""
+
+    def __init__(self) -> None:
+        self.cpu: list[float] = []
+        self.mem: list[float] = []
+
+    def _apply(self, start: int, end: int, cpu: float, mem: float) -> None:
+        assert start >= 0
+        grow = end + 1 - len(self.cpu)
+        self.cpu += [0.0] * grow
+        self.mem += [0.0] * grow
+        for t in range(start, end + 1):
+            self.cpu[t] += cpu
+            self.mem[t] += mem
+
+    def add(self, start, end, cpu, mem) -> None:
+        self._apply(start, end, cpu, mem)
+
+    def subtract(self, start, end, cpu, mem) -> None:
+        self._apply(start, end, -cpu, -mem)
+
+    def peak(self, start: int, end: int) -> tuple[float, float]:
+        return (max([0.0] + self.cpu[start:end + 1]),
+                max([0.0] + self.mem[start:end + 1]))
+
+    def probe_piece(self, start, end, cpu, mem, cpu_cap, mem_cap, tol):
+        peaks = self.peak(start, end)
+        for name, used, need, cap in (("cpu", self.cpu, cpu, cpu_cap),
+                                      ("mem", self.mem, mem, mem_cap)):
+            for t in range(start, min(end + 1, len(used))):
+                if used[t] + need > cap + tol:
+                    return (f"{name}:overlap@{t}", *peaks)
+        return (None, *peaks)
+
+    def admits_piece(self, *piece_and_caps) -> bool:
+        return self.probe_piece(*piece_and_caps)[0] is None
+
+
 def _pair() -> tuple[ServerState, ServerState]:
-    return (ServerState(Server(0, SPEC), engine="indexed"),
-            ServerState(Server(0, SPEC), engine="dense"))
+    """A skyline book and its per-time-unit twin."""
+    unit = ServerState(Server(0, SPEC))
+    unit._occ = _Timeline()
+    return ServerState(Server(0, SPEC)), unit
 
 
-def _agree(sky: ServerState, dense: ServerState, vm) -> None:
-    vs, vd = sky.probe(vm), dense.probe(vm)
+def _agree(sky: ServerState, unit: ServerState, vm) -> None:
+    vs, vd = sky.probe(vm), unit.probe(vm)
     assert vs.feasible == vd.feasible
     assert vs.reason == vd.reason
     assert vs.peak_cpu == vd.peak_cpu       # bit-exact, not approx
     assert vs.peak_mem == vd.peak_mem
-    cs, cd = sky.incremental_cost(vm), dense.incremental_cost(vm)
+    cs, cd = sky.incremental_cost(vm), unit.incremental_cost(vm)
     assert math.isclose(cs, cd, rel_tol=1e-12, abs_tol=1e-12)
 
 
@@ -77,59 +121,59 @@ class TestEngineEquivalence:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_OPS, min_size=1, max_size=25))
     def test_random_interleaving(self, ops):
-        sky, dense = _pair()
+        sky, unit = _pair()
         placed = []
         for i, (kind, start, length, cpu8, mem8) in enumerate(ops):
             vm = make_vm(i, start, start + length,
                          cpu=cpu8 / 8.0, memory=mem8 / 8.0)
-            _agree(sky, dense, vm)
+            _agree(sky, unit, vm)
             if kind == 1 and placed:
                 victim = placed.pop(start % len(placed))
                 d_sky = sky.remove(victim)
-                d_dense = dense.remove(victim)
-                assert math.isclose(d_sky, d_dense,
+                d_unit = unit.remove(victim)
+                assert math.isclose(d_sky, d_unit,
                                     rel_tol=1e-12, abs_tol=1e-12)
             elif kind != 2 and sky.probe(vm):
-                assert sky.place(vm) == dense.place(vm)
+                assert sky.place(vm) == unit.place(vm)
                 placed.append(vm)
-            assert sky.busy_segments() == dense.busy_segments()
-            assert math.isclose(sky.cost, dense.cost,
+            assert sky.busy_segments() == unit.busy_segments()
+            assert math.isclose(sky.cost, unit.cost,
                                 rel_tol=1e-12, abs_tol=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(_OPS, min_size=1, max_size=15), st.integers(1, 80))
     def test_probe_agreement_after_any_state(self, ops, probe_start):
-        sky, dense = _pair()
+        sky, unit = _pair()
         for i, (kind, start, length, cpu8, mem8) in enumerate(ops):
             vm = make_vm(i, start, start + length,
                          cpu=cpu8 / 8.0, memory=mem8 / 8.0)
             if sky.probe(vm):
                 sky.place(vm)
-                dense.place(vm)
+                unit.place(vm)
         for length in (0, 1, 7, 40):
             probe = make_vm(999, probe_start, probe_start + length,
                             cpu=4.0, memory=4.0)
-            _agree(sky, dense, probe)
+            _agree(sky, unit, probe)
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(_OPS, min_size=2, max_size=20))
     def test_full_drain_returns_to_empty(self, ops):
-        sky, dense = _pair()
+        sky, unit = _pair()
         placed = []
         for i, (kind, start, length, cpu8, mem8) in enumerate(ops):
             vm = make_vm(i, start, start + length,
                          cpu=cpu8 / 8.0, memory=mem8 / 8.0)
             if sky.probe(vm):
                 sky.place(vm)
-                dense.place(vm)
+                unit.place(vm)
                 placed.append(vm)
         for vm in placed:
             sky.remove(vm)
-            dense.remove(vm)
+            unit.remove(vm)
         assert sky.occupancy_points() == 0  # coalesced all the way down
-        assert sky.cost == dense.cost == 0.0
+        assert sky.cost == unit.cost == 0.0
         probe = make_vm(998, 1, 50, cpu=8.0, memory=8.0)
-        assert sky.probe(probe).feasible and dense.probe(probe).feasible
+        assert sky.probe(probe).feasible and unit.probe(probe).feasible
 
 
 class TestOccupancyEquivalence:
@@ -141,23 +185,23 @@ class TestOccupancyEquivalence:
                               st.integers(1, 16)),
                     min_size=1, max_size=20))
     def test_peaks_bit_equal(self, ops):
-        sky, dense = SkylineOccupancy(), DenseOccupancy()
+        sky, unit = SkylineOccupancy(), _Timeline()
         live = []
         for is_remove, start, length, cpu8, mem8 in ops:
             if is_remove and live:
                 s, e, c, m = live.pop()
                 sky.subtract(s, e, c, m)
-                dense.subtract(s, e, c, m)
+                unit.subtract(s, e, c, m)
             else:
                 s, e = start, start + length
                 c, m = cpu8 / 8.0, mem8 / 8.0
                 sky.add(s, e, c, m)
-                dense.add(s, e, c, m)
+                unit.add(s, e, c, m)
                 live.append((s, e, c, m))
             for lo, hi in [(0, 70), (start, start + length), (25, 30)]:
-                assert sky.peak(lo, hi) == dense.peak(lo, hi)
+                assert sky.peak(lo, hi) == unit.peak(lo, hi)
                 assert sky.probe_piece(lo, hi, 2.0, 2.0, 8.0, 8.0, 1e-9) \
-                    == dense.probe_piece(lo, hi, 2.0, 2.0, 8.0, 8.0, 1e-9)
+                    == unit.probe_piece(lo, hi, 2.0, 2.0, 8.0, 8.0, 1e-9)
 
 
 # -- admits: the probe's yes or no, whoever answers ---------------------------
@@ -220,16 +264,13 @@ def _yes_or_no(state: ServerState, vm: VM) -> bool:
 
 
 class TestAdmitsIsTheProbesYesOrNo:
-    @pytest.mark.parametrize("engine", ["indexed", "dense",
-                                        "indexed:gamma=2"])
+    @pytest.mark.parametrize("engine", ["indexed", "indexed:gamma=2"])
     @settings(max_examples=120, deadline=None)
     @given(st.lists(_ASKS, min_size=1, max_size=25))
     def test_after_any_place_cut_retire(self, engine, ops):
         state = ServerState(Server(0, SPEC), engine=engine)
         asked, horizon = [], -100
         for i, (kind, start, length, cpu8, mem8, shape) in enumerate(ops):
-            if engine == "dense":
-                start = abs(start)      # a dense timeline starts at 0
             vm = _shaped(i, start, length, cpu8 / 8.0, mem8 / 8.0, shape)
             asked.append(vm)
             _yes_or_no(state, vm)
@@ -417,8 +458,7 @@ class TestAnIdleServerIsAClone:
     walk probe one member of a type's clone class."""
 
     @pytest.mark.parametrize("policy", list(SleepPolicy))
-    @pytest.mark.parametrize("engine", ["indexed", "dense",
-                                        "indexed:gamma=2"])
+    @pytest.mark.parametrize("engine", ["indexed", "indexed:gamma=2"])
     @settings(max_examples=50, deadline=None)
     @given(st.lists(_BOOK_ASKS, min_size=1, max_size=20),
            st.integers(0, 6))
@@ -433,8 +473,6 @@ class TestAnIdleServerIsAClone:
         gap = saturating_gap(SPEC, policy)
         asked, horizon = [], -100
         for i, (kind, start, length, cpu8, mem8, shape) in enumerate(ops):
-            if engine == "dense":
-                start = abs(start)      # a dense timeline starts at 0
             # 0.13 steps: inexact sums, so a cut can leave residue
             vm = _shaped(i, start, length, cpu8 * 0.13, mem8 * 0.13, shape)
             asked.append(vm)

@@ -45,7 +45,6 @@ EXPECTED_ALL = [
     "UnknownOperationError",
     "ValidationError",
     "CandidateIndex",
-    "DenseOccupancy",
     "EngineConfig",
     "Feasibility",
     "FeasibilityBatch",
@@ -200,6 +199,22 @@ class TestExports:
                 assert not hasattr(module, name), name
         assert not hasattr(repro, "serve_async")
         assert importlib.util.find_spec("repro.service.aio") is None
+
+    def test_the_dense_engine_s_names_are_gone(self):
+        import repro.placement as placement
+        from repro.allocators.state import ServerState
+        from repro.placement import occupancy
+
+        for module in (repro, placement, occupancy):
+            for name in ("DenseOccupancy", "ENGINES", "DEFAULT_ENGINE"):
+                assert name not in getattr(module, "__all__", ()), name
+                assert not hasattr(module, name), name
+        allocator = repro.make_allocator("first-fit")
+        store = repro.ClusterStateStore(repro.Cluster.paper_all_types(2))
+        for holder in (allocator, store, ServerState(store.cluster[0])):
+            assert not hasattr(holder, "engine"), holder
+        with pytest.raises(TypeError):
+            repro.EngineConfig(engine="indexed")
 
     def test_service_consolidation_surface_pinned(self):
         import repro.service as service

@@ -53,15 +53,16 @@ class TestMakeAllocator:
         assert allocator._policy is SleepPolicy.NEVER_SLEEP
 
     def test_forwards_engine(self):
-        assert make_allocator("best-fit", engine="dense").engine == "dense"
+        assert make_allocator("best-fit", engine="indexed:gamma=2") \
+            .engine_config.spec == "indexed:gamma=2"
 
     def test_extension_specific_parameter(self):
         # Extensions register their own kwargs; the registry must not
         # whitelist a fixed set. WeightedMinEnergy-style params go through
         # the same path, exercised here via the common trio.
         allocator = make_allocator("ffps", seed=7, policy="always-sleep",
-                                   engine="dense")
-        assert allocator.engine == "dense"
+                                   engine="indexed:gamma=1")
+        assert allocator.engine_config.spec == "indexed:gamma=1"
         assert allocator._policy is SleepPolicy.ALWAYS_SLEEP
 
 
@@ -107,7 +108,6 @@ class TestKeywordOnlyConstruction:
             allocator = make_allocator(name, seed=3, policy="optimal",
                                        engine="indexed")
             assert allocator._policy is SleepPolicy.OPTIMAL
-            assert allocator.engine == "indexed"
 
 
 class TestARuleIsStatedOnce:

@@ -6,7 +6,7 @@ The contracts pinned here:
   the Bertsimas–Sim ``(drop, threshold)`` accumulators exactly;
 * the extended :class:`EngineConfig` spec grammar (``gamma=``/``mode=``)
   round-trips through spec strings, records and store snapshots, and
-  the dense engine rejects robustness;
+  a spec naming the removed dense engine is refused;
 * :class:`RobustSkyline` agrees with a brute-force per-time-unit oracle
   over random add/subtract histories, and the vectorized kernel path is
   a bit-exact mirror of the scalar robust probe;
@@ -116,12 +116,14 @@ class TestEngineConfigRobustness:
         assert config.robustness == RobustnessConfig(gamma=0)
         assert config.active_robustness is None
 
-    def test_dense_rejects_robustness(self):
-        with pytest.raises(ValidationError, match="indexed"):
-            EngineConfig.parse("dense:gamma=1")
-        with pytest.raises(ValidationError, match="indexed"):
-            EngineConfig(engine="dense",
-                         robustness=RobustnessConfig(mode="box"))
+    def test_dense_spec_is_refused(self):
+        for spec in ("dense", "dense:gamma=1", " dense :kernel=off"):
+            with pytest.raises(ValidationError,
+                               match="dense engine was removed; 'indexed' "
+                                     "makes the same decisions"):
+                EngineConfig.parse(spec)
+        with pytest.raises(TypeError):
+            EngineConfig(engine="indexed")
 
     def test_record_round_trips(self):
         # The stored form is the spec string (snapshots, daemon config).

@@ -223,7 +223,7 @@ class TestClusterStateStore:
         assert restored.machines[0].transition_energy == \
             store.machines[0].transition_energy
 
-    @pytest.mark.parametrize("engine", ["indexed", "dense"])
+    @pytest.mark.parametrize("engine", ["indexed", "indexed:gamma=2"])
     def test_pieces_ending_at_tick_zero_end(self, engine):
         # Tick 0 is closed like any other, minus its sample: pieces that
         # end there leave the live server, so a later admission does not

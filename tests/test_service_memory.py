@@ -16,10 +16,13 @@ import gc
 import shutil
 import sys
 import tracemalloc
+from contextlib import nullcontext
 from types import BuiltinFunctionType, FunctionType, ModuleType
+from unittest import mock
 
 import pytest
 
+from repro.allocators.state import ServerState
 from repro.model.cluster import Cluster
 from repro.model.intervals import TimeInterval
 from repro.model.vm import VM, VMSpec
@@ -39,6 +42,10 @@ SPEC = VMSpec("t", cpu=1.0, memory=1.0)
 
 def _vm(vm_id: int, start: int, end: int) -> VM:
     return VM(vm_id=vm_id, spec=SPEC, interval=TimeInterval(start, end))
+
+
+def _keep(state: ServerState, before: int) -> None:
+    """``ServerState.compact`` that forgets nothing."""
 
 
 def _stream(store: ClusterStateStore, count: int, spacing: int,
@@ -95,13 +102,17 @@ class TestDaemonMemory:
 
     def test_future_placements_unaffected_by_compaction(self):
         compacted = ClusterStateStore(Cluster.paper_all_types(2))
-        control = ClusterStateStore(Cluster.paper_all_types(2),
-                                    engine="dense")
+        control = ClusterStateStore(Cluster.paper_all_types(2))
         for store in (compacted, control):
-            _stream(store, 30, spacing=10)
-            store.run_to_completion()
+            # the control's books keep their whole past
+            with mock.patch.object(ServerState, "compact", _keep) \
+                    if store is control else nullcontext():
+                _stream(store, 30, spacing=10)
+                store.run_to_completion()
             late = _vm(1000, store.clock + 5, store.clock + 12)
             store.commit(late, 0)
+        assert len(control.states[0].busy_segments()) \
+            > len(compacted.states[0].busy_segments())
         verdict_c = compacted.states[0].probe(_vm(1001, 400, 404))
         verdict_d = control.states[0].probe(_vm(1001, 400, 404))
         assert verdict_c == verdict_d

@@ -16,6 +16,9 @@ twice (:class:`TwoWalkStore`, the oracle), the streamed snapshot
 chunks against ``json.dumps(to_snapshot(meta))``, and
 (slice three) the allocator's candidate queues and kernel planes
 against a partition of the scan list and the skylines they mirror.
+After every step no live server holds more than its capacity at any
+time unit, summed by brute force from its residents' demand pieces,
+nominal and Γ-robust (:func:`assert_no_unit_over_capacity`).
 
 Slice two holds the planning books to the same standard. A book that
 was cut in place (a migration, a failure) must answer, from the clock
@@ -50,9 +53,11 @@ from repro.allocators.state import ServerState
 from repro.energy.cost import server_cost
 from repro.model.cluster import Cluster
 from repro.model.intervals import TimeInterval
+from repro.model.phases import demand_profile
 from repro.model.server import ServerSpec
 from repro.model.vm import VM, VMSpec
 from repro.obs.tracer import Tracer, use_tracer
+from repro.placement.feasibility import TOL
 from repro.service import (
     SNAPSHOT_FORMAT_VERSION,
     AllocationDaemon,
@@ -310,9 +315,8 @@ def assert_index_matches_the_scan_list(daemon: AllocationDaemon) -> None:
     index = daemon.allocator._index
     engine = daemon.allocator.engine_config
     live = daemon._live
-    # No index without a book to read the engine off: dense, or every
-    # server failed.
-    assert (index is None) == (engine.engine == "dense" or not live)
+    # No index without a book to read the engine off: every server failed.
+    assert (index is None) == (not live)
     if index is None:
         return
     assert index.covers(live)
@@ -348,9 +352,40 @@ def assert_index_matches_the_scan_list(daemon: AllocationDaemon) -> None:
             assert plane[lo:hi].tolist() == column
 
 
+def assert_no_unit_over_capacity(store: ClusterStateStore) -> None:
+    """Eqs. 9–10 by brute force: on every live server, each time unit's
+    summed resident demand pieces — plus, under Γ, the Γ largest cpu
+    and the Γ largest mem radii among the residents running then — stay
+    within capacity + ``TOL``."""
+    robust = store.engine_config.active_robustness
+    for server_id, book in enumerate(store.states):
+        if server_id in store._dead:
+            continue
+        spec = book.server.spec
+        units: dict[int, list[float]] = {}
+        radii: dict[int, list[tuple[float, float]]] = {}
+        for vm in book.vms:
+            for piece, cpu, mem in demand_profile(vm):
+                for t in range(piece.start, piece.end + 1):
+                    unit = units.setdefault(t, [0.0, 0.0])
+                    unit[0] += cpu
+                    unit[1] += mem
+            for t in range(vm.start, vm.end + 1):
+                radii.setdefault(t, []).append((vm.cpu_radius,
+                                                vm.mem_radius))
+        for t, (cpu, mem) in units.items():
+            if robust is not None:
+                cpu += sum(sorted((r for r, _ in radii[t]),
+                                  reverse=True)[:robust.gamma])
+                mem += sum(sorted((r for _, r in radii[t]),
+                                  reverse=True)[:robust.gamma])
+            assert cpu <= spec.cpu_capacity + TOL, (server_id, t, cpu)
+            assert mem <= spec.memory_capacity + TOL, (server_id, t, mem)
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(st.sampled_from(["indexed", "indexed:gamma=2", "dense"]),
+@given(st.sampled_from(["indexed", "indexed:gamma=2"]),
        st.lists(OP, max_size=25))
 # A recovered server comes back pristine at a position *below* a busy
 # one of its type: the next commit must insert, not append.
@@ -386,6 +421,7 @@ def test_derived_structures_equal_a_recomputation(engine, ops):
         # Refusals (a dead server failed again, a full fleet) are part
         # of the interleaving; the oracle must refuse the same way.
         assert twin.handle(request)["ok"] == response["ok"]
+        assert_no_unit_over_capacity(store)
         assert_aggregates_match_a_scan(store)
         assert_index_matches_the_scan_list(daemon)
         assert closed_ticks(store) == closed_ticks(twin.store)  # floats ==
@@ -455,7 +491,7 @@ def assert_books_answer_like_the_log(daemon: AllocationDaemon) -> None:
 
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(st.sampled_from(["indexed", "dense", "indexed:gamma=2"]),
+@given(st.sampled_from(["indexed", "indexed:gamma=2"]),
        st.lists(OP, max_size=25))
 def test_cut_books_answer_like_a_rebuild_from_the_log(
         tmp_path_factory, engine, ops):
@@ -470,6 +506,7 @@ def test_cut_books_answer_like_a_rebuild_from_the_log(
     fragment(daemon)
     for step, (kind, arg) in enumerate(ops, start=1):
         daemon.handle(request_for(kind, arg, store.clock, step, radius))
+        assert_no_unit_over_capacity(store)
         assert_books_answer_like_the_log(daemon)
     # The running sums are rounded as they go; a restore must land on
     # the same bits, whichever way it rebuilds.
@@ -574,7 +611,7 @@ def restored_state(data_dir) -> tuple:
 
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(st.sampled_from(["indexed", "dense", "indexed:gamma=2"]),
+@given(st.sampled_from(["indexed", "indexed:gamma=2"]),
        st.lists(OP, max_size=20))
 def test_live_snapshot_and_journal_alone_are_one_history(
         tmp_path_factory, engine, ops):
