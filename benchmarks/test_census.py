@@ -49,6 +49,7 @@ from repro.obs import flight, logging, slo, tracer
 from repro.obs.context import REQUEST_ID_FIELD, TRACE_ID_FIELD
 from repro.placement.kernels import FeasibilityBatch, FleetKernel
 from repro.placement.occupancy import SkylineOccupancy
+from repro.robust.skyline import RobustSkyline
 from repro.service.daemon import AllocationDaemon
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import (
@@ -261,6 +262,12 @@ DENSE_ADMITS_CEILING = round(1.1 * 34.416, 1)
 #: refused by the remembered segment (all 34.416 would search with no
 #: memory); the ceiling is 1.1x.
 DENSE_SEARCHES_CEILING = round(1.1 * 19.905, 1)
+#: ``refuses`` calls per VM of the same drive, the nominal rule's and
+#: the Γ-robust one's (``admits_piece`` asks it first when its skyline
+#: remembers a refusal): measured 40.335 with the prefetch reading each
+#: type's refusal table; 293.555 while it asked every busy server's
+#: skyline; the ceiling is 1.1x.
+DENSE_REFUSES_CEILING = round(1.1 * 40.335, 1)
 #: Calls per ``place`` through ``handle_line``, ffps on 1000 servers,
 #: no journal: 333.2 while a request was decoded into a VM and encoded
 #: back, and each tick re-summed the fleet; 232.5 now, over this
@@ -448,7 +455,10 @@ DRIVES = (
                   per_vm=True),
               Row("admits_piece_searches_per_vm", calls(bisect.bisect_right),
                   lambda frame: frame.f_code is ADMITS_PIECE,
-                  ceiling=DENSE_SEARCHES_CEILING, per_vm=True))),
+                  ceiling=DENSE_SEARCHES_CEILING, per_vm=True),
+              Row("refuses_per_vm",
+                  calls(SkylineOccupancy.refuses, RobustSkyline.refuses),
+                  ceiling=DENSE_REFUSES_CEILING, per_vm=True))),
     Drive("best-fit-sparse",
           "best-fit, 2000 sparse VMs / 3000 servers, default engine",
           2000, lambda: _allocate("best-fit", VMS_SPARSE_2K, CLUSTER_3K), (

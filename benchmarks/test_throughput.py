@@ -11,6 +11,7 @@ server probed, collect-then-``choose``: the paper's rule read literally
 
 from __future__ import annotations
 
+import gc
 import math
 import time
 from contextlib import nullcontext
@@ -170,18 +171,21 @@ PAPER_SCALE_CEILING = 1.25
 
 def _take_turns(algo: str, vms, cluster, turns: int
                 ) -> tuple[float, float]:
-    """Each side's best of ``turns`` runs — the default rule, then
-    all-scalar, by turns, so both see the same phases of a box whose
-    cores change speed — with identical placements."""
-    on_s = off_s = float("inf")
-    for _ in range(turns):
-        seconds, on_placed = _best_run(algo, vms, cluster, 1)
-        on_s = min(on_s, seconds)
-        seconds, off_placed = _best_run(algo, vms, cluster, 1,
-                                        route="scalar")
-        off_s = min(off_s, seconds)
-    assert on_placed == off_placed
-    return on_s, off_s
+    """Each side's best of ``turns`` runs — the default rule and
+    all-scalar by turns, so both see the same phases of a box whose
+    cores change speed, the side that goes first alternating and a full
+    collection before each run, so neither inherits the other's
+    garbage — with identical placements."""
+    best = {None: math.inf, "scalar": math.inf}
+    placed = {}
+    for turn in range(turns):
+        for route in (None, "scalar") if turn % 2 == 0 else ("scalar", None):
+            gc.collect()
+            seconds, placed[route] = _best_run(algo, vms, cluster, 1,
+                                               route=route)
+            best[route] = min(best[route], seconds)
+    assert placed[None] == placed["scalar"]
+    return best[None], best["scalar"]
 
 
 def test_probe_fleet_speedup():

@@ -43,9 +43,22 @@ cannot change the answer, only skip losers:
 On a dense stream the cheap types' busy servers are mostly full and
 refuse the VM one by one before the bound can prune, mostly where they
 refused the last VM: a walk refused ``_BATCH_AFTER`` times drops from
-what is left of its busy queues every server whose skyline remembers a
-refusal that refuses the VM (``SkylineOccupancy.refuses``) and asks the
-rest one at a time, so the walk never builds a batch.
+what is left of its busy queues every server known to refuse the VM and
+asks the rest one at a time, so the walk never builds a batch. What is
+known lives in each type's *refusal table* (``SpecGroup.refusals``): per
+busy server a fact ``(lo, hi, cpu, mem)``, a segment of its skyline and
+the charge it holds there at radius 0, sorted by the cpu charge. The
+table is derived from the books' remembered refusals
+(``SkylineOccupancy.refusal``): the prefetch records one when it asks a
+server it holds no fact for and the skyline refuses
+(``SkylineOccupancy.refuses``), and the index forgets it on the book's
+next mutation notify, so every fact held is true of its book. The facts
+the VM's interval misses are evicted first; of the rest, those whose cpu
+charge plus the VM's smallest piece passes capacity are a suffix of the
+table, dropped without touching a server, and the others are held to
+the search's comparison on the fact. Dropping a server on a true fact
+gives the walk's own answer, and keeping one is always safe — the walk
+asks it — so the table need be sound, not complete.
 """
 
 from __future__ import annotations
@@ -105,8 +118,8 @@ class MinIncrementalEnergy(Allocator):
 
         A busy server is asked through :meth:`_examine` one
         winner-candidate at a time; at the ``_BATCH_AFTER``-th refusal
-        :meth:`_prefetch` drops from the busy queues the servers whose
-        remembered refusal refuses the VM. An idle entry is admitted by
+        :meth:`_prefetch` drops from the busy queues the servers known
+        to refuse the VM. An idle entry is admitted by
         its type and priced by :func:`~repro.energy.cost.wake_delta`;
         only constraints can refuse it. The counters stay those of the
         walk that asks every server one position at a time: it would
@@ -129,7 +142,7 @@ class MinIncrementalEnergy(Allocator):
         heap: list = []
         runs: dict[int, float] = {}
         refused = 0
-        #: type -> the busy positions a prefetch dropped for it
+        #: type -> what a prefetch filtered and kept (``_dropped``)
         frontier: dict = {}
         #: the types whose clone class was admitted
         cloned: list = []
@@ -187,13 +200,14 @@ class MinIncrementalEnergy(Allocator):
                 if prune:  # types this incumbent drops were asked to here
                     for dropped in [g for g in frontier
                                     if runs[id(g)] >= delta - _TIE_TOL]:
-                        self.candidates_evaluated += bisect.bisect_right(
-                            frontier.pop(dropped), pos)
+                        self.candidates_evaluated += _dropped(
+                            *frontier.pop(dropped), pos)
                     for dropped in [g for g in cloned
                                     if runs[id(g)] >= delta - _TIE_TOL]:
                         cloned.remove(dropped)
                         self._count_clones(dropped, pos)
-        self.candidates_evaluated += sum(map(len, frontier.values()))
+        for entry in frontier.values():
+            self.candidates_evaluated += _dropped(*entry)
         for group in cloned:
             self._count_clones(group)
         self.chosen_cost = None if best is None else best_delta
@@ -217,38 +231,70 @@ class MinIncrementalEnergy(Allocator):
     def _prefetch(self, vm: VM, states: Sequence[ServerState], heap: list,
                   runs: dict[int, float], bound: float) -> dict:
         """Drop from what is left of the walk's busy queues every server
-        whose skyline remembers a refusal that refuses ``vm`` (the
-        skyline's own rule, ``refuses``: what asking it would answer).
+        known to refuse ``vm``: by the fact its type's refusal table
+        holds for it, or, holding none, by the refusal its skyline
+        remembers (``refuses``: what asking it would answer).
 
         Each type's busy positions from the cursors on (warm, and
         dormant under constraints) are filtered unless its run cost has
-        reached ``bound``; the kept ones are its busy queue in ``heap``,
-        the busy cursors of dropped types go, the idle ones stay.
-        Returns type -> the positions dropped, in fleet order.
+        reached ``bound``. The table first forgets the facts ``vm``'s
+        interval misses, so every fact left overlaps a piece of it, and
+        a charge that overloads the smallest piece overloads that one:
+        the facts whose cpu charge does are a suffix of the table,
+        dropped unasked, and those whose memory charge does are dropped
+        next. For a one-piece VM without radii nothing else is left of
+        the comparison, so the rest of the facts are kept; otherwise
+        (another piece may be larger, a radius may raise a Γ book's
+        charge) their skylines are asked. So is every server with no
+        fact, and a skyline that refuses it is recorded.
+        The kept positions are the type's busy queue in ``heap``, the
+        busy cursors of dropped types go, the idle ones stay. Returns
+        type -> ``(parts, kept)``, the ``(queue, cursor)`` pairs filtered
+        and the positions kept: the dropped ones are the rest
+        (:func:`_dropped`).
         """
         queues: dict = {}
         for _, kind, cursor, group, queue in heap:
             if kind == _BUSY and runs[id(group)] < bound:
-                queues.setdefault(group, []).append(queue[cursor:])
+                queues.setdefault(group, []).append((queue, cursor))
         heap[:] = [entry for entry in heap if entry[1] != _BUSY]
         pieces = [(piece.start, piece.end, cpu, mem, vm.cpu_radius,
                    vm.mem_radius) for piece, cpu, mem in demand_profile(vm)]
+        least_cpu = min(piece[2] for piece in pieces)
+        least_mem = min(piece[3] for piece in pieces)
+        # a fact below the suffix settles a one-piece VM without radii:
+        # what is left of the rule is the memory comparison
+        settled = len(pieces) == 1 and not (vm.cpu_radius or vm.mem_radius)
         frontier: dict = {}
         for group, parts in queues.items():
             spec = group.spec
             cpu_limit = spec.cpu_capacity + TOL
             mem_limit = spec.memory_capacity + TOL
+            table = group.refusals
+            table.evict_outside(vm.start, vm.end)
+            facts = table.facts
+            rest: set[int] = set()
+            for queue, cursor in parts:
+                rest.update(queue[cursor:])
+            rest.difference_update(table.refusing(least_cpu, cpu_limit))
             kept: list[int] = []
-            dropped: list[int] = []
-            for pos in heapq.merge(*parts) if len(parts) > 1 else parts[0]:
-                if states[pos]._occ.refuses(pieces, cpu_limit, mem_limit):
-                    dropped.append(pos)
-                else:
+            for pos in sorted(rest):
+                fact = facts.get(pos)
+                if fact is not None:
+                    if fact[3] + least_mem > mem_limit:
+                        continue
+                    if settled:
+                        kept.append(pos)
+                        continue
+                occ = states[pos]._occ
+                if not occ.refuses(pieces, cpu_limit, mem_limit):
                     kept.append(pos)
+                elif fact is None:
+                    table.record(pos, occ.refusal())
             if kept:
                 heap.append((kept[0], _BUSY, 0, group, kept))
-            if dropped:
-                frontier[group] = dropped
+            if _dropped(parts, kept):
+                frontier[group] = (parts, kept)
         heapq.heapify(heap)
         return frontier
 
@@ -263,3 +309,14 @@ class MinIncrementalEnergy(Allocator):
         self.chosen_cost = best_delta
         return best
 
+
+def _dropped(parts: list[tuple[list[int], int]], kept: list[int],
+             upto: int | None = None) -> int:
+    """How many positions a prefetch that filtered ``parts`` (``(queue,
+    cursor)`` pairs) and kept ``kept`` dropped — up to position ``upto``,
+    or all of them when ``None``."""
+    if upto is None:
+        return sum(len(queue) - cursor for queue, cursor in parts) \
+            - len(kept)
+    return sum(max(bisect.bisect_right(queue, upto), cursor) - cursor
+               for queue, cursor in parts) - bisect.bisect_right(kept, upto)

@@ -21,7 +21,10 @@ once per type instead of once per server. :class:`CandidateIndex` groups a
   they are the type's *clone class*, which best-fit and worst-fit score
   and min-energy prices by type, at its first member's position
   (:meth:`SpecGroup.representative`), without probing any of hundreds
-  of identical idle machines.
+  of identical idle machines;
+* keep, per type, a :class:`RefusalTable` of what its busy servers'
+  skylines were last seen refusing, which min-energy's prefetch reads
+  and the watcher hook prunes on every change to a book.
 
 Static admission charges what the probes charge
 (:func:`~repro.placement.feasibility.static_demand`: the VM's radii too
@@ -60,7 +63,102 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.model.vm import VM
     from repro.placement.kernels import FleetKernel
 
-__all__ = ["CandidateIndex", "SpecGroup"]
+__all__ = ["CandidateIndex", "RefusalTable", "SpecGroup"]
+
+
+class RefusalTable:
+    """What one type's busy servers were last seen refusing: per fleet
+    position a *fact* ``(lo, hi, cpu, mem)`` — a segment ``[lo, hi)`` of
+    that server's skyline and the charge it holds at radius 0
+    (``SkylineOccupancy.refusal``) — kept sorted by the cpu charge.
+
+    A fact is recorded off a book's remembered refusal, which only a
+    search of the current rows sets, and forgotten on the book's next
+    mutation notify (:meth:`CandidateIndex.server_state_changed`), so
+    every fact held is true of its book. The table need not be
+    complete: a position with no fact is asked.
+
+    Two heaps, ``(hi, pos)`` and ``(-lo, pos)``, find the facts a VM's
+    interval misses (:meth:`evict_outside`); an entry whose fact was
+    forgotten or replaced goes stale, and both heaps are rebuilt from
+    the facts before they hold twice as many entries.
+    """
+
+    __slots__ = ("facts", "_keys", "_positions", "_his", "_los")
+
+    def __init__(self) -> None:
+        #: position -> its fact
+        self.facts: dict[int, tuple] = {}
+        #: the facts' cpu charges, ascending, and their positions
+        self._keys: list[float] = []
+        self._positions: list[int] = []
+        self._his: list[tuple] = []
+        self._los: list[tuple] = []
+
+    def record(self, pos: int, fact: tuple) -> None:
+        """Hold ``fact`` (true of ``pos``'s book now) for ``pos``."""
+        old = self.facts.get(pos)
+        if fact == old:
+            return
+        if old is not None:
+            self._unsort(pos, old)
+        self.facts[pos] = fact
+        lo, hi, cpu, _ = fact
+        i = bisect.bisect_right(self._keys, cpu)
+        self._keys.insert(i, cpu)
+        self._positions.insert(i, pos)
+        heapq.heappush(self._his, (hi, pos))
+        heapq.heappush(self._los, (-lo, pos))
+        self._compact()
+
+    def forget(self, pos: int) -> None:
+        """Drop ``pos``'s fact: its book changed."""
+        fact = self.facts.pop(pos, None)
+        if fact is not None:
+            self._unsort(pos, fact)
+            self._compact()
+
+    def _unsort(self, pos: int, fact: tuple) -> None:
+        i = self._positions.index(pos, bisect.bisect_left(self._keys,
+                                                          fact[2]))
+        del self._keys[i], self._positions[i]
+
+    def _compact(self) -> None:
+        """Rebuild both heaps once stale entries outnumber the facts;
+        every change to the facts ends here."""
+        bound = 2 * len(self.facts) + 1
+        if len(self._his) > bound or len(self._los) > bound:
+            self._his = [(fact[1], pos) for pos, fact in self.facts.items()]
+            self._los = [(-fact[0], pos) for pos, fact in self.facts.items()]
+            heapq.heapify(self._his)
+            heapq.heapify(self._los)
+
+    def evict_outside(self, start: int, end: int) -> None:
+        """Forget every fact whose segment misses ``[start, end]``
+        (``hi <= start`` or ``lo > end``): what is left overlaps it."""
+        facts = self.facts
+        # ticks are integers: -lo <= -end - 1 is lo > end
+        for heap, bound in ((self._his, start), (self._los, -end - 1)):
+            while heap and heap[0][0] <= bound:
+                pos = heapq.heappop(heap)[1]
+                fact = facts.get(pos)
+                if fact is not None and (fact[1] <= start or fact[0] > end):
+                    del facts[pos]
+                    self._unsort(pos, fact)
+        self._compact()
+
+    def refusing(self, cpu: float, cpu_limit: float) -> list[int]:
+        """The positions whose fact's cpu charge plus ``cpu`` passes
+        ``cpu_limit``, by the search's own comparison — a suffix of the
+        charges, since a float sum rises with either addend: a bisect
+        near ``cpu_limit - cpu``, stepped to the edge of that suffix."""
+        keys = self._keys
+        i = bisect.bisect_right(keys, cpu_limit - cpu)
+        while i and keys[i - 1] + cpu > cpu_limit:
+            i = bisect.bisect_left(keys, keys[i - 1])
+        while i < len(keys) and not keys[i] + cpu > cpu_limit:
+            i = bisect.bisect_right(keys, keys[i])
+        return self._positions[i:]
 
 
 class SpecGroup:
@@ -87,7 +185,7 @@ class SpecGroup:
     """
 
     __slots__ = ("spec", "gap", "warm", "dormant", "pristine", "horizon",
-                 "_ends", "_quiet")
+                 "refusals", "_ends", "_quiet")
 
     def __init__(self, spec: object, gap: int | None,
                  quiet: list[int | None]) -> None:
@@ -97,6 +195,9 @@ class SpecGroup:
         self.warm: list[int] = []
         self.dormant: list[int] = []
         self.pristine: list[int] = []
+        #: what the busy servers were last seen refusing (min-energy's
+        #: prefetch records and reads it)
+        self.refusals = RefusalTable()
         #: the tick ``dormant`` is cut at
         self.horizon: float = -math.inf
         #: the warm heap; built by the first :meth:`settle` — only the
@@ -261,24 +362,29 @@ class CandidateIndex:
     # -- incremental maintenance -------------------------------------------
 
     def server_state_changed(self, state: "ServerState") -> None:
-        """Watcher hook: re-file a server whose quiet tick moved.
+        """Watcher hook: forget what the server was seen refusing, and
+        re-file it if its quiet tick moved.
 
-        A commit past the cut makes a server warm (from pristine or
-        dormant); a cut or an uncompacted remove can make it dormant or
-        pristine again. The queues stay position-sorted via bisect, so
-        scans keep walking candidates in fleet order. (The kernel
-        registers its own watcher for occupancy rows; this hook only
-        owns the queues.)
+        Every ``ServerState`` mutation ends in a notify, so a fact left
+        in a refusal table is true of its book. A commit past the cut
+        makes a server warm (from pristine or dormant); a cut or an
+        uncompacted remove can make it dormant or pristine again. The
+        queues stay position-sorted via bisect, so scans keep walking
+        candidates in fleet order. (The kernel registers its own
+        watcher for occupancy rows; this hook only owns the queues.)
         """
         pos = self._pos.get(id(state))
         if pos is None:
             return
+        group = self._groups[self._spec_ids[pos]]
+        if pos in group.refusals.facts:  # most books hold none: no call
+            group.refusals.forget(pos)
         quiet = state.quiet_after
         old = self._quiet[pos]
         if quiet == old:
             return
         self._quiet[pos] = quiet
-        self._groups[self._spec_ids[pos]].requeue(pos, old, quiet)
+        group.requeue(pos, old, quiet)
 
     # -- static admission ---------------------------------------------------
 

@@ -204,6 +204,13 @@ class SkylineOccupancy:
                 return True
         return False
 
+    def refusal(self) -> tuple | None:
+        """The remembered refusal as a *fact* ``(lo, hi, cpu, mem)``:
+        the segment ``[lo, hi)`` and what it holds at radius 0 — no
+        larger than any charge ``refuses`` compares — or ``None``. True
+        of the rows until the next mutation, which forgets it."""
+        return self._refused
+
     def tail(self) -> int | None:
         """The first time from which nothing is committed for good —
         the last breakpoint: updates never touch the open-ended last

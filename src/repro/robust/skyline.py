@@ -254,6 +254,16 @@ class RobustSkyline(SkylineOccupancy):
                 return True
         return False
 
+    def refusal(self) -> tuple | None:
+        """The nominal ``refusal`` with each resource charged its
+        radius-0 excess, ``value + (drop + threshold)``: a radius only
+        raises the charge ``refuses`` compares."""
+        seg = self._refused
+        if seg is None:
+            return None
+        lo, hi, seg_cpu, dc, tc, seg_mem, dm, tm = seg
+        return lo, hi, seg_cpu + (dc + tc), seg_mem + (dm + tm)
+
     def export_robust_rows(self) -> tuple[
             list[int], list[float], list[float], list[float], list[float],
             list[float], list[float]]:

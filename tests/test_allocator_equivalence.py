@@ -16,10 +16,13 @@ inputs where their branches can drift apart: a server type that can
 never host some VMs, active anti-affinity groups, and Γ > 0.
 
 ``min-energy``'s queued walk, refused 16 times, drops what is left of
-its queues that a remembered refusal refuses, and asks no kernel. It is
-held to the walk that never prefetches and asks every busy server (and
-to the unindexed route) on dense streams, where the prefetch fires for
-most VMs: server, both counters and the Eq.-17 delta as hex.
+its queues that its type's refusal table or a remembered refusal
+refuses, and asks no kernel. It is held to the walk that never
+prefetches and asks every busy server (and to the unindexed route) on
+dense streams, where the prefetch fires for most VMs — also with books
+cut, removed and compacted between prefetches, and on a daemon stream
+whose starts go back and forth across a restore: server, both counters
+and the Eq.-17 delta as hex.
 
 An explanation is the same whoever probed: every registry allocator's
 ``PlacementExplanation`` sequence on the four golden streams is ``==``
@@ -30,7 +33,9 @@ terms, scores, chosen.
 from __future__ import annotations
 
 import math
+import random
 from contextlib import nullcontext
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,9 +45,12 @@ from repro.allocators.state import ServerState
 from repro.energy import SleepPolicy, allocation_cost
 from repro.model.cluster import Cluster
 from repro.model.constraints import PlacementConstraints
+from repro.model.intervals import TimeInterval
 from repro.obs.tracer import Tracer, use_tracer
 from repro.placement import FleetKernel
+from repro.placement.index import RefusalTable
 from repro.service import AllocationDaemon, ClusterStateStore, place_request
+from repro.simulation.recovery import split_remainder
 from repro.workload import PhasedWorkload
 from repro.workload.generator import generate_vms
 
@@ -151,6 +159,54 @@ def _colliding_groups(vms) -> PlacementConstraints:
         colocate=[[ids[150], ids[450]]])
 
 
+def _mutating_walk(engine: str, vms) -> tuple[list, set[str]]:
+    """``select`` + ``place`` over ``vms`` in start order on
+    ``DENSE_CLUSTER``, and every third decision a mutation of a book
+    the walk placed on before: ``cut`` a resident at the current start
+    (its head stays), ``remove`` one whole (books never compacted only),
+    or ``compact`` before the current start. Returns the trail — ``(vm,
+    server, evaluated, feasible, delta hex)`` — and the mutation kinds
+    that ran."""
+    allocator = make_allocator("min-energy", engine=engine)
+    states = allocator.books(DENSE_CLUSTER)
+    allocator.prepare(states)
+    pick = random.Random(7)
+    placed: list = []           # (vm, book)
+    compacted: set[int] = set()
+    kinds: set[str] = set()
+    next_id = 10_000
+    trail = []
+    for i, vm in enumerate(sorted(vms, key=lambda v: (v.start, v.vm_id))):
+        chosen = allocator.select(vm, states)
+        if chosen is None:
+            trail.append((vm.vm_id, None))
+            continue
+        trail.append((vm.vm_id, chosen.server.server_id,
+                      allocator.candidates_evaluated,
+                      allocator.candidates_feasible,
+                      chosen.place(vm, allocator.chosen_cost).hex()))
+        placed.append((vm, chosen))
+        if i % 3 or len(placed) < 10:
+            continue
+        kind = ("cut", "remove", "compact")[i // 3 % 3]
+        running = [(resident, book) for resident, book in placed
+                   if resident.end >= vm.start and resident in book.vms
+                   and (kind != "remove" or id(book) not in compacted)]
+        if not running:
+            continue
+        resident, book = running[pick.randrange(len(running))]
+        if kind == "cut":
+            head, _, next_id = split_remainder(resident, vm.start, next_id)
+            book.cut(resident, vm.start, head)
+        elif kind == "remove":
+            book.remove(resident)
+        else:
+            book.compact(vm.start)
+            compacted.add(id(book))
+        kinds.add(kind)
+    return trail, kinds
+
+
 class TestMinEnergyBatchedFinish:
     @pytest.mark.parametrize("policy", list(SleepPolicy))
     @pytest.mark.parametrize("constrained", [False, True])
@@ -239,6 +295,73 @@ class TestMinEnergyBatchedFinish:
             assert restored.handle({"op": "stats"})["energy_total"] \
                 == runs[prefetching][1]
         assert runs[True] == runs[False]
+
+    def test_a_daemon_stream_whose_starts_go_back_and_forth(
+            self, tmp_path, monkeypatch):
+        # Blocks of 40 VMs 150 ticks apart, early and late by turns: a
+        # fact recorded for a late VM lies past an early one's end, one
+        # for an early VM ends before a late one starts, and the
+        # prefetch evicts both kinds before it drops anything. A kill +
+        # restore halfway starts the tables empty on restored books.
+        base = DENSE_STREAMS["poisson"][:480]
+        late = [replace(vm, interval=TimeInterval(vm.start + 150,
+                                                  vm.end + 150))
+                for vm in base[240:]]
+        vms = [vm for i in range(0, 240, 40)
+               for vm in base[i:i + 40] + late[i:i + 40]]
+        evicted = {"past": 0, "future": 0}
+        evict = RefusalTable.evict_outside
+
+        def counted_evict(table, start, end):
+            before = dict(table.facts)
+            evict(table, start, end)
+            for pos, (lo, hi, _, _) in before.items():
+                if pos not in table.facts:
+                    evicted["past" if hi <= start else "future"] += 1
+
+        monkeypatch.setattr(RefusalTable, "evict_outside", counted_evict)
+        runs = {}
+        for prefetching in (True, False):
+            name = f"prefetch-{prefetching}"
+            with pytest.MonkeyPatch.context() as patch:
+                if not prefetching:
+                    patch.setattr(min_energy, "_BATCH_AFTER", math.inf)
+                daemon = AllocationDaemon(
+                    ClusterStateStore(DENSE_CLUSTER, engine="indexed"),
+                    data_dir=tmp_path / name, fsync=False,
+                    snapshot_every=100, algo_params={"engine": "indexed"})
+                responses = []
+                for i, vm in enumerate(vms):
+                    if i == len(vms) // 2:
+                        del daemon  # hard kill: no shutdown
+                        daemon = AllocationDaemon.restore(tmp_path / name,
+                                                          fsync=False)
+                    response = daemon.handle(place_request(vm))
+                    responses.append((response.get("server_id"),
+                                      response.get("energy_delta"),
+                                      response.get("candidates")))
+            runs[prefetching] = (
+                responses, daemon.handle({"op": "stats"})["energy_total"])
+        assert runs[True] == runs[False]
+        assert evicted["past"] > 0 and evicted["future"] > 0
+
+    @pytest.mark.parametrize("engine", ["indexed", "indexed:gamma=2"])
+    def test_books_cut_removed_and_compacted_between_prefetches(
+            self, engine):
+        # A commit only adds demand, so a stale fact would still refuse;
+        # a cut or a remove frees a book the table saw refusing, and a
+        # compact drops the segment a fact names. Each notifies, and the
+        # table forgets: the walk that prefetches decides and counts like
+        # the one that asks every busy server.
+        trails = {}
+        for batch_after in (min_energy._BATCH_AFTER, math.inf):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(min_energy, "_BATCH_AFTER", batch_after)
+                trails[batch_after] = _mutating_walk(
+                    engine, DENSE_STREAMS["poisson"])
+        trail, kinds = trails[min_energy._BATCH_AFTER]
+        assert trail == trails[math.inf][0]
+        assert kinds == {"cut", "remove", "compact"}
 
 
 #: Long idle gaps: a ~5-tick VM every ~4 ticks on 60 servers, so most

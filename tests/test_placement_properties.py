@@ -23,6 +23,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.allocators import make_allocator
+from repro.allocators.min_energy import _dropped
 from repro.allocators.state import ServerState
 from repro.energy.cost import (
     SleepPolicy,
@@ -45,7 +46,7 @@ from repro.placement.feasibility import (
     ScoreRow,
     static_demand,
 )
-from repro.placement.index import CandidateIndex
+from repro.placement.index import CandidateIndex, RefusalTable
 
 from conftest import make_vm, probe_route
 from test_kernel import _long_history_fleet, _long_history_probes
@@ -428,7 +429,10 @@ class TestARememberedRefusalIsTheSearchsAnswer:
         def checked(vm, states, *args):
             nonlocal dropped
             frontier = prefetch(vm, states, *args)
-            for positions in frontier.values():
+            for parts, kept in frontier.values():
+                positions = [pos for queue, cursor in parts
+                             for pos in queue[cursor:] if pos not in kept]
+                assert len(positions) == _dropped(parts, kept)
                 dropped += len(positions)
                 assert not any(states[pos].probe(vm).feasible
                                for pos in positions)
@@ -438,6 +442,75 @@ class TestARememberedRefusalIsTheSearchsAnswer:
         allocator.allocate_batch(DENSE_STREAMS[stream][:300],
                                  Cluster.paper_all_types(30))
         assert dropped > 0
+
+
+def _edge(cpu: float, limit: float) -> float:
+    """The largest charge ``c`` with ``c + cpu <= limit`` in floats."""
+    charge = limit - cpu
+    while charge + cpu > limit:
+        charge = math.nextafter(charge, -math.inf)
+    while math.nextafter(charge, math.inf) + cpu <= limit:
+        charge = math.nextafter(charge, math.inf)
+    return charge
+
+
+#: Charges a fact can hold: the last one ``charge + 3.0`` keeps within
+#: the limit, the one under it and the first over it, and repeats, so
+#: equal keys straddle the edge of the suffix.
+_LIMIT = 8.0 + TOL
+_EDGE = _edge(3.0, _LIMIT)
+_CHARGES = st.sampled_from([0.5, 4.0, 5.0, _EDGE,
+                            math.nextafter(_EDGE, -math.inf),
+                            math.nextafter(_EDGE, math.inf), 7.5, 8.0])
+#: ("record", pos, lo, length, charge) | ("forget", pos) |
+#: ("evict", start, end): positions 0-11, segments inside [0, 40)
+_TABLE_OPS = st.one_of(
+    st.tuples(st.just("record"), st.integers(0, 11), st.integers(0, 30),
+              st.integers(1, 10), _CHARGES),
+    st.tuples(st.just("forget"), st.integers(0, 11)),
+    st.tuples(st.just("evict"), st.integers(0, 40), st.integers(0, 40)))
+
+
+class TestARefusalTableIsItsFacts:
+    """``RefusalTable`` keeps a fact per position in cpu order with two
+    eviction heaps; after any record / forget / evict it answers like
+    the plain ``{position: fact}`` map it stands for."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_TABLE_OPS, max_size=40), st.sampled_from([3.0, 0.5]))
+    def test_after_any_record_forget_evict(self, ops, cpu):
+        table, model = RefusalTable(), {}
+        for op in ops:
+            if op[0] == "record":
+                _, pos, lo, length, charge = op
+                fact = (lo, lo + length, charge, 1.0)
+                table.record(pos, fact)
+                model[pos] = fact
+            elif op[0] == "forget":
+                table.forget(op[1])
+                model.pop(op[1], None)
+            else:
+                _, start, end = op
+                table.evict_outside(start, end)
+                model = {pos: fact for pos, fact in model.items()
+                         if fact[1] > start and fact[0] <= end}
+            assert table.facts == model
+            assert table._keys == sorted(fact[2] for fact in model.values())
+            for heap in (table._his, table._los):
+                assert len(heap) <= 2 * len(model) + 1
+            refusing = table.refusing(cpu, _LIMIT)
+            assert sorted(refusing) == sorted(
+                pos for pos, fact in model.items() if fact[2] + cpu > _LIMIT)
+            assert [table.facts[pos][2] for pos in refusing] \
+                == table._keys[len(table._keys) - len(refusing):]
+
+    def test_a_charge_landing_on_the_limit_is_not_refusing(self):
+        table = RefusalTable()
+        below, above = math.nextafter(_EDGE, -math.inf), \
+            math.nextafter(_EDGE, math.inf)
+        for pos, charge in enumerate([below, _EDGE, _EDGE, above, above]):
+            table.record(pos, (0, 10, charge, 1.0))
+        assert sorted(table.refusing(3.0, _LIMIT)) == [3, 4]
 
 
 # -- the clone class: a server idle long enough answers like a pristine one --

@@ -15,7 +15,10 @@ against a twin store that closes ticks by walking the whole fleet
 twice (:class:`TwoWalkStore`, the oracle), the streamed snapshot
 chunks against ``json.dumps(to_snapshot(meta))``, and
 (slice three) the allocator's candidate queues and kernel planes
-against a partition of the scan list and the skylines they mirror.
+against a partition of the scan list and the skylines they mirror, and
+each fact in a type's refusal table against the skyline rows of its
+book (:func:`assert_refusal_tables_are_true`, on a fleet large enough
+for min-energy's prefetch to fill the tables).
 After every step no live server holds more than its capacity at any
 time unit, summed by brute force from its residents' demand pieces,
 nominal and Γ-robust (:func:`assert_no_unit_over_capacity`).
@@ -43,6 +46,7 @@ from __future__ import annotations
 import importlib
 import inspect
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -333,6 +337,7 @@ def assert_index_matches_the_scan_list(daemon: AllocationDaemon) -> None:
         assert group.dormant == [pos for pos in group.busy
                                  if index._quiet[pos] <= group.horizon]
         assert len(group._ends or ()) <= 2 * len(group.warm) + 1
+    assert_refusal_tables_are_true(daemon)
     kernel = index.kernel
     kernel.sync()
     keys, off = kernel._keys.tolist(), kernel._off
@@ -350,6 +355,45 @@ def assert_index_matches_the_scan_list(daemon: AllocationDaemon) -> None:
         assert len(kernel._planes) == len(values)
         for plane, column in zip(kernel._planes, values):
             assert plane[lo:hi].tolist() == column
+
+
+def assert_refusal_tables_are_true(daemon: AllocationDaemon) -> int:
+    """Each fact in a type's refusal table is a segment of its book's
+    skyline rows as they are now, with the charge those rows give it at
+    radius 0 (``cpu + (drop + threshold)`` on a Γ book); only busy
+    positions hold one; the cpu order and both eviction heaps are the
+    facts', each heap compacted to at most ``2 * facts + 1``. Returns
+    how many facts the tables hold."""
+    index = daemon.allocator._index
+    if index is None:
+        return 0
+    held = 0
+    for group in index._groups.values():
+        table = group.refusals
+        facts = table.facts
+        held += len(facts)
+        assert set(facts) <= set(group.busy)
+        assert table._keys == sorted(table._keys)
+        assert sorted(zip(table._keys, table._positions)) \
+            == sorted((fact[2], pos) for pos, fact in facts.items())
+        for heap, entries in ((table._his, {(fact[1], pos) for pos, fact
+                                            in facts.items()}),
+                              (table._los, {(-fact[0], pos) for pos, fact
+                                            in facts.items()})):
+            assert len(heap) <= 2 * len(facts) + 1
+            assert entries <= set(heap)
+        for pos, (lo, hi, cpu, mem) in facts.items():
+            rows = daemon._live[pos]._occ.rows()
+            xs = rows["xs"]
+            assert lo in xs, (pos, lo, xs)
+            k = xs.index(lo)
+            assert hi == (xs[k + 1] if k + 1 < len(xs) else math.inf)
+            if "dc" in rows:
+                assert cpu == rows["cpu"][k] + (rows["dc"][k] + rows["tc"][k])
+                assert mem == rows["mem"][k] + (rows["dm"][k] + rows["tm"][k])
+            else:
+                assert (cpu, mem) == (rows["cpu"][k], rows["mem"][k])
+    return held
 
 
 def assert_no_unit_over_capacity(store: ClusterStateStore) -> None:
@@ -433,6 +477,34 @@ def test_derived_structures_equal_a_recomputation(engine, ops):
     data = assert_parts_are_the_document(store, {"seq": len(ops)})
     rebuilt = ClusterStateStore.from_snapshot(json.loads(data))
     assert snapshot_bytes(rebuilt, {"seq": len(ops)}) == data
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["indexed", "indexed:gamma=2"]),
+       st.lists(OP, max_size=20))
+def test_a_refusal_table_holds_only_true_facts(engine, ops):
+    # Forty servers, thirty of them holding a long heavy VM: the
+    # thirty-first refuses sixteen and prefetches, so the tables fill.
+    # Light VMs then fill the first sixteen, and the seventeenth lands
+    # past them, on a book the table holds a fact for. The drawn ops
+    # place, tick, fail, recover and consolidate around them, and every
+    # fact left must be true of its book.
+    cluster = Cluster.mixed([SPEC, replace(SPEC, name="s2")], 40)
+    daemon = AllocationDaemon(ClusterStateStore(cluster, engine=engine),
+                              algo_params={"engine": engine})
+    radius = 0.1 if "gamma" in engine else 0.0
+    fill = [VM(vm_id=500_000 + j,
+               spec=VMSpec("t", cpu=cpu, memory=mem,
+                           cpu_radius=radius * cpu, mem_radius=radius * mem),
+               interval=TimeInterval(1, 40))
+            for j, (cpu, mem) in enumerate([HEAVY] * 31 + [LIGHT] * 20)]
+    assert daemon.handle(place_batch_request(fill))["ok"]
+    assert assert_refusal_tables_are_true(daemon) > 0
+    for step, (kind, arg) in enumerate(ops):
+        daemon.handle(request_for(kind, arg, daemon.store.clock, step,
+                                  radius))
+        assert_refusal_tables_are_true(daemon)
 
 
 # -- cut books == books rebuilt from the placement log ------------------------
